@@ -1,6 +1,6 @@
 """regcheck: classify regulatory provisions and check artifacts for compliance."""
 
-from .classify import LabelSet, classify_keywords, classify_llm, fuse_labels
+from .classify import LabelSet, classify_keywords, fuse_labels
 from .compliance import (
     ComplianceReport,
     Finding,
@@ -20,7 +20,6 @@ from .corpus import (
     expand_list_items,
     extract_provisions,
     parse_document,
-    split_sentences,
     split_text,
 )
 from .errors import (
@@ -47,7 +46,6 @@ from .evaluation import (
     match_accuracy,
     match_mode,
     metrics,
-    subset_accuracy,
 )
 from .llm import (
     BackendConfig,
@@ -57,9 +55,7 @@ from .llm import (
     StubBackend,
     StubEntry,
     Usage,
-    complete,
     make_backend,
-    record_cost,
 )
 from .taxonomy import (
     Concept,

@@ -11,14 +11,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
 from .corpus import Provision, sentence_spans
 from .errors import ParseError, TemplateError
-from .llm import Backend, ChatMessage
+from .llm import ChatMessage
+from .storage import read_text_or_bundled
 from .taxonomy import ConceptModel, render_concepts
 
 FROM_LLM = "llm"
@@ -67,19 +67,17 @@ class ClassificationTemplate:
             raise TemplateError("classification template user part is missing {text}")
 
 
-def load_classification_template(path: str | Path) -> ClassificationTemplate:
-    body = json.loads(Path(path).read_text(encoding="utf-8"))
+def load_classification_template(
+    path: str | Path | None = None,
+) -> ClassificationTemplate:
+    """The role-structured template JSON at `path`, or the bundled one."""
+    body = json.loads(read_text_or_bundled(path, "classification_prompt.json"))
     return ClassificationTemplate(system=body["system"], user=body["user"])
 
 
 def default_classification_template() -> ClassificationTemplate:
-    text = (
-        resources.files("regcheck.data")
-        .joinpath("classification_prompt.json")
-        .read_text("utf-8")
-    )
-    body = json.loads(text)
-    return ClassificationTemplate(system=body["system"], user=body["user"])
+    """The bundled classification prompt template."""
+    return load_classification_template()
 
 
 def build_classification_prompt(
@@ -122,18 +120,6 @@ def parse_concept_response(raw: str, model: ConceptModel) -> frozenset[str]:
             f"no concept id or {NO_CONCEPT} marker found in response", raw=raw
         )
     return frozenset(found)
-
-
-def classify_llm(
-    p: Provision,
-    model: ConceptModel,
-    backend: Backend,
-    template: ClassificationTemplate | None = None,
-) -> LabelSet:
-    """Model-based classification over the non-scarce concepts."""
-    messages = build_classification_prompt(p, model, template)
-    response, _usage = backend.complete(messages)
-    return LabelSet.of(parse_concept_response(response, model), FROM_LLM)
 
 
 # --------------------------------------------------------------------------

@@ -13,19 +13,19 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .classify import default_classification_template, load_classification_template
+from .classify import load_classification_template
 from .compliance import (
     assemble_report,
-    default_template,
     load_template,
     report_to_dict,
     report_to_markdown,
 )
 from .corpus import chunk_paragraphs, extract_provisions, parse_document
-from .errors import BackendError, ParseError, RegcheckError
+from .errors import BackendError, RegcheckError
 from .evaluation import (
     ANY_OVERLAP,
     EXACT,
@@ -36,16 +36,16 @@ from .evaluation import (
     load_predictions,
     match_accuracy,
     metrics,
-    subset_accuracy,
 )
 from .llm import (
+    STUB,
     BackendConfig,
     CostLedger,
     RetryPolicy,
-    bypass_cache,
-    default_price_table,
     load_price_table,
+    load_stub_script,
     make_backend,
+    price_of,
 )
 from .pipeline import classify_provisions, compliance_units, run_compliance
 from .storage import atomic_write_text, write_json, write_jsonl
@@ -175,8 +175,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
-    if getattr(args, "keyword_only", False):
-        cfg["keyword_only"] = True
     # A stub script implies the stub backend; an endpoint implies http.
     if getattr(args, "stub_script", None):
         cfg["backend"] = "stub"
@@ -200,12 +198,6 @@ def backend_config(cfg: dict) -> BackendConfig:
         cache_dir=cfg["cache_dir"],
         script_path=cfg["stub_script"],
     )
-
-
-def _price_table(cfg: dict):
-    if cfg.get("price_table"):
-        return load_price_table(cfg["price_table"])
-    return default_price_table()
 
 
 def _emit(records: list[dict], out: str | None) -> None:
@@ -256,19 +248,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
     raw = Path(args.input).read_text(encoding="utf-8")
     doc = parse_document(raw, cfg["format"], doc_id=Path(args.input).stem)
     model = load_concept_model(args.concepts)
-    template = (
-        load_classification_template(args.prompt_template)
-        if args.prompt_template
-        else default_classification_template()
-    )
-    keyword_only = bool(cfg.get("keyword_only"))
-    backend = None if keyword_only else make_backend(backend_config(cfg))
+    template = load_classification_template(args.prompt_template)
+    backend = None if args.keyword_only else make_backend(backend_config(cfg))
     results = classify_provisions(
         extract_provisions(doc),
         model,
         backend,
         template=template,
-        keyword_only=keyword_only,
         stem=bool(args.stem),
         parallelism=int(cfg["parallelism"]),
     )
@@ -281,23 +267,29 @@ def cmd_check(args: argparse.Namespace) -> int:
     raw = Path(args.artifact).read_text(encoding="utf-8")
     doc = parse_document(raw, cfg["format"], doc_id=Path(args.artifact).stem)
     rules = load_ruleset(args.rules)
-    template = load_template(args.template) if args.template else default_template()
-    prices = _price_table(cfg)
+    template = load_template(args.template)
+    prices = load_price_table(cfg["price_table"])
+    price_of(prices, cfg["model"])  # an unpriced model fails before any paid call
     out_dir = Path(args.out_dir)
     runs = int(cfg["runs"])
+    units = compliance_units(
+        doc,
+        cfg["granularity"],
+        int(cfg["budget"]),
+        context_on=(cfg["context"] == "on"),
+    )
+    run_cfg = backend_config(cfg)
+    if runs > 1:
+        run_cfg = replace(run_cfg, cache_dir=None)  # independent samples per run
+    script = (
+        load_stub_script(run_cfg.script_path)
+        if run_cfg.kind == STUB and run_cfg.script_path
+        else None
+    )
 
     worst_failures = 0
     for run in range(1, runs + 1):
-        run_cfg = backend_config(cfg)
-        if runs > 1:
-            run_cfg = bypass_cache(run_cfg)  # independent samples per run
-        backend = make_backend(run_cfg)
-        units = compliance_units(
-            doc,
-            cfg["granularity"],
-            int(cfg["budget"]),
-            context_on=(cfg["context"] == "on"),
-        )
+        backend = make_backend(run_cfg, script)  # a fresh stub queue per run
         findings = run_compliance(
             units, rules, backend, template, parallelism=int(cfg["parallelism"])
         )
@@ -355,7 +347,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     averaging = args.averaging.replace("-", "_")
     counts = confusion(predicted, gold)
     report = metrics(counts, averaging=averaging)
-    report.subset_accuracy = subset_accuracy(predicted, gold)
+    report.subset_accuracy = match_accuracy(predicted, gold, EXACT)
     mode = EXACT if args.match == "exact" else ANY_OVERLAP
     body = report.to_dict()
     body["match_accuracy"] = {

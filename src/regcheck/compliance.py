@@ -11,12 +11,12 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 from .corpus import Passage, sentence_spans
 from .errors import ParseError, TemplateError
 from .llm import Backend, ChatMessage, Usage
+from .storage import read_text_or_bundled
 from .taxonomy import NOT_APPLICABLE, Ruleset, render_rules
 
 log = logging.getLogger(__name__)
@@ -73,17 +73,14 @@ class ComplianceReport:
     totals: dict[str, int] = field(default_factory=dict)
 
 
-def load_template(path: str | Path) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def load_template(path: str | Path | None = None) -> str:
+    """The compliance prompt template at `path`, or the bundled one."""
+    return read_text_or_bundled(path, "compliance_prompt.txt")
 
 
 def default_template() -> str:
     """The bundled compliance prompt template."""
-    return (
-        resources.files("regcheck.data")
-        .joinpath("compliance_prompt.txt")
-        .read_text("utf-8")
-    )
+    return load_template()
 
 
 def build_prompt(
@@ -155,17 +152,23 @@ def parse_response(raw: str, rules: Ruleset) -> tuple[frozenset[str], str]:
 def check_passage(bundle: PromptBundle, rules: Ruleset, backend: Backend) -> Finding:
     """Send one bundle and parse the determination.
 
-    Raises ParseError when the response does not follow the grammar; the raw
-    response travels on the exception for audit.
+    A response the grammar rejects becomes a finding with `parse_error` set
+    and the raw response kept for audit; its usage is still recorded, since a
+    failed parse was still a paid call. Backend failures propagate.
     """
     response, usage = backend.complete(bundle.messages)
-    rule_ids, rationale = parse_response(response, rules)
+    error = None
+    try:
+        rule_ids, rationale = parse_response(response, rules)
+    except ParseError as exc:
+        rule_ids, rationale, error = frozenset(), "", str(exc)
     return Finding(
         passage_ref=bundle.passage_ref,
         rule_ids=rule_ids,
         rationale=rationale,
         raw_response=response,
         usage=usage,
+        parse_error=error,
     )
 
 

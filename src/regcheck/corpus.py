@@ -64,7 +64,6 @@ class SourceDocument:
     doc_id: str
     title: str
     blocks: tuple[Block, ...]
-    jurisdiction: str = ""
 
 
 @dataclass(frozen=True)
@@ -82,10 +81,6 @@ class Provision:
             raise ValueError("provision text is empty")
         if self.origin not in ("plain", "list_expanded"):
             raise ValueError(f"unknown provision origin {self.origin!r}")
-
-    @property
-    def prov_id(self) -> tuple[str, int, int]:
-        return (self.doc_id, self.block_index, self.sentence_index)
 
     @property
     def unit_ref(self) -> str:
@@ -106,10 +101,6 @@ class Passage:
     def __post_init__(self):
         if not self.unit_ref:
             object.__setattr__(self, "unit_ref", f"{self.doc_id}:p{self.sequence}")
-
-    @property
-    def passage_id(self) -> tuple[str, int]:
-        return (self.doc_id, self.sequence)
 
 
 def estimate_tokens(text: str) -> int:
@@ -180,23 +171,6 @@ def sentence_spans(
 def split_text(text: str, abbreviations: Sequence[str] | None = None) -> list[str]:
     """Split `text` into sentence strings (see `sentence_spans`)."""
     return [text[s:e] for s, e in sentence_spans(text, abbreviations)]
-
-
-def split_sentences(
-    doc: SourceDocument, abbreviations: Sequence[str] | None = None
-) -> list[Provision]:
-    """Sentence-level provisions from the document's paragraph blocks.
-
-    List blocks are handled by `expand_list_items`; use `extract_provisions`
-    for the combined stream.
-    """
-    provisions: list[Provision] = []
-    for block in doc.blocks:
-        if block.kind != PARAGRAPH:
-            continue
-        for i, sent in enumerate(split_text(block.text, abbreviations)):
-            provisions.append(Provision(doc.doc_id, block.index, i, sent, "plain"))
-    return provisions
 
 
 # --------------------------------------------------------------------------
@@ -342,7 +316,6 @@ def parse_document(
     raw: str,
     format: str = "plain",
     doc_id: str = "doc",
-    jurisdiction: str = "",
 ) -> SourceDocument:
     """Parse raw UTF-8 text into a block-structured document.
 
@@ -362,7 +335,7 @@ def parse_document(
         title, blocks = _parse_plain(raw)
     if not blocks:
         raise MalformedInput("document contains no blocks")
-    return SourceDocument(doc_id=doc_id, title=title, blocks=tuple(blocks), jurisdiction=jurisdiction)
+    return SourceDocument(doc_id=doc_id, title=title, blocks=tuple(blocks))
 
 
 class _Builder:

@@ -9,7 +9,7 @@ across labels rather than averaging per-label scores.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -26,11 +26,10 @@ METRIC_FIELDS = ("precision", "recall", "f1", "accuracy")
 class GoldRecord:
     unit_ref: str
     gold_labels: frozenset[str]
-    split: str = ""
 
 
 def load_gold(path: str | Path) -> list[GoldRecord]:
-    """Gold file: one JSONL record per unit: {"unit_ref", "labels", "split"?}."""
+    """Gold file: one JSONL record per unit: {"unit_ref", "labels"}."""
     records = []
     seen = set()
     for rec in read_jsonl(path):
@@ -38,9 +37,7 @@ def load_gold(path: str | Path) -> list[GoldRecord]:
         if ref in seen:
             raise ValueError(f"duplicate unit_ref {ref!r} in gold file {path}")
         seen.add(ref)
-        records.append(
-            GoldRecord(ref, frozenset(rec.get("labels", [])), rec.get("split", ""))
-        )
+        records.append(GoldRecord(ref, frozenset(rec.get("labels", []))))
     return records
 
 
@@ -153,10 +150,6 @@ class MetricsReport:
     subset_accuracy: float | None = None
     parse_failure_count: int = 0
 
-    @property
-    def primary(self) -> MetricValues:
-        return self.micro if self.averaging == "micro" else self.macro
-
     def to_dict(self) -> dict:
         body: dict = {
             "averaging": self.averaging,
@@ -215,18 +208,6 @@ def metrics(
         averaging=averaging,
         parse_failure_count=parse_failure_count,
     )
-
-
-def subset_accuracy(
-    predicted: Mapping[str, Iterable[str]], gold: Sequence[GoldRecord]
-) -> float:
-    """Multi-label accuracy requiring exact equality of predicted and gold sets."""
-    if not gold:
-        return 0.0
-    hits = sum(
-        1 for g in gold if frozenset(predicted.get(g.unit_ref, ())) == g.gold_labels
-    )
-    return hits / len(gold)
 
 
 def match_mode(
@@ -386,13 +367,6 @@ def compare_granularity(sentence_acc: float, paragraph_acc: float) -> Granularit
     else:
         direction = "unchanged"
     return GranularityDelta(sentence_acc, paragraph_acc, delta, direction)
-
-
-def compare_granularity_batch(
-    pairs: Mapping[str, tuple[float, float]]
-) -> dict[str, GranularityDelta]:
-    """Batch mode over models: name -> (sentence accuracy, paragraph accuracy)."""
-    return {name: compare_granularity(s, p) for name, (s, p) in pairs.items()}
 
 
 def _mean(values: Sequence[float]) -> float:

@@ -17,8 +17,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field, replace
-from importlib import resources
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
@@ -31,7 +30,7 @@ from .errors import (
     ScriptExhausted,
     UnknownModelPrice,
 )
-from .storage import dump_jsonl, read_jsonl
+from .storage import atomic_write_text, dump_jsonl, read_jsonl, read_text_or_bundled
 
 HTTP = "http"
 STUB = "stub"
@@ -286,7 +285,6 @@ class ResponseCache:
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -318,12 +316,7 @@ class ResponseCache:
             "prompt_tokens": usage.prompt_tokens,
             "completion_tokens": usage.completion_tokens,
         }
-        # Write-then-rename so concurrent readers never see a partial entry.
-        path = self._path(key)
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        with self._lock:
-            tmp.write_text(json.dumps(body, ensure_ascii=False), encoding="utf-8")
-            os.replace(tmp, path)
+        atomic_write_text(self._path(key), json.dumps(body, ensure_ascii=False))
 
 
 class CachingBackend:
@@ -364,15 +357,6 @@ def make_backend(cfg: BackendConfig, script: Iterable[StubEntry] | None = None) 
     return inner
 
 
-def complete(
-    messages: Sequence[ChatMessage],
-    cfg: BackendConfig,
-    backend: Backend | None = None,
-) -> tuple[str, Usage]:
-    """One chat completion under `cfg`; builds a fresh backend unless given one."""
-    return (backend or make_backend(cfg)).complete(messages)
-
-
 # --------------------------------------------------------------------------
 # Cost accounting
 # --------------------------------------------------------------------------
@@ -384,8 +368,9 @@ class ModelPrice:
     output_per_1k: float
 
 
-def load_price_table(path: str | Path) -> dict[str, ModelPrice]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+def load_price_table(path: str | Path | None = None) -> dict[str, ModelPrice]:
+    """Per-1K-token input/output prices from `path`, or the bundled editable table."""
+    raw = json.loads(read_text_or_bundled(path, "prices.json"))
     return {
         model: ModelPrice(float(p["input_per_1k"]), float(p["output_per_1k"]))
         for model, p in raw.items()
@@ -393,13 +378,16 @@ def load_price_table(path: str | Path) -> dict[str, ModelPrice]:
 
 
 def default_price_table() -> dict[str, ModelPrice]:
-    """Bundled editable price table (per-1K-token input/output prices)."""
-    text = resources.files("regcheck.data").joinpath("prices.json").read_text("utf-8")
-    raw = json.loads(text)
-    return {
-        model: ModelPrice(float(p["input_per_1k"]), float(p["output_per_1k"]))
-        for model, p in raw.items()
-    }
+    """The bundled price table."""
+    return load_price_table()
+
+
+def price_of(price_table: dict[str, ModelPrice], model_name: str) -> ModelPrice:
+    """The table's entry for `model_name`; an unpriced model is an error."""
+    price = price_table.get(model_name)
+    if price is None:
+        raise UnknownModelPrice(f"no price entry for model {model_name!r}")
+    return price
 
 
 class CostLedger:
@@ -415,9 +403,7 @@ class CostLedger:
         self._lock = threading.Lock()
 
     def record(self, usage: Usage) -> CostRecord:
-        price = self.price_table.get(usage.model_name)
-        if price is None:
-            raise UnknownModelPrice(f"no price entry for model {usage.model_name!r}")
+        price = price_of(self.price_table, usage.model_name)
         if usage.cached:
             cost = 0.0
         else:
@@ -436,9 +422,6 @@ class CostLedger:
         with self._lock:
             self.records.append(rec)
         return rec
-
-    def record_all(self, usages: Iterable[Usage]) -> list[CostRecord]:
-        return [self.record(u) for u in usages]
 
     def aggregate(self) -> dict:
         with self._lock:
@@ -466,17 +449,3 @@ class CostLedger:
             }
             for r in records
         )
-
-
-def record_cost(
-    usages: Iterable[Usage], price_table: dict[str, ModelPrice]
-) -> tuple[dict, list[CostRecord]]:
-    """Price a usage stream: aggregate totals plus the per-call ledger."""
-    ledger = CostLedger(price_table)
-    ledger.record_all(usages)
-    return ledger.aggregate(), list(ledger.records)
-
-
-def bypass_cache(cfg: BackendConfig) -> BackendConfig:
-    """Copy of `cfg` with the cache disabled (per-run bypass for repeated runs)."""
-    return replace(cfg, cache_dir=None)

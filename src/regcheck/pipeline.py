@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .classify import (
+    FROM_LLM,
     ClassificationTemplate,
     LabelSet,
     build_classification_prompt,
@@ -20,7 +21,7 @@ from .classify import (
     fuse_labels,
     parse_concept_response,
 )
-from .compliance import Finding, build_prompt, parse_response
+from .compliance import Finding, build_prompt, check_passage
 from .corpus import (
     Passage,
     Provision,
@@ -62,19 +63,18 @@ def classify_provisions(
     model: ConceptModel,
     backend: Backend | None,
     template: ClassificationTemplate | None = None,
-    keyword_only: bool = False,
     stem: bool = False,
     parallelism: int = 1,
 ) -> list[ClassifiedProvision]:
     """Run the classification steps over a provision stream.
 
     The model branch and the keyword branch are independent; their label
-    sets are fused per provision. With `keyword_only` the model branch is
+    sets are fused per provision. Without a backend the model branch is
     skipped entirely (the keyword-search baseline).
     """
 
     def llm_branch(p: Provision) -> tuple[LabelSet, str, Usage | None, str | None]:
-        if keyword_only or backend is None:
+        if backend is None:
             return LabelSet.empty(), "", None, None
         messages = build_classification_prompt(p, model, template)
         response, usage = backend.complete(messages)
@@ -82,7 +82,7 @@ def classify_provisions(
             labels = parse_concept_response(response, model)
         except ParseError as exc:
             return LabelSet.empty(), response, usage, str(exc)
-        return LabelSet.of(labels, "llm"), response, usage, None
+        return LabelSet.of(labels, FROM_LLM), response, usage, None
 
     with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
         llm_results = list(pool.map(llm_branch, provisions))
@@ -154,34 +154,7 @@ def run_compliance(
     template: str | None = None,
     parallelism: int = 1,
 ) -> list[Finding]:
-    """Check every unit, keeping input order.
-
-    Responses the grammar rejects become findings with `parse_error` set
-    (their usage is still recorded: a failed parse was still a paid call).
-    Backend failures propagate.
-    """
+    """Check every unit with `check_passage`, keeping input order."""
     bundles = [build_prompt(u.passage, rules, template, u.context) for u in units]
-
-    def one(bundle) -> Finding:
-        response, usage = backend.complete(bundle.messages)
-        try:
-            rule_ids, rationale = parse_response(response, rules)
-        except ParseError as exc:
-            return Finding(
-                passage_ref=bundle.passage_ref,
-                rule_ids=frozenset(),
-                rationale="",
-                raw_response=response,
-                usage=usage,
-                parse_error=str(exc),
-            )
-        return Finding(
-            passage_ref=bundle.passage_ref,
-            rule_ids=rule_ids,
-            rationale=rationale,
-            raw_response=response,
-            usage=usage,
-        )
-
     with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-        return list(pool.map(one, bundles))
+        return list(pool.map(lambda b: check_passage(b, rules, backend), bundles))

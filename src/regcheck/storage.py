@@ -1,12 +1,19 @@
-"""Small file helpers: line-delimited JSON records and atomic whole-file writes."""
+"""Small file helpers: bundled data, line-delimited JSON records and atomic whole-file writes."""
 
 from __future__ import annotations
 
 import json
 import os
 import tempfile
+from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable
+
+
+def read_text_or_bundled(path: str | Path | None, bundled: str) -> str:
+    """Text of `path`, or of the named file bundled in regcheck/data when no path is given."""
+    source = Path(path) if path else resources.files("regcheck.data").joinpath(bundled)
+    return source.read_text(encoding="utf-8")
 
 
 def read_jsonl(path: str | Path) -> list[dict]:

@@ -10,7 +10,6 @@ from regcheck.classify import (
     LabelSet,
     build_classification_prompt,
     classify_keywords,
-    classify_llm,
     default_classification_template,
     fuse_labels,
     parse_concept_response,
@@ -18,6 +17,7 @@ from regcheck.classify import (
 from regcheck.corpus import Provision
 from regcheck.errors import ParseError
 from regcheck.llm import StubBackend, StubEntry
+from regcheck.pipeline import classify_provisions
 from regcheck.taxonomy import load_concept_model
 
 
@@ -104,7 +104,8 @@ class TestClassifyLlm:
         backend = StubBackend(
             [StubEntry(match="record", response="Traceability. Trace-back duty.")]
         )
-        labels = classify_llm(prov("A record-keeping provision."), model, backend)
+        (result,) = classify_provisions([prov("A record-keeping provision.")], model, backend)
+        labels = result.labels
         assert labels.labels == {"Traceability"}
         assert labels.provenance == {"Traceability": "llm"}
 

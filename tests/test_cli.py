@@ -219,6 +219,23 @@ class TestCheck:
         first = (out / "run_01" / "report.json").read_bytes()
         assert (out / "run_03" / "report.json").read_bytes() == first
 
+    def test_fifo_script_restarts_each_run(self, tmp_path):
+        # Unmatched entries form a queue; every run must consume it from the start.
+        script = tmp_path / "fifo.jsonl"
+        write_jsonl(script, [{"response": f"R{k}. Entry {k}."} for k in range(1, 9)])
+        assert self._check(tmp_path, "--runs", "2", script=script) == 0
+        out = tmp_path / "out"
+        first = (out / "run_01" / "report.json").read_bytes()
+        assert (out / "run_02" / "report.json").read_bytes() == first
+
+    def test_unpriced_model_exits_2_before_any_call(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        code = self._check(tmp_path, "--model", "unpriced-x", "--cache-dir", str(cache))
+        assert code == 2
+        assert list(cache.iterdir()) == []
+        assert not (tmp_path / "out").exists()
+
     def test_golden_report(self, tmp_path):
         assert self._check(tmp_path) == 0
         out = tmp_path / "out"

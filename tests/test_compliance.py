@@ -129,12 +129,15 @@ class TestCheckPassage:
         assert finding.rule_ids == set()
         assert finding.rationale == ""
 
-    def test_garbage_raises_with_raw_preserved(self, rules):
+    def test_garbage_becomes_parse_error_finding(self, rules):
         backend = StubBackend([StubEntry(match="delete", response="free prose only")])
         bundle = build_prompt(passage(), rules, default_template())
-        with pytest.raises(ParseError) as err:
-            check_passage(bundle, rules, backend)
-        assert err.value.raw == "free prose only"
+        finding = check_passage(bundle, rules, backend)
+        assert finding.parse_error
+        assert finding.raw_response == "free prose only"
+        assert finding.rule_ids == set()
+        assert finding.rationale == ""
+        assert finding.usage is not None  # a failed parse was still a paid call
 
     def test_round_trip(self, rules):
         backend = StubBackend(

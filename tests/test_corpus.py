@@ -14,10 +14,14 @@ from regcheck.corpus import (
     expand_list_items,
     extract_provisions,
     parse_document,
-    split_sentences,
     split_text,
 )
 from regcheck.errors import MalformedInput, UnchunkableText
+
+
+def plain_provisions(doc):
+    """Sentence provisions of the paragraph blocks only."""
+    return [p for p in extract_provisions(doc) if p.origin == "plain"]
 
 
 class TestEstimateTokens:
@@ -113,7 +117,7 @@ class TestSplitSentences:
             "The licence holder must keep records. Records must be retained for two years.",
             "plain",
         )
-        provisions = split_sentences(doc)
+        provisions = plain_provisions(doc)
         assert [p.text for p in provisions] == [
             "The licence holder must keep records.",
             "Records must be retained for two years.",
@@ -122,7 +126,7 @@ class TestSplitSentences:
 
     def test_legal_abbreviation_not_split(self):
         doc = parse_document("See s. 12 of the Act for details.", "plain")
-        assert len(split_sentences(doc)) == 1
+        assert len(plain_provisions(doc)) == 1
 
     @pytest.mark.parametrize(
         "text",
@@ -158,7 +162,7 @@ class TestSplitSentences:
 
     def test_list_only_document_yields_nothing(self):
         doc = parse_document("* Header:\n- (a) one item.", "structured")
-        assert split_sentences(doc) == []
+        assert plain_provisions(doc) == []
         assert len(expand_list_items(doc.blocks[0], doc.doc_id)) == 1
 
     def test_partition_preserves_characters(self, gold_doc):
@@ -272,7 +276,3 @@ class TestProvisionIds:
         refs = [p.unit_ref for p in provisions]
         assert len(set(refs)) == len(refs)
         assert refs[0] == "gold:b0:s0"
-
-    def test_prov_id_tuple(self, gold_doc):
-        prov = extract_provisions(gold_doc)[0]
-        assert prov.prov_id == ("gold", 0, 0)

@@ -15,12 +15,10 @@ from regcheck.evaluation import (
     GoldRecord,
     aggregate_runs,
     compare_granularity,
-    compare_granularity_batch,
     confusion,
     match_accuracy,
     match_mode,
     metrics,
-    subset_accuracy,
 )
 
 
@@ -181,7 +179,7 @@ class TestSubsetAndMatch:
     def test_subset_accuracy(self):
         g = gold([("u1", {"A", "B"}), ("u2", {"A"}), ("u3", set())])
         predicted = {"u1": {"A", "B"}, "u2": {"A", "B"}, "u3": set()}
-        assert subset_accuracy(predicted, g) == pytest.approx(2 / 3)
+        assert match_accuracy(predicted, g, EXACT) == pytest.approx(2 / 3)
 
     @pytest.mark.parametrize(
         ("pred", "g", "exact", "overlap"),
@@ -288,8 +286,9 @@ class TestCompareGranularity:
             assert compare_granularity(a, b).delta == -compare_granularity(b, a).delta
 
     def test_direction(self):
-        assert compare_granularity(0.2, 0.6).direction == "improved"
-        assert compare_granularity(0.6, 0.2).direction == "degraded"
+        for sentence_acc, paragraph_acc in [(0.2, 0.6), (0.30, 0.63), (0.41, 0.81)]:
+            assert compare_granularity(sentence_acc, paragraph_acc).direction == "improved"
+            assert compare_granularity(paragraph_acc, sentence_acc).direction == "degraded"
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -298,8 +297,8 @@ class TestCompareGranularity:
             compare_granularity(0.5, 1.2)
 
     def test_batch_mode(self):
-        deltas = compare_granularity_batch(
-            {"model-a": (0.30, 0.63), "model-b": (0.41, 0.81)}
-        )
+        pairs = {"model-a": (0.30, 0.63), "model-b": (0.41, 0.81)}
+        deltas = {name: compare_granularity(s, p) for name, (s, p) in pairs.items()}
         assert deltas["model-a"].delta == 0.33
         assert deltas["model-b"].delta == 0.40
+        assert {d.direction for d in deltas.values()} == {"improved"}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -29,10 +30,8 @@ from regcheck.llm import (
     StubEntry,
     Usage,
     cache_key,
-    complete,
     load_stub_script,
     make_backend,
-    record_cost,
 )
 
 MESSAGES = [
@@ -112,7 +111,7 @@ class TestStubBackend:
         script = tmp_path / "script.jsonl"
         script.write_text('{"response": "R5. ok"}\n', encoding="utf-8")
         cfg = BackendConfig(kind="stub", script_path=str(script))
-        text, usage = complete(MESSAGES, cfg)
+        text, usage = make_backend(cfg).complete(MESSAGES)
         assert text == "R5. ok"
         assert usage.model_name == "stub-model"
 
@@ -162,6 +161,47 @@ class TestCache:
         assert second[1].cached is True
         assert (second[1].prompt_tokens, second[1].completion_tokens) == (7, 3)
 
+    def test_concurrent_puts_and_gets_stay_whole(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        usage = Usage("m", 10, 5)
+        response = "R5. " + "x" * 20_000  # large enough for a torn write to show
+        cache.put("shared", response, usage)
+        errors = []
+
+        def writer(k):
+            try:
+                for i in range(40):
+                    cache.put("shared", response, usage)
+                    cache.put(f"w{k}-{i}", response, usage)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        def reader():
+            try:
+                for _ in range(200):
+                    hit = cache.get("shared")
+                    assert hit is not None and hit[0] == response
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(k,)) for k in range(6)]
+        threads += [threading.Thread(target=reader) for _ in range(6)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert len(list(tmp_path.glob("*.json"))) == 1 + 6 * 40
+        for k in range(6):
+            assert cache.get(f"w{k}-39")[0] == response
+
     def test_digest_depends_on_message_order(self):
         rng = random.Random(23)
         messages = [ChatMessage("user", f"m{i}") for i in range(5)]
@@ -184,14 +224,14 @@ PRICES = {"stub-model": ModelPrice(0.5, 1.5)}
 class TestCostAccounting:
     def test_worked_example(self):
         # 2 calls of (1000 in, 500 out) at (0.5, 1.5) per 1K: 2 x 1.25 = 2.50
-        usages = [Usage("stub-model", 1000, 500, 0.0)] * 2
-        totals, records = record_cost(usages, PRICES)
-        assert totals["monetary_cost"] == pytest.approx(2.50, abs=1e-12)
+        ledger = CostLedger(PRICES)
+        records = [ledger.record(Usage("stub-model", 1000, 500, 0.0)) for _ in range(2)]
+        assert ledger.aggregate()["monetary_cost"] == pytest.approx(2.50, abs=1e-12)
         assert [r.monetary_cost for r in records] == [1.25, 1.25]
 
     def test_zero_calls(self):
-        totals, records = record_cost([], PRICES)
-        assert totals == {
+        ledger = CostLedger(PRICES)
+        assert ledger.aggregate() == {
             "calls": 0,
             "cache_hits": 0,
             "prompt_tokens": 0,
@@ -199,11 +239,11 @@ class TestCostAccounting:
             "monetary_cost": 0,
             "latency_s": 0,
         }
-        assert records == []
+        assert ledger.records == []
 
     def test_unknown_model(self):
         with pytest.raises(UnknownModelPrice):
-            record_cost([Usage("mystery", 1, 1, 0.0)], PRICES)
+            CostLedger(PRICES).record(Usage("mystery", 1, 1, 0.0))
 
     def test_cached_calls_cost_nothing(self):
         ledger = CostLedger(PRICES)

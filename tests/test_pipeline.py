@@ -99,9 +99,7 @@ class TestClassifyProvisions:
     def test_keyword_only_skips_backend(self, data_dir):
         model = load_concept_model(data_dir / "food_safety_concepts.jsonl")
         doc = parse_document("Salmonella testing is mandatory.", "plain", doc_id="d")
-        (result,) = classify_provisions(
-            extract_provisions(doc), model, backend=None, keyword_only=True
-        )
+        (result,) = classify_provisions(extract_provisions(doc), model, backend=None)
         assert result.labels.labels == {"Pathogen"}
         assert result.raw_response == ""
         assert result.usage is None
