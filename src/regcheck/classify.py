@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .corpus import Provision, sentence_spans
 from .errors import ParseError, TemplateError
@@ -88,11 +89,22 @@ def build_classification_prompt(
     Only non-scarce concepts are offered; scarce ones belong to the keyword
     branch. Substitution is pure text replacement.
     """
+    return classification_prompter(model, template)(p)
+
+
+def classification_prompter(
+    model: ConceptModel, template: ClassificationTemplate | None = None
+) -> Callable[[Provision], list[ChatMessage]]:
+    """`build_classification_prompt` for one model and template, with the
+    concept listing rendered and the template loaded once."""
     template = template or default_classification_template()
     listing = render_concepts([c for c in model.concepts if not c.scarce])
     system = template.system.replace("{concept_list}", listing)
-    user = template.user.replace("{concept_list}", listing).replace("{text}", p.text)
-    return [ChatMessage("system", system), ChatMessage("user", user)]
+    user = template.user.replace("{concept_list}", listing)
+    return lambda p: [
+        ChatMessage("system", system),
+        ChatMessage("user", user.replace("{text}", p.text)),
+    ]
 
 
 def parse_concept_response(raw: str, model: ConceptModel) -> frozenset[str]:
@@ -136,20 +148,63 @@ def _light_stem(word: str) -> str:
     return word
 
 
-def _keyword_pattern(keyword: str) -> re.Pattern[str]:
-    # Lookarounds instead of \b so keywords may start/end with punctuation.
-    return re.compile(r"(?<!\w)" + re.escape(keyword.strip()) + r"(?!\w)", re.IGNORECASE)
+_WORD = re.compile(r"\w+")
 
 
-def _matches(text: str, keyword: str, stem: bool) -> bool:
-    if _keyword_pattern(keyword).search(text):
-        return True
-    if not stem:
-        return False
-    want = [_light_stem(w.lower()) for w in re.findall(r"\w+", keyword)]
-    have = [_light_stem(w.lower()) for w in re.findall(r"\w+", text)]
-    n = len(want)
-    return n > 0 and any(have[i : i + n] == want for i in range(len(have) - n + 1))
+def _stemmed_words(text: str) -> tuple[str, ...]:
+    return tuple(_light_stem(w.lower()) for w in _WORD.findall(text))
+
+
+class _KeywordIndex:
+    """The scarce concepts of one model, compiled for matching.
+
+    Each concept gets one case-insensitive alternation of its keywords, with
+    lookarounds instead of \\b so keywords may start or end with punctuation.
+    With stemming, each keyword's stemmed word n-gram is also filed under its
+    first word, so a text is tokenised and stemmed once and each of its words
+    costs one dict lookup: a word-level Aho-Corasick lookup (Aho & Corasick,
+    CACM 18(6), 1975) that verifies each candidate n-gram directly.
+    """
+
+    def __init__(self, model: ConceptModel, stem: bool):
+        scarce = [c for c in model.scarce_concepts() if c.keywords]
+        self.patterns = [
+            (
+                c.concept_id,
+                re.compile(
+                    r"(?<!\w)(?:"
+                    + "|".join(re.escape(kw.strip()) for kw in c.keywords)
+                    + r")(?!\w)",
+                    re.IGNORECASE,
+                ),
+            )
+            for c in scarce
+        ]
+        self.ngrams: dict[str, list[tuple[tuple[str, ...], str]]] = {}
+        if stem:
+            for c in scarce:
+                for kw in c.keywords:
+                    want = _stemmed_words(kw)
+                    if want:
+                        self.ngrams.setdefault(want[0], []).append((want, c.concept_id))
+
+    def match(self, text: str) -> set[str]:
+        hits: set[str] = set()
+        if self.ngrams:
+            have = _stemmed_words(text)
+            for i, word in enumerate(have):
+                for want, cid in self.ngrams.get(word, ()):
+                    if cid not in hits and have[i : i + len(want)] == want:
+                        hits.add(cid)
+        for cid, pattern in self.patterns:
+            if cid not in hits and pattern.search(text):
+                hits.add(cid)
+        return hits
+
+
+@lru_cache(maxsize=8)
+def _keyword_index(model: ConceptModel, stem: bool) -> _KeywordIndex:
+    return _KeywordIndex(model, stem)
 
 
 def classify_keywords(
@@ -161,12 +216,7 @@ def classify_keywords(
     concept's keywords, matched case-insensitively on whole words (optionally
     after light suffix stemming).
     """
-    hits = {
-        c.concept_id
-        for c in model.scarce_concepts()
-        if any(_matches(p.text, kw, stem) for kw in c.keywords)
-    }
-    return LabelSet.of(hits, FROM_KEYWORD)
+    return LabelSet.of(_keyword_index(model, stem).match(p.text), FROM_KEYWORD)
 
 
 def fuse_labels(a: LabelSet, b: LabelSet) -> LabelSet:

@@ -12,6 +12,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .corpus import Passage, sentence_spans
 from .errors import ParseError, TemplateError
@@ -96,20 +97,32 @@ def build_prompt(
     message carries the passage text and, when given, its surrounding
     context.
     """
+    return prompt_builder(rules, template)(passage, context)
+
+
+def prompt_builder(
+    rules: Ruleset, template: str | None = None
+) -> Callable[[Passage, str | None], PromptBundle]:
+    """`build_prompt` for one ruleset and template, with the template loaded
+    and checked and the rule listing rendered once."""
     if template is None:
         template = default_template()
     for placeholder in PLACEHOLDERS:
         if placeholder not in template:
             raise TemplateError(f"template is missing placeholder {placeholder}")
-    system = template.replace("{rules}", render_rules(rules))
-    user = f"Text:\n{passage.text}"
-    if context:
-        user += f"\n\nContext:\n{context}"
-    return PromptBundle(
-        messages=(ChatMessage("system", system), ChatMessage("user", user)),
-        passage_ref=passage.unit_ref,
-        ruleset_ref=rules.name,
-    )
+    system = ChatMessage("system", template.replace("{rules}", render_rules(rules)))
+
+    def build(passage: Passage, context: str | None = None) -> PromptBundle:
+        user = f"Text:\n{passage.text}"
+        if context:
+            user += f"\n\nContext:\n{context}"
+        return PromptBundle(
+            messages=(system, ChatMessage("user", user)),
+            passage_ref=passage.unit_ref,
+            ruleset_ref=rules.name,
+        )
+
+    return build
 
 
 def parse_response(raw: str, rules: Ruleset) -> tuple[frozenset[str], str]:

@@ -118,7 +118,11 @@ def estimate_tokens(text: str) -> int:
 # --------------------------------------------------------------------------
 
 # Terminator run plus any closing quotes/brackets, with whitespace following.
-_BOUNDARY = re.compile(r"([.!?]+)([\"'”’)\]]*)(?=\s)")
+# A match starts only at the start of a run: a match ends before whitespace, so
+# the next one can only start at a run start, and without the lookbehind a long
+# run not followed by whitespace is retried from each of its positions.
+_BOUNDARY = re.compile(r"(?<![.!?])([.!?]+)([\"'”’)\]]*)(?=\s)")
+_NEXT_CHAR = re.compile(r"\s*(\S)")
 
 _OPENERS = "\"'“‘(["
 
@@ -142,17 +146,17 @@ def sentence_spans(
     abbrevs = _abbrev_set(abbreviations)
     breaks: list[int] = []
     for m in _BOUNDARY.finditer(text):
-        terminator = m.group(1)
-        after = text[m.end():]
-        rest = after.lstrip()
-        if not rest:
+        after = _NEXT_CHAR.match(text, m.end())
+        if after is None:
             continue
-        nxt = rest[0]
+        nxt = after.group(1)
         if not (nxt.isupper() or nxt.isdigit() or nxt in _OPENERS):
             continue
-        if terminator == ".":
-            token = text[: m.end(1)].rsplit(None, 1)[-1].lstrip(_OPENERS).lower()
-            if token in abbrevs:
+        if m.group(1) == ".":
+            start = end = m.end(1)
+            while start > 0 and not text[start - 1].isspace():
+                start -= 1
+            if text[start:end].lstrip(_OPENERS).lower() in abbrevs:
                 continue
         breaks.append(m.end())
 

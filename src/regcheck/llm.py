@@ -347,6 +347,13 @@ def make_backend(cfg: BackendConfig, script: Iterable[StubEntry] | None = None) 
         entries = list(script) if script is not None else (
             load_stub_script(cfg.script_path) if cfg.script_path else []
         )
+        if cfg.parallelism > 1 and any(e.match is None for e in entries):
+            # Queue entries go to whichever call comes first, which is a race
+            # between workers: outputs would change from run to run.
+            raise ValueError(
+                "stub script entries without a 'match' are answered in call order, "
+                "which is only defined at parallelism 1"
+            )
         inner: Backend = StubBackend(entries, model_name=cfg.model_name)
     else:
         inner = HttpBackend(cfg)

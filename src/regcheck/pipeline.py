@@ -16,12 +16,12 @@ from .classify import (
     FROM_LLM,
     ClassificationTemplate,
     LabelSet,
-    build_classification_prompt,
+    classification_prompter,
     classify_keywords,
     fuse_labels,
     parse_concept_response,
 )
-from .compliance import Finding, build_prompt, check_passage
+from .compliance import Finding, check_passage, prompt_builder
 from .corpus import (
     Passage,
     Provision,
@@ -72,26 +72,21 @@ def classify_provisions(
     sets are fused per provision. Without a backend the model branch is
     skipped entirely (the keyword-search baseline).
     """
+    prompt = classification_prompter(model, template) if backend is not None else None
 
-    def llm_branch(p: Provision) -> tuple[LabelSet, str, Usage | None, str | None]:
+    def classify_one(p: Provision) -> ClassifiedProvision:
+        keyword_labels = classify_keywords(p, model, stem=stem)
         if backend is None:
-            return LabelSet.empty(), "", None, None
-        messages = build_classification_prompt(p, model, template)
-        response, usage = backend.complete(messages)
+            return ClassifiedProvision(p, keyword_labels)
+        response, usage = backend.complete(prompt(p))
         try:
-            labels = parse_concept_response(response, model)
+            ids = parse_concept_response(response, model)
         except ParseError as exc:
-            return LabelSet.empty(), response, usage, str(exc)
-        return LabelSet.of(labels, FROM_LLM), response, usage, None
+            return ClassifiedProvision(p, keyword_labels, response, usage, str(exc))
+        labels = fuse_labels(LabelSet.of(ids, FROM_LLM), keyword_labels)
+        return ClassifiedProvision(p, labels, response, usage)
 
-    with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-        llm_results = list(pool.map(llm_branch, provisions))
-
-    out = []
-    for p, (llm_labels, raw, usage, err) in zip(provisions, llm_results):
-        fused = fuse_labels(llm_labels, classify_keywords(p, model, stem=stem))
-        out.append(ClassifiedProvision(p, fused, raw, usage, err))
-    return out
+    return _ordered_map(classify_one, provisions, parallelism)
 
 
 @dataclass(frozen=True)
@@ -155,6 +150,21 @@ def run_compliance(
     parallelism: int = 1,
 ) -> list[Finding]:
     """Check every unit with `check_passage`, keeping input order."""
-    bundles = [build_prompt(u.passage, rules, template, u.context) for u in units]
-    with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
-        return list(pool.map(lambda b: check_passage(b, rules, backend), bundles))
+    build = prompt_builder(rules, template)
+    return _ordered_map(
+        lambda u: check_passage(build(u.passage, u.context), rules, backend),
+        units,
+        parallelism,
+    )
+
+
+def _ordered_map(fn: Callable, items: Sequence, parallelism: int) -> list:
+    """`fn` over `items` in input order, at most `parallelism` calls at a time.
+
+    At parallelism 1 the calls run in the calling thread, one after another,
+    and the first exception stops the run.
+    """
+    if parallelism <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        return list(pool.map(fn, items))

@@ -343,6 +343,13 @@ def test_criterion_7_determinism_and_cache_law(tmp_path):
     assert warm["monetary_cost"] == 0
     assert warm["latency_s"] == 0
 
+    # The same at parallelism 8, cold and warm.
+    wide = ("--parallelism", "8", "--cache-dir", str(tmp_path / "cache8"))
+    assert main(argv(tmp_path / "cold8", wide)) == 0
+    assert main(argv(tmp_path / "warm8", wide)) == 0
+    assert snapshot(tmp_path / "cold8") == base
+    assert snapshot(tmp_path / "warm8") == base
+
     # 10-call fixture: ledger matches the hand-computed spreadsheet to the cent.
     # Call i has prompt 100 + 10i tokens, completion 5i tokens at (0.5, 1.5)/1K:
     # cost_i = 0.05 + 0.0125 * i.

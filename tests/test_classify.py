@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -18,7 +19,7 @@ from regcheck.corpus import Provision
 from regcheck.errors import ParseError
 from regcheck.llm import StubBackend, StubEntry
 from regcheck.pipeline import classify_provisions
-from regcheck.taxonomy import load_concept_model
+from regcheck.taxonomy import Concept, ConceptModel, load_concept_model
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,94 @@ class TestClassifyKeywords:
         text = prov("Softened flesh indicates decay.")
         assert classify_keywords(text, model).labels == set()
         assert classify_keywords(text, model, stem=True).labels == {"Firmness"}
+
+
+# Reference copy of the earlier keyword matcher: one regex per keyword, and
+# under stemming the whole text re-tokenised for every keyword. The compiled
+# index must label every text exactly as it does.
+def _ref_light_stem(word):
+    for suffix in ("ing", "ed", "es", "s"):
+        if word.endswith(suffix) and len(word) - len(suffix) >= 3:
+            return word[: -len(suffix)]
+    return word
+
+
+def _ref_matches(text, keyword, stem):
+    pattern = r"(?<!\w)" + re.escape(keyword.strip()) + r"(?!\w)"
+    if re.search(pattern, text, re.IGNORECASE):
+        return True
+    if not stem:
+        return False
+    want = [_ref_light_stem(w.lower()) for w in re.findall(r"\w+", keyword)]
+    have = [_ref_light_stem(w.lower()) for w in re.findall(r"\w+", text)]
+    n = len(want)
+    return n > 0 and any(have[i : i + n] == want for i in range(len(have) - n + 1))
+
+
+def _ref_classify_keywords(text, model, stem):
+    return {
+        c.concept_id
+        for c in model.scarce_concepts()
+        if any(_ref_matches(text, kw, stem) for kw in c.keywords)
+    }
+
+
+class TestKeywordIndexAgainstReference:
+    EXTRA = (
+        Concept("Processor", "Processor", True, ("sub-processor", "processor's")),
+        Concept("Language", "Language", True, ("c++", "C#")),
+        Concept("Ampersand", "Ampersand", True, ("&", "R&D")),
+        Concept("Unicode", "Unicode", True, ("kelvin scale", "İstanbul", "Straße", " spaced ")),
+        Concept("Repeat", "Repeat", True, ("water water", "ing")),
+    )
+    STEMS = (
+        "pathogen", "listeria", "salmonella", "colour", "color", "discoloration",
+        "firmness", "texture", "tenderness", "soften", "moisture", "humidity",
+        "water", "content", "activity", "processor", "sub", "kelvin", "scale",
+        "istanbul", "strasse", "straße", "ssalmonella", "empathogen", "watery",
+        "c", "r", "d", "spaced", "ing", "contents",
+    )
+    SUFFIXES = ("", "", "s", "es", "ed", "ing", "ic", "ly", "'s", "++", "#")
+    SEPARATORS = (" ", " ", "  ", "\n", "-", ", ", ". ", "&", "_", "")
+
+    @staticmethod
+    def _case(rng, word):
+        word = rng.choice([word, word.upper(), word.title(), word.capitalize()])
+        word = word.replace("s", rng.choice(["s", "ſ"])).replace("k", rng.choice(["k", "K"]))
+        return word.replace("I", rng.choice(["I", "İ"])).replace("i", rng.choice(["i", "İ"]))
+
+    def _text(self, rng):
+        parts = []
+        for _ in range(rng.randint(1, 12)):
+            parts.append(self._case(rng, rng.choice(self.STEMS) + rng.choice(self.SUFFIXES)))
+            parts.append(rng.choice(self.SEPARATORS))
+        return "".join(parts)
+
+    @pytest.mark.parametrize("stem", [False, True])
+    def test_random_texts_match_reference(self, model, stem):
+        wide = ConceptModel(model.concepts + self.EXTRA, model.version)
+        rng = random.Random(1975 + stem)
+        for _ in range(1500):
+            text = self._text(rng)
+            for m in (model, wide):
+                got = classify_keywords(prov(text), m, stem).labels
+                assert got == _ref_classify_keywords(text, m, stem), (repr(text), stem)
+
+    @pytest.mark.parametrize("stem", [False, True])
+    def test_punctuated_and_folded_keywords(self, model, stem):
+        wide = ConceptModel(model.concepts + self.EXTRA, model.version)
+        for text in (
+            "Each sub-processor is bound.",
+            "Code in C++ and c# only.",
+            "R&D budgets & costs.",
+            "Measured on the \u212aelvin scale in İstanbul.",
+            "The STRASSE and the ſalmonella.",
+            "Water  content and water\ncontent and water-content.",
+            "a spaced word",
+        ):
+            assert classify_keywords(prov(text), wide, stem).labels == _ref_classify_keywords(
+                text, wide, stem
+            ), (text, stem)
 
 
 class TestParseConceptResponse:

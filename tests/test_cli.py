@@ -228,6 +228,19 @@ class TestCheck:
         first = (out / "run_01" / "report.json").read_bytes()
         assert (out / "run_02" / "report.json").read_bytes() == first
 
+    def test_fifo_script_above_parallelism_1_exits_2_before_any_call(self, tmp_path):
+        # Which worker takes a queue entry is a race, so the output would vary.
+        script = tmp_path / "fifo.jsonl"
+        write_jsonl(script, [{"response": f"R{k}. Entry {k}."} for k in range(1, 9)])
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        code = self._check(
+            tmp_path, "--parallelism", "8", "--cache-dir", str(cache), script=script
+        )
+        assert code == 2
+        assert list(cache.iterdir()) == []
+        assert not (tmp_path / "out").exists()
+
     def test_unpriced_model_exits_2_before_any_call(self, tmp_path):
         cache = tmp_path / "cache"
         cache.mkdir()

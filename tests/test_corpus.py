@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -14,6 +15,7 @@ from regcheck.corpus import (
     expand_list_items,
     extract_provisions,
     parse_document,
+    sentence_spans,
     split_text,
 )
 from regcheck.errors import MalformedInput, UnchunkableText
@@ -174,6 +176,98 @@ class TestSplitSentences:
             assert Counter("".join(sentences).replace(" ", "")) == Counter(
                 block.text.replace(" ", "")
             )
+
+
+# Reference copy of the earlier splitter, which slices the text before and
+# after every boundary candidate (quadratic on long paragraphs). The linear
+# splitter must return exactly its spans.
+_REF_BOUNDARY = re.compile(r"([.!?]+)([\"'”’)\]]*)(?=\s)")
+_REF_OPENERS = "\"'“‘(["
+
+
+def _ref_sentence_spans(text, abbreviations=None):
+    if abbreviations is None:
+        abbreviations = ("s.", "ss.", "art.", "no.", "e.g.", "i.e.", "para.")
+    abbrevs = frozenset(a.lower() for a in abbreviations)
+    breaks = []
+    for m in _REF_BOUNDARY.finditer(text):
+        terminator = m.group(1)
+        rest = text[m.end():].lstrip()
+        if not rest:
+            continue
+        nxt = rest[0]
+        if not (nxt.isupper() or nxt.isdigit() or nxt in _REF_OPENERS):
+            continue
+        if terminator == ".":
+            token = text[: m.end(1)].rsplit(None, 1)[-1].lstrip(_REF_OPENERS).lower()
+            if token in abbrevs:
+                continue
+        breaks.append(m.end())
+    spans = []
+    start = 0
+    for brk in breaks + [len(text)]:
+        chunk = text[start:brk]
+        lead = len(chunk) - len(chunk.lstrip())
+        trail = len(chunk) - len(chunk.rstrip())
+        if chunk.strip():
+            spans.append((start + lead, brk - trail))
+        start = brk
+    return spans
+
+
+class TestSentenceSpansAgainstReference:
+    PIECES = (
+        ".", ".", "!", "?", "...", "?!", "\"", "'", "”", "’", ")", "]",
+        "“", "‘", "(", "[", " ", " ", "  ", "\n", "\t", "\u00a0", "\u2003",
+        "\u3000", "\x1c", "\u2028", "s.", "ss.", "Art.", "no.", "e.g.", "(i.e.",
+        "para.", "R.S.C.", "A", "Z", "É", "Ω", "1", "42", "a", "word", "ß", "x",
+    )
+
+    def test_random_strings_match_reference(self):
+        rng = random.Random(20240613)
+        for _ in range(4000):
+            text = "".join(rng.choice(self.PIECES) for _ in range(rng.randint(0, 40)))
+            abbreviations = rng.choice([None, ["r.s.c."], [], ["a.", "Z."]])
+            assert sentence_spans(text, abbreviations) == _ref_sentence_spans(
+                text, abbreviations
+            ), repr(text)
+
+    def test_reference_agrees_on_gold_corpus(self, gold_doc):
+        for block in gold_doc.blocks:
+            if block.kind == "paragraph":
+                assert sentence_spans(block.text) == _ref_sentence_spans(block.text)
+
+
+class TestSentenceSpansAdversarial:
+    """Exact outputs on 100k-character inputs that were quadratic before."""
+
+    N = 100_000
+
+    def test_terminator_run(self):
+        assert sentence_spans("." * self.N) == [(0, self.N)]
+        assert sentence_spans("!?" * (self.N // 2) + " Next") == [
+            (0, self.N),
+            (self.N + 1, self.N + 5),
+        ]
+
+    def test_closer_run(self):
+        assert sentence_spans(")" * self.N) == [(0, self.N)]
+        assert sentence_spans("." + ")" * self.N + "x") == [(0, self.N + 2)]
+
+    def test_period_closer_repeated(self):
+        assert sentence_spans(".)" * (self.N // 2)) == [(0, self.N)]
+
+    def test_abbreviation_candidates(self):
+        text = "Art. 5 " * (self.N // 7)
+        assert sentence_spans(text) == [(0, len(text) - 1)]
+
+    def test_twenty_thousand_sentence_paragraph(self):
+        sentences = [f"Clause {k} applies." for k in range(20_000)]
+        expected, start = [], 0
+        for sentence in sentences:
+            expected.append((start, start + len(sentence)))
+            start += len(sentence) + 1
+        assert sentence_spans(" ".join(sentences)) == expected
 
 
 class TestExpandListItems:
