@@ -107,6 +107,15 @@ def classification_prompter(
     ]
 
 
+_ID_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
+@lru_cache(maxsize=8)
+def _vocabulary(model: ConceptModel) -> dict[str, str]:
+    """Lower-cased non-scarce concept id -> canonical id, built once per model."""
+    return {cid.lower(): cid for cid in model.non_scarce_ids()}
+
+
 def parse_concept_response(raw: str, model: ConceptModel) -> frozenset[str]:
     """Extract concept ids from a model response.
 
@@ -115,7 +124,7 @@ def parse_concept_response(raw: str, model: ConceptModel) -> frozenset[str]:
     exclusive. Recognized vocabulary is the non-scarce concept ids,
     case-insensitive on match but canonical in the result.
     """
-    vocab = {cid.lower(): cid for cid in model.non_scarce_ids()}
+    vocab = _vocabulary(model)
     if not raw.strip():
         raise ParseError("empty classification response", raw=raw)
     if _NONE_TOKEN.search(raw):
@@ -123,7 +132,7 @@ def parse_concept_response(raw: str, model: ConceptModel) -> frozenset[str]:
     spans = sentence_spans(raw)
     first_end = spans[0][1] if spans else len(raw)
     found = set()
-    for m in re.finditer(r"[A-Za-z][A-Za-z0-9_]*", raw[:first_end]):
+    for m in _ID_TOKEN.finditer(raw, 0, first_end):
         cid = vocab.get(m.group(0).lower())
         if cid is not None:
             found.add(cid)

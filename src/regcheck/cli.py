@@ -343,10 +343,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not args.gold or not args.pred:
         raise ValueError("eval needs --gold and --pred (or --runs-dir)")
     gold = load_gold(args.gold)
-    predicted = load_predictions(args.pred)
+    predicted, parse_failures = load_predictions(args.pred)
     averaging = args.averaging.replace("-", "_")
     counts = confusion(predicted, gold)
-    report = metrics(counts, averaging=averaging)
+    report = metrics(counts, averaging=averaging, parse_failure_count=parse_failures)
     report.subset_accuracy = match_accuracy(predicted, gold, EXACT)
     mode = EXACT if args.match == "exact" else ANY_OVERLAP
     body = report.to_dict()

@@ -127,10 +127,11 @@ _NEXT_CHAR = re.compile(r"\s*(\S)")
 _OPENERS = "\"'“‘(["
 
 
-def _abbrev_set(abbreviations: Sequence[str] | None) -> frozenset[str]:
-    if abbreviations is None:
-        abbreviations = DEFAULT_ABBREVIATIONS
+def _abbrev_set(abbreviations: Sequence[str]) -> frozenset[str]:
     return frozenset(a.lower() for a in abbreviations)
+
+
+_DEFAULT_ABBREV_SET = _abbrev_set(DEFAULT_ABBREVIATIONS)
 
 
 def sentence_spans(
@@ -143,7 +144,7 @@ def sentence_spans(
     lone period is not a boundary when the preceding token is a known
     abbreviation ("s. 12 of the Act" stays whole).
     """
-    abbrevs = _abbrev_set(abbreviations)
+    abbrevs = _DEFAULT_ABBREV_SET if abbreviations is None else _abbrev_set(abbreviations)
     breaks: list[int] = []
     for m in _BOUNDARY.finditer(text):
         after = _NEXT_CHAR.match(text, m.end())

@@ -9,6 +9,7 @@ across labels rather than averaging per-label scores.
 from __future__ import annotations
 
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -41,16 +42,23 @@ def load_gold(path: str | Path) -> list[GoldRecord]:
     return records
 
 
-def load_predictions(path: str | Path) -> dict[str, frozenset[str]]:
-    """Prediction file: JSONL records carrying unit_ref (or prov_id/passage) + labels."""
+def load_predictions(path: str | Path) -> tuple[dict[str, frozenset[str]], int]:
+    """Prediction file: JSONL records carrying unit_ref (or prov_id/passage) + labels.
+
+    Returns the labels by unit and the number of records whose `parse_error`
+    is set, as `check` findings and `classify` labels carry it.
+    """
     predicted = {}
+    parse_failures = 0
     for rec in read_jsonl(path):
         ref = rec.get("unit_ref") or rec.get("prov_id") or rec.get("passage")
         if ref is None:
             raise ValueError(f"prediction record without a unit reference: {rec}")
         labels = rec.get("labels", rec.get("rule_ids", []))
         predicted[ref] = frozenset(labels)
-    return predicted
+        if rec.get("parse_error") is not None:
+            parse_failures += 1
+    return predicted, parse_failures
 
 
 @dataclass(frozen=True)
@@ -82,39 +90,32 @@ def confusion(
     Raises UnitMismatch unless predicted and gold cover exactly the same
     units.
     """
-    gold_by_unit = {g.unit_ref: g.gold_labels for g in gold}
+    gold_by_unit = {g.unit_ref: frozenset(g.gold_labels) for g in gold}
     missing = sorted(gold_by_unit.keys() - predicted.keys())
     extra = sorted(predicted.keys() - gold_by_unit.keys())
     if missing or extra:
         raise UnitMismatch(
             f"predictions missing units {missing[:5]} / extra units {extra[:5]}"
         )
-    pred_by_unit = {u: frozenset(ls) for u, ls in predicted.items()}
-    if labels is None:
-        universe: set[str] = set()
-        for ls in gold_by_unit.values():
-            universe |= ls
-        for ls in pred_by_unit.values():
-            universe |= ls
-    else:
-        universe = set(labels)
-
-    counts = {}
-    for label in sorted(universe):
-        tp = fp = fn = tn = 0
-        for unit, gold_labels in gold_by_unit.items():
-            in_pred = label in pred_by_unit[unit]
-            in_gold = label in gold_labels
-            if in_pred and in_gold:
-                tp += 1
-            elif in_pred:
-                fp += 1
-            elif in_gold:
-                fn += 1
-            else:
-                tn += 1
-        counts[label] = LabelCounts(tp, fp, fn, tn)
-    return ConfusionCounts(counts, len(gold_by_unit))
+    # One pass over units; a label's true negatives are the units left over.
+    tp: Counter[str] = Counter()
+    fp: Counter[str] = Counter()
+    fn: Counter[str] = Counter()
+    for unit, gold_labels in gold_by_unit.items():
+        pred_labels = frozenset(predicted[unit])
+        tp.update(pred_labels & gold_labels)
+        fp.update(pred_labels - gold_labels)
+        fn.update(gold_labels - pred_labels)
+    # Every label seen is counted in at least one of the three.
+    universe = tp.keys() | fp.keys() | fn.keys() if labels is None else set(labels)
+    n = len(gold_by_unit)
+    counts = {
+        label: LabelCounts(
+            tp[label], fp[label], fn[label], n - tp[label] - fp[label] - fn[label]
+        )
+        for label in sorted(universe)
+    }
+    return ConfusionCounts(counts, n)
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 from .corpus import estimate_tokens
 from .errors import (
@@ -31,6 +29,9 @@ from .errors import (
     UnknownModelPrice,
 )
 from .storage import atomic_write_text, dump_jsonl, read_jsonl, read_text_or_bundled
+
+if TYPE_CHECKING:
+    import requests
 
 HTTP = "http"
 STUB = "stub"
@@ -184,8 +185,13 @@ def load_stub_script(path: str | Path) -> list[StubEntry]:
 
 class HttpBackend:
     def __init__(self, cfg: BackendConfig, session: requests.Session | None = None):
+        # Imported here, not at module level: only this backend needs it, and
+        # importing it is a large share of the CLI's start-up time.
+        import requests
+
         self.cfg = cfg
         self.session = session or requests.Session()
+        self._transport_error = requests.RequestException
 
     def complete(self, messages: Sequence[ChatMessage]) -> tuple[str, Usage]:
         payload = {
@@ -211,7 +217,7 @@ class HttpBackend:
                     headers=headers,
                     timeout=self.cfg.timeout_s,
                 )
-            except requests.RequestException as exc:
+            except self._transport_error as exc:
                 last_status, last_error = None, str(exc)
             else:
                 last_status = resp.status_code

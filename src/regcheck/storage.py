@@ -31,8 +31,12 @@ def read_jsonl(path: str | Path) -> list[dict]:
     return records
 
 
+# One encoder for every line: json.dumps with a non-default option builds a new one per call.
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def dump_jsonl(records: Iterable[dict]) -> str:
-    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+    return "".join(_LINE_ENCODER.encode(r) + "\n" for r in records)
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:

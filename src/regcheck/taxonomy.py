@@ -32,6 +32,14 @@ class ConceptModel:
     concepts: tuple[Concept, ...]
     version: str = ""
 
+    def __post_init__(self):
+        # classify keeps per-model tables keyed by the model; hashing every
+        # concept on each lookup would cost as much as rebuilding them.
+        object.__setattr__(self, "_hash", hash((self.concepts, self.version)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def scarce_concepts(self) -> tuple[Concept, ...]:
         return tuple(c for c in self.concepts if c.scarce)
 
@@ -54,8 +62,12 @@ class Ruleset:
     rules: tuple[RuleSpec, ...]
     name: str = ""
 
+    def __post_init__(self):
+        # The ruleset is frozen, so its id set is computed once, not per response.
+        object.__setattr__(self, "_ids", frozenset(r.rule_id for r in self.rules))
+
     def ids(self) -> frozenset[str]:
-        return frozenset(r.rule_id for r in self.rules)
+        return self._ids
 
     def ordered_ids(self) -> tuple[str, ...]:
         return tuple(r.rule_id for r in self.rules)

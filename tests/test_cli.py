@@ -320,6 +320,35 @@ class TestEval:
         assert body["subset_accuracy"] == 1.0
         assert body["match_accuracy"]["value"] == 1.0
 
+    def test_counts_parse_failures_of_findings(self, tmp_path):
+        # Five passages get a scripted answer; the other three get one without
+        # a rule token and are written with `parse_error` set.
+        script = tmp_path / "partial.jsonl"
+        entries = read_jsonl(FIXTURES / "stub_paragraph_aware.jsonl")[:5]
+        write_jsonl(script, entries + [{"match": "", "response": "no token at all"}])
+        out_dir = tmp_path / "out"
+        code = run(
+            "check",
+            "--artifact", str(FIXTURES / "dpa_demo.txt"),
+            "--format", "structured",
+            "--rules", str(DATA / "gdpr_art28_demo.jsonl"),
+            "--stub-script", str(script),
+            "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        findings = read_jsonl(out_dir / "findings.jsonl")
+        assert sum(1 for f in findings if f["parse_error"] is not None) == 3
+        metrics_path = tmp_path / "metrics.json"
+        code = run(
+            "eval",
+            "--gold", str(FIXTURES / "dpa_gold_paragraph.jsonl"),
+            "--pred", str(out_dir / "findings.jsonl"),
+            "--out", str(metrics_path),
+        )
+        assert code == 0
+        body = json.loads(metrics_path.read_text(encoding="utf-8"))
+        assert body["parse_failure_count"] == 3
+
     def test_runs_dir_aggregate(self, tmp_path):
         runs = tmp_path / "runs"
         for k, f1 in enumerate([0.8, 0.9, 0.7, 0.85, 0.75]):

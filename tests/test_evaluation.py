@@ -107,6 +107,72 @@ class TestConfusion:
             assert (lc.tp, lc.fp, lc.fn, lc.tn) == (tp, fp, fn, tn)
 
 
+def _ref_confusion(predicted, gold_records, labels=None):
+    """The earlier label-by-unit `confusion` loop, kept as a reference."""
+    gold_by_unit = {g.unit_ref: g.gold_labels for g in gold_records}
+    pred_by_unit = {u: frozenset(ls) for u, ls in predicted.items()}
+    if labels is None:
+        universe = set()
+        for ls in gold_by_unit.values():
+            universe |= ls
+        for ls in pred_by_unit.values():
+            universe |= ls
+    else:
+        universe = set(labels)
+    counts = {}
+    for label in sorted(universe):
+        tp = fp = fn = tn = 0
+        for unit, gold_labels in gold_by_unit.items():
+            in_pred = label in pred_by_unit[unit]
+            in_gold = label in gold_labels
+            if in_pred and in_gold:
+                tp += 1
+            elif in_pred:
+                fp += 1
+            elif in_gold:
+                fn += 1
+            else:
+                tn += 1
+        counts[label] = (tp, fp, fn, tn)
+    return counts, len(gold_by_unit)
+
+
+class TestConfusionAgainstReference:
+    @staticmethod
+    def _assert_same(predicted, g, labels=None):
+        c = confusion(predicted, g, labels=labels)
+        got = {k: (v.tp, v.fp, v.fn, v.tn) for k, v in c.per_label.items()}
+        want, n_units = _ref_confusion(predicted, g, labels)
+        assert got == want
+        assert list(c.per_label) == list(want)
+        assert c.n_units == n_units
+
+    def test_random_maps(self):
+        rng = random.Random(53)
+        for _ in range(300):
+            predicted, g, labels = random_instance(rng)
+            self._assert_same(predicted, g)
+            self._assert_same(predicted, g, labels=labels)
+
+    def test_explicit_labels_narrower_and_wider_than_seen(self):
+        rng = random.Random(59)
+        for _ in range(200):
+            predicted, g, labels = random_instance(rng, n_labels=rng.randint(2, 6))
+            narrower = rng.sample(labels, rng.randint(0, len(labels) - 1))
+            wider = labels + [f"X{i}" for i in range(rng.randint(1, 3))]
+            self._assert_same(predicted, g, labels=narrower)
+            self._assert_same(predicted, g, labels=wider)
+
+    def test_empty_label_sets(self):
+        g = gold([("u1", set()), ("u2", set())])
+        predicted = {"u1": frozenset(), "u2": []}
+        self._assert_same(predicted, g)
+        self._assert_same(predicted, g, labels=[])
+        self._assert_same(predicted, g, labels=["A", "B"])
+        self._assert_same({}, [])
+        self._assert_same({}, [], labels=["A"])
+
+
 class TestMetrics:
     def test_hand_arithmetic(self):
         # TP=3, FP=1, FN=2 over six units carrying one label.

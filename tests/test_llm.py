@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -372,6 +375,42 @@ class TestHttpBackend:
         monkeypatch.delenv("REGCHECK_API_KEY", raising=False)
         HttpBackend(_http_cfg(mock_server)).complete(MESSAGES)
         assert "Authorization" not in _ScriptedHandler.headers_seen[0]
+
+
+_COLD_START = '''
+import sys
+from regcheck.cli import main
+
+assert "requests" not in sys.modules, "import regcheck.cli"
+fixtures, data, out = (sys.argv[i] for i in (1, 2, 3))
+artifact = ["--artifact", fixtures + "/dpa_demo.txt", "--format", "structured"]
+assert main(["segment", "--input", fixtures + "/dpa_demo.txt", "--out", out + "/units.jsonl"]) == 0
+assert main(["check", *artifact, "--rules", data + "/gdpr_art28_demo.jsonl",
+             "--stub-script", fixtures + "/stub_paragraph_aware.jsonl", "--out-dir", out]) == 0
+assert main(["eval", "--gold", fixtures + "/dpa_gold_paragraph.jsonl",
+             "--pred", out + "/findings.jsonl", "--out", out + "/metrics.json"]) == 0
+assert "requests" not in sys.modules, "stub segment/check/eval"
+
+from regcheck.llm import BackendConfig, make_backend
+
+make_backend(BackendConfig(kind="http", endpoint="http://127.0.0.1:9/nothing"))
+assert "requests" in sys.modules, "http backend"
+'''
+
+
+def test_requests_is_imported_by_the_http_backend_only(fixtures, data_dir, tmp_path):
+    # In a fresh interpreter, since this one has imported requests already.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(fixtures), str(data_dir), str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestBoundedParallelism:
