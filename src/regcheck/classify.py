@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .corpus import Provision, sentence_spans
@@ -33,25 +32,21 @@ _NONE_TOKEN = re.compile(r"\bNONE\b")
 
 @dataclass(frozen=True)
 class LabelSet:
-    """Concept labels for one provision with per-label provenance."""
+    """Concept labels for one provision, each mapped to its provenance."""
 
-    labels: frozenset[str]
     provenance: Mapping[str, str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", frozenset(self.labels))
-        object.__setattr__(self, "provenance", MappingProxyType(dict(self.provenance)))
-        if set(self.provenance) != set(self.labels):
-            raise ValueError("provenance keys must exactly equal labels")
+    @property
+    def labels(self) -> frozenset[str]:
+        return frozenset(self.provenance)
 
     @classmethod
     def empty(cls) -> "LabelSet":
-        return cls(frozenset(), {})
+        return cls({})
 
     @classmethod
     def of(cls, labels, source: str) -> "LabelSet":
-        labels = frozenset(labels)
-        return cls(labels, {label: source for label in labels})
+        return cls(dict.fromkeys(labels, source))
 
 
 @dataclass(frozen=True)
@@ -234,14 +229,8 @@ def fuse_labels(a: LabelSet, b: LabelSet) -> LabelSet:
     Commutative, associative and idempotent: the provenance values form a
     join-semilattice with "both" on top.
     """
-    labels = a.labels | b.labels
-    provenance = {}
-    for label in labels:
-        pa, pb = a.provenance.get(label), b.provenance.get(label)
-        if pa is None:
-            provenance[label] = pb
-        elif pb is None or pa == pb:
-            provenance[label] = pa
-        else:
-            provenance[label] = FROM_BOTH
-    return LabelSet(frozenset(labels), provenance)
+    provenance = dict(b.provenance)
+    for label, pa in a.provenance.items():
+        pb = provenance.get(label)
+        provenance[label] = pa if pb is None or pb == pa else FROM_BOTH
+    return LabelSet(provenance)

@@ -38,17 +38,15 @@ from .evaluation import (
     metrics,
 )
 from .llm import (
-    STUB,
     BackendConfig,
     CostLedger,
     RetryPolicy,
     load_price_table,
-    load_stub_script,
     make_backend,
     price_of,
 )
 from .pipeline import classify_provisions, compliance_units, run_compliance
-from .storage import atomic_write_text, write_json, write_jsonl
+from .storage import atomic_write_text, dump_json, write_json, write_jsonl
 from .taxonomy import load_concept_model, load_ruleset
 
 EXIT_OK = 0
@@ -208,6 +206,13 @@ def _emit(records: list[dict], out: str | None) -> None:
             print(json.dumps(rec, ensure_ascii=False))
 
 
+def _emit_json(body: dict, out: str | None) -> None:
+    if out:
+        write_json(out, body)
+    else:
+        sys.stdout.write(dump_json(body))
+
+
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
@@ -281,15 +286,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     run_cfg = backend_config(cfg)
     if runs > 1:
         run_cfg = replace(run_cfg, cache_dir=None)  # independent samples per run
-    script = (
-        load_stub_script(run_cfg.script_path)
-        if run_cfg.kind == STUB and run_cfg.script_path
-        else None
-    )
+    backend = make_backend(run_cfg)
 
     worst_failures = 0
     for run in range(1, runs + 1):
-        backend = make_backend(run_cfg, script)  # a fresh stub queue per run
         findings = run_compliance(
             units, rules, backend, template, parallelism=int(cfg["parallelism"])
         )
@@ -332,11 +332,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.runs_dir:
         reports = _load_run_reports(Path(args.runs_dir))
         aggregate = aggregate_runs(reports)
-        body = aggregate.to_dict()
-        if args.out:
-            write_json(args.out, body)
-        else:
-            print(json.dumps(body, ensure_ascii=False, indent=2))
+        _emit_json(aggregate.to_dict(), args.out)
         _print_box_table(aggregate)
         return EXIT_OK
 
@@ -354,10 +350,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "mode": mode,
         "value": match_accuracy(predicted, gold, mode),
     }
-    if args.out:
-        write_json(args.out, body)
-    else:
-        print(json.dumps(body, ensure_ascii=False, indent=2))
+    _emit_json(body, args.out)
     return EXIT_OK
 
 

@@ -342,14 +342,6 @@ class GranularityDelta:
     delta: float
     direction: str  # "improved" | "degraded" | "unchanged"
 
-    def as_dict(self) -> dict:
-        return {
-            "sentence_accuracy": self.sentence_accuracy,
-            "paragraph_accuracy": self.paragraph_accuracy,
-            "delta": self.delta,
-            "direction": self.direction,
-        }
-
 
 def compare_granularity(sentence_acc: float, paragraph_acc: float) -> GranularityDelta:
     """Signed accuracy delta from sentence-level to paragraph-level checking.

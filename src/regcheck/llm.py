@@ -120,42 +120,34 @@ class Backend(Protocol):
 
 @dataclass(frozen=True)
 class StubEntry:
-    """One scripted response; `match` is a substring rule, None means FIFO."""
+    """One scripted response for requests whose user text contains `match`."""
 
     response: str
-    match: str | None = None
+    match: str
 
 
 class StubBackend:
-    """Deterministic scripted backend.
+    """Deterministic scripted backend: the response is a function of the request.
 
-    Entries with a `match` string act as persistent first-match substring
-    rules against the user-role message contents (the system message is
-    constant per run, so keying on it would make every rule fire); entries
-    without one form a queue consumed in order when no rule matches. Usage is
-    synthesized from the default token estimator, with zero latency so runs
-    are byte-reproducible.
+    Every entry is a first-match substring rule against the user-role message
+    contents (the system message is constant per run, so keying on it would
+    make every rule fire); `match=""` matches every request, so a catch-all
+    goes last. The backend holds no state, which makes its outputs the same
+    at any parallelism and across runs. Usage is synthesized from the default
+    token estimator, with zero latency so runs are byte-reproducible.
     """
 
     def __init__(self, entries: Iterable[StubEntry], model_name: str = "stub-model"):
-        entries = list(entries)
         self.model_name = model_name
-        self._rules = [e for e in entries if e.match is not None]
-        self._queue = [e for e in entries if e.match is None]
-        self._lock = threading.Lock()
+        self._rules = tuple(entries)
 
     def complete(self, messages: Sequence[ChatMessage]) -> tuple[str, Usage]:
         request_text = "\n".join(m.content for m in messages if m.role == "user")
-        response = None
-        with self._lock:
-            for rule in self._rules:
-                if rule.match in request_text:
-                    response = rule.response
-                    break
-            else:
-                if self._queue:
-                    response = self._queue.pop(0).response
-        if response is None:
+        for rule in self._rules:
+            if rule.match in request_text:
+                response = rule.response
+                break
+        else:
             raise ScriptExhausted(
                 f"no scripted response matches request starting "
                 f"{request_text[:60]!r}"
@@ -172,9 +164,14 @@ def load_stub_script(path: str | Path) -> list[StubEntry]:
     """Read stub entries from a JSONL file of {"match": ..., "response": ...}."""
     entries = []
     for rec in read_jsonl(path):
-        if "response" not in rec:
-            raise ValueError(f"{path}: stub entry missing 'response'")
-        entries.append(StubEntry(response=rec["response"], match=rec.get("match")))
+        match, response = rec.get("match"), rec.get("response")
+        if not isinstance(response, str):
+            raise ValueError(f"{path}: stub entry needs a string 'response'")
+        if not isinstance(match, str):
+            raise ValueError(
+                f"{path}: stub entry needs a string 'match' (\"match\": \"\" is a catch-all)"
+            )
+        entries.append(StubEntry(response=response, match=match))
     return entries
 
 
@@ -347,19 +344,10 @@ class CachingBackend:
         return response, usage
 
 
-def make_backend(cfg: BackendConfig, script: Iterable[StubEntry] | None = None) -> Backend:
+def make_backend(cfg: BackendConfig) -> Backend:
     """Construct the backend handle a config describes, wiring the cache if set."""
     if cfg.kind == STUB:
-        entries = list(script) if script is not None else (
-            load_stub_script(cfg.script_path) if cfg.script_path else []
-        )
-        if cfg.parallelism > 1 and any(e.match is None for e in entries):
-            # Queue entries go to whichever call comes first, which is a race
-            # between workers: outputs would change from run to run.
-            raise ValueError(
-                "stub script entries without a 'match' are answered in call order, "
-                "which is only defined at parallelism 1"
-            )
+        entries = load_stub_script(cfg.script_path) if cfg.script_path else []
         inner: Backend = StubBackend(entries, model_name=cfg.model_name)
     else:
         inner = HttpBackend(cfg)

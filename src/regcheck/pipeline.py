@@ -51,8 +51,8 @@ class ClassifiedProvision:
         return {
             "prov_id": self.provision.unit_ref,
             "text": self.provision.text,
-            "labels": sorted(self.labels.labels),
-            "provenance": {k: self.labels.provenance[k] for k in sorted(self.labels.labels)},
+            "labels": sorted(self.labels.provenance),
+            "provenance": dict(sorted(self.labels.provenance.items())),
             "raw_response": self.raw_response,
             "parse_error": self.parse_error,
         }

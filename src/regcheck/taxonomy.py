@@ -46,9 +46,6 @@ class ConceptModel:
     def non_scarce_ids(self) -> tuple[str, ...]:
         return tuple(c.concept_id for c in self.concepts if not c.scarce)
 
-    def ids(self) -> frozenset[str]:
-        return frozenset(c.concept_id for c in self.concepts)
-
 
 @dataclass(frozen=True)
 class RuleSpec:

@@ -365,8 +365,13 @@ def test_criterion_7_determinism_and_cache_law(tmp_path):
         (9, 190, 45, 0.1625),
         (10, 200, 50, 0.1750),
     ]
+    # Call i's user text is 40i "u"s; rules go longest first, so the first one
+    # contained in it is call i's own.
     backend = StubBackend(
-        [StubEntry(response="r" * (20 * i)) for i, *_ in spreadsheet]
+        [
+            StubEntry(match="u" * (40 * i), response="r" * (20 * i))
+            for i, *_ in reversed(spreadsheet)
+        ]
     )
     ledger = CostLedger({"stub-model": ModelPrice(0.5, 1.5)})
     for i, *_ in spreadsheet:

@@ -265,15 +265,9 @@ class TestFuseLabels:
 
         def random_set():
             chosen = [i for i in ids if rng.random() < 0.5]
-            return LabelSet(
-                frozenset(chosen), {i: rng.choice(sources) for i in chosen}
-            )
+            return LabelSet({i: rng.choice(sources) for i in chosen})
 
         for _ in range(200):
             a, b, c = random_set(), random_set(), random_set()
             assert fuse_labels(a, b) == fuse_labels(b, a)
             assert fuse_labels(fuse_labels(a, b), c) == fuse_labels(a, fuse_labels(b, c))
-
-    def test_provenance_keys_must_match_labels(self):
-        with pytest.raises(ValueError):
-            LabelSet(frozenset({"A"}), {"B": "llm"})

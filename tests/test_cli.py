@@ -220,22 +220,25 @@ class TestCheck:
         assert (out / "run_03" / "report.json").read_bytes() == first
 
     def test_fifo_script_restarts_each_run(self, tmp_path):
-        # Unmatched entries form a queue; every run must consume it from the start.
-        script = tmp_path / "fifo.jsonl"
-        write_jsonl(script, [{"response": f"R{k}. Entry {k}."} for k in range(1, 9)])
-        assert self._check(tmp_path, "--runs", "2", script=script) == 0
+        # All runs share one stub backend; every run must give the same bytes.
+        assert self._check(tmp_path, "--runs", "2") == 0
         out = tmp_path / "out"
-        first = (out / "run_01" / "report.json").read_bytes()
-        assert (out / "run_02" / "report.json").read_bytes() == first
+        for name in ("report.json", "findings.jsonl"):
+            first = (out / "run_01" / name).read_bytes()
+            assert (out / "run_02" / name).read_bytes() == first
 
-    def test_fifo_script_above_parallelism_1_exits_2_before_any_call(self, tmp_path):
-        # Which worker takes a queue entry is a race, so the output would vary.
-        script = tmp_path / "fifo.jsonl"
-        write_jsonl(script, [{"response": f"R{k}. Entry {k}."} for k in range(1, 9)])
+    @pytest.mark.parametrize("parallelism", ["1", "8"])
+    def test_script_entry_without_match_exits_2_before_any_call(self, tmp_path, parallelism):
+        # Every stub entry is a match rule; one without `match` is rejected.
+        script = tmp_path / "no_match.jsonl"
+        write_jsonl(
+            script,
+            [{"match": "", "response": "R1. Entry."}, {"response": "R2. Entry."}],
+        )
         cache = tmp_path / "cache"
         cache.mkdir()
         code = self._check(
-            tmp_path, "--parallelism", "8", "--cache-dir", str(cache), script=script
+            tmp_path, "--parallelism", parallelism, "--cache-dir", str(cache), script=script
         )
         assert code == 2
         assert list(cache.iterdir()) == []

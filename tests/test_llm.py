@@ -85,15 +85,22 @@ class TestStubBackend:
         backend = StubBackend(
             [
                 StubEntry(match="You check rules", response="WRONG"),
-                StubEntry(response="fallback"),
+                StubEntry(match="", response="fallback"),
             ]
         )
         text, _ = backend.complete(MESSAGES)
         assert text == "fallback"
 
-    def test_fifo_queue_consumed_in_order(self):
-        backend = StubBackend([StubEntry(response="first"), StubEntry(response="second")])
+    def test_first_match_wins(self):
+        # Both rules match; the earlier one answers, every time.
+        backend = StubBackend(
+            [StubEntry(match="R5", response="first"), StubEntry(match="", response="second")]
+        )
         assert backend.complete(MESSAGES)[0] == "first"
+        assert backend.complete(MESSAGES)[0] == "first"
+        backend = StubBackend(
+            [StubEntry(match="", response="second"), StubEntry(match="R5", response="first")]
+        )
         assert backend.complete(MESSAGES)[0] == "second"
 
     def test_exhausted(self):
@@ -106,13 +113,26 @@ class TestStubBackend:
         assert backend.complete(MESSAGES)[0] == "hit"
         assert backend.complete(MESSAGES)[0] == "hit"
 
+    @pytest.mark.parametrize(
+        "record", ['{"response": "R5. ok"}', '{"match": null, "response": "R5. ok"}']
+    )
+    def test_script_entry_without_match_is_rejected(self, tmp_path, record):
+        script = tmp_path / "script.jsonl"
+        script.write_text(record + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match='"match": "" is a catch-all'):
+            load_stub_script(script)
+
+    def test_entry_without_match_cannot_be_built(self):
+        with pytest.raises(TypeError):
+            StubEntry(response="R5. ok")
+
     def test_script_file(self, fixtures):
         entries = load_stub_script(fixtures / "stub_classify.jsonl")
         assert all(e.match for e in entries)
 
     def test_complete_helper_with_config(self, fixtures, tmp_path):
         script = tmp_path / "script.jsonl"
-        script.write_text('{"response": "R5. ok"}\n', encoding="utf-8")
+        script.write_text('{"match": "", "response": "R5. ok"}\n', encoding="utf-8")
         cfg = BackendConfig(kind="stub", script_path=str(script))
         text, usage = make_backend(cfg).complete(MESSAGES)
         assert text == "R5. ok"

@@ -79,8 +79,17 @@ class TestRunCompliance:
         rules = load_ruleset(data_dir / "gdpr_art28_demo.jsonl")
         backend = StubBackend(load_stub_script(fixtures / "stub_paragraph_aware.jsonl"))
         units = compliance_units(dpa_doc, "paragraph", 4096)
-        findings = run_compliance(units, rules, backend, parallelism=4)
-        assert [f.passage_ref for f in findings] == [u.passage.unit_ref for u in units]
+
+        def full(findings):
+            return [
+                (f.passage_ref, sorted(f.rule_ids), f.rationale, f.raw_response)
+                for f in findings
+            ]
+
+        serial = run_compliance(units, rules, backend, parallelism=1)
+        wide = run_compliance(units, rules, backend, parallelism=8)
+        assert [f.passage_ref for f in wide] == [u.passage.unit_ref for u in units]
+        assert full(wide) == full(serial)
 
 
 class TestClassifyProvisions:
