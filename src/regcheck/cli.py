@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -38,6 +38,8 @@ from .evaluation import (
     metrics,
 )
 from .llm import (
+    HTTP,
+    STUB,
     BackendConfig,
     CostLedger,
     RetryPolicy,
@@ -45,8 +47,14 @@ from .llm import (
     make_backend,
     price_of,
 )
-from .pipeline import classify_provisions, compliance_units, run_compliance
-from .storage import atomic_write_text, dump_json, write_json, write_jsonl
+from .pipeline import (
+    PARAGRAPH_LEVEL,
+    SENTENCE,
+    classify_provisions,
+    compliance_units,
+    run_compliance,
+)
+from .storage import atomic_write_text, dump_json, dump_jsonl, write_json, write_jsonl
 from .taxonomy import load_concept_model, load_ruleset
 
 EXIT_OK = 0
@@ -61,24 +69,58 @@ _ENV_KEYS = {
     "price_table": "REGCHECK_PRICE_TABLE",
 }
 
-_DEFAULTS = {
-    "backend": "stub",
-    "endpoint": "",
-    "model": "stub-model",
-    "temperature": 0.0,
-    "max_output_tokens": 512,
-    "parallelism": 1,
-    "retry_max_attempts": 3,
-    "retry_base_backoff_s": 0.5,
-    "cache_dir": None,
-    "price_table": None,
-    "stub_script": None,
-    "budget": 4096,
-    "format": "plain",
-    "granularity": "paragraph",
-    "context": "off",
-    "runs": 1,
+# Every config key with its JSON type. A float key also takes an integer, no
+# key takes a boolean, and a path key also takes null (unset). The defaults are
+# the field defaults of RunConfig, BackendConfig and RetryPolicy.
+_PATH_KEYS = ("cache_dir", "stub_script", "price_table")
+_KEY_TYPES = {
+    **dict.fromkeys(("backend", "endpoint", "model", "format", "granularity", "context"), str),
+    **dict.fromkeys(_PATH_KEYS, str),
+    **dict.fromkeys(("temperature", "retry_base_backoff_s"), float),
+    **dict.fromkeys(("max_output_tokens", "parallelism", "retry_max_attempts"), int),
+    **dict.fromkeys(("budget", "runs"), int),
 }
+# Config keys named otherwise in BackendConfig or RetryPolicy.
+_FIELD_NAMES = {
+    "backend": "kind",
+    "model": "model_name",
+    "stub_script": "script_path",
+    "retry_max_attempts": "max_attempts",
+    "retry_base_backoff_s": "base_backoff_s",
+}
+_CHOICES = {
+    "format": ("plain", "structured"),
+    "granularity": (SENTENCE, PARAGRAPH_LEVEL),
+    "context": ("on", "off"),
+}
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The settings of one invocation, typed and range-checked when built.
+
+    `BackendConfig` and `RetryPolicy` check the backend fields; this class
+    checks the rest.
+    """
+
+    backend: BackendConfig
+    price_table: str | None = None
+    budget: int = 4096
+    format: str = "plain"
+    granularity: str = PARAGRAPH_LEVEL
+    context: str = "off"
+    runs: int = 1
+    max_parse_failures: int | None = None
+
+    def __post_init__(self):
+        for key, choices in _CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise ValueError(f"{key} must be one of {choices}, got {getattr(self, key)!r}")
+        for key in ("budget", "runs"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        if self.max_parse_failures is not None and self.max_parse_failures < 0:
+            raise ValueError("max_parse_failures must be >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,16 +136,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     seg = sub.add_parser("segment", help="split a document into provisions or passages")
     seg.add_argument("--input", required=True, help="document file")
-    seg.add_argument("--format", choices=["plain", "structured"], default=None)
-    seg.add_argument(
-        "--granularity", choices=["sentence", "paragraph"], default=None
-    )
-    seg.add_argument("--budget", type=int, default=None, help="token budget per passage")
+    seg.add_argument("--format", choices=_CHOICES["format"])
+    seg.add_argument("--granularity", choices=_CHOICES["granularity"])
+    seg.add_argument("--budget", type=int, help="token budget per passage")
     seg.add_argument("--out", help="output JSONL (default: stdout)")
 
     cls = sub.add_parser("classify", help="label provisions with concepts")
     cls.add_argument("--input", required=True, help="document file")
-    cls.add_argument("--format", choices=["plain", "structured"], default=None)
+    cls.add_argument("--format", choices=_CHOICES["format"])
     cls.add_argument("--concepts", required=True, help="concept model JSONL")
     cls.add_argument("--prompt-template", help="classification template JSON")
     cls.add_argument("--keyword-only", action="store_true", help="keyword baseline: skip the model branch")
@@ -113,21 +153,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check", help="check an artifact against compliance rules")
     chk.add_argument("--artifact", required=True, help="artifact file, e.g. a DPA")
-    chk.add_argument("--format", choices=["plain", "structured"], default=None)
+    chk.add_argument("--format", choices=_CHOICES["format"])
     chk.add_argument("--rules", required=True, help="ruleset JSONL")
-    chk.add_argument(
-        "--granularity", choices=["sentence", "paragraph"], default=None
-    )
-    chk.add_argument("--context", choices=["on", "off"], default=None)
-    chk.add_argument("--budget", type=int, default=None)
+    chk.add_argument("--granularity", choices=_CHOICES["granularity"])
+    chk.add_argument("--context", choices=_CHOICES["context"])
+    chk.add_argument("--budget", type=int)
     chk.add_argument("--template", help="prompt template file (default: bundled)")
     chk.add_argument("--out-dir", required=True, help="directory for report and ledger files")
-    chk.add_argument("--runs", type=int, default=None, help="repeat the run N times (cache bypassed)")
+    chk.add_argument("--runs", type=int, help="repeat the run N times (cache bypassed)")
     chk.add_argument(
-        "--max-parse-failures",
-        type=int,
-        default=None,
-        help="exit 4 when more responses than this fail to parse",
+        "--max-parse-failures", type=int, help="exit 4 when more responses than this fail to parse"
     )
     _backend_flags(chk)
 
@@ -144,66 +179,63 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _backend_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", choices=["http", "stub"], default=None)
-    p.add_argument("--endpoint", default=None, help="chat-completions URL (http backend)")
-    p.add_argument("--model", default=None, help="model name sent on the wire / priced in the ledger")
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--parallelism", type=int, default=None)
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--price-table", default=None, help="per-1K-token price JSON")
-    p.add_argument("--stub-script", default=None, help="stub script JSONL (stub backend)")
+    p.add_argument("--backend", choices=[HTTP, STUB])
+    p.add_argument("--endpoint", help="chat-completions URL (http backend)")
+    p.add_argument("--model", help="model name sent on the wire / priced in the ledger")
+    p.add_argument("--temperature", type=float)
+    p.add_argument("--parallelism", type=int)
+    p.add_argument("--cache-dir")
+    p.add_argument("--price-table", help="per-1K-token price JSON")
+    p.add_argument("--stub-script", help="stub script JSONL (stub backend)")
 
 
-def resolve_config(args: argparse.Namespace) -> dict:
-    """Merge defaults, environment, config file and explicit flags, in that order."""
-    cfg = dict(_DEFAULTS)
-    for key, env in _ENV_KEYS.items():
-        value = os.environ.get(env)
-        if value:
-            cfg[key] = value
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
+def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Merge environment, config file and explicit flags, in that order, over
+    the defaults, and check every value whatever its source."""
+    values = {key: os.environ[env] for key, env in _ENV_KEYS.items() if os.environ.get(env)}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
-        unknown = sorted(set(file_cfg) - set(_DEFAULTS))
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+        unknown = sorted(set(file_cfg) - set(_KEY_TYPES))
         if unknown:
-            raise ValueError(f"unknown config keys {unknown} in {config_path}")
-        cfg.update(file_cfg)
-    for key in _DEFAULTS:
+            raise ValueError(f"unknown config keys {unknown} in {args.config}")
+        values.update(file_cfg)
+    for key in _KEY_TYPES:
         value = getattr(args, key, None)
         if value is not None:
-            cfg[key] = value
+            values[key] = value
     # A stub script implies the stub backend; an endpoint implies http.
     if getattr(args, "stub_script", None):
-        cfg["backend"] = "stub"
+        values["backend"] = STUB
     elif getattr(args, "endpoint", None):
-        cfg["backend"] = "http"
-    return cfg
-
-
-def backend_config(cfg: dict) -> BackendConfig:
-    return BackendConfig(
-        kind=cfg["backend"],
-        endpoint=cfg["endpoint"],
-        model_name=cfg["model"],
-        temperature=float(cfg["temperature"]),
-        max_output_tokens=int(cfg["max_output_tokens"]),
-        parallelism=int(cfg["parallelism"]),
-        retry=RetryPolicy(
-            max_attempts=int(cfg["retry_max_attempts"]),
-            base_backoff_s=float(cfg["retry_base_backoff_s"]),
-        ),
-        cache_dir=cfg["cache_dir"],
-        script_path=cfg["stub_script"],
+        values["backend"] = HTTP
+    given = {_FIELD_NAMES.get(key, key): _typed(key, value) for key, value in values.items()}
+    retry = {f: given.pop(f) for f in ("max_attempts", "base_backoff_s") if f in given}
+    run = {f: given.pop(f) for f in ("price_table", "budget", *_CHOICES, "runs") if f in given}
+    return RunConfig(
+        backend=BackendConfig(retry=RetryPolicy(**retry), **given),
+        max_parse_failures=getattr(args, "max_parse_failures", None),
+        **run,
     )
+
+
+def _typed(key: str, value):
+    """`value` as config key `key`'s type; a value of another JSON type is an error."""
+    kind = _KEY_TYPES[key]
+    if type(value) is kind or (value is None and key in _PATH_KEYS):
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
 
 
 def _emit(records: list[dict], out: str | None) -> None:
     if out:
         write_jsonl(out, records)
     else:
-        for rec in records:
-            print(json.dumps(rec, ensure_ascii=False))
+        sys.stdout.write(dump_jsonl(records))
 
 
 def _emit_json(body: dict, out: str | None) -> None:
@@ -218,11 +250,10 @@ def _emit_json(body: dict, out: str | None) -> None:
 # --------------------------------------------------------------------------
 
 
-def cmd_segment(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_segment(args: argparse.Namespace, cfg: RunConfig) -> int:
     raw = Path(args.input).read_text(encoding="utf-8")
-    doc = parse_document(raw, cfg["format"], doc_id=Path(args.input).stem)
-    if cfg["granularity"] == "sentence":
+    doc = parse_document(raw, cfg.format, doc_id=Path(args.input).stem)
+    if cfg.granularity == SENTENCE:
         records = [
             {
                 "unit_ref": p.unit_ref,
@@ -242,56 +273,48 @@ def cmd_segment(args: argparse.Namespace) -> int:
                 "token_estimate": p.token_estimate,
                 "parent_block": list(p.parent_block),
             }
-            for p in chunk_paragraphs(doc, int(cfg["budget"]))
+            for p in chunk_paragraphs(doc, cfg.budget)
         ]
     _emit(records, args.out)
     return EXIT_OK
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     raw = Path(args.input).read_text(encoding="utf-8")
-    doc = parse_document(raw, cfg["format"], doc_id=Path(args.input).stem)
+    doc = parse_document(raw, cfg.format, doc_id=Path(args.input).stem)
     model = load_concept_model(args.concepts)
     template = load_classification_template(args.prompt_template)
-    backend = None if args.keyword_only else make_backend(backend_config(cfg))
+    backend = None if args.keyword_only else make_backend(cfg.backend)
     results = classify_provisions(
         extract_provisions(doc),
         model,
         backend,
         template=template,
-        stem=bool(args.stem),
-        parallelism=int(cfg["parallelism"]),
+        stem=args.stem,
+        parallelism=cfg.backend.parallelism,
     )
     _emit([r.to_record() for r in results], args.out)
     return EXIT_OK
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     raw = Path(args.artifact).read_text(encoding="utf-8")
-    doc = parse_document(raw, cfg["format"], doc_id=Path(args.artifact).stem)
+    doc = parse_document(raw, cfg.format, doc_id=Path(args.artifact).stem)
     rules = load_ruleset(args.rules)
     template = load_template(args.template)
-    prices = load_price_table(cfg["price_table"])
-    price_of(prices, cfg["model"])  # an unpriced model fails before any paid call
+    prices = load_price_table(cfg.price_table)
+    price_of(prices, cfg.backend.model_name)  # an unpriced model fails before any paid call
     out_dir = Path(args.out_dir)
-    runs = int(cfg["runs"])
     units = compliance_units(
-        doc,
-        cfg["granularity"],
-        int(cfg["budget"]),
-        context_on=(cfg["context"] == "on"),
+        doc, cfg.granularity, cfg.budget, context_on=(cfg.context == "on")
     )
-    run_cfg = backend_config(cfg)
-    if runs > 1:
-        run_cfg = replace(run_cfg, cache_dir=None)  # independent samples per run
-    backend = make_backend(run_cfg)
+    # Repeated runs bypass the cache so that they are independent samples.
+    backend = make_backend(cfg.backend if cfg.runs == 1 else replace(cfg.backend, cache_dir=None))
 
     worst_failures = 0
-    for run in range(1, runs + 1):
+    for run in range(1, cfg.runs + 1):
         findings = run_compliance(
-            units, rules, backend, template, parallelism=int(cfg["parallelism"])
+            units, rules, backend, template, parallelism=cfg.backend.parallelism
         )
         report = assemble_report(findings, rules, doc.doc_id)
         ledger = CostLedger(prices)
@@ -299,7 +322,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             if finding.usage is not None:
                 ledger.record(finding.usage)
 
-        target = out_dir if runs == 1 else out_dir / f"run_{run:02d}"
+        target = out_dir if cfg.runs == 1 else out_dir / f"run_{run:02d}"
         write_json(target / "report.json", report_to_dict(report))
         atomic_write_text(target / "report.md", report_to_markdown(report))
         write_jsonl(
@@ -318,7 +341,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         write_json(target / "costs_summary.json", ledger.aggregate())
         worst_failures = max(worst_failures, report.totals["parse_failures"])
 
-    limit = args.max_parse_failures
+    limit = cfg.max_parse_failures
     if limit is not None and worst_failures > limit:
         print(
             f"parse failures ({worst_failures}) exceed the allowed maximum ({limit})",
@@ -328,7 +351,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.runs_dir:
         reports = _load_run_reports(Path(args.runs_dir))
         aggregate = aggregate_runs(reports)
@@ -368,23 +391,9 @@ def _load_run_reports(runs_dir: Path) -> list[MetricsReport]:
 
 
 def _print_box_table(aggregate) -> None:
-    cols = ["metric", "mean", "median", "q1", "q3", "min", "max", "wlow", "whigh"]
-    print("\t".join(cols))
+    print("\t".join(["metric", "mean", "median", "q1", "q3", "min", "max", "wlow", "whigh"]))
     for name, stats in aggregate.per_metric.items():
-        row = [name] + [
-            f"{v:.4f}"
-            for v in (
-                stats.mean,
-                stats.median,
-                stats.q1,
-                stats.q3,
-                stats.min,
-                stats.max,
-                stats.whisker_low,
-                stats.whisker_high,
-            )
-        ]
-        print("\t".join(row))
+        print("\t".join([name, *(f"{v:.4f}" for v in stats.as_dict().values())]))
 
 
 _COMMANDS = {
@@ -399,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, resolve_config(args))
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND

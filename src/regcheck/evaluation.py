@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import statistics
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -54,6 +54,8 @@ def load_predictions(path: str | Path) -> tuple[dict[str, frozenset[str]], int]:
         ref = rec.get("unit_ref") or rec.get("prov_id") or rec.get("passage")
         if ref is None:
             raise ValueError(f"prediction record without a unit reference: {rec}")
+        if ref in predicted:
+            raise ValueError(f"duplicate unit_ref {ref!r} in prediction file {path}")
         labels = rec.get("labels", rec.get("rule_ids", []))
         predicted[ref] = frozenset(labels)
         if rec.get("parse_error") is not None:
@@ -126,12 +128,7 @@ class MetricValues:
     accuracy: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "accuracy": self.accuracy,
-        }
+        return asdict(self)
 
 
 def _from_counts(c: LabelCounts) -> MetricValues:
@@ -262,16 +259,7 @@ class BoxStats:
     whisker_high: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "mean": self.mean,
-            "median": self.median,
-            "q1": self.q1,
-            "q3": self.q3,
-            "min": self.min,
-            "max": self.max,
-            "whisker_low": self.whisker_low,
-            "whisker_high": self.whisker_high,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

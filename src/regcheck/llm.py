@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -61,6 +60,12 @@ class RetryPolicy:
     max_attempts: int = 3
     base_backoff_s: float = 0.5
 
+    def __post_init__(self):
+        if self.max_attempts < 1:
+            raise ValueError("retry_max_attempts must be >= 1")
+        if not 0.0 <= self.base_backoff_s < float("inf"):
+            raise ValueError("retry_base_backoff_s must be a finite number >= 0")
+
 
 @dataclass(frozen=True)
 class BackendConfig:
@@ -80,6 +85,8 @@ class BackendConfig:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if not 0.0 <= self.temperature <= 1.0:
             raise ValueError("temperature must be in [0, 1]")
+        if self.max_output_tokens < 1:
+            raise ValueError("max_output_tokens must be >= 1")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         if self.kind == HTTP and not self.endpoint:
@@ -401,7 +408,6 @@ class CostLedger:
     def __init__(self, price_table: dict[str, ModelPrice]):
         self.price_table = dict(price_table)
         self.records: list[CostRecord] = []
-        self._lock = threading.Lock()
 
     def record(self, usage: Usage) -> CostRecord:
         price = price_of(self.price_table, usage.model_name)
@@ -420,25 +426,20 @@ class CostLedger:
             monetary_cost=cost,
             cached=usage.cached,
         )
-        with self._lock:
-            self.records.append(rec)
+        self.records.append(rec)
         return rec
 
     def aggregate(self) -> dict:
-        with self._lock:
-            records = list(self.records)
         return {
-            "calls": len(records),
-            "cache_hits": sum(1 for r in records if r.cached),
-            "prompt_tokens": sum(r.prompt_tokens for r in records),
-            "completion_tokens": sum(r.completion_tokens for r in records),
-            "monetary_cost": sum(r.monetary_cost for r in records),
-            "latency_s": sum(r.latency_s for r in records),
+            "calls": len(self.records),
+            "cache_hits": sum(1 for r in self.records if r.cached),
+            "prompt_tokens": sum(r.prompt_tokens for r in self.records),
+            "completion_tokens": sum(r.completion_tokens for r in self.records),
+            "monetary_cost": sum(r.monetary_cost for r in self.records),
+            "latency_s": sum(r.latency_s for r in self.records),
         }
 
     def to_jsonl(self) -> str:
-        with self._lock:
-            records = list(self.records)
         return dump_jsonl(
             {
                 "model_name": r.model_name,
@@ -448,5 +449,5 @@ class CostLedger:
                 "monetary_cost": r.monetary_cost,
                 "cached": r.cached,
             }
-            for r in records
+            for r in self.records
         )

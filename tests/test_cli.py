@@ -375,6 +375,22 @@ class TestEval:
     def test_missing_inputs_exit_2(self):
         assert run("eval") == 2
 
+    def test_duplicate_prediction_unit_exits_2(self, tmp_path):
+        # The second record for `a` used to replace the first without a word.
+        gold = tmp_path / "gold.jsonl"
+        pred = tmp_path / "pred.jsonl"
+        write_jsonl(gold, [{"unit_ref": "a", "labels": ["R1"]}])
+        write_jsonl(
+            pred,
+            [
+                {"unit_ref": "a", "labels": ["R1"], "parse_error": "x"},
+                {"unit_ref": "a", "labels": ["R2"], "parse_error": "x"},
+            ],
+        )
+        out = tmp_path / "metrics.json"
+        assert run("eval", "--gold", str(gold), "--pred", str(pred), "--out", str(out)) == 2
+        assert not out.exists()
+
 
 class TestConfigPrecedence:
     def _run_check(self, tmp_path, *extra):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import random
@@ -324,17 +325,27 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def mock_server():
+@contextlib.contextmanager
+def scripted_server():
+    """Serve `_ScriptedHandler` on a free local port; yields the endpoint URL."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _ScriptedHandler.statuses = []
     _ScriptedHandler.requests_seen = []
     _ScriptedHandler.headers_seen = []
-    yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
-    server.shutdown()
-    server.server_close()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+@pytest.fixture
+def mock_server():
+    with scripted_server() as url:
+        yield url
 
 
 def _http_cfg(url, attempts=3):
