@@ -2,8 +2,8 @@
 
 Responsibilities:
 - Wire client for OpenAI-compatible chat-completion endpoints (messages in,
-  first choice text + usage out), with exponential backoff on transport
-  errors and rate limits only.
+  first choice text + usage out), with capped exponential backoff on
+  transport errors and rate limits only.
 - Deterministic scripted stub backend for tests and offline runs.
 - Content-addressed response cache persisted across runs; enabling it never
   changes pipeline output, only cost/latency totals.
@@ -15,10 +15,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import select
+import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
+from urllib.parse import urlsplit
 
 from .corpus import estimate_tokens
 from .errors import (
@@ -29,14 +33,17 @@ from .errors import (
 )
 from .storage import atomic_write_text, dump_jsonl, read_jsonl, read_text_or_bundled
 
-if TYPE_CHECKING:
-    import requests
-
 HTTP = "http"
 STUB = "stub"
 
 # Retry only what can recover: rate limits and transient server errors.
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
+
+# Longest single backoff sleep, whatever the policy's base and attempt count.
+MAX_BACKOFF_S = 60.0
+# 2**64 times any base of 4e-18 s or more is past MAX_BACKOFF_S, so capping
+# the exponent changes no sleep that matters and no policy can overflow.
+_MAX_DOUBLINGS = 64
 
 API_KEY_ENV = "REGCHECK_API_KEY"
 
@@ -66,6 +73,11 @@ class RetryPolicy:
         if not 0.0 <= self.base_backoff_s < float("inf"):
             raise ValueError("retry_base_backoff_s must be a finite number >= 0")
 
+    def backoff_s(self, attempt: int) -> float:
+        """Sleep after failed attempt `attempt` (1-based): base·2^(attempt-1), capped."""
+        doublings = min(attempt - 1, _MAX_DOUBLINGS)
+        return min(MAX_BACKOFF_S, self.base_backoff_s * 2**doublings)
+
 
 @dataclass(frozen=True)
 class BackendConfig:
@@ -89,13 +101,26 @@ class BackendConfig:
             raise ValueError("max_output_tokens must be >= 1")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        if self.kind == HTTP and not self.endpoint:
-            raise ValueError("http backend requires an endpoint URL")
+        if self.kind == HTTP:
+            try:
+                url = urlsplit(self.endpoint)
+                valid = url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
+            except ValueError:  # a port that is not a number in 0-65535
+                valid = False
+            if not valid:
+                raise ValueError(
+                    "http backend endpoint must be an http:// or https:// URL "
+                    f"with a host, not {self.endpoint!r}"
+                )
 
 
 @dataclass(frozen=True)
 class Usage:
-    """Token and latency accounting for one completion call."""
+    """Token and latency accounting for one completion call.
+
+    `latency_s` is the wire time of the attempt that succeeded: earlier failed
+    attempts and the backoff sleeps between them are not in it.
+    """
 
     model_name: str
     prompt_tokens: int
@@ -188,14 +213,39 @@ def load_stub_script(path: str | Path) -> list[StubEntry]:
 
 
 class HttpBackend:
-    def __init__(self, cfg: BackendConfig, session: requests.Session | None = None):
-        # Imported here, not at module level: only this backend needs it, and
-        # importing it is a large share of the CLI's start-up time.
-        import requests
+    """Chat-completions client on `http.client`.
+
+    Each worker thread keeps one keep-alive connection to the endpoint. A
+    connection the server closed while it sat idle is dropped before it
+    carries a request; a failure after a request was sent is an ordinary
+    transport failure for the retry loop, so a POST is never re-sent behind
+    its back. `timeout_s` is the socket timeout.
+
+    `session`, if given, is an object with the `post` of a `requests.Session`;
+    it replaces the wire (the benchmark's tracer passes one) and its responses
+    go through the same status handling and parsing.
+    """
+
+    def __init__(self, cfg: BackendConfig, session=None):
+        # Imported here, not at module level: only this backend needs them,
+        # and stub runs start faster without them.
+        import http.client
 
         self.cfg = cfg
-        self.session = session or requests.Session()
-        self._transport_error = requests.RequestException
+        self.session = session
+        self._transport_errors = (OSError, http.client.HTTPException)
+        url = urlsplit(cfg.endpoint)
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        if url.scheme == "https":
+            import ssl
+
+            connection = partial(
+                http.client.HTTPSConnection, context=ssl.create_default_context()
+            )
+        else:
+            connection = http.client.HTTPConnection
+        self._connect = partial(connection, url.hostname, url.port, timeout=cfg.timeout_s)
+        self._local = threading.local()
 
     def complete(self, messages: Sequence[ChatMessage]) -> tuple[str, Usage]:
         payload = {
@@ -204,6 +254,7 @@ class HttpBackend:
             "temperature": self.cfg.temperature,
             "max_tokens": self.cfg.max_output_tokens,
         }
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
@@ -212,41 +263,57 @@ class HttpBackend:
         retry = self.cfg.retry
         last_status: int | None = None
         last_error = ""
-        start = time.perf_counter()
         for attempt in range(1, retry.max_attempts + 1):
+            start = time.perf_counter()
             try:
-                resp = self.session.post(
-                    self.cfg.endpoint,
-                    json=payload,
-                    headers=headers,
-                    timeout=self.cfg.timeout_s,
-                )
-            except self._transport_error as exc:
+                status, data = self._post(body, headers)
+            except self._transport_errors as exc:
                 last_status, last_error = None, str(exc)
             else:
-                last_status = resp.status_code
-                if resp.status_code == 200:
-                    return self._parse(resp, messages, time.perf_counter() - start)
-                last_error = resp.text[:200]
-                if resp.status_code not in RETRYABLE_STATUSES:
+                last_status = status
+                if status == 200:
+                    return self._parse(data, messages, time.perf_counter() - start)
+                last_error = data.decode("utf-8", "replace")[:200]
+                if status not in RETRYABLE_STATUSES:
                     raise BackendError(
-                        f"backend rejected request (status {resp.status_code}): {last_error}",
+                        f"backend rejected request (status {status}): {last_error}",
                         attempts=attempt,
-                        last_status=resp.status_code,
+                        last_status=status,
                     )
             if attempt < retry.max_attempts:
-                time.sleep(retry.base_backoff_s * 2 ** (attempt - 1))
+                time.sleep(retry.backoff_s(attempt))
         raise BackendError(
             f"backend unavailable after {retry.max_attempts} attempts: {last_error}",
             attempts=retry.max_attempts,
             last_status=last_status,
         )
 
+    def _post(self, body: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """One POST of `body`: (status, response body)."""
+        if self.session is not None:
+            resp = self.session.post(
+                self.cfg.endpoint, data=body, headers=headers, timeout=self.cfg.timeout_s
+            )
+            return resp.status_code, resp.content
+        link = getattr(self._local, "link", None)
+        if link is None:
+            link = self._local.link = _Link(self._connect())
+        conn = link.conn
+        if conn.sock is not None and _readable(conn.sock):
+            conn.close()  # closed by the server while idle; request() reconnects
+        try:
+            conn.request("POST", self._path, body, headers)
+            resp = conn.getresponse()
+            return resp.status, resp.read()
+        except BaseException:
+            conn.close()  # a half-used connection never carries another request
+            raise
+
     def _parse(
-        self, resp: requests.Response, messages: Sequence[ChatMessage], latency: float
+        self, data: bytes, messages: Sequence[ChatMessage], latency: float
     ) -> tuple[str, Usage]:
         try:
-            body = resp.json()
+            body = json.loads(data)
             text = body["choices"][0]["message"]["content"]
         except (ValueError, LookupError, TypeError) as exc:
             raise BackendError(f"malformed completion response: {exc}", last_status=200) from exc
@@ -265,6 +332,32 @@ class HttpBackend:
             latency_s=latency,
         )
         return text, usage
+
+
+class _Link:
+    """A worker thread's keep-alive connection, closed when the thread or the
+    backend that holds it is gone (the socket would otherwise be left to the
+    garbage collector)."""
+
+    __slots__ = ("conn",)
+
+    def __init__(self, conn):
+        self.conn = conn
+
+    def __del__(self):
+        self.conn.close()
+
+
+def _readable(sock) -> bool:
+    """Whether `sock` has bytes or an EOF waiting, checked without blocking.
+
+    On an idle keep-alive socket either one means it must not be reused.
+    """
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
 
 
 # --------------------------------------------------------------------------

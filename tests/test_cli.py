@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from regcheck.cli import main
 from regcheck.corpus import estimate_tokens
+from regcheck.llm import MAX_BACKOFF_S
 from regcheck.storage import read_jsonl, write_json, write_jsonl
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -163,8 +165,19 @@ class TestCheck:
         assert costs["monetary_cost"] > 0
 
     def test_unreachable_endpoint_exits_3(self, tmp_path):
+        self._check_unreachable(tmp_path, 0.01)
+
+    def test_huge_backoff_exits_3_with_capped_sleeps(self, tmp_path, monkeypatch):
+        # A huge finite base is a valid setting: its sleeps are capped, so it
+        # cannot overflow `time.sleep`.
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        self._check_unreachable(tmp_path, 1e300)
+        assert slept == [MAX_BACKOFF_S]
+
+    def _check_unreachable(self, tmp_path, base_backoff_s):
         config = tmp_path / "config.json"
-        write_json(config, {"retry_max_attempts": 2, "retry_base_backoff_s": 0.01})
+        write_json(config, {"retry_max_attempts": 2, "retry_base_backoff_s": base_backoff_s})
         code = run(
             "--config", str(config),
             "check",

@@ -32,7 +32,7 @@ STUB_SCRIPT = FIXTURES / "stub_paragraph_aware.jsonl"
 # Rejected values of every config key, as JSON values.
 REJECTED = {
     "backend": ["ftp", "", 1, None],
-    "endpoint": ["", 5, None],
+    "endpoint": ["", 5, None, "ftp://h/v1", "localhost:8080/v1"],
     "model": [5, None, ["gpt-4"]],
     "temperature": [-0.1, 1.5, math.nan, "0.5", True, None],
     "max_output_tokens": [0, -1, 2.5, "512", True],

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from regcheck.errors import (
     UnknownModelPrice,
 )
 from regcheck.llm import (
+    MAX_BACKOFF_S,
     BackendConfig,
     CachingBackend,
     ChatMessage,
@@ -68,6 +70,30 @@ class TestBackendConfig:
     def test_http_requires_endpoint(self):
         with pytest.raises(ValueError):
             BackendConfig(kind="http")
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["ftp://h/v1", "localhost:8080/v1", "http:///v1", "http://h:99999/v1", "http://h:x/v1"],
+    )
+    def test_http_endpoint_must_be_an_http_url_with_a_host(self, endpoint):
+        with pytest.raises(ValueError, match="endpoint"):
+            BackendConfig(kind="http", endpoint=endpoint)
+
+    @pytest.mark.parametrize("endpoint", ["http://h/v1", "https://[::1]:8443/v1?x=1"])
+    def test_http_endpoint_accepted(self, endpoint):
+        assert BackendConfig(kind="http", endpoint=endpoint).endpoint == endpoint
+
+
+class TestRetryPolicy:
+    @pytest.mark.parametrize("base", [0.0, 1e-30, 0.5, 1e300, 1.7e308])
+    @pytest.mark.parametrize("attempt", [1, 2, 64, 1100, 10**6])
+    def test_backoff_is_capped_for_any_base_and_attempt(self, base, attempt):
+        assert 0.0 <= RetryPolicy(base_backoff_s=base).backoff_s(attempt) <= MAX_BACKOFF_S
+
+    def test_backoff_doubles_below_the_cap(self):
+        policy = RetryPolicy(base_backoff_s=0.5)
+        assert [policy.backoff_s(k) for k in (1, 2, 3, 4)] == [0.5, 1.0, 2.0, 4.0]
+        assert policy.backoff_s(20) == MAX_BACKOFF_S
 
 
 class TestStubBackend:
@@ -307,6 +333,7 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         status = type(self).statuses.pop(0) if type(self).statuses else 200
         if status != 200:
             self.send_response(status)
+            self.send_header("Content-Length", "9")
             self.end_headers()
             self.wfile.write(b"try later")
             return
@@ -407,41 +434,143 @@ class TestHttpBackend:
         HttpBackend(_http_cfg(mock_server)).complete(MESSAGES)
         assert "Authorization" not in _ScriptedHandler.headers_seen[0]
 
+    def test_latency_is_the_successful_attempt_without_backoff(self, mock_server):
+        _ScriptedHandler.statuses = [429, 429]
+        cfg = replace(_http_cfg(mock_server), retry=RetryPolicy(3, base_backoff_s=0.2))
+        started = time.perf_counter()
+        _, usage = HttpBackend(cfg).complete(MESSAGES)
+        assert time.perf_counter() - started >= 0.6  # both backoff sleeps ran
+        assert usage.latency_s < 0.2
 
-_COLD_START = '''
+    @pytest.mark.parametrize("base,attempts", [(1e300, 2), (0.5, 1100)])
+    def test_backoff_never_overflows(self, monkeypatch, base, attempts):
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        cfg = replace(
+            _http_cfg("http://127.0.0.1:9/nothing"),
+            retry=RetryPolicy(max_attempts=attempts, base_backoff_s=base),
+        )
+        with pytest.raises(BackendError) as err:
+            HttpBackend(cfg).complete(MESSAGES)
+        assert err.value.attempts == attempts
+        assert len(slept) == attempts - 1
+        assert max(slept) == MAX_BACKOFF_S
+
+    def test_unreachable_https_endpoint(self):
+        cfg = _http_cfg("https://127.0.0.1:9/nothing", attempts=2)
+        with pytest.raises(BackendError) as err:
+            HttpBackend(cfg).complete(MESSAGES)
+        assert err.value.attempts == 2
+        assert err.value.last_status is None
+
+
+class _KeepAliveHandler(_ScriptedHandler):
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # no delayed-ACK stall between header and body
+
+    def do_POST(self):
+        self.server.ports.append(self.client_address[1])
+        super().do_POST()
+        # Without a "Connection: close" header: the client believes the
+        # connection stays open.
+        self.close_connection = self.server.drop_after_response
+
+
+class _KeepAliveServer(ThreadingHTTPServer):
+    """HTTP/1.1 keep-alive server that records the client port of every request."""
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _KeepAliveHandler)
+        self.ports: list[int] = []
+        self.drop_after_response = False
+        self.closed = threading.Semaphore(0)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+
+@pytest.fixture
+def keep_alive_server():
+    server = _KeepAliveServer()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    _ScriptedHandler.statuses = []
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def _url(server: _KeepAliveServer) -> str:
+    return f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+
+
+class TestHttpTransport:
+    def test_serial_calls_share_one_connection(self, keep_alive_server):
+        backend = HttpBackend(_http_cfg(_url(keep_alive_server)))
+        for _ in range(20):
+            assert backend.complete(MESSAGES)[0] == "R5. via http"
+        assert len(keep_alive_server.ports) == 20
+        assert len(set(keep_alive_server.ports)) == 1
+
+    def test_one_connection_per_worker_thread(self, keep_alive_server, fixtures, data_dir):
+        from regcheck.corpus import parse_document
+        from regcheck.pipeline import compliance_units, run_compliance
+        from regcheck.taxonomy import load_ruleset
+
+        raw = (fixtures / "dpa_demo.txt").read_text(encoding="utf-8")
+        doc = parse_document(raw, "structured", doc_id="dpa_demo")
+        units = compliance_units(doc, "sentence", 4096)
+        rules = load_ruleset(data_dir / "gdpr_art28_demo.jsonl")
+        backend = HttpBackend(_http_cfg(_url(keep_alive_server)))
+        findings = run_compliance(units, rules, backend, parallelism=4)
+        assert len(findings) == len(units) == len(keep_alive_server.ports)
+        assert 1 <= len(set(keep_alive_server.ports)) <= 4
+
+    def test_connection_closed_while_idle_is_replaced(self, keep_alive_server):
+        keep_alive_server.drop_after_response = True
+        backend = HttpBackend(_http_cfg(_url(keep_alive_server), attempts=1))
+        backend.complete(MESSAGES)
+        assert keep_alive_server.closed.acquire(timeout=5)  # the server hung up
+        assert backend.complete(MESSAGES)[0] == "R5. via http"
+        assert len(set(keep_alive_server.ports)) == 2
+
+
+_NO_REQUESTS = '''
 import sys
+
+sys.modules["requests"] = None  # any import of it now raises ImportError
 from regcheck.cli import main
 
-assert "requests" not in sys.modules, "import regcheck.cli"
-fixtures, data, out = (sys.argv[i] for i in (1, 2, 3))
-artifact = ["--artifact", fixtures + "/dpa_demo.txt", "--format", "structured"]
-assert main(["segment", "--input", fixtures + "/dpa_demo.txt", "--out", out + "/units.jsonl"]) == 0
-assert main(["check", *artifact, "--rules", data + "/gdpr_art28_demo.jsonl",
-             "--stub-script", fixtures + "/stub_paragraph_aware.jsonl", "--out-dir", out]) == 0
-assert main(["eval", "--gold", fixtures + "/dpa_gold_paragraph.jsonl",
-             "--pred", out + "/findings.jsonl", "--out", out + "/metrics.json"]) == 0
-assert "requests" not in sys.modules, "stub segment/check/eval"
-
-from regcheck.llm import BackendConfig, make_backend
-
-make_backend(BackendConfig(kind="http", endpoint="http://127.0.0.1:9/nothing"))
-assert "requests" in sys.modules, "http backend"
+sys.exit(main(sys.argv[1:]))
 '''
 
 
-def test_requests_is_imported_by_the_http_backend_only(fixtures, data_dir, tmp_path):
-    # In a fresh interpreter, since this one has imported requests already.
+def test_requests_is_never_imported(fixtures, data_dir, tmp_path):
+    # In a fresh interpreter, with `requests` blocked: the http backend runs
+    # a whole `check` on the standard library alone.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START, str(fixtures), str(data_dir), str(tmp_path)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    with scripted_server() as url:
+        proc = subprocess.run(
+            [
+                sys.executable, "-c", _NO_REQUESTS, "check",
+                "--artifact", str(fixtures / "dpa_demo.txt"), "--format", "structured",
+                "--rules", str(data_dir / "gdpr_art28_demo.jsonl"),
+                "--endpoint", url, "--model", "gpt-3.5-turbo-0125",
+                "--out-dir", str(tmp_path / "out"),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
     assert proc.returncode == 0, proc.stderr
+    assert _ScriptedHandler.requests_seen
 
 
 class TestBoundedParallelism:
