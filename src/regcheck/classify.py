@@ -155,8 +155,24 @@ def _light_stem(word: str) -> str:
 _WORD = re.compile(r"\w+")
 
 
+# Keyed by the raw token, so each distinct word is lower-cased and stemmed once
+# per process. An entry costs ~200 bytes, so the bound caps the cache at ~3 MB.
+# A 15k-provision food corpus has ~3k distinct tokens; a larger vocabulary only
+# evicts rare words, since word frequencies are heavily skewed. lru_cache is
+# thread-safe, so classify's worker threads share it.
+@lru_cache(maxsize=1 << 14)
+def _stem_token(word: str) -> str:
+    return _light_stem(word.lower())
+
+
 def _stemmed_words(text: str) -> tuple[str, ...]:
-    return tuple(_light_stem(w.lower()) for w in _WORD.findall(text))
+    return tuple(map(_stem_token, _WORD.findall(text)))
+
+
+def _whole_words(keywords) -> re.Pattern[str]:
+    """One case-insensitive alternation of `keywords`, each a whole word."""
+    alternation = "|".join(re.escape(kw.strip()) for kw in keywords)
+    return re.compile(r"(?<!\w)(?:" + alternation + r")(?!\w)", re.IGNORECASE)
 
 
 class _KeywordIndex:
@@ -164,26 +180,21 @@ class _KeywordIndex:
 
     Each concept gets one case-insensitive alternation of its keywords, with
     lookarounds instead of \\b so keywords may start or end with punctuation.
+    One more alternation over every concept's keywords gates them: where no
+    keyword matches, no concept's pattern can, since the alternation tries
+    each keyword at each position. Most provisions name no scarce concept, so
+    one search rejects them.
     With stemming, each keyword's stemmed word n-gram is also filed under its
     first word, so a text is tokenised and stemmed once and each of its words
     costs one dict lookup: a word-level Aho-Corasick lookup (Aho & Corasick,
-    CACM 18(6), 1975) that verifies each candidate n-gram directly.
+    CACM 18(6), 1975) that verifies each candidate n-gram directly. The walk
+    runs only when the text holds some n-gram's first word.
     """
 
     def __init__(self, model: ConceptModel, stem: bool):
         scarce = [c for c in model.scarce_concepts() if c.keywords]
-        self.patterns = [
-            (
-                c.concept_id,
-                re.compile(
-                    r"(?<!\w)(?:"
-                    + "|".join(re.escape(kw.strip()) for kw in c.keywords)
-                    + r")(?!\w)",
-                    re.IGNORECASE,
-                ),
-            )
-            for c in scarce
-        ]
+        self.patterns = [(c.concept_id, _whole_words(c.keywords)) for c in scarce]
+        self.gate = _whole_words(kw for c in scarce for kw in c.keywords)
         self.ngrams: dict[str, list[tuple[tuple[str, ...], str]]] = {}
         if stem:
             for c in scarce:
@@ -191,15 +202,19 @@ class _KeywordIndex:
                     want = _stemmed_words(kw)
                     if want:
                         self.ngrams.setdefault(want[0], []).append((want, c.concept_id))
+        self.first_words = frozenset(self.ngrams)
 
     def match(self, text: str) -> set[str]:
         hits: set[str] = set()
         if self.ngrams:
             have = _stemmed_words(text)
-            for i, word in enumerate(have):
-                for want, cid in self.ngrams.get(word, ()):
-                    if cid not in hits and have[i : i + len(want)] == want:
-                        hits.add(cid)
+            if not self.first_words.isdisjoint(have):
+                for i, word in enumerate(have):
+                    for want, cid in self.ngrams.get(word, ()):
+                        if cid not in hits and have[i : i + len(want)] == want:
+                            hits.add(cid)
+        if not self.gate.search(text):
+            return hits
         for cid, pattern in self.patterns:
             if cid not in hits and pattern.search(text):
                 hits.add(cid)

@@ -9,6 +9,7 @@ import pytest
 
 from regcheck.classify import (
     LabelSet,
+    _stem_token,
     build_classification_prompt,
     classify_keywords,
     default_classification_template,
@@ -156,6 +157,50 @@ class TestKeywordIndexAgainstReference:
             assert classify_keywords(prov(text), wide, stem).labels == _ref_classify_keywords(
                 text, wide, stem
             ), (text, stem)
+
+    @pytest.mark.parametrize("stem", [False, True])
+    def test_keywords_only_inside_longer_words(self, model, stem):
+        # A whole-word "salmonella" lets the text past the combined pattern;
+        # every other keyword sits inside a longer word, which its own
+        # concept's pattern must still reject.
+        for text in (
+            "Salmonella and empathogenic discolourationx.",
+            "salmonella: watercontent, moisturex, colourful, firmnesses",
+            "ſalmonella and xlisteria under a texturex",
+        ):
+            got = classify_keywords(prov(text), model, stem).labels
+            assert got == _ref_classify_keywords(text, model, stem) == {"Pathogen"}, text
+
+    @pytest.mark.parametrize(
+        "concepts",
+        [
+            (Concept("Ampersand", "Ampersand", True, ("&",)),),
+            (Concept("Plain", "Plain", False), Concept("Empty", "Empty", True, ())),
+            (),
+        ],
+        ids=["no-word-character", "no-scarce-keywords", "no-concepts"],
+    )
+    @pytest.mark.parametrize("stem", [False, True])
+    def test_degenerate_models(self, concepts, stem):
+        degenerate = ConceptModel(concepts)
+        rng = random.Random(85)
+        texts = ["R & D", "R&D", "&", "a &b", "& water content"]
+        texts += [self._text(rng) for _ in range(200)]
+        for text in texts:
+            got = classify_keywords(prov(text), degenerate, stem).labels
+            assert got == _ref_classify_keywords(text, degenerate, stem), (repr(text), stem)
+
+    def test_after_stem_cache_clear(self, model):
+        wide = ConceptModel(model.concepts + self.EXTRA, model.version)
+        rng = random.Random(1976)
+        texts = [self._text(rng) for _ in range(300)]
+        for cleared in (False, True):
+            if cleared:
+                _stem_token.cache_clear()
+            for text in texts:
+                got = classify_keywords(prov(text), wide, True).labels
+                assert got == _ref_classify_keywords(text, wide, True), (repr(text), cleared)
+        assert _stem_token.cache_info().currsize > 0
 
 
 class TestParseConceptResponse:

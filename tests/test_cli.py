@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from regcheck.classify import _stem_token
 from regcheck.cli import main
 from regcheck.corpus import estimate_tokens
 from regcheck.llm import MAX_BACKOFF_S
@@ -137,6 +138,29 @@ class TestClassify:
             "Inspection": "llm",
             "Pathogen": "keyword",
         }
+
+    @pytest.mark.parametrize("stem", [[], ["--stem"]], ids=["exact", "stem"])
+    def test_labels_independent_of_parallelism(self, tmp_path, stem):
+        outputs = []
+        for parallelism in ("1", "8"):
+            # Worker threads fill the shared stem cache from empty.
+            _stem_token.cache_clear()
+            out = tmp_path / f"labels-p{parallelism}.jsonl"
+            code = run(
+                "classify",
+                "--input", str(FIXTURES / "food_corpus.txt"),
+                "--format", "structured",
+                "--concepts", str(DATA / "food_safety_concepts.jsonl"),
+                "--stub-script", str(FIXTURES / "stub_classify.jsonl"),
+                "--parallelism", parallelism,
+                *stem,
+                "--out", str(out),
+            )
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        if not stem:
+            assert outputs[0] == (FIXTURES / "golden_labels.jsonl").read_bytes()
 
 
 class TestCheck:

@@ -352,11 +352,18 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         pass
 
 
+# server.shutdown() waits for serve_forever's next poll; the 0.5 s default
+# poll would add up to half a second to every teardown.
+_POLL_S = 0.05
+
+
 @contextlib.contextmanager
 def scripted_server():
     """Serve `_ScriptedHandler` on a free local port; yields the endpoint URL."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": _POLL_S}, daemon=True
+    )
     thread.start()
     _ScriptedHandler.statuses = []
     _ScriptedHandler.requests_seen = []
@@ -493,7 +500,9 @@ class _KeepAliveServer(ThreadingHTTPServer):
 @pytest.fixture
 def keep_alive_server():
     server = _KeepAliveServer()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": _POLL_S}, daemon=True
+    )
     thread.start()
     _ScriptedHandler.statuses = []
     try:
