@@ -16,20 +16,21 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 from .errors import MalformedInput, UnchunkableText
 
-# Legal citation forms that end with a period but never end a sentence.
-# Extend via the `abbreviations` parameter of the splitting functions.
-DEFAULT_ABBREVIATIONS: tuple[str, ...] = (
-    "s.",
-    "ss.",
-    "art.",
-    "no.",
-    "e.g.",
-    "i.e.",
-    "para.",
+# Legal citation forms that end with a period but never end a sentence,
+# lower-cased: a token is looked up case-insensitively.
+ABBREVIATIONS: frozenset[str] = frozenset(
+    {
+        "s.",
+        "ss.",
+        "art.",
+        "no.",
+        "e.g.",
+        "i.e.",
+        "para.",
+    }
 )
 
 PARAGRAPH = "paragraph"
@@ -104,11 +105,9 @@ class Passage:
 
 
 def estimate_tokens(text: str) -> int:
-    """Default token estimator: ceil(character count / 4).
+    """Token estimator: ceil(character count / 4).
 
-    Deterministic and monotone non-decreasing under concatenation. Any
-    callable with the same contract (e.g. an exact tokenizer) can replace it
-    wherever a `counter` argument is accepted.
+    Deterministic and monotone non-decreasing under concatenation.
     """
     return math.ceil(len(text) / 4)
 
@@ -127,16 +126,7 @@ _NEXT_CHAR = re.compile(r"\s*(\S)")
 _OPENERS = "\"'“‘(["
 
 
-def _abbrev_set(abbreviations: Sequence[str]) -> frozenset[str]:
-    return frozenset(a.lower() for a in abbreviations)
-
-
-_DEFAULT_ABBREV_SET = _abbrev_set(DEFAULT_ABBREVIATIONS)
-
-
-def sentence_spans(
-    text: str, abbreviations: Sequence[str] | None = None
-) -> list[tuple[int, int]]:
+def sentence_spans(text: str) -> list[tuple[int, int]]:
     """Character spans of sentences in `text`, trimmed of surrounding whitespace.
 
     A boundary is a run of ``.!?`` (plus closing quotes/brackets) followed by
@@ -144,7 +134,6 @@ def sentence_spans(
     lone period is not a boundary when the preceding token is a known
     abbreviation ("s. 12 of the Act" stays whole).
     """
-    abbrevs = _DEFAULT_ABBREV_SET if abbreviations is None else _abbrev_set(abbreviations)
     breaks: list[int] = []
     for m in _BOUNDARY.finditer(text):
         after = _NEXT_CHAR.match(text, m.end())
@@ -157,7 +146,7 @@ def sentence_spans(
             start = end = m.end(1)
             while start > 0 and not text[start - 1].isspace():
                 start -= 1
-            if text[start:end].lstrip(_OPENERS).lower() in abbrevs:
+            if text[start:end].lstrip(_OPENERS).lower() in ABBREVIATIONS:
                 continue
         breaks.append(m.end())
 
@@ -173,9 +162,9 @@ def sentence_spans(
     return spans
 
 
-def split_text(text: str, abbreviations: Sequence[str] | None = None) -> list[str]:
+def split_text(text: str) -> list[str]:
     """Split `text` into sentence strings (see `sentence_spans`)."""
-    return [text[s:e] for s, e in sentence_spans(text, abbreviations)]
+    return [text[s:e] for s, e in sentence_spans(text)]
 
 
 # --------------------------------------------------------------------------
@@ -217,14 +206,12 @@ def _expand_item(header: str, item: str) -> list[str]:
     return [f"{header} {item}"]
 
 
-def extract_provisions(
-    doc: SourceDocument, abbreviations: Sequence[str] | None = None
-) -> list[Provision]:
+def extract_provisions(doc: SourceDocument) -> list[Provision]:
     """All provisions of a document in block order: split paragraphs, expanded lists."""
     provisions: list[Provision] = []
     for block in doc.blocks:
         if block.kind == PARAGRAPH:
-            for i, sent in enumerate(split_text(block.text, abbreviations)):
+            for i, sent in enumerate(split_text(block.text)):
                 provisions.append(Provision(doc.doc_id, block.index, i, sent, "plain"))
         else:
             provisions.extend(expand_list_items(block, doc.doc_id))
@@ -243,12 +230,7 @@ def block_text(block: Block) -> str:
     return " ".join([block.header, *block.items])
 
 
-def chunk_paragraphs(
-    doc: SourceDocument,
-    budget: int,
-    counter: Callable[[str], int] = estimate_tokens,
-    abbreviations: Sequence[str] | None = None,
-) -> list[Passage]:
+def chunk_paragraphs(doc: SourceDocument, budget: int) -> list[Passage]:
     """Token-bounded passages, one per block where the block fits the budget.
 
     Oversize blocks are bisected recursively at sentence boundaries until
@@ -261,13 +243,17 @@ def chunk_paragraphs(
     seq = 0
     for block in doc.blocks:
         text = block_text(block)
-        for chunk in _fit(text, budget, counter, abbreviations):
+        if estimate_tokens(text) <= budget:
+            chunks = [text]
+        else:
+            chunks = _fit_sentences(split_text(text), budget)
+        for chunk in chunks:
             passages.append(
                 Passage(
                     doc_id=doc.doc_id,
                     sequence=seq,
                     text=chunk,
-                    token_estimate=counter(chunk),
+                    token_estimate=estimate_tokens(chunk),
                     parent_block=(block.index, block.index),
                 )
             )
@@ -275,33 +261,17 @@ def chunk_paragraphs(
     return passages
 
 
-def _fit(
-    text: str,
-    budget: int,
-    counter: Callable[[str], int],
-    abbreviations: Sequence[str] | None,
-) -> list[str]:
-    if counter(text) <= budget:
-        return [text]
-    sentences = split_text(text, abbreviations)
-    return _fit_sentences(sentences, budget, counter)
-
-
-def _fit_sentences(
-    sentences: list[str], budget: int, counter: Callable[[str], int]
-) -> list[str]:
+def _fit_sentences(sentences: list[str], budget: int) -> list[str]:
     joined = " ".join(sentences)
-    if counter(joined) <= budget:
+    if estimate_tokens(joined) <= budget:
         return [joined]
     if len(sentences) == 1:
         raise UnchunkableText(
-            f"a single sentence of ~{counter(joined)} tokens exceeds the "
+            f"a single sentence of ~{estimate_tokens(joined)} tokens exceeds the "
             f"budget of {budget}: {joined[:80]!r}"
         )
     mid = (len(sentences) + 1) // 2
-    return _fit_sentences(sentences[:mid], budget, counter) + _fit_sentences(
-        sentences[mid:], budget, counter
-    )
+    return _fit_sentences(sentences[:mid], budget) + _fit_sentences(sentences[mid:], budget)
 
 
 # --------------------------------------------------------------------------

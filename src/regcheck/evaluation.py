@@ -34,11 +34,11 @@ def load_gold(path: str | Path) -> list[GoldRecord]:
     records = []
     seen = set()
     for rec in read_jsonl(path):
-        ref = rec["unit_ref"]
+        ref, labels = _unit_labels(path, rec.get("unit_ref"), rec.get("labels", []))
         if ref in seen:
             raise ValueError(f"duplicate unit_ref {ref!r} in gold file {path}")
         seen.add(ref)
-        records.append(GoldRecord(ref, frozenset(rec.get("labels", []))))
+        records.append(GoldRecord(ref, labels))
     return records
 
 
@@ -52,15 +52,22 @@ def load_predictions(path: str | Path) -> tuple[dict[str, frozenset[str]], int]:
     parse_failures = 0
     for rec in read_jsonl(path):
         ref = rec.get("unit_ref") or rec.get("prov_id") or rec.get("passage")
-        if ref is None:
-            raise ValueError(f"prediction record without a unit reference: {rec}")
+        ref, labels = _unit_labels(path, ref, rec.get("labels", rec.get("rule_ids", [])))
         if ref in predicted:
             raise ValueError(f"duplicate unit_ref {ref!r} in prediction file {path}")
-        labels = rec.get("labels", rec.get("rule_ids", []))
-        predicted[ref] = frozenset(labels)
+        predicted[ref] = labels
         if rec.get("parse_error") is not None:
             parse_failures += 1
     return predicted, parse_failures
+
+
+def _unit_labels(path: str | Path, ref, labels) -> tuple[str, frozenset[str]]:
+    """A record's unit reference and label set, each checked for its type."""
+    if not isinstance(ref, str) or not ref:
+        raise ValueError(f"{path}: unit_ref must be a non-empty string, got {ref!r}")
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise ValueError(f"{path}: labels of {ref!r} must be a list of strings, got {labels!r}")
+    return ref, frozenset(labels)
 
 
 @dataclass(frozen=True)

@@ -315,23 +315,31 @@ class HttpBackend:
         try:
             body = json.loads(data)
             text = body["choices"][0]["message"]["content"]
+            # A refusal has null content: unparseable for the pipeline, but paid for.
+            text = "" if text is None else text
+            reported = {} if body.get("usage") is None else body["usage"]
+            if not isinstance(text, str) or not isinstance(reported, dict):
+                raise TypeError("content must be a string and usage an object")
+            prompt_estimate = sum(estimate_tokens(m.content) for m in messages)
+            usage = Usage(
+                self.cfg.model_name,
+                _token_count(reported, "prompt_tokens", prompt_estimate),
+                _token_count(reported, "completion_tokens", estimate_tokens(text)),
+                latency_s=latency,
+            )
         except (ValueError, LookupError, TypeError) as exc:
             raise BackendError(f"malformed completion response: {exc}", last_status=200) from exc
-        reported = body.get("usage") or {}
-        usage = Usage(
-            model_name=self.cfg.model_name,
-            prompt_tokens=int(
-                reported.get(
-                    "prompt_tokens",
-                    sum(estimate_tokens(m.content) for m in messages),
-                )
-            ),
-            completion_tokens=int(
-                reported.get("completion_tokens", estimate_tokens(text))
-            ),
-            latency_s=latency,
-        )
         return text, usage
+
+
+def _token_count(reported: dict, key: str, estimate: int) -> int:
+    """The reported token count `key`, or `estimate` when it is null or absent."""
+    value = reported.get(key)
+    if value is None:
+        return estimate
+    if type(value) is not int or value < 0:
+        raise ValueError(f"usage.{key} must be a non-negative integer, got {value!r}")
+    return value
 
 
 class _Link:
@@ -366,13 +374,17 @@ def _readable(sock) -> bool:
 
 
 def cache_key(
-    model_name: str, temperature: float, messages: Sequence[ChatMessage]
+    model_name: str,
+    temperature: float,
+    messages: Sequence[ChatMessage],
+    max_output_tokens: int = BackendConfig.max_output_tokens,
 ) -> str:
-    """Content digest of (model, temperature, messages); order-sensitive."""
+    """Content digest of (model, temperature, output cap, messages); order-sensitive."""
     canonical = json.dumps(
         {
             "model": model_name,
             "temperature": temperature,
+            "max_tokens": max_output_tokens,
             "messages": [[m.role, m.content] for m in messages],
         },
         sort_keys=True,
@@ -425,14 +437,22 @@ class ResponseCache:
 class CachingBackend:
     """Consults the cache before delegating; corrupt entries are recomputed."""
 
-    def __init__(self, inner: Backend, cache: ResponseCache, model_name: str, temperature: float):
+    def __init__(
+        self,
+        inner: Backend,
+        cache: ResponseCache,
+        model_name: str,
+        temperature: float,
+        max_output_tokens: int = BackendConfig.max_output_tokens,
+    ):
         self.inner = inner
         self.cache = cache
         self.model_name = model_name
         self.temperature = temperature
+        self.max_output_tokens = max_output_tokens
 
     def complete(self, messages: Sequence[ChatMessage]) -> tuple[str, Usage]:
-        key = cache_key(self.model_name, self.temperature, messages)
+        key = cache_key(self.model_name, self.temperature, messages, self.max_output_tokens)
         try:
             hit = self.cache.get(key)
         except CorruptCacheEntry:
@@ -452,9 +472,8 @@ def make_backend(cfg: BackendConfig) -> Backend:
     else:
         inner = HttpBackend(cfg)
     if cfg.cache_dir:
-        inner = CachingBackend(
-            inner, ResponseCache(cfg.cache_dir), cfg.model_name, cfg.temperature
-        )
+        cache = ResponseCache(cfg.cache_dir)
+        inner = CachingBackend(inner, cache, cfg.model_name, cfg.temperature, cfg.max_output_tokens)
     return inner
 
 

@@ -101,7 +101,6 @@ def compliance_units(
     doc: SourceDocument,
     granularity: str,
     budget: int,
-    counter: Callable[[str], int] = estimate_tokens,
     context_on: bool = False,
 ) -> list[CheckUnit]:
     """Build check units at the requested granularity.
@@ -114,13 +113,13 @@ def compliance_units(
     parents = {b.index: block_text(b) for b in doc.blocks}
     units: list[CheckUnit] = []
     if granularity == PARAGRAPH_LEVEL:
-        for passage in chunk_paragraphs(doc, budget, counter):
+        for passage in chunk_paragraphs(doc, budget):
             parent = parents[passage.parent_block[0]]
             context = parent if context_on and parent != passage.text else None
             units.append(CheckUnit(passage, context))
     elif granularity == SENTENCE:
         for seq, prov in enumerate(extract_provisions(doc)):
-            tokens = counter(prov.text)
+            tokens = estimate_tokens(prov.text)
             if tokens > budget:
                 raise UnchunkableText(
                     f"provision {prov.unit_ref} (~{tokens} tokens) exceeds the "

@@ -25,9 +25,12 @@ def read_jsonl(path: str | Path) -> list[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON record: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object")
+            records.append(record)
     return records
 
 

@@ -113,8 +113,8 @@ def load_concept_model(path: str | Path) -> ConceptModel:
     return ConceptModel(tuple(concepts), version)
 
 
-def load_ruleset(path: str | Path, name: str = "") -> Ruleset:
-    """Load and validate a ruleset from a JSONL file.
+def load_ruleset(path: str | Path) -> Ruleset:
+    """Load and validate a ruleset from a JSONL file, named after the file's stem.
 
     One record per line: ``{"rule_id", "text", "source_ref"}``. Identifiers
     must match ``R<digits>``, be unique, and must not use the reserved
@@ -144,7 +144,7 @@ def load_ruleset(path: str | Path, name: str = "") -> Ruleset:
         rules.append(RuleSpec(rid, text, source_ref))
     if not rules:
         raise SchemaError("ruleset is empty", "rules")
-    return Ruleset(tuple(rules), name or Path(path).stem)
+    return Ruleset(tuple(rules), Path(path).stem)
 
 
 def render_rules(rs: Ruleset) -> str:

@@ -429,6 +429,70 @@ class TestEval:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"unit_ref": "a", "labels": "R5"},
+            {"unit_ref": "a", "labels": 5},
+            {"unit_ref": "a", "labels": [5]},
+            {"unit_ref": 5, "labels": ["R5"]},
+            {"labels": ["R5"]},
+        ],
+    )
+    @pytest.mark.parametrize("side", ["gold", "pred"])
+    def test_mistyped_record_exits_2(self, tmp_path, capsys, side, record):
+        # `"labels": "R5"` used to be scored as the labels R and 5.
+        good = tmp_path / "good.jsonl"
+        bad = tmp_path / "bad.jsonl"
+        write_jsonl(good, [{"unit_ref": "a", "labels": ["R5"]}])
+        write_jsonl(bad, [record])
+        gold, pred = (bad, good) if side == "gold" else (good, bad)
+        out = tmp_path / "metrics.json"
+        assert run("eval", "--gold", str(gold), "--pred", str(pred), "--out", str(out)) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# A first line every reader accepts, per JSONL input.
+_VALID_FIRST_LINE = {
+    "rules": {"rule_id": "R1", "text": "assist the controller"},
+    "concepts": {"concept_id": "C1", "name": "General"},
+    "stub-script": {"match": "", "response": "R1. Entry."},
+    "gold": {"unit_ref": "a", "labels": []},
+    "pred": {"unit_ref": "a", "labels": []},
+}
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", "[]", '"x"', "7", "null"])
+@pytest.mark.parametrize("flag", sorted(_VALID_FIRST_LINE))
+def test_non_object_jsonl_line_exits_2_before_any_call(tmp_path, capsys, flag, line):
+    bad = tmp_path / f"{flag}.jsonl"
+    bad.write_text(json.dumps(_VALID_FIRST_LINE[flag]) + "\n" + line + "\n", encoding="utf-8")
+    good = tmp_path / "good.jsonl"
+    write_jsonl(good, [_VALID_FIRST_LINE["gold"]])
+    out, cache = tmp_path / "out", tmp_path / "cache"
+    cache.mkdir()
+    check = ["check", "--artifact", str(FIXTURES / "dpa_demo.txt"), "--format", "structured"]
+    check += ["--out-dir", str(out), "--cache-dir", str(cache)]
+    argv = {
+        "rules": check
+        + ["--rules", str(bad), "--stub-script", str(FIXTURES / "stub_paragraph_aware.jsonl")],
+        "stub-script": check
+        + ["--rules", str(DATA / "gdpr_art28_demo.jsonl"), "--stub-script", str(bad)],
+        "concepts": [
+            "classify", "--input", str(FIXTURES / "food_corpus.txt"), "--format", "structured",
+            "--concepts", str(bad), "--stub-script", str(FIXTURES / "stub_classify.jsonl"),
+            "--out", str(out), "--cache-dir", str(cache),
+        ],
+        "gold": ["eval", "--gold", str(bad), "--pred", str(good), "--out", str(out)],
+        "pred": ["eval", "--gold", str(good), "--pred", str(bad), "--out", str(out)],
+    }[flag]
+    assert run(*argv) == 2
+    assert f"{bad}:2: expected a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+    assert list(cache.iterdir()) == []
+
+
 class TestConfigPrecedence:
     def _run_check(self, tmp_path, *extra):
         prices = tmp_path / "prices.json"

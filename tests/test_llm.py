@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from regcheck.corpus import estimate_tokens
 from regcheck.errors import (
     BackendError,
     CorruptCacheEntry,
@@ -39,6 +40,7 @@ from regcheck.llm import (
     load_stub_script,
     make_backend,
 )
+from regcheck.storage import read_jsonl
 
 MESSAGES = [
     ChatMessage("system", "You check rules."),
@@ -266,6 +268,11 @@ class TestCache:
     def test_digest_depends_on_model_and_temperature(self):
         assert cache_key("a", 0.0, MESSAGES) != cache_key("b", 0.0, MESSAGES)
         assert cache_key("a", 0.0, MESSAGES) != cache_key("a", 0.5, MESSAGES)
+        # max_tokens is sent on the wire, so an answer under another cap is another answer.
+        assert cache_key("a", 0.0, MESSAGES, 64) != cache_key("a", 0.0, MESSAGES, 512)
+        assert cache_key("a", 0.0, MESSAGES) == cache_key(
+            "a", 0.0, MESSAGES, BackendConfig().max_output_tokens
+        )
 
 
 PRICES = {"stub-model": ModelPrice(0.5, 1.5)}
@@ -320,8 +327,14 @@ class TestCostAccounting:
 # --------------------------------------------------------------------------
 
 
+def _completion(content, usage):
+    return {"choices": [{"message": {"role": "assistant", "content": content}}], "usage": usage}
+
+
 class _ScriptedHandler(BaseHTTPRequestHandler):
     statuses: list[int] = []
+    # Bodies of the next 200 responses; once used up, a well-formed completion.
+    payloads: list[dict] = []
     requests_seen: list[dict] = []
     headers_seen: list[dict] = []
 
@@ -337,10 +350,10 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(b"try later")
             return
-        payload = {
-            "choices": [{"message": {"role": "assistant", "content": "R5. via http"}}],
-            "usage": {"prompt_tokens": 42, "completion_tokens": 7},
-        }
+        if type(self).payloads:
+            payload = type(self).payloads.pop(0)
+        else:
+            payload = _completion("R5. via http", {"prompt_tokens": 42, "completion_tokens": 7})
         data = json.dumps(payload).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -366,6 +379,7 @@ def scripted_server():
     )
     thread.start()
     _ScriptedHandler.statuses = []
+    _ScriptedHandler.payloads = []
     _ScriptedHandler.requests_seen = []
     _ScriptedHandler.headers_seen = []
     try:
@@ -462,6 +476,73 @@ class TestHttpBackend:
         assert err.value.attempts == attempts
         assert len(slept) == attempts - 1
         assert max(slept) == MAX_BACKOFF_S
+
+    def test_null_or_absent_token_counts_are_estimated(self, mock_server):
+        prompt_estimate = sum(estimate_tokens(m.content) for m in MESSAGES)
+        reply_estimate = estimate_tokens("R5. ok")
+        _ScriptedHandler.payloads = [
+            _completion("R5. ok", {"prompt_tokens": None, "completion_tokens": 7}),
+            _completion("R5. ok", {"prompt_tokens": 42, "completion_tokens": None}),
+            _completion("R5. ok", None),
+            {"choices": [{"message": {"content": "R5. ok"}}]},
+        ]
+        backend = HttpBackend(_http_cfg(mock_server))
+        counts = []
+        for _ in range(4):
+            _, usage = backend.complete(MESSAGES)
+            counts.append((usage.prompt_tokens, usage.completion_tokens))
+        assert counts == [
+            (prompt_estimate, 7),
+            (42, reply_estimate),
+            (prompt_estimate, reply_estimate),
+            (prompt_estimate, reply_estimate),
+        ]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            _completion(5, None),
+            _completion(["R5"], None),
+            _completion("R5. ok", "n/a"),
+            _completion("R5. ok", []),
+            _completion("R5. ok", {"prompt_tokens": -7, "completion_tokens": 7}),
+            _completion("R5. ok", {"prompt_tokens": 4.5, "completion_tokens": 7}),
+            _completion("R5. ok", {"prompt_tokens": "42", "completion_tokens": 7}),
+            _completion("R5. ok", {"prompt_tokens": 42, "completion_tokens": True}),
+            {"choices": []},
+            [],
+        ],
+    )
+    def test_malformed_body_is_a_backend_error(self, mock_server, payload):
+        _ScriptedHandler.payloads = [payload]
+        with pytest.raises(BackendError, match="malformed completion response") as err:
+            HttpBackend(_http_cfg(mock_server)).complete(MESSAGES)
+        assert err.value.last_status == 200
+        assert len(_ScriptedHandler.requests_seen) == 1  # a 200 is never retried
+
+    def test_null_content_is_a_parse_failure_with_its_call_in_the_ledger(
+        self, mock_server, fixtures, data_dir, tmp_path
+    ):
+        # A refusal comes with null content; the call is billed all the same.
+        from regcheck.cli import main
+
+        _ScriptedHandler.payloads = [_completion(None, {"prompt_tokens": 42, "completion_tokens": 7})]
+        out = tmp_path / "out"
+        code = main(
+            [
+                "check",
+                "--artifact", str(fixtures / "dpa_demo.txt"), "--format", "structured",
+                "--rules", str(data_dir / "gdpr_art28_demo.jsonl"),
+                "--endpoint", mock_server, "--model", "gpt-3.5-turbo-0125",
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 0
+        findings = read_jsonl(out / "findings.jsonl")
+        assert [f["parse_error"] is not None for f in findings] == [True] + [False] * 7
+        costs = read_jsonl(out / "costs.jsonl")
+        assert len(costs) == 8
+        assert all(row["monetary_cost"] > 0 for row in costs)
 
     def test_unreachable_https_endpoint(self):
         cfg = _http_cfg("https://127.0.0.1:9/nothing", attempts=2)
@@ -623,3 +704,14 @@ class TestBoundedParallelism:
         second = backend.complete(MESSAGES)
         assert first[0] == second[0]
         assert second[1].cached is True
+
+    def test_make_backend_keys_the_cache_on_the_output_cap(self, tmp_path):
+        script = tmp_path / "s.jsonl"
+        script.write_text('{"match": "R5", "response": "R5. ok"}\n', encoding="utf-8")
+        cfg = BackendConfig(
+            kind="stub", script_path=str(script), cache_dir=str(tmp_path / "cache")
+        )
+        assert make_backend(cfg).complete(MESSAGES)[1].cached is False
+        capped = replace(cfg, max_output_tokens=64)
+        assert make_backend(capped).complete(MESSAGES)[1].cached is False
+        assert make_backend(capped).complete(MESSAGES)[1].cached is True

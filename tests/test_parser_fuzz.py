@@ -1,6 +1,6 @@
 """Response parsers on random strings: only ParseError escapes, and the results
 equal those of reference copies of the earlier parsers, which rebuilt their
-id sets and the abbreviation set on every call."""
+id sets on every call."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import pytest
 
 from regcheck.classify import NO_CONCEPT, parse_concept_response
 from regcheck.compliance import parse_response
-from regcheck.corpus import DEFAULT_ABBREVIATIONS, sentence_spans
+from regcheck.corpus import sentence_spans
 from regcheck.errors import ParseError
 from regcheck.taxonomy import NOT_APPLICABLE, load_concept_model, load_ruleset
 
@@ -26,7 +26,7 @@ def _ref_parse_response(raw, rules):
     if any(tok == NOT_APPLICABLE for _, tok in tokens):
         ids = frozenset()
     else:
-        spans = sentence_spans(raw, list(DEFAULT_ABBREVIATIONS))
+        spans = sentence_spans(raw)
         first_end = spans[0][1] if spans else len(raw)
         leading = {tok for pos, tok in tokens if pos < first_end}
         if not leading:
@@ -45,7 +45,7 @@ def _ref_parse_concept_response(raw, model):
         raise ParseError("empty classification response", raw=raw)
     if re.search(r"\bNONE\b", raw):
         return frozenset()
-    spans = sentence_spans(raw, list(DEFAULT_ABBREVIATIONS))
+    spans = sentence_spans(raw)
     first_end = spans[0][1] if spans else len(raw)
     found = set()
     for m in re.finditer(r"[A-Za-z][A-Za-z0-9_]*", raw[:first_end]):
