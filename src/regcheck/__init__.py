@@ -51,7 +51,6 @@ from .llm import (
     BackendConfig,
     ChatMessage,
     CostLedger,
-    CostRecord,
     StubBackend,
     StubEntry,
     Usage,

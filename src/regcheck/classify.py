@@ -66,8 +66,16 @@ class ClassificationTemplate:
 def load_classification_template(
     path: str | Path | None = None,
 ) -> ClassificationTemplate:
-    """The role-structured template JSON at `path`, or the bundled one."""
+    """The role-structured template JSON at `path`, or the bundled one: an
+    object with string `system` and `user` fields."""
     body = json.loads(read_text_or_bundled(path, "classification_prompt.json"))
+    if not isinstance(body, dict) or not all(
+        isinstance(body.get(k), str) for k in ("system", "user")
+    ):
+        raise TemplateError(
+            f"classification template {path} must be a JSON object with string "
+            "'system' and 'user' fields"
+        )
     return ClassificationTemplate(system=body["system"], user=body["user"])
 
 

@@ -74,7 +74,7 @@ _ENV_KEYS = {
 # the field defaults of RunConfig, BackendConfig and RetryPolicy.
 _PATH_KEYS = ("cache_dir", "stub_script", "price_table")
 _KEY_TYPES = {
-    **dict.fromkeys(("backend", "endpoint", "model", "format", "granularity", "context"), str),
+    **dict.fromkeys(("endpoint", "model", "format", "granularity", "context"), str),
     **dict.fromkeys(_PATH_KEYS, str),
     **dict.fromkeys(("temperature", "retry_base_backoff_s"), float),
     **dict.fromkeys(("max_output_tokens", "parallelism", "retry_max_attempts"), int),
@@ -82,7 +82,6 @@ _KEY_TYPES = {
 }
 # Config keys named otherwise in BackendConfig or RetryPolicy.
 _FIELD_NAMES = {
-    "backend": "kind",
     "model": "model_name",
     "stub_script": "script_path",
     "retry_max_attempts": "max_attempts",
@@ -179,14 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _backend_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", choices=[HTTP, STUB])
-    p.add_argument("--endpoint", help="chat-completions URL (http backend)")
+    p.add_argument("--endpoint", help="chat-completions URL: selects the http backend")
     p.add_argument("--model", help="model name sent on the wire / priced in the ledger")
     p.add_argument("--temperature", type=float)
     p.add_argument("--parallelism", type=int)
     p.add_argument("--cache-dir")
     p.add_argument("--price-table", help="per-1K-token price JSON")
-    p.add_argument("--stub-script", help="stub script JSONL (stub backend)")
+    p.add_argument("--stub-script", help="stub script JSONL: selects the stub backend")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -206,12 +204,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             values[key] = value
-    # A stub script implies the stub backend; an endpoint implies http.
-    if getattr(args, "stub_script", None):
-        values["backend"] = STUB
-    elif getattr(args, "endpoint", None):
-        values["backend"] = HTTP
     given = {_FIELD_NAMES.get(key, key): _typed(key, value) for key, value in values.items()}
+    # The backend follows from the inputs, whatever their source: a stub
+    # script selects the stub, else an endpoint selects http, else the stub.
+    given["kind"] = HTTP if "endpoint" in given and given.get("script_path") is None else STUB
     retry = {f: given.pop(f) for f in ("max_attempts", "base_backoff_s") if f in given}
     run = {f: given.pop(f) for f in ("price_table", "budget", *_CHOICES, "runs") if f in given}
     return RunConfig(
@@ -378,15 +374,16 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _load_run_reports(runs_dir: Path) -> list[MetricsReport]:
-    candidates = sorted(runs_dir.glob("*/metrics.json")) + sorted(
-        runs_dir.glob("*.json")
-    )
-    if not candidates:
-        raise ValueError(f"no metrics files under {runs_dir}")
+    """The `eval` metrics of each run: `<runs_dir>/<run>/metrics.json`."""
+    paths = sorted(runs_dir.glob("*/metrics.json"))
+    if not paths:
+        raise ValueError(f"no <run>/metrics.json files under {runs_dir}")
     reports = []
-    for path in candidates:
-        body = json.loads(path.read_text(encoding="utf-8"))
-        reports.append(MetricsReport.from_dict(body))
+    for path in paths:
+        try:
+            reports.append(MetricsReport.from_dict(json.loads(path.read_text(encoding="utf-8"))))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     return reports
 
 

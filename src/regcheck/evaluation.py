@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import statistics
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -43,7 +43,8 @@ def load_gold(path: str | Path) -> list[GoldRecord]:
 
 
 def load_predictions(path: str | Path) -> tuple[dict[str, frozenset[str]], int]:
-    """Prediction file: JSONL records carrying unit_ref (or prov_id/passage) + labels.
+    """Prediction file: the JSONL `check` (findings, keyed by `unit_ref`) or
+    `classify` (labels, keyed by `prov_id`) writes; every record needs `labels`.
 
     Returns the labels by unit and the number of records whose `parse_error`
     is set, as `check` findings and `classify` labels carry it.
@@ -51,8 +52,8 @@ def load_predictions(path: str | Path) -> tuple[dict[str, frozenset[str]], int]:
     predicted = {}
     parse_failures = 0
     for rec in read_jsonl(path):
-        ref = rec.get("unit_ref") or rec.get("prov_id") or rec.get("passage")
-        ref, labels = _unit_labels(path, ref, rec.get("labels", rec.get("rule_ids", [])))
+        ref = rec.get("unit_ref") or rec.get("prov_id")
+        ref, labels = _unit_labels(path, ref, rec.get("labels"))
         if ref in predicted:
             raise ValueError(f"duplicate unit_ref {ref!r} in prediction file {path}")
         predicted[ref] = labels
@@ -134,6 +135,10 @@ class MetricValues:
     f1: float
     accuracy: float
 
+    def __post_init__(self):
+        if not all(type(v) in (int, float) for v in astuple(self)):
+            raise TypeError(f"metric values must be numbers, got {self}")
+
     def as_dict(self) -> dict[str, float]:
         return asdict(self)
 
@@ -167,18 +172,26 @@ class MetricsReport:
             body["subset_accuracy"] = self.subset_accuracy
         return body
 
+    def __post_init__(self):
+        if self.subset_accuracy is not None and type(self.subset_accuracy) not in (int, float):
+            raise TypeError(f"subset_accuracy must be a number, got {self.subset_accuracy!r}")
+
     @classmethod
-    def from_dict(cls, body: dict) -> "MetricsReport":
-        return cls(
-            per_label={
-                k: MetricValues(**v) for k, v in body.get("per_label", {}).items()
-            },
-            micro=MetricValues(**body["micro"]),
-            macro=MetricValues(**body["macro"]),
-            averaging=body.get("averaging", "macro"),
-            subset_accuracy=body.get("subset_accuracy"),
-            parse_failure_count=body.get("parse_failure_count", 0),
-        )
+    def from_dict(cls, body) -> "MetricsReport":
+        """The report `to_dict` wrote; a body of any other shape is a ValueError."""
+        try:
+            return cls(
+                per_label={
+                    k: MetricValues(**v) for k, v in body.get("per_label", {}).items()
+                },
+                micro=MetricValues(**body["micro"]),
+                macro=MetricValues(**body["macro"]),
+                averaging=body.get("averaging", "macro"),
+                subset_accuracy=body.get("subset_accuracy"),
+                parse_failure_count=body.get("parse_failure_count", 0),
+            )
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"not a metrics report: {type(exc).__name__}: {exc}") from exc
 
 
 def metrics(

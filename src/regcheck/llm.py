@@ -129,18 +129,6 @@ class Usage:
     cached: bool = False
 
 
-@dataclass(frozen=True)
-class CostRecord:
-    """A priced usage entry: cost = tokens/1000 x per-1K price (0 for cache hits)."""
-
-    model_name: str
-    prompt_tokens: int
-    completion_tokens: int
-    latency_s: float
-    monetary_cost: float
-    cached: bool = False
-
-
 class Backend(Protocol):
     def complete(self, messages: Sequence[ChatMessage]) -> tuple[str, Usage]: ...
 
@@ -489,12 +477,26 @@ class ModelPrice:
 
 
 def load_price_table(path: str | Path | None = None) -> dict[str, ModelPrice]:
-    """Per-1K-token input/output prices from `path`, or the bundled editable table."""
+    """Per-1K-token input/output prices from `path`, or the bundled editable table.
+
+    Each model maps to an object whose `input_per_1k` and `output_per_1k` are
+    finite numbers >= 0; anything else is a ValueError naming the model.
+    """
     raw = json.loads(read_text_or_bundled(path, "prices.json"))
-    return {
-        model: ModelPrice(float(p["input_per_1k"]), float(p["output_per_1k"]))
-        for model, p in raw.items()
-    }
+    if not isinstance(raw, dict):
+        raise ValueError(f"price table {path} must be a JSON object")
+    table = {}
+    for model, entry in raw.items():
+        prices = [None]
+        if isinstance(entry, dict):
+            prices = [entry.get("input_per_1k"), entry.get("output_per_1k")]
+        if not all(type(v) in (int, float) and 0 <= v < float("inf") for v in prices):
+            raise ValueError(
+                f"price of model {model!r} must be an object whose input_per_1k and "
+                f"output_per_1k are finite numbers >= 0, got {entry!r}"
+            )
+        table[model] = ModelPrice(*map(float, prices))
+    return table
 
 
 def default_price_table() -> dict[str, ModelPrice]:
@@ -513,15 +515,16 @@ def price_of(price_table: dict[str, ModelPrice], model_name: str) -> ModelPrice:
 class CostLedger:
     """Append-only per-call cost ledger with exact aggregate sums.
 
+    Each record is one `costs.jsonl` row: cost = tokens/1000 x per-1K price.
     Cache hits are recorded but contribute zero monetary cost and zero
     latency to the totals.
     """
 
     def __init__(self, price_table: dict[str, ModelPrice]):
         self.price_table = dict(price_table)
-        self.records: list[CostRecord] = []
+        self.records: list[dict] = []
 
-    def record(self, usage: Usage) -> CostRecord:
+    def record(self, usage: Usage) -> dict:
         price = price_of(self.price_table, usage.model_name)
         if usage.cached:
             cost = 0.0
@@ -530,36 +533,26 @@ class CostLedger:
                 usage.prompt_tokens / 1000 * price.input_per_1k
                 + usage.completion_tokens / 1000 * price.output_per_1k
             )
-        rec = CostRecord(
-            model_name=usage.model_name,
-            prompt_tokens=usage.prompt_tokens,
-            completion_tokens=usage.completion_tokens,
-            latency_s=0.0 if usage.cached else usage.latency_s,
-            monetary_cost=cost,
-            cached=usage.cached,
-        )
+        rec = {
+            "model_name": usage.model_name,
+            "prompt_tokens": usage.prompt_tokens,
+            "completion_tokens": usage.completion_tokens,
+            "latency_s": 0.0 if usage.cached else usage.latency_s,
+            "monetary_cost": cost,
+            "cached": usage.cached,
+        }
         self.records.append(rec)
         return rec
 
     def aggregate(self) -> dict:
         return {
             "calls": len(self.records),
-            "cache_hits": sum(1 for r in self.records if r.cached),
-            "prompt_tokens": sum(r.prompt_tokens for r in self.records),
-            "completion_tokens": sum(r.completion_tokens for r in self.records),
-            "monetary_cost": sum(r.monetary_cost for r in self.records),
-            "latency_s": sum(r.latency_s for r in self.records),
+            "cache_hits": sum(1 for r in self.records if r["cached"]),
+            "prompt_tokens": sum(r["prompt_tokens"] for r in self.records),
+            "completion_tokens": sum(r["completion_tokens"] for r in self.records),
+            "monetary_cost": sum(r["monetary_cost"] for r in self.records),
+            "latency_s": sum(r["latency_s"] for r in self.records),
         }
 
     def to_jsonl(self) -> str:
-        return dump_jsonl(
-            {
-                "model_name": r.model_name,
-                "prompt_tokens": r.prompt_tokens,
-                "completion_tokens": r.completion_tokens,
-                "latency_s": r.latency_s,
-                "monetary_cost": r.monetary_cost,
-                "cached": r.cached,
-            }
-            for r in self.records
-        )
+        return dump_jsonl(self.records)

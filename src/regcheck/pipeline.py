@@ -110,14 +110,10 @@ def compliance_units(
     enclosing block's text and is attached only when it adds anything beyond
     the unit text itself.
     """
-    parents = {b.index: block_text(b) for b in doc.blocks}
-    units: list[CheckUnit] = []
     if granularity == PARAGRAPH_LEVEL:
-        for passage in chunk_paragraphs(doc, budget):
-            parent = parents[passage.parent_block[0]]
-            context = parent if context_on and parent != passage.text else None
-            units.append(CheckUnit(passage, context))
+        passages = chunk_paragraphs(doc, budget)
     elif granularity == SENTENCE:
+        passages = []
         for seq, prov in enumerate(extract_provisions(doc)):
             tokens = estimate_tokens(prov.text)
             if tokens > budget:
@@ -125,19 +121,15 @@ def compliance_units(
                     f"provision {prov.unit_ref} (~{tokens} tokens) exceeds the "
                     f"budget of {budget}"
                 )
-            passage = Passage(
-                doc_id=doc.doc_id,
-                sequence=seq,
-                text=prov.text,
-                token_estimate=tokens,
-                parent_block=(prov.block_index, prov.block_index),
-                unit_ref=prov.unit_ref,
-            )
-            parent = parents[prov.block_index]
-            context = parent if context_on and parent != prov.text else None
-            units.append(CheckUnit(passage, context))
+            block = (prov.block_index, prov.block_index)
+            passages.append(Passage(doc.doc_id, seq, prov.text, tokens, block, prov.unit_ref))
     else:
         raise ValueError(f"unknown granularity {granularity!r}")
+    parents = {b.index: block_text(b) for b in doc.blocks} if context_on else {}
+    units = []
+    for passage in passages:
+        context = parents.get(passage.parent_block[0])
+        units.append(CheckUnit(passage, None if context == passage.text else context))
     return units
 
 

@@ -4,10 +4,20 @@ from pathlib import Path
 
 import pytest
 
+from regcheck.cli import _ENV_KEYS
 from regcheck.corpus import parse_document
+from regcheck.llm import API_KEY_ENV
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DATA = Path(__file__).parent.parent / "src" / "regcheck" / "data"
+
+
+@pytest.fixture(autouse=True)
+def _no_regcheck_environment(monkeypatch):
+    """Every test starts without the REGCHECK_* settings of the shell that runs
+    it: an exported model or endpoint would change what the CLI runs."""
+    for name in (*_ENV_KEYS.values(), API_KEY_ENV):
+        monkeypatch.delenv(name, raising=False)
 
 
 @pytest.fixture(scope="session")

@@ -381,9 +381,9 @@ def test_criterion_7_determinism_and_cache_law(tmp_path):
     for record, (_, want_prompt, want_completion, want_cost) in zip(
         ledger.records, spreadsheet
     ):
-        assert record.prompt_tokens == want_prompt
-        assert record.completion_tokens == want_completion
-        assert abs(record.monetary_cost - want_cost) <= 1e-9
+        assert record["prompt_tokens"] == want_prompt
+        assert record["completion_tokens"] == want_completion
+        assert abs(record["monetary_cost"] - want_cost) <= 1e-9
     totals = ledger.aggregate()
     assert round(totals["monetary_cost"], 2) == 1.19  # sum = 1.1875
     assert abs(totals["monetary_cost"] - 1.1875) <= 1e-9

@@ -281,6 +281,27 @@ class TestClassifyLlm:
         with pytest.raises(TemplateError):
             ClassificationTemplate(system="{concept_list}", user="no slot")
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"system": 5, "user": "Text: {text}"},
+            {"system": "{concept_list}", "user": None},
+            {"system": "{concept_list}"},
+            [],
+            "{concept_list} {text}",
+        ],
+    )
+    def test_template_file_must_be_an_object_of_strings(self, tmp_path, body):
+        import json
+
+        from regcheck.classify import load_classification_template
+        from regcheck.errors import TemplateError
+
+        path = tmp_path / "template.json"
+        path.write_text(json.dumps(body), encoding="utf-8")
+        with pytest.raises(TemplateError, match="string 'system' and 'user'"):
+            load_classification_template(path)
+
 
 class TestFuseLabels:
     def test_empty_union(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from regcheck.classify import _stem_token
 from regcheck.cli import main
 from regcheck.corpus import estimate_tokens
-from regcheck.llm import MAX_BACKOFF_S
+from regcheck.llm import MAX_BACKOFF_S, StubBackend
 from regcheck.storage import read_jsonl, write_json, write_jsonl
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -163,6 +164,30 @@ class TestClassify:
             assert outputs[0] == (FIXTURES / "golden_labels.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("body", [{"system": 5, "user": "Text: {text}"}, []])
+def test_malformed_classification_template_exits_2_before_any_call(tmp_path, monkeypatch, body):
+    calls = []
+    monkeypatch.setattr(StubBackend, "complete", lambda self, messages: calls.append(messages))
+    template = tmp_path / "template.json"
+    write_json(template, body)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    code = run(
+        "classify",
+        "--input", str(FIXTURES / "food_corpus.txt"),
+        "--format", "structured",
+        "--concepts", str(DATA / "food_safety_concepts.jsonl"),
+        "--prompt-template", str(template),
+        "--stub-script", str(FIXTURES / "stub_classify.jsonl"),
+        "--cache-dir", str(cache),
+        "--out", str(tmp_path / "out" / "labels.jsonl"),
+    )
+    assert code == 2
+    assert calls == []
+    assert list(cache.iterdir()) == []
+    assert not (tmp_path / "out").exists()
+
+
 class TestCheck:
     def _check(self, tmp_path, *extra, script="stub_paragraph_aware.jsonl"):
         return run(
@@ -289,6 +314,41 @@ class TestCheck:
         assert list(cache.iterdir()) == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "table,model",
+        [
+            ({"stub-model": 5}, "stub-model"),
+            ({"stub-model": None}, "stub-model"),
+            ({"stub-model": {"input_per_1k": -1, "output_per_1k": 1.5}}, "stub-model"),
+            ({"stub-model": {"input_per_1k": 0.5, "output_per_1k": math.nan}}, "stub-model"),
+            ({"stub-model": {"input_per_1k": math.inf, "output_per_1k": 1.5}}, "stub-model"),
+            ({"stub-model": {"input_per_1k": True, "output_per_1k": 1.5}}, "stub-model"),
+            ({"stub-model": {"input_per_1k": "0.5", "output_per_1k": 1.5}}, "stub-model"),
+            ({"stub-model": {"input_per_1k": 0.5}}, "stub-model"),
+            # Every entry is checked, not only the priced model's.
+            ({"stub-model": {"input_per_1k": 0.5, "output_per_1k": 1.5}, "other": -1}, "other"),
+            ([], None),
+        ],
+    )
+    def test_malformed_price_table_exits_2_before_any_call(
+        self, tmp_path, monkeypatch, capsys, table, model
+    ):
+        # -1 and NaN used to be accepted; NaN then reached costs_summary.json,
+        # which is not valid JSON.
+        calls = []
+        monkeypatch.setattr(StubBackend, "complete", lambda self, messages: calls.append(messages))
+        prices = tmp_path / "prices.json"
+        prices.write_text(json.dumps(table), encoding="utf-8")
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        code = self._check(tmp_path, "--price-table", str(prices), "--cache-dir", str(cache))
+        assert code == 2
+        if model is not None:
+            assert repr(model) in capsys.readouterr().err
+        assert calls == []
+        assert list(cache.iterdir()) == []
+        assert not (tmp_path / "out").exists()
+
     def test_golden_report(self, tmp_path):
         assert self._check(tmp_path) == 0
         out = tmp_path / "out"
@@ -343,6 +403,25 @@ class TestCheck:
         assert body["runs"] == 3
         box = body["per_metric"]["micro_f1"]
         assert box["min"] == box["max"]  # stub runs are identical samples
+
+    def test_runs_dir_aggregate_into_the_runs_dir_is_repeatable(self, tmp_path):
+        # The aggregate lands next to the runs; a second eval must not read it back.
+        assert self._check(tmp_path, "--runs", "2") == 0
+        out = tmp_path / "out"
+        for k in (1, 2):
+            run_dir = out / f"run_{k:02d}"
+            code = run(
+                "eval",
+                "--gold", str(FIXTURES / "dpa_gold_paragraph.jsonl"),
+                "--pred", str(run_dir / "findings.jsonl"),
+                "--out", str(run_dir / "metrics.json"),
+            )
+            assert code == 0
+        aggregate = out / "aggregate.json"
+        assert run("eval", "--runs-dir", str(out), "--out", str(aggregate)) == 0
+        first = aggregate.read_bytes()
+        assert run("eval", "--runs-dir", str(out), "--out", str(aggregate)) == 0
+        assert aggregate.read_bytes() == first
 
 
 class TestEval:
@@ -408,6 +487,53 @@ class TestEval:
         assert box["median"] == 0.8
         assert box["min"] == 0.7
         assert box["max"] == 0.9
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            [],
+            {
+                "micro": {"precision": 1, "recall": 1, "f1": 1, "accuracy": 1, "x": 2},
+                "macro": {"precision": 1, "recall": 1, "f1": 1, "accuracy": 1},
+            },
+            {
+                "micro": {"precision": 1, "recall": 1, "f1": 1},
+                "macro": {"precision": 1, "recall": 1, "f1": 1, "accuracy": 1},
+            },
+            {
+                "micro": {"precision": 1, "recall": 1, "f1": "high", "accuracy": 1},
+                "macro": {"precision": 1, "recall": 1, "f1": 1, "accuracy": 1},
+            },
+            {"macro": {"precision": 1, "recall": 1, "f1": 1, "accuracy": 1}},
+        ],
+    )
+    def test_unreadable_run_metrics_exit_2_naming_the_file(self, tmp_path, capsys, body):
+        runs = tmp_path / "runs"
+        block = {"precision": 0.5, "recall": 0.5, "f1": 0.5, "accuracy": 0.5}
+        write_json(runs / "run_01" / "metrics.json", {"micro": block, "macro": block})
+        write_json(runs / "run_02" / "metrics.json", body)
+        out = tmp_path / "aggregate.json"
+        assert run("eval", "--runs-dir", str(runs), "--out", str(out)) == 2
+        assert str(runs / "run_02" / "metrics.json") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"passage": "a", "labels": ["R5"]},
+            {"unit_ref": "a", "rule_ids": ["R5"]},
+        ],
+    )
+    def test_prediction_keys_nothing_writes_exit_2(self, tmp_path, record):
+        # Predictions are what check (unit_ref) or classify (prov_id) writes,
+        # and every record carries `labels`.
+        gold = tmp_path / "gold.jsonl"
+        pred = tmp_path / "pred.jsonl"
+        write_jsonl(gold, [{"unit_ref": "a", "labels": ["R5"]}])
+        write_jsonl(pred, [record])
+        out = tmp_path / "metrics.json"
+        assert run("eval", "--gold", str(gold), "--pred", str(pred), "--out", str(out)) == 2
+        assert not out.exists()
 
     def test_missing_inputs_exit_2(self):
         assert run("eval") == 2

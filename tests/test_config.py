@@ -31,7 +31,6 @@ STUB_SCRIPT = FIXTURES / "stub_paragraph_aware.jsonl"
 
 # Rejected values of every config key, as JSON values.
 REJECTED = {
-    "backend": ["ftp", "", 1, None],
     "endpoint": ["", 5, None, "ftp://h/v1", "localhost:8080/v1"],
     "model": [5, None, ["gpt-4"]],
     "temperature": [-0.1, 1.5, math.nan, "0.5", True, None],
@@ -82,7 +81,6 @@ def endpoint():
 def _base_config(tmp_path: Path, endpoint: str) -> dict:
     """A valid config that bills every model call at the scripted server."""
     return {
-        "backend": "http",
         "endpoint": endpoint,
         "model": "gpt-3.5-turbo-0125",
         "cache_dir": str(tmp_path / "cache"),
@@ -237,3 +235,45 @@ def test_readme_table_lists_every_config_key():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     for key in cli._KEY_TYPES:
         assert f"| `{key}` |" in readme, key
+
+
+# The backend follows from the inputs, whatever their source: a stub script
+# selects the stub, else an endpoint selects http, else the stub.
+_CHECK_NO_SCRIPT = ["check", "--artifact", DPA, "--format", "structured", "--rules", RULES,
+                    "--model", "gpt-3.5-turbo-0125", "--out-dir", "{out}"]
+
+
+def test_endpoint_in_config_selects_http(tmp_path, endpoint):
+    write_json(tmp_path / "config.json", {"endpoint": endpoint, "retry_max_attempts": 1})
+    _ScriptedHandler.requests_seen = []
+    assert _run(["--config", tmp_path / "config.json", *_argv(_CHECK_NO_SCRIPT, tmp_path)]) == 0
+    assert len(_ScriptedHandler.requests_seen) == 8
+
+
+def test_endpoint_in_environment_selects_http(tmp_path, endpoint, monkeypatch):
+    monkeypatch.setenv("REGCHECK_ENDPOINT", endpoint)
+    _ScriptedHandler.requests_seen = []
+    assert _run(_argv(_CHECK_NO_SCRIPT, tmp_path)) == 0
+    assert len(_ScriptedHandler.requests_seen) == 8
+
+
+def test_stub_script_in_config_beats_endpoint_in_environment(tmp_path, endpoint, monkeypatch):
+    monkeypatch.setenv("REGCHECK_ENDPOINT", endpoint)
+    write_json(tmp_path / "config.json", {"stub_script": str(STUB_SCRIPT)})
+    _ScriptedHandler.requests_seen = []
+    assert _run(["--config", tmp_path / "config.json", *_argv(_CHECK_NO_SCRIPT, tmp_path)]) == 0
+    assert _ScriptedHandler.requests_seen == []
+    golden = (FIXTURES / "golden_report.json").read_bytes()
+    assert (tmp_path / "out" / "report.json").read_bytes() == golden
+
+
+@pytest.mark.parametrize("value", ["http", "stub"])
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_config_naming_backend_exits_2_before_any_input_is_read(tmp_path, capsys, name, value):
+    # Every input path is missing, so an error about `backend` shows that the
+    # config was rejected before any input was opened.
+    argv = [tmp_path / "missing" if isinstance(a, Path) else a for a in COMMANDS[name][0]]
+    write_json(tmp_path / "config.json", {"backend": value})
+    assert _run(["--config", tmp_path / "config.json", *_argv(argv, tmp_path)]) == 2
+    assert "unknown config keys ['backend']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

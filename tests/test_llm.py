@@ -284,7 +284,7 @@ class TestCostAccounting:
         ledger = CostLedger(PRICES)
         records = [ledger.record(Usage("stub-model", 1000, 500, 0.0)) for _ in range(2)]
         assert ledger.aggregate()["monetary_cost"] == pytest.approx(2.50, abs=1e-12)
-        assert [r.monetary_cost for r in records] == [1.25, 1.25]
+        assert [r["monetary_cost"] for r in records] == [1.25, 1.25]
 
     def test_zero_calls(self):
         ledger = CostLedger(PRICES)
