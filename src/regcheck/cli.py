@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__
 from .classify import load_classification_template
@@ -24,7 +25,7 @@ from .compliance import (
     report_to_dict,
     report_to_markdown,
 )
-from .corpus import chunk_paragraphs, extract_provisions, parse_document
+from .corpus import SourceDocument, chunk_paragraphs, extract_provisions, parse_document
 from .errors import BackendError, RegcheckError
 from .evaluation import (
     ANY_OVERLAP,
@@ -54,7 +55,15 @@ from .pipeline import (
     compliance_units,
     run_compliance,
 )
-from .storage import atomic_write_text, dump_json, dump_jsonl, write_json, write_jsonl
+from .storage import (
+    atomic_write_chunks,
+    atomic_write_text,
+    json_chunks,
+    jsonl_line,
+    write_chunks,
+    write_json,
+    write_jsonl,
+)
 from .taxonomy import load_concept_model, load_ruleset
 
 EXIT_OK = 0
@@ -227,18 +236,12 @@ def _typed(key: str, value):
     raise ValueError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
 
 
-def _emit(records: list[dict], out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Stream `chunks` into the file `out`, or to stdout when no file is given."""
     if out:
-        write_jsonl(out, records)
+        atomic_write_chunks(out, chunks)
     else:
-        sys.stdout.write(dump_jsonl(records))
-
-
-def _emit_json(body: dict, out: str | None) -> None:
-    if out:
-        write_json(out, body)
-    else:
-        sys.stdout.write(dump_json(body))
+        write_chunks(sys.stdout, chunks)
 
 
 # --------------------------------------------------------------------------
@@ -246,11 +249,17 @@ def _emit_json(body: dict, out: str | None) -> None:
 # --------------------------------------------------------------------------
 
 
+def _read_document(path: str, cfg: RunConfig) -> SourceDocument:
+    # No local holds the raw text: it is freed once parsed, not kept for the whole run.
+    return parse_document(
+        Path(path).read_text(encoding="utf-8"), cfg.format, doc_id=Path(path).stem
+    )
+
+
 def cmd_segment(args: argparse.Namespace, cfg: RunConfig) -> int:
-    raw = Path(args.input).read_text(encoding="utf-8")
-    doc = parse_document(raw, cfg.format, doc_id=Path(args.input).stem)
+    doc = _read_document(args.input, cfg)
     if cfg.granularity == SENTENCE:
-        records = [
+        records = (
             {
                 "unit_ref": p.unit_ref,
                 "kind": "provision",
@@ -259,9 +268,9 @@ def cmd_segment(args: argparse.Namespace, cfg: RunConfig) -> int:
                 "block_index": p.block_index,
             }
             for p in extract_provisions(doc)
-        ]
+        )
     else:
-        records = [
+        records = (
             {
                 "unit_ref": p.unit_ref,
                 "kind": "passage",
@@ -270,17 +279,20 @@ def cmd_segment(args: argparse.Namespace, cfg: RunConfig) -> int:
                 "parent_block": list(p.parent_block),
             }
             for p in chunk_paragraphs(doc, cfg.budget)
-        ]
-    _emit(records, args.out)
+        )
+    _emit(map(jsonl_line, records), args.out)
     return EXIT_OK
 
 
 def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    raw = Path(args.input).read_text(encoding="utf-8")
-    doc = parse_document(raw, cfg.format, doc_id=Path(args.input).stem)
+    doc = _read_document(args.input, cfg)
     model = load_concept_model(args.concepts)
     template = load_classification_template(args.prompt_template)
-    backend = None if args.keyword_only else make_backend(cfg.backend)
+    backend = None
+    if not args.keyword_only:
+        # An unpriced model fails before any call, as in `check`.
+        price_of(load_price_table(cfg.price_table), cfg.backend.model_name)
+        backend = make_backend(cfg.backend)
     results = classify_provisions(
         extract_provisions(doc),
         model,
@@ -289,13 +301,12 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
         stem=args.stem,
         parallelism=cfg.backend.parallelism,
     )
-    _emit([r.to_record() for r in results], args.out)
+    _emit((jsonl_line(r.to_record()) for r in results), args.out)
     return EXIT_OK
 
 
 def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
-    raw = Path(args.artifact).read_text(encoding="utf-8")
-    doc = parse_document(raw, cfg.format, doc_id=Path(args.artifact).stem)
+    doc = _read_document(args.artifact, cfg)
     rules = load_ruleset(args.rules)
     template = load_template(args.template)
     prices = load_price_table(cfg.price_table)
@@ -333,7 +344,7 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
                 for f in findings
             ),
         )
-        atomic_write_text(target / "costs.jsonl", ledger.to_jsonl())
+        write_jsonl(target / "costs.jsonl", ledger.records)
         write_json(target / "costs_summary.json", ledger.aggregate())
         worst_failures = max(worst_failures, report.totals["parse_failures"])
 
@@ -351,7 +362,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.runs_dir:
         reports = _load_run_reports(Path(args.runs_dir))
         aggregate = aggregate_runs(reports)
-        _emit_json(aggregate.to_dict(), args.out)
+        _emit(json_chunks(aggregate.to_dict()), args.out)
         _print_box_table(aggregate)
         return EXIT_OK
 
@@ -369,7 +380,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
         "mode": mode,
         "value": match_accuracy(predicted, gold, mode),
     }
-    _emit_json(body, args.out)
+    _emit(json_chunks(body), args.out)
     return EXIT_OK
 
 

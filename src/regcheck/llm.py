@@ -31,7 +31,7 @@ from .errors import (
     ScriptExhausted,
     UnknownModelPrice,
 )
-from .storage import atomic_write_text, dump_jsonl, read_jsonl, read_text_or_bundled
+from .storage import atomic_write_text, jsonl_line, read_jsonl, read_text_or_bundled
 
 HTTP = "http"
 STUB = "stub"
@@ -555,4 +555,4 @@ class CostLedger:
         }
 
     def to_jsonl(self) -> str:
-        return dump_jsonl(self.records)
+        return "".join(map(jsonl_line, self.records))

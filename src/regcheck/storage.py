@@ -1,4 +1,4 @@
-"""Small file helpers: bundled data, line-delimited JSON records and atomic whole-file writes."""
+"""Small file helpers: bundled data, line-delimited JSON records and atomic streamed file writes."""
 
 from __future__ import annotations
 
@@ -6,8 +6,9 @@ import json
 import os
 import tempfile
 from importlib import resources
+from itertools import chain, islice
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, TextIO
 
 
 def read_text_or_bundled(path: str | Path | None, bundled: str) -> str:
@@ -34,34 +35,51 @@ def read_jsonl(path: str | Path) -> list[dict]:
     return records
 
 
-# One encoder for every line: json.dumps with a non-default option builds a new one per call.
+# One encoder of each kind: json.dumps with a non-default option builds a new one per call.
 _LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+_INDENT_ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
+# Chunks joined per write. An indented-JSON chunk is a few characters and a JSONL line a
+# few hundred, so this keeps writes few for one and a batch well under 1 MB for the other.
+_BATCH = 1024
 
 
-def dump_jsonl(records: Iterable[dict]) -> str:
-    return "".join(_LINE_ENCODER.encode(r) + "\n" for r in records)
+def jsonl_line(record: dict) -> str:
+    return _LINE_ENCODER.encode(record) + "\n"
+
+
+def json_chunks(obj: Any) -> Iterator[str]:
+    """The text of `json.dumps(obj, ensure_ascii=False, indent=2)` and a newline, in pieces."""
+    return chain(_INDENT_ENCODER.iterencode(obj), ("\n",))
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    atomic_write_text(path, dump_jsonl(records))
-
-
-def dump_json(obj: Any) -> str:
-    return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+    atomic_write_chunks(path, map(jsonl_line, records))
 
 
 def write_json(path: str | Path, obj: Any) -> None:
-    atomic_write_text(path, dump_json(obj))
+    atomic_write_chunks(path, json_chunks(obj))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write the whole file via a temp file and rename, so readers never see a partial file."""
+    atomic_write_chunks(path, (text,))
+
+
+def write_chunks(fh: TextIO, chunks: Iterable[str]) -> None:
+    """Write `chunks` to `fh`, joined `_BATCH` at a time."""
+    it = iter(chunks)
+    while batch := list(islice(it, _BATCH)):
+        fh.write("".join(batch))
+
+
+def atomic_write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
+    """Stream `chunks` into a temp file and rename it over `path`, so readers never
+    see a partial file; if `chunks` raises, `path` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write_chunks(fh, chunks)
         os.replace(tmp, path)
     except BaseException:
         try:

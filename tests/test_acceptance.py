@@ -153,9 +153,9 @@ def test_criterion_3_prompt_byte_exactness(dpa_doc, fixtures):
         "messages": [{"role": m.role, "content": m.content} for m in bundle.messages],
     }
     golden_bytes = (fixtures / "golden_prompt.json").read_text(encoding="utf-8")
-    from regcheck.storage import dump_json
+    from regcheck.storage import json_chunks
 
-    assert dump_json(got) == golden_bytes  # byte-for-byte
+    assert "".join(json_chunks(got)) == golden_bytes  # byte-for-byte
     system = bundle.messages[0].content
     assert TEMPLATE_VERBATIM in system
     assert "respond with 'R99'" in system

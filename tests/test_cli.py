@@ -91,6 +91,32 @@ class TestSegment:
         assert json.loads(lines[0])["origin"] == "list_expanded"
 
 
+# Each subcommand that prints without --out prints exactly the bytes it writes with it.
+STDOUT_COMMANDS = {
+    "segment": ["segment", "--input", FIXTURES / "dpa_demo.txt", "--format", "structured"],
+    "classify": [
+        "classify", "--input", FIXTURES / "food_corpus.txt", "--format", "structured",
+        "--concepts", DATA / "food_safety_concepts.jsonl",
+        "--stub-script", FIXTURES / "stub_classify.jsonl",
+    ],
+    "eval": [
+        "eval", "--gold", FIXTURES / "dpa_gold_paragraph.jsonl",
+        "--pred", FIXTURES / "dpa_gold_paragraph.jsonl",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(STDOUT_COMMANDS))
+def test_stdout_gives_the_out_file_bytes(tmp_path, capsys, name):
+    argv = [str(a) for a in STDOUT_COMMANDS[name]]
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    assert run(*argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+    assert out.stat().st_size > 0
+
+
 class TestClassify:
     def test_missing_concepts_file_exits_2(self, tmp_path):
         code = run(
@@ -139,6 +165,37 @@ class TestClassify:
             "Inspection": "llm",
             "Pathogen": "keyword",
         }
+
+    @pytest.mark.parametrize(
+        "table,flags",
+        [(None, ["--model", "unpriced-x"]), ({"stub-model": 5}, [])],
+        ids=["unpriced-model", "malformed-table"],
+    )
+    def test_unpriced_model_exits_2_before_any_call(self, tmp_path, monkeypatch, table, flags):
+        calls = []
+        monkeypatch.setattr(StubBackend, "complete", lambda self, messages: calls.append(messages))
+        if table is not None:
+            write_json(tmp_path / "prices.json", table)
+            flags = [*flags, "--price-table", str(tmp_path / "prices.json")]
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        argv = [
+            "classify",
+            "--input", str(FIXTURES / "food_corpus.txt"),
+            "--format", "structured",
+            "--concepts", str(DATA / "food_safety_concepts.jsonl"),
+            "--stub-script", str(FIXTURES / "stub_classify.jsonl"),
+            "--cache-dir", str(cache),
+            *flags,
+        ]
+        out = tmp_path / "labels.jsonl"
+        assert run(*argv, "--out", str(out)) == 2
+        assert calls == []
+        assert list(cache.iterdir()) == []
+        assert not out.exists()
+        # The keyword baseline makes no calls, so it needs no price.
+        assert run(*argv, "--keyword-only", "--out", str(out)) == 0
+        assert out.exists()
 
     @pytest.mark.parametrize("stem", [[], ["--stem"]], ids=["exact", "stem"])
     def test_labels_independent_of_parallelism(self, tmp_path, stem):

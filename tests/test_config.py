@@ -51,8 +51,7 @@ REJECTED = {
 REJECTED_FLAGS = {"max_parse_failures": [-1, -5, 1.5]}
 
 _BACKEND_FLAGS = {
-    "backend", "endpoint", "model", "temperature", "parallelism",
-    "cache_dir", "price_table", "stub_script",
+    "endpoint", "model", "temperature", "parallelism", "cache_dir", "price_table", "stub_script",
 }
 _CHECK_FLAGS = {"format", "granularity", "context", "budget", "runs", "max_parse_failures"}
 # Subcommand -> (its arguments that are not settings, the settings it has flags for).
