@@ -13,7 +13,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Iterable
 
@@ -38,21 +39,13 @@ from .evaluation import (
     match_accuracy,
     metrics,
 )
-from .llm import (
-    HTTP,
-    STUB,
-    BackendConfig,
-    CostLedger,
-    RetryPolicy,
-    load_price_table,
-    make_backend,
-    price_of,
-)
+from .llm import HTTP, STUB, BackendConfig, CostLedger, RetryPolicy, load_price_table
 from .pipeline import (
     PARAGRAPH_LEVEL,
     SENTENCE,
     classify_provisions,
     compliance_units,
+    model_runs,
     run_compliance,
 )
 from .storage import (
@@ -177,9 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="score predictions against gold labels")
     ev.add_argument("--gold", help="gold JSONL")
     ev.add_argument("--pred", help="prediction JSONL")
-    ev.add_argument(
-        "--averaging", choices=["micro", "macro", "per-label"], default="macro"
-    )
     ev.add_argument("--match", choices=["exact", "overlap"], default="overlap")
     ev.add_argument("--runs-dir", help="aggregate metrics.json files across run directories")
     ev.add_argument("--out", help="metrics/aggregate JSON (default: stdout)")
@@ -288,19 +278,13 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     doc = _read_document(args.input, cfg)
     model = load_concept_model(args.concepts)
     template = load_classification_template(args.prompt_template)
-    backend = None
-    if not args.keyword_only:
-        # An unpriced model fails before any call, as in `check`.
-        price_of(load_price_table(cfg.price_table), cfg.backend.model_name)
-        backend = make_backend(cfg.backend)
-    results = classify_provisions(
-        extract_provisions(doc),
-        model,
-        backend,
-        template=template,
-        stem=args.stem,
-        parallelism=cfg.backend.parallelism,
+    classify = partial(
+        classify_provisions, extract_provisions(doc), model, template=template, stem=args.stem
     )
+    if args.keyword_only:
+        results = classify(None, parallelism=cfg.backend.parallelism)
+    else:
+        [results] = model_runs(cfg.backend, load_price_table(cfg.price_table), 1, classify)
     _emit((jsonl_line(r.to_record()) for r in results), args.out)
     return EXIT_OK
 
@@ -310,19 +294,14 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     rules = load_ruleset(args.rules)
     template = load_template(args.template)
     prices = load_price_table(cfg.price_table)
-    price_of(prices, cfg.backend.model_name)  # an unpriced model fails before any paid call
     out_dir = Path(args.out_dir)
     units = compliance_units(
         doc, cfg.granularity, cfg.budget, context_on=(cfg.context == "on")
     )
-    # Repeated runs bypass the cache so that they are independent samples.
-    backend = make_backend(cfg.backend if cfg.runs == 1 else replace(cfg.backend, cache_dir=None))
+    check = partial(run_compliance, units, rules, template=template)
 
     worst_failures = 0
-    for run in range(1, cfg.runs + 1):
-        findings = run_compliance(
-            units, rules, backend, template, parallelism=cfg.backend.parallelism
-        )
+    for run, findings in enumerate(model_runs(cfg.backend, prices, cfg.runs, check), 1):
         report = assemble_report(findings, rules, doc.doc_id)
         ledger = CostLedger(prices)
         for finding in findings:
@@ -370,9 +349,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise ValueError("eval needs --gold and --pred (or --runs-dir)")
     gold = load_gold(args.gold)
     predicted, parse_failures = load_predictions(args.pred)
-    averaging = args.averaging.replace("-", "_")
-    counts = confusion(predicted, gold)
-    report = metrics(counts, averaging=averaging, parse_failure_count=parse_failures)
+    report = metrics(confusion(predicted, gold), parse_failure_count=parse_failures)
     report.subset_accuracy = match_accuracy(predicted, gold, EXACT)
     mode = EXACT if args.match == "exact" else ANY_OVERLAP
     body = report.to_dict()
@@ -399,9 +376,11 @@ def _load_run_reports(runs_dir: Path) -> list[MetricsReport]:
 
 
 def _print_box_table(aggregate) -> None:
-    print("\t".join(["metric", "mean", "median", "q1", "q3", "min", "max", "wlow", "whigh"]))
+    """The aggregate as TSV on stderr, so that stdout stays one JSON document."""
+    header = ["metric", "mean", "median", "q1", "q3", "min", "max", "wlow", "whigh"]
+    print("\t".join(header), file=sys.stderr)
     for name, stats in aggregate.per_metric.items():
-        print("\t".join([name, *(f"{v:.4f}" for v in stats.as_dict().values())]))
+        print("\t".join([name, *(f"{v:.4f}" for v in stats.as_dict().values())]), file=sys.stderr)
 
 
 _COMMANDS = {

@@ -320,13 +320,14 @@ class HttpBackend:
         return text, usage
 
 
-def _token_count(reported: dict, key: str, estimate: int) -> int:
-    """The reported token count `key`, or `estimate` when it is null or absent."""
+def _token_count(reported: dict, key: str, estimate: int | None = None) -> int:
+    """The token count `key` of `reported`: a non-negative int, not a bool.
+    A given `estimate` stands in for a null or absent count."""
     value = reported.get(key)
-    if value is None:
+    if value is None and estimate is not None:
         return estimate
     if type(value) is not int or value < 0:
-        raise ValueError(f"usage.{key} must be a non-negative integer, got {value!r}")
+        raise ValueError(f"{key} must be a non-negative integer, got {value!r}")
     return value
 
 
@@ -393,21 +394,21 @@ class ResponseCache:
         return self.directory / f"{key}.json"
 
     def get(self, key: str) -> tuple[str, Usage] | None:
+        """The entry under `key`, or None; an entry `put` cannot have written is corrupt."""
         path = self._path(key)
         if not path.exists():
             return None
         try:
             body = json.loads(path.read_text(encoding="utf-8"))
-            response = body["response"]
+            response, model_name = body["response"], body["model_name"]
+            if not isinstance(response, str) or not isinstance(model_name, str):
+                raise TypeError("response and model_name must be strings")
             usage = Usage(
-                model_name=body["model_name"],
-                prompt_tokens=int(body["prompt_tokens"]),
-                completion_tokens=int(body["completion_tokens"]),
-                latency_s=0.0,
+                model_name,
+                _token_count(body, "prompt_tokens"),
+                _token_count(body, "completion_tokens"),
                 cached=True,
             )
-            if not isinstance(response, str):
-                raise TypeError("response must be a string")
         except (ValueError, KeyError, TypeError) as exc:
             raise CorruptCacheEntry(f"{path}: {exc}") from exc
         return response, usage

@@ -9,8 +9,8 @@ are byte-reproducible.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Sequence
 
 from .classify import (
     FROM_LLM,
@@ -32,7 +32,7 @@ from .corpus import (
     extract_provisions,
 )
 from .errors import ParseError, UnchunkableText
-from .llm import Backend, Usage
+from .llm import Backend, BackendConfig, ModelPrice, Usage, make_backend, price_of
 from .taxonomy import ConceptModel, Ruleset
 
 SENTENCE = "sentence"
@@ -147,6 +147,19 @@ def run_compliance(
         units,
         parallelism,
     )
+
+
+def model_runs(
+    cfg: BackendConfig, prices: dict[str, ModelPrice], runs: int, run: Callable[..., list]
+) -> Iterator[list]:
+    """The results of `run(backend, parallelism=...)`, once per run, lazily.
+
+    An unpriced model fails before the backend is built, so before any paid
+    call. Repeated runs bypass the cache so that they are independent samples.
+    """
+    price_of(prices, cfg.model_name)
+    backend = make_backend(cfg if runs == 1 else replace(cfg, cache_dir=None))
+    return (run(backend, parallelism=cfg.parallelism) for _ in range(runs))
 
 
 def _ordered_map(fn: Callable, items: Sequence, parallelism: int) -> list:

@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 import math
 import time
+import types
 from pathlib import Path
 
 import pytest
 
+import regcheck
 from regcheck.classify import _stem_token
 from regcheck.cli import main
 from regcheck.corpus import estimate_tokens
@@ -28,6 +30,22 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == "regcheck 0.1.0"
+
+
+def test_package_root_is_the_readme_library_example():
+    # Every name of the README's `from regcheck import (...)` block imports from
+    # the package root, and the root exports nothing else but `__version__`.
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("from regcheck import (", 1)[1].split(")", 1)[0]
+    names = {name.strip() for name in block.split(",") if name.strip()}
+    namespace: dict = {}
+    exec(f"from regcheck import ({block})", namespace)
+    assert names <= set(namespace)
+    exported = {
+        name for name, value in vars(regcheck).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == names
 
 
 class TestSegment:
@@ -92,6 +110,7 @@ class TestSegment:
 
 
 # Each subcommand that prints without --out prints exactly the bytes it writes with it.
+RUNS_DIR = "{runs}"  # a directory of two `eval` runs, made by the test
 STDOUT_COMMANDS = {
     "segment": ["segment", "--input", FIXTURES / "dpa_demo.txt", "--format", "structured"],
     "classify": [
@@ -103,12 +122,18 @@ STDOUT_COMMANDS = {
         "eval", "--gold", FIXTURES / "dpa_gold_paragraph.jsonl",
         "--pred", FIXTURES / "dpa_gold_paragraph.jsonl",
     ],
+    # The box table goes to stderr, so stdout is the aggregate JSON alone.
+    "eval --runs-dir": ["eval", "--runs-dir", RUNS_DIR],
 }
 
 
 @pytest.mark.parametrize("name", list(STDOUT_COMMANDS))
 def test_stdout_gives_the_out_file_bytes(tmp_path, capsys, name):
-    argv = [str(a) for a in STDOUT_COMMANDS[name]]
+    runs = tmp_path / "runs"
+    for k in (1, 2):
+        metrics = runs / f"run_{k}" / "metrics.json"
+        assert run(*map(str, STDOUT_COMMANDS["eval"]), "--out", str(metrics)) == 0
+    argv = [str(runs) if a == RUNS_DIR else str(a) for a in STDOUT_COMMANDS[name]]
     out = tmp_path / "out"
     assert run(*argv, "--out", str(out)) == 0
     assert capsys.readouterr().out == ""
@@ -482,6 +507,14 @@ class TestCheck:
 
 
 class TestEval:
+    def test_averaging_flag_is_gone(self, capsys):
+        # It only relabelled the output; metrics.json always says "macro".
+        gold = str(FIXTURES / "dpa_gold_paragraph.jsonl")
+        with pytest.raises(SystemExit) as exc:
+            run("eval", "--gold", gold, "--pred", gold, "--averaging", "micro")
+        assert exc.value.code == 2
+        assert "--averaging" in capsys.readouterr().err
+
     def test_perfect_predictions(self, tmp_path, capsys):
         gold = tmp_path / "gold.jsonl"
         pred = tmp_path / "pred.jsonl"

@@ -197,6 +197,54 @@ class TestCache:
         assert text == "R5. fresh"
         assert usage.cached is False
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("prompt_tokens", -7),
+            ("prompt_tokens", True),
+            ("prompt_tokens", 1.5),
+            ("completion_tokens", "42"),
+            ("completion_tokens", None),
+            ("model_name", 7),
+            ("model_name", None),
+        ],
+    )
+    def test_entry_put_cannot_write_is_corrupt(self, tmp_path, key, value):
+        cache = ResponseCache(tmp_path)
+        cache.put("k", "R5. ok", Usage("stub-model", 10, 5))
+        body = json.loads((tmp_path / "k.json").read_text(encoding="utf-8"))
+        body[key] = value
+        (tmp_path / "k.json").write_text(json.dumps(body), encoding="utf-8")
+        with pytest.raises(CorruptCacheEntry):
+            cache.get("k")
+
+    def test_tampered_entries_are_recomputed(self, tmp_path, fixtures, data_dir):
+        # The warm run writes the cold run's bytes and pays once per tampered entry.
+        from regcheck.cli import main
+
+        def check(out):
+            return main([
+                "check", "--artifact", str(fixtures / "dpa_demo.txt"), "--format", "structured",
+                "--rules", str(data_dir / "gdpr_art28_demo.jsonl"),
+                "--stub-script", str(fixtures / "stub_paragraph_aware.jsonl"),
+                "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path / out),
+            ])
+
+        assert check("cold") == 0
+        tampers = [("prompt_tokens", -7), ("prompt_tokens", True),
+                   ("completion_tokens", "42"), ("model_name", 7)]
+        entries = sorted((tmp_path / "cache").glob("*.json"))
+        assert len(entries) > len(tampers)
+        for path, (key, value) in zip(entries, tampers):
+            body = json.loads(path.read_text(encoding="utf-8"))
+            body[key] = value
+            path.write_text(json.dumps(body), encoding="utf-8")
+        assert check("warm") == 0
+        for name in ("report.json", "report.md", "findings.jsonl"):
+            assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
+        warm = json.loads((tmp_path / "warm" / "costs_summary.json").read_text(encoding="utf-8"))
+        assert warm["calls"] - warm["cache_hits"] == len(tampers)
+
     def test_hit_returns_identical_bytes_and_marks_cached(self, tmp_path):
         calls = []
 
@@ -335,6 +383,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
     statuses: list[int] = []
     # Bodies of the next 200 responses; once used up, a well-formed completion.
     payloads: list[dict] = []
+    # When set, a StubBackend whose answer to the request's messages is that completion.
+    script: StubBackend | None = None
     requests_seen: list[dict] = []
     headers_seen: list[dict] = []
 
@@ -352,6 +402,11 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
             return
         if type(self).payloads:
             payload = type(self).payloads.pop(0)
+        elif type(self).script is not None:
+            # No usage: the client estimates the tokens exactly as the stub does.
+            messages = [ChatMessage(m["role"], m["content"]) for m in body["messages"]]
+            content = type(self).script.complete(messages)[0]
+            payload = {"choices": [{"message": {"role": "assistant", "content": content}}]}
         else:
             payload = _completion("R5. via http", {"prompt_tokens": 42, "completion_tokens": 7})
         data = json.dumps(payload).encode("utf-8")
@@ -370,10 +425,20 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
 _POLL_S = 0.05
 
 
+class _ScriptedServer(ThreadingHTTPServer):
+    # The default listen backlog of 5 drops the connects of a parallelism-8
+    # run beyond it, and each dropped one waits a 1 s SYN retry.
+    request_queue_size = 64
+
+
 @contextlib.contextmanager
-def scripted_server():
-    """Serve `_ScriptedHandler` on a free local port; yields the endpoint URL."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+def scripted_server(script: Path | None = None):
+    """Serve `_ScriptedHandler` on a free local port; yields the endpoint URL.
+
+    With `script`, a stub script JSONL, each request is answered by content as
+    the stub backend would answer it.
+    """
+    server = _ScriptedServer(("127.0.0.1", 0), _ScriptedHandler)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": _POLL_S}, daemon=True
     )
@@ -382,9 +447,11 @@ def scripted_server():
     _ScriptedHandler.payloads = []
     _ScriptedHandler.requests_seen = []
     _ScriptedHandler.headers_seen = []
+    _ScriptedHandler.script = StubBackend(load_stub_script(script)) if script else None
     try:
         yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     finally:
+        _ScriptedHandler.script = None
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
