@@ -15,7 +15,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .corpus import Provision, sentence_spans
+from .corpus import Provision, first_sentence_end
 from .errors import ParseError, TemplateError
 from .llm import ChatMessage
 from .storage import read_text_or_bundled
@@ -132,10 +132,8 @@ def parse_concept_response(raw: str, model: ConceptModel) -> frozenset[str]:
         raise ParseError("empty classification response", raw=raw)
     if _NONE_TOKEN.search(raw):
         return frozenset()
-    spans = sentence_spans(raw)
-    first_end = spans[0][1] if spans else len(raw)
     found = set()
-    for m in _ID_TOKEN.finditer(raw, 0, first_end):
+    for m in _ID_TOKEN.finditer(raw, 0, first_sentence_end(raw)):
         cid = vocab.get(m.group(0).lower())
         if cid is not None:
             found.add(cid)

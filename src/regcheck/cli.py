@@ -21,10 +21,11 @@ from typing import Iterable
 from . import __version__
 from .classify import load_classification_template
 from .compliance import (
+    ComplianceReport,
     assemble_report,
     load_template,
-    report_to_dict,
-    report_to_markdown,
+    report_json_chunks,
+    report_markdown_chunks,
 )
 from .corpus import SourceDocument, chunk_paragraphs, extract_provisions, parse_document
 from .errors import BackendError, RegcheckError
@@ -39,7 +40,7 @@ from .evaluation import (
     match_accuracy,
     metrics,
 )
-from .llm import HTTP, STUB, BackendConfig, CostLedger, RetryPolicy, load_price_table
+from .llm import HTTP, STUB, BackendConfig, RetryPolicy, cost_row, cost_summary, load_price_table
 from .pipeline import (
     PARAGRAPH_LEVEL,
     SENTENCE,
@@ -50,7 +51,6 @@ from .pipeline import (
 )
 from .storage import (
     atomic_write_chunks,
-    atomic_write_text,
     json_chunks,
     jsonl_line,
     write_chunks,
@@ -300,32 +300,13 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     )
     check = partial(run_compliance, units, rules, template=template)
 
+    runs = model_runs(cfg.backend, prices, cfg.runs, check)
     worst_failures = 0
-    for run, findings in enumerate(model_runs(cfg.backend, prices, cfg.runs, check), 1):
-        report = assemble_report(findings, rules, doc.doc_id)
-        ledger = CostLedger(prices)
-        for finding in findings:
-            if finding.usage is not None:
-                ledger.record(finding.usage)
-
-        target = out_dir if cfg.runs == 1 else out_dir / f"run_{run:02d}"
-        write_json(target / "report.json", report_to_dict(report))
-        atomic_write_text(target / "report.md", report_to_markdown(report))
-        write_jsonl(
-            target / "findings.jsonl",
-            (
-                {
-                    "unit_ref": f.passage_ref,
-                    "labels": sorted(f.rule_ids),
-                    "rationale": f.rationale,
-                    "parse_error": f.parse_error,
-                }
-                for f in findings
-            ),
-        )
-        write_jsonl(target / "costs.jsonl", ledger.records)
-        write_json(target / "costs_summary.json", ledger.aggregate())
+    for run in range(1, cfg.runs + 1):
+        report = assemble_report(next(runs), rules, doc.doc_id)
+        write_check_outputs(out_dir / f"run_{run:02d}" if cfg.runs > 1 else out_dir, report, prices)
         worst_failures = max(worst_failures, report.totals["parse_failures"])
+        del report  # frees this run's findings before the next run; enumerate() would keep them
 
     limit = cfg.max_parse_failures
     if limit is not None and worst_failures > limit:
@@ -335,6 +316,31 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
         )
         return EXIT_PARSE_THRESHOLD
     return EXIT_OK
+
+
+def write_check_outputs(target: Path, report: ComplianceReport, prices: dict) -> None:
+    """Write one `check` run into `target`, each file encoded one finding at a time
+    from the report's findings: no other copy of them is built."""
+    atomic_write_chunks(target / "report.json", report_json_chunks(report))
+    atomic_write_chunks(target / "report.md", report_markdown_chunks(report))
+    write_jsonl(
+        target / "findings.jsonl",
+        (
+            {
+                "unit_ref": f.passage_ref,
+                "labels": sorted(f.rule_ids),
+                "rationale": f.rationale,
+                "parse_error": f.parse_error,
+            }
+            for f in report.findings
+        ),
+    )
+
+    def cost_rows():
+        return (cost_row(prices, f.usage) for f in report.findings if f.usage is not None)
+
+    write_jsonl(target / "costs.jsonl", cost_rows())
+    write_json(target / "costs_summary.json", cost_summary(cost_rows))
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:

@@ -8,13 +8,15 @@ non-compliance areas.
 
 from __future__ import annotations
 
+import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring as _encode_str  # the C encoder of ensure_ascii=False
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
-from .corpus import Passage, sentence_spans
+from .corpus import Passage, first_sentence_end
 from .errors import ParseError, TemplateError
 from .llm import Backend, ChatMessage, Usage
 from .storage import read_text_or_bundled
@@ -47,7 +49,7 @@ class PromptBundle:
             raise ValueError("bundle needs at least one user message")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Finding:
     """Rule determination for one passage; empty rule_ids means not applicable."""
 
@@ -146,9 +148,8 @@ def parse_response(raw: str, rules: Ruleset) -> tuple[frozenset[str], str]:
             )
         ids: frozenset[str] = frozenset()
     else:
-        spans = sentence_spans(raw)
-        first_end = spans[0][1] if spans else len(raw)
-        leading = {tok for pos, tok in tokens if pos < first_end}
+        end = first_sentence_end(raw)
+        leading = {tok for pos, tok in tokens if pos < end}
         if not leading:
             raise ParseError(
                 "response does not lead with a rule identifier", raw=raw
@@ -224,6 +225,19 @@ def assemble_report(
 # --------------------------------------------------------------------------
 
 
+def _finding_fields(f: Finding) -> dict:
+    """One finding's members in `report.json`."""
+    return {
+        "passage": f.passage_ref,
+        "rule_ids": sorted(f.rule_ids, key=_rule_sort_key),
+        "rationale": f.rationale,
+        "raw_response": f.raw_response,
+        "parse_error": f.parse_error,
+        "prompt_tokens": f.usage.prompt_tokens if f.usage else None,
+        "completion_tokens": f.usage.completion_tokens if f.usage else None,
+    }
+
+
 def report_to_dict(report: ComplianceReport) -> dict:
     """JSON-compatible report; deterministic field order, no volatile fields."""
     return {
@@ -232,65 +246,71 @@ def report_to_dict(report: ComplianceReport) -> dict:
         "totals": report.totals,
         "per_rule": report.per_rule,
         "uncovered_rules": report.uncovered_rules,
-        "findings": [
-            {
-                "passage": f.passage_ref,
-                "rule_ids": sorted(f.rule_ids, key=_rule_sort_key),
-                "rationale": f.rationale,
-                "raw_response": f.raw_response,
-                "parse_error": f.parse_error,
-                "prompt_tokens": f.usage.prompt_tokens if f.usage else None,
-                "completion_tokens": f.usage.completion_tokens if f.usage else None,
-            }
-            for f in report.findings
-        ],
+        "findings": [_finding_fields(f) for f in report.findings],
     }
+
+
+def report_json_chunks(report: ComplianceReport) -> Iterator[str]:
+    """The text of `json.dumps(report_to_dict(report), ensure_ascii=False, indent=2)` and a
+    newline: the members before the findings in one chunk, then one finding per chunk."""
+    head = json.dumps(report_to_dict(replace(report, findings=[])), ensure_ascii=False, indent=2)
+    yield head[: -len("[]\n}")]
+    lead = "[\n    "
+    for f in report.findings:
+        members = (f"{_encode_str(k)}: {_json_leaf(v)}" for k, v in _finding_fields(f).items())
+        yield lead + "{\n      " + ",\n      ".join(members) + "\n    }"
+        lead = ",\n    "
+    yield ("\n  ]" if lead[0] == "," else "[]") + "\n}\n"
+
+
+def _json_leaf(value) -> str:
+    """A finding's member value as the `indent=2` encoder lays it out three levels deep."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, list):
+        items = ",\n        ".join(map(_json_leaf, value))
+        return f"[\n        {items}\n      ]" if value else "[]"
+    if value is None:
+        return "null"
+    return int.__repr__(value) if type(value) is int else json.dumps(value)
 
 
 def report_to_markdown(report: ComplianceReport) -> str:
     """Human-readable compliance report."""
-    lines = [
-        f"# Compliance report: {report.artifact_ref}",
-        "",
-        f"Ruleset: **{report.ruleset_name}**",
-        "",
-        "| total | value |",
-        "|---|---|",
-    ]
-    for key, value in report.totals.items():
-        lines.append(f"| {key} | {value} |")
-    lines += ["", "## Areas of compliance", ""]
-    if report.per_rule:
-        for rid, passages in report.per_rule.items():
-            lines.append(f"- **{rid}** satisfied by: {', '.join(passages)}")
-    else:
-        lines.append("- none")
-    lines += ["", "## Areas of non-compliance (rules with no supporting passage)", ""]
-    if report.uncovered_rules:
-        for rid in report.uncovered_rules:
-            lines.append(f"- **{rid}**")
-    else:
-        lines.append("- none")
-    lines += ["", "## Findings", ""]
+    return "".join(report_markdown_chunks(report))
+
+
+def report_markdown_chunks(report: ComplianceReport) -> Iterator[str]:
+    """The text of `report_to_markdown(report)`, one section or one finding per chunk."""
+    chunks = _markdown_chunks(report)
+    last = next(chunks)
+    for chunk in chunks:
+        yield last
+        last = chunk
+    # The last chunk (a finding or the Findings heading) holds text, so all trailing space is in it.
+    yield last.rstrip() + "\n"
+
+
+def _markdown_chunks(report: ComplianceReport) -> Iterator[str]:
+    yield f"# Compliance report: {report.artifact_ref}\n\nRuleset: **{report.ruleset_name}**\n\n"
+    yield "| total | value |\n|---|---|\n"
+    yield "".join(f"| {key} | {value} |\n" for key, value in report.totals.items())
+    yield "\n## Areas of compliance\n\n"
+    covered = (f"- **{rid}** satisfied by: {', '.join(p)}\n" for rid, p in report.per_rule.items())
+    yield "".join(covered) or "- none\n"
+    yield "\n## Areas of non-compliance (rules with no supporting passage)\n\n"
+    yield "".join(f"- **{rid}**\n" for rid in report.uncovered_rules) or "- none\n"
+    yield "\n## Findings\n\n"
     for f in report.findings:
         if f.parse_error is not None:
-            lines.append(f"### {f.passage_ref}: unparseable response")
-            lines.append("")
-            lines.append(f"Parse error: {f.parse_error}")
-        else:
-            verdict = (
-                ", ".join(sorted(f.rule_ids, key=_rule_sort_key))
-                if f.rule_ids
-                else "not applicable"
-            )
-            lines.append(f"### {f.passage_ref}: {verdict}")
-            lines.append("")
-            if f.rationale:
-                lines.append(f.rationale)
-        lines.append("")
-    return "\n".join(lines).rstrip() + "\n"
+            yield f"### {f.passage_ref}: unparseable response\n\nParse error: {f.parse_error}\n\n"
+            continue
+        ids = sorted(f.rule_ids, key=_rule_sort_key)
+        verdict = ", ".join(ids) if ids else "not applicable"
+        rationale = f"{f.rationale}\n" if f.rationale else ""
+        yield f"### {f.passage_ref}: {verdict}\n\n{rationale}\n"
 
 
 def _rule_sort_key(rule_id: str) -> tuple[int, str]:
-    m = re.fullmatch(r"R(\d+)", rule_id)
+    m = _RULE_TOKEN.fullmatch(rule_id)
     return (int(m.group(1)), "") if m else (10**9, rule_id)

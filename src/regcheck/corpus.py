@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import MalformedInput, UnchunkableText
 
@@ -37,7 +38,7 @@ PARAGRAPH = "paragraph"
 LIST = "list"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """One source block: a prose paragraph or an enumerated list."""
 
@@ -67,7 +68,7 @@ class SourceDocument:
     blocks: tuple[Block, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Provision:
     """A single sentence-level legal statement, the classification unit."""
 
@@ -88,7 +89,7 @@ class Provision:
         return f"{self.doc_id}:b{self.block_index}:s{self.sentence_index}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Passage:
     """A paragraph-level chunk guaranteed to fit the token budget."""
 
@@ -134,7 +135,26 @@ def sentence_spans(text: str) -> list[tuple[int, int]]:
     lone period is not a boundary when the preceding token is a known
     abbreviation ("s. 12 of the Act" stays whole).
     """
-    breaks: list[int] = []
+    spans: list[tuple[int, int]] = []
+    start = 0
+    for brk in [*_sentence_breaks(text), len(text)]:
+        chunk = text[start:brk]
+        lead = len(chunk) - len(chunk.lstrip())
+        trail = len(chunk) - len(chunk.rstrip())
+        if chunk.strip():
+            spans.append((start + lead, brk - trail))
+        start = brk
+    return spans
+
+
+def first_sentence_end(text: str) -> int:
+    """`sentence_spans(text)[0][1]`, or `len(text)` for blank `text`, with no later break found."""
+    # A break follows a terminator, so it is never 0 and ends the first sentence.
+    return next(_sentence_breaks(text), 0) or len(text.rstrip()) or len(text)
+
+
+def _sentence_breaks(text: str) -> Iterator[int]:
+    """The offsets just past each sentence boundary of `text`, in order (see `sentence_spans`)."""
     for m in _BOUNDARY.finditer(text):
         after = _NEXT_CHAR.match(text, m.end())
         if after is None:
@@ -148,18 +168,7 @@ def sentence_spans(text: str) -> list[tuple[int, int]]:
                 start -= 1
             if text[start:end].lstrip(_OPENERS).lower() in ABBREVIATIONS:
                 continue
-        breaks.append(m.end())
-
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for brk in breaks + [len(text)]:
-        chunk = text[start:brk]
-        lead = len(chunk) - len(chunk.lstrip())
-        trail = len(chunk) - len(chunk.rstrip())
-        if chunk.strip():
-            spans.append((start + lead, brk - trail))
-        start = brk
-    return spans
+        yield m.end()
 
 
 def split_text(text: str) -> list[str]:

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .corpus import estimate_tokens
@@ -114,7 +114,7 @@ class BackendConfig:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Usage:
     """Token and latency accounting for one completion call.
 
@@ -513,47 +513,53 @@ def price_of(price_table: dict[str, ModelPrice], model_name: str) -> ModelPrice:
     return price
 
 
-class CostLedger:
-    """Append-only per-call cost ledger with exact aggregate sums.
+def cost_row(price_table: dict[str, ModelPrice], usage: Usage) -> dict:
+    """One `costs.jsonl` row: cost = tokens/1000 x per-1K price. A cache hit
+    costs nothing and takes no latency."""
+    price = price_of(price_table, usage.model_name)
+    if usage.cached:
+        cost = 0.0
+    else:
+        cost = (
+            usage.prompt_tokens / 1000 * price.input_per_1k
+            + usage.completion_tokens / 1000 * price.output_per_1k
+        )
+    return {
+        "model_name": usage.model_name,
+        "prompt_tokens": usage.prompt_tokens,
+        "completion_tokens": usage.completion_tokens,
+        "latency_s": 0.0 if usage.cached else usage.latency_s,
+        "monetary_cost": cost,
+        "cached": usage.cached,
+    }
 
-    Each record is one `costs.jsonl` row: cost = tokens/1000 x per-1K price.
-    Cache hits are recorded but contribute zero monetary cost and zero
-    latency to the totals.
-    """
+
+def cost_summary(rows: Callable[[], Iterable[dict]]) -> dict:
+    """`costs_summary.json` of the ledger rows that each call of `rows()` gives
+    afresh: each total is one `sum()` over the rows in order, and no list is built."""
+    return {
+        "calls": sum(1 for _ in rows()),
+        "cache_hits": sum(1 for r in rows() if r["cached"]),
+        "prompt_tokens": sum(r["prompt_tokens"] for r in rows()),
+        "completion_tokens": sum(r["completion_tokens"] for r in rows()),
+        "monetary_cost": sum(r["monetary_cost"] for r in rows()),
+        "latency_s": sum(r["latency_s"] for r in rows()),
+    }
+
+
+class CostLedger:
+    """Append-only per-call cost ledger: `cost_row`s, summed by `cost_summary`."""
 
     def __init__(self, price_table: dict[str, ModelPrice]):
         self.price_table = dict(price_table)
         self.records: list[dict] = []
 
     def record(self, usage: Usage) -> dict:
-        price = price_of(self.price_table, usage.model_name)
-        if usage.cached:
-            cost = 0.0
-        else:
-            cost = (
-                usage.prompt_tokens / 1000 * price.input_per_1k
-                + usage.completion_tokens / 1000 * price.output_per_1k
-            )
-        rec = {
-            "model_name": usage.model_name,
-            "prompt_tokens": usage.prompt_tokens,
-            "completion_tokens": usage.completion_tokens,
-            "latency_s": 0.0 if usage.cached else usage.latency_s,
-            "monetary_cost": cost,
-            "cached": usage.cached,
-        }
-        self.records.append(rec)
-        return rec
+        self.records.append(cost_row(self.price_table, usage))
+        return self.records[-1]
 
     def aggregate(self) -> dict:
-        return {
-            "calls": len(self.records),
-            "cache_hits": sum(1 for r in self.records if r["cached"]),
-            "prompt_tokens": sum(r["prompt_tokens"] for r in self.records),
-            "completion_tokens": sum(r["completion_tokens"] for r in self.records),
-            "monetary_cost": sum(r["monetary_cost"] for r in self.records),
-            "latency_s": sum(r["latency_s"] for r in self.records),
-        }
+        return cost_summary(lambda: self.records)
 
     def to_jsonl(self) -> str:
         return "".join(map(jsonl_line, self.records))

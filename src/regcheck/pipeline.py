@@ -39,7 +39,7 @@ SENTENCE = "sentence"
 PARAGRAPH_LEVEL = "paragraph"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassifiedProvision:
     provision: Provision
     labels: LabelSet
@@ -89,7 +89,7 @@ def classify_provisions(
     return _ordered_map(classify_one, provisions, parallelism)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckUnit:
     """One unit submitted for compliance checking, with optional context."""
 

@@ -11,8 +11,9 @@ import pytest
 
 from regcheck.classify import NO_CONCEPT, parse_concept_response
 from regcheck.compliance import parse_response
-from regcheck.corpus import sentence_spans
+from regcheck.corpus import first_sentence_end, sentence_spans
 from regcheck.errors import ParseError
+from regcheck.storage import read_jsonl
 from regcheck.taxonomy import NOT_APPLICABLE, load_concept_model, load_ruleset
 
 _REF_RULE_TOKEN = re.compile(r"\bR(\d+)\b")
@@ -122,3 +123,11 @@ def test_fuzz_reaches_every_outcome(rulesets, model):
         concept_kinds.add(result[1].split(" ")[0] if result[0] == "error" else bool(result[1]))
     assert rule_kinds == {"no", "response", "unknown", True, False}
     assert concept_kinds == {"empty", "no", True, False}
+
+
+def test_first_sentence_end_is_the_first_span_end(fixtures):
+    rng = random.Random(71)
+    oracle = [row["raw"] for row in read_jsonl(fixtures / "parser_oracle.jsonl")]
+    for raw in [random_response(rng) for _ in range(4000)] + oracle:
+        spans = sentence_spans(raw)
+        assert first_sentence_end(raw) == (spans[0][1] if spans else len(raw)), raw
