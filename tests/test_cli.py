@@ -108,6 +108,24 @@ class TestSegment:
         assert len(lines) == 3
         assert json.loads(lines[0])["origin"] == "list_expanded"
 
+    @pytest.mark.parametrize("granularity", ["sentence", "paragraph"])
+    @pytest.mark.parametrize(
+        "source,fmt,name",
+        [("food_corpus_plain.txt", "plain", "plain"), ("dpa_demo.txt", "structured", "dpa")],
+    )
+    def test_output_matches_golden(self, tmp_path, source, fmt, name, granularity):
+        out = tmp_path / "units.jsonl"
+        code = run(
+            "segment",
+            "--input", str(FIXTURES / source),
+            "--format", fmt,
+            "--granularity", granularity,
+            "--out", str(out),
+        )
+        assert code == 0
+        golden = FIXTURES / f"golden_segment_{name}_{granularity}.jsonl"
+        assert out.read_bytes() == golden.read_bytes()
+
 
 # Each subcommand that prints without --out prints exactly the bytes it writes with it.
 RUNS_DIR = "{runs}"  # a directory of two `eval` runs, made by the test

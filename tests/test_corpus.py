@@ -9,7 +9,10 @@ from collections import Counter
 import pytest
 
 from regcheck.corpus import (
+    LIST,
+    PARAGRAPH,
     Block,
+    SourceDocument,
     chunk_paragraphs,
     estimate_tokens,
     expand_list_items,
@@ -111,6 +114,251 @@ class TestParseDocument:
     def test_determinism(self, fixtures):
         raw = (fixtures / "sfcr_gold_corpus.txt").read_text(encoding="utf-8")
         assert parse_document(raw, "structured") == parse_document(raw, "structured")
+
+
+# Reference copy of the two parsers `parse_document` had before its one line
+# loop: a marker loop over `_RefBuilder` for structured text, and a blank-line
+# chunker for plain text. `parse_document` must return exactly their document,
+# or raise the same error type with the same message.
+_REF_ENUM_LINE = re.compile(r"^\s*(?:\((?:[a-z]{1,2}|[ivxl]{1,6}|\d{1,3})\)|\d{1,3}\.)\s+")
+
+
+class _RefBuilder:
+    def __init__(self):
+        self.blocks = []
+        self.kind = None
+        self.parts = []
+        self.header = ""
+        self.items = []
+
+    def open_paragraph(self, text):
+        self.close()
+        self.kind = PARAGRAPH
+        self.parts = [text.strip()] if text.strip() else []
+
+    def open_list(self, header, lineno):
+        self.close()
+        if not header.strip():
+            raise MalformedInput(f"line {lineno}: empty list header")
+        self.kind = LIST
+        self.header = header.strip()
+        self.items = []
+
+    def add_item(self, text, lineno):
+        if self.kind != LIST:
+            raise MalformedInput(f"line {lineno}: list item outside a list")
+        if not text.strip():
+            raise MalformedInput(f"line {lineno}: empty list item")
+        self.items.append(text.strip())
+
+    def continuation(self, text, lineno):
+        if self.kind == PARAGRAPH:
+            self.parts.append(text.strip())
+        elif self.kind == LIST:
+            if not self.items:
+                raise MalformedInput(f"line {lineno}: expected a list item after the header")
+            self.items[-1] += " " + text.strip()
+        else:
+            raise MalformedInput(f"line {lineno}: text outside any block")
+
+    def close(self):
+        if self.kind == PARAGRAPH:
+            text = " ".join(p for p in self.parts if p)
+            if not text:
+                raise MalformedInput("empty paragraph block")
+            self.blocks.append(Block(PARAGRAPH, len(self.blocks), text=text))
+        elif self.kind == LIST:
+            if not self.items:
+                raise MalformedInput(f"unclosed list: header {self.header!r} has no items")
+            self.blocks.append(
+                Block(LIST, len(self.blocks), header=self.header, items=tuple(self.items))
+            )
+        self.kind = None
+        self.parts, self.header, self.items = [], "", []
+
+
+def _ref_parse_structured(raw):
+    title = ""
+    builder = _RefBuilder()
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        if not line.strip():
+            builder.close()
+            continue
+        if line.startswith("# "):
+            if title or builder.blocks or builder.kind is not None:
+                raise MalformedInput(f"line {lineno}: unexpected title marker")
+            title = line[2:].strip()
+        elif line.startswith("¶ "):
+            builder.open_paragraph(line[2:])
+        elif line.startswith("* "):
+            builder.open_list(line[2:], lineno)
+        elif line.startswith("- "):
+            builder.add_item(line[2:], lineno)
+        else:
+            builder.continuation(line, lineno)
+    builder.close()
+    return title, builder.blocks
+
+
+def _ref_parse_plain(raw):
+    blocks = []
+    chunk = []
+    for line in raw.splitlines() + [""]:
+        if line.strip():
+            chunk.append(line)
+            continue
+        if chunk:
+            _ref_append_plain_chunk(blocks, chunk)
+            chunk = []
+    return "", blocks
+
+
+def _ref_append_plain_chunk(blocks, lines):
+    marker_rows = [i for i, line in enumerate(lines) if _REF_ENUM_LINE.match(line)]
+    if marker_rows and marker_rows[0] > 0:
+        first = marker_rows[0]
+        header = " ".join(l.strip() for l in lines[:first])
+        bounds = marker_rows + [len(lines)]
+        items = [
+            " ".join(l.strip() for l in lines[bounds[k] : bounds[k + 1]])
+            for k in range(len(marker_rows))
+        ]
+        blocks.append(Block(LIST, len(blocks), header=header, items=tuple(items)))
+    else:
+        blocks.append(Block(PARAGRAPH, len(blocks), text=" ".join(l.strip() for l in lines)))
+
+
+def _ref_parse_document(raw, format="plain", doc_id="doc"):
+    if format not in ("plain", "structured"):
+        raise ValueError(f"unknown format {format!r}")
+    if not raw.strip():
+        raise MalformedInput("empty document")
+    if format == "structured":
+        title, blocks = _ref_parse_structured(raw)
+    else:
+        title, blocks = _ref_parse_plain(raw)
+    if not blocks:
+        raise MalformedInput("document contains no blocks")
+    return SourceDocument(doc_id=doc_id, title=title, blocks=tuple(blocks))
+
+
+def _parse_outcome(parse, raw, fmt):
+    """The parsed document, or the type and message of the error raised."""
+    try:
+        return parse(raw, fmt, doc_id="d")
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestParseDocumentAgainstReference:
+    MARKERS = ("# ", "¶ ", "* ", "- ")
+    ENUMS = ("(a) ", "(iv) ", "1. ", "(a)", "  (b)\t", "12. ")
+    # How a stray line starts: every marker, also without its text or its space,
+    # the enumeration markers, and nothing (a continuation line).
+    STARTS = (*MARKERS, "#", "¶", "*", "-", *ENUMS, "Art. 5 ", "", "")
+    # Pieces of a line's text. "\r", "\x0c", "\x1c" and " " end a line for
+    # `splitlines` and are whitespace for `strip`.
+    PIECES = (
+        "word", "The processor shall assist.", "Données", *ENUMS, "Art. 5 ", *MARKERS,
+        ":", ";", " ", "\t", " ", "\r", "\x0c", "\x1c", " ",
+    )
+    WORDS = ("word", "The processor shall assist.", "Données", "Art. 5 applies.", "x")
+    BREAKS = ("\n", "\n", "\n", "\n", "\r\n", "\n\n", "\n \n", "\n\t\n", "\r", "\x0c")
+    DOCUMENTS = 5000
+
+    def _text(self, rng):
+        """Mostly a word, now and then followed by random pieces; rarely empty."""
+        if rng.random() < 0.05:
+            return ""
+        pieces = rng.choices((0, 1, 2), (6, 2, 1))[0]
+        return rng.choice(self.WORDS) + "".join(rng.choice(self.PIECES) for _ in range(pieces))
+
+    # Segment shapes and their weights per format: mostly well formed in that format.
+    SHAPES = ("title", "paragraph", "marked list", "plain list", "stray")
+    WEIGHTS = {"structured": (1, 6, 4, 1, 1), "plain": (1, 4, 1, 4, 1)}
+
+    def _segment(self, rng, fmt):
+        """The lines of one block-shaped segment."""
+        shape = rng.choices(self.SHAPES, self.WEIGHTS[fmt])[0]
+        if shape == "title":
+            return [rng.choice(("# ", "#")) + rng.choice(("", *self.WORDS))]
+        if shape == "stray":
+            return [rng.choice(self.STARTS) + self._text(rng)]
+        continued = lambda line: [line] + [self._text(rng) for _ in range(rng.choice((0, 0, 1, 2)))]
+        if shape == "paragraph":
+            return continued(("¶ " if fmt == "structured" else "") + self._text(rng))
+        if shape == "marked list":
+            lines = ["* " + self._text(rng)]
+            for _ in range(rng.randint(0, 3)):
+                lines += continued("- " + self._text(rng))
+            return lines
+        lines = [self._text(rng) for _ in range(rng.randint(0, 2))]
+        for _ in range(rng.randint(1, 3)):
+            lines += continued(rng.choice(self.ENUMS) + self._text(rng))
+        return lines
+
+    def _documents(self, fmt, seed):
+        rng = random.Random(seed)
+        for _ in range(self.DOCUMENTS):
+            raw = ""
+            for _ in range(rng.randint(0, 5)):
+                raw += "\n".join(self._segment(rng, fmt)) + rng.choice(self.BREAKS)
+            yield raw if rng.random() < 0.8 else raw.rstrip("\n")
+
+    @pytest.mark.parametrize("fmt,seed", [("structured", 20261018), ("plain", 20261019)])
+    def test_random_documents_match_reference(self, fmt, seed):
+        outcomes = Counter()
+        for raw in self._documents(fmt, seed):
+            got = _parse_outcome(parse_document, raw, fmt)
+            assert got == _parse_outcome(_ref_parse_document, raw, fmt), repr(raw)
+            if isinstance(got, SourceDocument):
+                outcomes.update(block.kind for block in got.blocks)
+                outcomes["parsed"] += 1
+                outcomes["prose opening with a marker"] += any(
+                    b.kind == PARAGRAPH and _REF_ENUM_LINE.match(b.text) for b in got.blocks
+                )
+            else:
+                outcomes[re.sub(r"^line \d+: |: header .*", "", got[1])] += 1
+        # The inputs reach every outcome of both parsers.
+        expected = {"parsed", PARAGRAPH, LIST, "empty document"}
+        if fmt == "structured":
+            expected |= {
+                "document contains no blocks",
+                "unexpected title marker",
+                "empty list header",
+                "list item outside a list",
+                "empty list item",
+                "expected a list item after the header",
+                "text outside any block",
+                "empty paragraph block",
+                "unclosed list",
+            }
+        else:
+            expected.add("prose opening with a marker")
+        assert expected <= {k for k, n in outcomes.items() if n}, outcomes
+        assert outcomes["parsed"] >= self.DOCUMENTS // 10, outcomes
+
+    @pytest.mark.parametrize("fmt", ["structured", "plain"])
+    def test_fixtures_match_reference(self, fixtures, fmt):
+        for path in sorted(fixtures.glob("*.txt")):
+            raw = path.read_text(encoding="utf-8")
+            assert _parse_outcome(parse_document, raw, fmt) == _parse_outcome(
+                _ref_parse_document, raw, fmt
+            ), path.name
+
+    @pytest.mark.parametrize(
+        "raw,fmt",
+        [
+            ("", "plain"), ("", "structured"), (" \n\t\r\x0c", "plain"), (" \n\t\r\x0c", "structured"),
+            ("# ", "structured"), ("# Title\n\n", "structured"), ("# \n# Title", "structured"),
+            ("# ", "plain"), ("(a) x\n(b) y", "plain"), ("head\n(a) \n(b)\tx", "plain"),
+            ("text", "pdf"),
+        ],
+    )
+    def test_corner_cases_match_reference(self, raw, fmt):
+        assert _parse_outcome(parse_document, raw, fmt) == _parse_outcome(
+            _ref_parse_document, raw, fmt
+        )
 
 
 class TestSplitSentences:
