@@ -301,25 +301,32 @@ def parse_document(
     format: str = "plain",
     doc_id: str = "doc",
 ) -> SourceDocument:
-    """Parse raw UTF-8 text into a block-structured document.
+    """Parse raw UTF-8 text into a block-structured document, one line at a time.
 
-    `structured` format uses line-oriented markers: ``# `` title, ``¶ ``
-    paragraph start, ``* `` list header, ``- `` list item; unmarked non-blank
-    lines continue the open paragraph or list item. `plain` format separates
-    blocks on blank lines and detects lists from enumeration markers ("(a)",
-    "1.") at line starts under a header line.
+    A blank line closes the open block. `structured` format uses line-oriented
+    markers: ``# `` title, ``¶ `` paragraph start, ``* `` list header, ``- ``
+    list item; unmarked lines continue the open paragraph or list item. In
+    `plain` format, the first line opening with an enumeration marker ("(a)",
+    "(iv)", "1.") makes the block a list: the lines before it are the header,
+    and each marker line starts an item. A block whose first line opens with a
+    marker has no header, so it stays prose.
     """
     if format not in ("plain", "structured"):
         raise ValueError(f"unknown format {format!r}")
-    if not raw.strip():
-        raise MalformedInput("empty document")
-    if format == "structured":
-        title, blocks = _parse_structured(raw)
-    else:
-        title, blocks = _parse_plain(raw)
-    if not blocks:
-        raise MalformedInput("document contains no blocks")
-    return SourceDocument(doc_id=doc_id, title=title, blocks=tuple(blocks))
+    builder = _Builder()
+    handle = builder.structured_line if format == "structured" else builder.plain_line
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        if line.strip():
+            handle(line, lineno)
+        else:
+            builder.close()
+    builder.close()
+    if not builder.blocks:
+        # Without blocks, a title is the only non-blank line a document can have.
+        raise MalformedInput(
+            "empty document" if builder.title is None else "document contains no blocks"
+        )
+    return SourceDocument(doc_id=doc_id, title=builder.title or "", blocks=tuple(builder.blocks))
 
 
 class _Builder:
@@ -327,10 +334,41 @@ class _Builder:
 
     def __init__(self):
         self.blocks: list[Block] = []
+        self.title: str | None = None
         self.kind: str | None = None
         self.parts: list[str] = []
         self.header = ""
         self.items: list[str] = []
+        # Plain format: the open paragraph's first line has an enumeration marker.
+        self.prose = False
+
+    def structured_line(self, line: str, lineno: int):
+        if line.startswith(TITLE_MARK):
+            if self.title or self.blocks or self.kind is not None:
+                raise MalformedInput(f"line {lineno}: unexpected title marker")
+            self.title = line[len(TITLE_MARK):].strip()
+        elif line.startswith(PARAGRAPH_MARK):
+            self.open_paragraph(line[len(PARAGRAPH_MARK):])
+        elif line.startswith(HEADER_MARK):
+            self.open_list(line[len(HEADER_MARK):], lineno)
+        elif line.startswith(ITEM_MARK):
+            self.add_item(line[len(ITEM_MARK):], lineno)
+        else:
+            self.continuation(line, lineno)
+
+    def plain_line(self, line: str, lineno: int):
+        marker = _ENUM_LINE.match(line) is not None
+        if self.kind is None:
+            self.open_paragraph(line)
+            self.prose = marker
+        elif marker and self.kind == LIST:
+            self.add_item(line, lineno)
+        elif marker and not self.prose:
+            # The paragraph's lines were the header of the list this line opens.
+            self.kind, self.header, self.parts = LIST, " ".join(self.parts), []
+            self.add_item(line, lineno)
+        else:
+            self.continuation(line, lineno)
 
     def open_paragraph(self, text: str):
         self.close()
@@ -380,54 +418,3 @@ class _Builder:
             )
         self.kind = None
         self.parts, self.header, self.items = [], "", []
-
-
-def _parse_structured(raw: str) -> tuple[str, list[Block]]:
-    title = ""
-    builder = _Builder()
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip():
-            builder.close()
-            continue
-        if line.startswith(TITLE_MARK):
-            if title or builder.blocks or builder.kind is not None:
-                raise MalformedInput(f"line {lineno}: unexpected title marker")
-            title = line[len(TITLE_MARK):].strip()
-        elif line.startswith(PARAGRAPH_MARK):
-            builder.open_paragraph(line[len(PARAGRAPH_MARK):])
-        elif line.startswith(HEADER_MARK):
-            builder.open_list(line[len(HEADER_MARK):], lineno)
-        elif line.startswith(ITEM_MARK):
-            builder.add_item(line[len(ITEM_MARK):], lineno)
-        else:
-            builder.continuation(line, lineno)
-    builder.close()
-    return title, builder.blocks
-
-
-def _parse_plain(raw: str) -> tuple[str, list[Block]]:
-    blocks: list[Block] = []
-    chunk: list[str] = []
-    for line in raw.splitlines() + [""]:
-        if line.strip():
-            chunk.append(line)
-            continue
-        if chunk:
-            _append_plain_chunk(blocks, chunk)
-            chunk = []
-    return "", blocks
-
-
-def _append_plain_chunk(blocks: list[Block], lines: list[str]):
-    marker_rows = [i for i, line in enumerate(lines) if _ENUM_LINE.match(line)]
-    # Lists need a non-empty header, so a chunk opening with a marker stays prose.
-    if marker_rows and marker_rows[0] > 0:
-        first = marker_rows[0]
-        header = " ".join(l.strip() for l in lines[:first])
-        items = []
-        bounds = marker_rows + [len(lines)]
-        for k in range(len(marker_rows)):
-            items.append(" ".join(l.strip() for l in lines[bounds[k] : bounds[k + 1]]))
-        blocks.append(Block(LIST, len(blocks), header=header, items=tuple(items)))
-    else:
-        blocks.append(Block(PARAGRAPH, len(blocks), text=" ".join(l.strip() for l in lines)))

@@ -338,37 +338,5 @@ def aggregate_runs(reports: Sequence[MetricsReport]) -> RunAggregate:
     )
 
 
-# --------------------------------------------------------------------------
-# Granularity comparison
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GranularityDelta:
-    sentence_accuracy: float
-    paragraph_accuracy: float
-    delta: float
-    direction: str  # "improved" | "degraded" | "unchanged"
-
-
-def compare_granularity(sentence_acc: float, paragraph_acc: float) -> GranularityDelta:
-    """Signed accuracy delta from sentence-level to paragraph-level checking.
-
-    Deltas are rounded at the 9th decimal so differences of decimal inputs
-    (0.63 - 0.30 -> 0.33) come out exact despite binary floats.
-    """
-    for value in (sentence_acc, paragraph_acc):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"accuracy {value} outside [0, 1]")
-    delta = round(paragraph_acc - sentence_acc, 9)
-    if delta > 0:
-        direction = "improved"
-    elif delta < 0:
-        direction = "degraded"
-    else:
-        direction = "unchanged"
-    return GranularityDelta(sentence_acc, paragraph_acc, delta, direction)
-
-
 def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values) if values else 0.0

@@ -6,7 +6,7 @@ import json
 import os
 import tempfile
 from importlib import resources
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
 
@@ -38,9 +38,11 @@ def read_jsonl(path: str | Path) -> list[dict]:
 # One encoder of each kind: json.dumps with a non-default option builds a new one per call.
 _LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
 _INDENT_ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
-# Chunks joined per write. An indented-JSON chunk is a few characters and a JSONL line a
-# few hundred, so this keeps writes few for one and a batch well under 1 MB for the other.
+# A write joins at most `_BATCH` chunks and about `_BATCH_CHARS` characters. An indented-JSON
+# chunk is a few characters, so the count keeps its batch's string objects few; a report
+# finding or a model response can be kilobytes, so the characters bound a batch of those.
 _BATCH = 1024
+_BATCH_CHARS = 1 << 18
 
 
 def jsonl_line(record: dict) -> str:
@@ -65,10 +67,16 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def write_chunks(fh: TextIO, chunks: Iterable[str]) -> None:
-    """Write `chunks` to `fh`, joined `_BATCH` at a time."""
-    it = iter(chunks)
-    while batch := list(islice(it, _BATCH)):
-        fh.write("".join(batch))
+    """Write `chunks` to `fh`, joined into batches (see `_BATCH` and `_BATCH_CHARS`)."""
+    batch: list[str] = []
+    size = 0
+    for chunk in chunks:
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= _BATCH_CHARS or len(batch) == _BATCH:
+            fh.write("".join(batch))
+            batch, size = [], 0
+    fh.write("".join(batch))
 
 
 def atomic_write_chunks(path: str | Path, chunks: Iterable[str]) -> None:

@@ -14,7 +14,6 @@ from regcheck.evaluation import (
     EXACT,
     GoldRecord,
     aggregate_runs,
-    compare_granularity,
     confusion,
     match_accuracy,
     match_mode,
@@ -332,39 +331,3 @@ class TestAggregateRuns:
     def test_requires_at_least_one(self):
         with pytest.raises(ValueError):
             aggregate_runs([])
-
-
-class TestCompareGranularity:
-    def test_paper_reported_pairs(self):
-        assert compare_granularity(0.30, 0.63).delta == 0.33
-        assert compare_granularity(0.33, 0.69).delta == 0.36
-        assert compare_granularity(0.41, 0.81).delta == 0.40
-
-    def test_no_change(self):
-        delta = compare_granularity(0.5, 0.5)
-        assert delta.delta == 0.0
-        assert delta.direction == "unchanged"
-
-    def test_antisymmetric(self):
-        rng = random.Random(13)
-        for _ in range(100):
-            a, b = rng.random(), rng.random()
-            assert compare_granularity(a, b).delta == -compare_granularity(b, a).delta
-
-    def test_direction(self):
-        for sentence_acc, paragraph_acc in [(0.2, 0.6), (0.30, 0.63), (0.41, 0.81)]:
-            assert compare_granularity(sentence_acc, paragraph_acc).direction == "improved"
-            assert compare_granularity(paragraph_acc, sentence_acc).direction == "degraded"
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            compare_granularity(-0.1, 0.5)
-        with pytest.raises(ValueError):
-            compare_granularity(0.5, 1.2)
-
-    def test_batch_mode(self):
-        pairs = {"model-a": (0.30, 0.63), "model-b": (0.41, 0.81)}
-        deltas = {name: compare_granularity(s, p) for name, (s, p) in pairs.items()}
-        assert deltas["model-a"].delta == 0.33
-        assert deltas["model-b"].delta == 0.40
-        assert {d.direction for d in deltas.values()} == {"improved"}

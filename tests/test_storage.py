@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -130,3 +131,35 @@ def test_write_jsonl_memory_does_not_grow_with_the_record_count(tmp_path):
     large_peak = _traced_peak(lambda: write_jsonl(tmp_path / "large.jsonl", large))
     assert (tmp_path / "large.jsonl").stat().st_size >= 4_000_000
     assert large_peak < 1.5 * small_peak, (small_peak, large_peak)
+
+
+class _RecordingFile:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_write_chunks_gives_the_joined_text_in_bounded_writes():
+    # Runs of short chunks past the count bound, with chunks at and past the character bound.
+    big = storage._BATCH_CHARS
+    chunks = ["Ω" * n for n in (4_000, big - 1, big + 5, 3 * big) for _ in range(3)]
+    rng = random.Random(11)
+    chunks += [rng.choice(("", "Ω", "ab", "x" * 80)) for _ in range(3 * storage._BATCH)]
+    rng.shuffle(chunks)
+    fh = _RecordingFile()
+    storage.write_chunks(fh, iter(chunks))
+    assert "".join(fh.writes) == "".join(chunks)
+    # A batch is written once it reaches the bound, so it holds at most one more chunk.
+    assert all(len(w) < storage._BATCH_CHARS + 3 * big for w in fh.writes)
+
+
+def test_write_chunks_memory_is_bounded_by_characters_not_chunk_count(tmp_path):
+    # 2,000 chunks of 4,000 characters outside Latin-1: 8 MB as text, 24 MB as UTF-8.
+    chunk = "€" * 4_000
+    chunks = [chunk] * 2_000
+    with open(tmp_path / "big.txt", "w", encoding="utf-8") as fh:
+        peak = _traced_peak(lambda: storage.write_chunks(fh, chunks))
+    assert (tmp_path / "big.txt").stat().st_size == 3 * 4_000 * 2_000
+    assert peak < 2_000_000, peak
