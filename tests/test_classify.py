@@ -243,6 +243,18 @@ class TestClassifyLlm:
         assert labels.labels == {"Traceability"}
         assert labels.provenance == {"Traceability": "llm"}
 
+    def test_grammar_break_keeps_keyword_labels_answer_and_usage(self, model):
+        # A paid answer that breaks the grammar is kept with its usage; the
+        # keyword branch still labels the provision on its own.
+        backend = StubBackend([StubEntry(match="", response="free prose only")])
+        p = prov("Listeria must be absent from ready-to-eat foods.")
+        (result,) = classify_provisions([p], model, backend)
+        assert result.labels.provenance == {"Pathogen": "keyword"}
+        assert result.raw_response == "free prose only"
+        assert result.usage == backend.complete(build_classification_prompt(p, model))[1]
+        assert result.usage.prompt_tokens > 0
+        assert result.parse_error == "no concept id or NONE marker found in response"
+
     def test_prompt_embeds_provision_and_concepts(self, model):
         messages = build_classification_prompt(prov("Keep records."), model)
         assert messages[0].role == "system"
