@@ -129,7 +129,7 @@ def parse_concept_response(raw: str, model: ConceptModel) -> frozenset[str]:
     """
     vocab = _vocabulary(model)
     if not raw.strip():
-        raise ParseError("empty classification response", raw=raw)
+        raise ParseError("empty classification response")
     if _NONE_TOKEN.search(raw):
         return frozenset()
     found = set()
@@ -138,9 +138,7 @@ def parse_concept_response(raw: str, model: ConceptModel) -> frozenset[str]:
         if cid is not None:
             found.add(cid)
     if not found:
-        raise ParseError(
-            f"no concept id or {NO_CONCEPT} marker found in response", raw=raw
-        )
+        raise ParseError(f"no concept id or {NO_CONCEPT} marker found in response")
     return frozenset(found)
 
 

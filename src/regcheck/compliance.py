@@ -1,9 +1,9 @@
 """Compliance checking of regulatory artifacts against textual rules.
 
-Renders the prompt from template + rules + passage, sends it to a chat
-backend, parses the rule determinations with their rationale, and assembles
-per-rule coverage into a compliance report. Uncovered rules constitute the
-non-compliance areas.
+Renders the prompt from template + rules + passage, parses the model's rule
+determinations with their rationale, and assembles per-rule coverage into a
+compliance report. Uncovered rules constitute the non-compliance areas. The
+model call itself is made in `pipeline`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 
 from .corpus import Passage, first_sentence_end
 from .errors import ParseError, TemplateError
-from .llm import Backend, ChatMessage, Usage
+from .llm import ChatMessage, Usage
 from .storage import read_text_or_bundled
 from .taxonomy import NOT_APPLICABLE, Ruleset, render_rules
 
@@ -138,7 +138,7 @@ def parse_response(raw: str, rules: Ruleset) -> tuple[frozenset[str], str]:
     """
     tokens = [(m.start(), f"R{m.group(1)}") for m in _RULE_TOKEN.finditer(raw)]
     if not tokens:
-        raise ParseError("no rule identifier token in response", raw=raw)
+        raise ParseError("no rule identifier token in response")
 
     if any(tok == NOT_APPLICABLE for _, tok in tokens):
         others = sorted({tok for _, tok in tokens if tok != NOT_APPLICABLE})
@@ -151,39 +151,14 @@ def parse_response(raw: str, rules: Ruleset) -> tuple[frozenset[str], str]:
         end = first_sentence_end(raw)
         leading = {tok for pos, tok in tokens if pos < end}
         if not leading:
-            raise ParseError(
-                "response does not lead with a rule identifier", raw=raw
-            )
+            raise ParseError("response does not lead with a rule identifier")
         unknown = sorted(leading - rules.ids())
         if unknown:
-            raise ParseError(f"unknown rule id(s) {unknown}", raw=raw)
+            raise ParseError(f"unknown rule id(s) {unknown}")
         ids = frozenset(leading)
 
     rationale = _LEADING_IDS.sub("", raw, count=1).strip()
     return ids, rationale
-
-
-def check_passage(bundle: PromptBundle, rules: Ruleset, backend: Backend) -> Finding:
-    """Send one bundle and parse the determination.
-
-    A response the grammar rejects becomes a finding with `parse_error` set
-    and the raw response kept for audit; its usage is still recorded, since a
-    failed parse was still a paid call. Backend failures propagate.
-    """
-    response, usage = backend.complete(bundle.messages)
-    error = None
-    try:
-        rule_ids, rationale = parse_response(response, rules)
-    except ParseError as exc:
-        rule_ids, rationale, error = frozenset(), "", str(exc)
-    return Finding(
-        passage_ref=bundle.passage_ref,
-        rule_ids=rule_ids,
-        rationale=rationale,
-        raw_response=response,
-        usage=usage,
-        parse_error=error,
-    )
 
 
 def assemble_report(

@@ -34,12 +34,8 @@ class TemplateError(RegcheckError):
 class ParseError(RegcheckError):
     """A model response did not follow the expected identifier grammar.
 
-    The raw response is retained for audit.
+    The unit's result, not the exception, keeps the response for audit.
     """
-
-    def __init__(self, message: str, raw: str = ""):
-        super().__init__(message)
-        self.raw = raw
 
 
 class BackendError(RegcheckError):

@@ -1,9 +1,9 @@
 """End-to-end runners tying segmentation, classification and checking together.
 
-Model-bound stages fan out across passages/provisions with bounded
-parallelism (at most `parallelism` requests in flight); everything else is a
-pure fold. Results keep input order, so runs with a deterministic backend
-are byte-reproducible.
+Every model call of both pipelines is made here, one unit at a time, by `_ask`.
+Model-bound stages fan out across passages/provisions with bounded parallelism
+(at most `parallelism` requests in flight); everything else is a pure fold.
+Results keep input order, so runs with a deterministic backend are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .classify import (
     fuse_labels,
     parse_concept_response,
 )
-from .compliance import Finding, check_passage, prompt_builder
+from .compliance import Finding, PromptBundle, parse_response, prompt_builder
 from .corpus import (
     Passage,
     Provision,
@@ -32,11 +32,22 @@ from .corpus import (
     extract_provisions,
 )
 from .errors import ParseError, UnchunkableText
-from .llm import Backend, BackendConfig, ModelPrice, Usage, make_backend, price_of
+from .llm import Backend, BackendConfig, ChatMessage, ModelPrice, Usage, make_backend, price_of
 from .taxonomy import ConceptModel, Ruleset
 
 SENTENCE = "sentence"
 PARAGRAPH_LEVEL = "paragraph"
+
+
+def _ask(backend: Backend, messages: Sequence[ChatMessage], parse: Callable, grammar) -> tuple:
+    """One unit's model call: `(parse(answer, grammar), answer, usage, None)`, or
+    `(None, answer, usage, message)` when `parse` raises `ParseError`, since a rejected
+    answer was still paid for. Every other exception, `BackendError` included, propagates."""
+    response, usage = backend.complete(messages)
+    try:
+        return parse(response, grammar), response, usage, None
+    except ParseError as exc:
+        return None, response, usage, str(exc)
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,16 +86,13 @@ def classify_provisions(
     prompt = classification_prompter(model, template) if backend is not None else None
 
     def classify_one(p: Provision) -> ClassifiedProvision:
-        keyword_labels = classify_keywords(p, model, stem=stem)
+        labels = classify_keywords(p, model, stem=stem)
         if backend is None:
-            return ClassifiedProvision(p, keyword_labels)
-        response, usage = backend.complete(prompt(p))
-        try:
-            ids = parse_concept_response(response, model)
-        except ParseError as exc:
-            return ClassifiedProvision(p, keyword_labels, response, usage, str(exc))
-        labels = fuse_labels(LabelSet.of(ids, FROM_LLM), keyword_labels)
-        return ClassifiedProvision(p, labels, response, usage)
+            return ClassifiedProvision(p, labels)
+        ids, response, usage, error = _ask(backend, prompt(p), parse_concept_response, model)
+        if error is None:
+            labels = fuse_labels(LabelSet.of(ids, FROM_LLM), labels)
+        return ClassifiedProvision(p, labels, response, usage, error)
 
     return _ordered_map(classify_one, provisions, parallelism)
 
@@ -131,6 +139,14 @@ def compliance_units(
         context = parents.get(passage.parent_block[0])
         units.append(CheckUnit(passage, None if context == passage.text else context))
     return units
+
+
+def check_passage(bundle: PromptBundle, rules: Ruleset, backend: Backend) -> Finding:
+    """Send one bundle and parse the determination. A response the grammar rejects
+    becomes a finding with `parse_error` set and no rule ids (see `_ask`)."""
+    parsed, response, usage, error = _ask(backend, bundle.messages, parse_response, rules)
+    rule_ids, rationale = parsed or (frozenset(), "")
+    return Finding(bundle.passage_ref, rule_ids, rationale, response, usage, error)
 
 
 def run_compliance(

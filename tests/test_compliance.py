@@ -11,7 +11,6 @@ from regcheck.compliance import (
     Finding,
     assemble_report,
     build_prompt,
-    check_passage,
     default_template,
     parse_response,
     report_to_dict,
@@ -20,6 +19,7 @@ from regcheck.compliance import (
 from regcheck.corpus import Passage, chunk_paragraphs
 from regcheck.errors import ParseError, TemplateError
 from regcheck.llm import StubBackend, StubEntry
+from regcheck.pipeline import check_passage
 from regcheck.taxonomy import load_ruleset
 
 
@@ -102,7 +102,7 @@ class TestParseResponse:
     def test_prose_without_token(self, rules):
         with pytest.raises(ParseError) as err:
             parse_response("This passage has no direct connection.", rules)
-        assert err.value.raw == "This passage has no direct connection."
+        assert str(err.value) == "no rule identifier token in response"
 
 
 class TestCheckPassage:

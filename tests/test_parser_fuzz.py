@@ -23,7 +23,7 @@ _REF_LEADING_IDS = re.compile(r"^\s*(?:R\d+\b[\s,;]*(?:and\s+)?)+[.:–-]?\s*")
 def _ref_parse_response(raw, rules):
     tokens = [(m.start(), f"R{m.group(1)}") for m in _REF_RULE_TOKEN.finditer(raw)]
     if not tokens:
-        raise ParseError("no rule identifier token in response", raw=raw)
+        raise ParseError("no rule identifier token in response")
     if any(tok == NOT_APPLICABLE for _, tok in tokens):
         ids = frozenset()
     else:
@@ -31,10 +31,10 @@ def _ref_parse_response(raw, rules):
         first_end = spans[0][1] if spans else len(raw)
         leading = {tok for pos, tok in tokens if pos < first_end}
         if not leading:
-            raise ParseError("response does not lead with a rule identifier", raw=raw)
+            raise ParseError("response does not lead with a rule identifier")
         unknown = sorted(leading - frozenset(r.rule_id for r in rules.rules))
         if unknown:
-            raise ParseError(f"unknown rule id(s) {unknown}", raw=raw)
+            raise ParseError(f"unknown rule id(s) {unknown}")
         ids = frozenset(leading)
     rationale = _REF_LEADING_IDS.sub("", raw, count=1).strip()
     return ids, rationale
@@ -43,7 +43,7 @@ def _ref_parse_response(raw, rules):
 def _ref_parse_concept_response(raw, model):
     vocab = {cid.lower(): cid for cid in model.non_scarce_ids()}
     if not raw.strip():
-        raise ParseError("empty classification response", raw=raw)
+        raise ParseError("empty classification response")
     if re.search(r"\bNONE\b", raw):
         return frozenset()
     spans = sentence_spans(raw)
@@ -54,7 +54,7 @@ def _ref_parse_concept_response(raw, model):
         if cid is not None:
             found.add(cid)
     if not found:
-        raise ParseError(f"no concept id or {NO_CONCEPT} marker found in response", raw=raw)
+        raise ParseError(f"no concept id or {NO_CONCEPT} marker found in response")
     return frozenset(found)
 
 
@@ -76,7 +76,7 @@ def outcome(parse, *args):
     try:
         return "ok", parse(*args)
     except ParseError as exc:
-        return "error", str(exc), exc.raw
+        return "error", str(exc)
 
 
 @pytest.fixture(scope="module")
