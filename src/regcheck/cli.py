@@ -284,7 +284,12 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.keyword_only:
         results = classify(None, parallelism=cfg.backend.parallelism)
     else:
-        [results] = model_runs(cfg.backend, load_price_table(cfg.price_table), 1, classify)
+        runs = model_runs(cfg.backend, load_price_table(cfg.price_table), 1, classify)
+        if args.out:  # a location that cannot take the file fails before the first call
+            if Path(args.out).is_dir():
+                raise IsADirectoryError(f"--out {args.out} is a directory")
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        [results] = runs
     _emit((jsonl_line(r.to_record()) for r in results), args.out)
     return EXIT_OK
 
@@ -301,10 +306,15 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     check = partial(run_compliance, units, rules, template=template)
 
     runs = model_runs(cfg.backend, prices, cfg.runs, check)
+    targets = (
+        [out_dir / f"run_{k:02d}" for k in range(1, cfg.runs + 1)] if cfg.runs > 1 else [out_dir]
+    )
+    for target in targets:  # an out-dir that cannot be made fails before the first call
+        target.mkdir(parents=True, exist_ok=True)
     worst_failures = 0
-    for run in range(1, cfg.runs + 1):
+    for target in targets:
         report = assemble_report(next(runs), rules, doc.doc_id)
-        write_check_outputs(out_dir / f"run_{run:02d}" if cfg.runs > 1 else out_dir, report, prices)
+        write_check_outputs(target, report, prices)
         worst_failures = max(worst_failures, report.totals["parse_failures"])
         del report  # frees this run's findings before the next run; enumerate() would keep them
 

@@ -40,14 +40,6 @@ class PromptBundle:
     passage_ref: str
     ruleset_ref: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "messages", tuple(self.messages))
-        roles = [m.role for m in self.messages]
-        if roles.count("system") != 1 or roles[0] != "system":
-            raise ValueError("bundle needs exactly one system message, first in order")
-        if "user" not in roles:
-            raise ValueError("bundle needs at least one user message")
-
 
 @dataclass(frozen=True, slots=True)
 class Finding:

@@ -18,8 +18,8 @@ class UnchunkableText(RegcheckError):
 class SchemaError(RegcheckError):
     """A concept model or ruleset record violates an invariant.
 
-    Carries the offending field path (e.g. "concepts[2].keywords") so data
-    authors can locate the record.
+    Carries the offending field path, after the file and line of its record
+    (e.g. "concepts.jsonl:3: concepts[2].keywords"), so data authors can locate it.
     """
 
     def __init__(self, message: str, field_path: str = ""):

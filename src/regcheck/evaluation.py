@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import UnitMismatch
-from .storage import read_jsonl
+from .storage import numbered_jsonl
 
 EXACT = "exact"
 ANY_OVERLAP = "any_overlap"
@@ -33,10 +33,10 @@ def load_gold(path: str | Path) -> list[GoldRecord]:
     """Gold file: one JSONL record per unit: {"unit_ref", "labels"}."""
     records = []
     seen = set()
-    for rec in read_jsonl(path):
-        ref, labels = _unit_labels(path, rec.get("unit_ref"), rec.get("labels", []))
+    for line, rec in numbered_jsonl(path):
+        ref, labels = _unit_labels(path, line, rec.get("unit_ref"), rec.get("labels", []))
         if ref in seen:
-            raise ValueError(f"duplicate unit_ref {ref!r} in gold file {path}")
+            raise ValueError(f"{path}:{line}: duplicate unit_ref {ref!r} in gold file")
         seen.add(ref)
         records.append(GoldRecord(ref, labels))
     return records
@@ -51,23 +51,23 @@ def load_predictions(path: str | Path) -> tuple[dict[str, frozenset[str]], int]:
     """
     predicted = {}
     parse_failures = 0
-    for rec in read_jsonl(path):
+    for line, rec in numbered_jsonl(path):
         ref = rec.get("unit_ref") or rec.get("prov_id")
-        ref, labels = _unit_labels(path, ref, rec.get("labels"))
+        ref, labels = _unit_labels(path, line, ref, rec.get("labels"))
         if ref in predicted:
-            raise ValueError(f"duplicate unit_ref {ref!r} in prediction file {path}")
+            raise ValueError(f"{path}:{line}: duplicate unit_ref {ref!r} in prediction file")
         predicted[ref] = labels
         if rec.get("parse_error") is not None:
             parse_failures += 1
     return predicted, parse_failures
 
 
-def _unit_labels(path: str | Path, ref, labels) -> tuple[str, frozenset[str]]:
+def _unit_labels(path: str | Path, line: int, ref, labels) -> tuple[str, frozenset[str]]:
     """A record's unit reference and label set, each checked for its type."""
     if not isinstance(ref, str) or not ref:
-        raise ValueError(f"{path}: unit_ref must be a non-empty string, got {ref!r}")
+        raise ValueError(f"{path}:{line}: unit_ref must be a non-empty string, got {ref!r}")
     if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
-        raise ValueError(f"{path}: labels of {ref!r} must be a list of strings, got {labels!r}")
+        raise ValueError(f"{path}:{line}: labels of {ref!r} must be a list of strings, got {labels!r}")
     return ref, frozenset(labels)
 
 

@@ -31,7 +31,7 @@ from .errors import (
     ScriptExhausted,
     UnknownModelPrice,
 )
-from .storage import atomic_write_text, jsonl_line, read_jsonl, read_text_or_bundled
+from .storage import atomic_write_text, jsonl_line, numbered_jsonl, read_text_or_bundled
 
 HTTP = "http"
 STUB = "stub"
@@ -183,13 +183,13 @@ class StubBackend:
 def load_stub_script(path: str | Path) -> list[StubEntry]:
     """Read stub entries from a JSONL file of {"match": ..., "response": ...}."""
     entries = []
-    for rec in read_jsonl(path):
+    for line, rec in numbered_jsonl(path):
         match, response = rec.get("match"), rec.get("response")
         if not isinstance(response, str):
-            raise ValueError(f"{path}: stub entry needs a string 'response'")
+            raise ValueError(f"{path}:{line}: stub entry needs a string 'response'")
         if not isinstance(match, str):
             raise ValueError(
-                f"{path}: stub entry needs a string 'match' (\"match\": \"\" is a catch-all)"
+                f"{path}:{line}: stub entry needs a string 'match' (\"match\": \"\" is a catch-all)"
             )
         entries.append(StubEntry(response=response, match=match))
     return entries
@@ -535,16 +535,18 @@ def cost_row(price_table: dict[str, ModelPrice], usage: Usage) -> dict:
 
 
 def cost_summary(rows: Callable[[], Iterable[dict]]) -> dict:
-    """`costs_summary.json` of the ledger rows that each call of `rows()` gives
-    afresh: each total is one `sum()` over the rows in order, and no list is built."""
-    return {
-        "calls": sum(1 for _ in rows()),
-        "cache_hits": sum(1 for r in rows() if r["cached"]),
-        "prompt_tokens": sum(r["prompt_tokens"] for r in rows()),
-        "completion_tokens": sum(r["completion_tokens"] for r in rows()),
-        "monetary_cost": sum(r["monetary_cost"] for r in rows()),
-        "latency_s": sum(r["latency_s"] for r in rows()),
-    }
+    """`costs_summary.json` of the ledger rows that each call of `rows()` gives afresh,
+    with no list built: one pass for the integer totals, then one `sum()` over the rows
+    in order per float total (a `+=` loop rounds otherwise from Python 3.12 on)."""
+    totals = dict.fromkeys(("calls", "cache_hits", "prompt_tokens", "completion_tokens"), 0)
+    for r in rows():
+        totals["calls"] += 1
+        totals["cache_hits"] += 1 if r["cached"] else 0
+        totals["prompt_tokens"] += r["prompt_tokens"]
+        totals["completion_tokens"] += r["completion_tokens"]
+    totals["monetary_cost"] = sum(r["monetary_cost"] for r in rows())
+    totals["latency_s"] = sum(r["latency_s"] for r in rows())
+    return totals
 
 
 class CostLedger:

@@ -19,6 +19,12 @@ def read_text_or_bundled(path: str | Path | None, bundled: str) -> str:
 
 def read_jsonl(path: str | Path) -> list[dict]:
     """Read one JSON object per non-blank line."""
+    return [record for _, record in numbered_jsonl(path)]
+
+
+def numbered_jsonl(path: str | Path) -> list[tuple[int, dict]]:
+    """`(line number, record)` for each non-blank line of `path`, which must hold one
+    JSON object; the loaders name a record they reject by `path` and that line."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -31,7 +37,7 @@ def read_jsonl(path: str | Path) -> list[dict]:
                 raise ValueError(f"{path}:{lineno}: invalid JSON record: {exc}") from exc
             if not isinstance(record, dict):
                 raise ValueError(f"{path}:{lineno}: expected a JSON object")
-            records.append(record)
+            records.append((lineno, record))
     return records
 
 

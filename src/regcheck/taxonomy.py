@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import SchemaError
-from .storage import read_jsonl
+from .storage import numbered_jsonl
 
 NOT_APPLICABLE = "R99"
 
@@ -80,8 +80,8 @@ def load_concept_model(path: str | Path) -> ConceptModel:
     concepts: list[Concept] = []
     seen: set[str] = set()
     version = ""
-    for i, rec in enumerate(read_jsonl(path)):
-        where = f"concepts[{i}]"
+    for i, (line, rec) in enumerate(numbered_jsonl(path)):
+        where = f"{path}:{line}: concepts[{i}]"
         if "concept_id" not in rec and "version" in rec:
             version = str(rec["version"])
             continue
@@ -107,9 +107,9 @@ def load_concept_model(path: str | Path) -> ConceptModel:
             )
         concepts.append(Concept(cid, name, scarce, tuple(keywords)))
     if not concepts:
-        raise SchemaError("concept model is empty", "concepts")
+        raise SchemaError("concept model is empty", f"{path}: concepts")
     if not any(not c.scarce for c in concepts):
-        raise SchemaError("at least one non-scarce concept is required", "concepts")
+        raise SchemaError("at least one non-scarce concept is required", f"{path}: concepts")
     return ConceptModel(tuple(concepts), version)
 
 
@@ -122,8 +122,8 @@ def load_ruleset(path: str | Path) -> Ruleset:
     """
     rules: list[RuleSpec] = []
     seen: set[str] = set()
-    for i, rec in enumerate(read_jsonl(path)):
-        where = f"rules[{i}]"
+    for i, (line, rec) in enumerate(numbered_jsonl(path)):
+        where = f"{path}:{line}: rules[{i}]"
         rid = _require_str(rec, "rule_id", where)
         text = _require_str(rec, "text", where)
         source_ref = rec.get("source_ref", "")
@@ -143,7 +143,7 @@ def load_ruleset(path: str | Path) -> Ruleset:
         seen.add(rid)
         rules.append(RuleSpec(rid, text, source_ref))
     if not rules:
-        raise SchemaError("ruleset is empty", "rules")
+        raise SchemaError("ruleset is empty", f"{path}: rules")
     return Ruleset(tuple(rules), Path(path).stem)
 
 

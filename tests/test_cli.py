@@ -288,6 +288,51 @@ def test_malformed_classification_template_exits_2_before_any_call(tmp_path, mon
     assert not (tmp_path / "out").exists()
 
 
+# Output locations that cannot be written: a path under a file, or (for the
+# classify labels) a directory. Each exits 2 before the first model call.
+# A permission-denied directory is not among them: the tests may run as root.
+@pytest.mark.parametrize(
+    "argv,out,message",
+    [
+        (["check", "--runs", "1"], "file", "File exists"),
+        (["check", "--runs", "2"], "file", "Not a directory"),
+        (["check", "--runs", "1"], "file/sub", "Not a directory"),
+        (["classify"], "file/labels.jsonl", "File exists"),
+        (["classify"], "dir", "is a directory"),
+    ],
+    ids=["check-file", "check-runs-file", "check-under-file", "classify-under-file", "classify-dir"],
+)
+def test_unwritable_output_location_exits_2_before_any_call(
+    tmp_path, monkeypatch, capsys, argv, out, message
+):
+    calls = []
+    monkeypatch.setattr(StubBackend, "complete", lambda self, messages: calls.append(messages))
+    (tmp_path / "file").write_text("not a directory\n", encoding="utf-8")
+    (tmp_path / "dir").mkdir()
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    if argv[0] == "check":
+        argv = argv + [
+            "--artifact", str(FIXTURES / "dpa_demo.txt"), "--format", "structured",
+            "--rules", str(DATA / "gdpr_art28_demo.jsonl"),
+            "--stub-script", str(FIXTURES / "stub_paragraph_aware.jsonl"),
+            "--out-dir", str(tmp_path / out),
+        ]
+    else:
+        argv = argv + [
+            "--input", str(FIXTURES / "food_corpus.txt"), "--format", "structured",
+            "--concepts", str(DATA / "food_safety_concepts.jsonl"),
+            "--stub-script", str(FIXTURES / "stub_classify.jsonl"),
+            "--out", str(tmp_path / out),
+        ]
+    assert run(*argv, "--cache-dir", str(cache)) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+    assert list(cache.iterdir()) == []
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "not a directory\n"
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
 class TestCheck:
     def _check(self, tmp_path, *extra, script="stub_paragraph_aware.jsonl"):
         return run(
@@ -596,6 +641,15 @@ class TestEval:
         assert box["min"] == 0.7
         assert box["max"] == 0.9
 
+    def test_runs_dir_without_metrics_exits_2_naming_it(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        (runs / "run_01").mkdir(parents=True)
+        (runs / "metrics.json").write_text("{}", encoding="utf-8")  # not in a run directory
+        out = tmp_path / "aggregate.json"
+        assert run("eval", "--runs-dir", str(runs), "--out", str(out)) == 2
+        assert f"no <run>/metrics.json files under {runs}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "body",
         [
@@ -697,11 +751,13 @@ _VALID_FIRST_LINE = {
 }
 
 
-@pytest.mark.parametrize("line", ["[1, 2]", "[]", '"x"', "7", "null"])
-@pytest.mark.parametrize("flag", sorted(_VALID_FIRST_LINE))
-def test_non_object_jsonl_line_exits_2_before_any_call(tmp_path, capsys, flag, line):
+def _assert_jsonl_rejected_before_any_call(tmp_path, monkeypatch, capsys, flag, text, message):
+    """The command that reads `text` as its `flag` input exits 2 with `message`
+    after the file's name, makes no model call and writes nothing."""
+    calls = []
+    monkeypatch.setattr(StubBackend, "complete", lambda self, messages: calls.append(messages))
     bad = tmp_path / f"{flag}.jsonl"
-    bad.write_text(json.dumps(_VALID_FIRST_LINE[flag]) + "\n" + line + "\n", encoding="utf-8")
+    bad.write_text(text, encoding="utf-8")
     good = tmp_path / "good.jsonl"
     write_jsonl(good, [_VALID_FIRST_LINE["gold"]])
     out, cache = tmp_path / "out", tmp_path / "cache"
@@ -722,9 +778,78 @@ def test_non_object_jsonl_line_exits_2_before_any_call(tmp_path, capsys, flag, l
         "pred": ["eval", "--gold", str(good), "--pred", str(bad), "--out", str(out)],
     }[flag]
     assert run(*argv) == 2
-    assert f"{bad}:2: expected a JSON object" in capsys.readouterr().err
+    assert f"{bad}{message}" in capsys.readouterr().err
+    assert calls == []
     assert not out.exists()
     assert list(cache.iterdir()) == []
+
+
+# A second line that is not a JSON object, and the message that names it. Blank
+# lines are skipped but counted.
+_NON_OBJECT_LINES = {
+    "[1, 2]": ":2: expected a JSON object",
+    "[]": ":2: expected a JSON object",
+    '"x"': ":2: expected a JSON object",
+    "7": ":2: expected a JSON object",
+    "null": ":2: expected a JSON object",
+    '{"unit_ref": "a"': ":2: invalid JSON record",
+    " \n[]": ":3: expected a JSON object",
+}
+
+
+@pytest.mark.parametrize("line", list(_NON_OBJECT_LINES))
+@pytest.mark.parametrize("flag", sorted(_VALID_FIRST_LINE))
+def test_non_object_jsonl_line_exits_2_before_any_call(tmp_path, monkeypatch, capsys, flag, line):
+    text = json.dumps(_VALID_FIRST_LINE[flag]) + "\n" + line + "\n"
+    _assert_jsonl_rejected_before_any_call(
+        tmp_path, monkeypatch, capsys, flag, text, _NON_OBJECT_LINES[line]
+    )
+
+
+@pytest.mark.parametrize(
+    "flag,records,message",
+    [
+        (
+            "concepts",
+            [{"concept_id": "C2", "name": "Colour", "scarce": "yes"}],
+            ":2: concepts[1].scarce: scarce must be a boolean",
+        ),
+        (
+            "concepts",
+            [{"concept_id": "C2", "name": "Pathogen", "scarce": True, "keywords": "listeria"}],
+            ":2: concepts[1].keywords: keywords must be a list of strings",
+        ),
+        (
+            "rules",
+            [{"rule_id": "R2", "text": "delete data", "source_ref": 28}],
+            ":2: rules[1].source_ref: source_ref must be a string",
+        ),
+        (
+            "rules",
+            [{"rule_id": "R2", "text": " "}],
+            ":2: rules[1].text: text must be a non-empty string",
+        ),
+        ("stub-script", [{"match": "assist"}], ":2: stub entry needs a string 'response'"),
+        (
+            "gold",
+            [{"unit_ref": "a", "labels": ["R5"]}],
+            ":2: duplicate unit_ref 'a' in gold file",
+        ),
+    ],
+    ids=["scarce", "keywords", "source-ref", "text", "stub-response", "gold-duplicate"],
+)
+def test_rejected_jsonl_record_exits_2_naming_its_line_before_any_call(
+    tmp_path, monkeypatch, capsys, flag, records, message
+):
+    text = "".join(json.dumps(r) + "\n" for r in [_VALID_FIRST_LINE[flag], *records])
+    _assert_jsonl_rejected_before_any_call(tmp_path, monkeypatch, capsys, flag, text, message)
+
+
+def test_concept_model_without_concepts_exits_2_naming_the_file(tmp_path, monkeypatch, capsys):
+    _assert_jsonl_rejected_before_any_call(
+        tmp_path, monkeypatch, capsys, "concepts", '{"version": "v1"}\n',
+        ": concepts: concept model is empty",
+    )
 
 
 class TestConfigPrecedence:
