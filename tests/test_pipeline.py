@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+import threading
+import time
+
 import pytest
 
 from regcheck.classify import default_classification_template
@@ -9,7 +13,7 @@ from regcheck.compliance import build_prompt, default_template
 from regcheck.corpus import block_text, extract_provisions, parse_document
 from regcheck.errors import UnchunkableText
 from regcheck.llm import StubBackend, StubEntry, load_stub_script
-from regcheck.pipeline import classify_provisions, compliance_units, run_compliance
+from regcheck.pipeline import _ordered_map, classify_provisions, compliance_units, run_compliance
 from regcheck.taxonomy import load_concept_model, load_ruleset
 
 
@@ -112,3 +116,59 @@ class TestClassifyProvisions:
         assert result.labels.labels == {"Pathogen"}
         assert result.raw_response == ""
         assert result.usage is None
+
+
+class _Failure(Exception):
+    """Raised by `_Counting` for a failing unit; carries the unit's index."""
+
+
+class _Counting:
+    """A unit function that sleeps for a seeded random time and counts its calls.
+
+    Unit `i` returns `i * i`, or raises `_Failure(i)` when `i` is in `failing`;
+    `sleeps` overrides the random sleep of chosen units.
+    """
+
+    def __init__(self, seed: int, failing=(), sleeps=None):
+        rng = random.Random(seed)
+        self.sleeps = lambda i: (sleeps or {}).get(i, rng.uniform(0, 0.003))
+        self.failing = set(failing)
+        self.lock = threading.Lock()
+        self.started = 0
+        self.in_flight = 0
+        self.max_in_flight = 0
+
+    def __call__(self, i: int) -> int:
+        with self.lock:
+            self.started += 1
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+            pause = self.sleeps(i)
+        try:
+            time.sleep(pause)
+            if i in self.failing:
+                raise _Failure(i)
+            return i * i
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+class TestOrderedMap:
+    @pytest.mark.parametrize("parallelism", [1, 2, 4, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_input_order_and_at_most_parallelism_in_flight(self, parallelism, seed):
+        fn = _Counting(seed)
+        assert _ordered_map(fn, range(150), parallelism) == [i * i for i in range(150)]
+        assert fn.started == 150
+        assert 1 <= fn.max_in_flight <= parallelism
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 4, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_raises_the_first_failure_in_input_order(self, parallelism, seed):
+        # Unit 37 fails last in time; 41 and 90 fail sooner, but come after it.
+        fn = _Counting(seed, failing={37, 41, 90}, sleeps={37: 0.05, 41: 0, 90: 0})
+        with pytest.raises(_Failure) as err:
+            _ordered_map(fn, range(150), parallelism)
+        assert err.value.args == (37,)
+        assert fn.max_in_flight <= parallelism
