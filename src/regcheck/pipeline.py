@@ -1,14 +1,16 @@
 """End-to-end runners tying segmentation, classification and checking together.
 
 Every model call of both pipelines is made here, one unit at a time, by `_ask`.
-Model-bound stages fan out across passages/provisions with bounded parallelism
-(at most `parallelism` requests in flight); everything else is a pure fold.
+Model-bound stages fan out across passages/provisions with bounded parallelism:
+at most `parallelism` requests in flight and 2·`parallelism` units queued, and
+after a unit fails no further unit starts. Everything else is a pure fold.
 Results keep input order, so runs with a deterministic backend are byte-reproducible.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -37,6 +39,8 @@ from .taxonomy import ConceptModel, Ruleset
 
 SENTENCE = "sentence"
 PARAGRAPH_LEVEL = "paragraph"
+# Units submitted per worker thread: one running, one waiting to start.
+_QUEUED_PER_WORKER = 2
 
 
 def _ask(backend: Backend, messages: Sequence[ChatMessage], parse: Callable, grammar) -> tuple:
@@ -182,9 +186,36 @@ def _ordered_map(fn: Callable, items: Sequence, parallelism: int) -> list:
     """`fn` over `items` in input order, at most `parallelism` calls at a time.
 
     At parallelism 1 the calls run in the calling thread, one after another,
-    and the first exception stops the run.
+    and the first exception stops the run. Above it, at most
+    `_QUEUED_PER_WORKER * parallelism` units are submitted at once. Once a unit
+    raises, no further unit is submitted, a queued unit after it in input order
+    does not call `fn`, and the failure first in input order is raised.
     """
     if parallelism <= 1:
         return [fn(item) for item in items]
+    failed: list[int] = []  # input indices of the units that raised, in time order
+
+    def unit(index: int, item):
+        if failed and index > failed[0]:
+            return None  # never read: the caller raises an earlier unit's failure first
+        try:
+            return fn(item)
+        except BaseException:
+            failed.append(index)
+            raise
+
+    results: list = []
+    pending: deque[Future] = deque()
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(fn, items))
+        try:
+            for index, item in enumerate(items):
+                if len(pending) == _QUEUED_PER_WORKER * parallelism:
+                    results.append(pending.popleft().result())
+                if failed:
+                    break
+                pending.append(pool.submit(unit, index, item))
+            results.extend(future.result() for future in pending)
+        finally:
+            for future in pending:
+                future.cancel()
+    return results

@@ -13,7 +13,13 @@ from regcheck.compliance import build_prompt, default_template
 from regcheck.corpus import block_text, extract_provisions, parse_document
 from regcheck.errors import UnchunkableText
 from regcheck.llm import StubBackend, StubEntry, load_stub_script
-from regcheck.pipeline import _ordered_map, classify_provisions, compliance_units, run_compliance
+from regcheck.pipeline import (
+    _QUEUED_PER_WORKER,
+    _ordered_map,
+    classify_provisions,
+    compliance_units,
+    run_compliance,
+)
 from regcheck.taxonomy import load_concept_model, load_ruleset
 
 
@@ -172,3 +178,16 @@ class TestOrderedMap:
             _ordered_map(fn, range(150), parallelism)
         assert err.value.args == (37,)
         assert fn.max_in_flight <= parallelism
+
+    @pytest.mark.parametrize("parallelism", [2, 4, 8])
+    def test_a_failure_stops_further_calls(self, parallelism):
+        # Unit 0 holds the caller back while unit 1 fails at once. Only the units
+        # already queued may still start; none starts after the error is raised.
+        fn = _Counting(0, failing={1}, sleeps={0: 0.3, 1: 0})
+        with pytest.raises(_Failure) as err:
+            _ordered_map(fn, range(200), parallelism)
+        assert err.value.args == (1,)
+        started = fn.started
+        assert started <= _QUEUED_PER_WORKER * parallelism + 1
+        time.sleep(0.05)
+        assert fn.started == started
