@@ -12,7 +12,6 @@ Responsibilities:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import select
@@ -369,6 +368,8 @@ def cache_key(
     max_output_tokens: int = BackendConfig.max_output_tokens,
 ) -> str:
     """Content digest of (model, temperature, output cap, messages); order-sensitive."""
+    import hashlib  # here, not at the top: it maps OpenSSL, which an uncached run never needs
+
     canonical = json.dumps(
         {
             "model": model_name,

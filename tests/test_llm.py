@@ -730,6 +730,41 @@ def test_requests_is_never_imported(fixtures, data_dir, tmp_path):
     assert _ScriptedHandler.requests_seen
 
 
+_LOADS_HASHLIB = '''
+import sys
+
+from regcheck.cli import main
+
+code = main(sys.argv[1:])
+print("_hashlib" in sys.modules)
+sys.exit(code)
+'''
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+def test_openssl_is_loaded_only_for_a_cached_run(fixtures, data_dir, tmp_path, cached):
+    # hashlib maps OpenSSL's libcrypto, a few MB of memory; only the cache key needs it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    cache = ["--cache-dir", str(tmp_path / "cache")] if cached else []
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", _LOADS_HASHLIB, "check",
+            "--artifact", str(fixtures / "dpa_demo.txt"), "--format", "structured",
+            "--rules", str(data_dir / "gdpr_art28_demo.jsonl"),
+            "--stub-script", str(fixtures / "stub_paragraph_aware.jsonl"),
+            "--out-dir", str(tmp_path / "out"), *cache,
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{cached}\n"
+
+
 class TestBoundedParallelism:
     def test_at_most_parallelism_in_flight(self, fixtures, data_dir):
         from regcheck.corpus import parse_document
