@@ -338,7 +338,7 @@ class _Builder:
         self.kind: str | None = None
         self.parts: list[str] = []
         self.header = ""
-        self.items: list[str] = []
+        self.items: list[list[str]] = []  # each list item's lines, joined in `close`
         # Plain format: the open paragraph's first line has an enumeration marker.
         self.prose = False
 
@@ -388,7 +388,7 @@ class _Builder:
             raise MalformedInput(f"line {lineno}: list item outside a list")
         if not text.strip():
             raise MalformedInput(f"line {lineno}: empty list item")
-        self.items.append(text.strip())
+        self.items.append([text.strip()])
 
     def continuation(self, text: str, lineno: int):
         if self.kind == PARAGRAPH:
@@ -398,7 +398,7 @@ class _Builder:
                 raise MalformedInput(
                     f"line {lineno}: expected a list item after the header"
                 )
-            self.items[-1] += " " + text.strip()
+            self.items[-1].append(text.strip())
         else:
             raise MalformedInput(f"line {lineno}: text outside any block")
 
@@ -414,7 +414,8 @@ class _Builder:
                     f"unclosed list: header {self.header!r} has no items"
                 )
             self.blocks.append(
-                Block(LIST, len(self.blocks), header=self.header, items=tuple(self.items))
+                Block(LIST, len(self.blocks), header=self.header,
+                      items=tuple(" ".join(parts) for parts in self.items))
             )
         self.kind = None
         self.parts, self.header, self.items = [], "", []
