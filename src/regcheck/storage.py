@@ -89,6 +89,8 @@ def atomic_write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
     """Stream `chunks` into a temp file and rename it over `path`, so readers never
     see a partial file; if `chunks` raises, `path` is left as it was."""
     path = Path(path)
+    if path.is_dir():  # before the temp file, so the error names `path`, not the temp file
+        raise IsADirectoryError(f"{path} is a directory")
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:

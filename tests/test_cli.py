@@ -333,6 +333,25 @@ def test_unwritable_output_location_exits_2_before_any_call(
     assert list((tmp_path / "dir").iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["segment", "--input", str(FIXTURES / "dpa_demo.txt"), "--format", "structured"],
+        ["eval", "--gold", str(FIXTURES / "dpa_gold_paragraph.jsonl"),
+         "--pred", str(FIXTURES / "dpa_gold_paragraph.jsonl")],
+    ],
+    ids=["segment", "eval"],
+)
+def test_out_that_is_a_directory_exits_2_naming_it(tmp_path, capsys, argv):
+    out = tmp_path / "dir"
+    out.mkdir()
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {out} is a directory\n"
+    assert list(tmp_path.iterdir()) == [out]
+    assert list(out.iterdir()) == []
+
+
 class TestCheck:
     def _check(self, tmp_path, *extra, script="stub_paragraph_aware.jsonl"):
         return run(
