@@ -17,11 +17,6 @@ def read_text_or_bundled(path: str | Path | None, bundled: str) -> str:
     return source.read_text(encoding="utf-8")
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    """Read one JSON object per non-blank line."""
-    return [record for _, record in numbered_jsonl(path)]
-
-
 def numbered_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     """`(line number, record)` for each non-blank line of `path`, which must hold one
     JSON object; the loaders name a record they reject by `path` and that line."""

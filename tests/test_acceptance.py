@@ -37,7 +37,7 @@ from regcheck.evaluation import (
     metrics,
 )
 from regcheck.llm import CostLedger, ModelPrice, StubBackend, StubEntry, ChatMessage
-from regcheck.storage import read_jsonl
+from regcheck.storage import numbered_jsonl
 from regcheck.taxonomy import Ruleset, RuleSpec
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -63,7 +63,7 @@ def test_criterion_1_segmentation_gold_suite(gold_doc):
     predicted = extract_provisions(gold_doc)
     elapsed = time.perf_counter() - started
 
-    gold = read_jsonl(FIXTURES / "sfcr_gold_sentences.jsonl")
+    gold = [r for _, r in numbered_jsonl(FIXTURES / "sfcr_gold_sentences.jsonl")]
     assert len(gold) >= 50
     assert sum(1 for b in gold_doc.blocks if b.kind == "list") >= 5
 
@@ -169,7 +169,7 @@ def test_criterion_4_parser_round_trip():
         ),
         name="oracle",
     )
-    table = read_jsonl(FIXTURES / "parser_oracle.jsonl")
+    table = [r for _, r in numbered_jsonl(FIXTURES / "parser_oracle.jsonl")]
     assert len(table) == 100
     failures = []
     for i, case in enumerate(table):
@@ -291,7 +291,7 @@ def test_criterion_6_rq4_replay(tmp_path):
         assert code == 0
         predicted = {
             r["unit_ref"]: frozenset(r["labels"])
-            for r in read_jsonl(out / "findings.jsonl")
+            for _, r in numbered_jsonl(out / "findings.jsonl")
         }
         gold = load_gold(FIXTURES / f"dpa_gold_{granularity}.jsonl")
         return match_accuracy(predicted, gold, "any_overlap")
@@ -401,7 +401,7 @@ def test_criterion_8_classification_replay(tmp_path):
     assert code == 0
     golden = (FIXTURES / "golden_labels.jsonl").read_bytes()
     assert out.read_bytes() == golden  # byte-for-byte
-    records = read_jsonl(out)
+    records = [r for _, r in numbered_jsonl(out)]
     provenances = {src for r in records for src in r["provenance"].values()}
     assert provenances == {"llm", "keyword"}  # both branches fused into the output
     assert any(len(r["labels"]) == 2 for r in records)

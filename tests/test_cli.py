@@ -15,7 +15,7 @@ from regcheck.classify import _stem_token
 from regcheck.cli import main
 from regcheck.corpus import estimate_tokens
 from regcheck.llm import MAX_BACKOFF_S, StubBackend
-from regcheck.storage import read_jsonl, write_json, write_jsonl
+from regcheck.storage import numbered_jsonl, write_json, write_jsonl
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DATA = Path(__file__).parent.parent / "src" / "regcheck" / "data"
@@ -59,8 +59,8 @@ class TestSegment:
             "--out", str(out),
         )
         assert code == 0
-        records = read_jsonl(out)
-        gold = read_jsonl(FIXTURES / "sfcr_gold_sentences.jsonl")
+        records = [r for _, r in numbered_jsonl(out)]
+        gold = [r for _, r in numbered_jsonl(FIXTURES / "sfcr_gold_sentences.jsonl")]
         assert len(records) == len(gold)
         assert [r["text"] for r in records] == [g["text"] for g in gold]
         assert records[0]["unit_ref"] == "sfcr_gold_corpus:b0:s0"
@@ -89,7 +89,7 @@ class TestSegment:
             "--out", str(out),
         )
         assert code == 0
-        records = read_jsonl(out)
+        records = [r for _, r in numbered_jsonl(out)]
         assert len(records) >= 2  # the tiny budget forces sentence-edge splits
         for rec in records:
             assert rec["token_estimate"] <= 20
@@ -182,7 +182,7 @@ class TestClassify:
             "--out", str(out),
         )
         assert code == 0
-        records = read_jsonl(out)
+        records = [r for _, r in numbered_jsonl(out)]
         by_id = {r["prov_id"]: r for r in records}
         assert by_id["food_corpus:b2:s0"]["labels"] == ["Colour"]
         assert by_id["food_corpus:b0:s0"]["labels"] == []  # model branch skipped
@@ -203,7 +203,7 @@ class TestClassify:
             "--out", str(out),
         )
         assert code == 0
-        by_id = {r["prov_id"]: r for r in read_jsonl(out)}
+        by_id = {r["prov_id"]: r for _, r in numbered_jsonl(out)}
         assert by_id["food_corpus:b2:s2"]["provenance"] == {
             "Inspection": "llm",
             "Pathogen": "keyword",
@@ -371,7 +371,7 @@ class TestCheck:
         assert report["uncovered_rules"] == ["R4", "R8"]
         assert report["totals"]["passages"] == 8
         assert (out / "report.md").exists()
-        findings = read_jsonl(out / "findings.jsonl")
+        findings = [r for _, r in numbered_jsonl(out / "findings.jsonl")]
         assert len(findings) == 8
         costs = json.loads((out / "costs_summary.json").read_text(encoding="utf-8"))
         assert costs["calls"] == 8
@@ -539,7 +539,7 @@ class TestCheck:
             assert code == 0
             predicted = {
                 r["unit_ref"]: frozenset(r["labels"])
-                for r in read_jsonl(out_dir / "findings.jsonl")
+                for _, r in numbered_jsonl(out_dir / "findings.jsonl")
             }
             gold = load_gold(FIXTURES / "dpa_gold_sentence.jsonl")
             return match_accuracy(predicted, gold, "any_overlap")
@@ -615,7 +615,7 @@ class TestEval:
         # Five passages get a scripted answer; the other three get one without
         # a rule token and are written with `parse_error` set.
         script = tmp_path / "partial.jsonl"
-        entries = read_jsonl(FIXTURES / "stub_paragraph_aware.jsonl")[:5]
+        entries = [r for _, r in numbered_jsonl(FIXTURES / "stub_paragraph_aware.jsonl")][:5]
         write_jsonl(script, entries + [{"match": "", "response": "no token at all"}])
         out_dir = tmp_path / "out"
         code = run(
@@ -627,7 +627,7 @@ class TestEval:
             "--out-dir", str(out_dir),
         )
         assert code == 0
-        findings = read_jsonl(out_dir / "findings.jsonl")
+        findings = [r for _, r in numbered_jsonl(out_dir / "findings.jsonl")]
         assert sum(1 for f in findings if f["parse_error"] is not None) == 3
         metrics_path = tmp_path / "metrics.json"
         code = run(
@@ -894,7 +894,7 @@ class TestConfigPrecedence:
             "--out-dir", str(out_dir),
         )
         assert code == 0
-        rows = read_jsonl(out_dir / "costs.jsonl")
+        rows = [r for _, r in numbered_jsonl(out_dir / "costs.jsonl")]
         return rows[0]["model_name"]
 
     def test_env_is_weakest(self, tmp_path, monkeypatch):
@@ -927,7 +927,7 @@ class TestConfigPrecedence:
             "--out-dir", str(out_dir),
         )
         assert code == 0
-        rows = read_jsonl(out_dir / "costs.jsonl")
+        rows = [r for _, r in numbered_jsonl(out_dir / "costs.jsonl")]
         assert rows[0]["model_name"] == "flag-model"
 
     def test_unknown_config_key_rejected(self, tmp_path):

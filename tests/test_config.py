@@ -18,7 +18,7 @@ from test_llm import _ScriptedHandler, scripted_server
 from regcheck import cli
 from regcheck.cli import main
 from regcheck.llm import StubBackend
-from regcheck.storage import read_jsonl, write_json
+from regcheck.storage import numbered_jsonl, write_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DATA = Path(__file__).parent.parent / "src" / "regcheck" / "data"
@@ -224,7 +224,7 @@ def test_integer_for_a_float_key_is_the_same_setting(tmp_path):
     write_json(tmp_path / "config.json", {"temperature": 0, "retry_base_backoff_s": 1})
     assert _run(["--config", tmp_path / "config.json", *_argv(_CHECK, tmp_path)]) == 0
     assert _run(_argv(_CHECK, tmp_path, out="out2")) == 0
-    rows = read_jsonl(tmp_path / "out2" / "costs.jsonl")
+    rows = [r for _, r in numbered_jsonl(tmp_path / "out2" / "costs.jsonl")]
     assert len(rows) == 8 and all(r["cached"] for r in rows)
     golden = (FIXTURES / "golden_report.json").read_bytes()
     assert (tmp_path / "out" / "report.json").read_bytes() == golden

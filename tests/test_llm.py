@@ -40,7 +40,7 @@ from regcheck.llm import (
     load_stub_script,
     make_backend,
 )
-from regcheck.storage import read_jsonl
+from regcheck.storage import numbered_jsonl
 
 MESSAGES = [
     ChatMessage("system", "You check rules."),
@@ -605,9 +605,9 @@ class TestHttpBackend:
             ]
         )
         assert code == 0
-        findings = read_jsonl(out / "findings.jsonl")
+        findings = [r for _, r in numbered_jsonl(out / "findings.jsonl")]
         assert [f["parse_error"] is not None for f in findings] == [True] + [False] * 7
-        costs = read_jsonl(out / "costs.jsonl")
+        costs = [r for _, r in numbered_jsonl(out / "costs.jsonl")]
         assert len(costs) == 8
         assert all(row["monetary_cost"] > 0 for row in costs)
 

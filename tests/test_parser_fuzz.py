@@ -13,7 +13,7 @@ from regcheck.classify import NO_CONCEPT, parse_concept_response
 from regcheck.compliance import parse_response
 from regcheck.corpus import first_sentence_end, sentence_spans
 from regcheck.errors import ParseError
-from regcheck.storage import read_jsonl
+from regcheck.storage import numbered_jsonl
 from regcheck.taxonomy import NOT_APPLICABLE, load_concept_model, load_ruleset
 
 _REF_RULE_TOKEN = re.compile(r"\bR(\d+)\b")
@@ -127,7 +127,7 @@ def test_fuzz_reaches_every_outcome(rulesets, model):
 
 def test_first_sentence_end_is_the_first_span_end(fixtures):
     rng = random.Random(71)
-    oracle = [row["raw"] for row in read_jsonl(fixtures / "parser_oracle.jsonl")]
+    oracle = [row["raw"] for _, row in numbered_jsonl(fixtures / "parser_oracle.jsonl")]
     for raw in [random_response(rng) for _ in range(4000)] + oracle:
         spans = sentence_spans(raw)
         assert first_sentence_end(raw) == (spans[0][1] if spans else len(raw)), raw
