@@ -41,10 +41,6 @@ class LabelSet:
         return frozenset(self.provenance)
 
     @classmethod
-    def empty(cls) -> "LabelSet":
-        return cls({})
-
-    @classmethod
     def of(cls, labels, source: str) -> "LabelSet":
         return cls(dict.fromkeys(labels, source))
 

@@ -317,7 +317,7 @@ class TestClassifyLlm:
 
 class TestFuseLabels:
     def test_empty_union(self):
-        assert fuse_labels(LabelSet.empty(), LabelSet.empty()).labels == set()
+        assert fuse_labels(LabelSet({}), LabelSet({})).labels == set()
 
     def test_disjoint_union(self):
         fused = fuse_labels(
