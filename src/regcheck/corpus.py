@@ -413,9 +413,7 @@ class _Builder:
                 raise MalformedInput(
                     f"unclosed list: header {self.header!r} has no items"
                 )
-            self.blocks.append(
-                Block(LIST, len(self.blocks), header=self.header,
-                      items=tuple(" ".join(parts) for parts in self.items))
-            )
+            items = tuple(" ".join(parts) for parts in self.items)
+            self.blocks.append(Block(LIST, len(self.blocks), header=self.header, items=items))
         self.kind = None
         self.parts, self.header, self.items = [], "", []

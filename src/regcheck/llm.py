@@ -369,7 +369,6 @@ def cache_key(
 ) -> str:
     """Content digest of (model, temperature, output cap, messages); order-sensitive."""
     import hashlib  # here, not at the top: it maps OpenSSL, which an uncached run never needs
-
     canonical = json.dumps(
         {
             "model": model_name,

@@ -1,16 +1,15 @@
 """End-to-end runners tying segmentation, classification and checking together.
 
 Every model call of both pipelines is made here, one unit at a time, by `_ask`.
-Model-bound stages fan out across passages/provisions with bounded parallelism:
-at most `parallelism` requests in flight and 2·`parallelism` units queued, and
-after a unit fails no further unit starts. Everything else is a pure fold.
+Model-bound stages fan out across passages/provisions with at most `parallelism` requests
+in flight and 2·`parallelism` units queued; after a unit fails no further unit starts.
 Results keep input order, so runs with a deterministic backend are byte-reproducible.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -39,8 +38,7 @@ from .taxonomy import ConceptModel, Ruleset
 
 SENTENCE = "sentence"
 PARAGRAPH_LEVEL = "paragraph"
-# Units submitted per worker thread: one running, one waiting to start.
-_QUEUED_PER_WORKER = 2
+_QUEUED_PER_WORKER = 2  # units submitted per worker thread: one running, one waiting
 
 
 def _ask(backend: Backend, messages: Sequence[ChatMessage], parse: Callable, grammar) -> tuple:
@@ -183,39 +181,33 @@ def model_runs(
 
 
 def _ordered_map(fn: Callable, items: Sequence, parallelism: int) -> list:
-    """`fn` over `items` in input order, at most `parallelism` calls at a time.
-
-    At parallelism 1 the calls run in the calling thread, one after another,
-    and the first exception stops the run. Above it, at most
-    `_QUEUED_PER_WORKER * parallelism` units are submitted at once. Once a unit
-    raises, no further unit is submitted, a queued unit after it in input order
-    does not call `fn`, and the failure first in input order is raised.
-    """
+    """`fn` over `items` in input order, at most `parallelism` calls at a time, at most
+    `_QUEUED_PER_WORKER * parallelism` units submitted. Once a unit's failure is seen, no
+    unit is submitted and none after it in input order calls `fn`; the first failure in
+    input order is raised. At parallelism 1 the calls run one by one in the calling thread."""
     if parallelism <= 1:
         return [fn(item) for item in items]
-    failed: list[int] = []  # input indices of the units that raised, in time order
+    failed: list[int] = []  # indices of the units that raised
 
     def unit(index: int, item):
-        if failed and index > failed[0]:
-            return None  # never read: the caller raises an earlier unit's failure first
+        if failed and index > min(failed):
+            return None  # never read: the caller meets an earlier unit's failure first
         try:
             return fn(item)
         except BaseException:
             failed.append(index)
             raise
 
-    results: list = []
-    pending: deque[Future] = deque()
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        try:
-            for index, item in enumerate(items):
-                if len(pending) == _QUEUED_PER_WORKER * parallelism:
-                    results.append(pending.popleft().result())
-                if failed:
-                    break
-                pending.append(pool.submit(unit, index, item))
-            results.extend(future.result() for future in pending)
-        finally:
-            for future in pending:
-                future.cancel()
+    results, pending = [], deque()
+    pool = ThreadPoolExecutor(max_workers=parallelism)
+    try:
+        for index, item in enumerate(items):
+            if len(pending) == _QUEUED_PER_WORKER * parallelism:
+                results.append(pending.popleft().result())
+            if failed:
+                break
+            pending.append(pool.submit(unit, index, item))
+        results.extend(future.result() for future in pending)
+    finally:
+        pool.shutdown(cancel_futures=True)  # waits for the running calls
     return results
