@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import threading
 import time
+from typing import Iterator
 
 import pytest
 
@@ -160,6 +161,13 @@ class _Counting:
                 self.in_flight -= 1
 
 
+def _counted(n: int, consumed: list) -> Iterator[int]:
+    """`range(n)`, appending each unit to `consumed` as the scheduler takes it."""
+    for i in range(n):
+        consumed.append(i)
+        yield i
+
+
 class TestOrderedMap:
     @pytest.mark.parametrize("parallelism", [1, 2, 4, 8])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -180,14 +188,55 @@ class TestOrderedMap:
         assert fn.max_in_flight <= parallelism
 
     @pytest.mark.parametrize("parallelism", [2, 4, 8])
+    def test_at_most_queued_per_worker_units_submitted(self, parallelism):
+        # While unit i runs, the caller waits on a unit no later than i, so it has
+        # taken at most the queue's worth of units beyond i, plus the next one.
+        consumed: list[int] = []
+        lead: list[int] = []
+        fn = _Counting(0, sleeps={0: 0.1})
+
+        def watched(i: int) -> int:
+            value = fn(i)
+            lead.append(len(consumed) - i)
+            return value
+
+        assert _ordered_map(watched, _counted(200, consumed), parallelism) == [
+            i * i for i in range(200)
+        ]
+        assert max(lead) <= _QUEUED_PER_WORKER * parallelism + 1
+
+    @pytest.mark.parametrize("parallelism", [2, 4, 8])
     def test_a_failure_stops_further_calls(self, parallelism):
         # Unit 0 holds the caller back while unit 1 fails at once. Only the units
-        # already queued may still start; none starts after the error is raised.
+        # already queued may still start; none starts after the error is raised,
+        # and once the caller has seen the failure it takes no further unit.
+        consumed: list[int] = []
         fn = _Counting(0, failing={1}, sleeps={0: 0.3, 1: 0})
         with pytest.raises(_Failure) as err:
-            _ordered_map(fn, range(200), parallelism)
+            _ordered_map(fn, _counted(200, consumed), parallelism)
         assert err.value.args == (1,)
+        assert len(consumed) <= _QUEUED_PER_WORKER * parallelism + 1
         started = fn.started
         assert started <= _QUEUED_PER_WORKER * parallelism + 1
         time.sleep(0.05)
         assert fn.started == started
+
+    def test_no_queued_unit_after_a_failure_calls_fn(self):
+        # At parallelism 2 one worker waits on unit 0; the other runs unit 1, which
+        # fails, then takes the queued units 2 and 3 from the pool, which must skip.
+        fn = _Counting(0, failing={1}, sleeps={0: 0.2, 1: 0})
+        with pytest.raises(_Failure):
+            _ordered_map(fn, range(200), 2)
+        assert fn.started == 2
+
+    def test_an_interrupted_caller_cancels_the_queue(self):
+        # An exception in the caller, such as KeyboardInterrupt, reaches it while
+        # units 0 and 1 run and 2 and 3 wait in the queue: those two never start.
+        def interrupted():
+            yield from range(4)
+            raise KeyboardInterrupt
+
+        fn = _Counting(0, sleeps=dict.fromkeys(range(4), 0.1))
+        with pytest.raises(KeyboardInterrupt):
+            _ordered_map(fn, interrupted(), 2)
+        assert fn.started == 2
