@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import threading
 import time
 from typing import Iterator
@@ -240,3 +241,21 @@ class TestOrderedMap:
         with pytest.raises(KeyboardInterrupt):
             _ordered_map(fn, interrupted(), 2)
         assert fn.started == 2
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_failures_under_frequent_thread_switches(self, seed):
+        # More workers than cores, a thread switch every microsecond and no sleeps:
+        # the failure raised is still the first in input order, and a run without
+        # failures still returns every result in order.
+        failing = set(random.Random(seed).sample(range(20, 400), 5))
+        no_sleep = dict.fromkeys(range(400), 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.raises(_Failure) as err:
+                _ordered_map(_Counting(seed, failing, no_sleep), range(400), 16)
+            results = _ordered_map(_Counting(seed, (), no_sleep), range(400), 16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert err.value.args == (min(failing),)
+        assert results == [i * i for i in range(400)]
