@@ -139,7 +139,7 @@ class _Counting:
 
     def __init__(self, seed: int, failing=(), sleeps=None):
         rng = random.Random(seed)
-        self.sleeps = lambda i: (sleeps or {}).get(i, rng.uniform(0, 0.003))
+        self.sleeps = lambda i: (sleeps or {}).get(i, rng.uniform(0, 0.0015))
         self.failing = set(failing)
         self.lock = threading.Lock()
         self.started = 0
