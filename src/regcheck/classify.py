@@ -19,15 +19,13 @@ from .corpus import Provision, first_sentence_end
 from .errors import ParseError, TemplateError
 from .llm import ChatMessage
 from .storage import read_text_or_bundled
-from .taxonomy import ConceptModel, render_concepts
+from .taxonomy import CONCEPT_ID, NO_CONCEPT, ConceptModel, render_concepts
 
 FROM_LLM = "llm"
 FROM_KEYWORD = "keyword"
 FROM_BOTH = "both"
 
-NO_CONCEPT = "NONE"
-
-_NONE_TOKEN = re.compile(r"\bNONE\b")
+_NONE_TOKEN = re.compile(rf"\b{NO_CONCEPT}\b")
 
 
 @dataclass(frozen=True)
@@ -106,9 +104,6 @@ def classification_prompter(
     ]
 
 
-_ID_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-
-
 @lru_cache(maxsize=8)
 def _vocabulary(model: ConceptModel) -> dict[str, str]:
     """Lower-cased non-scarce concept id -> canonical id, built once per model."""
@@ -129,7 +124,7 @@ def parse_concept_response(raw: str, model: ConceptModel) -> frozenset[str]:
     if _NONE_TOKEN.search(raw):
         return frozenset()
     found = set()
-    for m in _ID_TOKEN.finditer(raw, 0, first_sentence_end(raw)):
+    for m in CONCEPT_ID.finditer(raw, 0, first_sentence_end(raw)):
         cid = vocab.get(m.group(0).lower())
         if cid is not None:
             found.add(cid)

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial
 from pathlib import Path
 from typing import Iterable
@@ -53,7 +53,6 @@ from .storage import (
     atomic_write_chunks,
     json_chunks,
     jsonl_line,
-    write_chunks,
     write_json,
     write_jsonl,
 )
@@ -231,7 +230,7 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
     if out:
         atomic_write_chunks(out, chunks)
     else:
-        write_chunks(sys.stdout, chunks)
+        sys.stdout.writelines(chunks)
 
 
 # --------------------------------------------------------------------------
@@ -396,7 +395,7 @@ def _print_box_table(aggregate) -> None:
     header = ["metric", "mean", "median", "q1", "q3", "min", "max", "wlow", "whigh"]
     print("\t".join(header), file=sys.stderr)
     for name, stats in aggregate.per_metric.items():
-        print("\t".join([name, *(f"{v:.4f}" for v in stats.as_dict().values())]), file=sys.stderr)
+        print("\t".join([name, *(f"{v:.4f}" for v in astuple(stats))]), file=sys.stderr)
 
 
 _COMMANDS = {

@@ -86,17 +86,14 @@ class LabelCounts:
 @dataclass(frozen=True)
 class ConfusionCounts:
     per_label: Mapping[str, LabelCounts]
-    n_units: int
 
 
 def confusion(
-    predicted: Mapping[str, Iterable[str]],
-    gold: Sequence[GoldRecord],
-    labels: Iterable[str] | None = None,
+    predicted: Mapping[str, Iterable[str]], gold: Sequence[GoldRecord]
 ) -> ConfusionCounts:
     """Per-label confusion counts over a common unit set.
 
-    The label universe defaults to every label seen in gold or predictions.
+    The label universe is every label seen in gold or predictions.
     Raises UnitMismatch unless predicted and gold cover exactly the same
     units.
     """
@@ -117,15 +114,14 @@ def confusion(
         fp.update(pred_labels - gold_labels)
         fn.update(gold_labels - pred_labels)
     # Every label seen is counted in at least one of the three.
-    universe = tp.keys() | fp.keys() | fn.keys() if labels is None else set(labels)
     n = len(gold_by_unit)
     counts = {
         label: LabelCounts(
             tp[label], fp[label], fn[label], n - tp[label] - fp[label] - fn[label]
         )
-        for label in sorted(universe)
+        for label in sorted(tp.keys() | fp.keys() | fn.keys())
     }
-    return ConfusionCounts(counts, n)
+    return ConfusionCounts(counts)
 
 
 @dataclass(frozen=True)
@@ -138,9 +134,6 @@ class MetricValues:
     def __post_init__(self):
         if not all(type(v) in (int, float) for v in astuple(self)):
             raise TypeError(f"metric values must be numbers, got {self}")
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
 
 
 def _from_counts(c: LabelCounts) -> MetricValues:
@@ -163,9 +156,9 @@ class MetricsReport:
     def to_dict(self) -> dict:
         body: dict = {
             "averaging": self.averaging,
-            "per_label": {k: v.as_dict() for k, v in self.per_label.items()},
-            "micro": self.micro.as_dict(),
-            "macro": self.macro.as_dict(),
+            "per_label": {k: asdict(v) for k, v in self.per_label.items()},
+            "micro": asdict(self.micro),
+            "macro": asdict(self.macro),
             "parse_failure_count": self.parse_failure_count,
         }
         if self.subset_accuracy is not None:
@@ -278,9 +271,6 @@ class BoxStats:
     whisker_low: float
     whisker_high: float
 
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class RunAggregate:
@@ -290,7 +280,7 @@ class RunAggregate:
     def to_dict(self) -> dict:
         return {
             "runs": self.runs,
-            "per_metric": {k: v.as_dict() for k, v in self.per_metric.items()},
+            "per_metric": {k: asdict(v) for k, v in self.per_metric.items()},
         }
 
 

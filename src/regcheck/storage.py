@@ -8,7 +8,7 @@ import tempfile
 from importlib import resources
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Iterable, Iterator
 
 
 def read_text_or_bundled(path: str | Path | None, bundled: str) -> str:
@@ -17,10 +17,10 @@ def read_text_or_bundled(path: str | Path | None, bundled: str) -> str:
     return source.read_text(encoding="utf-8")
 
 
-def numbered_jsonl(path: str | Path) -> list[tuple[int, dict]]:
+def numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """`(line number, record)` for each non-blank line of `path`, which must hold one
-    JSON object; the loaders name a record they reject by `path` and that line."""
-    records = []
+    JSON object; the loaders name a record they reject by `path` and that line. Lazy: a
+    line is read when its record is asked for, so the first problem in file order is raised."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -32,18 +32,12 @@ def numbered_jsonl(path: str | Path) -> list[tuple[int, dict]]:
                 raise ValueError(f"{path}:{lineno}: invalid JSON record: {exc}") from exc
             if not isinstance(record, dict):
                 raise ValueError(f"{path}:{lineno}: expected a JSON object")
-            records.append((lineno, record))
-    return records
+            yield lineno, record
 
 
 # One encoder of each kind: json.dumps with a non-default option builds a new one per call.
 _LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
 _INDENT_ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
-# A write joins at most `_BATCH` chunks and about `_BATCH_CHARS` characters. An indented-JSON
-# chunk is a few characters, so the count keeps its batch's string objects few; a report
-# finding or a model response can be kilobytes, so the characters bound a batch of those.
-_BATCH = 1024
-_BATCH_CHARS = 1 << 18
 
 
 def jsonl_line(record: dict) -> str:
@@ -67,22 +61,10 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_chunks(path, (text,))
 
 
-def write_chunks(fh: TextIO, chunks: Iterable[str]) -> None:
-    """Write `chunks` to `fh`, joined into batches (see `_BATCH` and `_BATCH_CHARS`)."""
-    batch: list[str] = []
-    size = 0
-    for chunk in chunks:
-        batch.append(chunk)
-        size += len(chunk)
-        if size >= _BATCH_CHARS or len(batch) == _BATCH:
-            fh.write("".join(batch))
-            batch, size = [], 0
-    fh.write("".join(batch))
-
-
 def atomic_write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
     """Stream `chunks` into a temp file and rename it over `path`, so readers never
-    see a partial file; if `chunks` raises, `path` is left as it was."""
+    see a partial file; if `chunks` raises, `path` is left as it was. The file object's
+    own buffer is the only batching, so memory does not grow with the chunk count."""
     path = Path(path)
     if path.is_dir():  # before the temp file, so the error names `path`, not the temp file
         raise IsADirectoryError(f"{path} is a directory")
@@ -90,7 +72,7 @@ def atomic_write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            write_chunks(fh, chunks)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -2,7 +2,8 @@
 
 Both are data, loaded from line-delimited JSON files, validated on load and
 immutable afterwards. Rule identifier "R99" is reserved as the
-not-applicable sentinel and may never appear in a ruleset.
+not-applicable sentinel and may never appear in a ruleset; concept id "NONE"
+is reserved as the no-concept sentinel, in any case.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ from .errors import SchemaError
 from .storage import numbered_jsonl
 
 NOT_APPLICABLE = "R99"
+NO_CONCEPT = "NONE"
 
 _RULE_ID = re.compile(r"^R\d+$")
+# The word a classification answer names a non-scarce concept by, matched ignoring case.
+CONCEPT_ID = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -74,11 +78,14 @@ def load_concept_model(path: str | Path) -> ConceptModel:
     """Load and validate a concept model from a JSONL file.
 
     One record per line: ``{"concept_id", "name", "scarce", "keywords"}``.
-    Scarce concepts must carry keywords, non-scarce ones must not, and at
-    least one non-scarce concept must exist.
+    Scarce concepts must carry keywords, none of them blank; non-scarce ones
+    must not, and at least one non-scarce concept must exist. A non-scarce id
+    is what a model answer names, so it must match `CONCEPT_ID`, differ from
+    every other non-scarce id ignoring case, and not be the sentinel NONE.
     """
     concepts: list[Concept] = []
     seen: set[str] = set()
+    answerable: dict[str, str] = {}  # lower-cased non-scarce id -> id
     version = ""
     for i, (line, rec) in enumerate(numbered_jsonl(path)):
         where = f"{path}:{line}: concepts[{i}]"
@@ -100,15 +107,19 @@ def load_concept_model(path: str | Path) -> ConceptModel:
             raise SchemaError(
                 f"scarce concept {cid!r} must define keywords", f"{where}.keywords"
             )
+        if not all(k.strip() for k in keywords):
+            raise SchemaError(f"keywords of {cid!r} must not be blank", f"{where}.keywords")
         if not scarce and keywords:
             raise SchemaError(
                 f"non-scarce concept {cid!r} must not define keywords",
                 f"{where}.keywords",
             )
+        if not scarce:
+            _add_answerable(cid, answerable, f"{where}.concept_id")
         concepts.append(Concept(cid, name, scarce, tuple(keywords)))
     if not concepts:
         raise SchemaError("concept model is empty", f"{path}: concepts")
-    if not any(not c.scarce for c in concepts):
+    if not answerable:
         raise SchemaError("at least one non-scarce concept is required", f"{path}: concepts")
     return ConceptModel(tuple(concepts), version)
 
@@ -155,6 +166,18 @@ def render_rules(rs: Ruleset) -> str:
 def render_concepts(concepts: tuple[Concept, ...] | list[Concept]) -> str:
     """Canonical concept listing for prompts: "id: name", one per line, model order."""
     return "\n".join(f"{c.concept_id}: {c.name}" for c in concepts)
+
+
+def _add_answerable(cid: str, answerable: dict[str, str], where: str) -> None:
+    """File non-scarce `cid` under its lower case; reject it if no answer could name it alone."""
+    if not CONCEPT_ID.fullmatch(cid):
+        raise SchemaError(f"non-scarce concept_id {cid!r} must match {CONCEPT_ID.pattern}", where)
+    if cid.lower() == NO_CONCEPT.lower():
+        raise SchemaError(f"{cid!r} is reserved as the no-concept sentinel {NO_CONCEPT}", where)
+    if cid.lower() in answerable:
+        other = answerable[cid.lower()]
+        raise SchemaError(f"non-scarce concept_id {cid!r} equals {other!r} ignoring case", where)
+    answerable[cid.lower()] = cid
 
 
 def _require_str(rec: dict, key: str, where: str) -> str:

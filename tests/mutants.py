@@ -1,0 +1,239 @@
+"""Mutation check: each mutant breaks one law in a copy of `src/`, and its tests must fail.
+
+Each entry of `MUTANTS` names a file under `src/regcheck/`, an exact snippet of it
+that must occur once, the snippet's replacement, the law the edit breaks and the
+pytest arguments that must kill it. For each mutant this copies `src/` into a
+temporary directory, applies the edit there, and runs `pytest -x -q` with the
+copy first on `PYTHONPATH`. A mutant is killed when its tests fail. A mutant that
+survives, or a snippet that is no longer in its file, fails the run.
+
+Run from anywhere, all mutants or the named ones:
+
+    python tests/mutants.py [NAME ...]
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+# A mutant whose tests run this long is counted as killed: they would never pass.
+TIMEOUT_S = 120
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # under src/regcheck/
+    old: str
+    new: str
+    law: str
+    pytest_args: tuple[str, ...]
+
+
+_ORDERED_MAP = ("tests/test_pipeline.py", "-k", "TestOrderedMap")
+
+MUTANTS = (
+    Mutant(
+        "scheduler-no-skip",
+        "pipeline.py",
+        "        if failed and index > min(failed):\n",
+        "        if False:\n",
+        "a queued unit after a failing one makes no call",
+        _ORDERED_MAP,
+    ),
+    Mutant(
+        "scheduler-submit-after-failure",
+        "pipeline.py",
+        "            if failed:\n                break\n",
+        "",
+        "once a failure is seen, nothing more is submitted",
+        _ORDERED_MAP,
+    ),
+    Mutant(
+        "scheduler-unbounded-queue",
+        "pipeline.py",
+        "            if len(pending) == _QUEUED_PER_WORKER * parallelism:\n",
+        "            if False:\n",
+        "at most 2 x parallelism units are submitted",
+        _ORDERED_MAP,
+    ),
+    Mutant(
+        "scheduler-no-cancel",
+        "pipeline.py",
+        "pool.shutdown(cancel_futures=True)",
+        "pool.shutdown()",
+        "the queue is cancelled on the way out",
+        _ORDERED_MAP,
+    ),
+    Mutant(
+        "split-no-lookbehind",
+        "corpus.py",
+        '_BOUNDARY = re.compile(r"(?<![.!?])(',
+        '_BOUNDARY = re.compile(r"(',
+        "segmentation is linear time on a terminator run",
+        ("tests/test_growth.py", "-m", "growth", "-k", "split_text"),
+    ),
+    Mutant(
+        "list-item-join-per-line",
+        "corpus.py",
+        "            self.items[-1].append(text.strip())\n",
+        '            self.items[-1] = [" ".join([*self.items[-1], text.strip()])]\n',
+        "segmentation is linear time on a wrapped list item",
+        ("tests/test_growth.py", "-m", "growth", "-k", "parse_document"),
+    ),
+    Mutant(
+        "write-joins-all-chunks",
+        "storage.py",
+        "            fh.writelines(chunks)\n",
+        '            fh.write("".join(chunks))\n',
+        "writing a file holds one chunk, not the file",
+        ("tests/test_storage.py", "tests/test_outputs.py"),
+    ),
+    Mutant(
+        "jsonl-read-eagerly",
+        "storage.py",
+        "def numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:\n",
+        "def numbered_jsonl(path):\n"
+        "    return iter(list(_numbered_jsonl(path)))\n\n\n"
+        "def _numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:\n",
+        "a loader reports the first problem in file order",
+        ("tests/test_storage.py", "tests/test_cli.py", "-k", "numbered_jsonl or file_order"),
+    ),
+    Mutant(
+        "blank-keyword-accepted",
+        "taxonomy.py",
+        "        if not all(k.strip() for k in keywords):\n",
+        "        if False:\n",
+        "validation that can fail runs before the first call",
+        ("tests/test_cli.py", "-k", "rejected_jsonl_record"),
+    ),
+    Mutant(
+        "price-checked-after-backend",
+        "pipeline.py",
+        "    price_of(prices, cfg.model_name)\n"
+        "    backend = make_backend(cfg if runs == 1 else replace(cfg, cache_dir=None))\n",
+        "    backend = make_backend(cfg if runs == 1 else replace(cfg, cache_dir=None))\n"
+        "    price_of(prices, cfg.model_name)\n",
+        "a rejected run makes nothing, not even its cache directory",
+        ("tests/test_config.py", "-k", "probe"),
+    ),
+    Mutant(
+        "runs-share-the-cache",
+        "pipeline.py",
+        "make_backend(cfg if runs == 1 else replace(cfg, cache_dir=None))",
+        "make_backend(cfg)",
+        "repeated runs are independent samples, not cache hits",
+        ("tests/test_laws.py",),
+    ),
+    Mutant(
+        "cache-key-drops-max-tokens",
+        "llm.py",
+        '            "max_tokens": max_output_tokens,\n',
+        "",
+        "the cache changes only cost and latency: another output cap is another answer",
+        ("tests/test_llm.py",),
+    ),
+    Mutant(
+        "cost-row-ignores-cached",
+        "llm.py",
+        "    if usage.cached:\n        cost = 0.0\n",
+        "    if False:\n        cost = 0.0\n",
+        "a cache hit costs nothing",
+        ("tests/test_llm.py",),
+    ),
+    Mutant(
+        "report-md-no-final-rstrip",
+        "compliance.py",
+        '    yield last.rstrip() + "\\n"\n',
+        "    yield last\n",
+        "report.md gives the one-shot bytes",
+        ("tests/test_outputs.py",),
+    ),
+    Mutant(
+        "report-json-no-empty-findings",
+        "compliance.py",
+        '("\\n  ]" if lead[0] == "," else "[]")',
+        '"\\n  ]"',
+        "report.json gives the one-shot bytes with no findings",
+        ("tests/test_outputs.py",),
+    ),
+)
+
+
+def _apply(mutant: Mutant, src: Path) -> None:
+    path = src / "regcheck" / mutant.file
+    text = path.read_text(encoding="utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        raise LookupError(f"its snippet occurs {count} times in {mutant.file}")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def pytest_exit(pytest_args: tuple[str, ...], mutant: Mutant | None = None) -> int | None:
+    """pytest's exit code for `pytest_args` on a copy of `src/` with `mutant` applied,
+    or None when the tests time out."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        if mutant is not None:
+            _apply(mutant, src)
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
+        probe = [sys.executable, "-c", "import regcheck; print(regcheck.__file__)"]
+        imported = subprocess.run(probe, env=env, cwd=ROOT, capture_output=True, text=True)
+        if not imported.stdout.startswith(str(src)):
+            raise RuntimeError(f"the tests would import {imported.stdout.strip()!r}")
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        try:
+            done = subprocess.run(
+                [*argv, *pytest_args], env=env, cwd=ROOT, capture_output=True, text=True,
+                timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return None
+    # 0: passed; 1: tests failed; anything else means the table is wrong.
+    if done.returncode not in (0, 1):
+        raise RuntimeError(f"pytest exited {done.returncode}:\n{done.stdout[-2000:]}")
+    return done.returncode
+
+
+def outcome(mutant: Mutant) -> str:
+    code = pytest_exit(mutant.pytest_args, mutant)
+    return "SURVIVED" if code == 0 else "killed" if code == 1 else "killed (timeout)"
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    # A kill means something only if the same tests pass on the unmutated source.
+    for args in dict.fromkeys(m.pytest_args for m in chosen):
+        if pytest_exit(args) != 0:
+            print(f"the unmutated source fails: pytest {' '.join(args)}", file=sys.stderr)
+            return 1
+    failed = 0
+    for mutant in chosen:
+        start = time.monotonic()
+        try:
+            result = outcome(mutant)
+        except (LookupError, RuntimeError) as exc:
+            result = f"ERROR: {exc}"
+        failed += not result.startswith("killed")
+        took = time.monotonic() - start
+        print(f"{mutant.name:32} {result:18} {took:5.1f}s  {mutant.law}", flush=True)
+    print(f"{failed} of {len(chosen)} mutants not killed" if failed else "every mutant was killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -200,8 +200,7 @@ def test_criterion_5_metrics_oracle_equivalence():
     started = time.perf_counter()
     for trial in range(200):
         n_units = rng.randint(1, 20)
-        n_labels = rng.randint(1, 5)
-        labels = [f"L{i}" for i in range(n_labels)]
+        drawn = [f"L{i}" for i in range(rng.randint(1, 5))]
         gold = []
         predicted = {}
         for u in range(n_units):
@@ -209,10 +208,13 @@ def test_criterion_5_metrics_oracle_equivalence():
             # Skewed draws so zero-denominator cases (never-predicted or
             # never-true labels) occur regularly.
             density = rng.choice([0.0, 0.2, 0.5, 0.9])
-            gold.append(GoldRecord(ref, frozenset(l for l in labels if rng.random() < density)))
-            predicted[ref] = frozenset(l for l in labels if rng.random() < density)
+            gold.append(GoldRecord(ref, frozenset(l for l in drawn if rng.random() < density)))
+            predicted[ref] = frozenset(l for l in drawn if rng.random() < density)
+        # The label universe is the labels seen in gold or predictions.
+        labels = sorted({l for r in gold for l in r.gold_labels}.union(*predicted.values()))
+        n_labels = len(labels)
 
-        counts = confusion(predicted, gold, labels=labels)
+        counts = confusion(predicted, gold)
         report = metrics(counts)
 
         # Exhaustive enumeration oracle with exact rational arithmetic.
@@ -241,6 +243,7 @@ def test_criterion_5_metrics_oracle_equivalence():
             accuracy = Fraction(tp + tn, n_units)
             per_label_expect[label] = (precision, recall, f1, accuracy)
 
+        assert list(report.per_label) == labels
         for label in labels:
             got = report.per_label[label]
             want = per_label_expect[label]
@@ -250,14 +253,14 @@ def test_criterion_5_metrics_oracle_equivalence():
         mp = Fraction(pooled_tp, pooled_tp + pooled_fp) if pooled_tp + pooled_fp else Fraction(0)
         mr = Fraction(pooled_tp, pooled_tp + pooled_fn) if pooled_tp + pooled_fn else Fraction(0)
         mf = 2 * mp * mr / (mp + mr) if mp + mr else Fraction(0)
-        ma = Fraction(pooled_tp + pooled_tn, n_units * n_labels)
+        ma = Fraction(pooled_tp + pooled_tn, n_units * n_labels) if labels else Fraction(0)
         assert abs(report.micro.precision - float(mp)) <= 1e-9
         assert abs(report.micro.recall - float(mr)) <= 1e-9
         assert abs(report.micro.f1 - float(mf)) <= 1e-9
         assert abs(report.micro.accuracy - float(ma)) <= 1e-9
 
         macro_expect = [
-            sum(float(per_label_expect[l][k]) for l in labels) / n_labels
+            sum(float(per_label_expect[l][k]) for l in labels) / n_labels if labels else 0.0
             for k in range(4)
         ]
         got_macro = (

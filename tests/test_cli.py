@@ -839,6 +839,28 @@ def test_non_object_jsonl_line_exits_2_before_any_call(tmp_path, monkeypatch, ca
             ":2: concepts[1].keywords: keywords must be a list of strings",
         ),
         (
+            "concepts",
+            [{"concept_id": "Allergen", "name": "A", "scarce": True, "keywords": ["nut", "  "]}],
+            ":2: concepts[1].keywords: keywords of 'Allergen' must not be blank",
+        ),
+        (
+            "concepts",
+            [{"concept_id": "Food-Contact", "name": "Food contact material"}],
+            ":2: concepts[1].concept_id: non-scarce concept_id 'Food-Contact' must match "
+            "[A-Za-z][A-Za-z0-9_]*",
+        ),
+        (
+            "concepts",
+            [{"concept_id": "Hazard", "name": "H"}, {"concept_id": "HAZARD", "name": "H"}],
+            ":3: concepts[2].concept_id: non-scarce concept_id 'HAZARD' equals 'Hazard' "
+            "ignoring case",
+        ),
+        (
+            "concepts",
+            [{"concept_id": "none", "name": "No concept"}],
+            ":2: concepts[1].concept_id: 'none' is reserved as the no-concept sentinel NONE",
+        ),
+        (
             "rules",
             [{"rule_id": "R2", "text": "delete data", "source_ref": 28}],
             ":2: rules[1].source_ref: source_ref must be a string",
@@ -855,12 +877,36 @@ def test_non_object_jsonl_line_exits_2_before_any_call(tmp_path, monkeypatch, ca
             ":2: duplicate unit_ref 'a' in gold file",
         ),
     ],
-    ids=["scarce", "keywords", "source-ref", "text", "stub-response", "gold-duplicate"],
+    ids=[
+        "scarce", "keywords", "blank-keyword", "concept-id-pattern", "concept-id-case",
+        "concept-id-none", "source-ref", "text", "stub-response", "gold-duplicate",
+    ],
 )
 def test_rejected_jsonl_record_exits_2_naming_its_line_before_any_call(
     tmp_path, monkeypatch, capsys, flag, records, message
 ):
     text = "".join(json.dumps(r) + "\n" for r in [_VALID_FIRST_LINE[flag], *records])
+    _assert_jsonl_rejected_before_any_call(tmp_path, monkeypatch, capsys, flag, text, message)
+
+
+# Per JSONL input, a first record its loader rejects, and the message that names it.
+_REJECTED_FIRST_LINE = {
+    "rules": ({"rule_id": "X1", "text": "t"}, ":1: rules[0].rule_id: rule_id 'X1' must match"),
+    "concepts": (
+        {"concept_id": "C1", "name": "General", "scarce": "no"},
+        ":1: concepts[0].scarce: scarce must be a boolean",
+    ),
+    "stub-script": ({"match": ""}, ":1: stub entry needs a string 'response'"),
+    "gold": ({"unit_ref": "", "labels": []}, ":1: unit_ref must be a non-empty string"),
+    "pred": ({"unit_ref": "a", "labels": "R1"}, ":1: labels of 'a' must be a list of strings"),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_REJECTED_FIRST_LINE))
+def test_first_problem_in_file_order_is_named(tmp_path, monkeypatch, capsys, flag):
+    # The loader rejects line 1 before the reader reaches the bad JSON on line 3.
+    record, message = _REJECTED_FIRST_LINE[flag]
+    text = json.dumps(record) + "\n" + json.dumps(_VALID_FIRST_LINE[flag]) + "\n{not json\n"
     _assert_jsonl_rejected_before_any_call(tmp_path, monkeypatch, capsys, flag, text, message)
 
 

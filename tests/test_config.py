@@ -200,6 +200,8 @@ PROBES = {
     "segment --budget 0": (None, ["segment", "--input", DPA, "--budget", "0", "--out", "{out}/u.jsonl"]),
     'check {"retry_base_backoff_s": -1}': ({"retry_base_backoff_s": -1}, _CHECK),
     'check {"retry_max_attempts": 0}': ({"retry_max_attempts": 0}, _CHECK),
+    # The price check runs before the backend, and so its cache directory, is made.
+    "check --model unpriced-x": (None, [*_CHECK, "--model", "unpriced-x"]),
 }
 
 

@@ -13,6 +13,7 @@ from regcheck.evaluation import (
     ANY_OVERLAP,
     EXACT,
     GoldRecord,
+    MetricValues,
     aggregate_runs,
     confusion,
     match_accuracy,
@@ -90,34 +91,34 @@ class TestConfusion:
     def test_counts_sum_to_unit_count(self):
         rng = random.Random(5)
         for _ in range(50):
-            predicted, g, labels = random_instance(rng)
-            c = confusion(predicted, g, labels=labels)
+            predicted, g, _ = random_instance(rng)
+            c = confusion(predicted, g)
             for counts in c.per_label.values():
                 assert counts.total == len(g)
 
     def test_matches_brute_force(self):
         rng = random.Random(17)
         predicted, g, labels = random_instance(rng, n_units=20, n_labels=5)
-        c = confusion(predicted, g, labels=labels)
+        c = confusion(predicted, g)
         oracle = brute_force(predicted, g, labels)
-        for label in labels:
+        # The universe is the labels seen: those with a prediction or a gold label.
+        seen = [label for label in labels if oracle[label][:3] != (0, 0, 0)]
+        assert list(c.per_label) == seen
+        for label in seen:
             tp, fp, fn, tn, *_ = oracle[label]
             lc = c.per_label[label]
             assert (lc.tp, lc.fp, lc.fn, lc.tn) == (tp, fp, fn, tn)
 
 
-def _ref_confusion(predicted, gold_records, labels=None):
+def _ref_confusion(predicted, gold_records):
     """The earlier label-by-unit `confusion` loop, kept as a reference."""
     gold_by_unit = {g.unit_ref: g.gold_labels for g in gold_records}
     pred_by_unit = {u: frozenset(ls) for u, ls in predicted.items()}
-    if labels is None:
-        universe = set()
-        for ls in gold_by_unit.values():
-            universe |= ls
-        for ls in pred_by_unit.values():
-            universe |= ls
-    else:
-        universe = set(labels)
+    universe = set()
+    for ls in gold_by_unit.values():
+        universe |= ls
+    for ls in pred_by_unit.values():
+        universe |= ls
     counts = {}
     for label in sorted(universe):
         tp = fp = fn = tn = 0
@@ -138,38 +139,25 @@ def _ref_confusion(predicted, gold_records, labels=None):
 
 class TestConfusionAgainstReference:
     @staticmethod
-    def _assert_same(predicted, g, labels=None):
-        c = confusion(predicted, g, labels=labels)
+    def _assert_same(predicted, g):
+        c = confusion(predicted, g)
         got = {k: (v.tp, v.fp, v.fn, v.tn) for k, v in c.per_label.items()}
-        want, n_units = _ref_confusion(predicted, g, labels)
+        want, n_units = _ref_confusion(predicted, g)
         assert got == want
         assert list(c.per_label) == list(want)
-        assert c.n_units == n_units
+        assert all(v.total == n_units for v in c.per_label.values())
 
     def test_random_maps(self):
         rng = random.Random(53)
         for _ in range(300):
-            predicted, g, labels = random_instance(rng)
+            predicted, g, _ = random_instance(rng)
             self._assert_same(predicted, g)
-            self._assert_same(predicted, g, labels=labels)
-
-    def test_explicit_labels_narrower_and_wider_than_seen(self):
-        rng = random.Random(59)
-        for _ in range(200):
-            predicted, g, labels = random_instance(rng, n_labels=rng.randint(2, 6))
-            narrower = rng.sample(labels, rng.randint(0, len(labels) - 1))
-            wider = labels + [f"X{i}" for i in range(rng.randint(1, 3))]
-            self._assert_same(predicted, g, labels=narrower)
-            self._assert_same(predicted, g, labels=wider)
 
     def test_empty_label_sets(self):
         g = gold([("u1", set()), ("u2", set())])
         predicted = {"u1": frozenset(), "u2": []}
         self._assert_same(predicted, g)
-        self._assert_same(predicted, g, labels=[])
-        self._assert_same(predicted, g, labels=["A", "B"])
         self._assert_same({}, [])
-        self._assert_same({}, [], labels=["A"])
 
 
 class TestMetrics:
@@ -200,11 +188,17 @@ class TestMetrics:
         assert values.f1 == pytest.approx(2 * 0.75 * 0.6 / 1.35, abs=1e-9)
 
     def test_zero_denominator_convention(self):
-        g = gold([("u1", set()), ("u2", set())])
-        report = metrics(confusion({"u1": set(), "u2": set()}, g, labels=["A"]))
-        values = report.per_label["A"]
-        assert (values.precision, values.recall, values.f1) == (0.0, 0.0, 0.0)
-        assert values.accuracy == 1.0
+        # A is never predicted (precision 0/0) and B is never true (recall 0/0).
+        g = gold([("u1", {"A"}), ("u2", set())])
+        report = metrics(confusion({"u1": set(), "u2": {"B"}}, g))
+        for label in ("A", "B"):
+            values = report.per_label[label]
+            assert (values.precision, values.recall, values.f1) == (0.0, 0.0, 0.0)
+            assert values.accuracy == 0.5
+        # No label at all: every pooled and averaged score is 0.
+        empty = metrics(confusion({"u1": set()}, gold([("u1", set())])))
+        assert empty.per_label == {}
+        assert empty.micro == empty.macro == MetricValues(0.0, 0.0, 0.0, 0.0)
 
     def test_perfect_predictions(self):
         g = gold([("u1", {"A", "B"}), ("u2", {"B"})])
@@ -216,7 +210,7 @@ class TestMetrics:
         # Craft an instance where the mean of per-label F1s differs from pooled F1.
         g = gold([("u1", {"A"}), ("u2", {"B"}), ("u3", {"B"}), ("u4", {"B"})])
         predicted = {"u1": {"A"}, "u2": {"B"}, "u3": set(), "u4": set()}
-        report = metrics(confusion(predicted, g, labels=["A", "B"]))
+        report = metrics(confusion(predicted, g))
         pooled_tp, pooled_fp, pooled_fn = 2, 0, 2
         micro_p = pooled_tp / (pooled_tp + pooled_fp)
         micro_r = pooled_tp / (pooled_tp + pooled_fn)
@@ -228,8 +222,8 @@ class TestMetrics:
     def test_bounded_in_unit_interval(self):
         rng = random.Random(29)
         for _ in range(100):
-            predicted, g, labels = random_instance(rng)
-            report = metrics(confusion(predicted, g, labels=labels))
+            predicted, g, _ = random_instance(rng)
+            report = metrics(confusion(predicted, g))
             for values in [report.micro, report.macro, *report.per_label.values()]:
                 for v in (values.precision, values.recall, values.f1, values.accuracy):
                     assert 0.0 <= v <= 1.0

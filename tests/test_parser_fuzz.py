@@ -9,12 +9,12 @@ import re
 
 import pytest
 
-from regcheck.classify import NO_CONCEPT, parse_concept_response
+from regcheck.classify import parse_concept_response
 from regcheck.compliance import parse_response
 from regcheck.corpus import first_sentence_end, sentence_spans
 from regcheck.errors import ParseError
 from regcheck.storage import numbered_jsonl
-from regcheck.taxonomy import NOT_APPLICABLE, load_concept_model, load_ruleset
+from regcheck.taxonomy import NO_CONCEPT, NOT_APPLICABLE, load_concept_model, load_ruleset
 
 _REF_RULE_TOKEN = re.compile(r"\bR(\d+)\b")
 _REF_LEADING_IDS = re.compile(r"^\s*(?:R\d+\b[\s,;]*(?:and\s+)?)+[.:–-]?\s*")

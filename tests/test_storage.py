@@ -1,15 +1,20 @@
-"""Streamed atomic writes: the one-shot encoders' bytes, nothing partial on failure, bounded memory."""
+"""Streamed atomic writes: the one-shot encoders' bytes, nothing partial on failure, bounded
+memory; and the lazy JSONL reader."""
 
 from __future__ import annotations
 
 import json
-import random
 import tracemalloc
 
 import pytest
 
-from regcheck import storage
-from regcheck.storage import json_chunks, write_json, write_jsonl
+from regcheck.storage import (
+    atomic_write_chunks,
+    json_chunks,
+    numbered_jsonl,
+    write_json,
+    write_jsonl,
+)
 
 VALUES = [
     {},
@@ -21,6 +26,9 @@ VALUES = [
     {"text": "Données à caractère personnel — §28 „Auftrag“ 个人数据  ", "n": [1, 2.5, True, None]},
     ["ünïcödé", {"clé": "valeur"}],
 ]
+
+# A count of chunks or records far past what one write of the file object's buffer holds.
+MANY = 1024
 
 
 def _report(findings: int) -> dict:
@@ -56,12 +64,12 @@ def test_write_json_gives_the_one_shot_bytes(tmp_path, obj):
 
 def test_write_json_across_many_batches(tmp_path):
     obj = _report(2000)
-    assert sum(1 for _ in json_chunks(obj)) > 3 * storage._BATCH
+    assert sum(1 for _ in json_chunks(obj)) > 3 * MANY
     write_json(tmp_path / "report.json", obj)
     assert (tmp_path / "report.json").read_bytes() == _one_shot(obj)
 
 
-@pytest.mark.parametrize("count", [0, 1, storage._BATCH, 3 * storage._BATCH + 1])
+@pytest.mark.parametrize("count", [0, 1, MANY, 3 * MANY + 1])
 def test_write_jsonl_gives_the_per_line_bytes(tmp_path, count):
     records = [VALUES[6], {}, {"unit_ref": "ü", "labels": []}] * count
     # A generator: the writer must not need a list.
@@ -70,13 +78,13 @@ def test_write_jsonl_gives_the_per_line_bytes(tmp_path, count):
 
 
 def _failing_records():
-    for i in range(3 * storage._BATCH):
+    for i in range(3 * MANY):
         yield {"unit_ref": f"u{i}", "labels": []}
     raise RuntimeError("stream broke")
 
 
 def _unserializable_report():
-    """`iterencode` raises on the last finding, after more than two batches of chunks."""
+    """`iterencode` raises on the last finding, after thousands of chunks were written."""
     report = _report(1000)
     report["findings"][-1]["rationale"] = {"deep": [object()]}
     return report
@@ -124,42 +132,30 @@ def test_write_json_memory_is_a_fraction_of_the_file(tmp_path):
 
 
 def test_write_jsonl_memory_does_not_grow_with_the_record_count(tmp_path):
-    # Each batch of lines is held at once, so the bound is per batch, not per file.
     small, large = (_report(n)["findings"] for n in (8_000, 32_000))
-    assert len(small) > 4 * storage._BATCH
+    assert len(small) > 4 * MANY
     small_peak = _traced_peak(lambda: write_jsonl(tmp_path / "small.jsonl", small))
     large_peak = _traced_peak(lambda: write_jsonl(tmp_path / "large.jsonl", large))
     assert (tmp_path / "large.jsonl").stat().st_size >= 4_000_000
     assert large_peak < 1.5 * small_peak, (small_peak, large_peak)
 
 
-class _RecordingFile:
-    def __init__(self):
-        self.writes = []
-
-    def write(self, text):
-        self.writes.append(text)
-
-
-def test_write_chunks_gives_the_joined_text_in_bounded_writes():
-    # Runs of short chunks past the count bound, with chunks at and past the character bound.
-    big = storage._BATCH_CHARS
-    chunks = ["Ω" * n for n in (4_000, big - 1, big + 5, 3 * big) for _ in range(3)]
-    rng = random.Random(11)
-    chunks += [rng.choice(("", "Ω", "ab", "x" * 80)) for _ in range(3 * storage._BATCH)]
-    rng.shuffle(chunks)
-    fh = _RecordingFile()
-    storage.write_chunks(fh, iter(chunks))
-    assert "".join(fh.writes) == "".join(chunks)
-    # A batch is written once it reaches the bound, so it holds at most one more chunk.
-    assert all(len(w) < storage._BATCH_CHARS + 3 * big for w in fh.writes)
+def test_atomic_write_chunks_memory_is_one_chunk_not_a_batch(tmp_path):
+    # 2,000 chunks of 4,000 characters outside Latin-1: 8 MB as text, 24 MB as UTF-8. Each
+    # chunk goes to the file object as it comes, so the peak is about one encoded chunk
+    # (12 kB); joining chunks into batches of up to 256k characters peaked at 1.3 MB.
+    chunks = ["€" * 4_000] * 2_000
+    target = tmp_path / "big.txt"
+    peak = _traced_peak(lambda: atomic_write_chunks(target, chunks))
+    assert target.stat().st_size == 3 * 4_000 * 2_000
+    assert peak < 100_000, peak
 
 
-def test_write_chunks_memory_is_bounded_by_characters_not_chunk_count(tmp_path):
-    # 2,000 chunks of 4,000 characters outside Latin-1: 8 MB as text, 24 MB as UTF-8.
-    chunk = "€" * 4_000
-    chunks = [chunk] * 2_000
-    with open(tmp_path / "big.txt", "w", encoding="utf-8") as fh:
-        peak = _traced_peak(lambda: storage.write_chunks(fh, chunks))
-    assert (tmp_path / "big.txt").stat().st_size == 3 * 4_000 * 2_000
-    assert peak < 2_000_000, peak
+def test_numbered_jsonl_yields_each_record_before_reading_on(tmp_path):
+    path = tmp_path / "r.jsonl"
+    path.write_text('{"a": 1}\n{"b": "ü"}\nnot json\n\n{"c": 3}\n', encoding="utf-8")
+    records = numbered_jsonl(path)
+    assert next(records) == (1, {"a": 1})
+    assert next(records) == (2, {"b": "ü"})
+    with pytest.raises(ValueError, match=r"r\.jsonl:3: invalid JSON record"):
+        next(records)

@@ -61,6 +61,19 @@ class TestLoadConceptModel:
         with pytest.raises(SchemaError):
             load_concept_model(path)
 
+    def test_scarce_ids_are_not_held_to_the_answer_grammar(self, tmp_path):
+        # Only non-scarce ids are named in model answers; scarce ones come from keywords.
+        path = _concept_file(
+            tmp_path,
+            [
+                {"concept_id": "Hazard", "name": "H"},
+                {"concept_id": "Food-Contact", "name": "F", "scarce": True, "keywords": ["tray"]},
+                {"concept_id": "none", "name": "N", "scarce": True, "keywords": ["nothing"]},
+            ],
+        )
+        scarce = [c.concept_id for c in load_concept_model(path).scarce_concepts()]
+        assert scarce == ["Food-Contact", "none"]
+
     def test_bundled_fixture_scarce_set(self, data_dir):
         model = load_concept_model(data_dir / "food_safety_concepts.jsonl")
         scarce = {c.concept_id for c in model.scarce_concepts()}
