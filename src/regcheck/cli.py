@@ -16,39 +16,13 @@ import sys
 from dataclasses import astuple, dataclass
 from functools import partial
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
+# Modules every subcommand loads anyway; each `cmd_*` imports those only it runs.
 from . import __version__
-from .classify import load_classification_template
-from .compliance import (
-    ComplianceReport,
-    assemble_report,
-    load_template,
-    report_json_chunks,
-    report_markdown_chunks,
-)
-from .corpus import SourceDocument, chunk_paragraphs, extract_provisions, parse_document
+from .corpus import PARAGRAPH_LEVEL, SENTENCE, SourceDocument, parse_document
 from .errors import BackendError, RegcheckError
-from .evaluation import (
-    ANY_OVERLAP,
-    EXACT,
-    MetricsReport,
-    aggregate_runs,
-    confusion,
-    load_gold,
-    load_predictions,
-    match_accuracy,
-    metrics,
-)
 from .llm import HTTP, STUB, BackendConfig, RetryPolicy, cost_row, cost_summary, load_price_table
-from .pipeline import (
-    PARAGRAPH_LEVEL,
-    SENTENCE,
-    classify_provisions,
-    compliance_units,
-    model_runs,
-    run_compliance,
-)
 from .storage import (
     atomic_write_chunks,
     json_chunks,
@@ -56,7 +30,10 @@ from .storage import (
     write_json,
     write_jsonl,
 )
-from .taxonomy import load_concept_model, load_ruleset
+
+if TYPE_CHECKING:
+    from .compliance import ComplianceReport
+    from .evaluation import MetricsReport
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -246,6 +223,7 @@ def _read_document(path: str, cfg: RunConfig) -> SourceDocument:
 
 
 def cmd_segment(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .corpus import chunk_paragraphs, extract_provisions
     doc = _read_document(args.input, cfg)
     if cfg.granularity == SENTENCE:
         records = (
@@ -274,6 +252,11 @@ def cmd_segment(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .classify import load_classification_template
+    from .corpus import extract_provisions
+    from .pipeline import classify_provisions, model_runs
+    from .taxonomy import load_concept_model
+
     doc = _read_document(args.input, cfg)
     model = load_concept_model(args.concepts)
     template = load_classification_template(args.prompt_template)
@@ -294,6 +277,10 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .compliance import assemble_report, load_template
+    from .pipeline import compliance_units, model_runs, run_compliance
+    from .taxonomy import load_ruleset
+
     doc = _read_document(args.artifact, cfg)
     rules = load_ruleset(args.rules)
     template = load_template(args.template)
@@ -330,6 +317,7 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
 def write_check_outputs(target: Path, report: ComplianceReport, prices: dict) -> None:
     """Write one `check` run into `target`, each file encoded one finding at a time
     from the report's findings: no other copy of them is built."""
+    from .compliance import report_json_chunks, report_markdown_chunks
     atomic_write_chunks(target / "report.json", report_json_chunks(report))
     atomic_write_chunks(target / "report.md", report_markdown_chunks(report))
     write_jsonl(
@@ -353,6 +341,17 @@ def write_check_outputs(target: Path, report: ComplianceReport, prices: dict) ->
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from .evaluation import (
+        ANY_OVERLAP,
+        EXACT,
+        aggregate_runs,
+        confusion,
+        load_gold,
+        load_predictions,
+        match_accuracy,
+        metrics,
+    )
+
     if args.runs_dir:
         reports = _load_run_reports(Path(args.runs_dir))
         aggregate = aggregate_runs(reports)
@@ -378,6 +377,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def _load_run_reports(runs_dir: Path) -> list[MetricsReport]:
     """The `eval` metrics of each run: `<runs_dir>/<run>/metrics.json`."""
+    from .evaluation import MetricsReport
     paths = sorted(runs_dir.glob("*/metrics.json"))
     if not paths:
         raise ValueError(f"no <run>/metrics.json files under {runs_dir}")

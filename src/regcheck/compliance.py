@@ -9,7 +9,6 @@ model call itself is made in `pipeline`.
 from __future__ import annotations
 
 import json
-import logging
 import re
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring as _encode_str  # the C encoder of ensure_ascii=False
@@ -21,8 +20,6 @@ from .errors import ParseError, TemplateError
 from .llm import ChatMessage, Usage
 from .storage import read_text_or_bundled
 from .taxonomy import NOT_APPLICABLE, Ruleset, render_rules
-
-log = logging.getLogger(__name__)
 
 PLACEHOLDERS = ("{rules}", "{text}", "{context}")
 
@@ -135,7 +132,8 @@ def parse_response(raw: str, rules: Ruleset) -> tuple[frozenset[str], str]:
     if any(tok == NOT_APPLICABLE for _, tok in tokens):
         others = sorted({tok for _, tok in tokens if tok != NOT_APPLICABLE})
         if others:
-            log.warning(
+            import logging  # imported here: the only log record regcheck makes
+            logging.getLogger(__name__).warning(
                 "%s is exclusive; ignoring co-listed ids %s", NOT_APPLICABLE, others
             )
         ids: frozenset[str] = frozenset()

@@ -36,6 +36,9 @@ ABBREVIATIONS: frozenset[str] = frozenset(
 
 PARAGRAPH = "paragraph"
 LIST = "list"
+# The units of `segment` and `check` (`--granularity`): provisions, or passages of blocks.
+SENTENCE = "sentence"
+PARAGRAPH_LEVEL = "paragraph"
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,7 +8,6 @@ across labels rather than averaging per-label scores.
 
 from __future__ import annotations
 
-import statistics
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
@@ -285,6 +284,7 @@ class RunAggregate:
 
 
 def _box_stats(values: Sequence[float]) -> BoxStats:
+    import statistics  # imported here: only `eval --runs-dir` aggregates
     values = sorted(values)
     if len(values) == 1:
         v = values[0]

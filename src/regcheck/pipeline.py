@@ -9,7 +9,6 @@ Results keep input order, so runs with a deterministic backend are byte-reproduc
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -23,7 +22,9 @@ from .classify import (
     parse_concept_response,
 )
 from .compliance import Finding, PromptBundle, parse_response, prompt_builder
-from .corpus import (
+from .corpus import (  # the granularities are re-exported for library callers
+    PARAGRAPH_LEVEL,
+    SENTENCE,
     Passage,
     Provision,
     SourceDocument,
@@ -36,8 +37,6 @@ from .errors import ParseError, UnchunkableText
 from .llm import Backend, BackendConfig, ChatMessage, ModelPrice, Usage, make_backend, price_of
 from .taxonomy import ConceptModel, Ruleset
 
-SENTENCE = "sentence"
-PARAGRAPH_LEVEL = "paragraph"
 _QUEUED_PER_WORKER = 2  # units submitted per worker thread: one running, one waiting
 
 
@@ -187,6 +186,7 @@ def _ordered_map(fn: Callable, items: Sequence, parallelism: int) -> list:
     input order is raised. At parallelism 1 the calls run one by one in the calling thread."""
     if parallelism <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor  # imported here: parallel runs only
     failed: list[int] = []  # indices of the units that raised
 
     def unit(index: int, item):

@@ -81,11 +81,11 @@ def load_concept_model(path: str | Path) -> ConceptModel:
     Scarce concepts must carry keywords, none of them blank; non-scarce ones
     must not, and at least one non-scarce concept must exist. A non-scarce id
     is what a model answer names, so it must match `CONCEPT_ID`, differ from
-    every other non-scarce id ignoring case, and not be the sentinel NONE.
+    every other id ignoring case, and not be the sentinel NONE.
     """
     concepts: list[Concept] = []
     seen: set[str] = set()
-    answerable: dict[str, str] = {}  # lower-cased non-scarce id -> id
+    folded: dict[str, tuple[str, bool]] = {}  # lower-cased id -> (first such id, scarce)
     version = ""
     for i, (line, rec) in enumerate(numbered_jsonl(path)):
         where = f"{path}:{line}: concepts[{i}]"
@@ -114,12 +114,11 @@ def load_concept_model(path: str | Path) -> ConceptModel:
                 f"non-scarce concept {cid!r} must not define keywords",
                 f"{where}.keywords",
             )
-        if not scarce:
-            _add_answerable(cid, answerable, f"{where}.concept_id")
+        _fold_case(cid, scarce, folded, f"{where}.concept_id")
         concepts.append(Concept(cid, name, scarce, tuple(keywords)))
     if not concepts:
         raise SchemaError("concept model is empty", f"{path}: concepts")
-    if not answerable:
+    if all(c.scarce for c in concepts):
         raise SchemaError("at least one non-scarce concept is required", f"{path}: concepts")
     return ConceptModel(tuple(concepts), version)
 
@@ -168,16 +167,17 @@ def render_concepts(concepts: tuple[Concept, ...] | list[Concept]) -> str:
     return "\n".join(f"{c.concept_id}: {c.name}" for c in concepts)
 
 
-def _add_answerable(cid: str, answerable: dict[str, str], where: str) -> None:
-    """File non-scarce `cid` under its lower case; reject it if no answer could name it alone."""
-    if not CONCEPT_ID.fullmatch(cid):
+def _fold_case(cid: str, scarce: bool, folded: dict[str, tuple[str, bool]], where: str) -> None:
+    """File `cid` under its lower case. Answers name non-scarce ids ignoring case, so a
+    non-scarce id must be nameable alone, and no id may equal a non-scarce one ignoring case."""
+    if not scarce and not CONCEPT_ID.fullmatch(cid):
         raise SchemaError(f"non-scarce concept_id {cid!r} must match {CONCEPT_ID.pattern}", where)
-    if cid.lower() == NO_CONCEPT.lower():
+    if not scarce and cid.lower() == NO_CONCEPT.lower():
         raise SchemaError(f"{cid!r} is reserved as the no-concept sentinel {NO_CONCEPT}", where)
-    if cid.lower() in answerable:
-        other = answerable[cid.lower()]
-        raise SchemaError(f"non-scarce concept_id {cid!r} equals {other!r} ignoring case", where)
-    answerable[cid.lower()] = cid
+    other, other_scarce = folded.setdefault(cid.lower(), (cid, scarce))
+    if other != cid and not (scarce and other_scarce):
+        kind = "scarce" if scarce else "non-scarce"
+        raise SchemaError(f"{kind} concept_id {cid!r} equals {other!r} ignoring case", where)
 
 
 def _require_str(rec: dict, key: str, where: str) -> str:

@@ -39,6 +39,7 @@ class Mutant:
 
 
 _ORDERED_MAP = ("tests/test_pipeline.py", "-k", "TestOrderedMap")
+_STARTUP = ("tests/test_startup.py",)
 
 MUTANTS = (
     Mutant(
@@ -71,6 +72,28 @@ MUTANTS = (
         "pool.shutdown(cancel_futures=True)",
         "pool.shutdown()",
         "the queue is cancelled on the way out",
+        _ORDERED_MAP,
+    ),
+    Mutant(
+        "scheduler-completion-order",
+        "pipeline.py",
+        "        for index, item in enumerate(items):\n"
+        "            if len(pending) == _QUEUED_PER_WORKER * parallelism:\n"
+        "                results.append(pending.popleft().result())\n"
+        "            if failed:\n"
+        "                break\n"
+        "            pending.append(pool.submit(unit, index, item))\n"
+        "        results.extend(future.result() for future in pending)\n",
+        "        from concurrent.futures import as_completed\n"
+        "        for index, item in enumerate(items):\n"
+        "            if len(pending) == _QUEUED_PER_WORKER * parallelism:\n"
+        "                pending.remove(done := next(as_completed(pending)))\n"
+        "                results.append(done.result())\n"
+        "            if failed:\n"
+        "                break\n"
+        "            pending.append(pool.submit(unit, index, item))\n"
+        "        results.extend(future.result() for future in as_completed(pending))\n",
+        "results keep input order at any parallelism",
         _ORDERED_MAP,
     ),
     Mutant(
@@ -113,6 +136,14 @@ MUTANTS = (
         "        if not all(k.strip() for k in keywords):\n",
         "        if False:\n",
         "validation that can fail runs before the first call",
+        ("tests/test_cli.py", "-k", "rejected_jsonl_record"),
+    ),
+    Mutant(
+        "scarce-id-case-collision",
+        "taxonomy.py",
+        "    if other != cid and not (scarce and other_scarce):\n",
+        "    if other != cid and not scarce and not other_scarce:\n",
+        "a concept is labelled once: no id equals a non-scarce one ignoring case",
         ("tests/test_cli.py", "-k", "rejected_jsonl_record"),
     ),
     Mutant(
@@ -164,6 +195,22 @@ MUTANTS = (
         '"\\n  ]"',
         "report.json gives the one-shot bytes with no findings",
         ("tests/test_outputs.py",),
+    ),
+    Mutant(
+        "statistics-imported-eagerly",
+        "evaluation.py",
+        "from collections import Counter\n",
+        "import statistics\nfrom collections import Counter\n",
+        "a subcommand loads only the modules it runs: statistics is for eval --runs-dir",
+        _STARTUP,
+    ),
+    Mutant(
+        "root-imports-pipeline-eagerly",
+        "__init__.py",
+        '__version__ = "0.1.0"\n',
+        'from .pipeline import check_passage\n\n__version__ = "0.1.0"\n',
+        "importing the package loads no submodule",
+        _STARTUP,
     ),
 )
 

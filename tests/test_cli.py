@@ -34,16 +34,19 @@ def test_version(capsys):
 
 def test_package_root_is_the_readme_library_example():
     # Every name of the README's `from regcheck import (...)` block imports from
-    # the package root, and the root exports nothing else but `__version__`.
+    # the package root, and the root exports nothing else but `__version__`. The
+    # root loads each name's submodule on first use, so `vars(regcheck)` holds only
+    # the names used so far: the exports are what `__all__` and `dir()` list.
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("from regcheck import (", 1)[1].split(")", 1)[0]
     names = {name.strip() for name in block.split(",") if name.strip()}
+    assert set(regcheck.__all__) == names
     namespace: dict = {}
     exec(f"from regcheck import ({block})", namespace)
     assert names <= set(namespace)
     exported = {
-        name for name, value in vars(regcheck).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        name for name in dir(regcheck)
+        if not name.startswith("_") and not isinstance(getattr(regcheck, name), types.ModuleType)
     }
     assert exported == names
 
@@ -857,6 +860,23 @@ def test_non_object_jsonl_line_exits_2_before_any_call(tmp_path, monkeypatch, ca
         ),
         (
             "concepts",
+            [
+                {"concept_id": "Hazard", "name": "H"},
+                {"concept_id": "HAZARD", "name": "H", "scarce": True, "keywords": ["toxin"]},
+            ],
+            ":3: concepts[2].concept_id: scarce concept_id 'HAZARD' equals 'Hazard' ignoring case",
+        ),
+        (
+            "concepts",
+            [
+                {"concept_id": "HAZARD", "name": "H", "scarce": True, "keywords": ["toxin"]},
+                {"concept_id": "Hazard", "name": "H"},
+            ],
+            ":3: concepts[2].concept_id: non-scarce concept_id 'Hazard' equals 'HAZARD' "
+            "ignoring case",
+        ),
+        (
+            "concepts",
             [{"concept_id": "none", "name": "No concept"}],
             ":2: concepts[1].concept_id: 'none' is reserved as the no-concept sentinel NONE",
         ),
@@ -879,7 +899,8 @@ def test_non_object_jsonl_line_exits_2_before_any_call(tmp_path, monkeypatch, ca
     ],
     ids=[
         "scarce", "keywords", "blank-keyword", "concept-id-pattern", "concept-id-case",
-        "concept-id-none", "source-ref", "text", "stub-response", "gold-duplicate",
+        "scarce-id-case", "scarce-id-case-first", "concept-id-none", "source-ref", "text",
+        "stub-response", "gold-duplicate",
     ],
 )
 def test_rejected_jsonl_record_exits_2_naming_its_line_before_any_call(

@@ -90,10 +90,18 @@ class TestParseResponse:
         assert ids == {"R5", "R7"}
         assert rationale == "Because both duties appear here."
 
-    def test_sentinel(self, rules):
+    def test_sentinel(self, rules, caplog):
         ids, rationale = parse_response("R99. No rule applies here.", rules)
         assert ids == set()
         assert rationale == "No rule applies here."
+        assert caplog.records == []
+
+    def test_sentinel_warns_once_of_the_ids_it_overrides(self, rules, caplog):
+        ids, _ = parse_response("R99 and R2. Nothing here applies.", rules)
+        assert ids == set()
+        [record] = caplog.records
+        assert (record.name, record.levelname) == ("regcheck.compliance", "WARNING")
+        assert "['R2']" in record.getMessage()
 
     def test_unknown_id(self, rules):
         with pytest.raises(ParseError):

@@ -62,17 +62,19 @@ class TestLoadConceptModel:
             load_concept_model(path)
 
     def test_scarce_ids_are_not_held_to_the_answer_grammar(self, tmp_path):
-        # Only non-scarce ids are named in model answers; scarce ones come from keywords.
+        # Only non-scarce ids are named in model answers; scarce ones come from keywords,
+        # so two scarce ids may even be equal ignoring case.
         path = _concept_file(
             tmp_path,
             [
                 {"concept_id": "Hazard", "name": "H"},
                 {"concept_id": "Food-Contact", "name": "F", "scarce": True, "keywords": ["tray"]},
                 {"concept_id": "none", "name": "N", "scarce": True, "keywords": ["nothing"]},
+                {"concept_id": "FOOD-CONTACT", "name": "F", "scarce": True, "keywords": ["tin"]},
             ],
         )
         scarce = [c.concept_id for c in load_concept_model(path).scarce_concepts()]
-        assert scarce == ["Food-Contact", "none"]
+        assert scarce == ["Food-Contact", "none", "FOOD-CONTACT"]
 
     def test_bundled_fixture_scarce_set(self, data_dir):
         model = load_concept_model(data_dir / "food_safety_concepts.jsonl")
