@@ -16,11 +16,11 @@ import sys
 from dataclasses import astuple, dataclass
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 # Modules every subcommand loads anyway; each `cmd_*` imports those only it runs.
 from . import __version__
-from .corpus import PARAGRAPH_LEVEL, SENTENCE, SourceDocument, parse_document
+from .corpus import PARAGRAPH_LEVEL, SENTENCE, SourceDocument, _parse_lines
 from .errors import BackendError, RegcheckError
 from .llm import HTTP, STUB, BackendConfig, RetryPolicy, cost_row, cost_summary, load_price_table
 from .storage import (
@@ -216,10 +216,22 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
 
 
 def _read_document(path: str, cfg: RunConfig) -> SourceDocument:
-    # No local holds the raw text: it is freed once parsed, not kept for the whole run.
-    return parse_document(
-        Path(path).read_text(encoding="utf-8"), cfg.format, doc_id=Path(path).stem
-    )
+    # Parsed as the file is read: no copy of the whole text or of its lines is built.
+    return _parse_lines(_text_lines(path), cfg.format, doc_id=Path(path).stem)
+
+
+def _text_lines(path: str) -> Iterator[str]:
+    """`Path(path).read_text(encoding="utf-8").splitlines()`, one line at a time. A byte
+    that is not UTF-8 raises `ValueError` naming `path` and its line."""
+    # A binary line ends at "\n", so no separator of `str.splitlines` ("\r\n" included)
+    # spans two of them, and no multi-byte UTF-8 sequence holds a "\n" byte.
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            yield from text.splitlines()
 
 
 def cmd_segment(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -260,9 +272,9 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     doc = _read_document(args.input, cfg)
     model = load_concept_model(args.concepts)
     template = load_classification_template(args.prompt_template)
-    classify = partial(
-        classify_provisions, extract_provisions(doc), model, template=template, stem=args.stem
-    )
+    provisions = extract_provisions(doc)
+    del doc  # freed before the first call: the run reads only the provisions
+    classify = partial(classify_provisions, provisions, model, template=template, stem=args.stem)
     if args.keyword_only:
         results = classify(None, parallelism=cfg.backend.parallelism)
     else:
@@ -286,9 +298,9 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     template = load_template(args.template)
     prices = load_price_table(cfg.price_table)
     out_dir = Path(args.out_dir)
-    units = compliance_units(
-        doc, cfg.granularity, cfg.budget, context_on=(cfg.context == "on")
-    )
+    doc_id = doc.doc_id
+    units = compliance_units(doc, cfg.granularity, cfg.budget, context_on=(cfg.context == "on"))
+    del doc  # freed before the first call: the run reads only the units and its id
     check = partial(run_compliance, units, rules, template=template)
 
     runs = model_runs(cfg.backend, prices, cfg.runs, check)
@@ -299,7 +311,7 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
         target.mkdir(parents=True, exist_ok=True)
     worst_failures = 0
     for target in targets:
-        report = assemble_report(next(runs), rules, doc.doc_id)
+        report = assemble_report(next(runs), rules, doc_id)
         write_check_outputs(target, report, prices)
         worst_failures = max(worst_failures, report.totals["parse_failures"])
         del report  # frees this run's findings before the next run; enumerate() would keep them

@@ -117,7 +117,8 @@ def prompt_builder(
 
 
 def parse_response(raw: str, rules: Ruleset) -> tuple[frozenset[str], str]:
-    """Extract (rule ids, rationale) from a model response.
+    """Extract (rule ids, rationale) from a model response; equal id sets are one object
+    (`Ruleset.id_set`).
 
     Grammar: rule tokens ``R<digits>`` must appear before or in the first
     sentence (later repeats are fine, later new ids are prose); the sentinel
@@ -136,7 +137,7 @@ def parse_response(raw: str, rules: Ruleset) -> tuple[frozenset[str], str]:
             logging.getLogger(__name__).warning(
                 "%s is exclusive; ignoring co-listed ids %s", NOT_APPLICABLE, others
             )
-        ids: frozenset[str] = frozenset()
+        leading: set[str] = set()
     else:
         end = first_sentence_end(raw)
         leading = {tok for pos, tok in tokens if pos < end}
@@ -145,10 +146,9 @@ def parse_response(raw: str, rules: Ruleset) -> tuple[frozenset[str], str]:
         unknown = sorted(leading - rules.ids())
         if unknown:
             raise ParseError(f"unknown rule id(s) {unknown}")
-        ids = frozenset(leading)
 
     rationale = _LEADING_IDS.sub("", raw, count=1).strip()
-    return ids, rationale
+    return rules.id_set(leading), rationale
 
 
 def assemble_report(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import MalformedInput, UnchunkableText
 
@@ -314,11 +314,16 @@ def parse_document(
     and each marker line starts an item. A block whose first line opens with a
     marker has no header, so it stays prose.
     """
+    return _parse_lines(raw.splitlines(), format, doc_id)
+
+
+def _parse_lines(lines: Iterable[str], format: str, doc_id: str) -> SourceDocument:
+    """`parse_document` of the text whose `splitlines()` are `lines`, taken one at a time."""
     if format not in ("plain", "structured"):
         raise ValueError(f"unknown format {format!r}")
     builder = _Builder()
     handle = builder.structured_line if format == "structured" else builder.plain_line
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if line.strip():
             handle(line, lineno)
         else:

@@ -10,17 +10,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from .classify import (
-    FROM_LLM,
-    ClassificationTemplate,
-    LabelSet,
-    classification_prompter,
-    classify_keywords,
-    fuse_labels,
-    parse_concept_response,
-)
 from .compliance import Finding, PromptBundle, parse_response, prompt_builder
 from .corpus import (  # the granularities are re-exported for library callers
     PARAGRAPH_LEVEL,
@@ -36,6 +27,9 @@ from .corpus import (  # the granularities are re-exported for library callers
 from .errors import ParseError, UnchunkableText
 from .llm import Backend, BackendConfig, ChatMessage, ModelPrice, Usage, make_backend, price_of
 from .taxonomy import ConceptModel, Ruleset
+
+if TYPE_CHECKING:  # `classify` is imported by `classify_provisions`: `check` never loads it
+    from .classify import ClassificationTemplate, LabelSet
 
 _QUEUED_PER_WORKER = 2  # units submitted per worker thread: one running, one waiting
 
@@ -84,6 +78,14 @@ def classify_provisions(
     sets are fused per provision. Without a backend the model branch is
     skipped entirely (the keyword-search baseline).
     """
+    from .classify import (
+        FROM_LLM,
+        LabelSet,
+        classification_prompter,
+        classify_keywords,
+        fuse_labels,
+        parse_concept_response,
+    )
     prompt = classification_prompter(model, template) if backend is not None else None
 
     def classify_one(p: Provision) -> ClassifiedProvision:
@@ -146,7 +148,7 @@ def check_passage(bundle: PromptBundle, rules: Ruleset, backend: Backend) -> Fin
     """Send one bundle and parse the determination. A response the grammar rejects
     becomes a finding with `parse_error` set and no rule ids (see `_ask`)."""
     parsed, response, usage, error = _ask(backend, bundle.messages, parse_response, rules)
-    rule_ids, rationale = parsed or (frozenset(), "")
+    rule_ids, rationale = parsed or (rules.id_set(()), "")
     return Finding(bundle.passage_ref, rule_ids, rationale, response, usage, error)
 
 

@@ -22,17 +22,20 @@ def numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     JSON object; the loaders name a record they reject by `path` and that line. Lazy: a
     line is read when its record is asked for, so the first problem in file order is raised."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON record: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}:{lineno}: expected a JSON object")
-            yield lineno, record
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: invalid JSON record: {exc}") from exc
+                if not isinstance(record, dict):
+                    raise ValueError(f"{path}:{lineno}: expected a JSON object")
+                yield lineno, record
+        except UnicodeDecodeError as exc:  # decoded a buffer ahead of the lines: no line to name
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 # One encoder of each kind: json.dumps with a non-default option builds a new one per call.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .errors import SchemaError
 from .storage import numbered_jsonl
@@ -66,9 +67,16 @@ class Ruleset:
     def __post_init__(self):
         # The ruleset is frozen, so its id set is computed once, not per response.
         object.__setattr__(self, "_ids", frozenset(r.rule_id for r in self.rules))
+        object.__setattr__(self, "_id_sets", {})  # each set `id_set` has handed out, by itself
 
     def ids(self) -> frozenset[str]:
         return self._ids
+
+    def id_set(self, ids: Iterable[str]) -> frozenset[str]:
+        """`frozenset(ids)`, as one object per distinct set for this ruleset, so that the
+        findings of a run share a few sets; `setdefault` keeps that so across threads."""
+        ids = frozenset(ids)
+        return self._id_sets.setdefault(ids, ids)
 
     def ordered_ids(self) -> tuple[str, ...]:
         return tuple(r.rule_id for r in self.rules)

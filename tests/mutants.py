@@ -40,6 +40,8 @@ class Mutant:
 
 _ORDERED_MAP = ("tests/test_pipeline.py", "-k", "TestOrderedMap")
 _STARTUP = ("tests/test_startup.py",)
+_PARSE_REFERENCE = ("tests/test_corpus.py", "-k", "TestParseDocumentAgainstReference")
+_ONE_COPY = "tests/test_one_copy.py"
 
 MUTANTS = (
     Mutant(
@@ -211,6 +213,95 @@ MUTANTS = (
         'from .pipeline import check_passage\n\n__version__ = "0.1.0"\n',
         "importing the package loads no submodule",
         _STARTUP,
+    ),
+    Mutant(
+        "pipeline-imports-classify",
+        "pipeline.py",
+        "from .compliance import Finding,",
+        "from .classify import classify_keywords\nfrom .compliance import Finding,",
+        "a subcommand loads only the modules it runs: check never classifies",
+        _STARTUP,
+    ),
+    Mutant(
+        "hashlib-imported-eagerly",
+        "llm.py",
+        "import json\nimport os\n",
+        "import hashlib\nimport json\nimport os\n",
+        "only a cached run loads OpenSSL, for its cache key",
+        ("tests/test_llm.py", "-k", "openssl"),
+    ),
+    Mutant(
+        "title-check-is-not-none",
+        "corpus.py",
+        "            if self.title or self.blocks or self.kind is not None:\n",
+        "            if self.title is not None or self.blocks or self.kind is not None:\n",
+        "one parse loop gives the documents of the two parsers it replaced: an empty title",
+        _PARSE_REFERENCE,
+    ),
+    Mutant(
+        "plain-no-prose-flag",
+        "corpus.py",
+        "        elif marker and not self.prose:\n",
+        "        elif marker:\n",
+        "one parse loop gives the documents of the two parsers it replaced: prose opening "
+        "with a marker",
+        _PARSE_REFERENCE,
+    ),
+    Mutant(
+        "always-no-blocks",
+        "corpus.py",
+        '"empty document" if builder.title is None else "document contains no blocks"',
+        '"document contains no blocks"',
+        "one parse loop gives the errors of the two parsers it replaced",
+        _PARSE_REFERENCE,
+    ),
+    Mutant(
+        "plain-marker-on-stripped-line",
+        "corpus.py",
+        "        marker = _ENUM_LINE.match(line) is not None\n",
+        "        marker = _ENUM_LINE.match(line.strip()) is not None\n",
+        "one parse loop gives the documents of the two parsers it replaced: a bare marker",
+        _PARSE_REFERENCE,
+    ),
+    Mutant(
+        "reader-reads-whole-file",
+        "cli.py",
+        "_parse_lines(_text_lines(path), ",
+        '_parse_lines(Path(path).read_text(encoding="utf-8").splitlines(), ',
+        "reading a document holds no copy of the whole file",
+        (_ONE_COPY, "-k", "no_copy"),
+    ),
+    Mutant(
+        "reader-splits-at-newline-only",
+        "cli.py",
+        "            yield from text.splitlines()\n",
+        '            yield text.rstrip("\\r\\n")\n',
+        "the reader gives the lines of `read_text().splitlines()`",
+        (_ONE_COPY, "-k", "lines_and_document"),
+    ),
+    Mutant(
+        "check-keeps-the-document",
+        "cli.py",
+        "    del doc  # freed before the first call: the run reads only the units and its id\n",
+        "",
+        "check frees the document before the model stage",
+        (_ONE_COPY, "-k", "freed"),
+    ),
+    Mutant(
+        "classify-keeps-the-document",
+        "cli.py",
+        "    del doc  # freed before the first call: the run reads only the provisions\n",
+        "",
+        "classify frees the document before the model stage",
+        (_ONE_COPY, "-k", "freed"),
+    ),
+    Mutant(
+        "fresh-id-set-per-answer",
+        "taxonomy.py",
+        "        return self._id_sets.setdefault(ids, ids)\n",
+        "        return ids\n",
+        "findings with equal rule-id sets share one set",
+        (_ONE_COPY, "-k", "share"),
     ),
 )
 

@@ -774,23 +774,30 @@ _VALID_FIRST_LINE = {
 
 
 def _assert_jsonl_rejected_before_any_call(tmp_path, monkeypatch, capsys, flag, text, message):
-    """The command that reads `text` as its `flag` input exits 2 with `message`
-    after the file's name, makes no model call and writes nothing."""
+    """The command that reads `text` (or bytes) as its `flag` input exits 2 with
+    `message` after the file's name, makes no model call and writes nothing."""
     calls = []
     monkeypatch.setattr(StubBackend, "complete", lambda self, messages: calls.append(messages))
     bad = tmp_path / f"{flag}.jsonl"
-    bad.write_text(text, encoding="utf-8")
+    bad.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     good = tmp_path / "good.jsonl"
     write_jsonl(good, [_VALID_FIRST_LINE["gold"]])
     out, cache = tmp_path / "out", tmp_path / "cache"
     cache.mkdir()
     check = ["check", "--artifact", str(FIXTURES / "dpa_demo.txt"), "--format", "structured"]
     check += ["--out-dir", str(out), "--cache-dir", str(cache)]
+    stub = ["--stub-script", str(FIXTURES / "stub_paragraph_aware.jsonl")]
+    rules = ["--rules", str(DATA / "gdpr_art28_demo.jsonl")]
     argv = {
-        "rules": check
-        + ["--rules", str(bad), "--stub-script", str(FIXTURES / "stub_paragraph_aware.jsonl")],
-        "stub-script": check
-        + ["--rules", str(DATA / "gdpr_art28_demo.jsonl"), "--stub-script", str(bad)],
+        "artifact": [*check[:2], str(bad), *check[3:], *rules, *stub],
+        "rules": check + ["--rules", str(bad), *stub],
+        "stub-script": check + [*rules, "--stub-script", str(bad)],
+        "input": [
+            "classify", "--input", str(bad), "--format", "structured", "--concepts",
+            str(DATA / "food_safety_concepts.jsonl"), "--stub-script",
+            str(FIXTURES / "stub_classify.jsonl"), "--out", str(out), "--cache-dir", str(cache),
+        ],
+        "segment": ["segment", "--input", str(bad), "--out", str(out)],
         "concepts": [
             "classify", "--input", str(FIXTURES / "food_corpus.txt"), "--format", "structured",
             "--concepts", str(bad), "--stub-script", str(FIXTURES / "stub_classify.jsonl"),
@@ -928,6 +935,22 @@ def test_first_problem_in_file_order_is_named(tmp_path, monkeypatch, capsys, fla
     # The loader rejects line 1 before the reader reaches the bad JSON on line 3.
     record, message = _REJECTED_FIRST_LINE[flag]
     text = json.dumps(record) + "\n" + json.dumps(_VALID_FIRST_LINE[flag]) + "\n{not json\n"
+    _assert_jsonl_rejected_before_any_call(tmp_path, monkeypatch, capsys, flag, text, message)
+
+
+_DOCUMENT_FLAGS = ("artifact", "input", "segment")
+
+
+@pytest.mark.parametrize("flag", [*_DOCUMENT_FLAGS, *sorted(_VALID_FIRST_LINE)])
+def test_input_that_is_not_utf8_exits_2_naming_its_file_before_any_call(
+    tmp_path, monkeypatch, capsys, flag
+):
+    # Line 5 holds a byte that is not UTF-8. A document names that line; a JSONL file
+    # is decoded a buffer ahead of its lines, so it names the file alone.
+    first = "¶ Données." if flag in _DOCUMENT_FLAGS else json.dumps(_VALID_FIRST_LINE[flag])
+    text = f"{first}\r\n\n{first}\n\n".encode("utf-8") + b"\xc3\xa9\xff\n"
+    where = ":5: " if flag in _DOCUMENT_FLAGS else ": "
+    message = f"{where}'utf-8' codec can't decode byte 0xff in position "
     _assert_jsonl_rejected_before_any_call(tmp_path, monkeypatch, capsys, flag, text, message)
 
 

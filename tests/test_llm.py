@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import regcheck
 from regcheck.corpus import estimate_tokens
 from regcheck.errors import (
     BackendError,
@@ -706,12 +707,19 @@ sys.exit(main(sys.argv[1:]))
 '''
 
 
+def _child_env() -> dict[str, str]:
+    """This environment, with the `src/` these tests import first on `PYTHONPATH`: a
+    child interpreter then runs the same copy, such as a mutant's."""
+    src = str(Path(regcheck.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_requests_is_never_imported(fixtures, data_dir, tmp_path):
     # In a fresh interpreter, with `requests` blocked: the http backend runs
     # a whole `check` on the standard library alone.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env = _child_env()
     with scripted_server() as url:
         proc = subprocess.run(
             [
@@ -744,9 +752,7 @@ sys.exit(code)
 @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
 def test_openssl_is_loaded_only_for_a_cached_run(fixtures, data_dir, tmp_path, cached):
     # hashlib maps OpenSSL's libcrypto, a few MB of memory; only the cache key needs it.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env = _child_env()
     cache = ["--cache-dir", str(tmp_path / "cache")] if cached else []
     proc = subprocess.run(
         [

@@ -1,0 +1,170 @@
+"""One copy of the input: `check` and `classify` read a document one line at a time,
+release it before the model stage, and findings share their rule-id sets."""
+
+from __future__ import annotations
+
+import gc
+import random
+import tracemalloc
+import weakref
+
+import pytest
+
+import regcheck.cli as cli
+import regcheck.pipeline as pipeline
+from regcheck.cli import main
+from regcheck.corpus import Passage, parse_document
+from regcheck.llm import BackendConfig, Usage
+from regcheck.pipeline import CheckUnit, run_compliance
+from regcheck.taxonomy import RuleSpec, Ruleset
+
+# Every line separator of `str.splitlines`.
+SEPARATORS = (
+    "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+)
+LINES = (
+    "# Title", "#", "¶ The processor shall assist.", "¶ Données personnelles", "¶ ",
+    "* The processor shall:", "- keep records;", "- 个人数据 € 5", "(a) first item",
+    "1. numbered", "continued text", "Art. 5 applies.", "", " ", "\t",
+)
+
+
+def _outcome(fn):
+    """What `fn()` returns, or the type and message of the error it raises."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _config(fmt: str) -> cli.RunConfig:
+    return cli.RunConfig(BackendConfig(), format=fmt)
+
+
+def _assert_read_as_text(path):
+    text = path.read_text(encoding="utf-8")
+    assert list(cli._text_lines(str(path))) == text.splitlines(), repr(text)
+    parsed = 0
+    for fmt in ("plain", "structured"):
+        got = _outcome(lambda: cli._read_document(str(path), _config(fmt)))
+        assert got == _outcome(lambda: parse_document(text, fmt, doc_id=path.stem)), repr(text)
+        parsed += not isinstance(got, tuple)
+    return parsed
+
+
+def _random_text(rng: random.Random) -> str:
+    text = "\ufeff" if rng.random() < 0.1 else ""  # a BOM is text: `read_text` keeps it
+    for _ in range(rng.randint(0, 12)):
+        text += rng.choice(LINES) + rng.choice(SEPARATORS)
+    return text if rng.random() < 0.7 else text + rng.choice(LINES)  # no final separator
+
+
+class TestReadDocument:
+    def test_reader_gives_the_lines_and_document_of_the_text(self, tmp_path, fixtures):
+        paths = sorted(fixtures.iterdir())
+        for name, text in [("empty", ""), ("unterminated", "¶ One.\n\n¶ Two.")]:
+            paths.append(tmp_path / f"{name}.txt")
+            paths[-1].write_bytes(text.encode("utf-8"))
+        for path in paths:
+            _assert_read_as_text(path)
+
+        rng = random.Random(20261019)
+        path, parsed = tmp_path / "random.txt", 0
+        for _ in range(1200):
+            path.write_bytes(_random_text(rng).encode("utf-8"))
+            parsed += _assert_read_as_text(path)
+        assert parsed >= 200  # the texts reach documents, not only errors
+
+    def test_read_holds_no_copy_of_the_file(self, tmp_path):
+        rng = random.Random(5)
+        words = ("processor", "shall", "Données", "controller", "record", "Art. 5", "€")
+        blocks = []
+        while sum(map(len, blocks)) < 2_500_000:
+            lines = [" ".join(rng.choices(words, k=12)) + "." for _ in range(rng.randint(1, 6))]
+            if rng.random() < 0.3:
+                blocks.append("* The processor shall:\n" + "".join(f"- {l}\n" for l in lines))
+            else:
+                blocks.append("¶ " + "\n".join(lines) + "\n")
+        path = tmp_path / "artifact.txt"
+        path.write_text("# Large artifact\n\n" + "\n".join(blocks), encoding="utf-8")
+        size = path.stat().st_size
+
+        tracemalloc.start()
+        try:
+            doc = cli._read_document(str(path), _config("structured"))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(doc.blocks) == len(blocks)
+        # The whole text, its bytes or its list of lines would each be about `size`.
+        assert peak - kept < size / 10, (peak - kept, size)
+
+
+def _check(fixtures, data_dir, tmp_path):
+    return [
+        "check", "--artifact", str(fixtures / "dpa_demo.txt"), "--format", "structured",
+        "--rules", str(data_dir / "gdpr_art28_demo.jsonl"),
+        "--stub-script", str(fixtures / "stub_paragraph_aware.jsonl"),
+        "--out-dir", str(tmp_path / "out"),
+    ]
+
+
+def _classify(fixtures, data_dir, tmp_path):
+    return [
+        "classify", "--input", str(fixtures / "food_corpus.txt"), "--format", "structured",
+        "--concepts", str(data_dir / "food_safety_concepts.jsonl"),
+        "--stub-script", str(fixtures / "stub_classify.jsonl"),
+        "--out", str(tmp_path / "labels.jsonl"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv,stage",
+    [(_check, "run_compliance"), (_classify, "classify_provisions")],
+    ids=["check", "classify"],
+)
+def test_document_is_freed_before_the_model_stage(
+    monkeypatch, fixtures, data_dir, tmp_path, argv, stage
+):
+    refs, alive = [], []
+    read, run = cli._read_document, getattr(pipeline, stage)
+
+    def reading(*args, **kwargs):
+        doc = read(*args, **kwargs)
+        refs.append(weakref.ref(doc))
+        return doc
+
+    def running(*args, **kwargs):
+        gc.collect()
+        alive.append(refs[-1]() is not None)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_read_document", reading)
+    monkeypatch.setattr(pipeline, stage, running)
+    assert main(argv(fixtures, data_dir, tmp_path)) == 0
+    assert alive == [False]
+
+
+RULES = Ruleset((RuleSpec("R1", "one"), RuleSpec("R2", "two"), RuleSpec("R3", "three")), "r")
+# One answer per unit, in turn: equal sets, the same set in another order, R99,
+# an answer that fails to parse, and another set.
+ANSWERS = ("R1. Yes.", "R2 and R1: both.", "R99. None.", "No identifier.", "R1, R2. Both.", "R3.")
+
+
+class _ByIndex:
+    def complete(self, messages):
+        index = int(messages[-1].content.rsplit(" ", 1)[1])
+        answer = ANSWERS[index % len(ANSWERS)]
+        return answer, Usage("stub-model", 1, 1)
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_findings_with_equal_rule_ids_share_one_set(parallelism):
+    units = [CheckUnit(Passage("d", i, f"Unit {i}", 2, (i, i))) for i in range(60)]
+    findings = run_compliance(units, RULES, _ByIndex(), parallelism=parallelism)
+    by_set = {}
+    for f in findings:
+        by_set.setdefault(f.rule_ids, set()).add(id(f.rule_ids))
+    assert set(by_set) == {frozenset(), *map(frozenset, ({"R1"}, {"R1", "R2"}, {"R3"}))}
+    assert {f.parse_error is None for f in findings if not f.rule_ids} == {True, False}
+    assert all(len(ids) == 1 for ids in by_set.values()), by_set

@@ -87,7 +87,8 @@ def _argv(case: str, fixtures: Path, data: Path, tmp: Path) -> list[str]:
 # Per case: the modules it must not load, and those it must load.
 _CASES = {
     "check-parallelism-1": (
-        {"regcheck.evaluation", *_ONE_PATH, "http.client"}, {"regcheck.pipeline"}
+        {"regcheck.evaluation", "regcheck.classify", *_ONE_PATH, "http.client"},
+        {"regcheck.pipeline"},
     ),
     "check-parallelism-2": (set(), {"concurrent.futures"}),
     "classify": ({"regcheck.evaluation", *_ONE_PATH}, {"regcheck.classify"}),
