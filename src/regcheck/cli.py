@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing
 from dataclasses import astuple, dataclass
 from functools import partial
 from pathlib import Path
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from . import __version__
 from .corpus import PARAGRAPH_LEVEL, SENTENCE, SourceDocument, _parse_lines
 from .errors import BackendError, RegcheckError
-from .llm import HTTP, STUB, BackendConfig, RetryPolicy, cost_row, cost_summary, load_price_table
+from .llm import HTTP, STUB, BackendConfig, CostTotals, RetryPolicy, cost_row, load_price_table
 from .storage import (
     atomic_write_chunks,
     json_chunks,
@@ -266,7 +267,7 @@ def cmd_segment(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .classify import load_classification_template
     from .corpus import extract_provisions
-    from .pipeline import classify_provisions, model_runs
+    from .pipeline import classify_iter, model_runs
     from .taxonomy import load_concept_model
 
     doc = _read_document(args.input, cfg)
@@ -274,17 +275,15 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     template = load_classification_template(args.prompt_template)
     provisions = extract_provisions(doc)
     del doc  # freed before the first call: the run reads only the provisions
-    classify = partial(classify_provisions, provisions, model, template=template, stem=args.stem)
+    classify = partial(classify_iter, provisions, model, template=template, stem=args.stem)
     if args.keyword_only:
         results = classify(None, parallelism=cfg.backend.parallelism)
     else:
-        runs = model_runs(cfg.backend, load_price_table(cfg.price_table), 1, classify)
-        if args.out:  # a location that cannot take the file fails before the first call
-            if Path(args.out).is_dir():
-                raise IsADirectoryError(f"--out {args.out} is a directory")
-            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        [results] = runs
-    _emit((jsonl_line(r.to_record()) for r in results), args.out)
+        [results] = model_runs(cfg.backend, load_price_table(cfg.price_table), 1, classify)
+    # Each label is written as its provision completes. `--out` is checked before the
+    # first call, and a failed write cancels the queued calls before the error propagates.
+    with closing(results):
+        _emit((jsonl_line(r.to_record()) for r in results), args.out)
     return EXIT_OK
 
 
@@ -344,12 +343,12 @@ def write_check_outputs(target: Path, report: ComplianceReport, prices: dict) ->
             for f in report.findings
         ),
     )
-
-    def cost_rows():
-        return (cost_row(prices, f.usage) for f in report.findings if f.usage is not None)
-
-    write_jsonl(target / "costs.jsonl", cost_rows())
-    write_json(target / "costs_summary.json", cost_summary(cost_rows))
+    totals = CostTotals()  # each ledger row is built once, totalled as it is written
+    write_jsonl(
+        target / "costs.jsonl",
+        (totals.add(cost_row(prices, f.usage)) for f in report.findings if f.usage is not None),
+    )
+    write_json(target / "costs_summary.json", totals.summary())
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:

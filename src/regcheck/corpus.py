@@ -242,6 +242,13 @@ def block_text(block: Block) -> str:
     return " ".join([block.header, *block.items])
 
 
+def block_length(block: Block) -> int:
+    """`len(block_text(block))`, without building a list block's text."""
+    if block.kind == PARAGRAPH:
+        return len(block.text)
+    return len(block.header) + sum(map(len, block.items)) + len(block.items)
+
+
 def chunk_paragraphs(doc: SourceDocument, budget: int) -> list[Passage]:
     """Token-bounded passages, one per block where the block fits the budget.
 

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .corpus import estimate_tokens
@@ -534,23 +534,34 @@ def cost_row(price_table: dict[str, ModelPrice], usage: Usage) -> dict:
     }
 
 
-def cost_summary(rows: Callable[[], Iterable[dict]]) -> dict:
-    """`costs_summary.json` of the ledger rows that each call of `rows()` gives afresh,
-    with no list built: one pass for the integer totals, then one `sum()` over the rows
-    in order per float total (a `+=` loop rounds otherwise from Python 3.12 on)."""
-    totals = dict.fromkeys(("calls", "cache_hits", "prompt_tokens", "completion_tokens"), 0)
-    for r in rows():
-        totals["calls"] += 1
-        totals["cache_hits"] += 1 if r["cached"] else 0
-        totals["prompt_tokens"] += r["prompt_tokens"]
-        totals["completion_tokens"] += r["completion_tokens"]
-    totals["monetary_cost"] = sum(r["monetary_cost"] for r in rows())
-    totals["latency_s"] = sum(r["latency_s"] for r in rows())
-    return totals
+class CostTotals:
+    """The totals of `costs_summary.json`, taken one ledger row at a time. The cost and
+    latency values are kept in row order and summed by `sum()`: a `+=` loop rounds
+    otherwise from Python 3.12 on, and an `array("d")` would turn an integer total
+    into a float."""
+
+    def __init__(self):
+        self.counts = dict.fromkeys(("calls", "cache_hits", "prompt_tokens", "completion_tokens"), 0)
+        self.costs: list[float] = []
+        self.latencies: list[float] = []
+
+    def add(self, row: dict) -> dict:
+        """Count `row` in, and return it."""
+        counts = self.counts
+        counts["calls"] += 1
+        counts["cache_hits"] += 1 if row["cached"] else 0
+        counts["prompt_tokens"] += row["prompt_tokens"]
+        counts["completion_tokens"] += row["completion_tokens"]
+        self.costs.append(row["monetary_cost"])
+        self.latencies.append(row["latency_s"])
+        return row
+
+    def summary(self) -> dict:
+        return {**self.counts, "monetary_cost": sum(self.costs), "latency_s": sum(self.latencies)}
 
 
 class CostLedger:
-    """Append-only per-call cost ledger: `cost_row`s, summed by `cost_summary`."""
+    """Append-only per-call cost ledger: `cost_row`s, summed by `CostTotals`."""
 
     def __init__(self, price_table: dict[str, ModelPrice]):
         self.price_table = dict(price_table)
@@ -561,7 +572,10 @@ class CostLedger:
         return self.records[-1]
 
     def aggregate(self) -> dict:
-        return cost_summary(lambda: self.records)
+        totals = CostTotals()
+        for row in self.records:
+            totals.add(row)
+        return totals.summary()
 
     def to_jsonl(self) -> str:
         return "".join(map(jsonl_line, self.records))

@@ -3,14 +3,17 @@
 Every model call of both pipelines is made here, one unit at a time, by `_ask`.
 Model-bound stages fan out across passages/provisions with at most `parallelism` requests
 in flight and 2·`parallelism` units queued; after a unit fails no further unit starts.
-Results keep input order, so runs with a deterministic backend are byte-reproducible.
+Results come in input order, so runs with a deterministic backend are byte-reproducible.
+`classify_iter` yields each result as soon as it and every earlier one are done, so a
+caller can write it out and drop it while later calls run; `run_compliance` and
+`classify_provisions` return lists, since a report needs every finding.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .compliance import Finding, PromptBundle, parse_response, prompt_builder
 from .corpus import (  # the granularities are re-exported for library callers
@@ -19,6 +22,7 @@ from .corpus import (  # the granularities are re-exported for library callers
     Passage,
     Provision,
     SourceDocument,
+    block_length,
     block_text,
     chunk_paragraphs,
     estimate_tokens,
@@ -28,7 +32,7 @@ from .errors import ParseError, UnchunkableText
 from .llm import Backend, BackendConfig, ChatMessage, ModelPrice, Usage, make_backend, price_of
 from .taxonomy import ConceptModel, Ruleset
 
-if TYPE_CHECKING:  # `classify` is imported by `classify_provisions`: `check` never loads it
+if TYPE_CHECKING:  # `classify` is imported by `classify_iter`: `check` never loads it
     from .classify import ClassificationTemplate, LabelSet
 
 _QUEUED_PER_WORKER = 2  # units submitted per worker thread: one running, one waiting
@@ -64,19 +68,25 @@ class ClassifiedProvision:
         }
 
 
-def classify_provisions(
+def classify_provisions(*args, **kwargs) -> list[ClassifiedProvision]:
+    """The results of `classify_iter(*args, **kwargs)`, as a list."""
+    return list(classify_iter(*args, **kwargs))
+
+
+def classify_iter(
     provisions: Sequence[Provision],
     model: ConceptModel,
     backend: Backend | None,
     template: ClassificationTemplate | None = None,
     stem: bool = False,
     parallelism: int = 1,
-) -> list[ClassifiedProvision]:
-    """Run the classification steps over a provision stream.
+) -> Iterator[ClassifiedProvision]:
+    """Run the classification steps over a provision stream, yielding in input order.
 
     The model branch and the keyword branch are independent; their label
     sets are fused per provision. Without a backend the model branch is
-    skipped entirely (the keyword-search baseline).
+    skipped entirely (the keyword-search baseline). The caller closes the
+    iterator if it stops early, which cancels the queued units (see `_ordered_map`).
     """
     from .classify import (
         FROM_LLM,
@@ -119,7 +129,8 @@ def compliance_units(
     Paragraph granularity chunks blocks to the token budget; sentence
     granularity uses one provision per unit. Context, when enabled, is the
     enclosing block's text and is attached only when it adds anything beyond
-    the unit text itself.
+    the unit text itself. It is built once per block, and at paragraph
+    granularity only for a block split to fit the budget.
     """
     if granularity == PARAGRAPH_LEVEL:
         passages = chunk_paragraphs(doc, budget)
@@ -136,10 +147,16 @@ def compliance_units(
             passages.append(Passage(doc.doc_id, seq, prov.text, tokens, block, prov.unit_ref))
     else:
         raise ValueError(f"unknown granularity {granularity!r}")
-    parents = {b.index: block_text(b) for b in doc.blocks} if context_on else {}
-    units = []
-    for passage in passages:
-        context = parents.get(passage.parent_block[0])
+    if not context_on:
+        return [CheckUnit(passage) for passage in passages]
+    units, blocks, block = [], iter(doc.blocks), None
+    for passage in passages:  # a block's units are consecutive, in block order
+        if block is None or block.index != passage.parent_block[0]:
+            block = next(b for b in blocks if b.index == passage.parent_block[0])
+            # A block that fits the budget is its one passage; each passage of a split
+            # block fits the budget, so it is shorter than the block.
+            split = granularity == SENTENCE or len(passage.text) < block_length(block)
+            context = block_text(block) if split else None
         units.append(CheckUnit(passage, None if context == passage.text else context))
     return units
 
@@ -161,10 +178,12 @@ def run_compliance(
 ) -> list[Finding]:
     """Check every unit with `check_passage`, keeping input order."""
     build = prompt_builder(rules, template)
-    return _ordered_map(
-        lambda u: check_passage(build(u.passage, u.context), rules, backend),
-        units,
-        parallelism,
+    return list(
+        _ordered_map(
+            lambda u: check_passage(build(u.passage, u.context), rules, backend),
+            units,
+            parallelism,
+        )
     )
 
 
@@ -181,13 +200,16 @@ def model_runs(
     return (run(backend, parallelism=cfg.parallelism) for _ in range(runs))
 
 
-def _ordered_map(fn: Callable, items: Sequence, parallelism: int) -> list:
-    """`fn` over `items` in input order, at most `parallelism` calls at a time, at most
-    `_QUEUED_PER_WORKER * parallelism` units submitted. Once a unit's failure is seen, no
+def _ordered_map(fn: Callable, items: Iterable, parallelism: int) -> Iterator:
+    """`fn` over `items`, yielded in input order, at most `parallelism` calls at a time, at
+    most `_QUEUED_PER_WORKER * parallelism` units submitted. Once a unit's failure is seen, no
     unit is submitted and none after it in input order calls `fn`; the first failure in
-    input order is raised. At parallelism 1 the calls run one by one in the calling thread."""
+    input order is raised. Closing the iterator, or an error raised through it, cancels the
+    queued units and waits for the running ones. At parallelism 1 the calls run one by one
+    in the calling thread, each when its result is asked for."""
     if parallelism <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     from concurrent.futures import ThreadPoolExecutor  # imported here: parallel runs only
     failed: list[int] = []  # indices of the units that raised
 
@@ -200,16 +222,16 @@ def _ordered_map(fn: Callable, items: Sequence, parallelism: int) -> list:
             failed.append(index)
             raise
 
-    results, pending = [], deque()
+    pending = deque()
     pool = ThreadPoolExecutor(max_workers=parallelism)
     try:
         for index, item in enumerate(items):
             if len(pending) == _QUEUED_PER_WORKER * parallelism:
-                results.append(pending.popleft().result())
+                yield pending.popleft().result()
             if failed:
                 break
             pending.append(pool.submit(unit, index, item))
-        results.extend(future.result() for future in pending)
+        while pending:
+            yield pending.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)  # waits for the running calls
-    return results

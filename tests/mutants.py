@@ -42,6 +42,8 @@ _ORDERED_MAP = ("tests/test_pipeline.py", "-k", "TestOrderedMap")
 _STARTUP = ("tests/test_startup.py",)
 _PARSE_REFERENCE = ("tests/test_corpus.py", "-k", "TestParseDocumentAgainstReference")
 _ONE_COPY = "tests/test_one_copy.py"
+_STREAM = "tests/test_stream.py"
+_UNWRITABLE = ("tests/test_cli.py", "-k", "unwritable_output_location")
 
 MUTANTS = (
     Mutant(
@@ -81,20 +83,22 @@ MUTANTS = (
         "pipeline.py",
         "        for index, item in enumerate(items):\n"
         "            if len(pending) == _QUEUED_PER_WORKER * parallelism:\n"
-        "                results.append(pending.popleft().result())\n"
+        "                yield pending.popleft().result()\n"
         "            if failed:\n"
         "                break\n"
         "            pending.append(pool.submit(unit, index, item))\n"
-        "        results.extend(future.result() for future in pending)\n",
+        "        while pending:\n"
+        "            yield pending.popleft().result()\n",
         "        from concurrent.futures import as_completed\n"
         "        for index, item in enumerate(items):\n"
         "            if len(pending) == _QUEUED_PER_WORKER * parallelism:\n"
         "                pending.remove(done := next(as_completed(pending)))\n"
-        "                results.append(done.result())\n"
+        "                yield done.result()\n"
         "            if failed:\n"
         "                break\n"
         "            pending.append(pool.submit(unit, index, item))\n"
-        "        results.extend(future.result() for future in as_completed(pending))\n",
+        "        for future in as_completed(pending):\n"
+        "            yield future.result()\n",
         "results keep input order at any parallelism",
         _ORDERED_MAP,
     ),
@@ -294,6 +298,62 @@ MUTANTS = (
         "",
         "classify frees the document before the model stage",
         (_ONE_COPY, "-k", "freed"),
+    ),
+    Mutant(
+        "classify-lists-its-results",
+        "cli.py",
+        "for r in results), args.out)",
+        "for r in list(results)), args.out)",
+        "classify's memory beyond its provisions does not grow with the corpus",
+        (_STREAM, "-k", "memory"),
+    ),
+    Mutant(
+        "classify-no-explicit-close",
+        "cli.py",
+        "    with closing(results):\n",
+        "    if True:\n",
+        "a writer that stops classify cancels the queued calls before the error propagates",
+        (_STREAM, "-k", "interrupted_writer"),
+    ),
+    Mutant(
+        "stdout-written-after-the-run",
+        "cli.py",
+        "        sys.stdout.writelines(chunks)\n",
+        '        sys.stdout.write("".join(chunks))\n',
+        "on exit 3, classify's stdout holds the records before the failing unit",
+        (_STREAM, "-k", "failing_unit"),
+    ),
+    Mutant(
+        "check-out-dir-after-first-call",
+        "cli.py",
+        "    for target in targets:  # an out-dir that cannot be made fails before the first call\n"
+        "        target.mkdir(parents=True, exist_ok=True)\n"
+        "    worst_failures = 0\n"
+        "    for target in targets:\n"
+        "        report = assemble_report(next(runs), rules, doc_id)\n",
+        "    worst_failures = 0\n"
+        "    for target in targets:\n"
+        "        report = assemble_report(next(runs), rules, doc_id)\n"
+        "        target.mkdir(parents=True, exist_ok=True)\n",
+        "validation that can fail runs before the first call: check's out-dir",
+        _UNWRITABLE,
+    ),
+    Mutant(
+        "write-pulls-before-path-check",
+        "storage.py",
+        "    path = Path(path)\n    if path.is_dir():",
+        '    chunks = iter(chunks)\n    chunks = chain([next(chunks, "")], chunks)\n'
+        "    path = Path(path)\n    if path.is_dir():",
+        "validation that can fail runs before the first call: classify's --out",
+        _UNWRITABLE,
+    ),
+    Mutant(
+        "paragraph-context-never-built",
+        "pipeline.py",
+        "            split = granularity == SENTENCE or len(passage.text) < block_length(block)\n",
+        "            split = granularity == SENTENCE\n",
+        "check units give the context of a dict of every block's text",
+        ("tests/test_pipeline.py", "-k", "reference"),
     ),
     Mutant(
         "fresh-id-set-per-answer",

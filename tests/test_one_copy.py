@@ -120,7 +120,7 @@ def _classify(fixtures, data_dir, tmp_path):
 
 @pytest.mark.parametrize(
     "argv,stage",
-    [(_check, "run_compliance"), (_classify, "classify_provisions")],
+    [(_check, "run_compliance"), (_classify, "classify_iter")],
     ids=["check", "classify"],
 )
 def test_document_is_freed_before_the_model_stage(

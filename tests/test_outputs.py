@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+import regcheck.cli as cli
 from regcheck.cli import write_check_outputs
 from regcheck.compliance import (
     ComplianceReport,
@@ -172,9 +173,12 @@ def _lines(records) -> bytes:
 
 
 @pytest.mark.parametrize("case", range(0, len(REPORTS), 15))
-def test_written_run_gives_the_one_shot_bytes(tmp_path, case):
+def test_written_run_gives_the_one_shot_bytes(monkeypatch, tmp_path, case):
     report = REPORTS[case]
+    built = []  # the usage of each ledger row the writer builds
+    monkeypatch.setattr(cli, "cost_row", lambda prices, u: built.append(u) or cost_row(prices, u))
     write_check_outputs(tmp_path, report, PRICES)
+    assert built == [f.usage for f in report.findings if f.usage is not None]  # once each
     rows = [cost_row(PRICES, f.usage) for f in report.findings if f.usage is not None]
     expected = {
         "report.json": json.dumps(report_to_dict(report), ensure_ascii=False, indent=2) + "\n",

@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
 from typing import Iterator
 
 import pytest
@@ -17,6 +18,7 @@ from regcheck.errors import UnchunkableText
 from regcheck.llm import StubBackend, StubEntry, load_stub_script
 from regcheck.pipeline import (
     _QUEUED_PER_WORKER,
+    CheckUnit,
     _ordered_map,
     classify_provisions,
     compliance_units,
@@ -57,6 +59,26 @@ class TestComplianceUnits:
             assert u.context == doc.blocks[0].text
             assert u.passage.text in u.context
 
+    @pytest.mark.parametrize("granularity", ["paragraph", "sentence"])
+    @pytest.mark.parametrize("context_on", [False, True])
+    def test_units_match_the_reference_on_seeded_documents(self, granularity, context_on):
+        rng = random.Random(f"{granularity}-{context_on}")
+        contexts = single_chunk_splits = 0
+        for _ in range(300):
+            doc = parse_document(_random_structured_text(rng), "structured", doc_id="d")
+            budget = rng.choice((4, 8, 12, 20, 40, 4096))
+            got = _outcome(lambda: compliance_units(doc, granularity, budget, context_on))
+            assert got == _outcome(lambda: _reference_units(doc, granularity, budget, context_on))
+            if isinstance(got, list):
+                contexts += sum(u.context is not None for u in got)
+                per_block = Counter(u.passage.parent_block for u in got)
+                single_chunk_splits += sum(
+                    per_block[u.passage.parent_block] == 1 and u.context is not None for u in got
+                )
+        assert contexts > 0 if context_on else contexts == 0
+        if context_on and granularity == "paragraph":
+            assert single_chunk_splits > 0  # a split block whose one passage is shorter
+
     def test_sentence_over_budget(self, dpa_doc):
         with pytest.raises(UnchunkableText):
             compliance_units(dpa_doc, "sentence", 5)
@@ -74,6 +96,44 @@ class TestComplianceUnits:
         b_para = build_prompt(para[0].passage, rules, default_template(), para[0].context)
         assert b_sent.messages[0] == b_para.messages[0]
         assert b_sent.messages[1] != b_para.messages[1]
+
+
+def _outcome(fn):
+    """What `fn()` returns, or the type and message of the error it raises."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _reference_units(doc, granularity, budget, context_on):
+    """`compliance_units` with a dict of every block's text: the reference for context."""
+    parents = {b.index: block_text(b) for b in doc.blocks} if context_on else {}
+    units = []
+    for unit in compliance_units(doc, granularity, budget):
+        context = parents.get(unit.passage.parent_block[0])
+        units.append(CheckUnit(unit.passage, None if context == unit.passage.text else context))
+    return units
+
+
+SENTENCES = (
+    "The processor shall keep records.", "Données must be erased!", "See Art. 5 below?",
+    "Each lot is coded.", "A", "Records are kept for two years; labels repeat the code.",
+)
+
+
+def _random_structured_text(rng: random.Random) -> str:
+    """A structured document: paragraphs of sentences, some apart by two spaces (which
+    splitting drops), and lists whose items may enumerate "(i)", "(ii)" sub-items."""
+    blocks = []
+    for _ in range(rng.randint(1, 6)):
+        sentences = rng.choices(SENTENCES, k=rng.randint(1, 5))
+        if rng.random() < 0.6:
+            blocks.append("¶ " + "".join(s + rng.choice(("  ", " ")) for s in sentences).strip())
+        else:
+            items = [rng.choice(("", "with: (i) one; (ii) two; ")) + s for s in sentences]
+            blocks.append("* The processor shall:\n" + "\n".join(f"- {i}" for i in items))
+    return "# Doc\n\n" + "\n\n".join(blocks) + "\n"
 
 
 class TestRunCompliance:
@@ -174,7 +234,7 @@ class TestOrderedMap:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_input_order_and_at_most_parallelism_in_flight(self, parallelism, seed):
         fn = _Counting(seed)
-        assert _ordered_map(fn, range(150), parallelism) == [i * i for i in range(150)]
+        assert list(_ordered_map(fn, range(150), parallelism)) == [i * i for i in range(150)]
         assert fn.started == 150
         assert 1 <= fn.max_in_flight <= parallelism
 
@@ -184,7 +244,7 @@ class TestOrderedMap:
         # Unit 37 fails last in time; 41 and 90 fail sooner, but come after it.
         fn = _Counting(seed, failing={37, 41, 90}, sleeps={37: 0.05, 41: 0, 90: 0})
         with pytest.raises(_Failure) as err:
-            _ordered_map(fn, range(150), parallelism)
+            list(_ordered_map(fn, range(150), parallelism))
         assert err.value.args == (37,)
         assert fn.max_in_flight <= parallelism
 
@@ -201,7 +261,7 @@ class TestOrderedMap:
             lead.append(len(consumed) - i)
             return value
 
-        assert _ordered_map(watched, _counted(200, consumed), parallelism) == [
+        assert list(_ordered_map(watched, _counted(200, consumed), parallelism)) == [
             i * i for i in range(200)
         ]
         assert max(lead) <= _QUEUED_PER_WORKER * parallelism + 1
@@ -214,7 +274,7 @@ class TestOrderedMap:
         consumed: list[int] = []
         fn = _Counting(0, failing={1}, sleeps={0: 0.3, 1: 0})
         with pytest.raises(_Failure) as err:
-            _ordered_map(fn, _counted(200, consumed), parallelism)
+            list(_ordered_map(fn, _counted(200, consumed), parallelism))
         assert err.value.args == (1,)
         assert len(consumed) <= _QUEUED_PER_WORKER * parallelism + 1
         started = fn.started
@@ -227,7 +287,7 @@ class TestOrderedMap:
         # fails, then takes the queued units 2 and 3 from the pool, which must skip.
         fn = _Counting(0, failing={1}, sleeps={0: 0.2, 1: 0})
         with pytest.raises(_Failure):
-            _ordered_map(fn, range(200), 2)
+            list(_ordered_map(fn, range(200), 2))
         assert fn.started == 2
 
     def test_an_interrupted_caller_cancels_the_queue(self):
@@ -239,7 +299,7 @@ class TestOrderedMap:
 
         fn = _Counting(0, sleeps=dict.fromkeys(range(4), 0.1))
         with pytest.raises(KeyboardInterrupt):
-            _ordered_map(fn, interrupted(), 2)
+            list(_ordered_map(fn, interrupted(), 2))
         assert fn.started == 2
 
     @pytest.mark.parametrize("seed", range(5))
@@ -253,8 +313,8 @@ class TestOrderedMap:
         sys.setswitchinterval(1e-6)
         try:
             with pytest.raises(_Failure) as err:
-                _ordered_map(_Counting(seed, failing, no_sleep), range(400), 16)
-            results = _ordered_map(_Counting(seed, (), no_sleep), range(400), 16)
+                list(_ordered_map(_Counting(seed, failing, no_sleep), range(400), 16))
+            results = list(_ordered_map(_Counting(seed, (), no_sleep), range(400), 16))
         finally:
             sys.setswitchinterval(interval)
         assert err.value.args == (min(failing),)

@@ -1,0 +1,182 @@
+"""`classify` streams its labels: each record is written as its provision completes.
+
+So the labels' memory does not grow with the corpus; a run whose writer stops makes
+no further call once the error reaches the caller; and a run whose backend fails
+leaves no `--out` file, or on stdout exactly the records before the failing unit.
+"""
+
+from __future__ import annotations
+
+import re
+import threading
+import time
+import tracemalloc
+
+import pytest
+
+import regcheck.cli as cli
+import regcheck.pipeline as pipeline
+from regcheck.cli import main
+from regcheck.corpus import extract_provisions, parse_document
+from regcheck.errors import BackendError
+from regcheck.llm import StubBackend, Usage
+from regcheck.pipeline import classify_iter
+from regcheck.taxonomy import load_concept_model
+
+_UNIT = re.compile(r"Provision (\d+) ")
+
+
+def _text(i: int) -> str:
+    return f"Provision {i} shall keep the tracing records."
+
+
+def _corpus_text(n: int) -> str:
+    """A plain document of `n` one-sentence paragraphs: provision i is unit i."""
+    return "".join(_text(i) + "\n\n" for i in range(n))
+
+
+def _corpus(tmp_path, n: int):
+    path = tmp_path / f"corpus_{n}.txt"
+    path.write_text(_corpus_text(n), encoding="utf-8")
+    return path
+
+
+def _argv(fixtures, data_dir, corpus, *extra: str) -> list[str]:
+    return [
+        "classify", "--input", str(corpus), "--format", "plain",
+        "--concepts", str(data_dir / "food_safety_concepts.jsonl"),
+        "--stub-script", str(fixtures / "stub_classify.jsonl"), *extra,
+    ]
+
+
+class _Backend:
+    """Answers every unit after sleeping `pause` seconds, except `failing`, which
+    raises; counts the calls started and those running."""
+
+    def __init__(self, pause: float = 0.0, failing: int | None = None):
+        self.pause, self.failing = pause, failing
+        self.lock = threading.Lock()
+        self.started = self.in_flight = 0
+
+    def complete(self, messages):
+        with self.lock:
+            self.started += 1
+            self.in_flight += 1
+        try:
+            time.sleep(self.pause)
+            if int(_UNIT.search(messages[-1].content).group(1)) == self.failing:
+                raise BackendError("unit failed")
+            return "Traceability. A tracing duty.", Usage("stub-model", 10, 5)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+    def stand_in(self, monkeypatch) -> _Backend:
+        """Answer in place of every `StubBackend` the CLI builds."""
+        monkeypatch.setattr(StubBackend, "complete", lambda stub, messages: self.complete(messages))
+        return self
+
+
+def test_streamed_labels_take_memory_independent_of_the_corpus(
+    monkeypatch, fixtures, data_dir, tmp_path
+):
+    # Traced from the start of the model stage, when the provisions already exist, to
+    # the end of the run: the excess is what the run holds beyond its input.
+    _Backend().stand_in(monkeypatch)
+    run, starts = pipeline.classify_iter, []
+
+    def measured(*args, **kwargs):
+        starts.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "classify_iter", measured)
+    excess = {}
+    for n in (500, 2000):
+        out = tmp_path / f"labels_{n}.jsonl"
+        tracemalloc.start()
+        try:
+            assert main(_argv(fixtures, data_dir, _corpus(tmp_path, n), "--out", str(out))) == 0
+            excess[n] = tracemalloc.get_traced_memory()[1] - starts[-1]
+        finally:
+            tracemalloc.stop()
+        assert len(out.read_text(encoding="utf-8").splitlines()) == n
+    # A list of the results would hold ~1 kB a provision: 1.5 MB more at 2000 than at 500.
+    assert excess[2000] < excess[500] + 100_000, excess
+
+
+class _Interrupted:
+    """A stdout whose `writelines` takes `k` lines, then raises KeyboardInterrupt."""
+
+    def __init__(self, k: int):
+        self.k, self.lines = k, []
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            if len(self.lines) == self.k:
+                raise KeyboardInterrupt
+            self.lines.append(chunk)
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_an_interrupted_writer_stops_the_calls_before_the_error_propagates(
+    monkeypatch, fixtures, data_dir, tmp_path, parallelism
+):
+    # The caller still holds the error, and with it the frames of the run: the queue is
+    # cancelled by an explicit close, not when the garbage collector frees them.
+    k = 5
+    backend = _Backend(pause=0.02).stand_in(monkeypatch)
+    monkeypatch.setattr(cli.sys, "stdout", _Interrupted(k))
+    argv = _argv(fixtures, data_dir, _corpus(tmp_path, 200), "--parallelism", str(parallelism))
+    with pytest.raises(KeyboardInterrupt) as err:  # `err` holds the run's frames
+        main(argv)
+    started = backend.started
+    assert backend.in_flight == 0
+    assert len(cli.sys.stdout.lines) == k
+    assert k < started <= k + 2 * parallelism
+    time.sleep(0.15)
+    assert backend.started == started
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_a_consumer_that_stops_early_makes_no_further_call(data_dir, parallelism):
+    k = 5
+    backend = _Backend(pause=0.02)
+    results = classify_iter(
+        extract_provisions(parse_document(_corpus_text(200), "plain")),
+        load_concept_model(data_dir / "food_safety_concepts.jsonl"),
+        backend,
+        parallelism=parallelism,
+    )
+    taken = [next(results).provision.text for _ in range(k)]
+    results.close()
+    started = backend.started
+    assert taken == [_text(i) for i in range(k)]
+    assert backend.in_flight == 0
+    assert k <= started <= k + 2 * parallelism
+    time.sleep(0.15)
+    assert backend.started == started
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_a_failing_unit_exits_3_leaving_the_records_before_it(
+    monkeypatch, capsys, fixtures, data_dir, tmp_path, parallelism
+):
+    corpus = _corpus(tmp_path, 40)
+    _Backend().stand_in(monkeypatch)
+    assert main(_argv(fixtures, data_dir, corpus)) == 0
+    complete = capsys.readouterr().out.splitlines(keepends=True)
+    assert len(complete) == 40
+
+    failing = 23
+    _Backend(failing=failing).stand_in(monkeypatch)
+    extra = ("--parallelism", str(parallelism))
+    assert main(_argv(fixtures, data_dir, corpus, *extra)) == 3
+    out, err = capsys.readouterr()
+    assert out == "".join(complete[:failing])
+    assert err == "backend error: unit failed\n"
+
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(_argv(fixtures, data_dir, corpus, *extra, "--out", str(out_dir / "l.jsonl"))) == 3
+    assert list(out_dir.iterdir()) == []
