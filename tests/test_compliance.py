@@ -19,7 +19,7 @@ from regcheck.compliance import (
 from regcheck.corpus import Passage, chunk_paragraphs
 from regcheck.errors import ParseError, TemplateError
 from regcheck.llm import StubBackend, StubEntry
-from regcheck.pipeline import check_passage
+from regcheck.pipeline import CheckUnit, run_compliance
 from regcheck.taxonomy import load_ruleset
 
 
@@ -35,6 +35,12 @@ def demo_rules(data_dir):
 
 def passage(text="The Processor shall delete all personal data.", seq=0):
     return Passage("art", seq, text, token_estimate=12, parent_block=(0, 0))
+
+
+def check_one(rules, backend) -> Finding:
+    """The one finding of `run_compliance` on `passage()` alone."""
+    (finding,) = run_compliance([CheckUnit(passage())], rules, backend, default_template())
+    return finding
 
 
 class TestBuildPrompt:
@@ -123,8 +129,7 @@ class TestCheckPassage:
                 )
             ]
         )
-        bundle = build_prompt(passage(), rules, default_template())
-        finding = check_passage(bundle, rules, backend)
+        finding = check_one(rules, backend)
         assert finding.rule_ids == {"R5"}
         assert finding.rationale == "The clause obligates the processor to assist the controller."
         assert finding.usage is not None
@@ -132,15 +137,13 @@ class TestCheckPassage:
 
     def test_sentinel_normalized_to_empty(self, rules):
         backend = StubBackend([StubEntry(match="delete", response="R99")])
-        bundle = build_prompt(passage(), rules, default_template())
-        finding = check_passage(bundle, rules, backend)
+        finding = check_one(rules, backend)
         assert finding.rule_ids == set()
         assert finding.rationale == ""
 
     def test_garbage_becomes_parse_error_finding(self, rules):
         backend = StubBackend([StubEntry(match="delete", response="free prose only")])
-        bundle = build_prompt(passage(), rules, default_template())
-        finding = check_passage(bundle, rules, backend)
+        finding = check_one(rules, backend)
         assert finding.parse_error
         assert finding.raw_response == "free prose only"
         assert finding.rule_ids == set()
@@ -151,8 +154,7 @@ class TestCheckPassage:
         backend = StubBackend(
             [StubEntry(match="delete", response="R7. Deletion duty is stated.")]
         )
-        bundle = build_prompt(passage(), rules, default_template())
-        finding = check_passage(bundle, rules, backend)
+        finding = check_one(rules, backend)
         assert parse_response(finding.raw_response, rules) == (
             finding.rule_ids,
             finding.rationale,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 import threading
@@ -11,15 +12,31 @@ from typing import Iterator
 
 import pytest
 
-from regcheck.classify import default_classification_template
-from regcheck.compliance import build_prompt, default_template
+from regcheck.classify import (
+    FROM_LLM,
+    LabelSet,
+    classification_prompter,
+    classify_keywords,
+    default_classification_template,
+    fuse_labels,
+    parse_concept_response,
+)
+from regcheck.compliance import (
+    Finding,
+    build_prompt,
+    default_template,
+    parse_response,
+    prompt_builder,
+)
 from regcheck.corpus import block_text, extract_provisions, parse_document
-from regcheck.errors import UnchunkableText
+from regcheck.errors import ParseError, UnchunkableText
 from regcheck.llm import StubBackend, StubEntry, load_stub_script
 from regcheck.pipeline import (
     _QUEUED_PER_WORKER,
     CheckUnit,
+    ClassifiedProvision,
     _ordered_map,
+    classify_iter,
     classify_provisions,
     compliance_units,
     run_compliance,
@@ -184,6 +201,125 @@ class TestClassifyProvisions:
         assert result.labels.labels == {"Pathogen"}
         assert result.raw_response == ""
         assert result.usage is None
+
+
+# A frozen copy of the per-unit model code that `pipeline.answers` replaced: the
+# reference for every field of both pipelines' records.
+def _ref_ask(backend, messages, parse, grammar) -> tuple:
+    response, usage = backend.complete(messages)
+    try:
+        return parse(response, grammar), response, usage, None
+    except ParseError as exc:
+        return None, response, usage, str(exc)
+
+
+def _ref_check_passage(bundle, rules, backend) -> Finding:
+    parsed, response, usage, error = _ref_ask(backend, bundle.messages, parse_response, rules)
+    rule_ids, rationale = parsed or (rules.id_set(()), "")
+    return Finding(bundle.passage_ref, rule_ids, rationale, response, usage, error)
+
+
+def _ref_classify_one(p, model, backend, prompt, stem) -> ClassifiedProvision:
+    labels = classify_keywords(p, model, stem=stem)
+    if backend is None:
+        return ClassifiedProvision(p, labels)
+    ids, response, usage, error = _ref_ask(backend, prompt(p), parse_concept_response, model)
+    if error is None:
+        labels = fuse_labels(LabelSet.of(ids, FROM_LLM), labels)
+    return ClassifiedProvision(p, labels, response, usage, error)
+
+
+# Answers each grammar accepts, and answers that break it.
+_CHECK_ANSWERS = (
+    ("R5. The clause obligates the processor.", "R99", "R2, R7: both duties are stated.",
+     "R99. Not applicable, despite R3.", "R1 and R4 - documented instructions."),
+    ("free prose only", "", "R42. An unknown rule.", "The clause is silent. Then R3."),
+)
+_CLASSIFY_ANSWERS = (
+    ("Traceability. The lot is traced.", "NONE", "labelling, Traceability. Both duties.",
+     "NONE. Outside the candidate concepts, unlike Traceability."),
+    ("", "no vocabulary words", "The duty is stated. Then Traceability.", "Pathogen. Scarce."),
+)
+
+
+def _seeded_backend(rng: random.Random, texts, answers) -> StubBackend:
+    """A stub script that answers each distinct text, about a third of them with an
+    answer that breaks the grammar, and everything else with an accepted answer. The
+    longest texts come first, so that a text inside another does not take its answer."""
+    valid, broken = answers
+    entries = [
+        StubEntry(match=text, response=rng.choice(broken if rng.random() < 1 / 3 else valid))
+        for text in sorted(dict.fromkeys(texts), key=len, reverse=True)
+    ]
+    return StubBackend([*entries, StubEntry(match="", response=rng.choice(valid))])
+
+
+def _fields(record) -> list:
+    """Every field of a record, a label set as its provenance in insertion order."""
+    return [type(record)] + [
+        list(value.provenance.items()) if isinstance(value, LabelSet) else value
+        for value in (getattr(record, f.name) for f in dataclasses.fields(record))
+    ]
+
+
+def _parse_error_share(records) -> float:
+    return sum(r.parse_error is not None for r in records) / len(records)
+
+
+class TestPerUnitPathAgainstReference:
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_findings_match_the_reference(self, dpa_doc, data_dir, parallelism, seed):
+        rng = random.Random(seed)
+        rules = load_ruleset(data_dir / "gdpr_art28_demo.jsonl")
+        docs = [dpa_doc] + [
+            parse_document(_random_structured_text(rng), "structured", doc_id=f"d{k}")
+            for k in range(20)
+        ]
+        units = [
+            unit
+            for doc in docs
+            for unit in compliance_units(
+                doc, rng.choice(("paragraph", "sentence")), 4096, rng.random() < 0.5
+            )
+        ]
+        texts = [f"Text:\n{u.passage.text}" for u in units]  # the user message starts so
+        backend = _seeded_backend(rng, texts, _CHECK_ANSWERS)
+        build = prompt_builder(rules, default_template())
+        expected = [_ref_check_passage(build(u.passage, u.context), rules, backend) for u in units]
+        got = run_compliance(units, rules, backend, default_template(), parallelism=parallelism)
+        assert [_fields(f) for f in got] == [_fields(f) for f in expected]
+        assert 0.15 < _parse_error_share(got) < 0.6
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    @pytest.mark.parametrize("stem", [False, True])
+    @pytest.mark.parametrize("keyword_only", [False, True])
+    def test_classified_provisions_match_the_reference(
+        self, fixtures, data_dir, parallelism, stem, keyword_only
+    ):
+        rng = random.Random(f"{stem}-{keyword_only}")
+        model = load_concept_model(data_dir / "food_safety_concepts.jsonl")
+        provisions = [
+            p
+            for name, fmt in (("food_corpus.txt", "structured"), ("food_corpus_plain.txt", "plain"))
+            for p in extract_provisions(
+                parse_document((fixtures / name).read_text(encoding="utf-8"), fmt, doc_id=name)
+            )
+        ]
+        template = default_classification_template()
+        backend = (
+            None if keyword_only
+            else _seeded_backend(rng, [p.text for p in provisions], _CLASSIFY_ANSWERS)
+        )
+        prompt = classification_prompter(model, template)
+        expected = [_ref_classify_one(p, model, backend, prompt, stem) for p in provisions]
+        got = list(classify_iter(provisions, model, backend, template, stem, parallelism))
+        assert [_fields(r) for r in got] == [_fields(r) for r in expected]
+        if keyword_only:
+            assert all(r.usage is None for r in got)
+        else:
+            assert 0.15 < _parse_error_share(got) < 0.6
+        assert any(r.labels.labels for r in got)
 
 
 class _Failure(Exception):
