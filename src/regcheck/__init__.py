@@ -11,7 +11,7 @@ _SUBMODULE = {
         "compliance": ("assemble_report", "build_prompt"),
         "corpus": ("chunk_paragraphs", "extract_provisions", "parse_document"),
         "llm": ("BackendConfig", "make_backend"),
-        "pipeline": ("check_passage",),
+        "pipeline": ("run_compliance",),
         "taxonomy": ("load_concept_model", "load_ruleset"),
     }.items()
     for name in names

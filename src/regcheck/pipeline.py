@@ -1,21 +1,22 @@
 """End-to-end runners tying segmentation, classification and checking together.
 
-Every model call of both pipelines is made here, one unit at a time, by `_ask`.
-Model-bound stages fan out across passages/provisions with at most `parallelism` requests
-in flight and 2·`parallelism` units queued; after a unit fails no further unit starts.
-Results come in input order, so runs with a deterministic backend are byte-reproducible.
-`classify_iter` yields each result as soon as it and every earlier one are done, so a
-caller can write it out and drop it while later calls run; `run_compliance` and
-`classify_provisions` return lists, since a report needs every finding.
+Every model call of both pipelines is made here, one unit at a time, by `answers`, which
+keeps the text and usage of an answer the grammar rejects: it was paid for. It runs at most
+`parallelism` requests at a time and queues at most 2·`parallelism` units; after a unit
+fails no further unit starts. Results come in input order, so runs with a deterministic
+backend are byte-reproducible. `classify_iter` yields each result once it and every earlier
+one are done, so a caller can write it out and drop it while later calls run;
+`run_compliance` and `classify_provisions` return lists, as a report needs every finding.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from .compliance import Finding, PromptBundle, parse_response, prompt_builder
+from .compliance import Finding, parse_response, prompt_builder
 from .corpus import (  # the granularities are re-exported for library callers
     PARAGRAPH_LEVEL,
     SENTENCE,
@@ -29,7 +30,7 @@ from .corpus import (  # the granularities are re-exported for library callers
     extract_provisions,
 )
 from .errors import ParseError, UnchunkableText
-from .llm import Backend, BackendConfig, ChatMessage, ModelPrice, Usage, make_backend, price_of
+from .llm import Backend, BackendConfig, ModelPrice, Usage, make_backend, price_of
 from .taxonomy import ConceptModel, Ruleset
 
 if TYPE_CHECKING:  # `classify` is imported by `classify_iter`: `check` never loads it
@@ -38,15 +39,22 @@ if TYPE_CHECKING:  # `classify` is imported by `classify_iter`: `check` never lo
 _QUEUED_PER_WORKER = 2  # units submitted per worker thread: one running, one waiting
 
 
-def _ask(backend: Backend, messages: Sequence[ChatMessage], parse: Callable, grammar) -> tuple:
-    """One unit's model call: `(parse(answer, grammar), answer, usage, None)`, or
-    `(None, answer, usage, message)` when `parse` raises `ParseError`, since a rejected
-    answer was still paid for. Every other exception, `BackendError` included, propagates."""
-    response, usage = backend.complete(messages)
-    try:
-        return parse(response, grammar), response, usage, None
-    except ParseError as exc:
-        return None, response, usage, str(exc)
+def answers(
+    units: Iterable, prompt: Callable, parse: Callable, backend: Backend, parallelism: int
+) -> Iterator[tuple]:
+    """`(unit, parse(response), (response, usage, None))` per unit, in input order (see
+    `_ordered_map`), for the response to the messages `prompt(unit)`. When `parse` raises
+    `ParseError` it is `(unit, None, (response, usage, message))`: a rejected answer was
+    still paid for. Every other exception, `BackendError` included, propagates."""
+
+    def ask(unit) -> tuple:
+        response, usage = backend.complete(prompt(unit))
+        try:
+            return unit, parse(response), (response, usage, None)
+        except ParseError as exc:
+            return unit, None, (response, usage, str(exc))
+
+    return _ordered_map(ask, units, parallelism)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,10 +91,10 @@ def classify_iter(
 ) -> Iterator[ClassifiedProvision]:
     """Run the classification steps over a provision stream, yielding in input order.
 
-    The model branch and the keyword branch are independent; their label
-    sets are fused per provision. Without a backend the model branch is
-    skipped entirely (the keyword-search baseline). The caller closes the
-    iterator if it stops early, which cancels the queued units (see `_ordered_map`).
+    The model branch and the keyword branch are independent; their label sets are fused per
+    provision. Without a backend the model branch is skipped entirely (the keyword-search
+    baseline) and no thread starts. The caller closes the iterator if it stops early, which
+    cancels the queued units (see `_ordered_map`).
     """
     from .classify import (
         FROM_LLM,
@@ -96,18 +104,15 @@ def classify_iter(
         fuse_labels,
         parse_concept_response,
     )
-    prompt = classification_prompter(model, template) if backend is not None else None
-
-    def classify_one(p: Provision) -> ClassifiedProvision:
-        labels = classify_keywords(p, model, stem=stem)
-        if backend is None:
-            return ClassifiedProvision(p, labels)
-        ids, response, usage, error = _ask(backend, prompt(p), parse_concept_response, model)
-        if error is None:
-            labels = fuse_labels(LabelSet.of(ids, FROM_LLM), labels)
-        return ClassifiedProvision(p, labels, response, usage, error)
-
-    return _ordered_map(classify_one, provisions, parallelism)
+    keywords = partial(classify_keywords, model=model, stem=stem)
+    if backend is None:
+        return (ClassifiedProvision(p, keywords(p)) for p in provisions)
+    prompt = classification_prompter(model, template)
+    parse = partial(parse_concept_response, model=model)
+    return (  # a rejected answer (`ids` None) adds no label to the keyword labels
+        ClassifiedProvision(p, fuse_labels(LabelSet.of(ids or (), FROM_LLM), keywords(p)), *answer)
+        for p, ids, answer in answers(provisions, prompt, parse, backend, parallelism)
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,14 +166,6 @@ def compliance_units(
     return units
 
 
-def check_passage(bundle: PromptBundle, rules: Ruleset, backend: Backend) -> Finding:
-    """Send one bundle and parse the determination. A response the grammar rejects
-    becomes a finding with `parse_error` set and no rule ids (see `_ask`)."""
-    parsed, response, usage, error = _ask(backend, bundle.messages, parse_response, rules)
-    rule_ids, rationale = parsed or (rules.id_set(()), "")
-    return Finding(bundle.passage_ref, rule_ids, rationale, response, usage, error)
-
-
 def run_compliance(
     units: Sequence[CheckUnit],
     rules: Ruleset,
@@ -176,15 +173,17 @@ def run_compliance(
     template: str | None = None,
     parallelism: int = 1,
 ) -> list[Finding]:
-    """Check every unit with `check_passage`, keeping input order."""
+    """One finding per unit, in input order. A response the grammar rejects becomes a
+    finding with `parse_error` set and no rule ids (see `answers`)."""
     build = prompt_builder(rules, template)
-    return list(
-        _ordered_map(
-            lambda u: check_passage(build(u.passage, u.context), rules, backend),
-            units,
-            parallelism,
+    parse = partial(parse_response, rules=rules)
+    rejected = (rules.id_set(()), "")  # the rule ids and rationale of a rejected answer
+    return [
+        Finding(unit.passage.unit_ref, *(parsed or rejected), *answer)
+        for unit, parsed, answer in answers(
+            units, lambda u: build(u.passage, u.context).messages, parse, backend, parallelism
         )
-    )
+    ]
 
 
 def model_runs(

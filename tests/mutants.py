@@ -4,8 +4,11 @@ Each entry of `MUTANTS` names a file under `src/regcheck/`, an exact snippet of 
 that must occur once, the snippet's replacement, the law the edit breaks and the
 pytest arguments that must kill it. For each mutant this copies `src/` into a
 temporary directory, applies the edit there, and runs `pytest -x -q` with the
-copy first on `PYTHONPATH`. A mutant is killed when its tests fail. A mutant that
-survives, or a snippet that is no longer in its file, fails the run.
+copy first on `PYTHONPATH` and pytest's temporary files inside the copy. A mutant
+is killed when its tests fail. A mutant that survives, or a snippet that is no
+longer in its file, fails the run. The tests first run once on the unmutated
+source, one set at a time; then the mutants run on one worker per CPU this process
+may use, and their results are printed in table order.
 
 Run from anywhere, all mutants or the named ones:
 
@@ -20,6 +23,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -214,9 +218,30 @@ MUTANTS = (
         "root-imports-pipeline-eagerly",
         "__init__.py",
         '__version__ = "0.1.0"\n',
-        'from .pipeline import check_passage\n\n__version__ = "0.1.0"\n',
+        'from .pipeline import run_compliance\n\n__version__ = "0.1.0"\n',
         "importing the package loads no submodule",
         _STARTUP,
+    ),
+    Mutant(
+        "rejected-answer-loses-usage",
+        "pipeline.py",
+        "            return unit, None, (response, usage, str(exc))\n",
+        "            return unit, None, (response, None, str(exc))\n",
+        "paid calls are never thrown away: a rejected answer keeps its usage",
+        (
+            "tests/test_compliance.py", "tests/test_pipeline.py",
+            "-k", "parse_error or parse_failures",
+        ),
+    ),
+    Mutant(
+        "keyword-only-uses-the-pool",
+        "pipeline.py",
+        "        return (ClassifiedProvision(p, keywords(p)) for p in provisions)\n",
+        "        return _ordered_map(\n"
+        "            lambda p: ClassifiedProvision(p, keywords(p)), provisions, parallelism\n"
+        "        )\n",
+        "keyword-only classify starts no thread pool, whatever the parallelism",
+        (*_STARTUP, "-k", "keyword and only"),
     ),
     Mutant(
         "pipeline-imports-classify",
@@ -389,7 +414,10 @@ def pytest_exit(pytest_args: tuple[str, ...], mutant: Mutant | None = None) -> i
         imported = subprocess.run(probe, env=env, cwd=ROOT, capture_output=True, text=True)
         if not imported.stdout.startswith(str(src)):
             raise RuntimeError(f"the tests would import {imported.stdout.strip()!r}")
-        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        argv = [
+            sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+            f"--basetemp={Path(tmp) / 'pytest'}",
+        ]
         try:
             done = subprocess.run(
                 [*argv, *pytest_args], env=env, cwd=ROOT, capture_output=True, text=True,
@@ -403,9 +431,15 @@ def pytest_exit(pytest_args: tuple[str, ...], mutant: Mutant | None = None) -> i
     return done.returncode
 
 
-def outcome(mutant: Mutant) -> str:
-    code = pytest_exit(mutant.pytest_args, mutant)
-    return "SURVIVED" if code == 0 else "killed" if code == 1 else "killed (timeout)"
+def outcome(mutant: Mutant) -> tuple[str, float]:
+    """The mutant's result and the seconds it took."""
+    start = time.monotonic()
+    try:
+        code = pytest_exit(mutant.pytest_args, mutant)
+        result = "SURVIVED" if code == 0 else "killed" if code == 1 else "killed (timeout)"
+    except (LookupError, RuntimeError) as exc:
+        result = f"ERROR: {exc}"
+    return result, time.monotonic() - start
 
 
 def main(names: list[str]) -> int:
@@ -414,21 +448,17 @@ def main(names: list[str]) -> int:
         print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
         return 2
     chosen = [m for m in MUTANTS if not names or m.name in names]
-    # A kill means something only if the same tests pass on the unmutated source.
+    # A kill means something only if the same tests pass on the unmutated source. They
+    # run one set at a time, so that no timed law fails for the load of the others.
     for args in dict.fromkeys(m.pytest_args for m in chosen):
         if pytest_exit(args) != 0:
             print(f"the unmutated source fails: pytest {' '.join(args)}", file=sys.stderr)
             return 1
     failed = 0
-    for mutant in chosen:
-        start = time.monotonic()
-        try:
-            result = outcome(mutant)
-        except (LookupError, RuntimeError) as exc:
-            result = f"ERROR: {exc}"
-        failed += not result.startswith("killed")
-        took = time.monotonic() - start
-        print(f"{mutant.name:32} {result:18} {took:5.1f}s  {mutant.law}", flush=True)
+    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+        for mutant, (result, took) in zip(chosen, pool.map(outcome, chosen)):
+            failed += not result.startswith("killed")
+            print(f"{mutant.name:32} {result:18} {took:5.1f}s  {mutant.law}", flush=True)
     print(f"{failed} of {len(chosen)} mutants not killed" if failed else "every mutant was killed")
     return 1 if failed else 0
 

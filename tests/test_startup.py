@@ -62,6 +62,10 @@ def _argv(case: str, fixtures: Path, data: Path, tmp: Path) -> list[str]:
         "--stub-script", str(fixtures / "stub_paragraph_aware.jsonl"),
         "--out-dir", str(tmp / "out"),
     ]
+    classify = [
+        "classify", "--input", str(fixtures / "food_corpus.txt"), "--format", "structured",
+        "--concepts", str(data / "food_safety_concepts.jsonl"), "--out", str(tmp / "labels.jsonl"),
+    ]
     if case == "eval-runs-dir":  # two runs to aggregate, each scored by an in-process eval
         for run in ("run_01", "run_02"):
             out = str(tmp / run / "metrics.json")
@@ -69,12 +73,8 @@ def _argv(case: str, fixtures: Path, data: Path, tmp: Path) -> list[str]:
     return {
         "check-parallelism-1": [*check, "--parallelism", "1"],
         "check-parallelism-2": [*check, "--parallelism", "2"],
-        "classify": [
-            "classify", "--input", str(fixtures / "food_corpus.txt"), "--format", "structured",
-            "--concepts", str(data / "food_safety_concepts.jsonl"),
-            "--stub-script", str(fixtures / "stub_classify.jsonl"),
-            "--out", str(tmp / "labels.jsonl"),
-        ],
+        "classify": [*classify, "--stub-script", str(fixtures / "stub_classify.jsonl")],
+        "classify-keyword-only-parallelism-8": [*classify, "--keyword-only", "--parallelism", "8"],
         "eval": ["eval", "--gold", gold, "--pred", gold, "--out", str(tmp / "metrics.json")],
         "eval-runs-dir": ["eval", "--runs-dir", str(tmp), "--out", str(tmp / "aggregate.json")],
         "segment": [
@@ -92,6 +92,10 @@ _CASES = {
     ),
     "check-parallelism-2": (set(), {"concurrent.futures"}),
     "classify": ({"regcheck.evaluation", *_ONE_PATH}, {"regcheck.classify"}),
+    # Keyword matching starts no thread pool, whatever the parallelism.
+    "classify-keyword-only-parallelism-8": (
+        {"regcheck.evaluation", *_ONE_PATH, "http.client"}, {"regcheck.classify"}
+    ),
     "eval": ({*_MODEL_MODULES, *_ONE_PATH}, {"regcheck.evaluation"}),
     "eval-runs-dir": (set(), {"statistics"}),
     "segment": ({*_MODEL_MODULES, *_ONE_PATH}, {"regcheck.corpus"}),

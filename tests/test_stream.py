@@ -3,6 +3,7 @@
 So the labels' memory does not grow with the corpus; a run whose writer stops makes
 no further call once the error reaches the caller; and a run whose backend fails
 leaves no `--out` file, or on stdout exactly the records before the failing unit.
+A keyword-only run makes no call and gives the same labels at any parallelism.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import regcheck.pipeline as pipeline
 from regcheck.cli import main
 from regcheck.corpus import extract_provisions, parse_document
 from regcheck.errors import BackendError
-from regcheck.llm import StubBackend, Usage
+from regcheck.llm import HttpBackend, StubBackend, Usage
 from regcheck.pipeline import classify_iter
 from regcheck.taxonomy import load_concept_model
 
@@ -180,3 +181,25 @@ def test_a_failing_unit_exits_3_leaving_the_records_before_it(
     out_dir.mkdir()
     assert main(_argv(fixtures, data_dir, corpus, *extra, "--out", str(out_dir / "l.jsonl"))) == 3
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("stem", [False, True])
+def test_keyword_only_labels_are_the_same_at_any_parallelism(
+    monkeypatch, fixtures, data_dir, tmp_path, stem
+):
+    calls = []
+    for backend in (StubBackend, HttpBackend):
+        monkeypatch.setattr(backend, "complete", lambda self, messages: calls.append(messages))
+    labels = {}
+    for parallelism in (1, 8):
+        out = tmp_path / f"labels_{parallelism}.jsonl"
+        argv = [
+            "classify", "--input", str(fixtures / "food_corpus.txt"), "--format", "structured",
+            "--concepts", str(data_dir / "food_safety_concepts.jsonl"), "--keyword-only",
+            "--parallelism", str(parallelism), "--out", str(out), *(["--stem"] if stem else []),
+        ]
+        assert main(argv) == 0
+        labels[parallelism] = out.read_bytes()
+    assert labels[1] == labels[8]
+    assert b'"keyword"' in labels[1]
+    assert calls == []
