@@ -14,8 +14,7 @@ import json
 import os
 import sys
 from contextlib import closing
-from dataclasses import astuple, dataclass
-from functools import partial
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -23,7 +22,10 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from . import __version__
 from .corpus import PARAGRAPH_LEVEL, SENTENCE, SourceDocument, _parse_lines
 from .errors import BackendError, RegcheckError
-from .llm import HTTP, STUB, BackendConfig, CostTotals, RetryPolicy, cost_row, load_price_table
+from .llm import (
+    HTTP, STUB, Backend, BackendConfig, CostTotals, RetryPolicy, cost_row, load_price_table,
+    make_backend, price_of,
+)
 from .storage import (
     atomic_write_chunks,
     json_chunks,
@@ -264,10 +266,17 @@ def cmd_segment(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _backend(cfg: BackendConfig, prices: dict) -> Backend:
+    """The backend `cfg` describes. An unpriced model fails before it is built, so before
+    any paid call and before its cache directory is made."""
+    price_of(prices, cfg.model_name)
+    return make_backend(cfg)
+
+
 def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .classify import load_classification_template
     from .corpus import extract_provisions
-    from .pipeline import classify_iter, model_runs
+    from .pipeline import classify_iter
     from .taxonomy import load_concept_model
 
     doc = _read_document(args.input, cfg)
@@ -275,11 +284,9 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     template = load_classification_template(args.prompt_template)
     provisions = extract_provisions(doc)
     del doc  # freed before the first call: the run reads only the provisions
-    classify = partial(classify_iter, provisions, model, template=template, stem=args.stem)
-    if args.keyword_only:
-        results = classify(None, parallelism=cfg.backend.parallelism)
-    else:
-        [results] = model_runs(cfg.backend, load_price_table(cfg.price_table), 1, classify)
+    # The keyword baseline makes no call, so it reads no price table.
+    backend = None if args.keyword_only else _backend(cfg.backend, load_price_table(cfg.price_table))
+    results = classify_iter(provisions, model, backend, template, args.stem, cfg.backend.parallelism)
     # Each label is written as its provision completes. `--out` is checked before the
     # first call, and a failed write cancels the queued calls before the error propagates.
     with closing(results):
@@ -289,7 +296,7 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .compliance import assemble_report, load_template
-    from .pipeline import compliance_units, model_runs, run_compliance
+    from .pipeline import compliance_units, run_compliance
     from .taxonomy import load_ruleset
 
     doc = _read_document(args.artifact, cfg)
@@ -300,9 +307,8 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     doc_id = doc.doc_id
     units = compliance_units(doc, cfg.granularity, cfg.budget, context_on=(cfg.context == "on"))
     del doc  # freed before the first call: the run reads only the units and its id
-    check = partial(run_compliance, units, rules, template=template)
-
-    runs = model_runs(cfg.backend, prices, cfg.runs, check)
+    # Repeated runs bypass the cache so that they are independent samples.
+    backend = _backend(cfg.backend if cfg.runs == 1 else replace(cfg.backend, cache_dir=None), prices)
     targets = (
         [out_dir / f"run_{k:02d}" for k in range(1, cfg.runs + 1)] if cfg.runs > 1 else [out_dir]
     )
@@ -310,10 +316,11 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
         target.mkdir(parents=True, exist_ok=True)
     worst_failures = 0
     for target in targets:
-        report = assemble_report(next(runs), rules, doc_id)
+        findings = run_compliance(units, rules, backend, template, cfg.backend.parallelism)
+        report = assemble_report(findings, rules, doc_id)
         write_check_outputs(target, report, prices)
         worst_failures = max(worst_failures, report.totals["parse_failures"])
-        del report  # frees this run's findings before the next run; enumerate() would keep them
+        del findings, report  # frees this run's findings before the next run's calls
 
     limit = cfg.max_parse_failures
     if limit is not None and worst_failures > limit:

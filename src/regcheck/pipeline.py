@@ -1,4 +1,4 @@
-"""End-to-end runners tying segmentation, classification and checking together.
+"""The model stage of both pipelines, and the check units it runs; the caller makes the backend.
 
 Every model call of both pipelines is made here, one unit at a time, by `answers`, which
 keeps the text and usage of an answer the grammar rejects: it was paid for. It runs at most
@@ -12,7 +12,7 @@ one are done, so a caller can write it out and drop it while later calls run;
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -30,7 +30,7 @@ from .corpus import (  # the granularities are re-exported for library callers
     extract_provisions,
 )
 from .errors import ParseError, UnchunkableText
-from .llm import Backend, BackendConfig, ModelPrice, Usage, make_backend, price_of
+from .llm import Backend, Usage
 from .taxonomy import ConceptModel, Ruleset
 
 if TYPE_CHECKING:  # `classify` is imported by `classify_iter`: `check` never loads it
@@ -184,19 +184,6 @@ def run_compliance(
             units, lambda u: build(u.passage, u.context).messages, parse, backend, parallelism
         )
     ]
-
-
-def model_runs(
-    cfg: BackendConfig, prices: dict[str, ModelPrice], runs: int, run: Callable[..., list]
-) -> Iterator[list]:
-    """The results of `run(backend, parallelism=...)`, once per run, lazily.
-
-    An unpriced model fails before the backend is built, so before any paid
-    call. Repeated runs bypass the cache so that they are independent samples.
-    """
-    price_of(prices, cfg.model_name)
-    backend = make_backend(cfg if runs == 1 else replace(cfg, cache_dir=None))
-    return (run(backend, parallelism=cfg.parallelism) for _ in range(runs))
 
 
 def _ordered_map(fn: Callable, items: Iterable, parallelism: int) -> Iterator:

@@ -48,6 +48,8 @@ _PARSE_REFERENCE = ("tests/test_corpus.py", "-k", "TestParseDocumentAgainstRefer
 _ONE_COPY = "tests/test_one_copy.py"
 _STREAM = "tests/test_stream.py"
 _UNWRITABLE = ("tests/test_cli.py", "-k", "unwritable_output_location")
+_LAWS = "tests/test_laws.py"
+_CHECK_LAW = (_LAWS, "-k", "check_law")
 
 MUTANTS = (
     Mutant(
@@ -158,21 +160,77 @@ MUTANTS = (
     ),
     Mutant(
         "price-checked-after-backend",
-        "pipeline.py",
-        "    price_of(prices, cfg.model_name)\n"
-        "    backend = make_backend(cfg if runs == 1 else replace(cfg, cache_dir=None))\n",
-        "    backend = make_backend(cfg if runs == 1 else replace(cfg, cache_dir=None))\n"
-        "    price_of(prices, cfg.model_name)\n",
+        "cli.py",
+        "    price_of(prices, cfg.model_name)\n    return make_backend(cfg)\n",
+        "    backend = make_backend(cfg)\n    price_of(prices, cfg.model_name)\n    return backend\n",
         "a rejected run makes nothing, not even its cache directory",
         ("tests/test_config.py", "-k", "probe"),
     ),
     Mutant(
         "runs-share-the-cache",
-        "pipeline.py",
-        "make_backend(cfg if runs == 1 else replace(cfg, cache_dir=None))",
-        "make_backend(cfg)",
+        "cli.py",
+        "_backend(cfg.backend if cfg.runs == 1 else replace(cfg.backend, cache_dir=None), prices)",
+        "_backend(cfg.backend, prices)",
         "repeated runs are independent samples, not cache hits",
-        ("tests/test_laws.py",),
+        (_LAWS,),
+    ),
+    Mutant(
+        "keyword-only-reads-prices",
+        "cli.py",
+        "    backend = None if args.keyword_only else _backend(",
+        "    backend = _backend(cfg.backend, load_price_table(cfg.price_table))\n"
+        "    backend = None if args.keyword_only else _backend(",
+        "the keyword baseline makes no call, so it reads no price table",
+        ("tests/test_cli.py", "-k", "unpriced_model_exits_2"),
+    ),
+    Mutant(
+        "classify-runs-bypass-cache",
+        "cli.py",
+        "_backend(cfg.backend, load_price_table(cfg.price_table))",
+        "_backend(\n        cfg.backend if cfg.runs == 1 else replace(cfg.backend, cache_dir=None),\n"
+        "        load_price_table(cfg.price_table),\n    )",
+        "classify ignores runs: its cache serves every run",
+        (_LAWS, "-k", "ignores_runs"),
+    ),
+    Mutant(
+        "summary-keeps-last-prompt-tokens",
+        "llm.py",
+        '        counts["prompt_tokens"] += row["prompt_tokens"]\n',
+        '        counts["prompt_tokens"] = row["prompt_tokens"]\n',
+        "out-dir audit: costs_summary.json is the fold of costs.jsonl",
+        _CHECK_LAW,
+    ),
+    Mutant(
+        "per-rule-passages-reversed",
+        "compliance.py",
+        "            per_rule.setdefault(rid, []).append(finding.passage_ref)\n",
+        "            per_rule.setdefault(rid, []).insert(0, finding.passage_ref)\n",
+        "out-dir audit: report.json's per_rule is a recount of its findings",
+        _CHECK_LAW,
+    ),
+    Mutant(
+        "rules-covered-counts-passages",
+        "compliance.py",
+        '        "rules_covered": len(ordered),\n',
+        '        "rules_covered": sum(map(len, ordered.values())),\n',
+        "out-dir audit: report.json's totals are a recount of its findings",
+        _CHECK_LAW,
+    ),
+    Mutant(
+        "findings-jsonl-raw-rationale",
+        "cli.py",
+        '                "rationale": f.rationale,\n',
+        '                "rationale": f.raw_response,\n',
+        "out-dir audit: findings.jsonl is report.json's findings, projected",
+        _CHECK_LAW,
+    ),
+    Mutant(
+        "ledger-skips-cache-hits",
+        "cli.py",
+        "for f in report.findings if f.usage is not None)",
+        "for f in report.findings if f.usage is not None and not f.usage.cached)",
+        "out-dir audit: one ledger row per finding that has a usage",
+        _CHECK_LAW,
     ),
     Mutant(
         "cache-key-drops-max-tokens",
@@ -355,10 +413,10 @@ MUTANTS = (
         "        target.mkdir(parents=True, exist_ok=True)\n"
         "    worst_failures = 0\n"
         "    for target in targets:\n"
-        "        report = assemble_report(next(runs), rules, doc_id)\n",
+        "        findings = run_compliance(units, rules, backend, template, cfg.backend.parallelism)\n",
         "    worst_failures = 0\n"
         "    for target in targets:\n"
-        "        report = assemble_report(next(runs), rules, doc_id)\n"
+        "        findings = run_compliance(units, rules, backend, template, cfg.backend.parallelism)\n"
         "        target.mkdir(parents=True, exist_ok=True)\n",
         "validation that can fail runs before the first call: check's out-dir",
         _UNWRITABLE,

@@ -214,8 +214,12 @@ class TestClassify:
 
     @pytest.mark.parametrize(
         "table,flags",
-        [(None, ["--model", "unpriced-x"]), ({"stub-model": 5}, [])],
-        ids=["unpriced-model", "malformed-table"],
+        [
+            (None, ["--model", "unpriced-x"]),
+            ({"stub-model": 5}, []),
+            ({"stub-model": 5}, ["--model", "unpriced-x"]),
+        ],
+        ids=["unpriced-model", "malformed-table", "unpriced-model-malformed-table"],
     )
     def test_unpriced_model_exits_2_before_any_call(self, tmp_path, monkeypatch, table, flags):
         calls = []
@@ -239,9 +243,12 @@ class TestClassify:
         assert calls == []
         assert list(cache.iterdir()) == []
         assert not out.exists()
-        # The keyword baseline makes no calls, so it needs no price.
+        # The keyword baseline makes no calls, so it reads no price table: it gives the
+        # labels of a run without the price flags.
         assert run(*argv, "--keyword-only", "--out", str(out)) == 0
-        assert out.exists()
+        plain = tmp_path / "plain.jsonl"
+        assert run(*argv[: -len(flags)], "--keyword-only", "--out", str(plain)) == 0
+        assert out.read_bytes() == plain.read_bytes()
 
     @pytest.mark.parametrize("stem", [[], ["--stem"]], ids=["exact", "stem"])
     def test_labels_independent_of_parallelism(self, tmp_path, stem):

@@ -6,7 +6,10 @@ backend (the stub, or an http endpoint that serves the same script) and
 `--runs` change none of them.
 
 Cache law: the cache changes only cost and latency. A cold cache makes one
-request per unit, a warm one makes none, and repeated runs bypass it.
+request per unit, a warm one makes none, and repeated `check` runs bypass it;
+`classify` ignores `runs`.
+
+Out-dir law: the files of every `check` run agree with each other (`audit`).
 
 Tier-1 runs a pairwise cover of each grid: every pair of factor values occurs
 in at least one case (Cohen et al., "The AETG System", IEEE TSE 1997). The
@@ -25,6 +28,7 @@ import pytest
 
 from regcheck.cli import main
 from regcheck.llm import StubBackend
+from regcheck.storage import write_json
 from test_llm import _ScriptedHandler, scripted_server
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -117,9 +121,69 @@ def read_outputs(directory: Path, names) -> dict[str, bytes]:
     return {name: (directory / name).read_bytes() for name in names}
 
 
+def jsonl_records(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
 def ledger_rows(directory: Path) -> list[dict]:
-    rows = [json.loads(line) for line in (directory / "costs.jsonl").read_text().splitlines()]
+    rows = jsonl_records(directory / "costs.jsonl")
     return [{k: v for k, v in row.items() if k not in VOLATILE} for row in rows]
+
+
+def audit(out_dir: Path) -> None:
+    """Assert that the files of one `check` run agree with each other:
+    - `costs_summary.json` is the fold of `costs.jsonl`, its floats summed in row order;
+    - `report.json`'s `totals` and `per_rule` are a recount of its own findings;
+    - `findings.jsonl` is `report.json`'s findings, projected, in the same order;
+    - the ledger has one row per finding that has a usage, in finding order, and a
+      cached row costs nothing and takes no time."""
+    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    findings = report["findings"]
+    rows = jsonl_records(out_dir / "costs.jsonl")
+
+    fold = {
+        "calls": len(rows),
+        "cache_hits": sum(1 for row in rows if row["cached"]),
+        "prompt_tokens": sum(row["prompt_tokens"] for row in rows),
+        "completion_tokens": sum(row["completion_tokens"] for row in rows),
+        "monetary_cost": sum(row["monetary_cost"] for row in rows),
+        "latency_s": sum(row["latency_s"] for row in rows),
+    }
+    summary = json.loads((out_dir / "costs_summary.json").read_text(encoding="utf-8"))
+    assert list(summary.items()) == list(fold.items())
+
+    parsed = [f for f in findings if f["parse_error"] is None]
+    per_rule: dict[str, list[str]] = {}
+    for finding in parsed:
+        for rule_id in finding["rule_ids"]:
+            per_rule.setdefault(rule_id, []).append(finding["passage"])
+    assert report["per_rule"] == per_rule
+    assert not set(per_rule) & set(report["uncovered_rules"])
+    assert report["totals"] == {
+        "passages": len(findings),
+        "applicable": sum(1 for f in parsed if f["rule_ids"]),
+        "not_applicable": sum(1 for f in parsed if not f["rule_ids"]),
+        "parse_failures": len(findings) - len(parsed),
+        "rules_covered": len(per_rule),
+        "rules_uncovered": len(report["uncovered_rules"]),
+    }
+
+    assert jsonl_records(out_dir / "findings.jsonl") == [
+        {
+            "unit_ref": f["passage"],
+            "labels": sorted(f["rule_ids"]),
+            "rationale": f["rationale"],
+            "parse_error": f["parse_error"],
+        }
+        for f in findings
+    ]
+
+    paid = [f for f in findings if f["prompt_tokens"] is not None]
+    tokens = [(f["prompt_tokens"], f["completion_tokens"]) for f in paid]
+    assert [(row["prompt_tokens"], row["completion_tokens"]) for row in rows] == tokens
+    for row in rows:
+        if row["cached"]:
+            assert (row["monetary_cost"], row["latency_s"]) == (0, 0), row
 
 
 def check_argv(granularity, context, flags, out: Path) -> list[str]:
@@ -203,6 +267,7 @@ def test_check_law(
 
     targets = [tmp_path / "out"] if runs == 1 else [tmp_path / "out" / f"run_{n:02d}" for n in (1, 2)]
     for target in targets:
+        audit(target)
         assert read_outputs(target, REPORT_FILES) == want_outputs, target
         assert ledger_rows(target) == want_ledger, target
         summary = json.loads((target / "costs_summary.json").read_text())
@@ -238,3 +303,17 @@ def test_classify_law(tmp_path, stub_calls, stem_reference, parallelism, stem, c
     assert (tmp_path / "labels.jsonl").read_bytes() == want
     assert made == (0 if cache == "warm" else provisions)
     assert cache_entries(cache_dir) == (provisions if cache == "cold" else entries)
+
+
+def test_classify_ignores_runs(tmp_path, stub_calls):
+    # `runs` is a `check` setting: classify neither repeats nor bypasses the cache for it.
+    write_json(tmp_path / "config.json", {"runs": 2})
+    want = (FIXTURES / "golden_labels.jsonl").read_bytes()
+    flags = ["--stub-script", str(CLASSIFY_SCRIPT), "--cache-dir", str(tmp_path / "cache")]
+    for name in ("cold.jsonl", "warm.jsonl"):
+        stub_calls.clear()
+        argv = ["--config", str(tmp_path / "config.json"), *classify_argv("off", flags, tmp_path / name)]
+        assert main(argv) == 0
+        assert (tmp_path / name).read_bytes() == want
+    assert stub_calls == []
+    assert cache_entries(tmp_path / "cache") == want.count(b"\n")
