@@ -15,33 +15,31 @@ import os
 import sys
 from contextlib import closing
 from dataclasses import astuple, dataclass, replace
+from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 # Modules every subcommand loads anyway; each `cmd_*` imports those only it runs.
 from . import __version__
-from .corpus import PARAGRAPH_LEVEL, SENTENCE, SourceDocument, _parse_lines
+from .corpus import PARAGRAPH_LEVEL, SENTENCE, SourceDocument, _Builder, _parse_lines
 from .errors import BackendError, RegcheckError
 from .llm import (
     HTTP, STUB, Backend, BackendConfig, CostTotals, RetryPolicy, cost_row, load_price_table,
     make_backend, price_of,
 )
-from .storage import (
-    atomic_write_chunks,
-    json_chunks,
-    jsonl_line,
-    write_json,
-    write_jsonl,
-)
+from .storage import atomic_files, atomic_write_chunks, json_chunks, jsonl_line, spool, spooled
 
 if TYPE_CHECKING:
-    from .compliance import ComplianceReport
+    from .compliance import Finding
     from .evaluation import MetricsReport
+    from .taxonomy import Ruleset
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BACKEND = 3
 EXIT_PARSE_THRESHOLD = 4
+
+_WRITE_BATCH = 128  # findings `check` takes from the model stage at a time
 
 _ENV_KEYS = {
     "endpoint": "REGCHECK_ENDPOINT",
@@ -224,16 +222,24 @@ def _read_document(path: str, cfg: RunConfig) -> SourceDocument:
 
 
 def _text_lines(path: str) -> Iterator[str]:
-    """`Path(path).read_text(encoding="utf-8").splitlines()`, one line at a time. A byte
-    that is not UTF-8 raises `ValueError` naming `path` and its line."""
+    """`Path(path).read_text(encoding="utf-8").splitlines()`, a batch of lines at a time. A
+    byte that is not UTF-8 raises `ValueError` naming `path` and its line."""
     # A binary line ends at "\n", so no separator of `str.splitlines` ("\r\n" included)
-    # spans two of them, and no multi-byte UTF-8 sequence holds a "\n" byte.
+    # spans two of them, and no multi-byte UTF-8 sequence holds a "\n" byte: a batch of
+    # lines decodes as a whole iff each of its lines does.
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        read = 0  # lines before the batch
+        while batch := fh.readlines(1 << 14):
             try:
-                text = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                text = b"".join(batch).decode("utf-8")
+            except UnicodeDecodeError:
+                for lineno, line in enumerate(batch, start=read + 1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                raise
+            read += len(batch)
             yield from text.splitlines()
 
 
@@ -295,18 +301,20 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
-    from .compliance import assemble_report, load_template
-    from .pipeline import compliance_units, run_compliance
+    from .compliance import load_template
+    from .pipeline import block_units, compliance_iter
     from .taxonomy import load_ruleset
 
-    doc = _read_document(args.artifact, cfg)
+    doc_id = Path(args.artifact).stem
+    # Each block becomes its units as it is read, so no document is built; the units are
+    # all made, and every input error raised, before the first call.
+    blocks = _Builder(cfg.format).blocks(_text_lines(args.artifact))
+    context_on = cfg.context == "on"
+    units = list(block_units(blocks, doc_id, cfg.granularity, cfg.budget, context_on))
     rules = load_ruleset(args.rules)
     template = load_template(args.template)
     prices = load_price_table(cfg.price_table)
     out_dir = Path(args.out_dir)
-    doc_id = doc.doc_id
-    units = compliance_units(doc, cfg.granularity, cfg.budget, context_on=(cfg.context == "on"))
-    del doc  # freed before the first call: the run reads only the units and its id
     # Repeated runs bypass the cache so that they are independent samples.
     backend = _backend(cfg.backend if cfg.runs == 1 else replace(cfg.backend, cache_dir=None), prices)
     targets = (
@@ -316,11 +324,11 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
         target.mkdir(parents=True, exist_ok=True)
     worst_failures = 0
     for target in targets:
-        findings = run_compliance(units, rules, backend, template, cfg.backend.parallelism)
-        report = assemble_report(findings, rules, doc_id)
-        write_check_outputs(target, report, prices)
-        worst_failures = max(worst_failures, report.totals["parse_failures"])
-        del findings, report  # frees this run's findings before the next run's calls
+        findings = compliance_iter(units, rules, backend, template, cfg.backend.parallelism)
+        # A failed write cancels the queued calls before the error propagates.
+        with closing(findings):
+            totals = write_check_outputs(target, findings, rules, doc_id, prices)
+        worst_failures = max(worst_failures, totals["parse_failures"])
 
     limit = cfg.max_parse_failures
     if limit is not None and worst_failures > limit:
@@ -332,30 +340,49 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def write_check_outputs(target: Path, report: ComplianceReport, prices: dict) -> None:
-    """Write one `check` run into `target`, each file encoded one finding at a time
-    from the report's findings: no other copy of them is built."""
-    from .compliance import report_json_chunks, report_markdown_chunks
-    atomic_write_chunks(target / "report.json", report_json_chunks(report))
-    atomic_write_chunks(target / "report.md", report_markdown_chunks(report))
-    write_jsonl(
-        target / "findings.jsonl",
-        (
-            {
-                "unit_ref": f.passage_ref,
-                "labels": sorted(f.rule_ids),
-                "rationale": f.rationale,
-                "parse_error": f.parse_error,
-            }
-            for f in report.findings
-        ),
+def write_check_outputs(
+    target: Path, findings: Iterable[Finding], rules: Ruleset, artifact: str, prices: dict
+) -> dict:
+    """Write one `check` run into `target` in one pass over `findings`, and return its
+    report's totals. Each finding is written as it comes: to `findings.jsonl` and
+    `costs.jsonl`, and its text in each report to that report's spool, while a tally counts
+    it. Then each report is written as its head, known only now, followed by its spool, and
+    the five files are renamed into place. If `findings` or a write raises, none is."""
+    from .compliance import (
+        ReportTally, json_finding, json_head, json_tail, markdown_finding, markdown_head, trimmed,
     )
-    totals = CostTotals()  # each ledger row is built once, totalled as it is written
-    write_jsonl(
-        target / "costs.jsonl",
-        (totals.add(cost_row(prices, f.usage)) for f in report.findings if f.usage is not None),
-    )
-    write_json(target / "costs_summary.json", totals.summary())
+    tally, costs = ReportTally(rules), CostTotals()
+    names = ("findings.jsonl", "costs.jsonl", "costs_summary.json", "report.json", "report.md")
+    with (
+        atomic_files([target / name for name in names]) as (records, ledger, summary, rjson, rmd),
+        spool(target) as json_spool,
+        spool(target) as md_spool,
+    ):
+        md_last = ""  # the last finding's Markdown, held back: its trailing space is trimmed
+        # Findings are taken _WRITE_BATCH at a time: a model stage and a writer that take
+        # turns per finding cost ~10% more CPU than each running over a batch in turn.
+        findings = iter(findings)
+        for batch in iter(lambda: list(islice(findings, _WRITE_BATCH)), []):
+            for f in batch:
+                tally.add(f)
+                record = {
+                    "unit_ref": f.passage_ref,
+                    "labels": sorted(f.rule_ids),
+                    "rationale": f.rationale,
+                    "parse_error": f.parse_error,
+                }
+                records.write(jsonl_line(record))
+                if f.usage is not None:  # each ledger row is built once, totalled as written
+                    ledger.write(jsonl_line(costs.add(cost_row(prices, f.usage))))
+                json_spool.write(json_finding(f, first=tally.counts["passages"] == 1))
+                md_spool.write(md_last)
+                md_last = markdown_finding(f)
+        report = tally.report(artifact, [])
+        summary.writelines(json_chunks(costs.summary()))
+        tail = json_tail(report.totals["passages"])
+        rjson.writelines(chain(json_head(report), spooled(json_spool), [tail]))
+        rmd.writelines(trimmed(chain([markdown_head(report)], spooled(md_spool), [md_last])))
+    return report.totals
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:

@@ -11,14 +11,15 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from json.encoder import encode_basestring as _encode_str  # the C encoder of ensure_ascii=False
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .corpus import Passage, first_sentence_end
 from .errors import ParseError, TemplateError
 from .llm import ChatMessage, Usage
-from .storage import read_text_or_bundled
+from .storage import json_chunks, read_text_or_bundled
 from .taxonomy import NOT_APPLICABLE, Ruleset, render_rules
 
 PLACEHOLDERS = ("{rules}", "{text}", "{context}")
@@ -154,35 +155,44 @@ def parse_response(raw: str, rules: Ruleset) -> tuple[frozenset[str], str]:
 def assemble_report(
     findings: list[Finding], rules: Ruleset, artifact: str
 ) -> ComplianceReport:
-    """Fold findings into per-rule coverage.
+    """Fold findings into per-rule coverage (see `ReportTally`)."""
+    tally = ReportTally(rules)
+    for finding in findings:
+        tally.add(finding)
+    return tally.report(artifact, findings)
+
+
+class ReportTally:
+    """A run's totals and per-rule coverage, counted one finding at a time.
 
     A rule is covered iff at least one successfully parsed finding references
     it; rules with zero supporting passages are the non-compliance areas.
-    Parse-failure findings are excluded from coverage but counted.
+    Parse-failure findings are excluded from coverage but counted. Of each
+    finding only its passage ref is kept, once per rule it supports.
     """
-    per_rule: dict[str, list[str]] = {}
-    parsed = [f for f in findings if f.parse_error is None]
-    for finding in parsed:
+
+    def __init__(self, rules: Ruleset):
+        self.rules = rules
+        self.per_rule: dict[str, list[str]] = {}
+        counted = ("passages", "applicable", "not_applicable", "parse_failures")
+        self.counts = dict.fromkeys(counted, 0)
+
+    def add(self, finding: Finding) -> None:
+        self.counts["passages"] += 1
+        if finding.parse_error is not None:
+            self.counts["parse_failures"] += 1
+            return
+        self.counts["applicable" if finding.rule_ids else "not_applicable"] += 1
         for rid in finding.rule_ids:
-            per_rule.setdefault(rid, []).append(finding.passage_ref)
-    ordered = {rid: per_rule[rid] for rid in rules.ordered_ids() if rid in per_rule}
-    uncovered = [rid for rid in rules.ordered_ids() if rid not in per_rule]
-    totals = {
-        "passages": len(findings),
-        "applicable": sum(1 for f in parsed if f.rule_ids),
-        "not_applicable": sum(1 for f in parsed if not f.rule_ids),
-        "parse_failures": sum(1 for f in findings if f.parse_error is not None),
-        "rules_covered": len(ordered),
-        "rules_uncovered": len(uncovered),
-    }
-    return ComplianceReport(
-        artifact_ref=artifact,
-        ruleset_name=rules.name,
-        per_rule=ordered,
-        uncovered_rules=uncovered,
-        findings=findings,
-        totals=totals,
-    )
+            self.per_rule.setdefault(rid, []).append(finding.passage_ref)
+
+    def report(self, artifact: str, findings: list[Finding]) -> ComplianceReport:
+        """The report of the findings added so far, holding `findings` as its findings."""
+        order = self.rules.ordered_ids()
+        ordered = {rid: self.per_rule[rid] for rid in order if rid in self.per_rule}
+        uncovered = [rid for rid in order if rid not in self.per_rule]
+        totals = {**self.counts, "rules_covered": len(ordered), "rules_uncovered": len(uncovered)}
+        return ComplianceReport(artifact, self.rules.name, ordered, uncovered, findings, totals)
 
 
 # --------------------------------------------------------------------------
@@ -215,17 +225,31 @@ def report_to_dict(report: ComplianceReport) -> dict:
     }
 
 
-def report_json_chunks(report: ComplianceReport) -> Iterator[str]:
-    """The text of `json.dumps(report_to_dict(report), ensure_ascii=False, indent=2)` and a
-    newline: the members before the findings in one chunk, then one finding per chunk."""
-    head = json.dumps(report_to_dict(replace(report, findings=[])), ensure_ascii=False, indent=2)
-    yield head[: -len("[]\n}")]
-    lead = "[\n    "
-    for f in report.findings:
-        members = (f"{_encode_str(k)}: {_json_leaf(v)}" for k, v in _finding_fields(f).items())
-        yield lead + "{\n      " + ",\n      ".join(members) + "\n    }"
-        lead = ",\n    "
-    yield ("\n  ]" if lead[0] == "," else "[]") + "\n}\n"
+def json_head(report: ComplianceReport) -> Iterator[str]:
+    """`report.json` up to its findings array, in pieces: the members before it, which a
+    run knows only once its last finding is in. The file is the text of
+    `json.dumps(report_to_dict(report), ensure_ascii=False, indent=2)` and a newline: this
+    head, then `json_finding` of each finding, then `json_tail`."""
+    text = json_chunks(report_to_dict(replace(report, findings=[])))
+    cut = len("[]\n}\n")  # the empty findings array and the end of the object
+    held = ""  # the text's last `cut` characters, once that many are read
+    for chunk in text:
+        held += chunk
+        if len(held) > cut:
+            yield held[:-cut]
+            held = held[-cut:]
+
+
+def json_finding(f: Finding, first: bool) -> str:
+    """One finding's item of `report.json`'s findings array, led by the array's opening
+    bracket if it is the first, else by a comma."""
+    members = (f"{_encode_str(k)}: {_json_leaf(v)}" for k, v in _finding_fields(f).items())
+    return ("[\n    " if first else ",\n    ") + "{\n      " + ",\n      ".join(members) + "\n    }"
+
+
+def json_tail(count: int) -> str:
+    """The end of `report.json` after its `count` findings."""
+    return ("\n  ]" if count else "[]") + "\n}\n"
 
 
 def _json_leaf(value) -> str:
@@ -247,7 +271,12 @@ def report_to_markdown(report: ComplianceReport) -> str:
 
 def report_markdown_chunks(report: ComplianceReport) -> Iterator[str]:
     """The text of `report_to_markdown(report)`, one section or one finding per chunk."""
-    chunks = _markdown_chunks(report)
+    return trimmed(chain([markdown_head(report)], map(markdown_finding, report.findings)))
+
+
+def trimmed(chunks: Iterable[str]) -> Iterator[str]:
+    """The non-empty `chunks`, with the trailing space of the last one replaced by one newline."""
+    chunks = filter(None, chunks)
     last = next(chunks)
     for chunk in chunks:
         yield last
@@ -256,24 +285,31 @@ def report_markdown_chunks(report: ComplianceReport) -> Iterator[str]:
     yield last.rstrip() + "\n"
 
 
-def _markdown_chunks(report: ComplianceReport) -> Iterator[str]:
-    yield f"# Compliance report: {report.artifact_ref}\n\nRuleset: **{report.ruleset_name}**\n\n"
-    yield "| total | value |\n|---|---|\n"
-    yield "".join(f"| {key} | {value} |\n" for key, value in report.totals.items())
-    yield "\n## Areas of compliance\n\n"
-    covered = (f"- **{rid}** satisfied by: {', '.join(p)}\n" for rid, p in report.per_rule.items())
-    yield "".join(covered) or "- none\n"
-    yield "\n## Areas of non-compliance (rules with no supporting passage)\n\n"
-    yield "".join(f"- **{rid}**\n" for rid in report.uncovered_rules) or "- none\n"
-    yield "\n## Findings\n\n"
-    for f in report.findings:
-        if f.parse_error is not None:
-            yield f"### {f.passage_ref}: unparseable response\n\nParse error: {f.parse_error}\n\n"
-            continue
-        ids = sorted(f.rule_ids, key=_rule_sort_key)
-        verdict = ", ".join(ids) if ids else "not applicable"
-        rationale = f"{f.rationale}\n" if f.rationale else ""
-        yield f"### {f.passage_ref}: {verdict}\n\n{rationale}\n"
+def markdown_head(report: ComplianceReport) -> str:
+    """`report.md` up to its findings: the sections a run knows only once its last finding is in."""
+    totals = "".join(f"| {key} | {value} |\n" for key, value in report.totals.items())
+    covered = "".join(
+        f"- **{rid}** satisfied by: {', '.join(p)}\n" for rid, p in report.per_rule.items()
+    )
+    uncovered = "".join(f"- **{rid}**\n" for rid in report.uncovered_rules)
+    return (
+        f"# Compliance report: {report.artifact_ref}\n\nRuleset: **{report.ruleset_name}**\n\n"
+        f"| total | value |\n|---|---|\n{totals}\n## Areas of compliance\n\n"
+        + (covered or "- none\n")
+        + "\n## Areas of non-compliance (rules with no supporting passage)\n\n"
+        + (uncovered or "- none\n")
+        + "\n## Findings\n\n"
+    )
+
+
+def markdown_finding(f: Finding) -> str:
+    """One finding's section of `report.md`."""
+    if f.parse_error is not None:
+        return f"### {f.passage_ref}: unparseable response\n\nParse error: {f.parse_error}\n\n"
+    ids = sorted(f.rule_ids, key=_rule_sort_key)
+    verdict = ", ".join(ids) if ids else "not applicable"
+    rationale = f"{f.rationale}\n" if f.rationale else ""
+    return f"### {f.passage_ref}: {verdict}\n\n{rationale}\n"
 
 
 def _rule_sort_key(rule_id: str) -> tuple[int, str]:

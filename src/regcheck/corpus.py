@@ -220,14 +220,17 @@ def _expand_item(header: str, item: str) -> list[str]:
 
 def extract_provisions(doc: SourceDocument) -> list[Provision]:
     """All provisions of a document in block order: split paragraphs, expanded lists."""
-    provisions: list[Provision] = []
-    for block in doc.blocks:
-        if block.kind == PARAGRAPH:
-            for i, sent in enumerate(split_text(block.text)):
-                provisions.append(Provision(doc.doc_id, block.index, i, sent, "plain"))
-        else:
-            provisions.extend(expand_list_items(block, doc.doc_id))
-    return provisions
+    return [p for block in doc.blocks for p in block_provisions(block, doc.doc_id)]
+
+
+def block_provisions(block: Block, doc_id: str) -> Iterable[Provision]:
+    """The provisions of one block: its sentences, or its expanded list items."""
+    if block.kind == LIST:
+        return expand_list_items(block, doc_id)
+    return (  # made as they are taken: a caller that lists them builds the one list
+        Provision(doc_id, block.index, i, sent, "plain")
+        for i, sent in enumerate(split_text(block.text))
+    )
 
 
 # --------------------------------------------------------------------------
@@ -242,13 +245,6 @@ def block_text(block: Block) -> str:
     return " ".join([block.header, *block.items])
 
 
-def block_length(block: Block) -> int:
-    """`len(block_text(block))`, without building a list block's text."""
-    if block.kind == PARAGRAPH:
-        return len(block.text)
-    return len(block.header) + sum(map(len, block.items)) + len(block.items)
-
-
 def chunk_paragraphs(doc: SourceDocument, budget: int) -> list[Passage]:
     """Token-bounded passages, one per block where the block fits the budget.
 
@@ -256,28 +252,22 @@ def chunk_paragraphs(doc: SourceDocument, budget: int) -> list[Passage]:
     every piece fits. Raises `UnchunkableText` if a single sentence alone
     exceeds the budget.
     """
+    passages: list[Passage] = []
+    for block in doc.blocks:
+        passages += block_passages(block, doc.doc_id, budget, len(passages))
+    return passages
+
+
+def block_passages(block: Block, doc_id: str, budget: int, first: int = 0) -> list[Passage]:
+    """The passages of one block, numbered from `first` (see `chunk_paragraphs`)."""
     if budget <= 0:
         raise ValueError("token budget must be positive")
-    passages: list[Passage] = []
-    seq = 0
-    for block in doc.blocks:
-        text = block_text(block)
-        if estimate_tokens(text) <= budget:
-            chunks = [text]
-        else:
-            chunks = _fit_sentences(split_text(text), budget)
-        for chunk in chunks:
-            passages.append(
-                Passage(
-                    doc_id=doc.doc_id,
-                    sequence=seq,
-                    text=chunk,
-                    token_estimate=estimate_tokens(chunk),
-                    parent_block=(block.index, block.index),
-                )
-            )
-            seq += 1
-    return passages
+    text = block_text(block)
+    chunks = [text] if estimate_tokens(text) <= budget else _fit_sentences(split_text(text), budget)
+    return [
+        Passage(doc_id, first + i, chunk, estimate_tokens(chunk), (block.index, block.index))
+        for i, chunk in enumerate(chunks)
+    ]
 
 
 def _fit_sentences(sentences: list[str], budget: int) -> list[str]:
@@ -326,29 +316,20 @@ def parse_document(
 
 def _parse_lines(lines: Iterable[str], format: str, doc_id: str) -> SourceDocument:
     """`parse_document` of the text whose `splitlines()` are `lines`, taken one at a time."""
-    if format not in ("plain", "structured"):
-        raise ValueError(f"unknown format {format!r}")
-    builder = _Builder()
-    handle = builder.structured_line if format == "structured" else builder.plain_line
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip():
-            handle(line, lineno)
-        else:
-            builder.close()
-    builder.close()
-    if not builder.blocks:
-        # Without blocks, a title is the only non-blank line a document can have.
-        raise MalformedInput(
-            "empty document" if builder.title is None else "document contains no blocks"
-        )
-    return SourceDocument(doc_id=doc_id, title=builder.title or "", blocks=tuple(builder.blocks))
+    builder = _Builder(format)
+    blocks = tuple(builder.blocks(lines))
+    return SourceDocument(doc_id=doc_id, title=builder.title or "", blocks=blocks)
 
 
 class _Builder:
-    """Accumulates lines into validated blocks."""
+    """Accumulates lines into validated blocks: the one parse loop of both formats."""
 
-    def __init__(self):
-        self.blocks: list[Block] = []
+    def __init__(self, format: str):
+        if format not in ("plain", "structured"):
+            raise ValueError(f"unknown format {format!r}")
+        self.format = format
+        self.count = 0  # the blocks closed so far
+        self.closed: Block | None = None  # the block the last line closed, until it is yielded
         self.title: str | None = None
         self.kind: str | None = None
         self.parts: list[str] = []
@@ -357,9 +338,30 @@ class _Builder:
         # Plain format: the open paragraph's first line has an enumeration marker.
         self.prose = False
 
+    def blocks(self, lines: Iterable[str]) -> Iterator[Block]:
+        """The blocks of the text whose `splitlines()` are `lines`, each yielded as it closes;
+        `title` is set once its line is read."""
+        handle = self.structured_line if self.format == "structured" else self.plain_line
+        for lineno, line in enumerate(lines, start=1):
+            if line.strip():
+                handle(line, lineno)
+            else:
+                self.close()
+            if self.closed is not None:  # a line closes at most one block
+                yield self.closed
+                self.closed = None
+        self.close()
+        if self.closed is not None:
+            yield self.closed
+        elif not self.count:
+            # Without blocks, a title is the only non-blank line a document can have.
+            raise MalformedInput(
+                "empty document" if self.title is None else "document contains no blocks"
+            )
+
     def structured_line(self, line: str, lineno: int):
         if line.startswith(TITLE_MARK):
-            if self.title or self.blocks or self.kind is not None:
+            if self.title or self.count or self.kind is not None:
                 raise MalformedInput(f"line {lineno}: unexpected title marker")
             self.title = line[len(TITLE_MARK):].strip()
         elif line.startswith(PARAGRAPH_MARK):
@@ -422,13 +424,16 @@ class _Builder:
             text = " ".join(p for p in self.parts if p)
             if not text:
                 raise MalformedInput("empty paragraph block")
-            self.blocks.append(Block(PARAGRAPH, len(self.blocks), text=text))
+            self.closed = Block(PARAGRAPH, self.count, text=text)
         elif self.kind == LIST:
             if not self.items:
                 raise MalformedInput(
                     f"unclosed list: header {self.header!r} has no items"
                 )
             items = tuple(" ".join(parts) for parts in self.items)
-            self.blocks.append(Block(LIST, len(self.blocks), header=self.header, items=items))
+            self.closed = Block(LIST, self.count, header=self.header, items=items)
+        else:
+            return  # no block is open
+        self.count += 1
         self.kind = None
         self.parts, self.header, self.items = [], "", []

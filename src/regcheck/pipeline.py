@@ -4,9 +4,9 @@ Every model call of both pipelines is made here, one unit at a time, by `answers
 keeps the text and usage of an answer the grammar rejects: it was paid for. It runs at most
 `parallelism` requests at a time and queues at most 2·`parallelism` units; after a unit
 fails no further unit starts. Results come in input order, so runs with a deterministic
-backend are byte-reproducible. `classify_iter` yields each result once it and every earlier
-one are done, so a caller can write it out and drop it while later calls run;
-`run_compliance` and `classify_provisions` return lists, as a report needs every finding.
+backend are byte-reproducible. `classify_iter` and `compliance_iter` yield each result once
+it and every earlier one are done, so a caller can write it out and drop it while later
+calls run; `classify_provisions` and `run_compliance` are their results as lists.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ from .compliance import Finding, parse_response, prompt_builder
 from .corpus import (  # the granularities are re-exported for library callers
     PARAGRAPH_LEVEL,
     SENTENCE,
+    Block,
     Passage,
     Provision,
     SourceDocument,
-    block_length,
+    block_passages,
+    block_provisions,
     block_text,
-    chunk_paragraphs,
     estimate_tokens,
-    extract_provisions,
 )
 from .errors import ParseError, UnchunkableText
 from .llm import Backend, Usage
@@ -129,61 +129,72 @@ def compliance_units(
     budget: int,
     context_on: bool = False,
 ) -> list[CheckUnit]:
-    """Build check units at the requested granularity.
+    """The check units of `doc` (see `block_units`), as a list."""
+    return list(block_units(doc.blocks, doc.doc_id, granularity, budget, context_on))
+
+
+def block_units(
+    blocks: Iterable[Block],
+    doc_id: str,
+    granularity: str,
+    budget: int,
+    context_on: bool = False,
+) -> Iterator[CheckUnit]:
+    """Build check units at the requested granularity, each block's as the block is read.
 
     Paragraph granularity chunks blocks to the token budget; sentence
     granularity uses one provision per unit. Context, when enabled, is the
     enclosing block's text and is attached only when it adds anything beyond
-    the unit text itself. It is built once per block, and at paragraph
-    granularity only for a block split to fit the budget.
+    the unit text itself. It is built once per block.
     """
-    if granularity == PARAGRAPH_LEVEL:
-        passages = chunk_paragraphs(doc, budget)
-    elif granularity == SENTENCE:
-        passages = []
-        for seq, prov in enumerate(extract_provisions(doc)):
-            tokens = estimate_tokens(prov.text)
-            if tokens > budget:
-                raise UnchunkableText(
-                    f"provision {prov.unit_ref} (~{tokens} tokens) exceeds the "
-                    f"budget of {budget}"
-                )
-            block = (prov.block_index, prov.block_index)
-            passages.append(Passage(doc.doc_id, seq, prov.text, tokens, block, prov.unit_ref))
-    else:
+    if granularity not in (PARAGRAPH_LEVEL, SENTENCE):
         raise ValueError(f"unknown granularity {granularity!r}")
-    if not context_on:
-        return [CheckUnit(passage) for passage in passages]
-    units, blocks, block = [], iter(doc.blocks), None
-    for passage in passages:  # a block's units are consecutive, in block order
-        if block is None or block.index != passage.parent_block[0]:
-            block = next(b for b in blocks if b.index == passage.parent_block[0])
-            # A block that fits the budget is its one passage; each passage of a split
-            # block fits the budget, so it is shorter than the block.
-            split = granularity == SENTENCE or len(passage.text) < block_length(block)
-            context = block_text(block) if split else None
-        units.append(CheckUnit(passage, None if context == passage.text else context))
-    return units
+    seq = 0
+    for block in blocks:
+        if granularity == PARAGRAPH_LEVEL:
+            passages = block_passages(block, doc_id, budget, seq)
+        else:
+            passages, parent = [], (block.index, block.index)
+            for prov in block_provisions(block, doc_id):
+                tokens = estimate_tokens(prov.text)
+                if tokens > budget:
+                    raise UnchunkableText(
+                        f"provision {prov.unit_ref} (~{tokens} tokens) exceeds the "
+                        f"budget of {budget}"
+                    )
+                passages.append(
+                    Passage(doc_id, seq + len(passages), prov.text, tokens, parent, prov.unit_ref)
+                )
+        seq += len(passages)
+        context = block_text(block) if context_on else None
+        for passage in passages:
+            yield CheckUnit(passage, None if context == passage.text else context)
 
 
-def run_compliance(
-    units: Sequence[CheckUnit],
+def run_compliance(*args, **kwargs) -> list[Finding]:
+    """The findings of `compliance_iter(*args, **kwargs)`, as a list."""
+    return list(compliance_iter(*args, **kwargs))
+
+
+def compliance_iter(
+    units: Iterable[CheckUnit],
     rules: Ruleset,
     backend: Backend,
     template: str | None = None,
     parallelism: int = 1,
-) -> list[Finding]:
-    """One finding per unit, in input order. A response the grammar rejects becomes a
-    finding with `parse_error` set and no rule ids (see `answers`)."""
+) -> Iterator[Finding]:
+    """One finding per unit, yielded in input order as it completes. A response the grammar
+    rejects becomes a finding with `parse_error` set and no rule ids (see `answers`). The
+    caller closes the iterator if it stops early, which cancels the queued units."""
     build = prompt_builder(rules, template)
     parse = partial(parse_response, rules=rules)
     rejected = (rules.id_set(()), "")  # the rule ids and rationale of a rejected answer
-    return [
+    return (
         Finding(unit.passage.unit_ref, *(parsed or rejected), *answer)
         for unit, parsed, answer in answers(
             units, lambda u: build(u.passage, u.context).messages, parse, backend, parallelism
         )
-    ]
+    )
 
 
 def _ordered_map(fn: Callable, items: Iterable, parallelism: int) -> Iterator:

@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
+from functools import partial
 from importlib import resources
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 
 def read_text_or_bundled(path: str | Path | None, bundled: str) -> str:
@@ -68,18 +70,49 @@ def atomic_write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
     """Stream `chunks` into a temp file and rename it over `path`, so readers never
     see a partial file; if `chunks` raises, `path` is left as it was. The file object's
     own buffer is the only batching, so memory does not grow with the chunk count."""
-    path = Path(path)
-    if path.is_dir():  # before the temp file, so the error names `path`, not the temp file
-        raise IsADirectoryError(f"{path} is a directory")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    with atomic_files([Path(path)]) as (fh,):
+        fh.writelines(chunks)
+
+
+@contextmanager
+def atomic_files(paths: Sequence[Path]) -> Iterator[list[TextIO]]:
+    """A text file open for writing per path, each a temp file beside it. On a clean exit
+    they are renamed over their paths, in order; if the block raises, they are all deleted
+    and no path is touched."""
+    for path in paths:  # before any temp file, so the error names `path`, not a temp file
+        if path.is_dir():
+            raise IsADirectoryError(f"{path} is a directory")
+    temps, files = [], []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
+        for path in paths:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+            temps.append(tmp)
+            files.append(os.fdopen(fd, "w", encoding="utf-8"))
+        yield files
+        for fh in files:
+            fh.close()
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for fh in files:
+            fh.close()
+        for tmp in temps:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
         raise
+
+
+def spool(directory: Path) -> TextIO:
+    """An unnamed temp file in `directory`, for text to be copied on (`spooled`): it has no
+    name to leave behind, whatever way the process ends."""
+    return tempfile.TemporaryFile("w+", encoding="utf-8", newline="", dir=directory)
+
+
+def spooled(fh: TextIO) -> Iterator[str]:
+    """The text written to the spool `fh`, in pieces of at most 8K characters, so that
+    copying it on adds little to a run's peak memory."""
+    fh.seek(0)
+    return iter(partial(fh.read, 1 << 13), "")

@@ -127,8 +127,8 @@ MUTANTS = (
     Mutant(
         "write-joins-all-chunks",
         "storage.py",
-        "            fh.writelines(chunks)\n",
-        '            fh.write("".join(chunks))\n',
+        "        fh.writelines(chunks)\n",
+        '        fh.write("".join(chunks))\n',
         "writing a file holds one chunk, not the file",
         ("tests/test_storage.py", "tests/test_outputs.py"),
     ),
@@ -203,32 +203,32 @@ MUTANTS = (
     Mutant(
         "per-rule-passages-reversed",
         "compliance.py",
-        "            per_rule.setdefault(rid, []).append(finding.passage_ref)\n",
-        "            per_rule.setdefault(rid, []).insert(0, finding.passage_ref)\n",
+        "            self.per_rule.setdefault(rid, []).append(finding.passage_ref)\n",
+        "            self.per_rule.setdefault(rid, []).insert(0, finding.passage_ref)\n",
         "out-dir audit: report.json's per_rule is a recount of its findings",
         _CHECK_LAW,
     ),
     Mutant(
         "rules-covered-counts-passages",
         "compliance.py",
-        '        "rules_covered": len(ordered),\n',
-        '        "rules_covered": sum(map(len, ordered.values())),\n',
+        '"rules_covered": len(ordered)',
+        '"rules_covered": sum(map(len, ordered.values()))',
         "out-dir audit: report.json's totals are a recount of its findings",
         _CHECK_LAW,
     ),
     Mutant(
         "findings-jsonl-raw-rationale",
         "cli.py",
-        '                "rationale": f.rationale,\n',
-        '                "rationale": f.raw_response,\n',
+        '                    "rationale": f.rationale,\n',
+        '                    "rationale": f.raw_response,\n',
         "out-dir audit: findings.jsonl is report.json's findings, projected",
         _CHECK_LAW,
     ),
     Mutant(
         "ledger-skips-cache-hits",
         "cli.py",
-        "for f in report.findings if f.usage is not None)",
-        "for f in report.findings if f.usage is not None and not f.usage.cached)",
+        "                if f.usage is not None:  # each ledger row",
+        "                if f.usage is not None and not f.usage.cached:  # each ledger row",
         "out-dir audit: one ledger row per finding that has a usage",
         _CHECK_LAW,
     ),
@@ -259,7 +259,7 @@ MUTANTS = (
     Mutant(
         "report-json-no-empty-findings",
         "compliance.py",
-        '("\\n  ]" if lead[0] == "," else "[]")',
+        '("\\n  ]" if count else "[]")',
         '"\\n  ]"',
         "report.json gives the one-shot bytes with no findings",
         ("tests/test_outputs.py",),
@@ -320,8 +320,8 @@ MUTANTS = (
     Mutant(
         "title-check-is-not-none",
         "corpus.py",
-        "            if self.title or self.blocks or self.kind is not None:\n",
-        "            if self.title is not None or self.blocks or self.kind is not None:\n",
+        "            if self.title or self.count or self.kind is not None:\n",
+        "            if self.title is not None or self.count or self.kind is not None:\n",
         "one parse loop gives the documents of the two parsers it replaced: an empty title",
         _PARSE_REFERENCE,
     ),
@@ -337,7 +337,7 @@ MUTANTS = (
     Mutant(
         "always-no-blocks",
         "corpus.py",
-        '"empty document" if builder.title is None else "document contains no blocks"',
+        '"empty document" if self.title is None else "document contains no blocks"',
         '"document contains no blocks"',
         "one parse loop gives the errors of the two parsers it replaced",
         _PARSE_REFERENCE,
@@ -369,9 +369,17 @@ MUTANTS = (
     Mutant(
         "check-keeps-the-document",
         "cli.py",
-        "    del doc  # freed before the first call: the run reads only the units and its id\n",
-        "",
-        "check frees the document before the model stage",
+        "    blocks = _Builder(cfg.format).blocks(_text_lines(args.artifact))\n",
+        "    blocks = tuple(_Builder(cfg.format).blocks(_text_lines(args.artifact)))\n",
+        "check holds no block of its artifact in the model stage",
+        (_ONE_COPY, "-k", "freed"),
+    ),
+    Mutant(
+        "check-builds-the-document",
+        "cli.py",
+        "    blocks = _Builder(cfg.format).blocks(_text_lines(args.artifact))\n",
+        "    blocks = _read_document(args.artifact, cfg).blocks\n",
+        "check builds no document: each block becomes its units as it is read",
         (_ONE_COPY, "-k", "freed"),
     ),
     Mutant(
@@ -410,33 +418,59 @@ MUTANTS = (
         "check-out-dir-after-first-call",
         "cli.py",
         "    for target in targets:  # an out-dir that cannot be made fails before the first call\n"
-        "        target.mkdir(parents=True, exist_ok=True)\n"
-        "    worst_failures = 0\n"
-        "    for target in targets:\n"
-        "        findings = run_compliance(units, rules, backend, template, cfg.backend.parallelism)\n",
-        "    worst_failures = 0\n"
-        "    for target in targets:\n"
-        "        findings = run_compliance(units, rules, backend, template, cfg.backend.parallelism)\n"
         "        target.mkdir(parents=True, exist_ok=True)\n",
+        "",
         "validation that can fail runs before the first call: check's out-dir",
         _UNWRITABLE,
     ),
     Mutant(
         "write-pulls-before-path-check",
         "storage.py",
-        "    path = Path(path)\n    if path.is_dir():",
+        "    with atomic_files([Path(path)]) as (fh,):\n",
         '    chunks = iter(chunks)\n    chunks = chain([next(chunks, "")], chunks)\n'
-        "    path = Path(path)\n    if path.is_dir():",
+        "    with atomic_files([Path(path)]) as (fh,):\n",
         "validation that can fail runs before the first call: classify's --out",
         _UNWRITABLE,
     ),
     Mutant(
         "paragraph-context-never-built",
         "pipeline.py",
-        "            split = granularity == SENTENCE or len(passage.text) < block_length(block)\n",
-        "            split = granularity == SENTENCE\n",
+        "        context = block_text(block) if context_on else None\n",
+        "        context = block_text(block) if context_on and granularity == SENTENCE else None\n",
         "check units give the context of a dict of every block's text",
         ("tests/test_pipeline.py", "-k", "reference"),
+    ),
+    Mutant(
+        "check-lists-its-findings",
+        "cli.py",
+        "write_check_outputs(target, findings, rules, doc_id, prices)",
+        "write_check_outputs(target, list(findings), rules, doc_id, prices)",
+        "check's memory beyond its units does not grow with the artifact",
+        (_STREAM, "-k", "memory_independent_of_the_artifact"),
+    ),
+    Mutant(
+        "check-no-explicit-close",
+        "cli.py",
+        "        with closing(findings):\n",
+        "        if True:\n",
+        "a writer that stops check cancels the queued calls before the error propagates",
+        (_STREAM, "-k", "failed_check_writer"),
+    ),
+    Mutant(
+        "spool-written-without-head",
+        "cli.py",
+        "chain(json_head(report), spooled(json_spool), [tail])",
+        "chain(spooled(json_spool), [tail])",
+        "report.json is its head followed by its spool: the one-shot bytes",
+        ("tests/test_outputs.py", "-k", "written_run"),
+    ),
+    Mutant(
+        "temp-left-on-backend-error",
+        "storage.py",
+        "                os.unlink(tmp)\n",
+        "                pass\n",
+        "a run that fails leaves no file in its out-dir, temporary ones included",
+        (_STREAM, "-k", "failing_check_unit"),
     ),
     Mutant(
         "fresh-id-set-per-answer",

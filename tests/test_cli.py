@@ -307,10 +307,15 @@ def test_malformed_classification_template_exits_2_before_any_call(tmp_path, mon
         (["check", "--runs", "1"], "file", "File exists"),
         (["check", "--runs", "2"], "file", "Not a directory"),
         (["check", "--runs", "1"], "file/sub", "Not a directory"),
+        # The first run's directory can be made, the second's cannot.
+        (["check", "--runs", "2"], "runs", "File exists"),
         (["classify"], "file/labels.jsonl", "File exists"),
         (["classify"], "dir", "is a directory"),
     ],
-    ids=["check-file", "check-runs-file", "check-under-file", "classify-under-file", "classify-dir"],
+    ids=[
+        "check-file", "check-runs-file", "check-under-file", "check-second-run-file",
+        "classify-under-file", "classify-dir",
+    ],
 )
 def test_unwritable_output_location_exits_2_before_any_call(
     tmp_path, monkeypatch, capsys, argv, out, message
@@ -319,6 +324,8 @@ def test_unwritable_output_location_exits_2_before_any_call(
     monkeypatch.setattr(StubBackend, "complete", lambda self, messages: calls.append(messages))
     (tmp_path / "file").write_text("not a directory\n", encoding="utf-8")
     (tmp_path / "dir").mkdir()
+    (tmp_path / "runs").mkdir()
+    (tmp_path / "runs" / "run_02").write_text("not a directory\n", encoding="utf-8")
     cache = tmp_path / "cache"
     cache.mkdir()
     if argv[0] == "check":

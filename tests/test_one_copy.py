@@ -1,5 +1,6 @@
-"""One copy of the input: `check` and `classify` read a document one line at a time,
-release it before the model stage, and findings share their rule-id sets."""
+"""One copy of the input: `check` and `classify` read a document a batch of lines at a
+time; `classify` releases its document before the model stage, `check` builds none; and
+findings share their rule-id sets."""
 
 from __future__ import annotations
 
@@ -11,9 +12,10 @@ import weakref
 import pytest
 
 import regcheck.cli as cli
+import regcheck.corpus as corpus
 import regcheck.pipeline as pipeline
 from regcheck.cli import main
-from regcheck.corpus import Passage, parse_document
+from regcheck.corpus import Block, Passage, parse_document
 from regcheck.llm import BackendConfig, Usage
 from regcheck.pipeline import CheckUnit, run_compliance
 from regcheck.taxonomy import RuleSpec, Ruleset
@@ -119,30 +121,35 @@ def _classify(fixtures, data_dir, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv,stage",
-    [(_check, "run_compliance"), (_classify, "classify_iter")],
+    "argv,stage,documents",
+    [(_check, "compliance_iter", 0), (_classify, "classify_iter", 1)],
     ids=["check", "classify"],
 )
 def test_document_is_freed_before_the_model_stage(
-    monkeypatch, fixtures, data_dir, tmp_path, argv, stage
+    monkeypatch, fixtures, data_dir, tmp_path, argv, stage, documents
 ):
-    refs, alive = [], []
-    read, run = cli._read_document, getattr(pipeline, stage)
+    # `check` turns each block into its units as it is read: it builds no document.
+    refs, seen = [], []
+    build, run = corpus.SourceDocument, getattr(pipeline, stage)
 
-    def reading(*args, **kwargs):
-        doc = read(*args, **kwargs)
+    def building(*args, **kwargs):
+        doc = build(*args, **kwargs)
         refs.append(weakref.ref(doc))
         return doc
 
-    def running(*args, **kwargs):
+    def blocks() -> int:
         gc.collect()
-        alive.append(refs[-1]() is not None)
+        return sum(isinstance(o, Block) for o in gc.get_objects())
+
+    def running(*args, **kwargs):
+        seen.append(([r() is not None for r in refs], blocks() - before))
         return run(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_read_document", reading)
+    monkeypatch.setattr(corpus, "SourceDocument", building)
     monkeypatch.setattr(pipeline, stage, running)
+    before = blocks()  # those of other tests' documents
     assert main(argv(fixtures, data_dir, tmp_path)) == 0
-    assert alive == [False]
+    assert seen == [([False] * documents, 0)]  # no document and no block of it is left
 
 
 RULES = Ruleset((RuleSpec("R1", "one"), RuleSpec("R2", "two"), RuleSpec("R3", "three")), "r")

@@ -1,5 +1,6 @@
 """`check`'s output files: each streamed encoder gives the bytes of its one-shot
-reference, and writing a run takes no more memory for more findings."""
+reference, the writer gives them in one pass over a run's findings, and writing a run
+takes no more memory for more findings."""
 
 from __future__ import annotations
 
@@ -16,12 +17,16 @@ from regcheck.cli import write_check_outputs
 from regcheck.compliance import (
     ComplianceReport,
     Finding,
-    report_json_chunks,
+    assemble_report,
+    json_finding,
+    json_head,
+    json_tail,
     report_markdown_chunks,
     report_to_dict,
     report_to_markdown,
 )
 from regcheck.llm import ModelPrice, Usage, cost_row
+from regcheck.taxonomy import RuleSpec, Ruleset
 
 PRICES = {"m": ModelPrice(0.5, 1.5), "ü-model": ModelPrice(0.001, 0.002)}
 RULES = [f"R{i}" for i in range(1, 13)] + ["X-1", "Règle"]
@@ -136,8 +141,10 @@ def _reports():
     rng = random.Random(83)
     reports = [_random_report(rng) for _ in range(300)]
     a, b, c = [r for r in reports if r.findings and r.findings[-1].parse_error is None][:3]
+    failed = [f for r in reports for f in r.findings if f.parse_error is not None][:7]
     return reports + [
         ComplianceReport("art", "rules", {}, [], [], {}),
+        ComplianceReport("art", "rules", {}, [], failed, {}),  # every answer failed to parse
         # Trailing whitespace of the last finding is trimmed from the Markdown.
         _with_last(a, rationale=a.findings[-1].rationale + " \t\n "),
         _with_last(b, rule_ids=frozenset(), rationale="", parse_error="unparseable\n  "),
@@ -158,12 +165,15 @@ def test_reports_cover_the_corner_cases():
     last = [r.findings[-1] for r in REPORTS if r.findings]
     assert any(f.rationale != f.rationale.rstrip() and f.parse_error is None for f in last)
     assert any(f.parse_error and f.parse_error != f.parse_error.rstrip() for f in last)
+    assert any(r.findings and all(f.parse_error is not None for f in r.findings) for r in REPORTS)
 
 
 def test_streamed_reports_give_the_one_shot_bytes():
     for case, report in enumerate(REPORTS):
         one_shot = json.dumps(report_to_dict(report), ensure_ascii=False, indent=2) + "\n"
-        assert "".join(report_json_chunks(report)) == one_shot, case
+        pieces = [*json_head(report)]  # as the writer writes a report, one finding at a time
+        pieces += [json_finding(f, first=i == 0) for i, f in enumerate(report.findings)]
+        assert "".join([*pieces, json_tail(len(report.findings))]) == one_shot, case
         markdown = "".join(report_markdown_chunks(report))
         assert markdown == report_to_markdown(report) == _ref_markdown(report), case
 
@@ -172,14 +182,23 @@ def _lines(records) -> bytes:
     return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records).encode("utf-8")
 
 
-@pytest.mark.parametrize("case", range(0, len(REPORTS), 15))
+def _ruleset(name):
+    """Rules of every id `_finding` draws, in an order that is not the sorted one."""
+    return Ruleset(tuple(RuleSpec(rid, f"rule {rid}") for rid in [*RULES[6:], *RULES[:6]]), name)
+
+
+# Every 15th random report, and each corner case appended after them.
+@pytest.mark.parametrize("case", [*range(0, 300, 15), *range(300, len(REPORTS))])
 def test_written_run_gives_the_one_shot_bytes(monkeypatch, tmp_path, case):
-    report = REPORTS[case]
+    findings, rules = REPORTS[case].findings, _ruleset(REPORTS[case].ruleset_name)
+    report = assemble_report(findings, rules, REPORTS[case].artifact_ref)
     built = []  # the usage of each ledger row the writer builds
     monkeypatch.setattr(cli, "cost_row", lambda prices, u: built.append(u) or cost_row(prices, u))
-    write_check_outputs(tmp_path, report, PRICES)
-    assert built == [f.usage for f in report.findings if f.usage is not None]  # once each
-    rows = [cost_row(PRICES, f.usage) for f in report.findings if f.usage is not None]
+    # A one-shot iterator: a writer that read the findings twice would see none the second time.
+    totals = write_check_outputs(tmp_path, iter(findings), rules, report.artifact_ref, PRICES)
+    assert totals == report.totals
+    assert built == [f.usage for f in findings if f.usage is not None]  # once each
+    rows = [cost_row(PRICES, f.usage) for f in findings if f.usage is not None]
     expected = {
         "report.json": json.dumps(report_to_dict(report), ensure_ascii=False, indent=2) + "\n",
         "report.md": _ref_markdown(report),
@@ -191,42 +210,47 @@ def test_written_run_gives_the_one_shot_bytes(monkeypatch, tmp_path, case):
     assert (tmp_path / "findings.jsonl").read_bytes() == _lines(
         {"unit_ref": f.passage_ref, "labels": sorted(f.rule_ids), "rationale": f.rationale,
          "parse_error": f.parse_error}
-        for f in report.findings
+        for f in findings
     )
+    written = sorted(p.name for p in tmp_path.iterdir())  # no temp or spool file is left
+    assert written == sorted([*expected, "costs.jsonl", "findings.jsonl"])
 
 
-def _sized_report(n):
-    """A report of `n` findings with short raw responses."""
-    findings = [
+SIZED_RULES = Ruleset(tuple(RuleSpec(f"R{i}", f"rule {i}") for i in range(1, 13)), "rules")
+
+
+def _sized_findings(n):
+    """`n` findings with short raw responses. Only the first 32 cite rules, so the report's
+    per-rule lists of refs, which its head must hold whole, are the same at any `n`."""
+    return [
         Finding(
             f"dpa:p{i}",
-            frozenset({"R1", f"R{2 + i % 9}"}) if i % 4 else frozenset(),
+            frozenset({"R1", f"R{2 + i % 9}"}) if i % 4 and i < 32 else frozenset(),
             f"Processing follows the controller's documented instructions {i}. " * 3,
             "R1.",
             Usage("m", 300 + i % 50, 40, 0.25 + i * 1e-6),
         )
         for i in range(n)
     ]
-    per_rule = {"R1": [f.passage_ref for f in findings if f.rule_ids][:8]}
-    return ComplianceReport("dpa", "rules", per_rule, ["R12"], findings, {"passages": n})
 
 
-def _write_peak(target, report) -> int:
-    """The peak traced allocation while `report`'s run is written, past what was already held."""
+def _write_peak(target, findings) -> int:
+    """The peak traced allocation while the run of `findings` is written, past what was
+    already held."""
     tracemalloc.start()
     try:
-        write_check_outputs(target, report, PRICES)
+        write_check_outputs(target, iter(findings), SIZED_RULES, "dpa", PRICES)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_writing_a_run_does_not_grow_with_the_finding_count(tmp_path):
-    small, large = _sized_report(1_000), _sized_report(4_000)
+    small, large = _sized_findings(1_000), _sized_findings(4_000)
     small_peak = _write_peak(tmp_path / "small", small)
     large_peak = _write_peak(tmp_path / "large", large)
     # 1,024 lines of costs.jsonl, the file with the shortest lines: any whole copy
     # of 3,000 more findings, report rows or ledger rows is larger.
-    line_bytes = (tmp_path / "large" / "costs.jsonl").stat().st_size / len(large.findings)
+    line_bytes = (tmp_path / "large" / "costs.jsonl").stat().st_size / len(large)
     slack = 1024 * line_bytes
     assert large_peak - small_peak < slack, (small_peak, large_peak, slack)

@@ -1,9 +1,11 @@
-"""`classify` streams its labels: each record is written as its provision completes.
+"""`classify` and `check` stream their results: each is written as its unit completes.
 
 So the labels' memory does not grow with the corpus; a run whose writer stops makes
 no further call once the error reaches the caller; and a run whose backend fails
 leaves no `--out` file, or on stdout exactly the records before the failing unit.
 A keyword-only run makes no call and gives the same labels at any parallelism.
+`check` holds no list of its findings, stops its calls when its writer does, and
+on a backend failure leaves its out-dir without any file, temporary ones included.
 """
 
 from __future__ import annotations
@@ -50,9 +52,23 @@ def _argv(fixtures, data_dir, corpus, *extra: str) -> list[str]:
     ]
 
 
+def _check_argv(fixtures, data_dir, artifact, out_dir, *extra: str) -> list[str]:
+    return [
+        "check", "--artifact", str(artifact), "--rules", str(data_dir / "gdpr_art28_demo.jsonl"),
+        "--stub-script", str(fixtures / "stub_paragraph_aware.jsonl"),
+        "--out-dir", str(out_dir), *extra,
+    ]
+
+
+CHECK_FILES = ["costs.jsonl", "costs_summary.json", "findings.jsonl", "report.json", "report.md"]
+# A check answer per unit, in turn: both rules, one, not applicable, and a rejected answer.
+CHECK_ANSWERS = ("R1, R3. Both apply.", "R2. Confidentiality.", "R99. None.", "No identifier.")
+
+
 class _Backend:
     """Answers every unit after sleeping `pause` seconds, except `failing`, which
-    raises; counts the calls started and those running."""
+    raises; counts the calls started and those running. `check` answers unit i with
+    `CHECK_ANSWERS[i % 4]`."""
 
     def __init__(self, pause: float = 0.0, failing: int | None = None):
         self.pause, self.failing = pause, failing
@@ -65,8 +81,11 @@ class _Backend:
             self.in_flight += 1
         try:
             time.sleep(self.pause)
-            if int(_UNIT.search(messages[-1].content).group(1)) == self.failing:
+            unit = int(_UNIT.search(messages[-1].content).group(1))
+            if unit == self.failing:
                 raise BackendError("unit failed")
+            if messages[-1].content.startswith("Text:"):  # a check prompt
+                return CHECK_ANSWERS[unit % 4], Usage("stub-model", 10, 5)
             return "Traceability. A tracing duty.", Usage("stub-model", 10, 5)
         finally:
             with self.lock:
@@ -203,3 +222,91 @@ def test_keyword_only_labels_are_the_same_at_any_parallelism(
     assert labels[1] == labels[8]
     assert b'"keyword"' in labels[1]
     assert calls == []
+
+
+def test_streamed_findings_take_memory_independent_of_the_artifact(
+    monkeypatch, fixtures, data_dir, tmp_path
+):
+    # Traced from the start of the model stage, when the units already exist, to the end
+    # of the run: the excess is what the run holds beyond its input.
+    _Backend().stand_in(monkeypatch)
+    run, starts = pipeline.compliance_iter, []
+
+    def measured(*args, **kwargs):
+        starts.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "compliance_iter", measured)
+    excess = {}
+    for n in (500, 2000):
+        out = tmp_path / f"out_{n}"
+        tracemalloc.start()
+        try:
+            assert main(_check_argv(fixtures, data_dir, _corpus(tmp_path, n), out)) == 0
+            excess[n] = tracemalloc.get_traced_memory()[1] - starts[-1]
+        finally:
+            tracemalloc.stop()
+        assert len((out / "findings.jsonl").read_text(encoding="utf-8").splitlines()) == n
+    # A list of the findings holds ~300 B a finding: 450 kB more at 2000 than at 500.
+    # The run keeps ~85 B a finding: each ledger row's cost and latency, for
+    # costs_summary.json, and each applicable finding's ref in the per-rule lists.
+    assert excess[2000] < excess[500] + 200_000, excess
+
+
+class _FailingAfter:
+    """`cost_row` that raises `exc` once `k` ledger rows are built: the writer fails
+    while it writes finding k + 1."""
+
+    def __init__(self, k: int, exc: BaseException):
+        self.k, self.exc, self.built = k, exc, 0
+        self.cost_row = cli.cost_row
+
+    def __call__(self, prices, usage):
+        if self.built == self.k:
+            raise self.exc
+        self.built += 1
+        return self.cost_row(prices, usage)
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+@pytest.mark.parametrize("exc", [KeyboardInterrupt(), OSError(28, "No space left on device")],
+                         ids=["interrupt", "disk-full"])
+def test_a_failed_check_writer_stops_the_calls_before_the_error_propagates(
+    monkeypatch, fixtures, data_dir, tmp_path, parallelism, exc
+):
+    k = 5
+    backend = _Backend(pause=0.02).stand_in(monkeypatch)
+    monkeypatch.setattr(cli, "cost_row", _FailingAfter(k, exc))
+    out = tmp_path / "out"
+    argv = _check_argv(fixtures, data_dir, _corpus(tmp_path, 200), out, "--parallelism",
+                       str(parallelism))
+    if isinstance(exc, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt) as err:  # `err` holds the run's frames
+            main(argv)
+    else:
+        assert main(argv) == 2
+    started = backend.started
+    assert backend.in_flight == 0
+    # The writer takes a batch of findings at a time, and the queue holds 2 x parallelism.
+    assert k < started <= cli._WRITE_BATCH + 2 * parallelism
+    time.sleep(0.15)
+    assert backend.started == started
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_a_failing_check_unit_exits_3_leaving_no_file(
+    monkeypatch, capsys, fixtures, data_dir, tmp_path, parallelism
+):
+    artifact = _corpus(tmp_path, 40)
+    _Backend().stand_in(monkeypatch)
+    assert main(_check_argv(fixtures, data_dir, artifact, tmp_path / "complete")) == 0
+    assert sorted(p.name for p in (tmp_path / "complete").iterdir()) == CHECK_FILES
+
+    _Backend(failing=23).stand_in(monkeypatch)
+    out = tmp_path / "out"
+    extra = ("--parallelism", str(parallelism))
+    assert main(_check_argv(fixtures, data_dir, artifact, out, *extra)) == 3
+    assert capsys.readouterr().err == "backend error: unit failed\n"
+    assert list(out.iterdir()) == []  # no report, and no temp or spool file
