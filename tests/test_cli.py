@@ -614,6 +614,34 @@ class TestEval:
         assert exc.value.code == 2
         assert "--averaging" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("granularity", "script"),
+        [("paragraph", "stub_paragraph_aware.jsonl"), ("sentence", "stub_sentence_blind.jsonl")],
+    )
+    def test_metrics_of_a_check_run_match_golden(self, tmp_path, granularity, script):
+        # The golden check run at each granularity, scored against that granularity's gold.
+        out_dir = tmp_path / "out"
+        code = run(
+            "check",
+            "--artifact", str(FIXTURES / "dpa_demo.txt"),
+            "--format", "structured",
+            "--rules", str(DATA / "gdpr_art28_demo.jsonl"),
+            "--stub-script", str(FIXTURES / script),
+            "--granularity", granularity,
+            "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        metrics_path = tmp_path / "metrics.json"
+        code = run(
+            "eval",
+            "--gold", str(FIXTURES / f"dpa_gold_{granularity}.jsonl"),
+            "--pred", str(out_dir / "findings.jsonl"),
+            "--out", str(metrics_path),
+        )
+        assert code == 0
+        golden = FIXTURES / f"golden_metrics_{granularity}.json"
+        assert metrics_path.read_bytes() == golden.read_bytes()
+
     def test_perfect_predictions(self, tmp_path, capsys):
         gold = tmp_path / "gold.jsonl"
         pred = tmp_path / "pred.jsonl"
