@@ -147,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="score predictions against gold labels")
     ev.add_argument("--gold", help="gold JSONL")
     ev.add_argument("--pred", help="prediction JSONL")
-    ev.add_argument("--match", choices=["exact", "overlap"], default="overlap")
     ev.add_argument("--runs-dir", help="aggregate metrics.json files across run directories")
     ev.add_argument("--out", help="metrics/aggregate JSON (default: stdout)")
     return parser
@@ -386,16 +385,7 @@ def write_check_outputs(
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
-    from .evaluation import (
-        ANY_OVERLAP,
-        EXACT,
-        aggregate_runs,
-        confusion,
-        load_gold,
-        load_predictions,
-        match_accuracy,
-        metrics,
-    )
+    from .evaluation import aggregate_runs, confusion, load_gold, load_predictions, metrics
 
     if args.runs_dir:
         reports = _load_run_reports(Path(args.runs_dir))
@@ -406,16 +396,10 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     if not args.gold or not args.pred:
         raise ValueError("eval needs --gold and --pred (or --runs-dir)")
-    gold = load_gold(args.gold)
     predicted, parse_failures = load_predictions(args.pred)
-    report = metrics(confusion(predicted, gold), parse_failure_count=parse_failures)
-    report.subset_accuracy = match_accuracy(predicted, gold, EXACT)
-    mode = EXACT if args.match == "exact" else ANY_OVERLAP
-    body = report.to_dict()
-    body["match_accuracy"] = {
-        "mode": mode,
-        "value": match_accuracy(predicted, gold, mode),
-    }
+    counts = confusion(predicted, load_gold(args.gold))  # the gold file is read once, as a stream
+    body = metrics(counts, parse_failure_count=parse_failures).to_dict()
+    body["match_accuracy"] = {"mode": "any_overlap", "value": counts.share(counts.overlap)}
     _emit(json_chunks(body), args.out)
     return EXIT_OK
 

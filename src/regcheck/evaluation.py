@@ -11,13 +11,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import UnitMismatch
 from .storage import numbered_jsonl
-
-EXACT = "exact"
-ANY_OVERLAP = "any_overlap"
 
 METRIC_FIELDS = ("precision", "recall", "f1", "accuracy")
 
@@ -28,17 +25,11 @@ class GoldRecord:
     gold_labels: frozenset[str]
 
 
-def load_gold(path: str | Path) -> list[GoldRecord]:
-    """Gold file: one JSONL record per unit: {"unit_ref", "labels"}."""
-    records = []
-    seen = set()
-    for line, rec in numbered_jsonl(path):
-        ref, labels = _unit_labels(path, line, rec.get("unit_ref"), rec.get("labels", []))
-        if ref in seen:
-            raise ValueError(f"{path}:{line}: duplicate unit_ref {ref!r} in gold file")
-        seen.add(ref)
-        records.append(GoldRecord(ref, labels))
-    return records
+def load_gold(path: str | Path) -> Iterator[GoldRecord]:
+    """Gold file: one JSONL record per unit: {"unit_ref", "labels"}. Read lazily,
+    so that `confusion` scores it in one pass without holding its records."""
+    records = _unit_records(path, "gold", lambda rec: (rec.get("unit_ref"), rec.get("labels", [])))
+    return (GoldRecord(ref, labels) for ref, labels, _ in records)
 
 
 def load_predictions(path: str | Path) -> tuple[dict[str, frozenset[str]], int]:
@@ -50,24 +41,32 @@ def load_predictions(path: str | Path) -> tuple[dict[str, frozenset[str]], int]:
     """
     predicted = {}
     parse_failures = 0
-    for line, rec in numbered_jsonl(path):
-        ref = rec.get("unit_ref") or rec.get("prov_id")
-        ref, labels = _unit_labels(path, line, ref, rec.get("labels"))
-        if ref in predicted:
-            raise ValueError(f"{path}:{line}: duplicate unit_ref {ref!r} in prediction file")
+    records = _unit_records(
+        path, "prediction", lambda rec: (rec.get("unit_ref") or rec.get("prov_id"), rec.get("labels"))
+    )
+    for ref, labels, rec in records:
         predicted[ref] = labels
-        if rec.get("parse_error") is not None:
-            parse_failures += 1
+        parse_failures += rec.get("parse_error") is not None
     return predicted, parse_failures
 
 
-def _unit_labels(path: str | Path, line: int, ref, labels) -> tuple[str, frozenset[str]]:
-    """A record's unit reference and label set, each checked for its type."""
-    if not isinstance(ref, str) or not ref:
-        raise ValueError(f"{path}:{line}: unit_ref must be a non-empty string, got {ref!r}")
-    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
-        raise ValueError(f"{path}:{line}: labels of {ref!r} must be a list of strings, got {labels!r}")
-    return ref, frozenset(labels)
+def _unit_records(
+    path: str | Path, kind: str, fields: Callable[[dict], tuple]
+) -> Iterator[tuple[str, frozenset[str], dict]]:
+    """`(unit ref, label set, record)` for each record of a `kind` file, whose
+    `fields` are its unit reference and labels: each checked for its type, and
+    each unit named once in the file."""
+    seen = set()
+    for line, rec in numbered_jsonl(path):
+        ref, labels = fields(rec)
+        if not isinstance(ref, str) or not ref:
+            raise ValueError(f"{path}:{line}: unit_ref must be a non-empty string, got {ref!r}")
+        if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+            raise ValueError(f"{path}:{line}: labels of {ref!r} must be a list of strings, got {labels!r}")
+        if ref in seen:
+            raise ValueError(f"{path}:{line}: duplicate unit_ref {ref!r} in {kind} file")
+        seen.add(ref)
+        yield ref, frozenset(labels), rec
 
 
 @dataclass(frozen=True)
@@ -84,43 +83,58 @@ class LabelCounts:
 
 @dataclass(frozen=True)
 class ConfusionCounts:
+    """Per-label counts over `units` units, and how many of those units the
+    prediction matches exactly and with any overlap."""
+
     per_label: Mapping[str, LabelCounts]
+    units: int = 0
+    exact: int = 0
+    overlap: int = 0
+
+    def share(self, hits: int) -> float:
+        """`hits` as a fraction of the units; 0 when there are none."""
+        return hits / self.units if self.units else 0.0
 
 
-def confusion(
-    predicted: Mapping[str, Iterable[str]], gold: Sequence[GoldRecord]
-) -> ConfusionCounts:
-    """Per-label confusion counts over a common unit set.
+def confusion(predicted: Mapping[str, Iterable[str]], gold: Iterable[GoldRecord]) -> ConfusionCounts:
+    """Per-label confusion counts over a common unit set, in one pass over `gold`,
+    which names each unit once.
 
-    The label universe is every label seen in gold or predictions.
-    Raises UnitMismatch unless predicted and gold cover exactly the same
+    The label universe is every label seen in gold or predictions. A unit's
+    prediction overlaps its gold labels when they share a label or both are
+    empty. Raises UnitMismatch unless predicted and gold cover exactly the same
     units.
     """
-    gold_by_unit = {g.unit_ref: frozenset(g.gold_labels) for g in gold}
-    missing = sorted(gold_by_unit.keys() - predicted.keys())
-    extra = sorted(predicted.keys() - gold_by_unit.keys())
-    if missing or extra:
-        raise UnitMismatch(
-            f"predictions missing units {missing[:5]} / extra units {extra[:5]}"
-        )
-    # One pass over units; a label's true negatives are the units left over.
     tp: Counter[str] = Counter()
     fp: Counter[str] = Counter()
     fn: Counter[str] = Counter()
-    for unit, gold_labels in gold_by_unit.items():
-        pred_labels = frozenset(predicted[unit])
-        tp.update(pred_labels & gold_labels)
+    seen: set[str] = set()
+    exact = overlap = 0
+    for g in gold:
+        seen.add(g.unit_ref)
+        if g.unit_ref not in predicted:
+            continue
+        pred_labels, gold_labels = frozenset(predicted[g.unit_ref]), frozenset(g.gold_labels)
+        hits = pred_labels & gold_labels
+        tp.update(hits)
         fp.update(pred_labels - gold_labels)
         fn.update(gold_labels - pred_labels)
-    # Every label seen is counted in at least one of the three.
-    n = len(gold_by_unit)
+        exact += pred_labels == gold_labels
+        overlap += bool(hits) or not (pred_labels or gold_labels)
+    missing = sorted(seen - predicted.keys())
+    extra = sorted(predicted.keys() - seen)
+    if missing or extra:
+        raise UnitMismatch(f"predictions missing units {missing[:5]} / extra units {extra[:5]}")
+    # Every label seen is counted in at least one of the three; a label's true
+    # negatives are the units left over.
+    n = len(seen)
     counts = {
         label: LabelCounts(
             tp[label], fp[label], fn[label], n - tp[label] - fp[label] - fn[label]
         )
         for label in sorted(tp.keys() | fp.keys() | fn.keys())
     }
-    return ConfusionCounts(counts)
+    return ConfusionCounts(counts, n, exact, overlap)
 
 
 @dataclass(frozen=True)
@@ -191,7 +205,8 @@ def metrics(
     averaging: str = "macro",
     parse_failure_count: int = 0,
 ) -> MetricsReport:
-    """Per-label plus pooled (micro) and averaged (macro) scores."""
+    """Per-label plus pooled (micro) and averaged (macro) scores, and the
+    subset accuracy: the share of units predicted exactly."""
     if averaging not in ("per_label", "micro", "macro"):
         raise ValueError(f"unknown averaging {averaging!r}")
     per_label = {label: _from_counts(lc) for label, lc in c.per_label.items()}
@@ -216,40 +231,9 @@ def metrics(
         micro=micro,
         macro=macro,
         averaging=averaging,
+        subset_accuracy=c.share(c.exact),
         parse_failure_count=parse_failure_count,
     )
-
-
-def match_mode(
-    predicted: Iterable[str], gold: Iterable[str], mode: str = ANY_OVERLAP
-) -> bool:
-    """Correctness of one rule-set prediction against gold.
-
-    `exact` demands set equality; `any_overlap` accepts a non-empty
-    intersection, or both sets empty.
-    """
-    p, g = frozenset(predicted), frozenset(gold)
-    if mode == EXACT:
-        return p == g
-    if mode == ANY_OVERLAP:
-        return bool(p & g) or (not p and not g)
-    raise ValueError(f"unknown match mode {mode!r}")
-
-
-def match_accuracy(
-    predicted: Mapping[str, Iterable[str]],
-    gold: Sequence[GoldRecord],
-    mode: str = ANY_OVERLAP,
-) -> float:
-    """Fraction of units whose prediction is correct under `match_mode`."""
-    if not gold:
-        return 0.0
-    hits = sum(
-        1
-        for g in gold
-        if match_mode(frozenset(predicted.get(g.unit_ref, ())), g.gold_labels, mode)
-    )
-    return hits / len(gold)
 
 
 # --------------------------------------------------------------------------

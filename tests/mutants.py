@@ -47,6 +47,7 @@ _STARTUP = ("tests/test_startup.py",)
 _PARSE_REFERENCE = ("tests/test_corpus.py", "-k", "TestParseDocumentAgainstReference")
 _ONE_COPY = "tests/test_one_copy.py"
 _STREAM = "tests/test_stream.py"
+_EVALUATION = "tests/test_evaluation.py"
 _UNWRITABLE = ("tests/test_cli.py", "-k", "unwritable_output_location")
 _LAWS = "tests/test_laws.py"
 _CHECK_LAW = (_LAWS, "-k", "check_law")
@@ -479,6 +480,30 @@ MUTANTS = (
         "        return ids\n",
         "findings with equal rule-id sets share one set",
         (_ONE_COPY, "-k", "share"),
+    ),
+    Mutant(
+        "eval-lists-the-gold",
+        "cli.py",
+        "    counts = confusion(predicted, load_gold(args.gold))",
+        "    counts = confusion(predicted, list(load_gold(args.gold)))",
+        "eval reads the gold file as a stream and holds no list of its records",
+        (_STREAM, "-k", "holds_no_list"),
+    ),
+    Mutant(
+        "overlap-misses-two-empty-sets",
+        "evaluation.py",
+        "        overlap += bool(hits) or not (pred_labels or gold_labels)\n",
+        "        overlap += bool(hits)\n",
+        "a unit whose prediction and gold are both empty matches with any overlap",
+        (_EVALUATION, "-k", "match_mode or brute_force"),
+    ),
+    Mutant(
+        "subset-accuracy-from-overlap",
+        "evaluation.py",
+        "        subset_accuracy=c.share(c.exact),\n",
+        "        subset_accuracy=c.share(c.overlap),\n",
+        "subset accuracy is the share of units predicted exactly",
+        (_EVALUATION, "-k", "subset_accuracy"),
     ),
 )
 

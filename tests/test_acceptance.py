@@ -33,7 +33,6 @@ from regcheck.evaluation import (
     GoldRecord,
     confusion,
     load_gold,
-    match_accuracy,
     metrics,
 )
 from regcheck.llm import CostLedger, ModelPrice, StubBackend, StubEntry, ChatMessage
@@ -296,8 +295,8 @@ def test_criterion_6_rq4_replay(tmp_path):
             r["unit_ref"]: frozenset(r["labels"])
             for _, r in numbered_jsonl(out / "findings.jsonl")
         }
-        gold = load_gold(FIXTURES / f"dpa_gold_{granularity}.jsonl")
-        return match_accuracy(predicted, gold, "any_overlap")
+        counts = confusion(predicted, load_gold(FIXTURES / f"dpa_gold_{granularity}.jsonl"))
+        return counts.share(counts.overlap)
 
     sentence_acc = check("sentence", "stub_sentence_blind.jsonl", tmp_path / "sent")
     paragraph_acc = check("paragraph", "stub_paragraph_aware.jsonl", tmp_path / "para")

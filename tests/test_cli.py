@@ -540,7 +540,7 @@ class TestCheck:
     def test_sentence_context_recovers_accuracy(self, tmp_path):
         # The same sentence-blind script answers correctly once the enclosing
         # paragraph rides along as context.
-        from regcheck.evaluation import load_gold, match_accuracy
+        from regcheck.evaluation import confusion, load_gold
 
         def accuracy(out_dir, *extra):
             code = run(
@@ -558,8 +558,8 @@ class TestCheck:
                 r["unit_ref"]: frozenset(r["labels"])
                 for _, r in numbered_jsonl(out_dir / "findings.jsonl")
             }
-            gold = load_gold(FIXTURES / "dpa_gold_sentence.jsonl")
-            return match_accuracy(predicted, gold, "any_overlap")
+            counts = confusion(predicted, load_gold(FIXTURES / "dpa_gold_sentence.jsonl"))
+            return counts.share(counts.overlap)
 
         without = accuracy(tmp_path / "off", "--context", "off")
         with_ctx = accuracy(tmp_path / "on", "--context", "on")
@@ -613,6 +613,14 @@ class TestEval:
             run("eval", "--gold", gold, "--pred", gold, "--averaging", "micro")
         assert exc.value.code == 2
         assert "--averaging" in capsys.readouterr().err
+
+    def test_match_flag_is_gone(self, capsys):
+        # `--match exact` repeated subset_accuracy; match_accuracy is always any-overlap.
+        gold = str(FIXTURES / "dpa_gold_paragraph.jsonl")
+        with pytest.raises(SystemExit) as exc:
+            run("eval", "--gold", gold, "--pred", gold, "--match", "exact")
+        assert exc.value.code == 2
+        assert "--match" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         ("granularity", "script"),
@@ -763,6 +771,19 @@ class TestEval:
 
     def test_missing_inputs_exit_2(self):
         assert run("eval") == 2
+
+    def test_both_files_malformed_names_the_prediction_file(self, tmp_path, capsys):
+        # The predictions are loaded first; the gold file is then read as a stream.
+        gold = tmp_path / "gold.jsonl"
+        pred = tmp_path / "pred.jsonl"
+        write_jsonl(gold, [{"unit_ref": 5, "labels": []}])
+        write_jsonl(pred, [{"unit_ref": "a", "labels": "R5"}])
+        out = tmp_path / "metrics.json"
+        assert run("eval", "--gold", str(gold), "--pred", str(pred), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"{pred}:1: labels of 'a' must be a list of strings" in err
+        assert str(gold) not in err
+        assert not out.exists()
 
     def test_duplicate_prediction_unit_exits_2(self, tmp_path):
         # The second record for `a` used to replace the first without a word.

@@ -10,14 +10,10 @@ import pytest
 
 from regcheck.errors import UnitMismatch
 from regcheck.evaluation import (
-    ANY_OVERLAP,
-    EXACT,
     GoldRecord,
     MetricValues,
     aggregate_runs,
     confusion,
-    match_accuracy,
-    match_mode,
     metrics,
 )
 
@@ -54,6 +50,17 @@ def brute_force(predicted, gold_records, labels):
     return out
 
 
+def brute_force_matches(predicted, gold_records, labels):
+    """The units, and those whose prediction agrees with gold on every label or
+    shares a label with it (or neither side has one), label by label."""
+    exact = overlap = 0
+    for record in gold_records:
+        sides = [(label in predicted[record.unit_ref], label in record.gold_labels) for label in labels]
+        exact += all(p == g for p, g in sides)
+        overlap += any(p and g for p, g in sides) or not any(p or g for p, g in sides)
+    return len(gold_records), exact, overlap
+
+
 def random_instance(rng, n_units=None, n_labels=None):
     n_units = n_units or rng.randint(1, 20)
     n_labels = n_labels or rng.randint(1, 5)
@@ -87,6 +94,15 @@ class TestConfusion:
         g = gold([("u1", {"A"})])
         with pytest.raises(UnitMismatch):
             confusion({"u2": set()}, g)
+        # The message names the first five missing and extra refs, sorted.
+        g = gold([(f"g{i}", set()) for i in (9, 3, 7, 1, 5, 2, 8)] + [("both", {"A"})])
+        predicted = {"both": {"A"}, **{f"p{i}": set() for i in (6, 4, 2, 9, 1, 3)}}
+        with pytest.raises(UnitMismatch) as err:
+            confusion(predicted, iter(g))
+        assert str(err.value) == (
+            "predictions missing units ['g1', 'g2', 'g3', 'g5', 'g7'] / "
+            "extra units ['p1', 'p2', 'p3', 'p4', 'p6']"
+        )
 
     def test_counts_sum_to_unit_count(self):
         rng = random.Random(5)
@@ -98,16 +114,19 @@ class TestConfusion:
 
     def test_matches_brute_force(self):
         rng = random.Random(17)
-        predicted, g, labels = random_instance(rng, n_units=20, n_labels=5)
-        c = confusion(predicted, g)
-        oracle = brute_force(predicted, g, labels)
-        # The universe is the labels seen: those with a prediction or a gold label.
-        seen = [label for label in labels if oracle[label][:3] != (0, 0, 0)]
-        assert list(c.per_label) == seen
-        for label in seen:
-            tp, fp, fn, tn, *_ = oracle[label]
-            lc = c.per_label[label]
-            assert (lc.tp, lc.fp, lc.fn, lc.tn) == (tp, fp, fn, tn)
+        instances = [random_instance(rng, n_units=20, n_labels=5)]
+        instances += [random_instance(rng) for _ in range(100)]
+        for predicted, g, labels in instances:
+            c = confusion(predicted, iter(g))  # a one-shot iterator: gold is read once
+            oracle = brute_force(predicted, g, labels)
+            # The universe is the labels seen: those with a prediction or a gold label.
+            seen = [label for label in labels if oracle[label][:3] != (0, 0, 0)]
+            assert list(c.per_label) == seen
+            for label in seen:
+                tp, fp, fn, tn, *_ = oracle[label]
+                lc = c.per_label[label]
+                assert (lc.tp, lc.fp, lc.fn, lc.tn) == (tp, fp, fn, tn)
+            assert (c.units, c.exact, c.overlap) == brute_force_matches(predicted, g, labels)
 
 
 def _ref_confusion(predicted, gold_records):
@@ -238,7 +257,9 @@ class TestSubsetAndMatch:
     def test_subset_accuracy(self):
         g = gold([("u1", {"A", "B"}), ("u2", {"A"}), ("u3", set())])
         predicted = {"u1": {"A", "B"}, "u2": {"A", "B"}, "u3": set()}
-        assert match_accuracy(predicted, g, EXACT) == pytest.approx(2 / 3)
+        c = confusion(predicted, g)
+        assert c.share(c.exact) == pytest.approx(2 / 3)
+        assert metrics(c).subset_accuracy == pytest.approx(2 / 3)
 
     @pytest.mark.parametrize(
         ("pred", "g", "exact", "overlap"),
@@ -251,8 +272,8 @@ class TestSubsetAndMatch:
         ],
     )
     def test_match_mode_table(self, pred, g, exact, overlap):
-        assert match_mode(pred, g, EXACT) is exact
-        assert match_mode(pred, g, ANY_OVERLAP) is overlap
+        c = confusion({"u1": pred}, gold([("u1", g)]))
+        assert (c.units, c.exact, c.overlap) == (1, exact, overlap)
 
     def test_match_mode_random_against_set_algebra(self):
         rng = random.Random(41)
@@ -260,14 +281,16 @@ class TestSubsetAndMatch:
         for _ in range(200):
             p = frozenset(x for x in universe if rng.random() < 0.5)
             g = frozenset(x for x in universe if rng.random() < 0.5)
-            assert match_mode(p, g, EXACT) == (p == g)
-            assert match_mode(p, g, ANY_OVERLAP) == (bool(p & g) or (not p and not g))
+            c = confusion({"u1": p}, gold([("u1", g)]))
+            assert c.exact == (p == g)
+            assert c.overlap == (bool(p & g) or (not p and not g))
 
     def test_match_accuracy(self):
         g = gold([("u1", {"R5"}), ("u2", set())])
         predicted = {"u1": {"R5", "R7"}, "u2": set()}
-        assert match_accuracy(predicted, g, ANY_OVERLAP) == 1.0
-        assert match_accuracy(predicted, g, EXACT) == 0.5
+        c = confusion(predicted, g)
+        assert c.share(c.overlap) == 1.0
+        assert c.share(c.exact) == 0.5
 
 
 class TestAggregateRuns:

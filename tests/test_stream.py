@@ -6,10 +6,12 @@ leaves no `--out` file, or on stdout exactly the records before the failing unit
 A keyword-only run makes no call and gives the same labels at any parallelism.
 `check` holds no list of its findings, stops its calls when its writer does, and
 on a backend failure leaves its out-dir without any file, temporary ones included.
+`eval` reads the gold file once, as a stream, and holds no list of its records.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import threading
 import time
@@ -18,12 +20,14 @@ import tracemalloc
 import pytest
 
 import regcheck.cli as cli
+import regcheck.evaluation as evaluation
 import regcheck.pipeline as pipeline
 from regcheck.cli import main
 from regcheck.corpus import extract_provisions, parse_document
 from regcheck.errors import BackendError
 from regcheck.llm import HttpBackend, StubBackend, Usage
 from regcheck.pipeline import classify_iter
+from regcheck.storage import write_jsonl
 from regcheck.taxonomy import load_concept_model
 
 _UNIT = re.compile(r"Provision (\d+) ")
@@ -310,3 +314,55 @@ def test_a_failing_check_unit_exits_3_leaving_no_file(
     assert main(_check_argv(fixtures, data_dir, artifact, out, *extra)) == 3
     assert capsys.readouterr().err == "backend error: unit failed\n"
     assert list(out.iterdir()) == []  # no report, and no temp or spool file
+
+
+def _eval_files(tmp_path, n: int) -> list[str]:
+    """`eval`'s arguments for a gold and a prediction file of `n` units. Unit i's gold
+    is one rule or none, and its prediction is exact, overlaps, is empty or misses."""
+    gold_path, pred_path = tmp_path / f"gold_{n}.jsonl", tmp_path / f"pred_{n}.jsonl"
+    gold = [[] if i % 3 == 0 else [f"R{i % 5 + 1}"] for i in range(n)]
+    pred = [(gold[i], gold[i] + ["R9"], [], ["R8"])[i % 4] for i in range(n)]
+    write_jsonl(gold_path, ({"unit_ref": f"doc:p{i}", "labels": gold[i]} for i in range(n)))
+    write_jsonl(pred_path, ({"unit_ref": f"doc:p{i}", "labels": pred[i]} for i in range(n)))
+    return ["eval", "--gold", str(gold_path), "--pred", str(pred_path)]
+
+
+def test_eval_reads_the_gold_file_once(monkeypatch, tmp_path):
+    # A gold loader whose records can be iterated only once gives the same metrics.
+    argv = _eval_files(tmp_path, 300)
+    plain, once = tmp_path / "plain.json", tmp_path / "once.json"
+    assert main([*argv, "--out", str(plain)]) == 0
+    load, calls = evaluation.load_gold, []
+
+    def one_shot(path):
+        calls.append(path)
+        return (record for record in load(path))
+
+    monkeypatch.setattr(evaluation, "load_gold", one_shot)
+    assert main([*argv, "--out", str(once)]) == 0
+    assert calls == [argv[2]]
+    assert once.read_bytes() == plain.read_bytes()
+    body = json.loads(plain.read_text(encoding="utf-8"))  # exact and overlap differ here
+    assert (body["subset_accuracy"], body["match_accuracy"]["value"]) == (1 / 3, 1 / 2)
+
+
+def test_eval_holds_no_list_of_the_gold_records(tmp_path):
+    # The excess is eval's traced peak over what its loaded predictions hold.
+    per_unit = {}
+    for n in (2000, 8000):
+        argv = _eval_files(tmp_path, n)
+        tracemalloc.start()
+        try:
+            predicted = evaluation.load_predictions(argv[4])
+            footprint = tracemalloc.get_traced_memory()[0]
+            del predicted
+            tracemalloc.stop()
+            tracemalloc.start()
+            assert main([*argv, "--out", str(tmp_path / f"metrics_{n}.json")]) == 0
+            per_unit[n] = (tracemalloc.get_traced_memory()[1] - footprint) / n
+        finally:
+            tracemalloc.stop()
+    # Per gold unit, a set of the refs takes ~125 B and a list of the `GoldRecord`s ~400 B.
+    # The run keeps ~200 B: each gold ref, in the loader's duplicate check and in
+    # `confusion`'s check that the units match. Holding the gold list reads ~470 B.
+    assert all(excess < 300 for excess in per_unit.values()), per_unit
