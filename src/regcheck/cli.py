@@ -4,7 +4,7 @@ Every stage reads and writes plain files so pipelines can be run and audited
 step by step. Configuration precedence is env < config file < flags.
 
 Exit codes: 0 success, 2 input/validation error, 3 backend error,
-4 parse-failure threshold exceeded.
+4 parse-failure threshold exceeded, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 # Modules every subcommand loads anyway; each `cmd_*` imports those only it runs.
 from . import __version__
-from .corpus import PARAGRAPH_LEVEL, SENTENCE, SourceDocument, _Builder, _parse_lines
-from .errors import BackendError, RegcheckError
+from .corpus import PARAGRAPH_LEVEL, SENTENCE, Block, _Builder, block_passages, block_provisions
+from .errors import BackendError, MalformedInput, RegcheckError
 from .llm import (
     HTTP, STUB, Backend, BackendConfig, CostTotals, RetryPolicy, cost_row, load_price_table,
     make_backend, price_of,
@@ -38,6 +38,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BACKEND = 3
 EXIT_PARSE_THRESHOLD = 4
+EXIT_CLOSED_STDOUT = 141
 
 _WRITE_BATCH = 128  # findings `check` takes from the model stage at a time
 
@@ -215,9 +216,13 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
 # --------------------------------------------------------------------------
 
 
-def _read_document(path: str, cfg: RunConfig) -> SourceDocument:
-    # Parsed as the file is read: no copy of the whole text or of its lines is built.
-    return _parse_lines(_text_lines(path), cfg.format, doc_id=Path(path).stem)
+def _blocks(path: str, cfg: RunConfig) -> Iterator[Block]:
+    """The blocks of the document at `path`, each yielded as the file is read: no copy of
+    the whole text, of its lines or of its blocks is built. An input error names `path`."""
+    try:
+        yield from _Builder(cfg.format).blocks(_text_lines(path))
+    except MalformedInput as exc:
+        raise MalformedInput(f"{path}: {exc}") from exc
 
 
 def _text_lines(path: str) -> Iterator[str]:
@@ -243,9 +248,10 @@ def _text_lines(path: str) -> Iterator[str]:
 
 
 def cmd_segment(args: argparse.Namespace, cfg: RunConfig) -> int:
-    from .corpus import chunk_paragraphs, extract_provisions
-    doc = _read_document(args.input, cfg)
+    doc_id = Path(args.input).stem
+    # The units are all made, and every input error raised, before the first record is written.
     if cfg.granularity == SENTENCE:
+        units = [p for block in _blocks(args.input, cfg) for p in block_provisions(block, doc_id)]
         records = (
             {
                 "unit_ref": p.unit_ref,
@@ -254,9 +260,13 @@ def cmd_segment(args: argparse.Namespace, cfg: RunConfig) -> int:
                 "origin": p.origin,
                 "block_index": p.block_index,
             }
-            for p in extract_provisions(doc)
+            for p in units
         )
     else:
+        units = []
+        for block in _blocks(args.input, cfg):
+            units += block_passages(block, doc_id, cfg.budget, len(units))
+        del block  # the last block: no part of the document outlives its units
         records = (
             {
                 "unit_ref": p.unit_ref,
@@ -265,7 +275,7 @@ def cmd_segment(args: argparse.Namespace, cfg: RunConfig) -> int:
                 "token_estimate": p.token_estimate,
                 "parent_block": list(p.parent_block),
             }
-            for p in chunk_paragraphs(doc, cfg.budget)
+            for p in units
         )
     _emit(map(jsonl_line, records), args.out)
     return EXIT_OK
@@ -280,15 +290,14 @@ def _backend(cfg: BackendConfig, prices: dict) -> Backend:
 
 def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .classify import load_classification_template
-    from .corpus import extract_provisions
     from .pipeline import classify_iter
     from .taxonomy import load_concept_model
 
-    doc = _read_document(args.input, cfg)
+    doc_id = Path(args.input).stem
+    # No document is built: each block is dropped once its provisions are made.
+    provisions = [p for block in _blocks(args.input, cfg) for p in block_provisions(block, doc_id)]
     model = load_concept_model(args.concepts)
     template = load_classification_template(args.prompt_template)
-    provisions = extract_provisions(doc)
-    del doc  # freed before the first call: the run reads only the provisions
     # The keyword baseline makes no call, so it reads no price table.
     backend = None if args.keyword_only else _backend(cfg.backend, load_price_table(cfg.price_table))
     results = classify_iter(provisions, model, backend, template, args.stem, cfg.backend.parallelism)
@@ -307,7 +316,7 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     doc_id = Path(args.artifact).stem
     # Each block becomes its units as it is read, so no document is built; the units are
     # all made, and every input error raised, before the first call.
-    blocks = _Builder(cfg.format).blocks(_text_lines(args.artifact))
+    blocks = _blocks(args.artifact, cfg)
     context_on = cfg.context == "on"
     units = list(block_units(blocks, doc_id, cfg.granularity, cfg.budget, context_on))
     rules = load_ruleset(args.rules)
@@ -443,6 +452,11 @@ def main(argv: list[str] | None = None) -> int:
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
+    except BrokenPipeError:
+        # The reader of stdout is gone, which is no input error. Python's last flush of
+        # stdout at exit goes to devnull (the "Note on SIGPIPE" of the `signal` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except (RegcheckError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -266,12 +266,7 @@ def _json_leaf(value) -> str:
 
 def report_to_markdown(report: ComplianceReport) -> str:
     """Human-readable compliance report."""
-    return "".join(report_markdown_chunks(report))
-
-
-def report_markdown_chunks(report: ComplianceReport) -> Iterator[str]:
-    """The text of `report_to_markdown(report)`, one section or one finding per chunk."""
-    return trimmed(chain([markdown_head(report)], map(markdown_finding, report.findings)))
+    return "".join(trimmed(chain([markdown_head(report)], map(markdown_finding, report.findings))))
 
 
 def trimmed(chunks: Iterable[str]) -> Iterator[str]:

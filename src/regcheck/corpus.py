@@ -311,13 +311,8 @@ def parse_document(
     and each marker line starts an item. A block whose first line opens with a
     marker has no header, so it stays prose.
     """
-    return _parse_lines(raw.splitlines(), format, doc_id)
-
-
-def _parse_lines(lines: Iterable[str], format: str, doc_id: str) -> SourceDocument:
-    """`parse_document` of the text whose `splitlines()` are `lines`, taken one at a time."""
     builder = _Builder(format)
-    blocks = tuple(builder.blocks(lines))
+    blocks = tuple(builder.blocks(raw.splitlines()))
     return SourceDocument(doc_id=doc_id, title=builder.title or "", blocks=blocks)
 
 

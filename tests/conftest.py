@@ -1,15 +1,26 @@
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
 
+import regcheck
 from regcheck.cli import _ENV_KEYS
 from regcheck.corpus import parse_document
 from regcheck.llm import API_KEY_ENV
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DATA = Path(__file__).parent.parent / "src" / "regcheck" / "data"
+
+
+def pytest_sessionstart(session):
+    """Under `tests/mutants.py`, which names its edited copy of `src/` in `MUTANT_SRC`,
+    stop unless that copy is the one imported: tests of another copy would pass whatever
+    the edit, and the mutant would read as a survivor."""
+    expected = os.environ.get("MUTANT_SRC")
+    if expected and not Path(regcheck.__file__).resolve().is_relative_to(Path(expected).resolve()):
+        raise pytest.UsageError(f"the tests import {regcheck.__file__}, not the copy in {expected}")
 
 
 @pytest.fixture(autouse=True)

@@ -4,8 +4,10 @@ Each entry of `MUTANTS` names a file under `src/regcheck/`, an exact snippet of 
 that must occur once, the snippet's replacement, the law the edit breaks and the
 pytest arguments that must kill it. For each mutant this copies `src/` into a
 temporary directory, applies the edit there, and runs `pytest -x -q` with the
-copy first on `PYTHONPATH` and pytest's temporary files inside the copy. A mutant
-is killed when its tests fail. A mutant that survives, or a snippet that is no
+copy first on `PYTHONPATH` and pytest's temporary files inside the copy. The copy
+is also named in `MUTANT_SRC`, and `tests/conftest.py` stops the session with a
+usage error when the tests import another one. A mutant is killed when its tests
+fail. A mutant that survives, or a snippet that is no
 longer in its file, fails the run. The tests first run once on the unmutated
 source, one set at a time; then the mutants run on one worker per CPU this process
 may use, and their results are printed in table order.
@@ -354,8 +356,8 @@ MUTANTS = (
     Mutant(
         "reader-reads-whole-file",
         "cli.py",
-        "_parse_lines(_text_lines(path), ",
-        '_parse_lines(Path(path).read_text(encoding="utf-8").splitlines(), ',
+        "_Builder(cfg.format).blocks(_text_lines(path))",
+        '_Builder(cfg.format).blocks(Path(path).read_text(encoding="utf-8").splitlines())',
         "reading a document holds no copy of the whole file",
         (_ONE_COPY, "-k", "no_copy"),
     ),
@@ -370,26 +372,51 @@ MUTANTS = (
     Mutant(
         "check-keeps-the-document",
         "cli.py",
-        "    blocks = _Builder(cfg.format).blocks(_text_lines(args.artifact))\n",
-        "    blocks = tuple(_Builder(cfg.format).blocks(_text_lines(args.artifact)))\n",
+        "    blocks = _blocks(args.artifact, cfg)\n",
+        "    blocks = tuple(_blocks(args.artifact, cfg))\n",
         "check holds no block of its artifact in the model stage",
         (_ONE_COPY, "-k", "freed"),
     ),
     Mutant(
         "check-builds-the-document",
         "cli.py",
-        "    blocks = _Builder(cfg.format).blocks(_text_lines(args.artifact))\n",
-        "    blocks = _read_document(args.artifact, cfg).blocks\n",
+        "    blocks = _blocks(args.artifact, cfg)\n",
+        "    from .corpus import parse_document\n"
+        '    text = Path(args.artifact).read_text(encoding="utf-8")\n'
+        "    blocks = parse_document(text, cfg.format).blocks\n",
         "check builds no document: each block becomes its units as it is read",
         (_ONE_COPY, "-k", "freed"),
     ),
     Mutant(
         "classify-keeps-the-document",
         "cli.py",
-        "    del doc  # freed before the first call: the run reads only the provisions\n",
-        "",
-        "classify frees the document before the model stage",
+        "    provisions = [p for block in _blocks(args.input, cfg) "
+        "for p in block_provisions(block, doc_id)]\n",
+        "    from .corpus import extract_provisions, parse_document\n"
+        '    doc = parse_document(Path(args.input).read_text(encoding="utf-8"), cfg.format)\n'
+        "    provisions = extract_provisions(doc)\n",
+        "classify builds no document and holds no block in the model stage",
         (_ONE_COPY, "-k", "freed"),
+    ),
+    Mutant(
+        "document-error-without-path",
+        "cli.py",
+        '        raise MalformedInput(f"{path}: {exc}") from exc\n',
+        "        raise\n",
+        "every document error names its file",
+        ("tests/test_cli.py", "-k", "malformed_document"),
+    ),
+    Mutant(
+        "closed-stdout-is-an-input-error",
+        "cli.py",
+        "    except BrokenPipeError:\n"
+        "        # The reader of stdout is gone, which is no input error. Python's last flush of\n"
+        "        # stdout at exit goes to devnull (the \"Note on SIGPIPE\" of the `signal` docs).\n"
+        "        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n"
+        "        return EXIT_CLOSED_STDOUT\n",
+        "",
+        "a stdout closed by its reader ends the run quietly, with exit 141",
+        (_STREAM, "-k", "closed_stdout"),
     ),
     Mutant(
         "classify-lists-its-results",
@@ -526,11 +553,9 @@ def pytest_exit(pytest_args: tuple[str, ...], mutant: Mutant | None = None) -> i
         if mutant is not None:
             _apply(mutant, src)
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
-        probe = [sys.executable, "-c", "import regcheck; print(regcheck.__file__)"]
-        imported = subprocess.run(probe, env=env, cwd=ROOT, capture_output=True, text=True)
-        if not imported.stdout.startswith(str(src)):
-            raise RuntimeError(f"the tests would import {imported.stdout.strip()!r}")
+        env = {
+            **os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1", "MUTANT_SRC": str(src)
+        }
         argv = [
             sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
             f"--basetemp={Path(tmp) / 'pytest'}",
@@ -544,7 +569,8 @@ def pytest_exit(pytest_args: tuple[str, ...], mutant: Mutant | None = None) -> i
             return None
     # 0: passed; 1: tests failed; anything else means the table is wrong.
     if done.returncode not in (0, 1):
-        raise RuntimeError(f"pytest exited {done.returncode}:\n{done.stdout[-2000:]}")
+        output = (done.stdout + done.stderr)[-2000:]
+        raise RuntimeError(f"pytest exited {done.returncode}:\n{output}")
     return done.returncode
 
 

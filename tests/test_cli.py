@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import json
 import math
 import time
@@ -13,7 +15,7 @@ import pytest
 import regcheck
 from regcheck.classify import _stem_token
 from regcheck.cli import main
-from regcheck.corpus import estimate_tokens
+from regcheck.corpus import _Builder, estimate_tokens
 from regcheck.llm import MAX_BACKOFF_S, StubBackend
 from regcheck.storage import numbered_jsonl, write_json, write_jsonl
 
@@ -33,22 +35,22 @@ def test_version(capsys):
 
 
 def test_package_root_is_the_readme_library_example():
-    # Every name of the README's `from regcheck import (...)` block imports from
-    # the package root, and the root exports nothing else but `__version__`. The
-    # root loads each name's submodule on first use, so `vars(regcheck)` holds only
-    # the names used so far: the exports are what `__all__` and `dir()` list.
+    # The README's library example imports each name from its submodule, and those
+    # imports resolve; the package root exports nothing but `__version__`.
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-    block = readme.split("from regcheck import (", 1)[1].split(")", 1)[0]
-    names = {name.strip() for name in block.split(",") if name.strip()}
-    assert set(regcheck.__all__) == names
-    namespace: dict = {}
-    exec(f"from regcheck import ({block})", namespace)
-    assert names <= set(namespace)
+    example = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    imports = [
+        node for node in ast.parse(example).body
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "regcheck"
+    ]
+    assert imports and all(node.module.startswith("regcheck.") for node in imports)
+    exec(compile(ast.Module(imports, type_ignores=[]), "README.md", "exec"), {})
     exported = {
         name for name in dir(regcheck)
         if not name.startswith("_") and not isinstance(getattr(regcheck, name), types.ModuleType)
     }
-    assert exported == names
+    assert exported == set()
+    assert regcheck.__version__ == "0.1.0"
 
 
 class TestSegment:
@@ -860,7 +862,7 @@ def _assert_jsonl_rejected_before_any_call(tmp_path, monkeypatch, capsys, flag, 
             str(DATA / "food_safety_concepts.jsonl"), "--stub-script",
             str(FIXTURES / "stub_classify.jsonl"), "--out", str(out), "--cache-dir", str(cache),
         ],
-        "segment": ["segment", "--input", str(bad), "--out", str(out)],
+        "segment": ["segment", "--input", str(bad), "--format", "structured", "--out", str(out)],
         "concepts": [
             "classify", "--input", str(FIXTURES / "food_corpus.txt"), "--format", "structured",
             "--concepts", str(bad), "--stub-script", str(FIXTURES / "stub_classify.jsonl"),
@@ -1015,6 +1017,36 @@ def test_input_that_is_not_utf8_exits_2_naming_its_file_before_any_call(
     where = ":5: " if flag in _DOCUMENT_FLAGS else ": "
     message = f"{where}'utf-8' codec can't decode byte 0xff in position "
     _assert_jsonl_rejected_before_any_call(tmp_path, monkeypatch, capsys, flag, text, message)
+
+
+# A document for each `MalformedInput` site of the parse loop that a file can reach, and
+# the message after the file's name. The site that finds no block has two messages.
+_MALFORMED_DOCUMENTS = {
+    "": ": empty document",
+    "# Title\n": ": document contains no blocks",
+    "¶ Text.\n# Title\n": ": line 2: unexpected title marker",
+    "*   \n- item\n": ": line 1: empty list header",
+    "- item\n": ": line 1: list item outside a list",
+    "* Header:\n-   \n": ": line 2: empty list item",
+    "* Header:\ntext\n": ": line 2: expected a list item after the header",
+    "text\n": ": line 1: text outside any block",
+    "¶   \n": ": empty paragraph block",
+    "* Header:\n": ": unclosed list: header 'Header:' has no items",
+}
+
+
+@pytest.mark.parametrize(
+    "text", list(_MALFORMED_DOCUMENTS), ids=[m[2:] for m in _MALFORMED_DOCUMENTS.values()]
+)
+@pytest.mark.parametrize("flag", _DOCUMENT_FLAGS)
+def test_malformed_document_exits_2_naming_its_file_before_any_call(
+    tmp_path, monkeypatch, capsys, flag, text
+):
+    sites = inspect.getsource(_Builder).count("raise MalformedInput(")
+    assert len(_MALFORMED_DOCUMENTS) == sites + 1  # a new site needs a case here
+    _assert_jsonl_rejected_before_any_call(
+        tmp_path, monkeypatch, capsys, flag, text, _MALFORMED_DOCUMENTS[text]
+    )
 
 
 def test_concept_model_without_concepts_exits_2_naming_the_file(tmp_path, monkeypatch, capsys):

@@ -11,6 +11,8 @@ request per unit, a warm one makes none, and repeated `check` runs bypass it;
 
 Out-dir law: the files of every `check` run agree with each other (`audit`).
 
+Unit law: `segment` lists the units that `check` runs, in the same order.
+
 Tier-1 runs a pairwise cover of each grid: every pair of factor values occurs
 in at least one case (Cohen et al., "The AETG System", IEEE TSE 1997). The
 other cases are marked `full_grid` and deselected by default; run them with
@@ -28,7 +30,7 @@ import pytest
 
 from regcheck.cli import main
 from regcheck.llm import StubBackend
-from regcheck.storage import write_json
+from regcheck.storage import write_json, write_jsonl
 from test_llm import _ScriptedHandler, scripted_server
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -317,3 +319,27 @@ def test_classify_ignores_runs(tmp_path, stub_calls):
         assert (tmp_path / name).read_bytes() == want
     assert stub_calls == []
     assert cache_entries(tmp_path / "cache") == want.count(b"\n")
+
+
+@pytest.mark.parametrize("granularity", ["sentence", "paragraph"])
+@pytest.mark.parametrize("fmt", ["plain", "structured"])
+def test_segment_and_check_see_the_same_units(tmp_path, fmt, granularity):
+    # Both read the artifact through the one reader; a catch-all script answers every unit.
+    script = tmp_path / "catch_all.jsonl"
+    write_jsonl(script, [{"match": "", "response": "R99."}])
+    flags = ["--format", fmt, "--granularity", granularity]
+    parsed = 0
+    for artifact in sorted(FIXTURES.glob("*.txt")):
+        units, out = tmp_path / f"{artifact.stem}.jsonl", tmp_path / artifact.stem
+        segment = main(["segment", "--input", str(artifact), *flags, "--out", str(units)])
+        check = main([
+            "check", "--artifact", str(artifact), *flags,
+            "--rules", str(DATA / "gdpr_art28_demo.jsonl"), "--stub-script", str(script),
+            "--out-dir", str(out),
+        ])
+        assert (segment, check) in ((0, 0), (2, 2)), artifact.name
+        if segment == 0:
+            want = [r["unit_ref"] for r in jsonl_records(units)]
+            assert [r["unit_ref"] for r in jsonl_records(out / "findings.jsonl")] == want
+            parsed += 1
+    assert parsed >= 4

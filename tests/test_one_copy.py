@@ -1,6 +1,7 @@
-"""One copy of the input: `check` and `classify` read a document a batch of lines at a
-time; `classify` releases its document before the model stage, `check` builds none; and
-findings share their rule-id sets."""
+"""One copy of the input: `segment`, `classify` and `check` read a document a batch of
+lines at a time, through one reader that yields each block as it closes; none of them
+builds a document or holds a block past its units; and findings share their rule-id
+sets."""
 
 from __future__ import annotations
 
@@ -48,8 +49,11 @@ def _assert_read_as_text(path):
     assert list(cli._text_lines(str(path))) == text.splitlines(), repr(text)
     parsed = 0
     for fmt in ("plain", "structured"):
-        got = _outcome(lambda: cli._read_document(str(path), _config(fmt)))
-        assert got == _outcome(lambda: parse_document(text, fmt, doc_id=path.stem)), repr(text)
+        got = _outcome(lambda: list(cli._blocks(str(path), _config(fmt))))
+        want = _outcome(lambda: list(parse_document(text, fmt).blocks))
+        if isinstance(want, tuple):  # the reader's errors name the file
+            want = (want[0], f"{path}: {want[1]}")
+        assert got == want, repr(text)
         parsed += not isinstance(got, tuple)
     return parsed
 
@@ -93,11 +97,11 @@ class TestReadDocument:
 
         tracemalloc.start()
         try:
-            doc = cli._read_document(str(path), _config("structured"))
+            read = list(cli._blocks(str(path), _config("structured")))
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(doc.blocks) == len(blocks)
+        assert len(read) == len(blocks)
         # The whole text, its bytes or its list of lines would each be about `size`.
         assert peak - kept < size / 10, (peak - kept, size)
 
@@ -120,17 +124,30 @@ def _classify(fixtures, data_dir, tmp_path):
     ]
 
 
+def _segment(fixtures, data_dir, tmp_path):
+    return [
+        "segment", "--input", str(fixtures / "dpa_demo.txt"), "--format", "structured",
+        "--out", str(tmp_path / "units.jsonl"),
+    ]
+
+
 @pytest.mark.parametrize(
-    "argv,stage,documents",
-    [(_check, "compliance_iter", 0), (_classify, "classify_iter", 1)],
-    ids=["check", "classify"],
+    "argv,module,stage",
+    [
+        (_check, pipeline, "compliance_iter"),
+        (_classify, pipeline, "classify_iter"),
+        (_segment, cli, "_emit"),
+    ],
+    ids=["check", "classify", "segment"],
 )
 def test_document_is_freed_before_the_model_stage(
-    monkeypatch, fixtures, data_dir, tmp_path, argv, stage, documents
+    monkeypatch, fixtures, data_dir, tmp_path, argv, module, stage
 ):
-    # `check` turns each block into its units as it is read: it builds no document.
+    # Each subcommand turns each block into its units as it is read: it builds no
+    # document, and when its model stage (or, for `segment`, its write) starts, no
+    # block is left.
     refs, seen = [], []
-    build, run = corpus.SourceDocument, getattr(pipeline, stage)
+    build, run = corpus.SourceDocument, getattr(module, stage)
 
     def building(*args, **kwargs):
         doc = build(*args, **kwargs)
@@ -146,10 +163,10 @@ def test_document_is_freed_before_the_model_stage(
         return run(*args, **kwargs)
 
     monkeypatch.setattr(corpus, "SourceDocument", building)
-    monkeypatch.setattr(pipeline, stage, running)
+    monkeypatch.setattr(module, stage, running)
     before = blocks()  # those of other tests' documents
     assert main(argv(fixtures, data_dir, tmp_path)) == 0
-    assert seen == [([False] * documents, 0)]  # no document and no block of it is left
+    assert seen == [([], 0)]  # no document was built, and no block is left
 
 
 RULES = Ruleset((RuleSpec("R1", "one"), RuleSpec("R2", "two"), RuleSpec("R3", "three")), "r")

@@ -7,12 +7,17 @@ A keyword-only run makes no call and gives the same labels at any parallelism.
 `check` holds no list of its findings, stops its calls when its writer does, and
 on a backend failure leaves its out-dir without any file, temporary ones included.
 `eval` reads the gold file once, as a stream, and holds no list of its records.
+A stdout that its reader closes ends `segment` and `classify` quietly, with exit 141,
+and stops `classify`'s calls as an early close does.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -29,6 +34,7 @@ from regcheck.llm import HttpBackend, StubBackend, Usage
 from regcheck.pipeline import classify_iter
 from regcheck.storage import write_jsonl
 from regcheck.taxonomy import load_concept_model
+from test_llm import _child_env, _ScriptedHandler, scripted_server
 
 _UNIT = re.compile(r"Provision (\d+) ")
 
@@ -366,3 +372,58 @@ def test_eval_holds_no_list_of_the_gold_records(tmp_path):
     # The run keeps ~200 B: each gold ref, in the loader's duplicate check and in
     # `confusion`'s check that the units match. Holding the gold list reads ~470 B.
     assert all(excess < 300 for excess in per_unit.values()), per_unit
+
+
+def _read_one_line_then_close(argv: list[str], tmp_path) -> tuple[int, int, str]:
+    """Run regcheck with `argv` in a child interpreter whose stdout is a pipe. Read the
+    pipe up to its first newline, a page at a time, then close it. Returns the whole
+    lines read, the exit code and stderr."""
+    err = tmp_path / "stderr.txt"
+    with open(err, "wb") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "regcheck.cli", *argv],
+            stdout=subprocess.PIPE, stderr=stderr, bufsize=0, env=_child_env(),
+        )
+        data = b""
+        while b"\n" not in data:
+            page = os.read(proc.stdout.fileno(), 4096)
+            assert page, "stdout closed before its first line"
+            data += page
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    return data.count(b"\n"), code, err.read_text(encoding="utf-8")
+
+
+def test_a_closed_stdout_ends_segment_quietly(tmp_path):
+    # ~1 MB of units: far more than the pipe holds, so the writer sees the close.
+    corpus = _corpus(tmp_path, 6000)
+    lines, code, err = _read_one_line_then_close(
+        ["segment", "--input", str(corpus), "--format", "plain"], tmp_path
+    )
+    assert (code, err) == (141, "")
+    assert lines >= 1
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_a_closed_stdout_ends_classify_quietly_and_stops_its_calls(
+    fixtures, data_dir, tmp_path, parallelism
+):
+    # Each label record is ~100 kB, more than the pipe and a page read hold together:
+    # the write of the record after the last one read is the one that fails.
+    word = "processor "
+    text = "".join("Provision %d %s.\n\n" % (i, word * 10_000) for i in range(24))
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(text, encoding="utf-8")
+    with scripted_server() as url:
+        lines, code, err = _read_one_line_then_close(
+            [
+                "classify", "--input", str(corpus), "--format", "plain",
+                "--concepts", str(data_dir / "food_safety_concepts.jsonl"),
+                "--endpoint", url, "--model", "gpt-3.5-turbo-0125",
+                "--parallelism", str(parallelism),
+            ],
+            tmp_path,
+        )
+        requests = len(_ScriptedHandler.requests_seen)
+    assert (code, err) == (141, "")
+    assert lines <= requests <= lines + 2 * parallelism < 24
