@@ -17,12 +17,12 @@ from contextlib import closing
 from dataclasses import astuple, dataclass, replace
 from itertools import chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 # Modules every subcommand loads anyway; each `cmd_*` imports those only it runs.
 from . import __version__
-from .corpus import PARAGRAPH_LEVEL, SENTENCE, Block, _Builder, block_passages, block_provisions
-from .errors import BackendError, MalformedInput, RegcheckError
+from .corpus import PARAGRAPH_LEVEL, SENTENCE, Block, _Builder, block_provisions, block_units
+from .errors import BackendError, MalformedInput, RegcheckError, UnchunkableText
 from .llm import (
     HTTP, STUB, Backend, BackendConfig, CostTotals, RetryPolicy, cost_row, load_price_table,
     make_backend, price_of,
@@ -31,6 +31,7 @@ from .storage import atomic_files, atomic_write_chunks, json_chunks, jsonl_line,
 
 if TYPE_CHECKING:
     from .compliance import Finding
+    from .corpus import Provision
     from .evaluation import MetricsReport
     from .taxonomy import Ruleset
 
@@ -216,13 +217,19 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
 # --------------------------------------------------------------------------
 
 
-def _blocks(path: str, cfg: RunConfig) -> Iterator[Block]:
-    """The blocks of the document at `path`, each yielded as the file is read: no copy of
-    the whole text, of its lines or of its blocks is built. An input error names `path`."""
+def _units(path: str, cfg: RunConfig, units: Callable[..., Iterable], *args) -> list:
+    """`list(units(blocks, *args))` for the blocks of the document at `path`, each yielded
+    as the file is read: no copy of the whole text, of its lines or of its blocks is built.
+    Every input error is raised here, and names `path`."""
     try:
-        yield from _Builder(cfg.format).blocks(_text_lines(path))
-    except MalformedInput as exc:
-        raise MalformedInput(f"{path}: {exc}") from exc
+        return list(units(_Builder(cfg.format).blocks(_text_lines(path)), *args))
+    except (MalformedInput, UnchunkableText) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _provisions(blocks: Iterator[Block], doc_id: str) -> Iterator[Provision]:
+    """The provisions of each block in turn, for `_units`."""
+    return (p for block in blocks for p in block_provisions(block, doc_id))
 
 
 def _text_lines(path: str) -> Iterator[str]:
@@ -251,7 +258,6 @@ def cmd_segment(args: argparse.Namespace, cfg: RunConfig) -> int:
     doc_id = Path(args.input).stem
     # The units are all made, and every input error raised, before the first record is written.
     if cfg.granularity == SENTENCE:
-        units = [p for block in _blocks(args.input, cfg) for p in block_provisions(block, doc_id)]
         records = (
             {
                 "unit_ref": p.unit_ref,
@@ -260,22 +266,18 @@ def cmd_segment(args: argparse.Namespace, cfg: RunConfig) -> int:
                 "origin": p.origin,
                 "block_index": p.block_index,
             }
-            for p in units
+            for p in _units(args.input, cfg, _provisions, doc_id)
         )
     else:
-        units = []
-        for block in _blocks(args.input, cfg):
-            units += block_passages(block, doc_id, cfg.budget, len(units))
-        del block  # the last block: no part of the document outlives its units
         records = (
             {
-                "unit_ref": p.unit_ref,
+                "unit_ref": u.passage.unit_ref,
                 "kind": "passage",
-                "text": p.text,
-                "token_estimate": p.token_estimate,
-                "parent_block": list(p.parent_block),
+                "text": u.passage.text,
+                "token_estimate": u.passage.token_estimate,
+                "parent_block": list(u.passage.parent_block),
             }
-            for p in units
+            for u in _units(args.input, cfg, block_units, doc_id, PARAGRAPH_LEVEL, cfg.budget)
         )
     _emit(map(jsonl_line, records), args.out)
     return EXIT_OK
@@ -295,7 +297,7 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     doc_id = Path(args.input).stem
     # No document is built: each block is dropped once its provisions are made.
-    provisions = [p for block in _blocks(args.input, cfg) for p in block_provisions(block, doc_id)]
+    provisions = _units(args.input, cfg, _provisions, doc_id)
     model = load_concept_model(args.concepts)
     template = load_classification_template(args.prompt_template)
     # The keyword baseline makes no call, so it reads no price table.
@@ -310,15 +312,14 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .compliance import load_template
-    from .pipeline import block_units, compliance_iter
+    from .pipeline import compliance_iter
     from .taxonomy import load_ruleset
 
     doc_id = Path(args.artifact).stem
     # Each block becomes its units as it is read, so no document is built; the units are
     # all made, and every input error raised, before the first call.
-    blocks = _blocks(args.artifact, cfg)
     context_on = cfg.context == "on"
-    units = list(block_units(blocks, doc_id, cfg.granularity, cfg.budget, context_on))
+    units = _units(args.artifact, cfg, block_units, doc_id, cfg.granularity, cfg.budget, context_on)
     rules = load_ruleset(args.rules)
     template = load_template(args.template)
     prices = load_price_table(cfg.price_table)
@@ -357,7 +358,8 @@ def write_check_outputs(
     it. Then each report is written as its head, known only now, followed by its spool, and
     the five files are renamed into place. If `findings` or a write raises, none is."""
     from .compliance import (
-        ReportTally, json_finding, json_head, json_tail, markdown_finding, markdown_head, trimmed,
+        ReportTally, json_finding, json_head, json_tail, markdown_finding, markdown_head,
+        rule_id_texts, trimmed,
     )
     tally, costs = ReportTally(rules), CostTotals()
     names = ("findings.jsonl", "costs.jsonl", "costs_summary.json", "report.json", "report.md")
@@ -375,7 +377,7 @@ def write_check_outputs(
                 tally.add(f)
                 record = {
                     "unit_ref": f.passage_ref,
-                    "labels": sorted(f.rule_ids),
+                    "labels": rule_id_texts(f.rule_ids)[0],
                     "rationale": f.rationale,
                     "parse_error": f.parse_error,
                 }

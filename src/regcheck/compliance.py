@@ -8,9 +8,9 @@ model call itself is made in `pipeline`.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring as _encode_str  # the C encoder of ensure_ascii=False
 from pathlib import Path
@@ -242,9 +242,19 @@ def json_head(report: ComplianceReport) -> Iterator[str]:
 
 def json_finding(f: Finding, first: bool) -> str:
     """One finding's item of `report.json`'s findings array, led by the array's opening
-    bracket if it is the first, else by a comma."""
-    members = (f"{_encode_str(k)}: {_json_leaf(v)}" for k, v in _finding_fields(f).items())
-    return ("[\n    " if first else ",\n    ") + "{\n      " + ",\n      ".join(members) + "\n    }"
+    bracket if it is the first, else by a comma: its members as the `indent=2` encoder lays
+    them out three levels deep, in `_finding_fields`' order."""
+    error, usage = f.parse_error, f.usage
+    return (
+        f'{"[" if first else ","}\n    {{\n      "passage": {_encode_str(f.passage_ref)},\n'
+        f'      "rule_ids": {rule_id_texts(f.rule_ids)[1]},\n'
+        f'      "rationale": {_encode_str(f.rationale)},\n'
+        f'      "raw_response": {_encode_str(f.raw_response)},\n'
+        f'      "parse_error": {"null" if error is None else _encode_str(error)},\n'
+        f'      "prompt_tokens": {"null" if usage is None else int.__repr__(usage.prompt_tokens)},\n'
+        f'      "completion_tokens": '
+        f'{"null" if usage is None else int.__repr__(usage.completion_tokens)}\n    }}'
+    )
 
 
 def json_tail(count: int) -> str:
@@ -252,16 +262,15 @@ def json_tail(count: int) -> str:
     return ("\n  ]" if count else "[]") + "\n}\n"
 
 
-def _json_leaf(value) -> str:
-    """A finding's member value as the `indent=2` encoder lays it out three levels deep."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if isinstance(value, list):
-        items = ",\n        ".join(map(_json_leaf, value))
-        return f"[\n        {items}\n      ]" if value else "[]"
-    if value is None:
-        return "null"
-    return int.__repr__(value) if type(value) is int else json.dumps(value)
+@lru_cache(maxsize=1024)
+def rule_id_texts(ids: frozenset[str]) -> tuple[tuple[str, ...], str, str]:
+    """A finding's rule ids as each output writes them: sorted, for `findings.jsonl`; as
+    `report.json`'s array, in report order; and as `report.md`'s verdict. The findings of a
+    run share a few id sets (`Ruleset.id_set`), so each set is rendered once."""
+    ordered = sorted(ids, key=_rule_sort_key)
+    items = ",\n        ".join(map(_encode_str, ordered))
+    array = f"[\n        {items}\n      ]" if ordered else "[]"
+    return tuple(sorted(ids)), array, ", ".join(ordered) or "not applicable"
 
 
 def report_to_markdown(report: ComplianceReport) -> str:
@@ -301,10 +310,8 @@ def markdown_finding(f: Finding) -> str:
     """One finding's section of `report.md`."""
     if f.parse_error is not None:
         return f"### {f.passage_ref}: unparseable response\n\nParse error: {f.parse_error}\n\n"
-    ids = sorted(f.rule_ids, key=_rule_sort_key)
-    verdict = ", ".join(ids) if ids else "not applicable"
     rationale = f"{f.rationale}\n" if f.rationale else ""
-    return f"### {f.passage_ref}: {verdict}\n\n{rationale}\n"
+    return f"### {f.passage_ref}: {rule_id_texts(f.rule_ids)[2]}\n\n{rationale}\n"
 
 
 def _rule_sort_key(rule_id: str) -> tuple[int, str]:

@@ -5,7 +5,8 @@ Produces the two units of analysis used downstream:
 - sentence-level ``Provision`` records (classification pipeline), with list
   items expanded so each inherits its list header as a prefix;
 - token-bounded ``Passage`` records (compliance pipeline), one per block,
-  with oversize blocks recursively split at sentence boundaries.
+  with oversize blocks recursively split at sentence boundaries; a
+  ``CheckUnit`` carries one, or one provision, with its block as context.
 
 All functions here are pure: identical inputs yield byte-identical outputs,
 and nothing is shared between calls.
@@ -106,6 +107,14 @@ class Passage:
     def __post_init__(self):
         if not self.unit_ref:
             object.__setattr__(self, "unit_ref", f"{self.doc_id}:p{self.sequence}")
+
+
+@dataclass(frozen=True, slots=True)
+class CheckUnit:
+    """One unit submitted for compliance checking, with optional context."""
+
+    passage: Passage
+    context: str | None = None
 
 
 def estimate_tokens(text: str) -> int:
@@ -252,35 +261,69 @@ def chunk_paragraphs(doc: SourceDocument, budget: int) -> list[Passage]:
     every piece fits. Raises `UnchunkableText` if a single sentence alone
     exceeds the budget.
     """
-    passages: list[Passage] = []
-    for block in doc.blocks:
-        passages += block_passages(block, doc.doc_id, budget, len(passages))
-    return passages
+    return [u.passage for u in block_units(doc.blocks, doc.doc_id, PARAGRAPH_LEVEL, budget)]
 
 
-def block_passages(block: Block, doc_id: str, budget: int, first: int = 0) -> list[Passage]:
-    """The passages of one block, numbered from `first` (see `chunk_paragraphs`)."""
-    if budget <= 0:
-        raise ValueError("token budget must be positive")
-    text = block_text(block)
-    chunks = [text] if estimate_tokens(text) <= budget else _fit_sentences(split_text(text), budget)
-    return [
-        Passage(doc_id, first + i, chunk, estimate_tokens(chunk), (block.index, block.index))
-        for i, chunk in enumerate(chunks)
-    ]
-
-
-def _fit_sentences(sentences: list[str], budget: int) -> list[str]:
+def _fit_sentences(sentences: list[str], budget: int, block: int) -> list[str]:
     joined = " ".join(sentences)
     if estimate_tokens(joined) <= budget:
         return [joined]
     if len(sentences) == 1:
         raise UnchunkableText(
-            f"a single sentence of ~{estimate_tokens(joined)} tokens exceeds the "
-            f"budget of {budget}: {joined[:80]!r}"
+            f"block {block}: a single sentence of ~{estimate_tokens(joined)} tokens exceeds "
+            f"the budget of {budget}: {joined[:80]!r}"
         )
     mid = (len(sentences) + 1) // 2
-    return _fit_sentences(sentences[:mid], budget) + _fit_sentences(sentences[mid:], budget)
+    head, tail = sentences[:mid], sentences[mid:]
+    return _fit_sentences(head, budget, block) + _fit_sentences(tail, budget, block)
+
+
+def block_units(
+    blocks: Iterable[Block],
+    doc_id: str,
+    granularity: str,
+    budget: int,
+    context_on: bool = False,
+) -> Iterator[CheckUnit]:
+    """Build check units at the requested granularity, each block's as the block is read.
+
+    Paragraph granularity chunks blocks to the token budget: a block that does not fit is
+    bisected recursively at sentence boundaries until every piece fits. Sentence
+    granularity uses one provision per unit. Context, when enabled, is the
+    enclosing block's text and is attached only when it adds anything beyond
+    the unit text itself. It is built once per block.
+    """
+    if granularity not in (PARAGRAPH_LEVEL, SENTENCE):
+        raise ValueError(f"unknown granularity {granularity!r}")
+    if budget <= 0:
+        raise ValueError("token budget must be positive")
+    seq = 0
+    for block in blocks:
+        parent = (block.index, block.index)
+        if granularity == PARAGRAPH_LEVEL:
+            text = block_text(block)
+            fits = estimate_tokens(text) <= budget
+            chunks = [text] if fits else _fit_sentences(split_text(text), budget, block.index)
+            passages = [
+                Passage(doc_id, seq + i, chunk, estimate_tokens(chunk), parent)
+                for i, chunk in enumerate(chunks)
+            ]
+        else:
+            passages = []
+            for prov in block_provisions(block, doc_id):
+                tokens = estimate_tokens(prov.text)
+                if tokens > budget:
+                    raise UnchunkableText(
+                        f"provision {prov.unit_ref} (~{tokens} tokens) exceeds the "
+                        f"budget of {budget}"
+                    )
+                passages.append(
+                    Passage(doc_id, seq + len(passages), prov.text, tokens, parent, prov.unit_ref)
+                )
+        seq += len(passages)
+        context = block_text(block) if context_on else None
+        for passage in passages:
+            yield CheckUnit(passage, None if context == passage.text else context)
 
 
 # --------------------------------------------------------------------------

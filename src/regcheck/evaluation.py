@@ -210,26 +210,14 @@ def metrics(
     if averaging not in ("per_label", "micro", "macro"):
         raise ValueError(f"unknown averaging {averaging!r}")
     per_label = {label: _from_counts(lc) for label, lc in c.per_label.items()}
-    pooled = LabelCounts(
-        tp=sum(lc.tp for lc in c.per_label.values()),
-        fp=sum(lc.fp for lc in c.per_label.values()),
-        fn=sum(lc.fn for lc in c.per_label.values()),
-        tn=sum(lc.tn for lc in c.per_label.values()),
-    )
-    micro = _from_counts(pooled)
-    if per_label:
-        macro = MetricValues(
-            precision=_mean([v.precision for v in per_label.values()]),
-            recall=_mean([v.recall for v in per_label.values()]),
-            f1=_mean([v.f1 for v in per_label.values()]),
-            accuracy=_mean([v.accuracy for v in per_label.values()]),
-        )
-    else:
-        macro = MetricValues(0.0, 0.0, 0.0, 0.0)
+    # Field by field: micro scores the sum of the labels' counts, macro is their scores' mean.
+    pooled = LabelCounts(*map(sum, zip(*map(astuple, c.per_label.values()))))
+    columns = zip(*map(astuple, per_label.values()))
     return MetricsReport(
         per_label=per_label,
-        micro=micro,
-        macro=macro,
+        micro=_from_counts(pooled),
+        macro=MetricValues(*(sum(column) / len(column) for column in columns))
+        if per_label else MetricValues(0.0, 0.0, 0.0, 0.0),
         averaging=averaging,
         subset_accuracy=c.share(c.exact),
         parse_failure_count=parse_failure_count,
@@ -310,7 +298,3 @@ def aggregate_runs(reports: Sequence[MetricsReport]) -> RunAggregate:
         per_metric={k: _box_stats(v) for k, v in series.items()},
         runs=len(reports),
     )
-
-
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0

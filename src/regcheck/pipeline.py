@@ -1,4 +1,4 @@
-"""The model stage of both pipelines, and the check units it runs; the caller makes the backend.
+"""The model stage of both pipelines; the caller makes the units (see `corpus`) and the backend.
 
 Every model call of both pipelines is made here, one unit at a time, by `answers`, which
 keeps the text and usage of an answer the grammar rejects: it was paid for. It runs at most
@@ -17,19 +17,8 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .compliance import Finding, parse_response, prompt_builder
-from .corpus import (  # the granularities are re-exported for library callers
-    PARAGRAPH_LEVEL,
-    SENTENCE,
-    Block,
-    Passage,
-    Provision,
-    SourceDocument,
-    block_passages,
-    block_provisions,
-    block_text,
-    estimate_tokens,
-)
-from .errors import ParseError, UnchunkableText
+from .corpus import CheckUnit, Provision, SourceDocument, block_units
+from .errors import ParseError
 from .llm import Backend, Usage
 from .taxonomy import ConceptModel, Ruleset
 
@@ -115,14 +104,6 @@ def classify_iter(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class CheckUnit:
-    """One unit submitted for compliance checking, with optional context."""
-
-    passage: Passage
-    context: str | None = None
-
-
 def compliance_units(
     doc: SourceDocument,
     granularity: str,
@@ -131,44 +112,6 @@ def compliance_units(
 ) -> list[CheckUnit]:
     """The check units of `doc` (see `block_units`), as a list."""
     return list(block_units(doc.blocks, doc.doc_id, granularity, budget, context_on))
-
-
-def block_units(
-    blocks: Iterable[Block],
-    doc_id: str,
-    granularity: str,
-    budget: int,
-    context_on: bool = False,
-) -> Iterator[CheckUnit]:
-    """Build check units at the requested granularity, each block's as the block is read.
-
-    Paragraph granularity chunks blocks to the token budget; sentence
-    granularity uses one provision per unit. Context, when enabled, is the
-    enclosing block's text and is attached only when it adds anything beyond
-    the unit text itself. It is built once per block.
-    """
-    if granularity not in (PARAGRAPH_LEVEL, SENTENCE):
-        raise ValueError(f"unknown granularity {granularity!r}")
-    seq = 0
-    for block in blocks:
-        if granularity == PARAGRAPH_LEVEL:
-            passages = block_passages(block, doc_id, budget, seq)
-        else:
-            passages, parent = [], (block.index, block.index)
-            for prov in block_provisions(block, doc_id):
-                tokens = estimate_tokens(prov.text)
-                if tokens > budget:
-                    raise UnchunkableText(
-                        f"provision {prov.unit_ref} (~{tokens} tokens) exceeds the "
-                        f"budget of {budget}"
-                    )
-                passages.append(
-                    Passage(doc_id, seq + len(passages), prov.text, tokens, parent, prov.unit_ref)
-                )
-        seq += len(passages)
-        context = block_text(block) if context_on else None
-        for passage in passages:
-            yield CheckUnit(passage, None if context == passage.text else context)
 
 
 def run_compliance(*args, **kwargs) -> list[Finding]:

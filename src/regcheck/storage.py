@@ -9,6 +9,7 @@ from contextlib import contextmanager
 from functools import partial
 from importlib import resources
 from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence, TextIO
 
@@ -19,10 +20,25 @@ def read_text_or_bundled(path: str | Path | None, bundled: str) -> str:
     return source.read_text(encoding="utf-8")
 
 
+# One codec of each kind, built once: `json.dumps` with a non-default option builds a new
+# encoder per call, and `json.loads` sets its decoder up per call.
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+_INDENT_ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
+# The C encoder that `_LINE_ENCODER.encode` builds on each call, with its arguments (markers,
+# default, string encoder, indent, key and item separators, sort_keys, skipkeys, allow_nan)
+# but no `markers` dict: built once. None where Python has no `_json`.
+_ENCODE = c_make_encoder and c_make_encoder(
+    None, _LINE_ENCODER.default, encode_basestring, None, ": ", ", ", False, False, True
+)
+# `json.loads`'s scanner, which parses one value from an index: in C where `_json` is.
+_scan_once = json.JSONDecoder().scan_once
+
+
 def numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """`(line number, record)` for each non-blank line of `path`, which must hold one
-    JSON object; the loaders name a record they reject by `path` and that line. Lazy: a
-    line is read when its record is asked for, so the first problem in file order is raised."""
+    JSON object; the loaders name a record they reject by `path` and that line. A line is
+    accepted, and rejected with the same message, as `json.loads` would. Lazy: a line is read
+    when its record is asked for, so the first problem in file order is raised."""
     with open(path, encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
@@ -30,7 +46,12 @@ def numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
+                    try:  # one C call: `json.loads` without its per-call set-up
+                        record, end = _scan_once(line, 0)
+                    except StopIteration:
+                        end = -1
+                    if end != len(line):  # not one whole value: `json.loads` raises its error
+                        record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path}:{lineno}: invalid JSON record: {exc}") from exc
                 if not isinstance(record, dict):
@@ -40,13 +61,12 @@ def numbered_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             raise ValueError(f"{path}: {exc}") from exc
 
 
-# One encoder of each kind: json.dumps with a non-default option builds a new one per call.
-_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
-_INDENT_ENCODER = json.JSONEncoder(ensure_ascii=False, indent=2)
-
-
 def jsonl_line(record: dict) -> str:
-    return _LINE_ENCODER.encode(record) + "\n"
+    """`json.dumps(record, ensure_ascii=False)` and a newline, in one C call. With no
+    `markers`, a record that holds itself raises `RecursionError`, not `ValueError`."""
+    if _ENCODE is None:
+        return _LINE_ENCODER.encode(record) + "\n"
+    return "".join(_ENCODE(record, 0)) + "\n"  # its chunks' container depends on the version
 
 
 def json_chunks(obj: Any) -> Iterator[str]:

@@ -10,7 +10,8 @@ usage error when the tests import another one. A mutant is killed when its tests
 fail. A mutant that survives, or a snippet that is no
 longer in its file, fails the run. The tests first run once on the unmutated
 source, one set at a time; then the mutants run on one worker per CPU this process
-may use, and their results are printed in table order.
+may use, and their results are printed in table order. Last come the run's wall time
+and the three test selections whose runs took longest in total.
 
 Run from anywhere, all mutants or the named ones:
 
@@ -53,6 +54,10 @@ _EVALUATION = "tests/test_evaluation.py"
 _UNWRITABLE = ("tests/test_cli.py", "-k", "unwritable_output_location")
 _LAWS = "tests/test_laws.py"
 _CHECK_LAW = (_LAWS, "-k", "check_law")
+_CHECK_UNITS = (
+    "    units = _units(args.artifact, cfg, block_units, doc_id, cfg.granularity, cfg.budget, "
+    "context_on)\n"
+)
 
 MUTANTS = (
     Mutant(
@@ -128,12 +133,38 @@ MUTANTS = (
         ("tests/test_growth.py", "-m", "growth", "-k", "parse_document"),
     ),
     Mutant(
+        "rule-ids-joined-one-by-one",
+        "compliance.py",
+        '    items = ",\\n        ".join(map(_encode_str, ordered))\n',
+        '    items = ""\n'
+        "    for rid in map(_encode_str, ordered):\n"
+        '        items = f"{items},\\n        {rid}" if items else rid\n',
+        "report.json's items are written in time linear in a finding's rule ids",
+        ("tests/test_growth.py", "-m", "growth", "-k", "json_finding"),
+    ),
+    Mutant(
         "write-joins-all-chunks",
         "storage.py",
         "        fh.writelines(chunks)\n",
         '        fh.write("".join(chunks))\n',
         "writing a file holds one chunk, not the file",
         ("tests/test_storage.py", "tests/test_outputs.py"),
+    ),
+    Mutant(
+        "reader-accepts-a-value-ending-early",
+        "storage.py",
+        "                    if end != len(line):  # not one whole value: `json.loads` raises its error\n",
+        "                    if end < 0:\n",
+        "a JSONL reader accepts exactly what `json.loads` accepts: not a line's first value",
+        ("tests/test_storage.py", "-k", "codec_law"),
+    ),
+    Mutant(
+        "line-encoder-escapes-non-ascii",
+        "storage.py",
+        "from json.encoder import c_make_encoder, encode_basestring\n",
+        "from json.encoder import c_make_encoder, encode_basestring_ascii as encode_basestring\n",
+        "each JSONL line is `json.dumps(record, ensure_ascii=False)`",
+        ("tests/test_storage.py", "-k", "codec_law"),
     ),
     Mutant(
         "jsonl-read-eagerly",
@@ -372,26 +403,27 @@ MUTANTS = (
     Mutant(
         "check-keeps-the-document",
         "cli.py",
-        "    blocks = _blocks(args.artifact, cfg)\n",
-        "    blocks = tuple(_blocks(args.artifact, cfg))\n",
+        _CHECK_UNITS,
+        "    blocks = _units(args.artifact, cfg, iter)\n"
+        "    units = list(block_units(blocks, doc_id, cfg.granularity, cfg.budget, context_on))\n",
         "check holds no block of its artifact in the model stage",
         (_ONE_COPY, "-k", "freed"),
     ),
     Mutant(
         "check-builds-the-document",
         "cli.py",
-        "    blocks = _blocks(args.artifact, cfg)\n",
+        _CHECK_UNITS,
         "    from .corpus import parse_document\n"
         '    text = Path(args.artifact).read_text(encoding="utf-8")\n'
-        "    blocks = parse_document(text, cfg.format).blocks\n",
+        "    blocks = parse_document(text, cfg.format).blocks\n"
+        "    units = list(block_units(blocks, doc_id, cfg.granularity, cfg.budget, context_on))\n",
         "check builds no document: each block becomes its units as it is read",
         (_ONE_COPY, "-k", "freed"),
     ),
     Mutant(
         "classify-keeps-the-document",
         "cli.py",
-        "    provisions = [p for block in _blocks(args.input, cfg) "
-        "for p in block_provisions(block, doc_id)]\n",
+        "    provisions = _units(args.input, cfg, _provisions, doc_id)\n",
         "    from .corpus import extract_provisions, parse_document\n"
         '    doc = parse_document(Path(args.input).read_text(encoding="utf-8"), cfg.format)\n'
         "    provisions = extract_provisions(doc)\n",
@@ -401,10 +433,10 @@ MUTANTS = (
     Mutant(
         "document-error-without-path",
         "cli.py",
-        '        raise MalformedInput(f"{path}: {exc}") from exc\n',
+        '        raise type(exc)(f"{path}: {exc}") from exc\n',
         "        raise\n",
         "every document error names its file",
-        ("tests/test_cli.py", "-k", "malformed_document"),
+        ("tests/test_cli.py", "-k", "malformed_document or unchunkable"),
     ),
     Mutant(
         "closed-stdout-is-an-input-error",
@@ -462,7 +494,7 @@ MUTANTS = (
     ),
     Mutant(
         "paragraph-context-never-built",
-        "pipeline.py",
+        "corpus.py",
         "        context = block_text(block) if context_on else None\n",
         "        context = block_text(block) if context_on and granularity == SENTENCE else None\n",
         "check units give the context of a dict of every block's text",
@@ -591,18 +623,26 @@ def main(names: list[str]) -> int:
         print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
         return 2
     chosen = [m for m in MUTANTS if not names or m.name in names]
+    start = time.monotonic()
+    spent: dict[tuple[str, ...], float] = {}  # seconds of pytest runs, per selection
     # A kill means something only if the same tests pass on the unmutated source. They
     # run one set at a time, so that no timed law fails for the load of the others.
     for args in dict.fromkeys(m.pytest_args for m in chosen):
+        began = time.monotonic()
         if pytest_exit(args) != 0:
             print(f"the unmutated source fails: pytest {' '.join(args)}", file=sys.stderr)
             return 1
+        spent[args] = time.monotonic() - began
     failed = 0
     with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
         for mutant, (result, took) in zip(chosen, pool.map(outcome, chosen)):
             failed += not result.startswith("killed")
+            spent[mutant.pytest_args] += took
             print(f"{mutant.name:32} {result:18} {took:5.1f}s  {mutant.law}", flush=True)
     print(f"{failed} of {len(chosen)} mutants not killed" if failed else "every mutant was killed")
+    print(f"wall time {time.monotonic() - start:.0f}s; the slowest selections, summed over runs:")
+    for args, took in sorted(spent.items(), key=lambda item: -item[1])[:3]:
+        print(f"  {took:6.1f}s  pytest {' '.join(args)}")
     return 1 if failed else 0
 
 

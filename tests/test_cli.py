@@ -1049,6 +1049,45 @@ def test_malformed_document_exits_2_naming_its_file_before_any_call(
     )
 
 
+# Per command and granularity, the message after the file's name when the one sentence of
+# `long.txt` (~375 tokens) exceeds a budget of 50. `segment`'s provisions have no budget.
+_UNCHUNKABLE = {
+    ("segment", "paragraph"): ": block 0: a single sentence of ~375 tokens exceeds the budget "
+    "of 50: 'word word",
+    ("check", "paragraph"): ": block 0: a single sentence of ~375 tokens exceeds the budget "
+    "of 50: 'word word",
+    ("check", "sentence"): ": provision long:b0:s0 (~375 tokens) exceeds the budget of 50\n",
+}
+
+
+@pytest.mark.parametrize("command,granularity", list(_UNCHUNKABLE))
+def test_unchunkable_document_exits_2_naming_its_file_before_any_call(
+    tmp_path, monkeypatch, capsys, command, granularity
+):
+    calls = []
+    monkeypatch.setattr(StubBackend, "complete", lambda self, messages: calls.append(messages))
+    long = tmp_path / "long.txt"
+    long.write_text("# Title\n\n¶ " + " ".join(["word"] * 299) + " end.\n", encoding="utf-8")
+    assert estimate_tokens(" ".join(["word"] * 299) + " end.") == 375
+    out, cache = tmp_path / "out", tmp_path / "cache"
+    cache.mkdir()
+    flags = ["--format", "structured", "--granularity", granularity, "--budget", "50"]
+    if command == "segment":
+        argv = ["segment", "--input", str(long), *flags, "--out", str(out)]
+    else:
+        argv = [
+            "check", "--artifact", str(long), *flags,
+            "--rules", str(DATA / "gdpr_art28_demo.jsonl"),
+            "--stub-script", str(FIXTURES / "stub_paragraph_aware.jsonl"),
+            "--out-dir", str(out), "--cache-dir", str(cache),
+        ]
+    assert run(*argv) == 2
+    assert f"error: {long}{_UNCHUNKABLE[command, granularity]}" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+    assert list(cache.iterdir()) == []
+
+
 def test_concept_model_without_concepts_exits_2_naming_the_file(tmp_path, monkeypatch, capsys):
     _assert_jsonl_rejected_before_any_call(
         tmp_path, monkeypatch, capsys, "concepts", '{"version": "v1"}\n',

@@ -12,7 +12,9 @@ import time
 
 import pytest
 
+from regcheck.compliance import Finding, json_finding, rule_id_texts
 from regcheck.corpus import parse_document, split_text
+from regcheck.llm import Usage
 
 pytestmark = pytest.mark.growth
 
@@ -71,4 +73,37 @@ def test_split_text_is_linear(shape):
     make, n = SPLIT_SHAPES[shape]
     small, large = make(n), make(n * FACTOR)
     ratio = best_time(split_text, large) / best_time(split_text, small, calls=CALLS)
+    assert ratio <= MAX_RATIO, f"{FACTOR}x input took {ratio:.0f}x the time"
+
+
+# Each shape of a finding with its 1x size: a long rationale and raw response, or many
+# rule ids (numbered past the sentinel R99). Its ids are rendered once per distinct set
+# (`rule_id_texts`), so each timed call clears that memo and renders them again.
+TEXT = 'Der „Auftragsverarbeiter“ "prüft" jede Weisung.\n'
+FINDING_SHAPES = {
+    "long-text": (
+        lambda n: Finding(
+            "dpa:p1", frozenset({"R1", "R5"}), TEXT * n, "R1, R5. " + TEXT * n, Usage("m", n, n)
+        ),
+        250,
+    ),
+    "many-rule-ids": (
+        lambda n: Finding(
+            "dpa:p1", frozenset(f"R{i}" for i in range(100, n + 100)), "Covered.", "R100. Covered."
+        ),
+        1000,
+    ),
+}
+
+
+def render_finding(f: Finding) -> str:
+    rule_id_texts.cache_clear()
+    return json_finding(f, first=False)
+
+
+@pytest.mark.parametrize("shape", list(FINDING_SHAPES))
+def test_json_finding_is_linear(shape):
+    make, n = FINDING_SHAPES[shape]
+    small, large = make(n), make(n * FACTOR)
+    ratio = best_time(render_finding, large) / best_time(render_finding, small, calls=CALLS)
     assert ratio <= MAX_RATIO, f"{FACTOR}x input took {ratio:.0f}x the time"

@@ -13,6 +13,9 @@ Out-dir law: the files of every `check` run agree with each other (`audit`).
 
 Unit law: `segment` lists the units that `check` runs, in the same order.
 
+Input law: how a document's lines end does not reach the outputs. CRLF line endings, a
+missing final newline and trailing blank lines give the bytes of the LF original.
+
 Tier-1 runs a pairwise cover of each grid: every pair of factor values occurs
 in at least one case (Cohen et al., "The AETG System", IEEE TSE 1997). The
 other cases are marked `full_grid` and deselected by default; run them with
@@ -343,3 +346,64 @@ def test_segment_and_check_see_the_same_units(tmp_path, fmt, granularity):
             assert [r["unit_ref"] for r in jsonl_records(out / "findings.jsonl")] == want
             parsed += 1
     assert parsed >= 4
+
+
+# Each variant of a document's text that must give the original's outputs.
+INPUT_VARIANTS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "no-final-newline": lambda text: text.removesuffix("\n"),
+    "trailing-blank-lines": lambda text: text + "\n\n\n",
+}
+# Per document, its format and a script that answers each of its check units.
+INPUT_DOCUMENTS = {
+    "dpa_demo.txt": ("structured", None),
+    "food_corpus_plain.txt": (
+        "plain",
+        [
+            {"match": "salmonella", "response": "R3. A pathogen test is a security measure."},
+            {"match": "tracing records", "response": "R5, R7. Records are kept and returned."},
+            {"match": "licence holder", "response": "R1. The holder acts on instructions."},
+            {"match": "", "response": "R99. Not a processing obligation."},
+        ],
+    ),
+}
+
+
+def _input_law_outputs(artifact: Path, fmt: str, script: Path, out: Path) -> dict[str, bytes]:
+    """The bytes of `segment` at each granularity and of every `check` file at each, with
+    context, for the document at `artifact`."""
+    outputs = {}
+    for granularity in ("sentence", "paragraph"):
+        flags = ["--format", fmt, "--granularity", granularity]
+        units = out / f"segment-{granularity}.jsonl"
+        assert main(["segment", "--input", str(artifact), *flags, "--out", str(units)]) == 0
+        outputs[units.name] = units.read_bytes()
+        run_dir = out / f"check-{granularity}"
+        assert main([
+            "check", "--artifact", str(artifact), *flags, "--context", "on",
+            "--rules", str(DATA / "gdpr_art28_demo.jsonl"), "--stub-script", str(script),
+            "--out-dir", str(run_dir),
+        ]) == 0
+        for path in sorted(run_dir.iterdir()):
+            outputs[f"{run_dir.name}/{path.name}"] = path.read_bytes()
+    return outputs
+
+
+@pytest.mark.parametrize("variant", list(INPUT_VARIANTS))
+@pytest.mark.parametrize("name", list(INPUT_DOCUMENTS))
+def test_input_law_line_endings_do_not_reach_the_outputs(tmp_path, name, variant):
+    fmt, entries = INPUT_DOCUMENTS[name]
+    script = tmp_path / "script.jsonl"
+    if entries is None:
+        script = CHECK_SCRIPTS["paragraph"]
+    else:
+        write_jsonl(script, entries)
+    text = (FIXTURES / name).read_bytes().decode("utf-8")
+    assert text.endswith("\n") and "\r" not in text
+    changed = tmp_path / variant / name  # the same file name: the same unit refs
+    changed.parent.mkdir()
+    changed.write_bytes(INPUT_VARIANTS[variant](text).encode("utf-8"))
+    want = _input_law_outputs(FIXTURES / name, fmt, script, tmp_path / "original")
+    got = _input_law_outputs(changed, fmt, script, tmp_path / "changed")
+    assert len(want) == 12 and b"\"R1\"" in want["check-sentence/findings.jsonl"]
+    assert got == want

@@ -49,7 +49,7 @@ def _assert_read_as_text(path):
     assert list(cli._text_lines(str(path))) == text.splitlines(), repr(text)
     parsed = 0
     for fmt in ("plain", "structured"):
-        got = _outcome(lambda: list(cli._blocks(str(path), _config(fmt))))
+        got = _outcome(lambda: cli._units(str(path), _config(fmt), iter))
         want = _outcome(lambda: list(parse_document(text, fmt).blocks))
         if isinstance(want, tuple):  # the reader's errors name the file
             want = (want[0], f"{path}: {want[1]}")
@@ -97,7 +97,7 @@ class TestReadDocument:
 
         tracemalloc.start()
         try:
-            read = list(cli._blocks(str(path), _config("structured")))
+            read = cli._units(str(path), _config("structured"), iter)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,16 +1,21 @@
 """Streamed atomic writes: the one-shot encoders' bytes, nothing partial on failure, bounded
-memory; and the lazy JSONL reader."""
+memory; the lazy JSONL reader; and the codec laws: a JSONL line is `json.dumps(record,
+ensure_ascii=False)`, and the reader accepts and rejects what `json.loads` does."""
 
 from __future__ import annotations
 
 import json
+import math
+import random
 import tracemalloc
 
 import pytest
 
+import regcheck.storage as storage
 from regcheck.storage import (
     atomic_write_chunks,
     json_chunks,
+    jsonl_line,
     numbered_jsonl,
     write_json,
     write_jsonl,
@@ -159,3 +164,128 @@ def test_numbered_jsonl_yields_each_record_before_reading_on(tmp_path):
     assert next(records) == (2, {"b": "ü"})
     with pytest.raises(ValueError, match=r"r\.jsonl:3: invalid JSON record"):
         next(records)
+
+
+# --------------------------------------------------------------------------
+# Codec laws
+# --------------------------------------------------------------------------
+
+# Text that each escape rule of the encoder meets: non-ASCII, astral and lone-surrogate
+# code points, quotes, backslashes and control characters.
+CHARS = (
+    "a", "Z", " ", "é", "€", "个", "😀", "\ud800", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f"
+)
+NUMBERS = (
+    0, -1, 7, 2**63, -(2**63) - 1, 10**30, 0.0, -0.0, 1e-7, 2.5, 1e300, -1e-300,
+    math.nan, math.inf, -math.inf,
+)
+
+
+def _text(rng: random.Random) -> str:
+    return "".join(rng.choices(CHARS, k=rng.randint(0, 12)))
+
+
+def _value(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(7 if depth < 3 else 4)
+    if kind == 0:
+        return _text(rng)
+    if kind == 1:
+        return rng.choice(NUMBERS)
+    if kind == 2:
+        return rng.choice((True, False, None))
+    if kind == 3:
+        return rng.getrandbits(rng.choice((8, 64, 100))) - (1 << 7)
+    if kind == 4:
+        return [_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return _record(rng, depth + 1)
+
+
+def _record(rng: random.Random, depth: int = 0) -> dict:
+    return {_text(rng): _value(rng, depth) for _ in range(rng.randint(0, 5))}
+
+
+@pytest.mark.parametrize("encoder", ["c", "pure-python"])
+def test_codec_law_a_jsonl_line_is_json_dumps(monkeypatch, encoder):
+    if encoder == "pure-python":  # the path taken where Python has no `_json`
+        monkeypatch.setattr(storage, "_ENCODE", None)
+    rng = random.Random(20261020)
+    for _ in range(3000):
+        record = _record(rng)
+        assert jsonl_line(record) == json.dumps(record, ensure_ascii=False) + "\n", repr(record)
+
+
+def _reference_numbered_jsonl(path):
+    """The reader as it was before its one-call fast path: `json.loads` of each line."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: invalid JSON record: {exc}") from exc
+                if not isinstance(record, dict):
+                    raise ValueError(f"{path}:{lineno}: expected a JSON object")
+                yield lineno, record
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
+# Lines the reader must reject as `json.loads` does: two values, trailing garbage, a
+# byte-order mark, a bad escape, a raw control character, a truncated record, values
+# that are not objects; and lines that are blank, or JSON whitespace around a record.
+MALFORMED = (
+    '{"a": 1} {"b": 2}', '{"a": 1}{}', '{"a": 1}x', '{"a": 1},', "\ufeff{}", '{"a": "\\q"}',
+    '{"a": "\t"}', '{"a": ', "{", "}", "[1, 2]", '"x"', "7", "null", "NaN", "tru",
+)
+SPACING = ("", " ", "\t", "\r", "\x0c", "\u00a0", "\u2003", "  \t ")
+
+
+def _line(rng: random.Random) -> str:
+    if rng.random() < 0.08:
+        return rng.choice(MALFORMED)
+    if rng.random() < 0.05:
+        return rng.choice(SPACING)  # a blank line: skipped, but counted
+    record = _record(rng)
+    text = json.dumps(record, ensure_ascii=False)
+    if rng.random() < 0.5 or "\ud800" in text:  # a lone surrogate has no UTF-8: escape it
+        text = json.dumps(record)
+    if rng.random() < 0.2:  # other JSON whitespace between members
+        text = text.replace(", ", rng.choice((",", " ,\t", ",  ")))
+    return rng.choice(SPACING) + text + rng.choice(SPACING)
+
+
+def _read(reader, path):
+    """The `(line, record)` pairs `reader` yields, and the error that ends them, if any; as
+    reprs, so that NaN equals NaN and -0.0 differs from 0.0."""
+    pairs = []
+    try:
+        for pair in reader(path):
+            pairs.append(repr(pair))
+    except ValueError as exc:
+        return pairs, str(exc)
+    return pairs, None
+
+
+def test_codec_law_the_reader_reads_as_json_loads(tmp_path):
+    rng = random.Random(20261021)
+    path, rejected = tmp_path / "records.jsonl", set()
+    for _ in range(600):
+        lines = [_line(rng) for _ in range(rng.randint(1, 12))]
+        path.write_text("\n".join(lines) + rng.choice(("", "\n")), encoding="utf-8")
+        got, want = _read(numbered_jsonl, path), _read(_reference_numbered_jsonl, path)
+        assert got == want, lines
+        if want[1] is not None:  # the kind of error: its message without place or position
+            rejected.add(want[1].split(": ", 1)[1].split(": line ")[0])
+    assert len(rejected) >= 7, rejected  # the files reach many kinds of error
+
+
+@pytest.mark.parametrize("line", MALFORMED)
+def test_codec_law_each_malformed_line_gives_the_json_loads_error(tmp_path, line):
+    path = tmp_path / "r.jsonl"
+    path.write_text('{"ok": 1}\n\n' + line + "\n", encoding="utf-8")
+    got, want = _read(numbered_jsonl, path), _read(_reference_numbered_jsonl, path)
+    assert got == want
+    assert got[1] is not None and got[1].startswith(f"{path}:3: ")
