@@ -8,7 +8,6 @@ can run in either order or concurrently.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,7 +17,7 @@ from typing import Callable, Mapping
 from .corpus import Provision, first_sentence_end
 from .errors import ParseError, TemplateError
 from .llm import ChatMessage
-from .storage import read_text_or_bundled
+from .storage import read_json
 from .taxonomy import CONCEPT_ID, NO_CONCEPT, ConceptModel, render_concepts
 
 FROM_LLM = "llm"
@@ -62,7 +61,7 @@ def load_classification_template(
 ) -> ClassificationTemplate:
     """The role-structured template JSON at `path`, or the bundled one: an
     object with string `system` and `user` fields."""
-    body = json.loads(read_text_or_bundled(path, "classification_prompt.json"))
+    body = read_json(path, "classification_prompt.json")
     if not isinstance(body, dict) or not all(
         isinstance(body.get(k), str) for k in ("system", "user")
     ):

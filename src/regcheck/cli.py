@@ -10,38 +10,30 @@ Exit codes: 0 success, 2 input/validation error, 3 backend error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import closing
 from dataclasses import astuple, dataclass, replace
-from itertools import chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable
 
 # Modules every subcommand loads anyway; each `cmd_*` imports those only it runs.
 from . import __version__
-from .corpus import PARAGRAPH_LEVEL, SENTENCE, Block, _Builder, block_provisions, block_units
+from .corpus import PARAGRAPH_LEVEL, SENTENCE, _Builder, block_units, iter_provisions
 from .errors import BackendError, MalformedInput, RegcheckError, UnchunkableText
 from .llm import (
-    HTTP, STUB, Backend, BackendConfig, CostTotals, RetryPolicy, cost_row, load_price_table,
-    make_backend, price_of,
+    HTTP, STUB, Backend, BackendConfig, RetryPolicy, load_price_table, make_backend, price_of,
 )
-from .storage import atomic_files, atomic_write_chunks, json_chunks, jsonl_line, spool, spooled
+from .storage import atomic_write_chunks, json_chunks, jsonl_line, read_json, text_lines
 
 if TYPE_CHECKING:
-    from .compliance import Finding
-    from .corpus import Provision
     from .evaluation import MetricsReport
-    from .taxonomy import Ruleset
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BACKEND = 3
 EXIT_PARSE_THRESHOLD = 4
 EXIT_CLOSED_STDOUT = 141
-
-_WRITE_BATCH = 128  # findings `check` takes from the model stage at a time
 
 _ENV_KEYS = {
     "endpoint": "REGCHECK_ENDPOINT",
@@ -169,8 +161,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     the defaults, and check every value whatever its source."""
     values = {key: os.environ[env] for key, env in _ENV_KEYS.items() if os.environ.get(env)}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+        file_cfg = read_json(args.config)
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
         unknown = sorted(set(file_cfg) - set(_KEY_TYPES))
@@ -222,36 +213,9 @@ def _units(path: str, cfg: RunConfig, units: Callable[..., Iterable], *args) -> 
     as the file is read: no copy of the whole text, of its lines or of its blocks is built.
     Every input error is raised here, and names `path`."""
     try:
-        return list(units(_Builder(cfg.format).blocks(_text_lines(path)), *args))
+        return list(units(_Builder(cfg.format).blocks(text_lines(path)), *args))
     except (MalformedInput, UnchunkableText) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
-
-
-def _provisions(blocks: Iterator[Block], doc_id: str) -> Iterator[Provision]:
-    """The provisions of each block in turn, for `_units`."""
-    return (p for block in blocks for p in block_provisions(block, doc_id))
-
-
-def _text_lines(path: str) -> Iterator[str]:
-    """`Path(path).read_text(encoding="utf-8").splitlines()`, a batch of lines at a time. A
-    byte that is not UTF-8 raises `ValueError` naming `path` and its line."""
-    # A binary line ends at "\n", so no separator of `str.splitlines` ("\r\n" included)
-    # spans two of them, and no multi-byte UTF-8 sequence holds a "\n" byte: a batch of
-    # lines decodes as a whole iff each of its lines does.
-    with open(path, "rb") as fh:
-        read = 0  # lines before the batch
-        while batch := fh.readlines(1 << 14):
-            try:
-                text = b"".join(batch).decode("utf-8")
-            except UnicodeDecodeError:
-                for lineno, line in enumerate(batch, start=read + 1):
-                    try:
-                        line.decode("utf-8")
-                    except UnicodeDecodeError as exc:
-                        raise ValueError(f"{path}:{lineno}: {exc}") from exc
-                raise
-            read += len(batch)
-            yield from text.splitlines()
 
 
 def cmd_segment(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -266,7 +230,7 @@ def cmd_segment(args: argparse.Namespace, cfg: RunConfig) -> int:
                 "origin": p.origin,
                 "block_index": p.block_index,
             }
-            for p in _units(args.input, cfg, _provisions, doc_id)
+            for p in _units(args.input, cfg, iter_provisions, doc_id)
         )
     else:
         records = (
@@ -284,8 +248,10 @@ def cmd_segment(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _backend(cfg: BackendConfig, prices: dict) -> Backend:
-    """The backend `cfg` describes. An unpriced model fails before it is built, so before
-    any paid call and before its cache directory is made."""
+    """The backend `cfg` describes. A run with nothing to answer it, or an unpriced model,
+    fails before it is built, so before any paid call and before any directory is made."""
+    if cfg.kind == STUB and not cfg.script_path and not cfg.cache_dir:
+        raise ValueError("no backend: give --stub-script or --endpoint")
     price_of(prices, cfg.model_name)
     return make_backend(cfg)
 
@@ -297,7 +263,7 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     doc_id = Path(args.input).stem
     # No document is built: each block is dropped once its provisions are made.
-    provisions = _units(args.input, cfg, _provisions, doc_id)
+    provisions = _units(args.input, cfg, iter_provisions, doc_id)
     model = load_concept_model(args.concepts)
     template = load_classification_template(args.prompt_template)
     # The keyword baseline makes no call, so it reads no price table.
@@ -311,7 +277,7 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
-    from .compliance import load_template
+    from .compliance import load_template, write_check_outputs
     from .pipeline import compliance_iter
     from .taxonomy import load_ruleset
 
@@ -349,52 +315,6 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def write_check_outputs(
-    target: Path, findings: Iterable[Finding], rules: Ruleset, artifact: str, prices: dict
-) -> dict:
-    """Write one `check` run into `target` in one pass over `findings`, and return its
-    report's totals. Each finding is written as it comes: to `findings.jsonl` and
-    `costs.jsonl`, and its text in each report to that report's spool, while a tally counts
-    it. Then each report is written as its head, known only now, followed by its spool, and
-    the five files are renamed into place. If `findings` or a write raises, none is."""
-    from .compliance import (
-        ReportTally, json_finding, json_head, json_tail, markdown_finding, markdown_head,
-        rule_id_texts, trimmed,
-    )
-    tally, costs = ReportTally(rules), CostTotals()
-    names = ("findings.jsonl", "costs.jsonl", "costs_summary.json", "report.json", "report.md")
-    with (
-        atomic_files([target / name for name in names]) as (records, ledger, summary, rjson, rmd),
-        spool(target) as json_spool,
-        spool(target) as md_spool,
-    ):
-        md_last = ""  # the last finding's Markdown, held back: its trailing space is trimmed
-        # Findings are taken _WRITE_BATCH at a time: a model stage and a writer that take
-        # turns per finding cost ~10% more CPU than each running over a batch in turn.
-        findings = iter(findings)
-        for batch in iter(lambda: list(islice(findings, _WRITE_BATCH)), []):
-            for f in batch:
-                tally.add(f)
-                record = {
-                    "unit_ref": f.passage_ref,
-                    "labels": rule_id_texts(f.rule_ids)[0],
-                    "rationale": f.rationale,
-                    "parse_error": f.parse_error,
-                }
-                records.write(jsonl_line(record))
-                if f.usage is not None:  # each ledger row is built once, totalled as written
-                    ledger.write(jsonl_line(costs.add(cost_row(prices, f.usage))))
-                json_spool.write(json_finding(f, first=tally.counts["passages"] == 1))
-                md_spool.write(md_last)
-                md_last = markdown_finding(f)
-        report = tally.report(artifact, [])
-        summary.writelines(json_chunks(costs.summary()))
-        tail = json_tail(report.totals["passages"])
-        rjson.writelines(chain(json_head(report), spooled(json_spool), [tail]))
-        rmd.writelines(trimmed(chain([markdown_head(report)], spooled(md_spool), [md_last])))
-    return report.totals
-
-
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .evaluation import aggregate_runs, confusion, load_gold, load_predictions, metrics
 
@@ -423,8 +343,9 @@ def _load_run_reports(runs_dir: Path) -> list[MetricsReport]:
         raise ValueError(f"no <run>/metrics.json files under {runs_dir}")
     reports = []
     for path in paths:
+        body = read_json(path)  # its own errors name `path`
         try:
-            reports.append(MetricsReport.from_dict(json.loads(path.read_text(encoding="utf-8"))))
+            reports.append(MetricsReport.from_dict(body))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
     return reports
@@ -459,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
         # stdout at exit goes to devnull (the "Note on SIGPIPE" of the `signal` docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_STDOUT
-    except (RegcheckError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (RegcheckError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

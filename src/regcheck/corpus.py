@@ -229,7 +229,12 @@ def _expand_item(header: str, item: str) -> list[str]:
 
 def extract_provisions(doc: SourceDocument) -> list[Provision]:
     """All provisions of a document in block order: split paragraphs, expanded lists."""
-    return [p for block in doc.blocks for p in block_provisions(block, doc.doc_id)]
+    return list(iter_provisions(doc.blocks, doc.doc_id))
+
+
+def iter_provisions(blocks: Iterable[Block], doc_id: str) -> Iterator[Provision]:
+    """The provisions of each block in turn, each made as it is taken."""
+    return (p for block in blocks for p in block_provisions(block, doc_id))
 
 
 def block_provisions(block: Block, doc_id: str) -> Iterable[Provision]:

@@ -30,7 +30,7 @@ from .errors import (
     ScriptExhausted,
     UnknownModelPrice,
 )
-from .storage import atomic_write_text, jsonl_line, numbered_jsonl, read_text_or_bundled
+from .storage import atomic_write_text, jsonl_line, numbered_jsonl, read_json
 
 HTTP = "http"
 STUB = "stub"
@@ -483,7 +483,7 @@ def load_price_table(path: str | Path | None = None) -> dict[str, ModelPrice]:
     Each model maps to an object whose `input_per_1k` and `output_per_1k` are
     finite numbers >= 0; anything else is a ValueError naming the model.
     """
-    raw = json.loads(read_text_or_bundled(path, "prices.json"))
+    raw = read_json(path, "prices.json")
     if not isinstance(raw, dict):
         raise ValueError(f"price table {path} must be a JSON object")
     table = {}

@@ -1,4 +1,4 @@
-"""Small file helpers: bundled data, line-delimited JSON records and atomic streamed file writes."""
+"""File helpers: each input reader (bundled data, JSON, document lines, JSONL) and atomic writes."""
 
 from __future__ import annotations
 
@@ -18,6 +18,37 @@ def read_text_or_bundled(path: str | Path | None, bundled: str) -> str:
     """Text of `path`, or of the named file bundled in regcheck/data when no path is given."""
     source = Path(path) if path else resources.files("regcheck.data").joinpath(bundled)
     return source.read_text(encoding="utf-8")
+
+
+def read_json(path: str | Path | None, bundled: str = "") -> Any:
+    """The JSON value at `path`, or in bundled data file `bundled` if no path is given. Bytes
+    that are not UTF-8, or text that is not JSON, raise `ValueError` naming the file."""
+    try:
+        return json.loads(read_text_or_bundled(path, bundled))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path or bundled}: {exc}") from exc
+
+
+def text_lines(path: str) -> Iterator[str]:
+    """`Path(path).read_text(encoding="utf-8").splitlines()`, a batch of lines at a time. A
+    byte that is not UTF-8 raises `ValueError` naming `path` and its line."""
+    # A binary line ends at "\n", so no separator of `str.splitlines` ("\r\n" included)
+    # spans two of them, and no multi-byte UTF-8 sequence holds a "\n" byte: a batch of
+    # lines decodes as a whole iff each of its lines does.
+    with open(path, "rb") as fh:
+        read = 0  # lines before the batch
+        while batch := fh.readlines(1 << 14):
+            try:
+                text = b"".join(batch).decode("utf-8")
+            except UnicodeDecodeError:
+                for lineno, line in enumerate(batch, start=read + 1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                raise
+            read += len(batch)
+            yield from text.splitlines()
 
 
 # One codec of each kind, built once: `json.dumps` with a non-default option builds a new

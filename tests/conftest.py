@@ -8,7 +8,7 @@ import pytest
 import regcheck
 from regcheck.cli import _ENV_KEYS
 from regcheck.corpus import parse_document
-from regcheck.llm import API_KEY_ENV
+from regcheck.llm import API_KEY_ENV, StubBackend
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DATA = Path(__file__).parent.parent / "src" / "regcheck" / "data"
@@ -29,6 +29,20 @@ def _no_regcheck_environment(monkeypatch):
     it: an exported model or endpoint would change what the CLI runs."""
     for name in (*_ENV_KEYS.values(), API_KEY_ENV):
         monkeypatch.delenv(name, raising=False)
+
+
+@pytest.fixture
+def stub_calls(monkeypatch) -> list:
+    """Every request the stub backend answers behind the cache."""
+    seen: list = []
+    complete = StubBackend.complete
+
+    def counted(self, messages):
+        seen.append(messages)
+        return complete(self, messages)
+
+    monkeypatch.setattr(StubBackend, "complete", counted)
+    return seen
 
 
 @pytest.fixture(scope="session")

@@ -252,7 +252,7 @@ MUTANTS = (
     ),
     Mutant(
         "findings-jsonl-raw-rationale",
-        "cli.py",
+        "compliance.py",
         '                    "rationale": f.rationale,\n',
         '                    "rationale": f.raw_response,\n',
         "out-dir audit: findings.jsonl is report.json's findings, projected",
@@ -260,7 +260,7 @@ MUTANTS = (
     ),
     Mutant(
         "ledger-skips-cache-hits",
-        "cli.py",
+        "compliance.py",
         "                if f.usage is not None:  # each ledger row",
         "                if f.usage is not None and not f.usage.cached:  # each ledger row",
         "out-dir audit: one ledger row per finding that has a usage",
@@ -387,14 +387,14 @@ MUTANTS = (
     Mutant(
         "reader-reads-whole-file",
         "cli.py",
-        "_Builder(cfg.format).blocks(_text_lines(path))",
+        "_Builder(cfg.format).blocks(text_lines(path))",
         '_Builder(cfg.format).blocks(Path(path).read_text(encoding="utf-8").splitlines())',
         "reading a document holds no copy of the whole file",
         (_ONE_COPY, "-k", "no_copy"),
     ),
     Mutant(
         "reader-splits-at-newline-only",
-        "cli.py",
+        "storage.py",
         "            yield from text.splitlines()\n",
         '            yield text.rstrip("\\r\\n")\n',
         "the reader gives the lines of `read_text().splitlines()`",
@@ -423,7 +423,7 @@ MUTANTS = (
     Mutant(
         "classify-keeps-the-document",
         "cli.py",
-        "    provisions = _units(args.input, cfg, _provisions, doc_id)\n",
+        "    provisions = _units(args.input, cfg, iter_provisions, doc_id)\n",
         "    from .corpus import extract_provisions, parse_document\n"
         '    doc = parse_document(Path(args.input).read_text(encoding="utf-8"), cfg.format)\n'
         "    provisions = extract_provisions(doc)\n",
@@ -518,8 +518,8 @@ MUTANTS = (
     ),
     Mutant(
         "spool-written-without-head",
-        "cli.py",
-        "chain(json_head(report), spooled(json_spool), [tail])",
+        "compliance.py",
+        "chain(_json_head(report), spooled(json_spool), [tail])",
         "chain(spooled(json_spool), [tail])",
         "report.json is its head followed by its spool: the one-shot bytes",
         ("tests/test_outputs.py", "-k", "written_run"),
@@ -563,6 +563,55 @@ MUTANTS = (
         "        subset_accuracy=c.share(c.overlap),\n",
         "subset accuracy is the share of units predicted exactly",
         (_EVALUATION, "-k", "subset_accuracy"),
+    ),
+    Mutant(
+        "no-backend-not-checked",
+        "cli.py",
+        "    if cfg.kind == STUB and not cfg.script_path and not cfg.cache_dir:\n"
+        '        raise ValueError("no backend: give --stub-script or --endpoint")\n',
+        "",
+        "a model stage with nothing to answer it exits 2 before any output location is made",
+        ("tests/test_cli.py", "-k", "no_backend"),
+    ),
+    Mutant(
+        "cache-alone-is-no-backend",
+        "cli.py",
+        "    if cfg.kind == STUB and not cfg.script_path and not cfg.cache_dir:\n",
+        "    if cfg.kind == STUB and not cfg.script_path:\n",
+        "with a cache and no script, the stub replays the cached answers",
+        ("tests/test_cli.py", "-k", "cache_alone"),
+    ),
+    Mutant(
+        "read-json-drops-the-path",
+        "storage.py",
+        '        raise ValueError(f"{path or bundled}: {exc}") from exc\n',
+        "        raise\n",
+        "a JSON document that does not parse names its file",
+        ("tests/test_cli.py", "-k", "does_not_parse"),
+    ),
+    Mutant(
+        "per-rule-in-first-finding-order",
+        "compliance.py",
+        "        ordered = {rid: self.per_rule[rid] for rid in order if rid in self.per_rule}\n",
+        "        ordered = dict(self.per_rule)\n",
+        "rules-order law: per_rule follows the order of the rules file",
+        (_LAWS, "-k", "rules_order"),
+    ),
+    Mutant(
+        "rule-ids-sentence-end-per-token",
+        "compliance.py",
+        "        leading = {tok for pos, tok in tokens if pos < end}\n",
+        "        leading = {tok for pos, tok in tokens if pos < first_sentence_end(raw)}\n",
+        "parse_response is linear time in a long answer",
+        ("tests/test_growth.py", "-m", "growth", "-k", "parse_response"),
+    ),
+    Mutant(
+        "concept-ids-sentence-end-per-match",
+        "classify.py",
+        "    for m in CONCEPT_ID.finditer(raw, 0, first_sentence_end(raw)):\n",
+        "    for m in (m for m in CONCEPT_ID.finditer(raw) if m.start() < first_sentence_end(raw)):\n",
+        "parse_concept_response is linear time in a long answer",
+        ("tests/test_growth.py", "-m", "growth", "-k", "parse_concept_response"),
     ),
 )
 

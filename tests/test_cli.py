@@ -371,6 +371,90 @@ def test_out_that_is_a_directory_exits_2_naming_it(tmp_path, capsys, argv):
     assert list(out.iterdir()) == []
 
 
+def _model_stage_argv(command: str, out: Path) -> list[str]:
+    """`check` or `classify` of a fixture, writing under `out`, with no backend flag."""
+    if command == "check":
+        return [
+            "check", "--artifact", str(FIXTURES / "dpa_demo.txt"), "--format", "structured",
+            "--rules", str(DATA / "gdpr_art28_demo.jsonl"), "--out-dir", str(out),
+        ]
+    return [
+        "classify", "--input", str(FIXTURES / "food_corpus.txt"), "--format", "structured",
+        "--concepts", str(DATA / "food_safety_concepts.jsonl"), "--out", str(out / "labels.jsonl"),
+    ]
+
+
+@pytest.mark.parametrize("command", ["check", "classify"])
+def test_a_model_stage_with_no_backend_exits_2_before_any_output(
+    tmp_path, stub_calls, capsys, command
+):
+    # No stub script, endpoint or cache: nothing can answer, so nothing is made.
+    assert run(*_model_stage_argv(command, tmp_path / "out")) == 2
+    assert capsys.readouterr().err == "error: no backend: give --stub-script or --endpoint\n"
+    assert stub_calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command,script",
+    [("check", "stub_paragraph_aware.jsonl"), ("classify", "stub_classify.jsonl")],
+)
+def test_a_cache_alone_replays_its_answers(tmp_path, stub_calls, command, script):
+    # With a cache and no script, the stub has nothing to say but each answer is a hit.
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    argv = _model_stage_argv(command, tmp_path / "filled")
+    assert run(*argv, *cache, "--stub-script", str(FIXTURES / script)) == 0
+    stub_calls.clear()
+    assert run(*_model_stage_argv(command, tmp_path / "replayed"), *cache) == 0
+    assert stub_calls == []
+    for path in (tmp_path / "filled").iterdir():
+        if not path.name.startswith("cost"):  # a hit costs nothing and takes no time
+            assert (tmp_path / "replayed" / path.name).read_bytes() == path.read_bytes(), path
+
+
+# A JSON document input that is not JSON, and one that is not UTF-8, with the message
+# after the file's name.
+_UNPARSEABLE_JSON = {
+    "syntax": (
+        b"{bad", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    ),
+    "not-utf8": (
+        b'{"a": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"
+    ),
+}
+
+
+@pytest.mark.parametrize("content", list(_UNPARSEABLE_JSON))
+@pytest.mark.parametrize("flag", ["config", "price-table", "prompt-template", "runs-dir"])
+def test_json_document_that_does_not_parse_exits_2_naming_its_file_once(
+    tmp_path, stub_calls, capsys, flag, content
+):
+    data, message = _UNPARSEABLE_JSON[content]
+    bad = tmp_path / (f"{flag}.json" if flag != "runs-dir" else "runs/run_01/metrics.json")
+    bad.parent.mkdir(parents=True, exist_ok=True)
+    bad.write_bytes(data)
+    out, cache = tmp_path / "out", tmp_path / "cache"
+    cache.mkdir()
+    check, classify = (
+        [*_model_stage_argv(command, out), "--cache-dir", str(cache), "--stub-script", str(script)]
+        for command, script in [
+            ("check", FIXTURES / "stub_paragraph_aware.jsonl"),
+            ("classify", FIXTURES / "stub_classify.jsonl"),
+        ]
+    )
+    argv = {
+        "config": ["--config", str(bad), *classify],
+        "price-table": [*check, "--price-table", str(bad)],
+        "prompt-template": [*classify, "--prompt-template", str(bad)],
+        "runs-dir": ["eval", "--runs-dir", str(tmp_path / "runs"), "--out", str(out / "agg.json")],
+    }[flag]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert stub_calls == []
+    assert list(cache.iterdir()) == []
+    assert not out.exists()
+
+
 class TestCheck:
     def _check(self, tmp_path, *extra, script="stub_paragraph_aware.jsonl"):
         return run(

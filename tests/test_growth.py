@@ -12,9 +12,11 @@ import time
 
 import pytest
 
-from regcheck.compliance import Finding, json_finding, rule_id_texts
+from regcheck.classify import parse_concept_response
+from regcheck.compliance import Finding, _json_finding, _rule_id_texts, parse_response
 from regcheck.corpus import parse_document, split_text
 from regcheck.llm import Usage
+from regcheck.taxonomy import Concept, ConceptModel, RuleSpec, Ruleset
 
 pytestmark = pytest.mark.growth
 
@@ -78,7 +80,7 @@ def test_split_text_is_linear(shape):
 
 # Each shape of a finding with its 1x size: a long rationale and raw response, or many
 # rule ids (numbered past the sentinel R99). Its ids are rendered once per distinct set
-# (`rule_id_texts`), so each timed call clears that memo and renders them again.
+# (`_rule_id_texts`), so each timed call clears that memo and renders them again.
 TEXT = 'Der „Auftragsverarbeiter“ "prüft" jede Weisung.\n'
 FINDING_SHAPES = {
     "long-text": (
@@ -97,8 +99,8 @@ FINDING_SHAPES = {
 
 
 def render_finding(f: Finding) -> str:
-    rule_id_texts.cache_clear()
-    return json_finding(f, first=False)
+    _rule_id_texts.cache_clear()
+    return _json_finding(f, first=False)
 
 
 @pytest.mark.parametrize("shape", list(FINDING_SHAPES))
@@ -106,4 +108,32 @@ def test_json_finding_is_linear(shape):
     make, n = FINDING_SHAPES[shape]
     small, large = make(n), make(n * FACTOR)
     ratio = best_time(render_finding, large) / best_time(render_finding, small, calls=CALLS)
+    assert ratio <= MAX_RATIO, f"{FACTOR}x input took {ratio:.0f}x the time"
+
+
+# Each response parser, giving the ids it finds, with the ids it knows; and each shape of
+# a model answer with its 1x size: the ids repeated before the first sentence end and
+# again after it, or the ids and a long rationale. A parser that looked for the sentence
+# end once per id it found would be quadratic in the first shape.
+RULES = Ruleset(tuple(RuleSpec(f"R{i}", f"rule {i}") for i in range(1, 9)), "rules")
+CONCEPT_IDS = ["Traceability", "Labelling", "Inspection"]
+CONCEPTS = ConceptModel(tuple(Concept(c, c) for c in CONCEPT_IDS))
+PARSERS = {
+    "parse_response": (lambda raw: parse_response(raw, RULES)[0], ["R1", "R5", "R8"]),
+    "parse_concept_response": (lambda raw: parse_concept_response(raw, CONCEPTS), CONCEPT_IDS),
+}
+ANSWER_SHAPES = {
+    "many-ids": (lambda ids, n: f"{', '.join(ids * n)}. Later {' '.join(ids * n)} apply.", 20),
+    "long-rationale": (lambda ids, n: f"{', '.join(ids)}. " + TEXT * n, 250),
+}
+
+
+@pytest.mark.parametrize("shape", list(ANSWER_SHAPES))
+@pytest.mark.parametrize("parser", list(PARSERS))
+def test_response_parser_is_linear(parser, shape):
+    parse, ids = PARSERS[parser]
+    make, n = ANSWER_SHAPES[shape]
+    small, large = make(ids, n), make(ids, n * FACTOR)
+    assert parse(large) == parse(small) == frozenset(ids)  # the same ids, only a longer answer
+    ratio = best_time(parse, large) / best_time(parse, small, calls=CALLS)
     assert ratio <= MAX_RATIO, f"{FACTOR}x input took {ratio:.0f}x the time"

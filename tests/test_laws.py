@@ -16,6 +16,9 @@ Unit law: `segment` lists the units that `check` runs, in the same order.
 Input law: how a document's lines end does not reach the outputs. CRLF line endings, a
 missing final newline and trailing blank lines give the bytes of the LF original.
 
+Rules-order law: the order of a ruleset's lines reaches only the order of `per_rule` and
+`uncovered_rules`, in `report.json` and `report.md`, which follows the file.
+
 Tier-1 runs a pairwise cover of each grid: every pair of factor values occurs
 in at least one case (Cohen et al., "The AETG System", IEEE TSE 1997). The
 other cases are marked `full_grid` and deselected by default; run them with
@@ -26,13 +29,13 @@ from __future__ import annotations
 
 import contextlib
 import json
+import re
 from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
 from regcheck.cli import main
-from regcheck.llm import StubBackend
 from regcheck.storage import write_json, write_jsonl
 from test_llm import _ScriptedHandler, scripted_server
 
@@ -92,20 +95,6 @@ def grid_cases(grid: dict[str, tuple]) -> list:
         )
         for case in product(*grid.values())
     ]
-
-
-@pytest.fixture
-def stub_calls(monkeypatch) -> list:
-    """Every request the stub backend answers behind the cache."""
-    seen: list = []
-    complete = StubBackend.complete
-
-    def counted(self, messages):
-        seen.append(messages)
-        return complete(self, messages)
-
-    monkeypatch.setattr(StubBackend, "complete", counted)
-    return seen
 
 
 @contextlib.contextmanager
@@ -407,3 +396,53 @@ def test_input_law_line_endings_do_not_reach_the_outputs(tmp_path, name, variant
     got = _input_law_outputs(changed, fmt, script, tmp_path / "changed")
     assert len(want) == 12 and b"\"R1\"" in want["check-sentence/findings.jsonl"]
     assert got == want
+
+
+# A rule's line in `report.md`'s "Areas of compliance" or "non-compliance" section.
+_RULE_LINE = re.compile(r"- \*\*(R\d+)\*\*")
+
+
+def _in_file_order(rule_ids, rules: Path) -> list[str]:
+    order = [record["rule_id"] for record in jsonl_records(rules)]
+    return sorted(rule_ids, key=order.index)
+
+
+@pytest.mark.parametrize("granularity", ["sentence", "paragraph"])
+def test_rules_order_law_reorders_only_the_per_rule_sections(tmp_path, granularity):
+    rules = DATA / "gdpr_art28_demo.jsonl"
+    reversed_rules = tmp_path / "reversed" / rules.name  # the same name: the same ruleset
+    reversed_rules.parent.mkdir()
+    reversed_rules.write_bytes(b"".join(reversed(rules.read_bytes().splitlines(keepends=True))))
+    outputs = {}
+    for ruleset in (rules, reversed_rules):
+        out = tmp_path / ruleset.parent.name
+        assert main([
+            "check", "--artifact", str(FIXTURES / "dpa_demo.txt"), "--format", "structured",
+            "--granularity", granularity, "--rules", str(ruleset),
+            "--stub-script", str(CHECK_SCRIPTS[granularity]), "--out-dir", str(out / "run"),
+        ]) == 0
+        names = [*REPORT_FILES, "costs.jsonl", "costs_summary.json"]
+        outputs[ruleset] = read_outputs(out / "run", names)
+    want, got = outputs[rules], outputs[reversed_rules]
+    for name in ("findings.jsonl", "costs.jsonl", "costs_summary.json"):
+        assert got[name] == want[name], name
+
+    for ruleset, files in outputs.items():  # each report's sections follow its own file
+        report = json.loads(files["report.json"])
+        assert len(report["per_rule"]) > 1 and report["uncovered_rules"], ruleset
+        assert list(report["per_rule"]) == _in_file_order(report["per_rule"], ruleset)
+        assert report["uncovered_rules"] == _in_file_order(report["uncovered_rules"], ruleset)
+        lines = files["report.md"].decode().splitlines()
+        listed = [m[1] for m in map(_RULE_LINE.match, lines) if m]
+        assert listed == [*report["per_rule"], *report["uncovered_rules"]], ruleset
+    # Put back in the original's order, the reordered report gives the original's bytes.
+    report, original = json.loads(got["report.json"]), json.loads(want["report.json"])
+    report["per_rule"] = {rid: report["per_rule"][rid] for rid in original["per_rule"]}
+    report["uncovered_rules"] = _in_file_order(report["uncovered_rules"], rules)
+    assert (json.dumps(report, ensure_ascii=False, indent=2) + "\n").encode() == want["report.json"]
+    lines = got["report.md"].decode().splitlines(keepends=True)
+    slots = [i for i, line in enumerate(lines) if _RULE_LINE.match(line)]
+    by_rule = {_RULE_LINE.match(lines[i])[1]: lines[i] for i in slots}
+    for i, rid in zip(slots, [*original["per_rule"], *original["uncovered_rules"]]):
+        lines[i] = by_rule[rid]
+    assert "".join(lines).encode() == want["report.md"]

@@ -15,6 +15,7 @@ import pytest
 import regcheck.cli as cli
 import regcheck.corpus as corpus
 import regcheck.pipeline as pipeline
+import regcheck.storage as storage
 from regcheck.cli import main
 from regcheck.corpus import Block, Passage, parse_document
 from regcheck.llm import BackendConfig, Usage
@@ -46,7 +47,7 @@ def _config(fmt: str) -> cli.RunConfig:
 
 def _assert_read_as_text(path):
     text = path.read_text(encoding="utf-8")
-    assert list(cli._text_lines(str(path))) == text.splitlines(), repr(text)
+    assert list(storage.text_lines(str(path))) == text.splitlines(), repr(text)
     parsed = 0
     for fmt in ("plain", "structured"):
         got = _outcome(lambda: cli._units(str(path), _config(fmt), iter))

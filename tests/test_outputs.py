@@ -12,17 +12,17 @@ from dataclasses import replace
 
 import pytest
 
-import regcheck.cli as cli
-from regcheck.cli import write_check_outputs
+import regcheck.compliance as compliance
 from regcheck.compliance import (
     ComplianceReport,
     Finding,
+    _json_finding,
+    _json_head,
+    _json_tail,
     assemble_report,
-    json_finding,
-    json_head,
-    json_tail,
     report_to_dict,
     report_to_markdown,
+    write_check_outputs,
 )
 from regcheck.llm import ModelPrice, Usage, cost_row
 from regcheck.taxonomy import RuleSpec, Ruleset
@@ -170,9 +170,9 @@ def test_reports_cover_the_corner_cases():
 def test_streamed_reports_give_the_one_shot_bytes():
     for case, report in enumerate(REPORTS):
         one_shot = json.dumps(report_to_dict(report), ensure_ascii=False, indent=2) + "\n"
-        pieces = [*json_head(report)]  # as the writer writes a report, one finding at a time
-        pieces += [json_finding(f, first=i == 0) for i, f in enumerate(report.findings)]
-        assert "".join([*pieces, json_tail(len(report.findings))]) == one_shot, case
+        pieces = [*_json_head(report)]  # as the writer writes a report, one finding at a time
+        pieces += [_json_finding(f, first=i == 0) for i, f in enumerate(report.findings)]
+        assert "".join([*pieces, _json_tail(len(report.findings))]) == one_shot, case
         assert report_to_markdown(report) == _ref_markdown(report), case
 
 
@@ -191,7 +191,9 @@ def test_written_run_gives_the_one_shot_bytes(monkeypatch, tmp_path, case):
     findings, rules = REPORTS[case].findings, _ruleset(REPORTS[case].ruleset_name)
     report = assemble_report(findings, rules, REPORTS[case].artifact_ref)
     built = []  # the usage of each ledger row the writer builds
-    monkeypatch.setattr(cli, "cost_row", lambda prices, u: built.append(u) or cost_row(prices, u))
+    monkeypatch.setattr(
+        compliance, "cost_row", lambda prices, u: built.append(u) or cost_row(prices, u)
+    )
     # A one-shot iterator: a writer that read the findings twice would see none the second time.
     totals = write_check_outputs(tmp_path, iter(findings), rules, report.artifact_ref, PRICES)
     assert totals == report.totals

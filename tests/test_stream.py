@@ -25,6 +25,7 @@ import tracemalloc
 import pytest
 
 import regcheck.cli as cli
+import regcheck.compliance as compliance
 import regcheck.evaluation as evaluation
 import regcheck.pipeline as pipeline
 from regcheck.cli import main
@@ -270,7 +271,7 @@ class _FailingAfter:
 
     def __init__(self, k: int, exc: BaseException):
         self.k, self.exc, self.built = k, exc, 0
-        self.cost_row = cli.cost_row
+        self.cost_row = compliance.cost_row
 
     def __call__(self, prices, usage):
         if self.built == self.k:
@@ -287,7 +288,7 @@ def test_a_failed_check_writer_stops_the_calls_before_the_error_propagates(
 ):
     k = 5
     backend = _Backend(pause=0.02).stand_in(monkeypatch)
-    monkeypatch.setattr(cli, "cost_row", _FailingAfter(k, exc))
+    monkeypatch.setattr(compliance, "cost_row", _FailingAfter(k, exc))
     out = tmp_path / "out"
     argv = _check_argv(fixtures, data_dir, _corpus(tmp_path, 200), out, "--parallelism",
                        str(parallelism))
@@ -299,7 +300,7 @@ def test_a_failed_check_writer_stops_the_calls_before_the_error_propagates(
     started = backend.started
     assert backend.in_flight == 0
     # The writer takes a batch of findings at a time, and the queue holds 2 x parallelism.
-    assert k < started <= cli._WRITE_BATCH + 2 * parallelism
+    assert k < started <= compliance._WRITE_BATCH + 2 * parallelism
     time.sleep(0.15)
     assert backend.started == started
     assert list(out.iterdir()) == []
