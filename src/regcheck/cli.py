@@ -15,11 +15,11 @@ import sys
 from contextlib import closing
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 # Modules every subcommand loads anyway; each `cmd_*` imports those only it runs.
 from . import __version__
-from .corpus import PARAGRAPH_LEVEL, SENTENCE, _Builder, block_units, iter_provisions
+from .corpus import PARAGRAPH_LEVEL, SENTENCE, UnitTable, _Builder, block_units, iter_provisions
 from .errors import BackendError, MalformedInput, RegcheckError, UnchunkableText
 from .llm import (
     HTTP, STUB, Backend, BackendConfig, RetryPolicy, load_price_table, make_backend, price_of,
@@ -208,12 +208,13 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
 # --------------------------------------------------------------------------
 
 
-def _units(path: str, cfg: RunConfig, units: Callable[..., Iterable], *args) -> list:
-    """`list(units(blocks, *args))` for the blocks of the document at `path`, each yielded
-    as the file is read: no copy of the whole text, of its lines or of its blocks is built.
-    Every input error is raised here, and names `path`."""
+def _units(path: str, cfg: RunConfig, units: Callable[..., Iterable], *args) -> Iterable:
+    """`units(blocks, *args)`, listed if it is an iterator, for the blocks of the document at
+    `path`, each yielded as the file is read: no copy of the whole text, of its lines or of its
+    blocks is built. Every input error is raised here, and names `path`."""
     try:
-        return list(units(_Builder(cfg.format).blocks(text_lines(path)), *args))
+        found = units(_Builder(cfg.format).blocks(text_lines(path)), *args)
+        return list(found) if isinstance(found, Iterator) else found
     except (MalformedInput, UnchunkableText) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -282,10 +283,11 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .taxonomy import load_ruleset
 
     doc_id = Path(args.artifact).stem
-    # Each block becomes its units as it is read, so no document is built; the units are
-    # all made, and every input error raised, before the first call.
+    # Each block becomes its units' rows in a table as it is read, so no document is built;
+    # every row is made, and every input error raised, before the first call. Each run makes
+    # the units from the table as it takes them.
     context_on = cfg.context == "on"
-    units = _units(args.artifact, cfg, block_units, doc_id, cfg.granularity, cfg.budget, context_on)
+    units = _units(args.artifact, cfg, UnitTable, doc_id, cfg.granularity, cfg.budget, context_on)
     rules = load_ruleset(args.rules)
     template = load_template(args.template)
     prices = load_price_table(cfg.price_table)

@@ -6,7 +6,8 @@ Produces the two units of analysis used downstream:
   items expanded so each inherits its list header as a prefix;
 - token-bounded ``Passage`` records (compliance pipeline), one per block,
   with oversize blocks recursively split at sentence boundaries; a
-  ``CheckUnit`` carries one, or one provision, with its block as context.
+  ``CheckUnit`` carries one, or one provision, with its block as context,
+  and a ``UnitTable`` lists a document's units compactly.
 
 All functions here are pure: identical inputs yield byte-identical outputs,
 and nothing is shared between calls.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import count, repeat
 from typing import Iterable, Iterator
 
 from .errors import MalformedInput, UnchunkableText
@@ -298,23 +300,26 @@ def block_units(
     enclosing block's text and is attached only when it adds anything beyond
     the unit text itself. It is built once per block.
     """
+    return _check_units(doc_id, _unit_rows(blocks, doc_id, granularity, budget, context_on))
+
+
+def _unit_rows(
+    blocks: Iterable[Block], doc_id: str, granularity: str, budget: int, context_on: bool
+) -> Iterator[tuple[str, int, str, str | None]]:
+    """`(text, block index, ref, context)` of each unit of `block_units`, in order. A
+    passage's ref is "": `Passage` makes it from the passage's number."""
     if granularity not in (PARAGRAPH_LEVEL, SENTENCE):
         raise ValueError(f"unknown granularity {granularity!r}")
     if budget <= 0:
         raise ValueError("token budget must be positive")
-    seq = 0
     for block in blocks:
-        parent = (block.index, block.index)
         if granularity == PARAGRAPH_LEVEL:
             text = block_text(block)
             fits = estimate_tokens(text) <= budget
             chunks = [text] if fits else _fit_sentences(split_text(text), budget, block.index)
-            passages = [
-                Passage(doc_id, seq + i, chunk, estimate_tokens(chunk), parent)
-                for i, chunk in enumerate(chunks)
-            ]
+            rows = [(chunk, "") for chunk in chunks]
         else:
-            passages = []
+            rows = []
             for prov in block_provisions(block, doc_id):
                 tokens = estimate_tokens(prov.text)
                 if tokens > budget:
@@ -322,13 +327,52 @@ def block_units(
                         f"provision {prov.unit_ref} (~{tokens} tokens) exceeds the "
                         f"budget of {budget}"
                     )
-                passages.append(
-                    Passage(doc_id, seq + len(passages), prov.text, tokens, parent, prov.unit_ref)
-                )
-        seq += len(passages)
+                rows.append((prov.text, prov.unit_ref))
         context = block_text(block) if context_on else None
-        for passage in passages:
-            yield CheckUnit(passage, None if context == passage.text else context)
+        for text, ref in rows:
+            yield text, block.index, ref, None if context == text else context
+
+
+def _check_units(doc_id: str, rows: Iterable[tuple]) -> Iterator[CheckUnit]:
+    """A `CheckUnit` for each `(text, block index, ref, context)` row, numbered in order."""
+    for seq, (text, block, ref, context) in enumerate(rows):
+        passage = Passage(doc_id, seq, text, estimate_tokens(text), (block, block), ref)
+        yield CheckUnit(passage, context)
+
+
+class UnitTable:
+    """The units of `block_units(blocks, ...)`, listed compactly as the blocks are read, so
+    that every input error is raised here. Each iteration yields them afresh, equal field for
+    field, each `CheckUnit` made as it is taken: only what cannot be recomputed is kept."""
+
+    def __init__(
+        self,
+        blocks: Iterable[Block],
+        doc_id: str,
+        granularity: str,
+        budget: int,
+        context_on: bool = False,
+    ):
+        from array import array  # here: a shared library that only `check` needs
+
+        self.doc_id = doc_id
+        self.texts: list[str] = []
+        self.blocks = array("q")  # each unit's block index
+        self.refs: list[str] = []  # each unit's ref at sentence granularity
+        self.contexts: dict[int, str] = {}  # by unit number: the contexts that are not None
+        rows = _unit_rows(blocks, doc_id, granularity, budget, context_on)
+        for text, block, ref, context in rows:
+            if context is not None:
+                self.contexts[len(self.texts)] = context
+            self.texts.append(text)
+            self.blocks.append(block)
+            if ref:
+                self.refs.append(ref)
+
+    def __iter__(self) -> Iterator[CheckUnit]:
+        refs = self.refs or repeat("")
+        rows = zip(self.texts, self.blocks, refs, map(self.contexts.get, count()))
+        return _check_units(self.doc_id, rows)
 
 
 # --------------------------------------------------------------------------
@@ -459,6 +503,8 @@ class _Builder:
                     f"line {lineno}: expected a list item after the header"
                 )
             self.items[-1].append(text.strip())
+        elif lineno == 1 and text.startswith("\ufeff"):  # a BOM is text, so no marker follows it
+            raise MalformedInput("line 1: text outside any block: a UTF-8 byte-order mark")
         else:
             raise MalformedInput(f"line {lineno}: text outside any block")
 

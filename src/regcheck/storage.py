@@ -15,9 +15,13 @@ from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 
 def read_text_or_bundled(path: str | Path | None, bundled: str) -> str:
-    """Text of `path`, or of the named file bundled in regcheck/data when no path is given."""
+    """Text of `path`, or of the named file bundled in regcheck/data when no path is given.
+    Bytes that are not UTF-8 raise `ValueError` naming the file."""
     source = Path(path) if path else resources.files("regcheck.data").joinpath(bundled)
-    return source.read_text(encoding="utf-8")
+    try:
+        return source.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path or bundled}: {exc}") from exc
 
 
 def read_json(path: str | Path | None, bundled: str = "") -> Any:
@@ -25,7 +29,7 @@ def read_json(path: str | Path | None, bundled: str = "") -> Any:
     that are not UTF-8, or text that is not JSON, raise `ValueError` naming the file."""
     try:
         return json.loads(read_text_or_bundled(path, bundled))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except json.JSONDecodeError as exc:  # `read_text_or_bundled` names the file itself
         raise ValueError(f"{path or bundled}: {exc}") from exc
 
 

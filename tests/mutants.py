@@ -55,9 +55,11 @@ _UNWRITABLE = ("tests/test_cli.py", "-k", "unwritable_output_location")
 _LAWS = "tests/test_laws.py"
 _CHECK_LAW = (_LAWS, "-k", "check_law")
 _CHECK_UNITS = (
-    "    units = _units(args.artifact, cfg, block_units, doc_id, cfg.granularity, cfg.budget, "
+    "    units = _units(args.artifact, cfg, UnitTable, doc_id, cfg.granularity, cfg.budget, "
     "context_on)\n"
 )
+_UNITS_MEMORY = (_STREAM, "-k", "units_in_little_more")
+_BLOCK_UNITS_GROWTH = ("tests/test_growth.py", "-m", "growth", "-k", "block_units")
 
 MUTANTS = (
     Mutant(
@@ -141,6 +143,16 @@ MUTANTS = (
         '        items = f"{items},\\n        {rid}" if items else rid\n',
         "report.json's items are written in time linear in a finding's rule ids",
         ("tests/test_growth.py", "-m", "growth", "-k", "json_finding"),
+    ),
+    Mutant(
+        "block-text-per-unit",
+        "corpus.py",
+        "        context = block_text(block) if context_on else None\n"
+        "        for text, ref in rows:\n",
+        "        for text, ref in rows:\n"
+        "            context = block_text(block) if context_on else None\n",
+        "check units are made in time linear in a long block",
+        _BLOCK_UNITS_GROWTH,
     ),
     Mutant(
         "write-joins-all-chunks",
@@ -344,6 +356,14 @@ MUTANTS = (
         _STARTUP,
     ),
     Mutant(
+        "array-imported-eagerly",
+        "corpus.py",
+        "import math\n",
+        "import math\nfrom array import array\n",
+        "only check loads the shared library of its unit table",
+        _STARTUP,
+    ),
+    Mutant(
         "hashlib-imported-eagerly",
         "llm.py",
         "import json\nimport os\n",
@@ -399,6 +419,15 @@ MUTANTS = (
         '            yield text.rstrip("\\r\\n")\n',
         "the reader gives the lines of `read_text().splitlines()`",
         (_ONE_COPY, "-k", "lines_and_document"),
+    ),
+    Mutant(
+        "reader-drops-an-unterminated-last-line",
+        "storage.py",
+        "            yield from text.splitlines()\n",
+        '            ended = text.endswith(("\\n", "\\r"))\n'
+        "            yield from text.splitlines()[: None if ended else -1]\n",
+        "input law: a file without a final newline gives the outputs of the file with one",
+        (_LAWS, "-k", "input_law"),
     ),
     Mutant(
         "check-keeps-the-document",
@@ -509,6 +538,24 @@ MUTANTS = (
         (_STREAM, "-k", "memory_independent_of_the_artifact"),
     ),
     Mutant(
+        "check-lists-its-units",
+        "cli.py",
+        _CHECK_UNITS,
+        "    units = list(_units(args.artifact, cfg, UnitTable, doc_id, cfg.granularity, "
+        "cfg.budget, context_on))\n",
+        "check lists its units in little more than their text",
+        _UNITS_MEMORY,
+    ),
+    Mutant(
+        "table-keeps-each-passage",
+        "corpus.py",
+        "                self.refs.append(ref)\n",
+        "                self.refs.append(ref)\n"
+        "        self.passages = [unit.passage for unit in self]\n",
+        "check lists its units in little more than their text",
+        _UNITS_MEMORY,
+    ),
+    Mutant(
         "check-no-explicit-close",
         "cli.py",
         "        with closing(findings):\n",
@@ -584,10 +631,20 @@ MUTANTS = (
     Mutant(
         "read-json-drops-the-path",
         "storage.py",
+        "    except json.JSONDecodeError as exc:  # `read_text_or_bundled` names the file itself\n"
         '        raise ValueError(f"{path or bundled}: {exc}") from exc\n',
-        "        raise\n",
+        "    except json.JSONDecodeError as exc:\n        raise\n",
         "a JSON document that does not parse names its file",
         ("tests/test_cli.py", "-k", "does_not_parse"),
+    ),
+    Mutant(
+        "read-text-drops-the-path",
+        "storage.py",
+        "    except UnicodeDecodeError as exc:\n"
+        '        raise ValueError(f"{path or bundled}: {exc}") from exc\n',
+        "    except UnicodeDecodeError as exc:\n        raise\n",
+        "a compliance template that is not UTF-8 names its file",
+        ("tests/test_cli.py", "-k", "template_that_is_not_utf8"),
     ),
     Mutant(
         "per-rule-in-first-finding-order",

@@ -455,6 +455,22 @@ def test_json_document_that_does_not_parse_exits_2_naming_its_file_once(
     assert not out.exists()
 
 
+def test_template_that_is_not_utf8_exits_2_naming_its_file_once(tmp_path, stub_calls, capsys):
+    # A compliance template is text, not JSON: only its bytes can fail to read.
+    bad = tmp_path / "template.txt"
+    bad.write_bytes(b"Check {passage}\n\xff\n")
+    out, cache = tmp_path / "out", tmp_path / "cache"
+    cache.mkdir()
+    argv = _model_stage_argv("check", out)
+    stub = ["--stub-script", str(FIXTURES / "stub_paragraph_aware.jsonl")]
+    assert run(*argv, *stub, "--cache-dir", str(cache), "--template", str(bad)) == 2
+    message = "'utf-8' codec can't decode byte 0xff in position 16: invalid start byte"
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert stub_calls == []
+    assert list(cache.iterdir()) == []
+    assert not out.exists()
+
+
 class TestCheck:
     def _check(self, tmp_path, *extra, script="stub_paragraph_aware.jsonl"):
         return run(
@@ -1114,6 +1130,7 @@ _MALFORMED_DOCUMENTS = {
     "* Header:\n-   \n": ": line 2: empty list item",
     "* Header:\ntext\n": ": line 2: expected a list item after the header",
     "text\n": ": line 1: text outside any block",
+    "\ufeff¶ Text.\n": ": line 1: text outside any block: a UTF-8 byte-order mark",
     "¶   \n": ": empty paragraph block",
     "* Header:\n": ": unclosed list: header 'Header:' has no items",
 }
@@ -1131,6 +1148,17 @@ def test_malformed_document_exits_2_naming_its_file_before_any_call(
     _assert_jsonl_rejected_before_any_call(
         tmp_path, monkeypatch, capsys, flag, text, _MALFORMED_DOCUMENTS[text]
     )
+
+
+@pytest.mark.parametrize("granularity", ["sentence", "paragraph"])
+def test_a_plain_document_keeps_its_byte_order_mark_as_text(tmp_path, granularity):
+    # A BOM is text: in plain mode it stays the first character of the first unit.
+    doc = tmp_path / "bom.txt"
+    doc.write_bytes("\ufeffThe processor shall act.\n".encode("utf-8"))
+    out = tmp_path / "units.jsonl"
+    flags = ["--format", "plain", "--granularity", granularity, "--out", str(out)]
+    assert run("segment", "--input", str(doc), *flags) == 0
+    assert [r["text"] for _, r in numbered_jsonl(out)] == ["\ufeffThe processor shall act."]
 
 
 # Per command and granularity, the message after the file's name when the one sentence of

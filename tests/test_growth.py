@@ -14,7 +14,7 @@ import pytest
 
 from regcheck.classify import parse_concept_response
 from regcheck.compliance import Finding, _json_finding, _rule_id_texts, parse_response
-from regcheck.corpus import parse_document, split_text
+from regcheck.corpus import LIST, PARAGRAPH, Block, block_units, parse_document, split_text
 from regcheck.llm import Usage
 from regcheck.taxonomy import Concept, ConceptModel, RuleSpec, Ruleset
 
@@ -136,4 +136,41 @@ def test_response_parser_is_linear(parser, shape):
     small, large = make(ids, n), make(ids, n * FACTOR)
     assert parse(large) == parse(small) == frozenset(ids)  # the same ids, only a longer answer
     ratio = best_time(parse, large) / best_time(parse, small, calls=CALLS)
+    assert ratio <= MAX_RATIO, f"{FACTOR}x input took {ratio:.0f}x the time"
+
+
+# Each shape of a document's blocks with its 1x size: one block of many sentences, a list
+# or a paragraph, that no budget fits whole, or many one-sentence blocks. Context is on, so
+# a layer that built a list's text once per unit would be quadratic in a long list; the
+# list's 1x size keeps that mutant's 16x run short.
+SENTENCE_TEXT = "The operator shall keep record {} of each lot."
+UNIT_SHAPES = {
+    "long-list": (
+        lambda n: [
+            Block(LIST, 0, header="The operator shall:", items=tuple(
+                SENTENCE_TEXT.format(i) for i in range(n)
+            ))
+        ],
+        500,
+    ),
+    "long-paragraph": (
+        lambda n: [Block(PARAGRAPH, 0, text=" ".join(map(SENTENCE_TEXT.format, range(n))))],
+        2000,
+    ),
+    "short-blocks": (
+        lambda n: [Block(PARAGRAPH, i, text=SENTENCE_TEXT.format(i)) for i in range(n)], 2000
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", list(UNIT_SHAPES))
+@pytest.mark.parametrize("granularity", ["paragraph", "sentence"])
+def test_block_units_is_linear(granularity, shape):
+    def units(blocks: list[Block]) -> int:
+        return sum(1 for _ in block_units(blocks, "d", granularity, 40, context_on=True))
+
+    make, n = UNIT_SHAPES[shape]
+    small, large = make(n), make(n * FACTOR)
+    assert units(large) >= n * FACTOR // 4  # long blocks are split into many units
+    ratio = best_time(units, large) / best_time(units, small, calls=CALLS)
     assert ratio <= MAX_RATIO, f"{FACTOR}x input took {ratio:.0f}x the time"

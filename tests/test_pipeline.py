@@ -28,7 +28,7 @@ from regcheck.compliance import (
     parse_response,
     prompt_builder,
 )
-from regcheck.corpus import block_text, extract_provisions, parse_document
+from regcheck.corpus import UnitTable, block_text, extract_provisions, parse_document
 from regcheck.errors import ParseError, UnchunkableText
 from regcheck.llm import StubBackend, StubEntry, load_stub_script
 from regcheck.pipeline import (
@@ -95,6 +95,25 @@ class TestComplianceUnits:
         assert contexts > 0 if context_on else contexts == 0
         if context_on and granularity == "paragraph":
             assert single_chunk_splits > 0  # a split block whose one passage is shorter
+
+    @pytest.mark.parametrize("granularity", ["paragraph", "sentence"])
+    @pytest.mark.parametrize("context_on", [False, True])
+    def test_table_yields_the_units_afresh_on_each_iteration(self, granularity, context_on):
+        rng = random.Random(f"table-{granularity}-{context_on}")
+        tables = 0
+        for _ in range(300):
+            doc = parse_document(_random_structured_text(rng), "structured", doc_id="d")
+            budget = rng.choice((4, 8, 12, 20, 40, 4096))
+            want = _outcome(lambda: compliance_units(doc, granularity, budget, context_on))
+            table = _outcome(lambda: UnitTable(doc.blocks, "d", granularity, budget, context_on))
+            if isinstance(want, tuple):  # the table raises the error of `block_units`
+                assert table == want
+                continue
+            first, again = list(table), list(table)
+            assert first == want and again == want
+            assert all(a is not b for a, b in zip(first, again))
+            tables += 1
+        assert tables >= 100
 
     def test_sentence_over_budget(self, dpa_doc):
         with pytest.raises(UnchunkableText):

@@ -31,8 +31,9 @@ sys.exit(code)
 '''
 
 # The standard modules that one path alone needs: `eval --runs-dir`, the R99 warning
-# and parallelism above 1.
+# and parallelism above 1; and `check`'s unit table, a shared library.
 _ONE_PATH = {"statistics", "logging", "concurrent.futures"}
+_CHECK_ONLY = {"array"}
 _MODEL_MODULES = {
     "regcheck.pipeline", "regcheck.classify", "regcheck.compliance", "regcheck.taxonomy"
 }
@@ -88,17 +89,17 @@ def _argv(case: str, fixtures: Path, data: Path, tmp: Path) -> list[str]:
 _CASES = {
     "check-parallelism-1": (
         {"regcheck.evaluation", "regcheck.classify", *_ONE_PATH, "http.client"},
-        {"regcheck.pipeline"},
+        {"regcheck.pipeline", *_CHECK_ONLY},
     ),
     "check-parallelism-2": (set(), {"concurrent.futures"}),
-    "classify": ({"regcheck.evaluation", *_ONE_PATH}, {"regcheck.classify"}),
+    "classify": ({"regcheck.evaluation", *_ONE_PATH, *_CHECK_ONLY}, {"regcheck.classify"}),
     # Keyword matching starts no thread pool, whatever the parallelism.
     "classify-keyword-only-parallelism-8": (
-        {"regcheck.evaluation", *_ONE_PATH, "http.client"}, {"regcheck.classify"}
+        {"regcheck.evaluation", *_ONE_PATH, *_CHECK_ONLY, "http.client"}, {"regcheck.classify"}
     ),
-    "eval": ({*_MODEL_MODULES, *_ONE_PATH}, {"regcheck.evaluation"}),
+    "eval": ({*_MODEL_MODULES, *_ONE_PATH, *_CHECK_ONLY}, {"regcheck.evaluation"}),
     "eval-runs-dir": (set(), {"statistics"}),
-    "segment": ({*_MODEL_MODULES, *_ONE_PATH}, {"regcheck.corpus"}),
+    "segment": ({*_MODEL_MODULES, *_ONE_PATH, *_CHECK_ONLY}, {"regcheck.corpus"}),
 }
 
 

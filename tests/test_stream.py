@@ -4,8 +4,9 @@ So the labels' memory does not grow with the corpus; a run whose writer stops ma
 no further call once the error reaches the caller; and a run whose backend fails
 leaves no `--out` file, or on stdout exactly the records before the failing unit.
 A keyword-only run makes no call and gives the same labels at any parallelism.
-`check` holds no list of its findings, stops its calls when its writer does, and
-on a backend failure leaves its out-dir without any file, temporary ones included.
+`check` lists its units in little more than their text, holds no list of its
+findings, stops its calls when its writer does, and on a backend failure leaves its
+out-dir without any file, temporary ones included.
 `eval` reads the gold file once, as a stream, and holds no list of its records.
 A stdout that its reader closes ends `segment` and `classify` quietly, with exit 141,
 and stops `classify`'s calls as an early close does.
@@ -13,6 +14,7 @@ and stops `classify`'s calls as an early close does.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -263,6 +265,37 @@ def test_streamed_findings_take_memory_independent_of_the_artifact(
     # The run keeps ~85 B a finding: each ledger row's cost and latency, for
     # costs_summary.json, and each applicable finding's ref in the per-rule lists.
     assert excess[2000] < excess[500] + 200_000, excess
+
+
+class _ModelStageReached(Exception):
+    """Raised where `check`'s model stage would start, once its memory is measured."""
+
+
+def test_check_lists_its_units_in_little_more_than_their_text(
+    monkeypatch, fixtures, data_dir, tmp_path
+):
+    # What `check` holds when its model stage starts, less the text of its units: the rest
+    # is what listing the units costs. A list of `CheckUnit`s costs ~300 B a unit (each with
+    # its `Passage`, ref string and block tuple); the table ~14 B, a list slot and an index.
+    held = {}
+
+    def measured(units, *args, **kwargs):
+        gc.collect()
+        now = tracemalloc.get_traced_memory()[0]
+        texts = [u.passage.text for u in units]
+        held[len(texts)] = now - sum(map(sys.getsizeof, texts))
+        raise _ModelStageReached
+
+    monkeypatch.setattr(pipeline, "compliance_iter", measured)
+    for n in (500, 2000):
+        argv = _check_argv(fixtures, data_dir, _corpus(tmp_path, n), tmp_path / f"out_{n}")
+        tracemalloc.start()
+        try:
+            with pytest.raises(_ModelStageReached):
+                main([*argv, "--granularity", "paragraph"])
+        finally:
+            tracemalloc.stop()
+    assert held[2000] - held[500] <= 64 * 1500, held
 
 
 class _FailingAfter:
