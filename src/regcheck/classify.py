@@ -24,7 +24,8 @@ FROM_LLM = "llm"
 FROM_KEYWORD = "keyword"
 FROM_BOTH = "both"
 
-_NONE_TOKEN = re.compile(rf"\b{NO_CONCEPT}\b")
+# `\bNONE\b`, opening on its first letter (see corpus._BOUNDARY).
+_NONE_TOKEN = re.compile(rf"{NO_CONCEPT[0]}(?<!\w{NO_CONCEPT[0]}){NO_CONCEPT[1:]}\b")
 
 
 @dataclass(frozen=True)
@@ -92,15 +93,12 @@ def classification_prompter(
     model: ConceptModel, template: ClassificationTemplate | None = None
 ) -> Callable[[Provision], list[ChatMessage]]:
     """`build_classification_prompt` for one model and template, with the
-    concept listing rendered and the template loaded once."""
+    concept listing rendered, the template loaded and the system message built once."""
     template = template or default_classification_template()
     listing = render_concepts([c for c in model.concepts if not c.scarce])
-    system = template.system.replace("{concept_list}", listing)
+    system = ChatMessage("system", template.system.replace("{concept_list}", listing))
     user = template.user.replace("{concept_list}", listing)
-    return lambda p: [
-        ChatMessage("system", system),
-        ChatMessage("user", user.replace("{text}", p.text)),
-    ]
+    return lambda p: [system, ChatMessage("user", user.replace("{text}", p.text))]
 
 
 @lru_cache(maxsize=8)
@@ -182,21 +180,24 @@ class _KeywordIndex:
     first word, so a text is tokenised and stemmed once and each of its words
     costs one dict lookup: a word-level Aho-Corasick lookup (Aho & Corasick,
     CACM 18(6), 1975) that verifies each candidate n-gram directly. The walk
-    runs only when the text holds some n-gram's first word.
+    runs only when the text holds some n-gram's first word. On ASCII text, when
+    every keyword is ASCII and has a word character, the walk finds every
+    whole-word match, so the gate is skipped: there `re.IGNORECASE` agrees with
+    `str.lower()`, and a keyword's words are the text's own words at a match.
     """
 
     def __init__(self, model: ConceptModel, stem: bool):
         scarce = [c for c in model.scarce_concepts() if c.keywords]
+        keywords = [(kw, c.concept_id) for c in scarce for kw in c.keywords]
         self.patterns = [(c.concept_id, _whole_words(c.keywords)) for c in scarce]
-        self.gate = _whole_words(kw for c in scarce for kw in c.keywords)
+        self.gate = _whole_words(kw for kw, _ in keywords)
         self.ngrams: dict[str, list[tuple[tuple[str, ...], str]]] = {}
-        if stem:
-            for c in scarce:
-                for kw in c.keywords:
-                    want = _stemmed_words(kw)
-                    if want:
-                        self.ngrams.setdefault(want[0], []).append((want, c.concept_id))
+        for kw, cid in keywords if stem else ():
+            want = _stemmed_words(kw)
+            if want:
+                self.ngrams.setdefault(want[0], []).append((want, cid))
         self.first_words = frozenset(self.ngrams)
+        self.walk_covers = stem and all(kw.isascii() and _WORD.search(kw) for kw, _ in keywords)
 
     def match(self, text: str) -> set[str]:
         hits: set[str] = set()
@@ -207,7 +208,7 @@ class _KeywordIndex:
                     for want, cid in self.ngrams.get(word, ()):
                         if cid not in hits and have[i : i + len(want)] == want:
                             hits.add(cid)
-        if not self.gate.search(text):
+        if self.walk_covers and text.isascii() or not self.gate.search(text):
             return hits
         for cid, pattern in self.patterns:
             if cid not in hits and pattern.search(text):

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 # Modules every subcommand loads anyway; each `cmd_*` imports those only it runs.
 from . import __version__
-from .corpus import PARAGRAPH_LEVEL, SENTENCE, UnitTable, _Builder, block_units, iter_provisions
+from .corpus import PARAGRAPH_LEVEL, SENTENCE, UnitTable, _Builder, iter_provisions
 from .errors import BackendError, MalformedInput, RegcheckError, UnchunkableText
 from .llm import (
     HTTP, STUB, Backend, BackendConfig, RetryPolicy, load_price_table, make_backend, price_of,
@@ -242,7 +242,7 @@ def cmd_segment(args: argparse.Namespace, cfg: RunConfig) -> int:
                 "token_estimate": u.passage.token_estimate,
                 "parent_block": list(u.passage.parent_block),
             }
-            for u in _units(args.input, cfg, block_units, doc_id, PARAGRAPH_LEVEL, cfg.budget)
+            for u in _units(args.input, cfg, UnitTable, doc_id, PARAGRAPH_LEVEL, cfg.budget)
         )
     _emit(map(jsonl_line, records), args.out)
     return EXIT_OK

@@ -24,7 +24,7 @@ from .taxonomy import NOT_APPLICABLE, Ruleset, render_rules
 
 PLACEHOLDERS = ("{rules}", "{text}", "{context}")
 
-_RULE_TOKEN = re.compile(r"\bR(\d+)\b")
+_RULE_TOKEN = re.compile(r"R(?<!\wR)(\d+)\b")  # opens on "R" (see corpus._BOUNDARY)
 # Leading identifier clause: one or more rule tokens with separators, then
 # optional terminating punctuation.
 _LEADING_IDS = re.compile(r"^\s*(?:R\d+\b[\s,;]*(?:and\s+)?)+[.:–-]?\s*")

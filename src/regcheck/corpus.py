@@ -131,12 +131,14 @@ def estimate_tokens(text: str) -> int:
 # Sentence splitting
 # --------------------------------------------------------------------------
 
-# Terminator run plus any closing quotes/brackets, with whitespace following.
-# A match starts only at the start of a run: a match ends before whitespace, so
-# the next one can only start at a run start, and without the lookbehind a long
-# run not followed by whitespace is retried from each of its positions.
-_BOUNDARY = re.compile(r"(?<![.!?])([.!?]+)([\"'”’)\]]*)(?=\s)")
-_NEXT_CHAR = re.compile(r"\s*(\S)")
+# Terminator run plus any closing quotes/brackets, then whitespace and the next
+# character, captured. A match starts only at the start of a run: a match ends
+# before whitespace, so the next one can only start at a run start, and without
+# the lookbehind a long run not followed by whitespace is retried from each of
+# its positions. The lookbehind follows the first character because sre scans
+# ahead in C only for a pattern that opens on a literal or a set; one that opens
+# on a lookbehind is tried at every position.
+_BOUNDARY = re.compile(r"([.!?](?<![.!?].)[.!?]*)[\"'”’)\]]*(?=\s+(\S))")
 
 _OPENERS = "\"'“‘(["
 
@@ -170,10 +172,7 @@ def first_sentence_end(text: str) -> int:
 def _sentence_breaks(text: str) -> Iterator[int]:
     """The offsets just past each sentence boundary of `text`, in order (see `sentence_spans`)."""
     for m in _BOUNDARY.finditer(text):
-        after = _NEXT_CHAR.match(text, m.end())
-        if after is None:
-            continue
-        nxt = after.group(1)
+        nxt = m.group(2)
         if not (nxt.isupper() or nxt.isdigit() or nxt in _OPENERS):
             continue
         if m.group(1) == ".":
@@ -195,7 +194,7 @@ def split_text(text: str) -> list[str]:
 # --------------------------------------------------------------------------
 
 # Inline sub-item markers: parenthesized lowercase romans preceded by a space.
-_SUB_MARKER = re.compile(r"(?<=\s)\(([ivxlcdm]+)\)")
+_SUB_MARKER = re.compile(r"\((?<=\s\()([ivxlcdm]+)\)")
 
 
 def expand_list_items(block: Block, doc_id: str = "") -> list[Provision]:

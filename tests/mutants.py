@@ -60,6 +60,11 @@ _CHECK_UNITS = (
 )
 _UNITS_MEMORY = (_STREAM, "-k", "units_in_little_more")
 _BLOCK_UNITS_GROWTH = ("tests/test_growth.py", "-m", "growth", "-k", "block_units")
+_KEYWORDS_GROWTH = ("tests/test_growth.py", "-m", "growth", "-k", "classify_keywords")
+_SEGMENT_UNITS = (
+    "            for u in _units(args.input, cfg, UnitTable, doc_id, PARAGRAPH_LEVEL, cfg.budget)\n"
+)
+_GATE = "        if self.walk_covers and text.isascii() or not self.gate.search(text):\n"
 
 MUTANTS = (
     Mutant(
@@ -121,8 +126,8 @@ MUTANTS = (
     Mutant(
         "split-no-lookbehind",
         "corpus.py",
-        '_BOUNDARY = re.compile(r"(?<![.!?])(',
-        '_BOUNDARY = re.compile(r"(',
+        '_BOUNDARY = re.compile(r"([.!?](?<![.!?].)[.!?]*)',
+        '_BOUNDARY = re.compile(r"([.!?][.!?]*)',
         "segmentation is linear time on a terminator run",
         ("tests/test_growth.py", "-m", "growth", "-k", "split_text"),
     ),
@@ -669,6 +674,60 @@ MUTANTS = (
         "    for m in (m for m in CONCEPT_ID.finditer(raw) if m.start() < first_sentence_end(raw)):\n",
         "parse_concept_response is linear time in a long answer",
         ("tests/test_growth.py", "-m", "growth", "-k", "parse_concept_response"),
+    ),
+    Mutant(
+        "rule-token-no-word-start",
+        "compliance.py",
+        '_RULE_TOKEN = re.compile(r"R(?<!\\wR)(\\d+)\\b")',
+        '_RULE_TOKEN = re.compile(r"R(\\d+)\\b")',
+        "a rule token starts a word: XR5 is not a rule id",
+        ("tests/test_compliance.py", "-k", "inside_a_word"),
+    ),
+    Mutant(
+        "keyword-gate-skipped-for-non-ascii",
+        "classify.py",
+        _GATE,
+        "        if self.walk_covers or not self.gate.search(text):\n",
+        "under --stem, skipping the gate changes no label",
+        ("tests/test_classify.py", "-k", "gate_path"),
+    ),
+    Mutant(
+        "keyword-gate-from-each-word",
+        "classify.py",
+        _GATE,
+        "        gated = any(self.gate.search(text, m.start()) for m in _WORD.finditer(text))\n"
+        "        if self.walk_covers and text.isascii() or not gated:\n",
+        "classify_keywords is linear time in a long text, without --stem",
+        _KEYWORDS_GROWTH,
+    ),
+    Mutant(
+        "ngram-compared-to-the-rest",
+        "classify.py",
+        "                        if cid not in hits and have[i : i + len(want)] == want:\n",
+        "                        if cid not in hits and have[i:][: len(want)] == want:\n",
+        "classify_keywords is linear time in a long text, with --stem",
+        _KEYWORDS_GROWTH,
+    ),
+    Mutant(
+        "provisions-copied-per-item",
+        "corpus.py",
+        "            provisions.append(\n"
+        '                Provision(doc_id, block.index, index, text, "list_expanded")\n'
+        "            )\n",
+        "            provisions = [\n"
+        "                *provisions,\n"
+        '                Provision(doc_id, block.index, index, text, "list_expanded"),\n'
+        "            ]\n",
+        "block_provisions is linear time in a long list",
+        ("tests/test_growth.py", "-m", "growth", "-k", "block_provisions"),
+    ),
+    Mutant(
+        "segment-lists-its-units",
+        "cli.py",
+        _SEGMENT_UNITS,
+        _SEGMENT_UNITS.replace("in _units(", "in list(_units(").replace("budget)", "budget))"),
+        "segment lists its passages in little more than their text",
+        (_STREAM, "-k", "segment_lists"),
     ),
 )
 

@@ -9,6 +9,7 @@ import pytest
 
 from regcheck.classify import (
     LabelSet,
+    _KeywordIndex,
     _stem_token,
     build_classification_prompt,
     classify_keywords,
@@ -201,6 +202,39 @@ class TestKeywordIndexAgainstReference:
                 got = classify_keywords(prov(text), wide, True).labels
                 assert got == _ref_classify_keywords(text, wide, True), (repr(text), cleared)
         assert _stem_token.cache_info().currsize > 0
+
+
+class TestStemmedWalkAgainstTheGatePath:
+    """Under `stem`, an ASCII text skips the gate and the per-concept patterns when every
+    keyword is ASCII and has a word character; the labels must be those of the gate path."""
+
+    PUNCTUATED = (Concept("Coli", "Coli", True, ("e. coli", "(salmonella)", "kelvin", "istanbul")),)
+    PIECES = (
+        "e. coli", "E. COLI", "e.coli", "(salmonella)", "salmonella", "(ſalmonella)",
+        "ſalmonella", "\u212aelvin", "kelvin", "KELVIN", "İstanbul", "istanbul", "straße",
+        "strasse", "water content", "moisture", "colours", "&", "R&D", "§", " ", " ", ", ",
+        ". ", "(", ")", "-",
+    )
+
+    @pytest.mark.parametrize(
+        "extra, skips",
+        [
+            ((), True),
+            ((Concept("Ampersand", "Ampersand", True, ("&", "§")),), False),
+            ((Concept("Unicode", "Unicode", True, ("ſalmonella", "\u212aelvin")),), False),
+        ],
+        ids=["ascii-keywords", "keyword-without-a-word-character", "non-ascii-keywords"],
+    )
+    def test_labels_equal_the_gate_path(self, model, extra, skips):
+        wide = ConceptModel(model.concepts + self.PUNCTUATED + extra, model.version)
+        gate_path = _KeywordIndex(wide, True)
+        assert gate_path.walk_covers is skips
+        gate_path.walk_covers = False
+        rng = random.Random(2024)
+        for _ in range(1500):
+            text = "The " + "".join(rng.choice(self.PIECES) for _ in range(rng.randint(1, 10)))
+            got = classify_keywords(prov(text), wide, stem=True).labels
+            assert got == gate_path.match(text), repr(text)
 
 
 class TestParseConceptResponse:

@@ -118,6 +118,11 @@ class TestParseResponse:
             parse_response("This passage has no direct connection.", rules)
         assert str(err.value) == "no rule identifier token in response"
 
+    def test_a_token_inside_a_word_is_not_a_rule_id(self, rules):
+        with pytest.raises(ParseError, match="no rule identifier token"):
+            parse_response("XR5. Covered.", rules)
+        assert parse_response("R7, XR5 and _R5. Covered.", rules)[0] == {"R7"}
+
 
 class TestCheckPassage:
     def test_scripted_determination(self, rules):

@@ -13,6 +13,7 @@ from regcheck.corpus import (
     PARAGRAPH,
     Block,
     SourceDocument,
+    _SUB_MARKER,
     chunk_paragraphs,
     estimate_tokens,
     expand_list_items,
@@ -474,6 +475,20 @@ class TestSentenceSpansAgainstReference:
         for block in gold_doc.blocks:
             if block.kind == "paragraph":
                 assert sentence_spans(block.text) == _ref_sentence_spans(block.text)
+
+
+# Reference form of the sub-item marker, which opens on its lookbehind.
+_REF_SUB_MARKER = re.compile(r"(?<=\s)\(([ivxlcdm]+)\)")
+
+
+def test_sub_marker_matches_its_reference():
+    pieces = ("(", "(", ")", "i", "ii", "v", "x", "m", "a", "(i)", "(iv)", " ", "\n", "\t",
+              "\u00a0", "\u3000", "item", "é", "_", "1")
+    rng = random.Random(20240614)
+    for _ in range(4000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
+        found = [(m.start(), m.groups()) for m in _SUB_MARKER.finditer(text)]
+        assert found == [(m.start(), m.groups()) for m in _REF_SUB_MARKER.finditer(text)], text
 
 
 class TestSentenceSpansAdversarial:

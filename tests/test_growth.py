@@ -12,9 +12,11 @@ import time
 
 import pytest
 
-from regcheck.classify import parse_concept_response
+from regcheck.classify import classify_keywords, parse_concept_response
 from regcheck.compliance import Finding, _json_finding, _rule_id_texts, parse_response
-from regcheck.corpus import LIST, PARAGRAPH, Block, block_units, parse_document, split_text
+from regcheck.corpus import (
+    LIST, PARAGRAPH, Block, Provision, block_provisions, block_units, parse_document, split_text,
+)
 from regcheck.llm import Usage
 from regcheck.taxonomy import Concept, ConceptModel, RuleSpec, Ruleset
 
@@ -173,4 +175,68 @@ def test_block_units_is_linear(granularity, shape):
     small, large = make(n), make(n * FACTOR)
     assert units(large) >= n * FACTOR // 4  # long blocks are split into many units
     ratio = best_time(units, large) / best_time(units, small, calls=CALLS)
+    assert ratio <= MAX_RATIO, f"{FACTOR}x input took {ratio:.0f}x the time"
+
+
+# Each shape of a block with its 1x size: a list of many items, one item of many "(i)" sub-items,
+# or a paragraph of many sentences. A layer that copied the provisions made so far once per
+# item, or the rest of an item once per sub-item, would be quadratic in the first two.
+PROVISION_SHAPES = {
+    "long-list": (
+        lambda n: Block(LIST, 0, header="The operator shall:", items=tuple(
+            SENTENCE_TEXT.format(i) for i in range(n)
+        )),
+        1000,
+    ),
+    "many-sub-items": (
+        lambda n: Block(LIST, 0, header="The operator shall:", items=(
+            "keep records of" + "".join(f" (i) lot {i};" for i in range(n)),
+        )),
+        1000,
+    ),
+    "long-paragraph": (
+        lambda n: Block(PARAGRAPH, 0, text=" ".join(map(SENTENCE_TEXT.format, range(n)))), 1000
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", list(PROVISION_SHAPES))
+def test_block_provisions_is_linear(shape):
+    def provisions(block: Block) -> int:
+        return sum(1 for _ in block_provisions(block, "d"))
+
+    make, n = PROVISION_SHAPES[shape]
+    small, large = make(n), make(n * FACTOR)
+    assert provisions(large) == n * FACTOR
+    ratio = best_time(provisions, large) / best_time(provisions, small, calls=CALLS)
+    assert ratio <= MAX_RATIO, f"{FACTOR}x input took {ratio:.0f}x the time"
+
+
+# Each shape of a provision's text with its 1x size in words, and whether `--stem` matches it.
+# Stemmed, the text repeats the first word of the keywords "water content" and "water
+# activity" and never completes either, so every word starts a candidate n-gram. Unstemmed,
+# it holds only near misses, which the gate rejects, or one keyword at its end, which every
+# concept's pattern then scans for.
+KEYWORD_MODEL = ConceptModel((
+    Concept("Traceability", "Traceability"),
+    Concept("Pathogen", "Pathogen", True, ("pathogen", "listeria", "salmonella")),
+    Concept("WaterContent", "Water Content", True, ("water content", "water activity")),
+))
+KEYWORD_SHAPES = {
+    "first-words": (lambda n: "water " * n, True, 200),
+    "near-misses": (lambda n: "salmonellas waterx " * (n // 2), False, 200),
+    "keyword-at-end": (lambda n: "salmonellas waterx " * (n // 2) + "listeria", False, 200),
+}
+
+
+@pytest.mark.parametrize("shape", list(KEYWORD_SHAPES))
+def test_classify_keywords_is_linear(shape):
+    make, stem, n = KEYWORD_SHAPES[shape]
+
+    def labels(text: str) -> frozenset[str]:
+        return classify_keywords(Provision("d", 0, 0, text, "plain"), KEYWORD_MODEL, stem).labels
+
+    small, large = make(n), make(n * FACTOR)
+    assert labels(large) == labels(small) == ({"Pathogen"} if "listeria" in small else set())
+    ratio = best_time(labels, large) / best_time(labels, small, calls=CALLS)
     assert ratio <= MAX_RATIO, f"{FACTOR}x input took {ratio:.0f}x the time"

@@ -9,8 +9,8 @@ import re
 
 import pytest
 
-from regcheck.classify import parse_concept_response
-from regcheck.compliance import parse_response
+from regcheck.classify import _NONE_TOKEN, parse_concept_response
+from regcheck.compliance import _RULE_TOKEN, parse_response
 from regcheck.corpus import first_sentence_end, sentence_spans
 from regcheck.errors import ParseError
 from regcheck.storage import numbered_jsonl
@@ -109,6 +109,21 @@ def test_parse_concept_response_fuzz(model):
         assert outcome(parse_concept_response, raw, model) == outcome(
             _ref_parse_concept_response, raw, model
         ), raw
+
+
+# Each token pattern opens on its first letter and checks the character before it
+# after that letter; the reference opens on `\b`. Both find the same matches.
+@pytest.mark.parametrize(
+    "pattern, reference",
+    [(_RULE_TOKEN, _REF_RULE_TOKEN), (_NONE_TOKEN, re.compile(rf"\b{NO_CONCEPT}\b"))],
+    ids=["rule-token", "none-token"],
+)
+def test_token_patterns_match_their_reference(pattern, reference):
+    rng = random.Random(73)
+    for _ in range(4000):
+        raw = random_response(rng)
+        found = [(m.start(), m.groups()) for m in pattern.finditer(raw)]
+        assert found == [(m.start(), m.groups()) for m in reference.finditer(raw)], raw
 
 
 def test_fuzz_reaches_every_outcome(rulesets, model):

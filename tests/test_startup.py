@@ -31,9 +31,10 @@ sys.exit(code)
 '''
 
 # The standard modules that one path alone needs: `eval --runs-dir`, the R99 warning
-# and parallelism above 1; and `check`'s unit table, a shared library.
+# and parallelism above 1; and the unit table of `check` and of paragraph `segment`, a
+# shared library.
 _ONE_PATH = {"statistics", "logging", "concurrent.futures"}
-_CHECK_ONLY = {"array"}
+_UNIT_TABLE = {"array"}
 _MODEL_MODULES = {
     "regcheck.pipeline", "regcheck.classify", "regcheck.compliance", "regcheck.taxonomy"
 }
@@ -67,6 +68,10 @@ def _argv(case: str, fixtures: Path, data: Path, tmp: Path) -> list[str]:
         "classify", "--input", str(fixtures / "food_corpus.txt"), "--format", "structured",
         "--concepts", str(data / "food_safety_concepts.jsonl"), "--out", str(tmp / "labels.jsonl"),
     ]
+    segment = [
+        "segment", "--input", str(fixtures / "dpa_demo.txt"), "--format", "structured",
+        "--out", str(tmp / "units.jsonl"),
+    ]
     if case == "eval-runs-dir":  # two runs to aggregate, each scored by an in-process eval
         for run in ("run_01", "run_02"):
             out = str(tmp / run / "metrics.json")
@@ -78,10 +83,8 @@ def _argv(case: str, fixtures: Path, data: Path, tmp: Path) -> list[str]:
         "classify-keyword-only-parallelism-8": [*classify, "--keyword-only", "--parallelism", "8"],
         "eval": ["eval", "--gold", gold, "--pred", gold, "--out", str(tmp / "metrics.json")],
         "eval-runs-dir": ["eval", "--runs-dir", str(tmp), "--out", str(tmp / "aggregate.json")],
-        "segment": [
-            "segment", "--input", str(fixtures / "dpa_demo.txt"), "--format", "structured",
-            "--out", str(tmp / "units.jsonl"),
-        ],
+        "segment": segment,
+        "segment-sentence": [*segment, "--granularity", "sentence"],
     }[case]
 
 
@@ -89,17 +92,18 @@ def _argv(case: str, fixtures: Path, data: Path, tmp: Path) -> list[str]:
 _CASES = {
     "check-parallelism-1": (
         {"regcheck.evaluation", "regcheck.classify", *_ONE_PATH, "http.client"},
-        {"regcheck.pipeline", *_CHECK_ONLY},
+        {"regcheck.pipeline", *_UNIT_TABLE},
     ),
     "check-parallelism-2": (set(), {"concurrent.futures"}),
-    "classify": ({"regcheck.evaluation", *_ONE_PATH, *_CHECK_ONLY}, {"regcheck.classify"}),
+    "classify": ({"regcheck.evaluation", *_ONE_PATH, *_UNIT_TABLE}, {"regcheck.classify"}),
     # Keyword matching starts no thread pool, whatever the parallelism.
     "classify-keyword-only-parallelism-8": (
-        {"regcheck.evaluation", *_ONE_PATH, *_CHECK_ONLY, "http.client"}, {"regcheck.classify"}
+        {"regcheck.evaluation", *_ONE_PATH, *_UNIT_TABLE, "http.client"}, {"regcheck.classify"}
     ),
-    "eval": ({*_MODEL_MODULES, *_ONE_PATH, *_CHECK_ONLY}, {"regcheck.evaluation"}),
+    "eval": ({*_MODEL_MODULES, *_ONE_PATH, *_UNIT_TABLE}, {"regcheck.evaluation"}),
     "eval-runs-dir": (set(), {"statistics"}),
-    "segment": ({*_MODEL_MODULES, *_ONE_PATH, *_CHECK_ONLY}, {"regcheck.corpus"}),
+    "segment": ({*_MODEL_MODULES, *_ONE_PATH}, {"regcheck.corpus", *_UNIT_TABLE}),
+    "segment-sentence": ({*_MODEL_MODULES, *_ONE_PATH, *_UNIT_TABLE}, {"regcheck.corpus"}),
 }
 
 

@@ -4,9 +4,9 @@ So the labels' memory does not grow with the corpus; a run whose writer stops ma
 no further call once the error reaches the caller; and a run whose backend fails
 leaves no `--out` file, or on stdout exactly the records before the failing unit.
 A keyword-only run makes no call and gives the same labels at any parallelism.
-`check` lists its units in little more than their text, holds no list of its
-findings, stops its calls when its writer does, and on a backend failure leaves its
-out-dir without any file, temporary ones included.
+`check` and `segment` list their units in little more than their text. `check` holds
+no list of its findings, stops its calls when its writer does, and on a backend failure
+leaves its out-dir without any file, temporary ones included.
 `eval` reads the gold file once, as a stream, and holds no list of its records.
 A stdout that its reader closes ends `segment` and `classify` quietly, with exit 141,
 and stops `classify`'s calls as an early close does.
@@ -293,6 +293,34 @@ def test_check_lists_its_units_in_little_more_than_their_text(
         try:
             with pytest.raises(_ModelStageReached):
                 main([*argv, "--granularity", "paragraph"])
+        finally:
+            tracemalloc.stop()
+    assert held[2000] - held[500] <= 64 * 1500, held
+
+
+class _WriterReached(Exception):
+    """Raised where `segment` would write its first record, once its memory is measured."""
+
+
+def test_segment_lists_its_passages_in_little_more_than_their_text(monkeypatch, tmp_path):
+    # What `segment --granularity paragraph` holds when its writer starts, less the text of
+    # its units, as `check` is measured above: a list of `CheckUnit`s costs ~200 B a unit.
+    held = {}
+
+    def measured(chunks, out):
+        gc.collect()
+        now = tracemalloc.get_traced_memory()[0]
+        texts = [json.loads(line)["text"] for line in chunks]
+        held[len(texts)] = now - sum(map(sys.getsizeof, texts))
+        raise _WriterReached
+
+    monkeypatch.setattr(cli, "_emit", measured)
+    for n in (500, 2000):
+        argv = ["segment", "--input", str(_corpus(tmp_path, n)), "--granularity", "paragraph"]
+        tracemalloc.start()
+        try:
+            with pytest.raises(_WriterReached):
+                main(argv)
         finally:
             tracemalloc.stop()
     assert held[2000] - held[500] <= 64 * 1500, held
