@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .corpus import Provision, first_sentence_end
 from .errors import ParseError, TemplateError
 from .llm import ChatMessage
-from .storage import read_json
+from .storage import jsonl_line, read_json
 from .taxonomy import CONCEPT_ID, NO_CONCEPT, ConceptModel, render_concepts
 
 FROM_LLM = "llm"
@@ -30,7 +31,9 @@ _NONE_TOKEN = re.compile(rf"{NO_CONCEPT[0]}(?<!\w{NO_CONCEPT[0]}){NO_CONCEPT[1:]
 
 @dataclass(frozen=True)
 class LabelSet:
-    """Concept labels for one provision, each mapped to its provenance."""
+    """Concept labels for one provision, each mapped to its provenance. `of` and
+    `fuse_labels` insert the labels in sorted order, whatever the order of their input;
+    a fused set's provenance is read-only."""
 
     provenance: Mapping[str, str]
 
@@ -40,7 +43,15 @@ class LabelSet:
 
     @classmethod
     def of(cls, labels, source: str) -> "LabelSet":
-        return cls(dict.fromkeys(labels, source))
+        return cls(dict.fromkeys(sorted(labels), source))
+
+    @cached_property
+    def json_fields(self) -> str:
+        """The `"labels"` and `"provenance"` fields of this set's labels record as JSON text
+        (see `ClassifiedProvision.to_record`), rendered on first use."""
+        provenance = dict(sorted(self.provenance.items()))
+        # The object's text without its braces and newline.
+        return jsonl_line({"labels": list(provenance), "provenance": provenance})[1:-2]
 
 
 @dataclass(frozen=True)
@@ -167,6 +178,27 @@ def _whole_words(keywords) -> re.Pattern[str]:
     return re.compile(r"(?<!\w)(?:" + alternation + r")(?!\w)", re.IGNORECASE)
 
 
+def _word_starts(stems: list[str]) -> re.Pattern[str]:
+    """A pattern found in every text where one of `stems` is the stem of a word.
+
+    A stem is a prefix of its lower-cased word. Each character whose lower case starts
+    with an ASCII character is matched by that character under `re.IGNORECASE`, so for
+    ASCII stems the pattern finds each stem, case-insensitively, at a word start. It
+    opens on a set, of each character but the ASCII ones that are no stem's first letter
+    in either case, so that `re` skips ahead in C to a candidate. For stems that are not
+    all ASCII it is the empty pattern.
+    """
+    if not "".join(stems).isascii():
+        return re.compile("")
+    rests: dict[str, list[str]] = {}  # by first letter
+    for stem in stems:
+        rests.setdefault(stem[0], []).append(re.escape(stem[1:]))
+    leading = "".join(rests) + "".join(rests).upper()  # a stem is lower case
+    others = re.escape("".join(c for c in map(chr, range(128)) if c not in leading))
+    alternation = "|".join(f"(?<={re.escape(c)})(?:{'|'.join(r)})" for c, r in rests.items())
+    return re.compile(rf"[^{others}](?<!\w.)(?i:{alternation})")
+
+
 class _KeywordIndex:
     """The scarce concepts of one model, compiled for matching.
 
@@ -179,8 +211,9 @@ class _KeywordIndex:
     With stemming, each keyword's stemmed word n-gram is also filed under its
     first word, so a text is tokenised and stemmed once and each of its words
     costs one dict lookup: a word-level Aho-Corasick lookup (Aho & Corasick,
-    CACM 18(6), 1975) that verifies each candidate n-gram directly. The walk
-    runs only when the text holds some n-gram's first word. On ASCII text, when
+    CACM 18(6), 1975) that verifies each candidate n-gram directly. A text is
+    tokenised only where some first word starts one of its words (`_word_starts`),
+    and walked only when it holds some first word. On ASCII text, when
     every keyword is ASCII and has a word character, the walk finds every
     whole-word match, so the gate is skipped: there `re.IGNORECASE` agrees with
     `str.lower()`, and a keyword's words are the text's own words at a match.
@@ -197,11 +230,12 @@ class _KeywordIndex:
             if want:
                 self.ngrams.setdefault(want[0], []).append((want, cid))
         self.first_words = frozenset(self.ngrams)
+        self.starts = _word_starts(sorted(self.ngrams))
         self.walk_covers = stem and all(kw.isascii() and _WORD.search(kw) for kw, _ in keywords)
 
-    def match(self, text: str) -> set[str]:
+    def match(self, text: str) -> frozenset[str]:
         hits: set[str] = set()
-        if self.ngrams:
+        if self.ngrams and self.starts.search(text):
             have = _stemmed_words(text)
             if not self.first_words.isdisjoint(have):
                 for i, word in enumerate(have):
@@ -209,11 +243,11 @@ class _KeywordIndex:
                         if cid not in hits and have[i : i + len(want)] == want:
                             hits.add(cid)
         if self.walk_covers and text.isascii() or not self.gate.search(text):
-            return hits
+            return frozenset(hits)
         for cid, pattern in self.patterns:
             if cid not in hits and pattern.search(text):
                 hits.add(cid)
-        return hits
+        return frozenset(hits)
 
 
 @lru_cache(maxsize=8)
@@ -243,4 +277,14 @@ def fuse_labels(a: LabelSet, b: LabelSet) -> LabelSet:
     for label, pa in a.provenance.items():
         pb = provenance.get(label)
         provenance[label] = pa if pb is None or pb == pa else FROM_BOTH
-    return LabelSet(provenance)
+    return LabelSet(MappingProxyType(dict(sorted(provenance.items()))))
+
+
+# A run's provisions share a few (model ids, keyword ids) pairs, of at most 2^(concept
+# count): 104 among the 15k provisions of the classify-stem benchmark. An entry is a few
+# hundred bytes.
+@lru_cache(maxsize=1 << 10)
+def fused_labels(model_ids: frozenset[str], keyword_ids: frozenset[str]) -> LabelSet:
+    """`fuse_labels` of a provision's model and keyword labels, built once per distinct pair,
+    so that its `json_fields` are also rendered once. Every provision of the pair shares it."""
+    return fuse_labels(LabelSet.of(model_ids, FROM_LLM), LabelSet.of(keyword_ids, FROM_KEYWORD))

@@ -273,7 +273,7 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     # Each label is written as its provision completes. `--out` is checked before the
     # first call, and a failed write cancels the queued calls before the error propagates.
     with closing(results):
-        _emit((jsonl_line(r.to_record()) for r in results), args.out)
+        _emit((r.to_line() for r in results), args.out)
     return EXIT_OK
 
 

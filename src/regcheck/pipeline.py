@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from json.encoder import encode_basestring as _encode_str  # the C encoder of ensure_ascii=False
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .compliance import Finding, parse_response, prompt_builder
@@ -64,6 +65,16 @@ class ClassifiedProvision:
             "parse_error": self.parse_error,
         }
 
+    def to_line(self) -> str:
+        """`jsonl_line(self.to_record())`, with the label fields that its label set renders
+        once (`LabelSet.json_fields`)."""
+        p, error = self.provision, self.parse_error
+        return (
+            f'{{"prov_id": {_encode_str(p.unit_ref)}, "text": {_encode_str(p.text)}, '
+            f'{self.labels.json_fields}, "raw_response": {_encode_str(self.raw_response)}, '
+            f'"parse_error": {"null" if error is None else _encode_str(error)}}}\n'
+        )
+
 
 def classify_provisions(*args, **kwargs) -> list[ClassifiedProvision]:
     """The results of `classify_iter(*args, **kwargs)`, as a list."""
@@ -81,26 +92,22 @@ def classify_iter(
     """Run the classification steps over a provision stream, yielding in input order.
 
     The model branch and the keyword branch are independent; their label sets are fused per
-    provision. Without a backend the model branch is skipped entirely (the keyword-search
-    baseline) and no thread starts. The caller closes the iterator if it stops early, which
-    cancels the queued units (see `_ordered_map`).
+    provision, once per distinct pair of label sets (see `fused_labels`). Without a backend
+    the model branch is skipped entirely (the keyword-search baseline) and no thread starts.
+    The caller closes the iterator if it stops early, which cancels the queued units (see
+    `_ordered_map`).
     """
-    from .classify import (
-        FROM_LLM,
-        LabelSet,
-        classification_prompter,
-        classify_keywords,
-        fuse_labels,
-        parse_concept_response,
-    )
-    keywords = partial(classify_keywords, model=model, stem=stem)
+    from .classify import _keyword_index, classification_prompter, fused_labels, parse_concept_response
+    keywords = _keyword_index(model, stem).match
     if backend is None:
-        return (ClassifiedProvision(p, keywords(p)) for p in provisions)
-    prompt = classification_prompter(model, template)
-    parse = partial(parse_concept_response, model=model)
+        answered = ((p, None, ()) for p in provisions)
+    else:
+        prompt = classification_prompter(model, template)
+        parse = partial(parse_concept_response, model=model)
+        answered = answers(provisions, prompt, parse, backend, parallelism)
     return (  # a rejected answer (`ids` None) adds no label to the keyword labels
-        ClassifiedProvision(p, fuse_labels(LabelSet.of(ids or (), FROM_LLM), keywords(p)), *answer)
-        for p, ids, answer in answers(provisions, prompt, parse, backend, parallelism)
+        ClassifiedProvision(p, fused_labels(ids or frozenset(), keywords(p.text)), *answer)
+        for p, ids, answer in answered
     )
 
 

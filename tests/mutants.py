@@ -65,6 +65,8 @@ _SEGMENT_UNITS = (
     "            for u in _units(args.input, cfg, UnitTable, doc_id, PARAGRAPH_LEVEL, cfg.budget)\n"
 )
 _GATE = "        if self.walk_covers and text.isascii() or not self.gate.search(text):\n"
+_FUSED_MEMO = "@lru_cache(maxsize=1 << 10)\ndef fused_labels("
+_RECORD_LINES = ("tests/test_pipeline.py", "-k", "RecordLines")
 
 MUTANTS = (
     Mutant(
@@ -345,10 +347,8 @@ MUTANTS = (
     Mutant(
         "keyword-only-uses-the-pool",
         "pipeline.py",
-        "        return (ClassifiedProvision(p, keywords(p)) for p in provisions)\n",
-        "        return _ordered_map(\n"
-        "            lambda p: ClassifiedProvision(p, keywords(p)), provisions, parallelism\n"
-        "        )\n",
+        "        answered = ((p, None, ()) for p in provisions)\n",
+        "        answered = _ordered_map(lambda p: (p, None, ()), provisions, parallelism)\n",
         "keyword-only classify starts no thread pool, whatever the parallelism",
         (*_STARTUP, "-k", "keyword and only"),
     ),
@@ -699,6 +699,30 @@ MUTANTS = (
         "        if self.walk_covers and text.isascii() or not gated:\n",
         "classify_keywords is linear time in a long text, without --stem",
         _KEYWORDS_GROWTH,
+    ),
+    Mutant(
+        "fused-labels-by-model-ids",
+        "classify.py",
+        _FUSED_MEMO,
+        "@(lambda fuse: lambda m, k, _by={}: _by.setdefault(m, fuse(m, k)))\ndef fused_labels(",
+        "each provision gets the fused labels of its own (model ids, keyword ids) pair",
+        _RECORD_LINES,
+    ),
+    Mutant(
+        "fused-labels-by-keyword-ids",
+        "classify.py",
+        _FUSED_MEMO,
+        "@(lambda fuse: lambda m, k, _by={}: _by.setdefault(k, fuse(m, k)))\ndef fused_labels(",
+        "each provision gets the fused labels of its own (model ids, keyword ids) pair",
+        _RECORD_LINES,
+    ),
+    Mutant(
+        "word-starts-drop-a-first-word",
+        "classify.py",
+        "        self.starts = _word_starts(sorted(self.ngrams))\n",
+        "        self.starts = _word_starts(sorted(self.ngrams)[1:])\n",
+        "under --stem, a text is tokenised wherever a keyword's first word may start a word",
+        ("tests/test_classify.py", "-k", "KeywordIndexAgainstReference"),
     ),
     Mutant(
         "ngram-compared-to-the-rest",

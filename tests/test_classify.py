@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 
 import pytest
 
@@ -11,6 +12,7 @@ from regcheck.classify import (
     LabelSet,
     _KeywordIndex,
     _stem_token,
+    _word_starts,
     build_classification_prompt,
     classify_keywords,
     default_classification_template,
@@ -159,6 +161,23 @@ class TestKeywordIndexAgainstReference:
                 text, wide, stem
             ), (text, stem)
 
+    # Texts where only a token led by İ, the Kelvin sign or the long s reaches a keyword
+    # or its stem: the lower case of each of those letters starts with, or is matched
+    # under `re.IGNORECASE` by, an ASCII one.
+    FOLDED = (
+        "Measured in \u212aelvins.", "\u212aELVIN SCALES apply", "on the \u212aelvin scale",
+        "İstanbul", "İSTANBULS", "in İstanbul.", "ſalmonella", "ſALMONELLAS", "(ſalmonella)",
+        "ſoftening and \u212aelvins", "İSTANBUL ſALMONELLA \u212aELVIN",
+    )
+
+    @pytest.mark.parametrize("stem", [False, True])
+    def test_folded_letters_lead_the_only_keyword(self, model, stem):
+        ascii_words = Concept("Place", "Place", True, ("kelvin scale", "kelvin", "istanbul"))
+        for m in (model, ConceptModel(model.concepts + (ascii_words,), model.version)):
+            for text in self.FOLDED:
+                got = classify_keywords(prov(text), m, stem).labels
+                assert got == _ref_classify_keywords(text, m, stem), (text, stem)
+
     @pytest.mark.parametrize("stem", [False, True])
     def test_keywords_only_inside_longer_words(self, model, stem):
         # A whole-word "salmonella" lets the text past the combined pattern;
@@ -235,6 +254,28 @@ class TestStemmedWalkAgainstTheGatePath:
             text = "The " + "".join(rng.choice(self.PIECES) for _ in range(rng.randint(1, 10)))
             got = classify_keywords(prov(text), wide, stem=True).labels
             assert got == gate_path.match(text), repr(text)
+
+    def test_folded_letters_lead_the_only_keyword(self, model):
+        wide = ConceptModel(model.concepts + self.PUNCTUATED, model.version)
+        gate_path = _KeywordIndex(wide, True)
+        gate_path.walk_covers = False
+        for text in TestKeywordIndexAgainstReference.FOLDED:
+            got = classify_keywords(prov(text), wide, stem=True).labels
+            assert got == gate_path.match(text), repr(text)
+
+
+def test_ignorecase_matches_the_ascii_start_of_each_lower_case():
+    # `_word_starts` rests on a law of this Python's Unicode tables: a code point whose
+    # `str.lower()` starts with an ASCII character is matched by that character under
+    # `re.IGNORECASE`. So each such code point, leading a word, reaches a stem there.
+    gates: dict[str, re.Pattern[str]] = {}
+    for cp in range(sys.maxunicode + 1):
+        first = chr(cp).lower()[0]
+        if first.isascii():
+            assert re.fullmatch(re.escape(first), chr(cp), re.IGNORECASE), hex(cp)
+            if first.isalnum():
+                gate = gates.setdefault(first, _word_starts([first + "q"]))
+                assert gate.search(f"- {chr(cp)}Q"), hex(cp)
 
 
 class TestParseConceptResponse:

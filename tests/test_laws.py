@@ -19,6 +19,9 @@ missing final newline and trailing blank lines give the bytes of the LF original
 Rules-order law: the order of a ruleset's lines reaches only the order of `per_rule` and
 `uncovered_rules`, in `report.json` and `report.md`, which follows the file.
 
+Hash-seed law: `PYTHONHASHSEED`, which orders the iteration of each set and frozenset,
+reaches no output of `classify` or `check`.
+
 Tier-1 runs a pairwise cover of each grid: every pair of factor values occurs
 in at least one case (Cohen et al., "The AETG System", IEEE TSE 1997). The
 other cases are marked `full_grid` and deselected by default; run them with
@@ -30,6 +33,8 @@ from __future__ import annotations
 import contextlib
 import json
 import re
+import subprocess
+import sys
 from itertools import combinations, product
 from pathlib import Path
 
@@ -37,7 +42,7 @@ import pytest
 
 from regcheck.cli import main
 from regcheck.storage import write_json, write_jsonl
-from test_llm import _ScriptedHandler, scripted_server
+from test_llm import _child_env, _ScriptedHandler, scripted_server
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DATA = Path(__file__).parent.parent / "src" / "regcheck" / "data"
@@ -446,3 +451,23 @@ def test_rules_order_law_reorders_only_the_per_rule_sections(tmp_path, granulari
     for i, rid in zip(slots, [*original["per_rule"], *original["uncovered_rules"]]):
         lines[i] = by_rule[rid]
     assert "".join(lines).encode() == want["report.md"]
+
+
+def test_hash_seed_law(tmp_path, stem_reference, check_reference):
+    names = [*REPORT_FILES, "costs.jsonl", "costs_summary.json"]
+    outputs = {}
+    for seed in ("0", "1", "2"):
+        out = tmp_path / f"seed{seed}"
+        for argv in (
+            classify_argv("on", ["--stub-script", str(CLASSIFY_SCRIPT)], out / "labels.jsonl"),
+            check_argv("paragraph", "off", ["--stub-script", str(CHECK_SCRIPTS["paragraph"])], out),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "regcheck.cli", *argv],
+                env={**_child_env(), "PYTHONHASHSEED": seed}, capture_output=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+        outputs[seed] = {"labels.jsonl": (out / "labels.jsonl").read_bytes(), **read_outputs(out, names)}
+    assert outputs["0"]["labels.jsonl"] == stem_reference
+    assert {name: outputs["0"][name] for name in REPORT_FILES} == check_reference("paragraph", "off")[0]
+    assert outputs["1"] == outputs["0"] == outputs["2"]

@@ -6,12 +6,12 @@ import dataclasses
 import random
 import sys
 import threading
-import time
 from collections import Counter
 from typing import Iterator
 
 import pytest
 
+from regcheck.cli import main
 from regcheck.classify import (
     FROM_LLM,
     LabelSet,
@@ -41,6 +41,7 @@ from regcheck.pipeline import (
     compliance_units,
     run_compliance,
 )
+from regcheck.storage import jsonl_line, write_jsonl
 from regcheck.taxonomy import load_concept_model, load_ruleset
 
 
@@ -261,7 +262,7 @@ _CLASSIFY_ANSWERS = (
 )
 
 
-def _seeded_backend(rng: random.Random, texts, answers) -> StubBackend:
+def _seeded_script(rng: random.Random, texts, answers) -> list[StubEntry]:
     """A stub script that answers each distinct text, about a third of them with an
     answer that breaks the grammar, and everything else with an accepted answer. The
     longest texts come first, so that a text inside another does not take its answer."""
@@ -270,7 +271,11 @@ def _seeded_backend(rng: random.Random, texts, answers) -> StubBackend:
         StubEntry(match=text, response=rng.choice(broken if rng.random() < 1 / 3 else valid))
         for text in sorted(dict.fromkeys(texts), key=len, reverse=True)
     ]
-    return StubBackend([*entries, StubEntry(match="", response=rng.choice(valid))])
+    return [*entries, StubEntry(match="", response=rng.choice(valid))]
+
+
+def _seeded_backend(rng: random.Random, texts, answers) -> StubBackend:
+    return StubBackend(_seeded_script(rng, texts, answers))
 
 
 def _fields(record) -> list:
@@ -341,54 +346,161 @@ class TestPerUnitPathAgainstReference:
         assert any(r.labels.labels for r in got)
 
 
+# Provision text: keywords, stems and folded letters that reach them, other non-ASCII
+# text, and characters that JSON escapes.
+_LINE_PIECES = (
+    "Salmonella", "ſalmonella", "softened", "SOFTENING", "water content", "\u212aelvin",
+    "İstanbul", "colours", "Données", "个人数据", "„Auftrag“", "é", '"', "\\", "/", "\t",
+    "the operator shall keep the records", "traced to its supplier",
+)
+
+
+def _line_corpus(rng: random.Random) -> str:
+    """A plain document of 40 paragraphs of random sentences made of `_LINE_PIECES`."""
+    sentence = lambda: " ".join(rng.choice(_LINE_PIECES) for _ in range(rng.randint(1, 6)))
+    return "\n\n".join(
+        " ".join(sentence() + "." for _ in range(rng.randint(1, 3))) for _ in range(40)
+    )
+
+
+class TestClassifyRecordLines:
+    """Record-line law: each line that `classify` writes is `jsonl_line(r.to_record())` of
+    the reference result `r` of its provision (`_ref_classify_one`)."""
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    @pytest.mark.parametrize("mode", ["model", "model-stem", "keyword-only-stem", "keyword-only"])
+    def test_written_lines_are_the_reference_records(self, tmp_path, data_dir, parallelism, mode):
+        rng = random.Random(mode)
+        corpus = tmp_path / "corpüs.txt"  # its stem, a non-ASCII doc_id, starts each prov_id
+        corpus.write_text(_line_corpus(rng), encoding="utf-8")
+        concepts = data_dir / "food_safety_concepts.jsonl"
+        model = load_concept_model(concepts)
+        text = corpus.read_text(encoding="utf-8")
+        provisions = extract_provisions(parse_document(text, "plain", doc_id="corpüs"))
+        stem = mode.endswith("stem")
+        argv = [
+            "classify", "--input", str(corpus), "--format", "plain", "--concepts", str(concepts),
+            "--parallelism", str(parallelism), "--out", str(tmp_path / "labels.jsonl"),
+            *(["--stem"] if stem else []),
+        ]
+        if mode.startswith("keyword-only"):
+            backend = None
+            argv.append("--keyword-only")
+        else:
+            script = _seeded_script(rng, [p.text for p in provisions], _CLASSIFY_ANSWERS)
+            write_jsonl(tmp_path / "script.jsonl", [dataclasses.asdict(e) for e in script])
+            backend = StubBackend(script)
+            argv += ["--stub-script", str(tmp_path / "script.jsonl")]
+        prompt = classification_prompter(model, default_classification_template())
+        expected = [_ref_classify_one(p, model, backend, prompt, stem) for p in provisions]
+        assert main(argv) == 0
+        want = [jsonl_line(r.to_record()) for r in expected]
+        assert (tmp_path / "labels.jsonl").read_text(encoding="utf-8") == "".join(want)
+        assert [r.to_line() for r in expected] == want  # label sets built outside the run
+        assert any(r.labels.labels for r in expected)
+        assert not all(map(str.isascii, want))
+        if backend is not None:
+            assert 0.15 < _parse_error_share(expected) < 0.6
+
+
 class _Failure(Exception):
     """Raised by `_Counting` for a failing unit; carries the unit's index."""
 
 
-class _Counting:
-    """A unit function that sleeps for a seeded random time and counts its calls.
+# How long a unit waits for an event before it fails: with a correct scheduler each
+# event comes within milliseconds, so only a broken one waits this long.
+_WAIT_S = 10
 
-    Unit `i` returns `i * i`, or raises `_Failure(i)` when `i` is in `failing`;
-    `sleeps` overrides the random sleep of chosen units.
+
+class _Counting:
+    """A unit function that counts its calls, driven by events rather than sleeps.
+
+    Unit `i` waits for each event that `hold` gave it, then returns `i * i`, or raises
+    `_Failure(i)` when `i` is in `failing`; `done(i)` is set once it has returned or
+    raised. A wait longer than `_WAIT_S` fails the unit.
     """
 
-    def __init__(self, seed: int, failing=(), sleeps=None):
-        rng = random.Random(seed)
-        self.sleeps = lambda i: (sleeps or {}).get(i, rng.uniform(0, 0.0015))
+    def __init__(self, failing=()):
         self.failing = set(failing)
+        self.waits: dict[int, list[threading.Event]] = {}
+        self.finished: dict[int, threading.Event] = {}
         self.lock = threading.Lock()
         self.started = 0
         self.in_flight = 0
         self.max_in_flight = 0
+
+    def done(self, i: int) -> threading.Event:
+        with self.lock:
+            return self.finished.setdefault(i, threading.Event())
+
+    def hold(self, i: int, *events: threading.Event) -> None:
+        self.waits.setdefault(i, []).extend(events)
+
+    def shuffle(self, seed: int, units: range, width: int) -> None:
+        """Make `units`, in aligned blocks of `width`, finish in an order drawn from `seed`
+        within each block: each unit waits for the one before it in that order. The
+        scheduler starts units in input order, `width` at a time, and takes more only as
+        the oldest finish, so the unit a waiting one needs has started or will."""
+        rng = random.Random(seed)
+        for start in range(units.start, units.stop - width + 1, width):
+            order = rng.sample(range(start, start + width), width)
+            for before, unit in zip(order, order[1:]):
+                self.hold(unit, self.done(before))
 
     def __call__(self, i: int) -> int:
         with self.lock:
             self.started += 1
             self.in_flight += 1
             self.max_in_flight = max(self.max_in_flight, self.in_flight)
-            pause = self.sleeps(i)
         try:
-            time.sleep(pause)
+            for event in self.waits.get(i, ()):
+                if not event.wait(_WAIT_S):
+                    raise TimeoutError(f"unit {i} waited {_WAIT_S} s for an event")
             if i in self.failing:
                 raise _Failure(i)
             return i * i
         finally:
             with self.lock:
                 self.in_flight -= 1
+            self.done(i).set()
 
 
-def _counted(n: int, consumed: list) -> Iterator[int]:
-    """`range(n)`, appending each unit to `consumed` as the scheduler takes it."""
+def _counted(
+    n: int, consumed: list, reached: threading.Event | None = None, at: int = 0
+) -> Iterator[int]:
+    """`range(n)`, appending each unit to `consumed` as the scheduler takes it, and setting
+    `reached` once it has taken `at` units."""
     for i in range(n):
         consumed.append(i)
+        if reached is not None and len(consumed) == at:
+            reached.set()
         yield i
+
+
+@pytest.fixture
+def run_tasks(monkeypatch) -> dict[int, threading.Event]:
+    """Per unit index, an event set once the pool of `_ordered_map` has run the unit's
+    task, whether the task called the unit function or skipped it."""
+    import concurrent.futures
+
+    events: dict[int, threading.Event] = {}
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, index, item):
+            future = super().submit(fn, index, item)
+            future.add_done_callback(lambda _: events.setdefault(index, threading.Event()).set())
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    return events
 
 
 class TestOrderedMap:
     @pytest.mark.parametrize("parallelism", [1, 2, 4, 8])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_input_order_and_at_most_parallelism_in_flight(self, parallelism, seed):
-        fn = _Counting(seed)
+        fn = _Counting()
+        fn.shuffle(seed, range(150), parallelism)
         assert list(_ordered_map(fn, range(150), parallelism)) == [i * i for i in range(150)]
         assert fn.started == 150
         assert 1 <= fn.max_in_flight <= parallelism
@@ -396,8 +508,12 @@ class TestOrderedMap:
     @pytest.mark.parametrize("parallelism", [1, 2, 4, 8])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_raises_the_first_failure_in_input_order(self, parallelism, seed):
-        # Unit 37 fails last in time; 41 and 90 fail sooner, but come after it.
-        fn = _Counting(seed, failing={37, 41, 90}, sleeps={37: 0.05, 41: 0, 90: 0})
+        # Units 37, 41 and 90 fail. From parallelism 4 on, unit 41 runs beside 37, and 37
+        # fails only after it: the first failure in time comes later in input order.
+        fn = _Counting(failing={37, 41, 90})
+        fn.shuffle(seed, range(32), parallelism)
+        if parallelism >= 4:
+            fn.hold(37, fn.done(41))
         with pytest.raises(_Failure) as err:
             list(_ordered_map(fn, range(150), parallelism))
         assert err.value.args == (37,)
@@ -406,70 +522,87 @@ class TestOrderedMap:
     @pytest.mark.parametrize("parallelism", [2, 4, 8])
     def test_at_most_queued_per_worker_units_submitted(self, parallelism):
         # While unit i runs, the caller waits on a unit no later than i, so it has
-        # taken at most the queue's worth of units beyond i, plus the next one.
+        # taken at most the queue's worth of units beyond i, plus the next one. Unit 0
+        # runs until the caller has taken that many.
+        most = _QUEUED_PER_WORKER * parallelism + 1
         consumed: list[int] = []
         lead: list[int] = []
-        fn = _Counting(0, sleeps={0: 0.1})
+        taken = threading.Event()
+        fn = _Counting()
+        fn.hold(0, taken)
+        fn.shuffle(0, range(parallelism, 200), parallelism)
 
         def watched(i: int) -> int:
             value = fn(i)
             lead.append(len(consumed) - i)
             return value
 
-        assert list(_ordered_map(watched, _counted(200, consumed), parallelism)) == [
+        assert list(_ordered_map(watched, _counted(200, consumed, taken, most), parallelism)) == [
             i * i for i in range(200)
         ]
-        assert max(lead) <= _QUEUED_PER_WORKER * parallelism + 1
+        assert max(lead) <= most
 
     @pytest.mark.parametrize("parallelism", [2, 4, 8])
     def test_a_failure_stops_further_calls(self, parallelism):
-        # Unit 0 holds the caller back while unit 1 fails at once. Only the units
-        # already queued may still start; none starts after the error is raised,
-        # and once the caller has seen the failure it takes no further unit.
+        # Unit 1 fails once the caller's queue is full; unit 0 holds the caller back until
+        # then. Only the units already queued may still start; none starts after the
+        # error is raised, and once the caller has seen the failure it takes no further unit.
+        most = _QUEUED_PER_WORKER * parallelism + 1
         consumed: list[int] = []
-        fn = _Counting(0, failing={1}, sleeps={0: 0.3, 1: 0})
+        full = threading.Event()
+        fn = _Counting(failing={1})
+        fn.hold(1, full)
+        fn.hold(0, fn.done(1))
+        workers = set(threading.enumerate())
         with pytest.raises(_Failure) as err:
-            list(_ordered_map(fn, _counted(200, consumed), parallelism))
+            list(_ordered_map(fn, _counted(200, consumed, full, most), parallelism))
         assert err.value.args == (1,)
-        assert len(consumed) <= _QUEUED_PER_WORKER * parallelism + 1
-        started = fn.started
-        assert started <= _QUEUED_PER_WORKER * parallelism + 1
-        time.sleep(0.05)
-        assert fn.started == started
+        assert len(consumed) <= most
+        assert fn.started <= most
+        # Every worker has exited, so no unit can start after the error is raised.
+        assert set(threading.enumerate()) <= workers
 
-    def test_no_queued_unit_after_a_failure_calls_fn(self):
+    def test_no_queued_unit_after_a_failure_calls_fn(self, run_tasks):
         # At parallelism 2 one worker waits on unit 0; the other runs unit 1, which
-        # fails, then takes the queued units 2 and 3 from the pool, which must skip.
-        fn = _Counting(0, failing={1}, sleeps={0: 0.2, 1: 0})
+        # fails once units 2 and 3 are queued, then takes them from the pool: they must
+        # skip. Unit 0 runs until the pool has run their tasks.
+        full = threading.Event()
+        fn = _Counting(failing={1})
+        fn.hold(1, full)
+        fn.hold(0, *(run_tasks.setdefault(i, threading.Event()) for i in (2, 3)))
         with pytest.raises(_Failure):
-            list(_ordered_map(fn, range(200), 2))
+            list(_ordered_map(fn, _counted(200, [], full, 5), 2))
         assert fn.started == 2
 
     def test_an_interrupted_caller_cancels_the_queue(self):
         # An exception in the caller, such as KeyboardInterrupt, reaches it while
         # units 0 and 1 run and 2 and 3 wait in the queue: those two never start.
-        def interrupted():
+        interrupted = threading.Event()
+
+        def units():
             yield from range(4)
+            interrupted.set()
             raise KeyboardInterrupt
 
-        fn = _Counting(0, sleeps=dict.fromkeys(range(4), 0.1))
+        fn = _Counting()
+        for i in range(4):
+            fn.hold(i, interrupted)
         with pytest.raises(KeyboardInterrupt):
-            list(_ordered_map(fn, interrupted(), 2))
+            list(_ordered_map(fn, units(), 2))
         assert fn.started == 2
 
     @pytest.mark.parametrize("seed", range(5))
     def test_failures_under_frequent_thread_switches(self, seed):
-        # More workers than cores, a thread switch every microsecond and no sleeps:
+        # More workers than cores, a thread switch every microsecond and no waits:
         # the failure raised is still the first in input order, and a run without
         # failures still returns every result in order.
         failing = set(random.Random(seed).sample(range(20, 400), 5))
-        no_sleep = dict.fromkeys(range(400), 0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with pytest.raises(_Failure) as err:
-                list(_ordered_map(_Counting(seed, failing, no_sleep), range(400), 16))
-            results = list(_ordered_map(_Counting(seed, (), no_sleep), range(400), 16))
+                list(_ordered_map(_Counting(failing), range(400), 16))
+            results = list(_ordered_map(_Counting(), range(400), 16))
         finally:
             sys.setswitchinterval(interval)
         assert err.value.args == (min(failing),)
