@@ -15,7 +15,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .corpus import Provision, first_sentence_end
+from .corpus import Unit, first_sentence_end
 from .errors import ParseError, TemplateError
 from .llm import ChatMessage
 from .storage import jsonl_line, read_json
@@ -90,7 +90,7 @@ def default_classification_template() -> ClassificationTemplate:
 
 
 def build_classification_prompt(
-    p: Provision, model: ConceptModel, template: ClassificationTemplate | None = None
+    p: Unit, model: ConceptModel, template: ClassificationTemplate | None = None
 ) -> list[ChatMessage]:
     """Embed the provision into the classification prompt.
 
@@ -102,7 +102,7 @@ def build_classification_prompt(
 
 def classification_prompter(
     model: ConceptModel, template: ClassificationTemplate | None = None
-) -> Callable[[Provision], list[ChatMessage]]:
+) -> Callable[[Unit], list[ChatMessage]]:
     """`build_classification_prompt` for one model and template, with the
     concept listing rendered, the template loaded and the system message built once."""
     template = template or default_classification_template()
@@ -256,7 +256,7 @@ def _keyword_index(model: ConceptModel, stem: bool) -> _KeywordIndex:
 
 
 def classify_keywords(
-    p: Provision, model: ConceptModel, stem: bool = False
+    p: Unit, model: ConceptModel, stem: bool = False
 ) -> LabelSet:
     """Keyword lookup for the scarce concepts.
 

@@ -15,11 +15,11 @@ import sys
 from contextlib import closing
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 # Modules every subcommand loads anyway; each `cmd_*` imports those only it runs.
 from . import __version__
-from .corpus import PARAGRAPH_LEVEL, SENTENCE, UnitTable, _Builder, iter_provisions
+from .corpus import PARAGRAPH_LEVEL, PASSAGE, SENTENCE, UnitTable, _Builder, estimate_tokens
 from .errors import BackendError, MalformedInput, RegcheckError, UnchunkableText
 from .llm import (
     HTTP, STUB, Backend, BackendConfig, RetryPolicy, load_price_table, make_backend, price_of,
@@ -208,13 +208,12 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
 # --------------------------------------------------------------------------
 
 
-def _units(path: str, cfg: RunConfig, units: Callable[..., Iterable], *args) -> Iterable:
-    """`units(blocks, *args)`, listed if it is an iterator, for the blocks of the document at
-    `path`, each yielded as the file is read: no copy of the whole text, of its lines or of its
-    blocks is built. Every input error is raised here, and names `path`."""
+def _units(path: str, cfg: RunConfig, *args) -> UnitTable:
+    """`UnitTable(blocks, *args)` for the blocks of the document at `path`, each yielded as the
+    file is read: no copy of the whole text, of its lines or of its blocks is built. Every
+    input error is raised here, and names `path`."""
     try:
-        found = units(_Builder(cfg.format).blocks(text_lines(path)), *args)
-        return list(found) if isinstance(found, Iterator) else found
+        return UnitTable(_Builder(cfg.format).blocks(text_lines(path)), *args)
     except (MalformedInput, UnchunkableText) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -222,28 +221,26 @@ def _units(path: str, cfg: RunConfig, units: Callable[..., Iterable], *args) -> 
 def cmd_segment(args: argparse.Namespace, cfg: RunConfig) -> int:
     doc_id = Path(args.input).stem
     # The units are all made, and every input error raised, before the first record is written.
-    if cfg.granularity == SENTENCE:
-        records = (
-            {
-                "unit_ref": p.unit_ref,
-                "kind": "provision",
-                "text": p.text,
-                "origin": p.origin,
-                "block_index": p.block_index,
-            }
-            for p in _units(args.input, cfg, iter_provisions, doc_id)
-        )
-    else:
-        records = (
-            {
-                "unit_ref": u.passage.unit_ref,
-                "kind": "passage",
-                "text": u.passage.text,
-                "token_estimate": u.passage.token_estimate,
-                "parent_block": list(u.passage.parent_block),
-            }
-            for u in _units(args.input, cfg, UnitTable, doc_id, PARAGRAPH_LEVEL, cfg.budget)
-        )
+    # Provisions are bounded by no budget.
+    budget = None if cfg.granularity == SENTENCE else cfg.budget
+    records = (
+        {
+            "unit_ref": u.unit_ref,
+            "kind": "passage",
+            "text": u.text,
+            "token_estimate": estimate_tokens(u.text),
+            "parent_block": [u.block, u.block],
+        }
+        if u.origin == PASSAGE
+        else {
+            "unit_ref": u.unit_ref,
+            "kind": "provision",
+            "text": u.text,
+            "origin": u.origin,
+            "block_index": u.block,
+        }
+        for u in _units(args.input, cfg, doc_id, cfg.granularity, budget)
+    )
     _emit(map(jsonl_line, records), args.out)
     return EXIT_OK
 
@@ -263,8 +260,8 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .taxonomy import load_concept_model
 
     doc_id = Path(args.input).stem
-    # No document is built: each block is dropped once its provisions are made.
-    provisions = _units(args.input, cfg, iter_provisions, doc_id)
+    # No document is built: each block is dropped once its provisions' rows are made.
+    provisions = _units(args.input, cfg, doc_id, SENTENCE)
     model = load_concept_model(args.concepts)
     template = load_classification_template(args.prompt_template)
     # The keyword baseline makes no call, so it reads no price table.
@@ -287,7 +284,7 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     # every row is made, and every input error raised, before the first call. Each run makes
     # the units from the table as it takes them.
     context_on = cfg.context == "on"
-    units = _units(args.artifact, cfg, UnitTable, doc_id, cfg.granularity, cfg.budget, context_on)
+    units = _units(args.artifact, cfg, doc_id, cfg.granularity, cfg.budget, context_on)
     rules = load_ruleset(args.rules)
     template = load_template(args.template)
     prices = load_price_table(cfg.price_table)
@@ -301,7 +298,9 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
         target.mkdir(parents=True, exist_ok=True)
     worst_failures = 0
     for target in targets:
-        findings = compliance_iter(units, rules, backend, template, cfg.backend.parallelism)
+        findings = compliance_iter(
+            units.check_units(), rules, backend, template, cfg.backend.parallelism
+        )
         # A failed write cancels the queued calls before the error propagates.
         with closing(findings):
             totals = write_check_outputs(target, findings, rules, doc_id, prices)

@@ -16,7 +16,7 @@ from json.encoder import encode_basestring as _encode_str  # the C encoder of en
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .corpus import Passage, first_sentence_end
+from .corpus import Unit, first_sentence_end
 from .errors import ParseError, TemplateError
 from .llm import ChatMessage, CostTotals, Usage, cost_row
 from .storage import atomic_files, json_chunks, jsonl_line, read_text_or_bundled, spool, spooled
@@ -79,7 +79,7 @@ def default_template() -> str:
 
 
 def build_prompt(
-    passage: Passage,
+    passage: Unit,
     rules: Ruleset,
     template: str | None = None,
     context: str | None = None,
@@ -96,7 +96,7 @@ def build_prompt(
 
 def prompt_builder(
     rules: Ruleset, template: str | None = None
-) -> Callable[[Passage, str | None], PromptBundle]:
+) -> Callable[[Unit, str | None], PromptBundle]:
     """`build_prompt` for one ruleset and template, with the template loaded
     and checked and the rule listing rendered once."""
     if template is None:
@@ -106,7 +106,7 @@ def prompt_builder(
             raise TemplateError(f"template is missing placeholder {placeholder}")
     system = ChatMessage("system", template.replace("{rules}", render_rules(rules)))
 
-    def build(passage: Passage, context: str | None = None) -> PromptBundle:
+    def build(passage: Unit, context: str | None = None) -> PromptBundle:
         user = f"Text:\n{passage.text}"
         if context:
             user += f"\n\nContext:\n{context}"
@@ -136,7 +136,7 @@ def parse_response(raw: str, rules: Ruleset) -> tuple[frozenset[str], str]:
     if any(tok == NOT_APPLICABLE for _, tok in tokens):
         others = sorted({tok for _, tok in tokens if tok != NOT_APPLICABLE})
         if others:
-            import logging  # imported here: the only log record regcheck makes
+            import logging  # imported here: a warning path only
             logging.getLogger(__name__).warning(
                 "%s is exclusive; ignoring co-listed ids %s", NOT_APPLICABLE, others
             )

@@ -1,13 +1,15 @@
 """Regulatory text ingestion and segmentation.
 
-Produces the two units of analysis used downstream:
+Produces the two units of analysis used downstream, each a ``Unit``:
 
-- sentence-level ``Provision`` records (classification pipeline), with list
-  items expanded so each inherits its list header as a prefix;
-- token-bounded ``Passage`` records (compliance pipeline), one per block,
-  with oversize blocks recursively split at sentence boundaries; a
-  ``CheckUnit`` carries one, or one provision, with its block as context,
-  and a ``UnitTable`` lists a document's units compactly.
+- sentence-level provisions (classification pipeline), with list items
+  expanded so each inherits its list header as a prefix;
+- token-bounded passages (compliance pipeline), one per block, with
+  oversize blocks recursively split at sentence boundaries.
+
+A ``UnitTable`` lists a document's units of either kind compactly, for
+``segment``, ``classify`` and ``check``; a ``CheckUnit`` carries one unit
+with its block as context.
 
 All functions here are pure: identical inputs yield byte-identical outputs,
 and nothing is shared between calls.
@@ -17,8 +19,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from itertools import count, repeat
+from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Iterator
 
 from .errors import MalformedInput, UnchunkableText
@@ -42,6 +44,10 @@ LIST = "list"
 # The units of `segment` and `check` (`--granularity`): provisions, or passages of blocks.
 SENTENCE = "sentence"
 PARAGRAPH_LEVEL = "paragraph"
+# A unit's origin: a sentence of a paragraph, an expanded list item, or a passage.
+PLAIN = "plain"
+LIST_EXPANDED = "list_expanded"
+PASSAGE = "passage"
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,47 +81,20 @@ class SourceDocument:
 
 
 @dataclass(frozen=True, slots=True)
-class Provision:
-    """A single sentence-level legal statement, the classification unit."""
+class Unit:
+    """One unit of a document: a sentence-level provision, or a token-bounded passage."""
 
-    doc_id: str
-    block_index: int
-    sentence_index: int
+    unit_ref: str
     text: str
-    origin: str  # "plain" | "list_expanded"
-
-    def __post_init__(self):
-        if not self.text.strip():
-            raise ValueError("provision text is empty")
-        if self.origin not in ("plain", "list_expanded"):
-            raise ValueError(f"unknown provision origin {self.origin!r}")
-
-    @property
-    def unit_ref(self) -> str:
-        return f"{self.doc_id}:b{self.block_index}:s{self.sentence_index}"
-
-
-@dataclass(frozen=True, slots=True)
-class Passage:
-    """A paragraph-level chunk guaranteed to fit the token budget."""
-
-    doc_id: str
-    sequence: int
-    text: str
-    token_estimate: int
-    parent_block: tuple[int, int]
-    unit_ref: str = field(default="")
-
-    def __post_init__(self):
-        if not self.unit_ref:
-            object.__setattr__(self, "unit_ref", f"{self.doc_id}:p{self.sequence}")
+    block: int  # the index of its block
+    origin: str  # PLAIN or LIST_EXPANDED for a provision, PASSAGE for a passage
 
 
 @dataclass(frozen=True, slots=True)
 class CheckUnit:
     """One unit submitted for compliance checking, with optional context."""
 
-    passage: Passage
+    passage: Unit
     context: str | None = None
 
 
@@ -197,7 +176,7 @@ def split_text(text: str) -> list[str]:
 _SUB_MARKER = re.compile(r"\((?<=\s\()([ivxlcdm]+)\)")
 
 
-def expand_list_items(block: Block, doc_id: str = "") -> list[Provision]:
+def expand_list_items(block: Block, doc_id: str = "") -> list[Unit]:
     """One provision per list item, each prefixed with the list header.
 
     The header keeps its trailing punctuation and is joined to the item with
@@ -207,15 +186,7 @@ def expand_list_items(block: Block, doc_id: str = "") -> list[Provision]:
     """
     if block.kind != LIST:
         raise ValueError(f"expected a list block, got {block.kind!r}")
-    provisions: list[Provision] = []
-    index = 0
-    for item in block.items:
-        for text in _expand_item(block.header, item):
-            provisions.append(
-                Provision(doc_id, block.index, index, text, "list_expanded")
-            )
-            index += 1
-    return provisions
+    return list(UnitTable([block], doc_id, SENTENCE))
 
 
 def _expand_item(header: str, item: str) -> list[str]:
@@ -228,24 +199,16 @@ def _expand_item(header: str, item: str) -> list[str]:
     return [f"{header} {item}"]
 
 
-def extract_provisions(doc: SourceDocument) -> list[Provision]:
+def extract_provisions(doc: SourceDocument) -> list[Unit]:
     """All provisions of a document in block order: split paragraphs, expanded lists."""
-    return list(iter_provisions(doc.blocks, doc.doc_id))
+    return list(UnitTable(doc.blocks, doc.doc_id, SENTENCE))
 
 
-def iter_provisions(blocks: Iterable[Block], doc_id: str) -> Iterator[Provision]:
-    """The provisions of each block in turn, each made as it is taken."""
-    return (p for block in blocks for p in block_provisions(block, doc_id))
-
-
-def block_provisions(block: Block, doc_id: str) -> Iterable[Provision]:
-    """The provisions of one block: its sentences, or its expanded list items."""
+def block_sentences(block: Block) -> list[str]:
+    """The provision texts of one block: its sentences, or its expanded list items."""
     if block.kind == LIST:
-        return expand_list_items(block, doc_id)
-    return (  # made as they are taken: a caller that lists them builds the one list
-        Provision(doc_id, block.index, i, sent, "plain")
-        for i, sent in enumerate(split_text(block.text))
-    )
+        return [text for item in block.items for text in _expand_item(block.header, item)]
+    return split_text(block.text)
 
 
 # --------------------------------------------------------------------------
@@ -260,14 +223,14 @@ def block_text(block: Block) -> str:
     return " ".join([block.header, *block.items])
 
 
-def chunk_paragraphs(doc: SourceDocument, budget: int) -> list[Passage]:
+def chunk_paragraphs(doc: SourceDocument, budget: int) -> list[Unit]:
     """Token-bounded passages, one per block where the block fits the budget.
 
     Oversize blocks are bisected recursively at sentence boundaries until
     every piece fits. Raises `UnchunkableText` if a single sentence alone
     exceeds the budget.
     """
-    return [u.passage for u in block_units(doc.blocks, doc.doc_id, PARAGRAPH_LEVEL, budget)]
+    return list(UnitTable(doc.blocks, doc.doc_id, PARAGRAPH_LEVEL, budget))
 
 
 def _fit_sentences(sentences: list[str], budget: int, block: int) -> list[str]:
@@ -284,94 +247,83 @@ def _fit_sentences(sentences: list[str], budget: int, block: int) -> list[str]:
     return _fit_sentences(head, budget, block) + _fit_sentences(tail, budget, block)
 
 
-def block_units(
-    blocks: Iterable[Block],
-    doc_id: str,
-    granularity: str,
-    budget: int,
-    context_on: bool = False,
-) -> Iterator[CheckUnit]:
-    """Build check units at the requested granularity, each block's as the block is read.
-
-    Paragraph granularity chunks blocks to the token budget: a block that does not fit is
-    bisected recursively at sentence boundaries until every piece fits. Sentence
-    granularity uses one provision per unit. Context, when enabled, is the
-    enclosing block's text and is attached only when it adds anything beyond
-    the unit text itself. It is built once per block.
-    """
-    return _check_units(doc_id, _unit_rows(blocks, doc_id, granularity, budget, context_on))
-
-
-def _unit_rows(
-    blocks: Iterable[Block], doc_id: str, granularity: str, budget: int, context_on: bool
-) -> Iterator[tuple[str, int, str, str | None]]:
-    """`(text, block index, ref, context)` of each unit of `block_units`, in order. A
-    passage's ref is "": `Passage` makes it from the passage's number."""
-    if granularity not in (PARAGRAPH_LEVEL, SENTENCE):
-        raise ValueError(f"unknown granularity {granularity!r}")
-    if budget <= 0:
-        raise ValueError("token budget must be positive")
-    for block in blocks:
-        if granularity == PARAGRAPH_LEVEL:
-            text = block_text(block)
-            fits = estimate_tokens(text) <= budget
-            chunks = [text] if fits else _fit_sentences(split_text(text), budget, block.index)
-            rows = [(chunk, "") for chunk in chunks]
-        else:
-            rows = []
-            for prov in block_provisions(block, doc_id):
-                tokens = estimate_tokens(prov.text)
-                if tokens > budget:
-                    raise UnchunkableText(
-                        f"provision {prov.unit_ref} (~{tokens} tokens) exceeds the "
-                        f"budget of {budget}"
-                    )
-                rows.append((prov.text, prov.unit_ref))
-        context = block_text(block) if context_on else None
-        for text, ref in rows:
-            yield text, block.index, ref, None if context == text else context
-
-
-def _check_units(doc_id: str, rows: Iterable[tuple]) -> Iterator[CheckUnit]:
-    """A `CheckUnit` for each `(text, block index, ref, context)` row, numbered in order."""
-    for seq, (text, block, ref, context) in enumerate(rows):
-        passage = Passage(doc_id, seq, text, estimate_tokens(text), (block, block), ref)
-        yield CheckUnit(passage, context)
-
-
 class UnitTable:
-    """The units of `block_units(blocks, ...)`, listed compactly as the blocks are read, so
+    """The units of `blocks` at `granularity`, listed compactly as the blocks are read, so
     that every input error is raised here. Each iteration yields them afresh, equal field for
-    field, each `CheckUnit` made as it is taken: only what cannot be recomputed is kept."""
+    field, each `Unit` made as it is taken: only what cannot be recomputed is kept.
+
+    Sentence granularity gives one provision per sentence of a paragraph and per expanded
+    list item; its ref counts the units of its block. Paragraph granularity gives one passage
+    per block that fits `budget`, and bisects a block that does not recursively at sentence
+    boundaries until every piece fits; its ref is its number. `budget=None` bounds no unit.
+    Context, when enabled, is the enclosing block's text, attached by `check_units` only when
+    it adds anything beyond the unit text itself. It is built once per block.
+    """
 
     def __init__(
         self,
         blocks: Iterable[Block],
         doc_id: str,
         granularity: str,
-        budget: int,
+        budget: int | None = None,
         context_on: bool = False,
     ):
-        from array import array  # here: a shared library that only `check` needs
+        from array import array  # here: a shared library that `eval` does not need
 
+        if granularity not in (PARAGRAPH_LEVEL, SENTENCE):
+            raise ValueError(f"unknown granularity {granularity!r}")
+        if budget is not None and budget <= 0:
+            raise ValueError("token budget must be positive")
         self.doc_id = doc_id
+        self.passages = granularity == PARAGRAPH_LEVEL
         self.texts: list[str] = []
         self.blocks = array("q")  # each unit's block index
-        self.refs: list[str] = []  # each unit's ref at sentence granularity
+        self.lists: set[int] = set()  # at sentence granularity, the indices of the list blocks
         self.contexts: dict[int, str] = {}  # by unit number: the contexts that are not None
-        rows = _unit_rows(blocks, doc_id, granularity, budget, context_on)
-        for text, block, ref, context in rows:
-            if context is not None:
-                self.contexts[len(self.texts)] = context
-            self.texts.append(text)
-            self.blocks.append(block)
-            if ref:
-                self.refs.append(ref)
+        for block in blocks:
+            context = block_text(block) if context_on else None
+            for text in self._texts(block, budget):
+                if context is not None and context != text:
+                    self.contexts[len(self.texts)] = context
+                self.texts.append(text)
+                self.blocks.append(block.index)
 
-    def __iter__(self) -> Iterator[CheckUnit]:
-        refs = self.refs or repeat("")
-        rows = zip(self.texts, self.blocks, refs, map(self.contexts.get, count()))
-        return _check_units(self.doc_id, rows)
+    def _texts(self, block: Block, budget: int | None) -> list[str]:
+        """The texts of the units of `block`."""
+        if self.passages:
+            text = block_text(block)
+            if budget is None or estimate_tokens(text) <= budget:
+                return [text]
+            return _fit_sentences(split_text(text), budget, block.index)
+        if block.kind == LIST:
+            self.lists.add(block.index)
+        texts = block_sentences(block)
+        if budget is not None:
+            for i, text in enumerate(texts):
+                tokens = estimate_tokens(text)
+                if tokens > budget:
+                    raise UnchunkableText(
+                        f"provision {self.doc_id}:b{block.index}:s{i} (~{tokens} tokens) "
+                        f"exceeds the budget of {budget}"
+                    )
+        return texts
+
+    def __iter__(self) -> Iterator[Unit]:
+        doc_id = self.doc_id
+        if self.passages:
+            for n, (text, block) in enumerate(zip(self.texts, self.blocks)):
+                yield Unit(f"{doc_id}:p{n}", text, block, PASSAGE)
+            return
+        i, last = 0, None
+        for text, block in zip(self.texts, self.blocks):
+            i = i + 1 if block == last else 0
+            last = block
+            origin = LIST_EXPANDED if block in self.lists else PLAIN
+            yield Unit(f"{doc_id}:b{block}:s{i}", text, block, origin)
+
+    def check_units(self) -> Iterator[CheckUnit]:
+        """Each unit with its context, or None."""
+        return map(CheckUnit, self, map(self.contexts.get, count()))
 
 
 # --------------------------------------------------------------------------

@@ -390,12 +390,12 @@ class ResponseCache:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, key: str) -> Path:
+    def path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
     def get(self, key: str) -> tuple[str, Usage] | None:
         """The entry under `key`, or None; an entry `put` cannot have written is corrupt."""
-        path = self._path(key)
+        path = self.path(key)
         if not path.exists():
             return None
         try:
@@ -420,11 +420,13 @@ class ResponseCache:
             "prompt_tokens": usage.prompt_tokens,
             "completion_tokens": usage.completion_tokens,
         }
-        atomic_write_text(self._path(key), json.dumps(body, ensure_ascii=False))
+        atomic_write_text(self.path(key), json.dumps(body, ensure_ascii=False))
 
 
 class CachingBackend:
-    """Consults the cache before delegating; corrupt entries are recomputed."""
+    """Consults the cache before delegating. An entry that cannot be read or decoded is a
+    miss, and a write that fails stops the run's writes: the cache changes only cost and
+    latency. Each such event logs a warning that names the file."""
 
     def __init__(
         self,
@@ -439,18 +441,37 @@ class CachingBackend:
         self.model_name = model_name
         self.temperature = temperature
         self.max_output_tokens = max_output_tokens
+        self.writing = True  # until a write fails
+        self._lock = threading.Lock()  # so that one failed write among threads warns
 
     def complete(self, messages: Sequence[ChatMessage]) -> tuple[str, Usage]:
         key = cache_key(self.model_name, self.temperature, messages, self.max_output_tokens)
+        hit = None
         try:
             hit = self.cache.get(key)
-        except CorruptCacheEntry:
-            hit = None
+        except CorruptCacheEntry as exc:  # its message names the file
+            _warn("%s; the call is made", exc)
+        except OSError as exc:
+            _warn("%s: unreadable cache entry (%s); the call is made", self.cache.path(key), exc)
         if hit is not None:
             return hit
         response, usage = self.inner.complete(messages)
-        self.cache.put(key, response, usage)
+        if self.writing:
+            try:
+                self.cache.put(key, response, usage)
+            except OSError as exc:
+                with self._lock:
+                    first, self.writing = self.writing, False
+                if first:
+                    path = self.cache.path(key)
+                    _warn("%s: cache write failed (%s); the run writes no more entries", path, exc)
         return response, usage
+
+
+def _warn(message: str, *args) -> None:
+    import logging  # imported here: a warning path only
+
+    logging.getLogger(__name__).warning(message, *args)
 
 
 def make_backend(cfg: BackendConfig) -> Backend:

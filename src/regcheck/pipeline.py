@@ -15,10 +15,10 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from json.encoder import encode_basestring as _encode_str  # the C encoder of ensure_ascii=False
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .compliance import Finding, parse_response, prompt_builder
-from .corpus import CheckUnit, Provision, SourceDocument, block_units
+from .corpus import CheckUnit, SourceDocument, Unit, UnitTable
 from .errors import ParseError
 from .llm import Backend, Usage
 from .taxonomy import ConceptModel, Ruleset
@@ -49,7 +49,7 @@ def answers(
 
 @dataclass(frozen=True, slots=True)
 class ClassifiedProvision:
-    provision: Provision
+    provision: Unit
     labels: LabelSet
     raw_response: str = ""
     usage: Usage | None = None
@@ -82,7 +82,7 @@ def classify_provisions(*args, **kwargs) -> list[ClassifiedProvision]:
 
 
 def classify_iter(
-    provisions: Sequence[Provision],
+    provisions: Iterable[Unit],
     model: ConceptModel,
     backend: Backend | None,
     template: ClassificationTemplate | None = None,
@@ -117,8 +117,8 @@ def compliance_units(
     budget: int,
     context_on: bool = False,
 ) -> list[CheckUnit]:
-    """The check units of `doc` (see `block_units`), as a list."""
-    return list(block_units(doc.blocks, doc.doc_id, granularity, budget, context_on))
+    """The check units of `doc` (see `UnitTable`), as a list."""
+    return list(UnitTable(doc.blocks, doc.doc_id, granularity, budget, context_on).check_units())
 
 
 def run_compliance(*args, **kwargs) -> list[Finding]:

@@ -55,15 +55,15 @@ _UNWRITABLE = ("tests/test_cli.py", "-k", "unwritable_output_location")
 _LAWS = "tests/test_laws.py"
 _CHECK_LAW = (_LAWS, "-k", "check_law")
 _CHECK_UNITS = (
-    "    units = _units(args.artifact, cfg, UnitTable, doc_id, cfg.granularity, cfg.budget, "
-    "context_on)\n"
+    "    units = _units(args.artifact, cfg, doc_id, cfg.granularity, cfg.budget, context_on)\n"
 )
+_CHECK_TABLE = "    units = UnitTable(blocks, doc_id, cfg.granularity, cfg.budget, context_on)\n"
+_CLASSIFY_UNITS = "    provisions = _units(args.input, cfg, doc_id, SENTENCE)\n"
 _UNITS_MEMORY = (_STREAM, "-k", "units_in_little_more")
-_BLOCK_UNITS_GROWTH = ("tests/test_growth.py", "-m", "growth", "-k", "block_units")
+_UNIT_TABLE_GROWTH = ("tests/test_growth.py", "-m", "growth", "-k", "unit_table_is_linear")
 _KEYWORDS_GROWTH = ("tests/test_growth.py", "-m", "growth", "-k", "classify_keywords")
-_SEGMENT_UNITS = (
-    "            for u in _units(args.input, cfg, UnitTable, doc_id, PARAGRAPH_LEVEL, cfg.budget)\n"
-)
+_SEGMENT_UNITS = "        for u in _units(args.input, cfg, doc_id, cfg.granularity, budget)\n"
+_SENTENCE_INDEX = "            i = i + 1 if block == last else 0\n"
 _GATE = "        if self.walk_covers and text.isascii() or not self.gate.search(text):\n"
 _FUSED_MEMO = "@lru_cache(maxsize=1 << 10)\ndef fused_labels("
 _RECORD_LINES = ("tests/test_pipeline.py", "-k", "RecordLines")
@@ -154,12 +154,12 @@ MUTANTS = (
     Mutant(
         "block-text-per-unit",
         "corpus.py",
-        "        context = block_text(block) if context_on else None\n"
-        "        for text, ref in rows:\n",
-        "        for text, ref in rows:\n"
-        "            context = block_text(block) if context_on else None\n",
+        "            context = block_text(block) if context_on else None\n"
+        "            for text in self._texts(block, budget):\n",
+        "            for text in self._texts(block, budget):\n"
+        "                context = block_text(block) if context_on else None\n",
         "check units are made in time linear in a long block",
-        _BLOCK_UNITS_GROWTH,
+        _UNIT_TABLE_GROWTH,
     ),
     Mutant(
         "write-joins-all-chunks",
@@ -365,7 +365,7 @@ MUTANTS = (
         "corpus.py",
         "import math\n",
         "import math\nfrom array import array\n",
-        "only check loads the shared library of its unit table",
+        "only the subcommands that list units load the shared library of the unit table",
         _STARTUP,
     ),
     Mutant(
@@ -438,8 +438,7 @@ MUTANTS = (
         "check-keeps-the-document",
         "cli.py",
         _CHECK_UNITS,
-        "    blocks = _units(args.artifact, cfg, iter)\n"
-        "    units = list(block_units(blocks, doc_id, cfg.granularity, cfg.budget, context_on))\n",
+        "    blocks = list(_Builder(cfg.format).blocks(text_lines(args.artifact)))\n" + _CHECK_TABLE,
         "check holds no block of its artifact in the model stage",
         (_ONE_COPY, "-k", "freed"),
     ),
@@ -449,15 +448,14 @@ MUTANTS = (
         _CHECK_UNITS,
         "    from .corpus import parse_document\n"
         '    text = Path(args.artifact).read_text(encoding="utf-8")\n'
-        "    blocks = parse_document(text, cfg.format).blocks\n"
-        "    units = list(block_units(blocks, doc_id, cfg.granularity, cfg.budget, context_on))\n",
+        "    blocks = parse_document(text, cfg.format).blocks\n" + _CHECK_TABLE,
         "check builds no document: each block becomes its units as it is read",
         (_ONE_COPY, "-k", "freed"),
     ),
     Mutant(
         "classify-keeps-the-document",
         "cli.py",
-        "    provisions = _units(args.input, cfg, iter_provisions, doc_id)\n",
+        _CLASSIFY_UNITS,
         "    from .corpus import extract_provisions, parse_document\n"
         '    doc = parse_document(Path(args.input).read_text(encoding="utf-8"), cfg.format)\n'
         "    provisions = extract_provisions(doc)\n",
@@ -529,8 +527,8 @@ MUTANTS = (
     Mutant(
         "paragraph-context-never-built",
         "corpus.py",
-        "        context = block_text(block) if context_on else None\n",
-        "        context = block_text(block) if context_on and granularity == SENTENCE else None\n",
+        "            context = block_text(block) if context_on else None\n",
+        "            context = block_text(block) if context_on and not self.passages else None\n",
         "check units give the context of a dict of every block's text",
         ("tests/test_pipeline.py", "-k", "reference"),
     ),
@@ -545,19 +543,18 @@ MUTANTS = (
     Mutant(
         "check-lists-its-units",
         "cli.py",
-        _CHECK_UNITS,
-        "    units = list(_units(args.artifact, cfg, UnitTable, doc_id, cfg.granularity, "
-        "cfg.budget, context_on))\n",
+        "            units.check_units(), rules, backend, template, cfg.backend.parallelism\n",
+        "            list(units.check_units()), rules, backend, template, cfg.backend.parallelism\n",
         "check lists its units in little more than their text",
         _UNITS_MEMORY,
     ),
     Mutant(
         "table-keeps-each-passage",
         "corpus.py",
-        "                self.refs.append(ref)\n",
-        "                self.refs.append(ref)\n"
-        "        self.passages = [unit.passage for unit in self]\n",
-        "check lists its units in little more than their text",
+        "                self.blocks.append(block.index)\n",
+        "                self.blocks.append(block.index)\n"
+        "        self.units = list(self)\n",
+        "a unit table holds little more than its units' text",
         _UNITS_MEMORY,
     ),
     Mutant(
@@ -735,23 +732,70 @@ MUTANTS = (
     Mutant(
         "provisions-copied-per-item",
         "corpus.py",
-        "            provisions.append(\n"
-        '                Provision(doc_id, block.index, index, text, "list_expanded")\n'
-        "            )\n",
-        "            provisions = [\n"
-        "                *provisions,\n"
-        '                Provision(doc_id, block.index, index, text, "list_expanded"),\n'
-        "            ]\n",
-        "block_provisions is linear time in a long list",
-        ("tests/test_growth.py", "-m", "growth", "-k", "block_provisions"),
+        "        return [text for item in block.items for text in _expand_item(block.header, item)]\n",
+        "        return sum((_expand_item(block.header, item) for item in block.items), [])\n",
+        "block_sentences is linear time in a long list",
+        ("tests/test_growth.py", "-m", "growth", "-k", "block_sentences"),
     ),
     Mutant(
         "segment-lists-its-units",
         "cli.py",
         _SEGMENT_UNITS,
         _SEGMENT_UNITS.replace("in _units(", "in list(_units(").replace("budget)", "budget))"),
-        "segment lists its passages in little more than their text",
+        "segment lists its units in little more than their text",
         (_STREAM, "-k", "segment_lists"),
+    ),
+    Mutant(
+        "classify-lists-its-units",
+        "cli.py",
+        _CLASSIFY_UNITS,
+        _CLASSIFY_UNITS.replace("= _units(", "= list(_units(").replace("SENTENCE)", "SENTENCE))"),
+        "classify lists its provisions in little more than their text",
+        (_STREAM, "-k", "classify_lists"),
+    ),
+    Mutant(
+        "sentence-index-not-reset",
+        "corpus.py",
+        _SENTENCE_INDEX,
+        "            i = i + 1 if last is not None else 0\n",
+        "a provision's ref counts the provisions of its own block",
+        ("tests/test_corpus.py", "-k", "ProvisionIds"),
+    ),
+    Mutant(
+        "list-units-labelled-plain",
+        "corpus.py",
+        "            origin = LIST_EXPANDED if block in self.lists else PLAIN\n",
+        "            origin = PLAIN\n",
+        "an expanded list item's origin is list_expanded",
+        ("tests/test_corpus.py", "-k", "ExpandListItems"),
+    ),
+    Mutant(
+        "sentence-index-by-search",
+        "corpus.py",
+        "        i, last = 0, None\n"
+        "        for text, block in zip(self.texts, self.blocks):\n"
+        + _SENTENCE_INDEX
+        + "            last = block\n",
+        "        for n, (text, block) in enumerate(zip(self.texts, self.blocks)):\n"
+        "            i = sum(1 for prior in self.blocks[:n] if prior == block)\n",
+        "a unit table runs Python lines linear in its input (no clock)",
+        ("tests/test_growth.py", "-k", "python_lines"),
+    ),
+    Mutant(
+        "cache-read-error-ends-the-run",
+        "llm.py",
+        '        except OSError as exc:\n            _warn("%s: unreadable',
+        '        except ValueError as exc:\n            _warn("%s: unreadable',
+        "the cache changes only cost and latency: an entry that cannot be read is a miss",
+        ("tests/test_llm.py", "-k", "unreadable_entry"),
+    ),
+    Mutant(
+        "cache-write-error-ends-the-run",
+        "llm.py",
+        "            except OSError as exc:\n                with self._lock:\n",
+        "            except ValueError as exc:\n                with self._lock:\n",
+        "the cache changes only cost and latency: a failed write stops the writes, not the run",
+        ("tests/test_llm.py", "-k", "failed_write"),
     ),
 )
 

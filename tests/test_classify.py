@@ -19,7 +19,7 @@ from regcheck.classify import (
     fuse_labels,
     parse_concept_response,
 )
-from regcheck.corpus import Provision
+from regcheck.corpus import Unit
 from regcheck.errors import ParseError
 from regcheck.llm import StubBackend, StubEntry
 from regcheck.pipeline import classify_provisions
@@ -31,8 +31,8 @@ def model(data_dir):
     return load_concept_model(data_dir / "food_safety_concepts.jsonl")
 
 
-def prov(text: str) -> Provision:
-    return Provision("t", 0, 0, text, "plain")
+def prov(text: str) -> Unit:
+    return Unit("t:b0:s0", text, 0, "plain")
 
 
 class TestClassifyKeywords:

@@ -16,7 +16,7 @@ from regcheck.compliance import (
     report_to_dict,
     report_to_markdown,
 )
-from regcheck.corpus import Passage, chunk_paragraphs
+from regcheck.corpus import Unit, chunk_paragraphs
 from regcheck.errors import ParseError, TemplateError
 from regcheck.llm import StubBackend, StubEntry
 from regcheck.pipeline import CheckUnit, run_compliance
@@ -34,7 +34,7 @@ def demo_rules(data_dir):
 
 
 def passage(text="The Processor shall delete all personal data.", seq=0):
-    return Passage("art", seq, text, token_estimate=12, parent_block=(0, 0))
+    return Unit(f"art:p{seq}", text, 0, "passage")
 
 
 def check_one(rules, backend) -> Finding:

@@ -537,7 +537,7 @@ class TestExpandListItems:
         provisions = expand_list_items(block, "d")
         assert len(provisions) == 3
         assert all(p.text.startswith("The label must show:") for p in provisions)
-        assert [p.sentence_index for p in provisions] == [0, 1, 2]
+        assert [p.unit_ref for p in provisions] == ["d:b2:s0", "d:b2:s1", "d:b2:s2"]
 
     def test_nested_sub_items_compose_headers(self):
         block = Block(
@@ -577,7 +577,7 @@ class TestChunkParagraphs:
         passages = chunk_paragraphs(doc, budget=4096)
         assert len(passages) == 1
         assert passages[0].text == doc.blocks[0].text
-        assert passages[0].token_estimate <= 4096
+        assert estimate_tokens(passages[0].text) <= 4096
 
     def test_oversize_splits_at_sentence_boundary(self):
         # Three ~40-token sentences against a budget of 100: two chunks.
@@ -608,7 +608,7 @@ class TestChunkParagraphs:
     def test_list_blocks_are_chunked_too(self, gold_doc):
         passages = chunk_paragraphs(gold_doc, budget=4096)
         assert len(passages) == len(gold_doc.blocks)
-        assert [p.sequence for p in passages] == list(range(len(passages)))
+        assert [p.unit_ref for p in passages] == [f"gold:p{i}" for i in range(len(passages))]
 
     def test_bisects_down_to_single_sentences(self):
         # "One. Two." is ~3 tokens, so each sentence (~1-2 tokens) stands alone.
@@ -623,3 +623,11 @@ class TestProvisionIds:
         refs = [p.unit_ref for p in provisions]
         assert len(set(refs)) == len(refs)
         assert refs[0] == "gold:b0:s0"
+
+    def test_each_block_counts_its_provisions_from_zero(self, gold_doc):
+        refs: dict[int, list[str]] = {}
+        for p in extract_provisions(gold_doc):
+            refs.setdefault(p.block, []).append(p.unit_ref)
+        assert len(refs) == len(gold_doc.blocks)
+        for block, got in refs.items():
+            assert got == [f"gold:b{block}:s{i}" for i in range(len(got))]

@@ -1,13 +1,19 @@
 """Growth laws: a layer's CPU time grows at most linearly with its input.
 
-Each law times one input at 1x and at 16x and bounds the ratio. A linear layer
-reads about 16; the bound of 48 leaves room for timer noise and allocator
+Each timed law times one input at 1x and at 16x and bounds the ratio. A linear
+layer reads about 16; the bound of 48 leaves room for timer noise and allocator
 effects, while a quadratic layer reads in the hundreds at these sizes. These
 tests time code, so they run only when asked for: `pytest -m growth`.
+
+A clock-free law counts the Python lines a layer runs instead (`line_events`), at
+1x and at 4x, and bounds the ratio at 5. A count does not spread with the host's
+load, so it runs with the other tests; it sees no work done inside C code, such as
+the regex engine's, which the timed laws cover.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 
 import pytest
@@ -15,12 +21,10 @@ import pytest
 from regcheck.classify import classify_keywords, parse_concept_response
 from regcheck.compliance import Finding, _json_finding, _rule_id_texts, parse_response
 from regcheck.corpus import (
-    LIST, PARAGRAPH, Block, Provision, block_provisions, block_units, parse_document, split_text,
+    LIST, PARAGRAPH, Block, Unit, UnitTable, block_sentences, parse_document, split_text,
 )
 from regcheck.llm import Usage
 from regcheck.taxonomy import Concept, ConceptModel, RuleSpec, Ruleset
-
-pytestmark = pytest.mark.growth
 
 BASE = 2000
 FACTOR = 16
@@ -38,6 +42,24 @@ def best_time(fn, arg, repeats: int = 5, calls: int = 1) -> float:
     return best
 
 
+def line_events(fn) -> int:
+    """The `sys.settrace` line events of `fn()`: the Python lines it runs, counted."""
+    events = 0
+
+    def trace(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return events
+
+
 def wrapped_item(fmt: str, n: int) -> str:
     """One list item followed by `n` continuation lines, in document format `fmt`."""
     head = "* The processor shall:\n- (a) keep records" if fmt == "structured" else (
@@ -46,6 +68,7 @@ def wrapped_item(fmt: str, n: int) -> str:
     return head + "\nof each processing activity" * n + "\n"
 
 
+@pytest.mark.growth
 @pytest.mark.parametrize("fmt", ["structured", "plain"])
 def test_parse_document_is_linear_in_a_wrapped_list_item(fmt):
     def parse(raw: str):
@@ -72,6 +95,7 @@ SPLIT_SHAPES = {
 CALLS = FACTOR
 
 
+@pytest.mark.growth
 @pytest.mark.parametrize("shape", list(SPLIT_SHAPES))
 def test_split_text_is_linear(shape):
     make, n = SPLIT_SHAPES[shape]
@@ -105,6 +129,7 @@ def render_finding(f: Finding) -> str:
     return _json_finding(f, first=False)
 
 
+@pytest.mark.growth
 @pytest.mark.parametrize("shape", list(FINDING_SHAPES))
 def test_json_finding_is_linear(shape):
     make, n = FINDING_SHAPES[shape]
@@ -130,6 +155,7 @@ ANSWER_SHAPES = {
 }
 
 
+@pytest.mark.growth
 @pytest.mark.parametrize("shape", list(ANSWER_SHAPES))
 @pytest.mark.parametrize("parser", list(PARSERS))
 def test_response_parser_is_linear(parser, shape):
@@ -165,17 +191,39 @@ UNIT_SHAPES = {
 }
 
 
+def table_units(blocks: list[Block], granularity: str) -> int:
+    """The units of a table of `blocks`, built and then taken with their context."""
+    return sum(1 for _ in UnitTable(blocks, "d", granularity, 40, context_on=True).check_units())
+
+
+@pytest.mark.growth
 @pytest.mark.parametrize("shape", list(UNIT_SHAPES))
 @pytest.mark.parametrize("granularity", ["paragraph", "sentence"])
-def test_block_units_is_linear(granularity, shape):
+def test_unit_table_is_linear(granularity, shape):
     def units(blocks: list[Block]) -> int:
-        return sum(1 for _ in block_units(blocks, "d", granularity, 40, context_on=True))
+        return table_units(blocks, granularity)
 
     make, n = UNIT_SHAPES[shape]
     small, large = make(n), make(n * FACTOR)
     assert units(large) >= n * FACTOR // 4  # long blocks are split into many units
     ratio = best_time(units, large) / best_time(units, small, calls=CALLS)
     assert ratio <= MAX_RATIO, f"{FACTOR}x input took {ratio:.0f}x the time"
+
+
+# The clock-free law's input factor and its bound on the ratio of line events.
+LINE_FACTOR = 4
+MAX_LINE_RATIO = 5
+
+
+@pytest.mark.parametrize("shape", list(UNIT_SHAPES))
+@pytest.mark.parametrize("granularity", ["paragraph", "sentence"])
+def test_unit_table_runs_python_lines_linear_in_its_input(granularity, shape):
+    def lines(blocks: list[Block]) -> int:
+        return line_events(lambda: table_units(blocks, granularity))
+
+    make, n = UNIT_SHAPES[shape]
+    ratio = lines(make(n)) / lines(make(n // LINE_FACTOR))
+    assert ratio <= MAX_LINE_RATIO, f"{LINE_FACTOR}x input ran {ratio:.1f}x the lines"
 
 
 # Each shape of a block with its 1x size: a list of many items, one item of many "(i)" sub-items,
@@ -200,10 +248,11 @@ PROVISION_SHAPES = {
 }
 
 
+@pytest.mark.growth
 @pytest.mark.parametrize("shape", list(PROVISION_SHAPES))
-def test_block_provisions_is_linear(shape):
+def test_block_sentences_is_linear(shape):
     def provisions(block: Block) -> int:
-        return sum(1 for _ in block_provisions(block, "d"))
+        return len(block_sentences(block))
 
     make, n = PROVISION_SHAPES[shape]
     small, large = make(n), make(n * FACTOR)
@@ -229,12 +278,13 @@ KEYWORD_SHAPES = {
 }
 
 
+@pytest.mark.growth
 @pytest.mark.parametrize("shape", list(KEYWORD_SHAPES))
 def test_classify_keywords_is_linear(shape):
     make, stem, n = KEYWORD_SHAPES[shape]
 
     def labels(text: str) -> frozenset[str]:
-        return classify_keywords(Provision("d", 0, 0, text, "plain"), KEYWORD_MODEL, stem).labels
+        return classify_keywords(Unit("d:b0:s0", text, 0, "plain"), KEYWORD_MODEL, stem).labels
 
     small, large = make(n), make(n * FACTOR)
     assert labels(large) == labels(small) == ({"Pathogen"} if "listeria" in small else set())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 import random
@@ -11,6 +12,7 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -322,6 +324,92 @@ class TestCache:
         assert cache_key("a", 0.0, MESSAGES) == cache_key(
             "a", 0.0, MESSAGES, BackendConfig().max_output_tokens
         )
+
+
+def _check_argv(fixtures, data_dir, out: Path) -> list[str]:
+    return [
+        "check", "--artifact", str(fixtures / "dpa_demo.txt"), "--format", "structured",
+        "--rules", str(data_dir / "gdpr_art28_demo.jsonl"),
+        "--stub-script", str(fixtures / "stub_paragraph_aware.jsonl"), "--out-dir", str(out),
+    ]
+
+
+def _classify_argv(fixtures, data_dir, out: Path) -> list[str]:
+    return [
+        "classify", "--input", str(fixtures / "food_corpus.txt"), "--format", "structured",
+        "--concepts", str(data_dir / "food_safety_concepts.jsonl"),
+        "--stub-script", str(fixtures / "stub_classify.jsonl"), "--out", str(out / "labels.jsonl"),
+    ]
+
+
+# Per subcommand: its argv into an output directory, and the outputs a cache may not change.
+CACHE_RUNS = {
+    "check": (_check_argv, ("report.json", "report.md", "findings.jsonl")),
+    "classify": (_classify_argv, ("labels.jsonl",)),
+}
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+@pytest.mark.parametrize("command", list(CACHE_RUNS))
+class TestCacheFaults:
+    """A cache that cannot be read or written changes only cost and latency: the run goes on
+    without it, writes the bytes of an uncached run, and logs a warning that names the file."""
+
+    def run(self, fixtures, data_dir, tmp_path, command, parallelism, out, *extra) -> bytes:
+        from regcheck.cli import main
+
+        argv, outputs = CACHE_RUNS[command]
+        flags = ["--parallelism", str(parallelism), *extra]
+        assert main([*argv(fixtures, data_dir, tmp_path / out), *flags]) == 0
+        return b"".join((tmp_path / out / name).read_bytes() for name in outputs)
+
+    def warnings(self, caplog) -> list[str]:
+        return [r.getMessage() for r in caplog.records if r.name == "regcheck.llm"]
+
+    def test_an_unreadable_entry_is_a_miss(
+        self, fixtures, data_dir, tmp_path, caplog, command, parallelism
+    ):
+        run = partial(self.run, fixtures, data_dir, tmp_path, command, parallelism)
+        cache = tmp_path / "cache"
+        uncached = run("uncached")
+        assert run("cold", "--cache-dir", str(cache)) == uncached
+        entry = sorted(cache.glob("*.json"))[0]
+        entry.unlink()
+        entry.mkdir()  # read as a file, it raises IsADirectoryError
+        with caplog.at_level("WARNING", logger="regcheck.llm"):
+            assert run("warm", "--cache-dir", str(cache)) == uncached
+        # One for the read; one for the write over it, which stops the run's writes.
+        warnings = self.warnings(caplog)
+        assert len(warnings) == 2 and all(str(entry) in w for w in warnings), warnings
+
+    def test_a_failed_write_stops_the_writes(
+        self, fixtures, data_dir, tmp_path, caplog, monkeypatch, command, parallelism
+    ):
+        run = partial(self.run, fixtures, data_dir, tmp_path, command, parallelism)
+        uncached = run("uncached")
+        put, keys = ResponseCache.put, []
+
+        def disk_fills_at_the_third(cache, key, response, usage):
+            keys.append(key)
+            if len(keys) >= 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            put(cache, key, response, usage)
+
+        monkeypatch.setattr(ResponseCache, "put", disk_fills_at_the_third)
+        cache = tmp_path / "cache"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch often, so that failed writes race
+        try:
+            with caplog.at_level("WARNING", logger="regcheck.llm"):
+                assert run("cold", "--cache-dir", str(cache)) == uncached
+        finally:
+            sys.setswitchinterval(interval)
+        # Only the writes already past the check when the third failed are tried after it.
+        assert 3 <= len(keys) <= 2 + parallelism
+        assert sorted(cache.glob("*.json")) == sorted(cache / f"{k}.json" for k in keys[:2])
+        (warning,) = self.warnings(caplog)
+        assert any(str(cache / f"{key}.json") in warning for key in keys[2:]), warning
+        assert "No space left" in warning
 
 
 PRICES = {"stub-model": ModelPrice(0.5, 1.5)}

@@ -17,7 +17,9 @@ import regcheck.corpus as corpus
 import regcheck.pipeline as pipeline
 import regcheck.storage as storage
 from regcheck.cli import main
-from regcheck.corpus import Block, Passage, parse_document
+from regcheck.corpus import (
+    PARAGRAPH_LEVEL, SENTENCE, Block, Unit, extract_provisions, parse_document,
+)
 from regcheck.llm import BackendConfig, Usage
 from regcheck.pipeline import CheckUnit, run_compliance
 from regcheck.taxonomy import RuleSpec, Ruleset
@@ -50,8 +52,8 @@ def _assert_read_as_text(path):
     assert list(storage.text_lines(str(path))) == text.splitlines(), repr(text)
     parsed = 0
     for fmt in ("plain", "structured"):
-        got = _outcome(lambda: cli._units(str(path), _config(fmt), iter))
-        want = _outcome(lambda: list(parse_document(text, fmt).blocks))
+        got = _outcome(lambda: list(cli._units(str(path), _config(fmt), "d", SENTENCE)))
+        want = _outcome(lambda: extract_provisions(parse_document(text, fmt, doc_id="d")))
         if isinstance(want, tuple):  # the reader's errors name the file
             want = (want[0], f"{path}: {want[1]}")
         assert got == want, repr(text)
@@ -98,11 +100,11 @@ class TestReadDocument:
 
         tracemalloc.start()
         try:
-            read = cli._units(str(path), _config("structured"), iter)
+            read = cli._units(str(path), _config("structured"), "d", PARAGRAPH_LEVEL)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(read) == len(blocks)
+        assert len(read.texts) == len(blocks)  # one passage per block: no budget splits one
         # The whole text, its bytes or its list of lines would each be about `size`.
         assert peak - kept < size / 10, (peak - kept, size)
 
@@ -185,7 +187,7 @@ class _ByIndex:
 
 @pytest.mark.parametrize("parallelism", [1, 4])
 def test_findings_with_equal_rule_ids_share_one_set(parallelism):
-    units = [CheckUnit(Passage("d", i, f"Unit {i}", 2, (i, i))) for i in range(60)]
+    units = [CheckUnit(Unit(f"d:p{i}", f"Unit {i}", i, "passage")) for i in range(60)]
     findings = run_compliance(units, RULES, _ByIndex(), parallelism=parallelism)
     by_set = {}
     for f in findings:

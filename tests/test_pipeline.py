@@ -89,9 +89,9 @@ class TestComplianceUnits:
             assert got == _outcome(lambda: _reference_units(doc, granularity, budget, context_on))
             if isinstance(got, list):
                 contexts += sum(u.context is not None for u in got)
-                per_block = Counter(u.passage.parent_block for u in got)
+                per_block = Counter(u.passage.block for u in got)
                 single_chunk_splits += sum(
-                    per_block[u.passage.parent_block] == 1 and u.context is not None for u in got
+                    per_block[u.passage.block] == 1 and u.context is not None for u in got
                 )
         assert contexts > 0 if context_on else contexts == 0
         if context_on and granularity == "paragraph":
@@ -107,10 +107,10 @@ class TestComplianceUnits:
             budget = rng.choice((4, 8, 12, 20, 40, 4096))
             want = _outcome(lambda: compliance_units(doc, granularity, budget, context_on))
             table = _outcome(lambda: UnitTable(doc.blocks, "d", granularity, budget, context_on))
-            if isinstance(want, tuple):  # the table raises the error of `block_units`
+            if isinstance(want, tuple):  # the table raises the error of `compliance_units`
                 assert table == want
                 continue
-            first, again = list(table), list(table)
+            first, again = list(table.check_units()), list(table.check_units())
             assert first == want and again == want
             assert all(a is not b for a, b in zip(first, again))
             tables += 1
@@ -148,7 +148,7 @@ def _reference_units(doc, granularity, budget, context_on):
     parents = {b.index: block_text(b) for b in doc.blocks} if context_on else {}
     units = []
     for unit in compliance_units(doc, granularity, budget):
-        context = parents.get(unit.passage.parent_block[0])
+        context = parents.get(unit.passage.block)
         units.append(CheckUnit(unit.passage, None if context == unit.passage.text else context))
     return units
 

@@ -30,9 +30,9 @@ print(*sys.modules)
 sys.exit(code)
 '''
 
-# The standard modules that one path alone needs: `eval --runs-dir`, the R99 warning
-# and parallelism above 1; and the unit table of `check` and of paragraph `segment`, a
-# shared library.
+# The standard modules that one path alone needs: `eval --runs-dir`, a warning and
+# parallelism above 1; and the unit table of `segment`, `classify` and `check`, a shared
+# library that `eval` does not load.
 _ONE_PATH = {"statistics", "logging", "concurrent.futures"}
 _UNIT_TABLE = {"array"}
 _MODEL_MODULES = {
@@ -79,6 +79,7 @@ def _argv(case: str, fixtures: Path, data: Path, tmp: Path) -> list[str]:
     return {
         "check-parallelism-1": [*check, "--parallelism", "1"],
         "check-parallelism-2": [*check, "--parallelism", "2"],
+        "check-cache": [*check, "--cache-dir", str(tmp / "cache")],
         "classify": [*classify, "--stub-script", str(fixtures / "stub_classify.jsonl")],
         "classify-keyword-only-parallelism-8": [*classify, "--keyword-only", "--parallelism", "8"],
         "eval": ["eval", "--gold", gold, "--pred", gold, "--out", str(tmp / "metrics.json")],
@@ -95,15 +96,17 @@ _CASES = {
         {"regcheck.pipeline", *_UNIT_TABLE},
     ),
     "check-parallelism-2": (set(), {"concurrent.futures"}),
-    "classify": ({"regcheck.evaluation", *_ONE_PATH, *_UNIT_TABLE}, {"regcheck.classify"}),
+    # A cache that reads and writes cleanly logs nothing.
+    "check-cache": ({"logging"}, {"hashlib"}),
+    "classify": ({"regcheck.evaluation", *_ONE_PATH}, {"regcheck.classify", *_UNIT_TABLE}),
     # Keyword matching starts no thread pool, whatever the parallelism.
     "classify-keyword-only-parallelism-8": (
-        {"regcheck.evaluation", *_ONE_PATH, *_UNIT_TABLE, "http.client"}, {"regcheck.classify"}
+        {"regcheck.evaluation", *_ONE_PATH, "http.client"}, {"regcheck.classify", *_UNIT_TABLE}
     ),
     "eval": ({*_MODEL_MODULES, *_ONE_PATH, *_UNIT_TABLE}, {"regcheck.evaluation"}),
     "eval-runs-dir": (set(), {"statistics"}),
     "segment": ({*_MODEL_MODULES, *_ONE_PATH}, {"regcheck.corpus", *_UNIT_TABLE}),
-    "segment-sentence": ({*_MODEL_MODULES, *_ONE_PATH, *_UNIT_TABLE}, {"regcheck.corpus"}),
+    "segment-sentence": ({*_MODEL_MODULES, *_ONE_PATH}, {"regcheck.corpus", *_UNIT_TABLE}),
 }
 
 

@@ -267,63 +267,83 @@ def test_streamed_findings_take_memory_independent_of_the_artifact(
     assert excess[2000] < excess[500] + 200_000, excess
 
 
-class _ModelStageReached(Exception):
-    """Raised where `check`'s model stage would start, once its memory is measured."""
+class _StageReached(Exception):
+    """Raised where a subcommand's stage would start, once its memory is measured."""
 
 
-def test_check_lists_its_units_in_little_more_than_their_text(
-    monkeypatch, fixtures, data_dir, tmp_path
-):
-    # What `check` holds when its model stage starts, less the text of its units: the rest
-    # is what listing the units costs. A list of `CheckUnit`s costs ~300 B a unit (each with
-    # its `Passage`, ref string and block tuple); the table ~14 B, a list slot and an index.
+def _held_beyond_text(monkeypatch, module, stage: str, texts, argv) -> dict[int, int]:
+    """What `main(argv(n))` holds where `module.<stage>` starts, less the text of its units,
+    for corpora of 500 and 2000 one-sentence paragraphs. `texts` gives the unit texts of the
+    stage's first argument. A first, untraced run loads every module the subcommand imports."""
     held = {}
 
     def measured(units, *args, **kwargs):
         gc.collect()
         now = tracemalloc.get_traced_memory()[0]
-        texts = [u.passage.text for u in units]
-        held[len(texts)] = now - sum(map(sys.getsizeof, texts))
-        raise _ModelStageReached
+        unit_texts = texts(units)
+        held[len(unit_texts)] = now - sum(map(sys.getsizeof, unit_texts))
+        raise _StageReached
 
-    monkeypatch.setattr(pipeline, "compliance_iter", measured)
+    monkeypatch.setattr(module, stage, measured)
+    with pytest.raises(_StageReached):
+        main(argv(100))
+    held.clear()
     for n in (500, 2000):
-        argv = _check_argv(fixtures, data_dir, _corpus(tmp_path, n), tmp_path / f"out_{n}")
         tracemalloc.start()
         try:
-            with pytest.raises(_ModelStageReached):
-                main([*argv, "--granularity", "paragraph"])
+            with pytest.raises(_StageReached):
+                main(argv(n))
         finally:
             tracemalloc.stop()
-    assert held[2000] - held[500] <= 64 * 1500, held
+    return held
 
 
-class _WriterReached(Exception):
-    """Raised where `segment` would write its first record, once its memory is measured."""
+# What listing the units costs, beyond their text, when the stage that takes them starts.
+# A list of records costs 200-300 B a unit: each `Unit` or `CheckUnit` with its ref string.
+# The unit table costs ~16 B, a list slot and a block index, and the bound is 64 B.
+UNIT_BYTES = 64
 
 
-def test_segment_lists_its_passages_in_little_more_than_their_text(monkeypatch, tmp_path):
-    # What `segment --granularity paragraph` holds when its writer starts, less the text of
-    # its units, as `check` is measured above: a list of `CheckUnit`s costs ~200 B a unit.
-    held = {}
+@pytest.mark.parametrize("granularity", ["sentence", "paragraph"])
+def test_check_lists_its_units_in_little_more_than_their_text(
+    monkeypatch, fixtures, data_dir, tmp_path, granularity
+):
+    def argv(n):
+        artifact, out = _corpus(tmp_path, n), tmp_path / f"out_{n}"
+        return _check_argv(fixtures, data_dir, artifact, out, "--granularity", granularity)
 
-    def measured(chunks, out):
-        gc.collect()
-        now = tracemalloc.get_traced_memory()[0]
-        texts = [json.loads(line)["text"] for line in chunks]
-        held[len(texts)] = now - sum(map(sys.getsizeof, texts))
-        raise _WriterReached
+    def texts(units):
+        return [u.passage.text for u in units]
 
-    monkeypatch.setattr(cli, "_emit", measured)
-    for n in (500, 2000):
-        argv = ["segment", "--input", str(_corpus(tmp_path, n)), "--granularity", "paragraph"]
-        tracemalloc.start()
-        try:
-            with pytest.raises(_WriterReached):
-                main(argv)
-        finally:
-            tracemalloc.stop()
-    assert held[2000] - held[500] <= 64 * 1500, held
+    held = _held_beyond_text(monkeypatch, pipeline, "compliance_iter", texts, argv)
+    assert held[2000] - held[500] <= UNIT_BYTES * 1500, held
+
+
+@pytest.mark.parametrize("granularity", ["sentence", "paragraph"])
+def test_segment_lists_its_units_in_little_more_than_their_text(
+    monkeypatch, tmp_path, granularity
+):
+    def argv(n):
+        return ["segment", "--input", str(_corpus(tmp_path, n)), "--granularity", granularity]
+
+    def texts(chunks):
+        return [json.loads(line)["text"] for line in chunks]
+
+    held = _held_beyond_text(monkeypatch, cli, "_emit", texts, argv)
+    assert held[2000] - held[500] <= UNIT_BYTES * 1500, held
+
+
+def test_classify_lists_its_provisions_in_little_more_than_their_text(
+    monkeypatch, fixtures, data_dir, tmp_path
+):
+    def argv(n):
+        return _argv(fixtures, data_dir, _corpus(tmp_path, n), "--out", str(tmp_path / "labels"))
+
+    def texts(units):
+        return [u.text for u in units]
+
+    held = _held_beyond_text(monkeypatch, pipeline, "classify_iter", texts, argv)
+    assert held[2000] - held[500] <= UNIT_BYTES * 1500, held
 
 
 class _FailingAfter:
