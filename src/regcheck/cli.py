@@ -4,7 +4,8 @@ Every stage reads and writes plain files so pipelines can be run and audited
 step by step. Configuration precedence is env < config file < flags.
 
 Exit codes: 0 success, 2 input/validation error, 3 backend error,
-4 parse-failure threshold exceeded, 141 (128 + SIGPIPE) stdout closed by its reader.
+4 parse-failure threshold exceeded, 130 (128 + SIGINT) interrupted, 141 (128 + SIGPIPE)
+stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BACKEND = 3
 EXIT_PARSE_THRESHOLD = 4
+EXIT_INTERRUPTED = 130
 EXIT_CLOSED_STDOUT = 141
 
 _ENV_KEYS = {
@@ -381,6 +383,10 @@ def main(argv: list[str] | None = None) -> int:
         # stdout at exit goes to devnull (the "Note on SIGPIPE" of the `signal` docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_STDOUT
+    except KeyboardInterrupt:
+        # By then each output file's temp file is deleted, and its path left as it was.
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except (RegcheckError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

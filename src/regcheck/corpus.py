@@ -7,6 +7,8 @@ Produces the two units of analysis used downstream, each a ``Unit``:
 - token-bounded passages (compliance pipeline), one per block, with
   oversize blocks recursively split at sentence boundaries.
 
+A document's lines are cut into runs, and each run is read as at most one
+block (see ``parse_document``), so reading holds one run's lines at a time.
 A ``UnitTable`` lists a document's units of either kind compactly, for
 ``segment``, ``classify`` and ``check``; a ``CheckUnit`` carries one unit
 with its block as context.
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import count
+from itertools import chain, count
 from typing import Iterable, Iterator
 
 from .errors import MalformedInput, UnchunkableText
@@ -344,15 +346,17 @@ def parse_document(
     format: str = "plain",
     doc_id: str = "doc",
 ) -> SourceDocument:
-    """Parse raw UTF-8 text into a block-structured document, one line at a time.
+    """Parse raw UTF-8 text into a block-structured document, one run of lines at a time.
 
-    A blank line closes the open block. `structured` format uses line-oriented
-    markers: ``# `` title, ``¶ `` paragraph start, ``* `` list header, ``- ``
-    list item; unmarked lines continue the open paragraph or list item. In
-    `plain` format, the first line opening with an enumeration marker ("(a)",
-    "(iv)", "1.") makes the block a list: the lines before it are the header,
-    and each marker line starts an item. A block whose first line opens with a
-    marker has no header, so it stays prose.
+    A run is the non-blank lines between blank lines; in `structured` format a
+    ``¶ `` or ``* `` line also starts a new run. Each run is read as at most
+    one block. `structured` format uses line-oriented markers: ``# `` title,
+    ``¶ `` paragraph start, ``* `` list header, ``- `` list item; unmarked
+    lines continue the open paragraph or list item. In `plain` format, a run
+    is a list when a line after the first opens with an enumeration marker
+    ("(a)", "(iv)", "1.") and the first line does not: the lines before that
+    marker line are the header, and each marker line starts an item. Any
+    other run is a paragraph.
     """
     builder = _Builder(format)
     blocks = tuple(builder.blocks(raw.splitlines()))
@@ -360,120 +364,90 @@ def parse_document(
 
 
 class _Builder:
-    """Accumulates lines into validated blocks: the one parse loop of both formats."""
+    """Cuts lines into runs and reads each run with its format's reader: the one parse loop
+    of both formats. Only the title and the block count are kept from one run to the next."""
 
     def __init__(self, format: str):
         if format not in ("plain", "structured"):
             raise ValueError(f"unknown format {format!r}")
-        self.format = format
-        self.count = 0  # the blocks closed so far
-        self.closed: Block | None = None  # the block the last line closed, until it is yielded
+        structured = format == "structured"
+        self.read = self.structured_run if structured else self.plain_run
+        # Besides a blank line, the line starts that end a run: each opens a block. Plain
+        # format has none.
+        self.cuts = (PARAGRAPH_MARK, HEADER_MARK) if structured else ()
+        self.count = 0  # the blocks read so far
         self.title: str | None = None
-        self.kind: str | None = None
-        self.parts: list[str] = []
-        self.header = ""
-        self.items: list[list[str]] = []  # each list item's lines, joined in `close`
-        # Plain format: the open paragraph's first line has an enumeration marker.
-        self.prose = False
 
     def blocks(self, lines: Iterable[str]) -> Iterator[Block]:
-        """The blocks of the text whose `splitlines()` are `lines`, each yielded as it closes;
-        `title` is set once its line is read."""
-        handle = self.structured_line if self.format == "structured" else self.plain_line
-        for lineno, line in enumerate(lines, start=1):
-            if line.strip():
-                handle(line, lineno)
-            else:
-                self.close()
-            if self.closed is not None:  # a line closes at most one block
-                yield self.closed
-                self.closed = None
-        self.close()
-        if self.closed is not None:
-            yield self.closed
-        elif not self.count:
+        """The blocks of the text whose `splitlines()` are `lines`, each yielded when its run
+        ends; `title` is set once its run is read."""
+        read, cuts, run = self.read, self.cuts, []
+        for lineno, line in enumerate(chain(lines, ("",)), start=1):  # "" ends the last run
+            blank = not line.strip()
+            if run and (blank or cuts and line.startswith(cuts)):
+                block = read(run, lineno - len(run))
+                run = []
+                if block is not None:
+                    self.count += 1
+                    yield block
+            if not blank:
+                run.append(line)
+        if not self.count:
             # Without blocks, a title is the only non-blank line a document can have.
             raise MalformedInput(
                 "empty document" if self.title is None else "document contains no blocks"
             )
 
-    def structured_line(self, line: str, lineno: int):
-        if line.startswith(TITLE_MARK):
-            if self.title or self.count or self.kind is not None:
-                raise MalformedInput(f"line {lineno}: unexpected title marker")
-            self.title = line[len(TITLE_MARK):].strip()
-        elif line.startswith(PARAGRAPH_MARK):
-            self.open_paragraph(line[len(PARAGRAPH_MARK):])
-        elif line.startswith(HEADER_MARK):
-            self.open_list(line[len(HEADER_MARK):], lineno)
-        elif line.startswith(ITEM_MARK):
-            self.add_item(line[len(ITEM_MARK):], lineno)
-        else:
-            self.continuation(line, lineno)
+    def plain_run(self, run: list[str], first: int) -> Block:
+        """A list when a line after the first opens with an enumeration marker and the first
+        line does not; else a paragraph. No plain run is malformed, so `first` is unused."""
+        starts = [i for i, line in enumerate(run) if _ENUM_LINE.match(line)]
+        parts = [line.strip() for line in run]
+        if not starts or starts[0] == 0:
+            return Block(PARAGRAPH, self.count, text=" ".join(parts))
+        ends = [*starts[1:], len(run)]
+        items = tuple(" ".join(parts[a:b]) for a, b in zip(starts, ends))
+        return Block(LIST, self.count, header=" ".join(parts[: starts[0]]), items=items)
 
-    def plain_line(self, line: str, lineno: int):
-        marker = _ENUM_LINE.match(line) is not None
-        if self.kind is None:
-            self.open_paragraph(line)
-            self.prose = marker
-        elif marker and self.kind == LIST:
-            self.add_item(line, lineno)
-        elif marker and not self.prose:
-            # The paragraph's lines were the header of the list this line opens.
-            self.kind, self.header, self.parts = LIST, " ".join(self.parts), []
-            self.add_item(line, lineno)
-        else:
-            self.continuation(line, lineno)
-
-    def open_paragraph(self, text: str):
-        self.close()
-        self.kind = PARAGRAPH
-        self.parts = [text.strip()] if text.strip() else []
-
-    def open_list(self, header: str, lineno: int):
-        self.close()
-        if not header.strip():
-            raise MalformedInput(f"line {lineno}: empty list header")
-        self.kind = LIST
-        self.header = header.strip()
-        self.items = []
-
-    def add_item(self, text: str, lineno: int):
-        if self.kind != LIST:
-            raise MalformedInput(f"line {lineno}: list item outside a list")
-        if not text.strip():
-            raise MalformedInput(f"line {lineno}: empty list item")
-        self.items.append([text.strip()])
-
-    def continuation(self, text: str, lineno: int):
-        if self.kind == PARAGRAPH:
-            self.parts.append(text.strip())
-        elif self.kind == LIST:
-            if not self.items:
-                raise MalformedInput(
-                    f"line {lineno}: expected a list item after the header"
-                )
-            self.items[-1].append(text.strip())
-        elif lineno == 1 and text.startswith("\ufeff"):  # a BOM is text, so no marker follows it
-            raise MalformedInput("line 1: text outside any block: a UTF-8 byte-order mark")
-        else:
-            raise MalformedInput(f"line {lineno}: text outside any block")
-
-    def close(self):
-        if self.kind == PARAGRAPH:
-            text = " ".join(p for p in self.parts if p)
-            if not text:
+    def structured_run(self, run: list[str], first: int) -> Block | None:
+        """The block that the run's first line opens, if any; `first` is its line number."""
+        kind, parts, header, items = None, [], "", []
+        for lineno, line in enumerate(run, start=first):
+            if line.startswith(TITLE_MARK):
+                if self.title or self.count or kind is not None:
+                    raise MalformedInput(f"line {lineno}: unexpected title marker")
+                self.title = line[len(TITLE_MARK):].strip()
+            elif line.startswith(PARAGRAPH_MARK):  # the run's first line
+                text = line[len(PARAGRAPH_MARK):].strip()
+                kind, parts = PARAGRAPH, [text] if text else []
+            elif line.startswith(HEADER_MARK):  # the run's first line
+                header = line[len(HEADER_MARK):].strip()
+                if not header:
+                    raise MalformedInput(f"line {lineno}: empty list header")
+                kind = LIST
+            elif line.startswith(ITEM_MARK):
+                if kind != LIST:
+                    raise MalformedInput(f"line {lineno}: list item outside a list")
+                item = line[len(ITEM_MARK):].strip()
+                if not item:
+                    raise MalformedInput(f"line {lineno}: empty list item")
+                items.append([item])
+            elif kind == PARAGRAPH:
+                parts.append(line.strip())
+            elif kind == LIST:
+                if not items:
+                    raise MalformedInput(f"line {lineno}: expected a list item after the header")
+                items[-1].append(line.strip())  # each item's lines are joined once, below
+            elif lineno == 1 and line.startswith("\ufeff"):  # a BOM is text, so no marker follows it
+                raise MalformedInput("line 1: text outside any block: a UTF-8 byte-order mark")
+            else:
+                raise MalformedInput(f"line {lineno}: text outside any block")
+        if kind == PARAGRAPH:
+            if not parts:
                 raise MalformedInput("empty paragraph block")
-            self.closed = Block(PARAGRAPH, self.count, text=text)
-        elif self.kind == LIST:
-            if not self.items:
-                raise MalformedInput(
-                    f"unclosed list: header {self.header!r} has no items"
-                )
-            items = tuple(" ".join(parts) for parts in self.items)
-            self.closed = Block(LIST, self.count, header=self.header, items=items)
-        else:
-            return  # no block is open
-        self.count += 1
-        self.kind = None
-        self.parts, self.header, self.items = [], "", []
+            return Block(PARAGRAPH, self.count, text=" ".join(parts))
+        if kind == LIST:
+            if not items:
+                raise MalformedInput(f"unclosed list: header {header!r} has no items")
+            return Block(LIST, self.count, header=header, items=tuple(map(" ".join, items)))
+        return None  # a title

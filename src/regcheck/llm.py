@@ -425,8 +425,9 @@ class ResponseCache:
 
 class CachingBackend:
     """Consults the cache before delegating. An entry that cannot be read or decoded is a
-    miss, and a write that fails stops the run's writes: the cache changes only cost and
-    latency. Each such event logs a warning that names the file."""
+    miss; an entry that is a directory is not written, and any other write that fails stops
+    the run's writes: the cache changes only cost and latency. Each such event logs a warning
+    that names the file."""
 
     def __init__(
         self,
@@ -459,6 +460,8 @@ class CachingBackend:
         if self.writing:
             try:
                 self.cache.put(key, response, usage)
+            except IsADirectoryError as exc:  # this entry alone; its message names the file
+                _warn("%s; the entry is not written", exc)
             except OSError as exc:
                 with self._lock:
                     first, self.writing = self.writing, False

@@ -136,8 +136,8 @@ MUTANTS = (
     Mutant(
         "list-item-join-per-line",
         "corpus.py",
-        "            self.items[-1].append(text.strip())\n",
-        '            self.items[-1] = [" ".join([*self.items[-1], text.strip()])]\n',
+        "                items[-1].append(line.strip())",
+        '                items[-1] = [" ".join([*items[-1], line.strip()])]',
         "segmentation is linear time on a wrapped list item",
         ("tests/test_growth.py", "-m", "growth", "-k", "parse_document"),
     ),
@@ -379,16 +379,16 @@ MUTANTS = (
     Mutant(
         "title-check-is-not-none",
         "corpus.py",
-        "            if self.title or self.count or self.kind is not None:\n",
-        "            if self.title is not None or self.count or self.kind is not None:\n",
+        "                if self.title or self.count or kind is not None:\n",
+        "                if self.title is not None or self.count or kind is not None:\n",
         "one parse loop gives the documents of the two parsers it replaced: an empty title",
         _PARSE_REFERENCE,
     ),
     Mutant(
         "plain-no-prose-flag",
         "corpus.py",
-        "        elif marker and not self.prose:\n",
-        "        elif marker:\n",
+        "        if not starts or starts[0] == 0:\n",
+        "        if not starts:\n",
         "one parse loop gives the documents of the two parsers it replaced: prose opening "
         "with a marker",
         _PARSE_REFERENCE,
@@ -404,10 +404,28 @@ MUTANTS = (
     Mutant(
         "plain-marker-on-stripped-line",
         "corpus.py",
-        "        marker = _ENUM_LINE.match(line) is not None\n",
-        "        marker = _ENUM_LINE.match(line.strip()) is not None\n",
+        "if _ENUM_LINE.match(line)]\n",
+        "if _ENUM_LINE.match(line.strip())]\n",
         "one parse loop gives the documents of the two parsers it replaced: a bare marker",
         _PARSE_REFERENCE,
+    ),
+    Mutant(
+        "structured-run-cut-at-blank-only",
+        "corpus.py",
+        "        self.cuts = (PARAGRAPH_MARK, HEADER_MARK) if structured else ()\n",
+        "        self.cuts = ()\n",
+        "a structured text without blank lines is still read one block at a time",
+        (_ONE_COPY, "-k", "no_copy"),
+    ),
+    Mutant(
+        "plain-items-by-rescan",
+        "corpus.py",
+        '        items = tuple(" ".join(parts[a:b]) for a, b in zip(starts, ends))\n',
+        "        items = tuple(\n"
+        '            " ".join(p for k, p in enumerate(parts) if a <= k < b) for a, b in zip(starts, ends)\n'
+        "        )\n",
+        "the reader runs Python lines linear in its input (no clock)",
+        ("tests/test_growth.py", "-k", "reader_runs_python_lines"),
     ),
     Mutant(
         "reader-reads-whole-file",
@@ -788,6 +806,23 @@ MUTANTS = (
         '        except ValueError as exc:\n            _warn("%s: unreadable',
         "the cache changes only cost and latency: an entry that cannot be read is a miss",
         ("tests/test_llm.py", "-k", "unreadable_entry"),
+    ),
+    Mutant(
+        "cache-dir-entry-stops-writes",
+        "llm.py",
+        "            except IsADirectoryError as exc:",
+        "            except NotADirectoryError as exc:",
+        "the cache changes only cost and latency: an entry that is a directory is the only one "
+        "not written",
+        ("tests/test_llm.py", "-k", "directory_skips"),
+    ),
+    Mutant(
+        "interrupt-ends-in-a-traceback",
+        "cli.py",
+        "    except KeyboardInterrupt:\n",
+        "    except SystemExit:\n",
+        "Ctrl-C ends a run with exit 130 and one line on stderr, not a traceback",
+        (_STREAM, "-k", "sigint"),
     ),
     Mutant(
         "cache-write-error-ends-the-run",

@@ -21,7 +21,8 @@ import pytest
 from regcheck.classify import classify_keywords, parse_concept_response
 from regcheck.compliance import Finding, _json_finding, _rule_id_texts, parse_response
 from regcheck.corpus import (
-    LIST, PARAGRAPH, Block, Unit, UnitTable, block_sentences, parse_document, split_text,
+    LIST, PARAGRAPH, Block, Unit, UnitTable, _Builder, block_sentences, parse_document,
+    split_text,
 )
 from regcheck.llm import Usage
 from regcheck.taxonomy import Concept, ConceptModel, RuleSpec, Ruleset
@@ -223,6 +224,38 @@ def test_unit_table_runs_python_lines_linear_in_its_input(granularity, shape):
 
     make, n = UNIT_SHAPES[shape]
     ratio = lines(make(n)) / lines(make(n // LINE_FACTOR))
+    assert ratio <= MAX_LINE_RATIO, f"{LINE_FACTOR}x input ran {ratio:.1f}x the lines"
+
+
+# Each shape of a document, in each format, as the lines of `n` units: one paragraph of `n`
+# lines, one list of `n` items of two lines each, or `n` one-line paragraphs between blank
+# lines. A reader that rejoined a block's text once per line, or rescanned a list's lines
+# once per item, would be quadratic in the first two.
+READER_SHAPES = {
+    "long-paragraph": lambda para, header, item, n: [
+        f"{para}The operator shall keep records", *["of each lot"] * n
+    ],
+    "wrapped-list": lambda para, header, item, n: [
+        f"{header}The operator shall:",
+        *[line for i in range(n) for line in (f"{item}keep record {i}", "of each lot;")],
+    ],
+    "many-blocks": lambda para, header, item, n: [
+        line for i in range(n) for line in (f"{para}Keep record {i}.", "")
+    ],
+}
+# Each format's paragraph, list header and list item markers.
+READER_MARKS = {"structured": ("¶ ", "* ", "- "), "plain": ("", "", "(a) ")}
+
+
+@pytest.mark.parametrize("shape", list(READER_SHAPES))
+@pytest.mark.parametrize("fmt", list(READER_MARKS))
+def test_reader_runs_python_lines_linear_in_its_input(fmt, shape):
+    def lines(n: int) -> int:
+        document = READER_SHAPES[shape](*READER_MARKS[fmt], n)
+        return line_events(lambda: sum(1 for _ in _Builder(fmt).blocks(document)))
+
+    n = 2000
+    ratio = lines(n) / lines(n // LINE_FACTOR)
     assert ratio <= MAX_LINE_RATIO, f"{LINE_FACTOR}x input ran {ratio:.1f}x the lines"
 
 

@@ -378,9 +378,24 @@ class TestCacheFaults:
         entry.mkdir()  # read as a file, it raises IsADirectoryError
         with caplog.at_level("WARNING", logger="regcheck.llm"):
             assert run("warm", "--cache-dir", str(cache)) == uncached
-        # One for the read; one for the write over it, which stops the run's writes.
+        # One for the read; one for the write over it, which skips that entry alone.
         warnings = self.warnings(caplog)
         assert len(warnings) == 2 and all(str(entry) in w for w in warnings), warnings
+
+    def test_an_entry_that_is_a_directory_skips_only_its_own_write(
+        self, fixtures, data_dir, tmp_path, command, parallelism
+    ):
+        run = partial(self.run, fixtures, data_dir, tmp_path, command, parallelism)
+        cache = tmp_path / "cache"
+        uncached = run("uncached")
+        assert run("cold", "--cache-dir", str(cache)) == uncached
+        entries = sorted(cache.glob("*.json"))
+        for entry in entries:
+            entry.unlink()
+        entries[0].mkdir()
+        assert run("warm", "--cache-dir", str(cache)) == uncached
+        assert sorted(cache.glob("*.json")) == entries
+        assert all(entry.is_file() for entry in entries[1:])  # each other answer is cached again
 
     def test_a_failed_write_stops_the_writes(
         self, fixtures, data_dir, tmp_path, caplog, monkeypatch, command, parallelism

@@ -84,7 +84,10 @@ class TestReadDocument:
             parsed += _assert_read_as_text(path)
         assert parsed >= 200  # the texts reach documents, not only errors
 
-    def test_read_holds_no_copy_of_the_file(self, tmp_path):
+    # A structured run ends before each block's marker line, not only at a blank line, so a
+    # file with no blank line is read one block at a time too.
+    @pytest.mark.parametrize("between", ["\n", ""], ids=["blank-line-between-blocks", "none"])
+    def test_read_holds_no_copy_of_the_file(self, tmp_path, between):
         rng = random.Random(5)
         words = ("processor", "shall", "Données", "controller", "record", "Art. 5", "€")
         blocks = []
@@ -95,7 +98,7 @@ class TestReadDocument:
             else:
                 blocks.append("¶ " + "\n".join(lines) + "\n")
         path = tmp_path / "artifact.txt"
-        path.write_text("# Large artifact\n\n" + "\n".join(blocks), encoding="utf-8")
+        path.write_text("# Large artifact\n\n" + between.join(blocks), encoding="utf-8")
         size = path.stat().st_size
 
         tracemalloc.start()

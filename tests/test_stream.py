@@ -18,6 +18,7 @@ import gc
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -80,11 +81,13 @@ CHECK_ANSWERS = ("R1, R3. Both apply.", "R2. Confidentiality.", "R99. None.", "N
 
 class _Backend:
     """Answers every unit after sleeping `pause` seconds, except `failing`, which
-    raises; counts the calls started and those running. `check` answers unit i with
-    `CHECK_ANSWERS[i % 4]`."""
+    raises `error`; counts the calls started and those running. `check` answers unit i
+    with `CHECK_ANSWERS[i % 4]`."""
 
-    def __init__(self, pause: float = 0.0, failing: int | None = None):
-        self.pause, self.failing = pause, failing
+    def __init__(
+        self, pause: float = 0.0, failing: int | None = None, error: type = BackendError
+    ):
+        self.pause, self.failing, self.error = pause, failing, error
         self.lock = threading.Lock()
         self.started = self.in_flight = 0
 
@@ -96,7 +99,7 @@ class _Backend:
             time.sleep(self.pause)
             unit = int(_UNIT.search(messages[-1].content).group(1))
             if unit == self.failing:
-                raise BackendError("unit failed")
+                raise self.error("unit failed")
             if messages[-1].content.startswith("Text:"):  # a check prompt
                 return CHECK_ANSWERS[unit % 4], Usage("stub-model", 10, 5)
             return "Traceability. A tracing duty.", Usage("stub-model", 10, 5)
@@ -139,15 +142,16 @@ def test_streamed_labels_take_memory_independent_of_the_corpus(
 
 
 class _Interrupted:
-    """A stdout whose `writelines` takes `k` lines, then raises KeyboardInterrupt."""
+    """A stdout whose `writelines` takes `k` lines, then raises `error`, a KeyboardInterrupt."""
 
     def __init__(self, k: int):
         self.k, self.lines = k, []
+        self.error = KeyboardInterrupt()
 
     def writelines(self, chunks):
         for chunk in chunks:
             if len(self.lines) == self.k:
-                raise KeyboardInterrupt
+                raise self.error
             self.lines.append(chunk)
 
 
@@ -155,14 +159,14 @@ class _Interrupted:
 def test_an_interrupted_writer_stops_the_calls_before_the_error_propagates(
     monkeypatch, fixtures, data_dir, tmp_path, parallelism
 ):
-    # The caller still holds the error, and with it the frames of the run: the queue is
+    # The writer still holds the error, and with it the frames of the run: the queue is
     # cancelled by an explicit close, not when the garbage collector frees them.
     k = 5
     backend = _Backend(pause=0.02).stand_in(monkeypatch)
     monkeypatch.setattr(cli.sys, "stdout", _Interrupted(k))
     argv = _argv(fixtures, data_dir, _corpus(tmp_path, 200), "--parallelism", str(parallelism))
-    with pytest.raises(KeyboardInterrupt) as err:  # `err` holds the run's frames
-        main(argv)
+    assert main(argv) == cli.EXIT_INTERRUPTED
+    assert cli.sys.stdout.error.__traceback__ is not None  # it holds the run's frames
     started = backend.started
     assert backend.in_flight == 0
     assert len(cli.sys.stdout.lines) == k
@@ -373,11 +377,8 @@ def test_a_failed_check_writer_stops_the_calls_before_the_error_propagates(
     out = tmp_path / "out"
     argv = _check_argv(fixtures, data_dir, _corpus(tmp_path, 200), out, "--parallelism",
                        str(parallelism))
-    if isinstance(exc, KeyboardInterrupt):
-        with pytest.raises(KeyboardInterrupt) as err:  # `err` holds the run's frames
-            main(argv)
-    else:
-        assert main(argv) == 2
+    # `exc` is kept by the test, and with it the frames of the run.
+    assert main(argv) == (cli.EXIT_INTERRUPTED if isinstance(exc, KeyboardInterrupt) else 2)
     started = backend.started
     assert backend.in_flight == 0
     # The writer takes a batch of findings at a time, and the queue holds 2 x parallelism.
@@ -402,6 +403,56 @@ def test_a_failing_check_unit_exits_3_leaving_no_file(
     assert main(_check_argv(fixtures, data_dir, artifact, out, *extra)) == 3
     assert capsys.readouterr().err == "backend error: unit failed\n"
     assert list(out.iterdir()) == []  # no report, and no temp or spool file
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_an_interrupted_check_exits_130_with_one_line_leaving_no_file(
+    monkeypatch, capsys, fixtures, data_dir, tmp_path, parallelism
+):
+    # Ctrl-C while unit 23's call runs: one line on stderr, not a traceback.
+    _Backend(failing=23, error=KeyboardInterrupt).stand_in(monkeypatch)
+    out = tmp_path / "out"
+    extra = ("--parallelism", str(parallelism))
+    assert main(_check_argv(fixtures, data_dir, _corpus(tmp_path, 40), out, *extra)) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_sigint_ends_check_with_exit_130_and_one_line_leaving_no_file(
+    monkeypatch, data_dir, tmp_path, parallelism
+):
+    # A real SIGINT, sent to a child interpreter while its third request waits for the answer.
+    waiting, answer = threading.Event(), threading.Event()
+    post = _ScriptedHandler.do_POST
+
+    def held(handler):
+        if len(_ScriptedHandler.requests_seen) == 2:
+            waiting.set()
+            answer.wait(timeout=30)
+        post(handler)
+
+    monkeypatch.setattr(_ScriptedHandler, "do_POST", held)
+    out = tmp_path / "out"
+    with scripted_server() as url:
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "regcheck.cli", "check",
+                "--artifact", str(_corpus(tmp_path, 40)),
+                "--rules", str(data_dir / "gdpr_art28_demo.jsonl"), "--endpoint", url,
+                "--model", "gpt-3.5-turbo-0125", "--parallelism", str(parallelism),
+                "--out-dir", str(out),
+            ],
+            stderr=subprocess.PIPE, text=True, env=_child_env(),
+        )
+        try:
+            assert waiting.wait(timeout=60)
+            proc.send_signal(signal.SIGINT)
+        finally:
+            answer.set()  # a worker thread's call ends, so the run can wait for it
+            _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (130, "interrupted\n")
+    assert list(out.iterdir()) == []
 
 
 def _eval_files(tmp_path, n: int) -> list[str]:
