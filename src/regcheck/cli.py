@@ -5,14 +5,16 @@ step by step. Configuration precedence is env < config file < flags.
 
 Exit codes: 0 success, 2 input/validation error, 3 backend error,
 4 parse-failure threshold exceeded, 130 (128 + SIGINT) interrupted, 141 (128 + SIGPIPE)
-stdout closed by its reader.
+stdout closed by its reader, 143 (128 + SIGTERM) terminated.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
+import threading
 from contextlib import closing
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
@@ -25,7 +27,9 @@ from .errors import BackendError, MalformedInput, RegcheckError, UnchunkableText
 from .llm import (
     HTTP, STUB, Backend, BackendConfig, RetryPolicy, load_price_table, make_backend, price_of,
 )
-from .storage import atomic_write_chunks, json_chunks, jsonl_line, read_json, text_lines
+from .storage import (
+    atomic_write_chunks, json_chunks, jsonl_line, read_json, remove_stale_temps, text_lines,
+)
 
 if TYPE_CHECKING:
     from .evaluation import MetricsReport
@@ -36,6 +40,7 @@ EXIT_BACKEND = 3
 EXIT_PARSE_THRESHOLD = 4
 EXIT_INTERRUPTED = 130
 EXIT_CLOSED_STDOUT = 141
+EXIT_TERMINATED = 143
 
 _ENV_KEYS = {
     "endpoint": "REGCHECK_ENDPOINT",
@@ -277,7 +282,7 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
-    from .compliance import load_template, write_check_outputs
+    from .compliance import CHECK_FILES, load_template, write_check_outputs
     from .pipeline import compliance_iter
     from .taxonomy import load_ruleset
 
@@ -298,10 +303,15 @@ def cmd_check(args: argparse.Namespace, cfg: RunConfig) -> int:
     )
     for target in targets:  # an out-dir that cannot be made fails before the first call
         target.mkdir(parents=True, exist_ok=True)
+        # A killed run leaves its temp files; one that ends by an error or signal does not.
+        remove_stale_temps(target / name for name in CHECK_FILES)
     worst_failures = 0
-    for target in targets:
+    for k, target in enumerate(targets, start=1):
+        # The last run takes each unit's text and context from the table, which drops them,
+        # so the writer's growth reuses the memory that the texts free (see `check_units`).
+        last = k == len(targets)
         findings = compliance_iter(
-            units.check_units(), rules, backend, template, cfg.backend.parallelism
+            units.check_units(release=last), rules, backend, template, cfg.backend.parallelism
         )
         # A failed write cancels the queued calls before the error propagates.
         with closing(findings):
@@ -370,9 +380,31 @@ _COMMANDS = {
 }
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread: like Ctrl-C's `KeyboardInterrupt`, no `except
+    Exception` stops it, so a run ends through the same clean-up."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # SIGTERM, as `timeout`, CI cancellation and service managers send it, takes the
+    # interrupt path. Only the main thread can handle a signal; the caller's handler is
+    # put back on return, since `main` can be called in-process.
+    handles = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminate) if handles else None
+    try:
+        return _run(args)
+    finally:
+        if handles:
+            signal.signal(signal.SIGTERM, previous)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         return _COMMANDS[args.command](args, resolve_config(args))
     except BackendError as exc:
@@ -387,6 +419,9 @@ def main(argv: list[str] | None = None) -> int:
         # By then each output file's temp file is deleted, and its path left as it was.
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except _Terminated:  # as after an interrupt
+        print("terminated", file=sys.stderr)
+        return EXIT_TERMINATED
     except (RegcheckError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

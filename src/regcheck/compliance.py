@@ -30,6 +30,8 @@ _RULE_TOKEN = re.compile(r"R(?<!\wR)(\d+)\b")  # opens on "R" (see corpus._BOUND
 _LEADING_IDS = re.compile(r"^\s*(?:R\d+\b[\s,;]*(?:and\s+)?)+[.:–-]?\s*")
 
 _WRITE_BATCH = 128  # findings `write_check_outputs` takes from the model stage at a time
+# The files of a `check` run's out-dir, in the order `write_check_outputs` opens them.
+CHECK_FILES = ("findings.jsonl", "costs.jsonl", "costs_summary.json", "report.json", "report.md")
 
 
 @dataclass(frozen=True)
@@ -277,7 +279,7 @@ def _rule_id_texts(ids: frozenset[str]) -> tuple[tuple[str, ...], str, str]:
 
 def report_to_markdown(report: ComplianceReport) -> str:
     """Human-readable compliance report."""
-    return "".join(_trimmed(chain([_markdown_head(report)], map(_markdown_finding, report.findings))))
+    return "".join(_trimmed(chain(_markdown_head(report), map(_markdown_finding, report.findings))))
 
 
 def _trimmed(chunks: Iterable[str]) -> Iterator[str]:
@@ -291,17 +293,22 @@ def _trimmed(chunks: Iterable[str]) -> Iterator[str]:
     yield last.rstrip() + "\n"
 
 
-def _markdown_head(report: ComplianceReport) -> str:
-    """`report.md` up to its findings: the sections a run knows only once its last finding is in."""
+def _markdown_head(report: ComplianceReport) -> Iterator[str]:
+    """`report.md` up to its findings, in pieces: the sections a run knows only once its last
+    finding is in. Each passage ref in the coverage lines is a piece of its own, so the head
+    takes no memory that grows with the findings."""
     totals = "".join(f"| {key} | {value} |\n" for key, value in report.totals.items())
-    covered = "".join(
-        f"- **{rid}** satisfied by: {', '.join(p)}\n" for rid, p in report.per_rule.items()
-    )
-    uncovered = "".join(f"- **{rid}**\n" for rid in report.uncovered_rules)
-    return (
+    yield (
         f"# Compliance report: {report.artifact_ref}\n\nRuleset: **{report.ruleset_name}**\n\n"
         f"| total | value |\n|---|---|\n{totals}\n## Areas of compliance\n\n"
-        + (covered or "- none\n")
+    )
+    for rid, passages in report.per_rule.items():  # each rule here supports a passage
+        yield f"- **{rid}** satisfied by: {passages[0]}"
+        yield from map(", ".__add__, islice(passages, 1, None))
+        yield "\n"
+    uncovered = "".join(f"- **{rid}**\n" for rid in report.uncovered_rules)
+    yield (
+        ("" if report.per_rule else "- none\n")
         + "\n## Areas of non-compliance (rules with no supporting passage)\n\n"
         + (uncovered or "- none\n")
         + "\n## Findings\n\n"
@@ -325,9 +332,8 @@ def write_check_outputs(
     it. Then each report is written as its head, known only now, followed by its spool, and
     the five files are renamed into place. If `findings` or a write raises, none is."""
     tally, costs = _ReportTally(rules), CostTotals()
-    names = ("findings.jsonl", "costs.jsonl", "costs_summary.json", "report.json", "report.md")
     with (
-        atomic_files([target / name for name in names]) as (records, ledger, summary, rjson, rmd),
+        atomic_files([target / name for name in CHECK_FILES]) as (records, ledger, summary, rjson, rmd),
         spool(target) as json_spool,
         spool(target) as md_spool,
     ):
@@ -354,7 +360,7 @@ def write_check_outputs(
         summary.writelines(json_chunks(costs.summary()))
         tail = _json_tail(report.totals["passages"])
         rjson.writelines(chain(_json_head(report), spooled(json_spool), [tail]))
-        rmd.writelines(_trimmed(chain([_markdown_head(report)], spooled(md_spool), [md_last])))
+        rmd.writelines(_trimmed(chain(_markdown_head(report), spooled(md_spool), [md_last])))
     return report.totals
 
 

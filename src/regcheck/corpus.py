@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain, count, repeat
 from typing import Iterable, Iterator
 
 from .errors import MalformedInput, UnchunkableText
@@ -122,6 +122,7 @@ def estimate_tokens(text: str) -> int:
 _BOUNDARY = re.compile(r"([.!?](?<![.!?].)[.!?]*)[\"'”’)\]]*(?=\s+(\S))")
 
 _OPENERS = "\"'“‘(["
+_LEADING_SPACE = re.compile(r"\s*")  # `\s` is what `str.isspace` and `str.strip` take
 
 
 def sentence_spans(text: str) -> list[tuple[int, int]]:
@@ -132,42 +133,41 @@ def sentence_spans(text: str) -> list[tuple[int, int]]:
     lone period is not a boundary when the preceding token is a known
     abbreviation ("s. 12 of the Act" stays whole).
     """
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for brk in [*_sentence_breaks(text), len(text)]:
-        chunk = text[start:brk]
-        lead = len(chunk) - len(chunk.lstrip())
-        trail = len(chunk) - len(chunk.rstrip())
-        if chunk.strip():
-            spans.append((start + lead, brk - trail))
-        start = brk
-    return spans
+    return list(_spans(text))
 
 
 def first_sentence_end(text: str) -> int:
     """`sentence_spans(text)[0][1]`, or `len(text)` for blank `text`, with no later break found."""
-    # A break follows a terminator, so it is never 0 and ends the first sentence.
-    return next(_sentence_breaks(text), 0) or len(text.rstrip()) or len(text)
+    return next(_spans(text), (0, len(text)))[1]
 
 
-def _sentence_breaks(text: str) -> Iterator[int]:
-    """The offsets just past each sentence boundary of `text`, in order (see `sentence_spans`)."""
+def _spans(text: str) -> Iterator[tuple[int, int]]:
+    """The spans of `sentence_spans(text)`, each found as it is asked for, with no slice of
+    `text`. A boundary ends its sentence just past its closers, which are not whitespace,
+    and the next sentence starts at the character its lookahead captured."""
+    start = _LEADING_SPACE.match(text).end()
     for m in _BOUNDARY.finditer(text):
         nxt = m.group(2)
         if not (nxt.isupper() or nxt.isdigit() or nxt in _OPENERS):
             continue
         if m.group(1) == ".":
-            start = end = m.end(1)
-            while start > 0 and not text[start - 1].isspace():
-                start -= 1
-            if text[start:end].lstrip(_OPENERS).lower() in ABBREVIATIONS:
+            word = end = m.end(1)
+            while word > 0 and not text[word - 1].isspace():
+                word -= 1
+            if text[word:end].lstrip(_OPENERS).lower() in ABBREVIATIONS:
                 continue
-        yield m.end()
+        yield start, m.end()
+        start = m.start(2)
+    end = len(text)
+    while end > start and text[end - 1].isspace():
+        end -= 1
+    if end > start:
+        yield start, end
 
 
 def split_text(text: str) -> list[str]:
     """Split `text` into sentence strings (see `sentence_spans`)."""
-    return [text[s:e] for s, e in sentence_spans(text)]
+    return [text[s:e] for s, e in _spans(text)]
 
 
 # --------------------------------------------------------------------------
@@ -311,21 +311,37 @@ class UnitTable:
         return texts
 
     def __iter__(self) -> Iterator[Unit]:
+        return self._units(self.texts)
+
+    def _units(self, texts: Iterable[str]) -> Iterator[Unit]:
+        """The units, with `texts` for their texts in order."""
         doc_id = self.doc_id
         if self.passages:
-            for n, (text, block) in enumerate(zip(self.texts, self.blocks)):
+            for n, (text, block) in enumerate(zip(texts, self.blocks)):
                 yield Unit(f"{doc_id}:p{n}", text, block, PASSAGE)
             return
         i, last = 0, None
-        for text, block in zip(self.texts, self.blocks):
+        for text, block in zip(texts, self.blocks):
             i = i + 1 if block == last else 0
             last = block
             origin = LIST_EXPANDED if block in self.lists else PLAIN
             yield Unit(f"{doc_id}:b{block}:s{i}", text, block, origin)
 
-    def check_units(self) -> Iterator[CheckUnit]:
-        """Each unit with its context, or None."""
-        return map(CheckUnit, self, map(self.contexts.get, count()))
+    def check_units(self, release: bool = False) -> Iterator[CheckUnit]:
+        """Each unit with its context, or None. With `release`, the table drops its own
+        reference to each unit's text and context as it hands them out, so that each is
+        freed once its taker is done with it; the table then has no units left to give."""
+        if not release:
+            return map(CheckUnit, self, map(self.contexts.get, count()))
+        contexts = map(self.contexts.pop, count(), repeat(None))
+        return map(CheckUnit, self._units(self._released()), contexts)
+
+    def _released(self) -> Iterator[str]:
+        """Each unit's text, in order, each dropped from the table as it is taken."""
+        texts = self.texts
+        for n, text in enumerate(texts):
+            texts[n] = None
+            yield text
 
 
 # --------------------------------------------------------------------------

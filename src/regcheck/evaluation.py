@@ -55,8 +55,9 @@ def _unit_records(
 ) -> Iterator[tuple[str, frozenset[str], dict]]:
     """`(unit ref, label set, record)` for each record of a `kind` file, whose
     `fields` are its unit reference and labels: each checked for its type, and
-    each unit named once in the file."""
-    seen = set()
+    each unit named once in the file. Records with equal labels share one set: a file
+    holds few distinct label sets, and a set costs more than its unit's ref."""
+    seen, label_sets = set(), {}
     for line, rec in numbered_jsonl(path):
         ref, labels = fields(rec)
         if not isinstance(ref, str) or not ref:
@@ -66,7 +67,8 @@ def _unit_records(
         if ref in seen:
             raise ValueError(f"{path}:{line}: duplicate unit_ref {ref!r} in {kind} file")
         seen.add(ref)
-        yield ref, frozenset(labels), rec
+        labels = frozenset(labels)
+        yield ref, label_sets.setdefault(labels, labels), rec
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,17 @@ def atomic_files(paths: Sequence[Path]) -> Iterator[list[TextIO]]:
         raise
 
 
+def remove_stale_temps(paths: Iterable[Path]) -> None:
+    """Delete the temp files that `atomic_files` made for `paths` in a process that was
+    killed before it could delete them: `<name>.<random>.tmp` beside each path."""
+    for path in paths:
+        prefix = path.name + "."
+        with os.scandir(path.parent) as entries:
+            for entry in entries:
+                if entry.name.startswith(prefix) and entry.name.endswith(".tmp"):
+                    os.unlink(entry.path)
+
+
 def spool(directory: Path) -> TextIO:
     """An unnamed temp file in `directory`, for text to be copied on (`spooled`): it has no
     name to leave behind, whatever way the process ends."""

@@ -528,7 +528,9 @@ MUTANTS = (
         "check-out-dir-after-first-call",
         "cli.py",
         "    for target in targets:  # an out-dir that cannot be made fails before the first call\n"
-        "        target.mkdir(parents=True, exist_ok=True)\n",
+        "        target.mkdir(parents=True, exist_ok=True)\n"
+        "        # A killed run leaves its temp files; one that ends by an error or signal does not.\n"
+        "        remove_stale_temps(target / name for name in CHECK_FILES)\n",
         "",
         "validation that can fail runs before the first call: check's out-dir",
         _UNWRITABLE,
@@ -561,8 +563,8 @@ MUTANTS = (
     Mutant(
         "check-lists-its-units",
         "cli.py",
-        "            units.check_units(), rules, backend, template, cfg.backend.parallelism\n",
-        "            list(units.check_units()), rules, backend, template, cfg.backend.parallelism\n",
+        "            units.check_units(release=last), rules, backend, template,",
+        "            list(units.check_units(release=last)), rules, backend, template,",
         "check lists its units in little more than their text",
         _UNITS_MEMORY,
     ),
@@ -791,10 +793,10 @@ MUTANTS = (
         "sentence-index-by-search",
         "corpus.py",
         "        i, last = 0, None\n"
-        "        for text, block in zip(self.texts, self.blocks):\n"
+        "        for text, block in zip(texts, self.blocks):\n"
         + _SENTENCE_INDEX
         + "            last = block\n",
-        "        for n, (text, block) in enumerate(zip(self.texts, self.blocks)):\n"
+        "        for n, (text, block) in enumerate(zip(texts, self.blocks)):\n"
         "            i = sum(1 for prior in self.blocks[:n] if prior == block)\n",
         "a unit table runs Python lines linear in its input (no clock)",
         ("tests/test_growth.py", "-k", "python_lines"),
@@ -831,6 +833,47 @@ MUTANTS = (
         "            except ValueError as exc:\n                with self._lock:\n",
         "the cache changes only cost and latency: a failed write stops the writes, not the run",
         ("tests/test_llm.py", "-k", "failed_write"),
+    ),
+    Mutant(
+        "last-run-keeps-its-texts",
+        "cli.py",
+        "        last = k == len(targets)\n",
+        "        last = False\n",
+        "check's peak is its units' text plus a constant: the last run frees each text as the "
+        "model stage takes it",
+        (_STREAM, "-k", "streamed_findings"),
+    ),
+    Mutant(
+        "a-set-per-record",
+        "evaluation.py",
+        "        yield ref, label_sets.setdefault(labels, labels), rec\n",
+        "        yield ref, labels, rec\n",
+        "eval holds one label set per distinct set, not one per unit",
+        (_STREAM, "-k", "one_set_per_distinct"),
+    ),
+    Mutant(
+        "sigterm-left-to-its-default",
+        "cli.py",
+        "    previous = signal.signal(signal.SIGTERM, _terminate) if handles else None\n",
+        "    previous = signal.getsignal(signal.SIGTERM) if handles else None\n",
+        "SIGTERM ends a run with exit 143 and one line, leaving no file in the out-dir",
+        (_STREAM, "-k", "sigterm"),
+    ),
+    Mutant(
+        "stale-temp-files-kept",
+        "storage.py",
+        "                    os.unlink(entry.path)\n",
+        "                    pass\n",
+        "check removes the temp files that a killed run left for its five names",
+        (_STREAM, "-k", "temp_files_a_killed_run_left"),
+    ),
+    Mutant(
+        "split-text-lists-its-spans",
+        "corpus.py",
+        "    return [text[s:e] for s, e in _spans(text)]\n",
+        "    return [text[s:e] for s, e in sentence_spans(text)]\n",
+        "splitting a paragraph holds nothing beside its input and its sentences",
+        (_ONE_COPY, "-k", "split_text_holds"),
     ),
 )
 

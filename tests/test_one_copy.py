@@ -1,7 +1,7 @@
 """One copy of the input: `segment`, `classify` and `check` read a document a batch of
 lines at a time, through one reader that yields each block as it closes; none of them
-builds a document or holds a block past its units; and findings share their rule-id
-sets."""
+builds a document or holds a block past its units; splitting a paragraph holds nothing
+beside its sentences; and findings share their rule-id sets."""
 
 from __future__ import annotations
 
@@ -173,6 +173,28 @@ def test_document_is_freed_before_the_model_stage(
     before = blocks()  # those of other tests' documents
     assert main(argv(fixtures, data_dir, tmp_path)) == 0
     assert seen == [([], 0)]  # no document was built, and no block is left
+
+
+def _paragraph(n: int) -> str:
+    """A paragraph of `n` sentences, with space around it and an abbreviation in each."""
+    return "  " + " ".join(f"Clause {k} of Art. 5 applies." for k in range(n)) + " \n"
+
+
+@pytest.mark.parametrize("n", [2000, 8000], ids=["1x", "4x"])
+def test_split_text_holds_no_list_beside_its_sentences(n):
+    # What splitting a paragraph takes beyond its input and its output: the spans are found
+    # one at a time, so it builds no list of breaks or spans (~150 B a sentence) and no
+    # stripped copy of the paragraph or of a sentence.
+    text = _paragraph(n)
+    corpus.split_text(text)  # compiles and caches what a first call builds
+    tracemalloc.start()
+    try:
+        sentences = corpus.split_text(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sentences) == n and sentences[-1] == f"Clause {n - 1} of Art. 5 applies."
+    assert peak - held < 16_384, (peak, held)
 
 
 RULES = Ruleset((RuleSpec("R1", "one"), RuleSpec("R2", "two"), RuleSpec("R3", "three")), "r")

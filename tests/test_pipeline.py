@@ -116,6 +116,30 @@ class TestComplianceUnits:
             tables += 1
         assert tables >= 100
 
+    @pytest.mark.parametrize("granularity", ["paragraph", "sentence"])
+    @pytest.mark.parametrize("context_on", [False, True])
+    def test_released_units_equal_the_iterated_ones_and_leave_the_table_empty(
+        self, granularity, context_on
+    ):
+        rng = random.Random(f"release-{granularity}-{context_on}")
+        tables = 0
+        for _ in range(300):
+            doc = parse_document(_random_structured_text(rng), "structured", doc_id="d")
+            budget = rng.choice((4, 8, 12, 20, 40, 4096))
+            table = _outcome(lambda: UnitTable(doc.blocks, "d", granularity, budget, context_on))
+            if isinstance(table, tuple):
+                continue
+            want = list(table.check_units())
+            released = table.check_units(release=True)
+            for k, unit in enumerate(released):
+                assert unit == want[k]
+                # The table dropped this unit's text and context, and no later one.
+                assert table.texts[k] is None and k not in table.contexts
+                assert all(text is not None for text in table.texts[k + 1:])
+            assert k == len(want) - 1 and table.contexts == {}
+            tables += 1
+        assert tables >= 100
+
     def test_sentence_over_budget(self, dpa_doc):
         with pytest.raises(UnchunkableText):
             compliance_units(dpa_doc, "sentence", 5)

@@ -7,7 +7,11 @@ A keyword-only run makes no call and gives the same labels at any parallelism.
 `check` and `segment` list their units in little more than their text. `check` holds
 no list of its findings, stops its calls when its writer does, and on a backend failure
 leaves its out-dir without any file, temporary ones included.
-`eval` reads the gold file once, as a stream, and holds no list of its records.
+`check`'s last run frees each unit's text as the model stage takes it, so its peak is the
+start of that stage plus a constant. SIGTERM ends `check` as Ctrl-C does, with exit 143,
+and `check` removes the temp files that a killed run left before its first call.
+`eval` reads the gold file once, as a stream, holds no list of its records, and holds one
+label set per distinct set of its predictions.
 A stdout that its reader closes ends `segment` and `classify` quietly, with exit 141,
 and stops `classify`'s calls as an early close does.
 """
@@ -265,10 +269,13 @@ def test_streamed_findings_take_memory_independent_of_the_artifact(
         finally:
             tracemalloc.stop()
         assert len((out / "findings.jsonl").read_text(encoding="utf-8").splitlines()) == n
-    # A list of the findings holds ~300 B a finding: 450 kB more at 2000 than at 500.
-    # The run keeps ~85 B a finding: each ledger row's cost and latency, for
-    # costs_summary.json, and each applicable finding's ref in the per-rule lists.
-    assert excess[2000] < excess[500] + 200_000, excess
+    # The run keeps ~80 B a finding: each ledger row's cost and latency, for
+    # costs_summary.json, and each applicable finding's ref in the per-rule lists. The
+    # run's only run takes each unit's text (~95 B here) from the table, which drops it, so
+    # that growth reuses what the texts free and the peak is the start plus a constant.
+    # A table that keeps its texts reads ~120 kB more at 2000 than at 500, and a list of
+    # the findings ~450 kB.
+    assert excess[2000] < excess[500] + 30_000, excess
 
 
 class _StageReached(Exception):
@@ -418,11 +425,9 @@ def test_an_interrupted_check_exits_130_with_one_line_leaving_no_file(
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("parallelism", [1, 4])
-def test_sigint_ends_check_with_exit_130_and_one_line_leaving_no_file(
-    monkeypatch, data_dir, tmp_path, parallelism
-):
-    # A real SIGINT, sent to a child interpreter while its third request waits for the answer.
+def _signalled_check(monkeypatch, data_dir, tmp_path, parallelism, signum):
+    """A child interpreter's `check` over the scripted server, sent `signum` while its third
+    request waits for the answer: its exit code, its stderr and what its out-dir holds."""
     waiting, answer = threading.Event(), threading.Event()
     post = _ScriptedHandler.do_POST
 
@@ -447,12 +452,62 @@ def test_sigint_ends_check_with_exit_130_and_one_line_leaving_no_file(
         )
         try:
             assert waiting.wait(timeout=60)
-            proc.send_signal(signal.SIGINT)
+            proc.send_signal(signum)
         finally:
             answer.set()  # a worker thread's call ends, so the run can wait for it
             _, err = proc.communicate(timeout=60)
-    assert (proc.returncode, err) == (130, "interrupted\n")
-    assert list(out.iterdir()) == []
+    return proc.returncode, err, list(out.iterdir())
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_sigint_ends_check_with_exit_130_and_one_line_leaving_no_file(
+    monkeypatch, data_dir, tmp_path, parallelism
+):
+    ended = _signalled_check(monkeypatch, data_dir, tmp_path, parallelism, signal.SIGINT)
+    assert ended == (130, "interrupted\n", [])
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_sigterm_ends_check_with_exit_143_and_one_line_leaving_no_file(
+    monkeypatch, data_dir, tmp_path, parallelism
+):
+    # As `timeout`, CI cancellation and service managers stop a run: without a handler the
+    # signal kills the child (status -15), and it leaves its five temp files in the out-dir.
+    ended = _signalled_check(monkeypatch, data_dir, tmp_path, parallelism, signal.SIGTERM)
+    assert ended == (143, "terminated\n", [])
+
+
+def test_main_puts_back_the_sigterm_handler_it_found(monkeypatch, fixtures, data_dir, tmp_path):
+    _Backend().stand_in(monkeypatch)
+
+    def mine(signum, frame):
+        raise AssertionError("not called")
+
+    previous = signal.signal(signal.SIGTERM, mine)
+    try:
+        assert main(_check_argv(fixtures, data_dir, _corpus(tmp_path, 3), tmp_path / "out")) == 0
+        assert signal.getsignal(signal.SIGTERM) is mine
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+@pytest.mark.parametrize("runs", [1, 2])
+def test_check_removes_the_temp_files_a_killed_run_left(
+    monkeypatch, fixtures, data_dir, tmp_path, runs
+):
+    _Backend().stand_in(monkeypatch)
+    # What a SIGKILL leaves: each output's temp file, in each target, beside another file.
+    out = tmp_path / "out"
+    targets = [out] if runs == 1 else [out / "run_01", out / "run_02"]
+    for target in targets:
+        target.mkdir(parents=True)
+        for name in CHECK_FILES:
+            (target / f"{name}.k2x9_q7p.tmp").write_text("partial", encoding="utf-8")
+        (target / "notes.tmp").write_text("kept", encoding="utf-8")
+    argv = _check_argv(fixtures, data_dir, _corpus(tmp_path, 5), out, "--runs", str(runs))
+    assert main(argv) == 0
+    for target in targets:
+        assert sorted(p.name for p in target.iterdir()) == sorted([*CHECK_FILES, "notes.tmp"])
 
 
 def _eval_files(tmp_path, n: int) -> list[str]:
@@ -485,6 +540,22 @@ def test_eval_reads_the_gold_file_once(monkeypatch, tmp_path):
     assert (body["subset_accuracy"], body["match_accuracy"]["value"]) == (1 / 3, 1 / 2)
 
 
+def test_eval_holds_one_set_per_distinct_label_set(tmp_path):
+    # What the loaded predictions hold, per unit: each ref and its dict entry, ~85 B. A
+    # frozenset per record adds ~255 B.
+    per_unit = {}
+    for n in (2000, 8000):
+        pred = _eval_files(tmp_path, n)[4]
+        tracemalloc.start()
+        try:
+            predicted, _ = evaluation.load_predictions(pred)
+            per_unit[n] = tracemalloc.get_traced_memory()[0] / n
+        finally:
+            tracemalloc.stop()
+        assert len(predicted) == n
+    assert all(held <= 120 for held in per_unit.values()), per_unit
+
+
 def test_eval_holds_no_list_of_the_gold_records(tmp_path):
     # The excess is eval's traced peak over what its loaded predictions hold.
     per_unit = {}
@@ -501,10 +572,11 @@ def test_eval_holds_no_list_of_the_gold_records(tmp_path):
             per_unit[n] = (tracemalloc.get_traced_memory()[1] - footprint) / n
         finally:
             tracemalloc.stop()
-    # Per gold unit, a set of the refs takes ~125 B and a list of the `GoldRecord`s ~400 B.
-    # The run keeps ~200 B: each gold ref, in the loader's duplicate check and in
-    # `confusion`'s check that the units match. Holding the gold list reads ~470 B.
-    assert all(excess < 300 for excess in per_unit.values()), per_unit
+    # Per gold unit, a set of the refs takes ~125 B. The run keeps 197-235 B: each gold ref,
+    # in the loader's duplicate check and in `confusion`'s check that the units match.
+    # Records with equal labels share one set, so a list of the `GoldRecord`s adds only
+    # ~60 B: holding it reads 257-283 B.
+    assert all(excess < 250 for excess in per_unit.values()), per_unit
 
 
 def _read_one_line_then_close(argv: list[str], tmp_path) -> tuple[int, int, str]:
