@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .corpus import Unit, first_sentence_end
-from .errors import ParseError, TemplateError
+from .errors import BackendError, ParseError, TemplateError
 from .llm import ChatMessage, CostTotals, Usage, cost_row
 from .storage import atomic_files, json_chunks, jsonl_line, read_text_or_bundled, spool, spooled
 from .taxonomy import NOT_APPLICABLE, Ruleset, render_rules
@@ -31,7 +31,11 @@ _LEADING_IDS = re.compile(r"^\s*(?:R\d+\b[\s,;]*(?:and\s+)?)+[.:–-]?\s*")
 
 _WRITE_BATCH = 128  # findings `write_check_outputs` takes from the model stage at a time
 # The files of a `check` run's out-dir, in the order `write_check_outputs` opens them.
-CHECK_FILES = ("findings.jsonl", "costs.jsonl", "costs_summary.json", "report.json", "report.md")
+CHECK_FILES = (
+    "findings.jsonl", "errors.jsonl", "costs.jsonl", "costs_summary.json", "report.json", "report.md"
+)
+# The error of a unit that no call was made for: a call of its run had failed.
+NOT_SENT = "not sent: a call of this run failed"
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,7 @@ class Finding:
     raw_response: str
     usage: Usage | None = None
     parse_error: str | None = None
+    error: str | None = None  # the backend error of a passage left unanswered
 
     def __post_init__(self):
         object.__setattr__(self, "rule_ids", frozenset(self.rule_ids))
@@ -329,20 +334,30 @@ def write_check_outputs(
     """Write one `check` run into `target` in one pass over `findings`, and return its
     report's totals. Each finding is written as it comes: to `findings.jsonl` and
     `costs.jsonl`, and its text in each report to that report's spool, while a tally counts
-    it. Then each report is written as its head, known only now, followed by its spool, and
-    the five files are renamed into place. If `findings` or a write raises, none is."""
+    it; a finding with an `error` goes to `errors.jsonl` alone. Then each report is written
+    as its head, known only now, followed by its spool, and the six files are renamed into
+    place. If `findings` or a write raises, none is. If a unit was left unanswered, a
+    `BackendError` naming the first failed call's error is raised once the files are in."""
     tally, costs = _ReportTally(rules), CostTotals()
+    unanswered, failure = 0, None
     with (
-        atomic_files([target / name for name in CHECK_FILES]) as (records, ledger, summary, rjson, rmd),
+        atomic_files([target / name for name in CHECK_FILES]) as files,
         spool(target) as json_spool,
         spool(target) as md_spool,
     ):
+        records, errors, ledger, summary, rjson, rmd = files
         md_last = ""  # the last finding's Markdown, held back: its trailing space is trimmed
         # Findings are taken _WRITE_BATCH at a time: a model stage and a writer that take
         # turns per finding cost ~10% more CPU than each running over a batch in turn.
         findings = iter(findings)
         for batch in iter(lambda: list(islice(findings, _WRITE_BATCH)), []):
             for f in batch:
+                if f.error is not None:  # no answer to record: the reports cover answered units
+                    errors.write(jsonl_line({"unit_ref": f.passage_ref, "error": f.error}))
+                    unanswered += 1
+                    if failure is None and f.error != NOT_SENT:
+                        failure = f.error
+                    continue
                 tally.add(f)
                 record = {
                     "unit_ref": f.passage_ref,
@@ -361,6 +376,9 @@ def write_check_outputs(
         tail = _json_tail(report.totals["passages"])
         rjson.writelines(chain(_json_head(report), spooled(json_spool), [tail]))
         rmd.writelines(_trimmed(chain(_markdown_head(report), spooled(md_spool), [md_last])))
+    if unanswered:
+        total, listed = unanswered + report.totals["passages"], target / "errors.jsonl"
+        raise BackendError(f"{failure}; {unanswered} of {total} units unanswered, listed in {listed}")
     return report.totals
 
 

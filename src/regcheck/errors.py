@@ -47,10 +47,6 @@ class BackendError(RegcheckError):
         self.last_status = last_status
 
 
-class ScriptExhausted(BackendError):
-    """The stub backend has no scripted response for a request."""
-
-
 class UnknownModelPrice(RegcheckError):
     """The price table has no entry for a model seen in the usage stream."""
 

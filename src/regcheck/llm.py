@@ -24,12 +24,7 @@ from typing import Iterable, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .corpus import estimate_tokens
-from .errors import (
-    BackendError,
-    CorruptCacheEntry,
-    ScriptExhausted,
-    UnknownModelPrice,
-)
+from .errors import BackendError, CorruptCacheEntry, UnknownModelPrice
 from .storage import atomic_write_text, jsonl_line, numbered_jsonl, read_json
 
 HTTP = "http"
@@ -167,10 +162,7 @@ class StubBackend:
                 response = rule.response
                 break
         else:
-            raise ScriptExhausted(
-                f"no scripted response matches request starting "
-                f"{request_text[:60]!r}"
-            )
+            raise BackendError(f"no scripted response matches request starting {request_text[:60]!r}")
         usage = Usage(
             model_name=self.model_name,
             prompt_tokens=sum(estimate_tokens(m.content) for m in messages),

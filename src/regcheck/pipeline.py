@@ -1,12 +1,12 @@
 """The model stage of both pipelines; the caller makes the units (see `corpus`) and the backend.
 
 Every model call of both pipelines is made here, one unit at a time, by `answers`, which
-keeps the text and usage of an answer the grammar rejects: it was paid for. It runs at most
-`parallelism` requests at a time and queues at most 2·`parallelism` units; after a unit
-fails no further unit starts. Results come in input order, so runs with a deterministic
-backend are byte-reproducible. `classify_iter` and `compliance_iter` yield each result once
-it and every earlier one are done, so a caller can write it out and drop it while later
-calls run; `classify_provisions` and `run_compliance` are their results as lists.
+keeps the text and usage of an answer the grammar rejects: it was paid for. A failed call is
+its unit's result, and no unit is sent after it. It runs at most `parallelism` requests at a
+time and queues at most 2·`parallelism` units. Results come in input order, so runs with a
+deterministic backend are byte-reproducible. `classify_iter` and `compliance_iter` yield
+each result once it and every earlier one are done, so a caller can write it out and drop it
+while later calls run; `classify_provisions` and `run_compliance` are their results as lists.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from functools import partial
 from json.encoder import encode_basestring as _encode_str  # the C encoder of ensure_ascii=False
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .compliance import Finding, parse_response, prompt_builder
+from .compliance import NOT_SENT, Finding, parse_response, prompt_builder
 from .corpus import CheckUnit, SourceDocument, Unit, UnitTable
-from .errors import ParseError
+from .errors import BackendError, ParseError
 from .llm import Backend, Usage
 from .taxonomy import ConceptModel, Ruleset
 
@@ -35,10 +35,21 @@ def answers(
     """`(unit, parse(response), (response, usage, None))` per unit, in input order (see
     `_ordered_map`), for the response to the messages `prompt(unit)`. When `parse` raises
     `ParseError` it is `(unit, None, (response, usage, message))`: a rejected answer was
-    still paid for. Every other exception, `BackendError` included, propagates."""
+    still paid for. A call that raises `BackendError` gives `(unit, None, error)`; each unit
+    that starts after it gives `(unit, None, error)` with no call, its error `NOT_SENT`
+    caused by the failed call's. Every other exception propagates."""
+    failed: list[BackendError] = []  # the run's failed calls: once one is in, no unit is sent
 
     def ask(unit) -> tuple:
-        response, usage = backend.complete(prompt(unit))
+        if failed:
+            error = BackendError(NOT_SENT, attempts=0)
+            error.__cause__ = failed[0]
+            return unit, None, error
+        try:
+            response, usage = backend.complete(prompt(unit))
+        except BackendError as exc:
+            failed.append(exc)
+            return unit, None, exc
         try:
             return unit, parse(response), (response, usage, None)
         except ParseError as exc:
@@ -94,6 +105,7 @@ def classify_iter(
     The model branch and the keyword branch are independent; their label sets are fused per
     provision, once per distinct pair of label sets (see `fused_labels`). Without a backend
     the model branch is skipped entirely (the keyword-search baseline) and no thread starts.
+    The first unit left unanswered (see `answers`) raises the failed call's `BackendError`.
     The caller closes the iterator if it stops early, which cancels the queued units (see
     `_ordered_map`).
     """
@@ -105,10 +117,15 @@ def classify_iter(
         prompt = classification_prompter(model, template)
         parse = partial(parse_concept_response, model=model)
         answered = answers(provisions, prompt, parse, backend, parallelism)
-    return (  # a rejected answer (`ids` None) adds no label to the keyword labels
-        ClassifiedProvision(p, fused_labels(ids or frozenset(), keywords(p.text)), *answer)
-        for p, ids, answer in answered
-    )
+
+    def classified(p: Unit, ids, answer) -> ClassifiedProvision:
+        if isinstance(answer, BackendError):
+            answered.close()  # cancels the queued units before the error propagates
+            raise answer.__cause__ if str(answer) == NOT_SENT else answer
+        # A rejected answer (`ids` None) adds no label to the keyword labels.
+        return ClassifiedProvision(p, fused_labels(ids or frozenset(), keywords(p.text)), *answer)
+
+    return (classified(*result) for result in answered)
 
 
 def compliance_units(
@@ -134,50 +151,42 @@ def compliance_iter(
     parallelism: int = 1,
 ) -> Iterator[Finding]:
     """One finding per unit, yielded in input order as it completes. A response the grammar
-    rejects becomes a finding with `parse_error` set and no rule ids (see `answers`). The
-    caller closes the iterator if it stops early, which cancels the queued units."""
+    rejects becomes a finding with `parse_error` set and no rule ids, and a unit left
+    unanswered one with `error` set and no response (see `answers`). The caller closes the
+    iterator if it stops early, which cancels the queued units."""
     build = prompt_builder(rules, template)
     parse = partial(parse_response, rules=rules)
     rejected = (rules.id_set(()), "")  # the rule ids and rationale of a rejected answer
-    return (
-        Finding(unit.passage.unit_ref, *(parsed or rejected), *answer)
-        for unit, parsed, answer in answers(
-            units, lambda u: build(u.passage, u.context).messages, parse, backend, parallelism
-        )
+
+    def finding(unit: CheckUnit, parsed, answer) -> Finding:
+        if isinstance(answer, BackendError):
+            return Finding(unit.passage.unit_ref, *rejected, "", error=str(answer))
+        return Finding(unit.passage.unit_ref, *(parsed or rejected), *answer)
+
+    answered = answers(
+        units, lambda u: build(u.passage, u.context).messages, parse, backend, parallelism
     )
+    return (finding(*result) for result in answered)
 
 
 def _ordered_map(fn: Callable, items: Iterable, parallelism: int) -> Iterator:
     """`fn` over `items`, yielded in input order, at most `parallelism` calls at a time, at
-    most `_QUEUED_PER_WORKER * parallelism` units submitted. Once a unit's failure is seen, no
-    unit is submitted and none after it in input order calls `fn`; the first failure in
-    input order is raised. Closing the iterator, or an error raised through it, cancels the
-    queued units and waits for the running ones. At parallelism 1 the calls run one by one
-    in the calling thread, each when its result is asked for."""
+    most `_QUEUED_PER_WORKER * parallelism` units submitted. An exception that `fn` raises
+    is raised in its unit's turn, so the first in input order is. Closing the iterator, or
+    an error raised through it, cancels the queued units and waits for the running ones. At
+    parallelism 1 the calls run one by one in the calling thread, each when its result is
+    asked for."""
     if parallelism <= 1:
         yield from map(fn, items)
         return
     from concurrent.futures import ThreadPoolExecutor  # imported here: parallel runs only
-    failed: list[int] = []  # indices of the units that raised
-
-    def unit(index: int, item):
-        if failed and index > min(failed):
-            return None  # never read: the caller meets an earlier unit's failure first
-        try:
-            return fn(item)
-        except BaseException:
-            failed.append(index)
-            raise
-
     pending = deque()
     pool = ThreadPoolExecutor(max_workers=parallelism)
     try:
-        for index, item in enumerate(items):
+        for item in items:
             if len(pending) == _QUEUED_PER_WORKER * parallelism:
                 yield pending.popleft().result()
-            if failed:
-                break
-            pending.append(pool.submit(unit, index, item))
+            pending.append(pool.submit(fn, item))
         while pending:
             yield pending.popleft().result()
     finally:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,52 @@ def stub_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(StubBackend, "complete", counted)
     return seen
+
+
+class PoolTasks:
+    """The tasks of the pool that `pipeline._ordered_map` runs units on, by the key that
+    `key` gives each task's item (the item itself by default). A task waits for each event
+    in `gates[key]` before it runs the unit, and `done(key)` is set once it has run, whether
+    the unit made a call or not. `timeline` lists `("start", key)` as a task starts to run
+    its unit and `("done", key)` once it has run it."""
+
+    def __init__(self):
+        self.key = lambda item: item
+        self.gates: dict = {}
+        self.finished: dict = {}
+        self.timeline: list[tuple[str, object]] = []
+
+    def done(self, key) -> threading.Event:
+        return self.finished.setdefault(key, threading.Event())
+
+
+@pytest.fixture
+def pool_tasks(monkeypatch) -> PoolTasks:
+    import concurrent.futures
+
+    tasks = PoolTasks()
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, item):
+            key = tasks.key(item)
+
+            def gated(item):
+                for gate in tasks.gates.get(key, ()):
+                    if not gate.wait(10):
+                        raise TimeoutError(f"the task of {key!r} waited 10 s for its gate")
+                tasks.timeline.append(("start", key))
+                return fn(item)
+
+            def ran(_):
+                tasks.timeline.append(("done", key))
+                tasks.done(key).set()
+
+            future = super().submit(gated, item)
+            future.add_done_callback(ran)
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    return tasks
 
 
 @pytest.fixture(scope="session")

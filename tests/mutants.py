@@ -46,6 +46,7 @@ class Mutant:
 
 
 _ORDERED_MAP = ("tests/test_pipeline.py", "-k", "TestOrderedMap")
+_ANSWERS = ("tests/test_pipeline.py", "-k", "TestAnswers")
 _STARTUP = ("tests/test_startup.py",)
 _PARSE_REFERENCE = ("tests/test_corpus.py", "-k", "TestParseDocumentAgainstReference")
 _ONE_COPY = "tests/test_one_copy.py"
@@ -70,20 +71,12 @@ _RECORD_LINES = ("tests/test_pipeline.py", "-k", "RecordLines")
 
 MUTANTS = (
     Mutant(
-        "scheduler-no-skip",
+        "unit-sent-after-a-failed-call",
         "pipeline.py",
-        "        if failed and index > min(failed):\n",
+        "        if failed:\n",
         "        if False:\n",
-        "a queued unit after a failing one makes no call",
-        _ORDERED_MAP,
-    ),
-    Mutant(
-        "scheduler-submit-after-failure",
-        "pipeline.py",
-        "            if failed:\n                break\n",
-        "",
-        "once a failure is seen, nothing more is submitted",
-        _ORDERED_MAP,
+        "no unit is sent after a failed call",
+        _ANSWERS,
     ),
     Mutant(
         "scheduler-unbounded-queue",
@@ -104,22 +97,18 @@ MUTANTS = (
     Mutant(
         "scheduler-completion-order",
         "pipeline.py",
-        "        for index, item in enumerate(items):\n"
+        "        for item in items:\n"
         "            if len(pending) == _QUEUED_PER_WORKER * parallelism:\n"
         "                yield pending.popleft().result()\n"
-        "            if failed:\n"
-        "                break\n"
-        "            pending.append(pool.submit(unit, index, item))\n"
+        "            pending.append(pool.submit(fn, item))\n"
         "        while pending:\n"
         "            yield pending.popleft().result()\n",
         "        from concurrent.futures import as_completed\n"
-        "        for index, item in enumerate(items):\n"
+        "        for item in items:\n"
         "            if len(pending) == _QUEUED_PER_WORKER * parallelism:\n"
         "                pending.remove(done := next(as_completed(pending)))\n"
         "                yield done.result()\n"
-        "            if failed:\n"
-        "                break\n"
-        "            pending.append(pool.submit(unit, index, item))\n"
+        "            pending.append(pool.submit(fn, item))\n"
         "        for future in as_completed(pending):\n"
         "            yield future.result()\n",
         "results keep input order at any parallelism",
@@ -355,8 +344,8 @@ MUTANTS = (
     Mutant(
         "pipeline-imports-classify",
         "pipeline.py",
-        "from .compliance import Finding,",
-        "from .classify import classify_keywords\nfrom .compliance import Finding,",
+        "from .compliance import NOT_SENT, Finding,",
+        "from .classify import classify_keywords\nfrom .compliance import NOT_SENT, Finding,",
         "a subcommand loads only the modules it runs: check never classifies",
         _STARTUP,
     ),
@@ -594,12 +583,39 @@ MUTANTS = (
         ("tests/test_outputs.py", "-k", "written_run"),
     ),
     Mutant(
-        "temp-left-on-backend-error",
+        "temp-left-on-failed-write",
         "storage.py",
         "                os.unlink(tmp)\n",
         "                pass\n",
-        "a run that fails leaves no file in its out-dir, temporary ones included",
+        "a run whose writer fails or is interrupted leaves no file, temporary ones included",
+        (_STREAM, "-k", "failed_check_writer"),
+    ),
+    Mutant(
+        "unanswered-unit-in-the-findings",
+        "compliance.py",
+        "                        failure = f.error\n                    continue\n",
+        "                        failure = f.error\n",
+        "an unanswered unit reaches errors.jsonl alone: no finding, ledger row or coverage",
         (_STREAM, "-k", "failing_check_unit"),
+    ),
+    Mutant(
+        "unanswered-run-exits-0",
+        "compliance.py",
+        "    if unanswered:\n",
+        "    if False:\n",
+        "a check run with an unanswered unit exits 3",
+        (_STREAM, "-k", "failing_check_unit"),
+    ),
+    Mutant(
+        "closed-connection-not-retried",
+        "llm.py",
+        "            resp = conn.getresponse()\n",
+        "            try:\n"
+        "                resp = conn.getresponse()\n"
+        "            except self._transport_errors as exc:\n"
+        '                raise BackendError(f"connection lost: {exc}") from exc\n',
+        "a connection closed after the request was sent is retried",
+        _CHECK_LAW,
     ),
     Mutant(
         "fresh-id-set-per-answer",
@@ -864,7 +880,7 @@ MUTANTS = (
         "storage.py",
         "                    os.unlink(entry.path)\n",
         "                    pass\n",
-        "check removes the temp files that a killed run left for its five names",
+        "check removes the temp files that a killed run left for its six names",
         (_STREAM, "-k", "temp_files_a_killed_run_left"),
     ),
     Mutant(

@@ -2,8 +2,13 @@
 
 Output law: the report, findings and labels bytes of a run depend on its
 inputs alone. `--parallelism`, the response cache (none, cold or warm), the
-backend (the stub, or an http endpoint that serves the same script) and
-`--runs` change none of them.
+backend (the stub, or an http endpoint that serves the same script), `--runs`
+and transient faults on the wire change none of them.
+
+Fault law: transient faults (a 429, a 503, a connection closed before the status
+line, each at most `retry_max_attempts` - 1 times in a row for a request) change
+only cost and latency. The endpoint sees the uncached units plus the faults, and
+`errors.jsonl` stays empty.
 
 Cache law: the cache changes only cost and latency. A cold cache makes one
 request per unit, a warm one makes none, and repeated `check` runs bypass it;
@@ -35,6 +40,7 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations, product
 from pathlib import Path
 
@@ -42,7 +48,7 @@ import pytest
 
 from regcheck.cli import main
 from regcheck.storage import write_json, write_jsonl
-from test_llm import _child_env, _ScriptedHandler, scripted_server
+from test_llm import TransientFaults, _child_env, _ScriptedHandler, scripted_server
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DATA = Path(__file__).parent.parent / "src" / "regcheck" / "data"
@@ -54,13 +60,22 @@ CHECK_GRID = {
     "cache": ("none", "cold", "warm"),
     "backend": ("stub", "http"),
     "runs": (1, 2),
+    "faults": ("none", "transient"),
 }
 CLASSIFY_GRID = {
     "parallelism": (1, 8),
     "stem": ("off", "on"),
     "cache": ("none", "cold", "warm"),
     "backend": ("stub", "http"),
+    "faults": ("none", "transient"),
 }
+# Faults are made on the wire: the stub backend has none.
+FAULT_SEED, FAULT_CONFIG = 11, {"retry_max_attempts": 3, "retry_base_backoff_s": 0}
+
+
+def on_the_wire(case: dict) -> bool:
+    """Whether a grid case can be run: faults need the http backend."""
+    return case["faults"] == "none" or case["backend"] == "http"
 # Each granularity is checked with the script written for its units.
 CHECK_SCRIPTS = {
     "sentence": FIXTURES / "stub_sentence_blind.jsonl",
@@ -72,10 +87,15 @@ REPORT_FILES = ("report.json", "report.md", "findings.jsonl")
 VOLATILE = ("latency_s", "cached", "monetary_cost")
 
 
+def valid_cases(grid: dict[str, tuple]) -> list[tuple]:
+    """The grid's cases that can be run (see `on_the_wire`)."""
+    return [case for case in product(*grid.values()) if on_the_wire(dict(zip(grid, case)))]
+
+
 def pairwise_cover(grid: dict[str, tuple]) -> list[tuple]:
-    """A greedy pairwise cover of the grid's cases: each step takes the first
-    case that covers the most pairs not covered yet."""
-    cases = list(product(*grid.values()))
+    """A greedy pairwise cover of the grid's cases that can be run: each step takes the
+    first case that covers the most pairs not covered yet."""
+    cases = valid_cases(grid)
 
     def pairs(case: tuple) -> set:
         return set(combinations(enumerate(case), 2))
@@ -98,7 +118,7 @@ def grid_cases(grid: dict[str, tuple]) -> list:
             id="-".join(f"{k}={v}" for k, v in zip(grid, case)),
             marks=() if case in cover else pytest.mark.full_grid,
         )
-        for case in product(*grid.values())
+        for case in valid_cases(grid)
     ]
 
 
@@ -110,6 +130,22 @@ def backend_flags(backend: str, script: Path):
         return
     with scripted_server(script) as url:
         yield ["--endpoint", url]
+
+
+def fault_config(tmp_path: Path) -> list[str]:
+    """The global flags of a law run: a config file that sets a 0 s backoff."""
+    write_json(tmp_path / "config.json", FAULT_CONFIG)
+    return ["--config", str(tmp_path / "config.json")]
+
+
+def reset_endpoint(faults: str) -> Counter:
+    """Forget the requests the scripted endpoint has seen, and plan its faults afresh; the
+    count of the faults it will inject, by kind."""
+    _ScriptedHandler.requests_seen = []
+    most = FAULT_CONFIG["retry_max_attempts"] - 1
+    plan = TransientFaults(FAULT_SEED, most) if faults == "transient" else None
+    _ScriptedHandler.faults = plan
+    return Counter() if plan is None else plan.injected
 
 
 def cache_entries(directory: Path) -> int:
@@ -246,7 +282,8 @@ def test_check_reference_is_the_golden_report(check_reference):
 
 @pytest.mark.parametrize(list(CHECK_GRID), grid_cases(CHECK_GRID))
 def test_check_law(
-    tmp_path, stub_calls, check_reference, granularity, context, parallelism, cache, backend, runs
+    tmp_path, stub_calls, check_reference, granularity, context, parallelism, cache, backend,
+    runs, faults,
 ):
     want_outputs, want_ledger = check_reference(granularity, context)
     units = len(want_ledger)
@@ -254,19 +291,23 @@ def test_check_law(
     shared = ["--parallelism", str(parallelism)]
     if cache != "none":
         shared += ["--cache-dir", str(cache_dir)]
+    config = fault_config(tmp_path)
     with backend_flags(backend, CHECK_SCRIPTS[granularity]) as flags:
         if cache == "warm":  # one run fills the cache
-            assert main(check_argv(granularity, context, [*flags, *shared], tmp_path / "fill")) == 0
+            reset_endpoint(faults)
+            argv = check_argv(granularity, context, [*flags, *shared], tmp_path / "fill")
+            assert main([*config, *argv]) == 0
         entries = cache_entries(cache_dir)
         stub_calls.clear()
-        _ScriptedHandler.requests_seen = []
+        injected = reset_endpoint(faults)
         argv = check_argv(granularity, context, [*flags, *shared, "--runs", str(runs)], tmp_path / "out")
-        assert main(argv) == 0
+        assert main([*config, *argv]) == 0
         made = len(_ScriptedHandler.requests_seen if backend == "http" else stub_calls)
 
     targets = [tmp_path / "out"] if runs == 1 else [tmp_path / "out" / f"run_{n:02d}" for n in (1, 2)]
     for target in targets:
         audit(target)
+        assert (target / "errors.jsonl").read_bytes() == b"", target
         assert read_outputs(target, REPORT_FILES) == want_outputs, target
         assert ledger_rows(target) == want_ledger, target
         summary = json.loads((target / "costs_summary.json").read_text())
@@ -277,30 +318,39 @@ def test_check_law(
     if cache == "warm" and runs == 1:
         assert made == 0
     else:  # cold, none, or repeated runs that bypass the cache
-        assert made == runs * units
+        assert made == runs * units + sum(injected.values())
+        assert set(injected) == (set(TransientFaults.KINDS) if faults == "transient" else set())
     filled = cache == "cold" and runs == 1
     assert cache_entries(cache_dir) == (units if filled else entries)
 
 
 @pytest.mark.parametrize(list(CLASSIFY_GRID), grid_cases(CLASSIFY_GRID))
-def test_classify_law(tmp_path, stub_calls, stem_reference, parallelism, stem, cache, backend):
+def test_classify_law(
+    tmp_path, stub_calls, stem_reference, parallelism, stem, cache, backend, faults
+):
     want = stem_reference if stem == "on" else (FIXTURES / "golden_labels.jsonl").read_bytes()
     provisions = want.count(b"\n")
     cache_dir = tmp_path / "cache"
     shared = ["--parallelism", str(parallelism)]
     if cache != "none":
         shared += ["--cache-dir", str(cache_dir)]
+    config = fault_config(tmp_path)
     with backend_flags(backend, CLASSIFY_SCRIPT) as flags:
         if cache == "warm":
-            assert main(classify_argv(stem, [*flags, *shared], tmp_path / "fill.jsonl")) == 0
+            reset_endpoint(faults)
+            argv = classify_argv(stem, [*flags, *shared], tmp_path / "fill.jsonl")
+            assert main([*config, *argv]) == 0
         entries = cache_entries(cache_dir)
         stub_calls.clear()
-        _ScriptedHandler.requests_seen = []
-        assert main(classify_argv(stem, [*flags, *shared], tmp_path / "labels.jsonl")) == 0
+        injected = reset_endpoint(faults)
+        argv = classify_argv(stem, [*flags, *shared], tmp_path / "labels.jsonl")
+        assert main([*config, *argv]) == 0
         made = len(_ScriptedHandler.requests_seen if backend == "http" else stub_calls)
 
     assert (tmp_path / "labels.jsonl").read_bytes() == want
-    assert made == (0 if cache == "warm" else provisions)
+    assert made == (0 if cache == "warm" else provisions + sum(injected.values()))
+    if cache != "warm":
+        assert set(injected) == (set(TransientFaults.KINDS) if faults == "transient" else set())
     assert cache_entries(cache_dir) == (provisions if cache == "cold" else entries)
 
 
@@ -399,7 +449,8 @@ def test_input_law_line_endings_do_not_reach_the_outputs(tmp_path, name, variant
     changed.write_bytes(INPUT_VARIANTS[variant](text).encode("utf-8"))
     want = _input_law_outputs(FIXTURES / name, fmt, script, tmp_path / "original")
     got = _input_law_outputs(changed, fmt, script, tmp_path / "changed")
-    assert len(want) == 12 and b"\"R1\"" in want["check-sentence/findings.jsonl"]
+    assert len(want) == 14 and b"\"R1\"" in want["check-sentence/findings.jsonl"]
+    assert want["check-sentence/errors.jsonl"] == want["check-paragraph/errors.jsonl"] == b""
     assert got == want
 
 

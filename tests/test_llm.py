@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -20,12 +21,7 @@ import pytest
 
 import regcheck
 from regcheck.corpus import estimate_tokens
-from regcheck.errors import (
-    BackendError,
-    CorruptCacheEntry,
-    ScriptExhausted,
-    UnknownModelPrice,
-)
+from regcheck.errors import BackendError, CorruptCacheEntry, UnknownModelPrice
 from regcheck.llm import (
     MAX_BACKOFF_S,
     BackendConfig,
@@ -137,7 +133,7 @@ class TestStubBackend:
 
     def test_exhausted(self):
         backend = StubBackend([])
-        with pytest.raises(ScriptExhausted):
+        with pytest.raises(BackendError, match="no scripted response matches request starting"):
             backend.complete(MESSAGES)
 
     def test_matcher_rules_are_persistent(self):
@@ -483,12 +479,42 @@ def _completion(content, usage):
     return {"choices": [{"message": {"role": "assistant", "content": content}}], "usage": usage}
 
 
+class TransientFaults:
+    """The transient faults that `_ScriptedHandler` answers requests with before it serves
+    them: a 429, a 503, or a connection closed before the status line. Each request's
+    faults are drawn from `seed` and its messages, at most `most` of them in a row, so the
+    plan is the same at any parallelism. `injected` counts them by kind."""
+
+    KINDS = (429, 503, "close")
+
+    def __init__(self, seed: int, most: int):
+        self.seed, self.most = seed, most
+        self.lock = threading.Lock()
+        self.attempts: Counter = Counter()  # requests seen, per distinct messages
+        self.injected: Counter = Counter()
+
+    def next(self, body: dict) -> int | str | None:
+        """The fault to answer the request `body` with, or None to serve it."""
+        key = json.dumps(body["messages"], sort_keys=True)
+        rng = random.Random(f"{self.seed}:{key}")
+        planned = [rng.choice(self.KINDS) for _ in range(rng.randint(0, self.most))]
+        with self.lock:
+            attempt = self.attempts[key]
+            self.attempts[key] += 1
+            fault = planned[attempt] if attempt < len(planned) else None
+            if fault is not None:
+                self.injected[fault] += 1
+        return fault
+
+
 class _ScriptedHandler(BaseHTTPRequestHandler):
     statuses: list[int] = []
     # Bodies of the next 200 responses; once used up, a well-formed completion.
     payloads: list[dict] = []
     # When set, a StubBackend whose answer to the request's messages is that completion.
     script: StubBackend | None = None
+    # When set, the faults answered before `statuses` and the script are (see the class).
+    faults: TransientFaults | None = None
     requests_seen: list[dict] = []
     headers_seen: list[dict] = []
 
@@ -497,7 +523,10 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length) or b"{}")
         type(self).requests_seen.append(body)
         type(self).headers_seen.append(dict(self.headers))
-        status = type(self).statuses.pop(0) if type(self).statuses else 200
+        fault = type(self).faults and type(self).faults.next(body)
+        if fault == "close":
+            return  # the server closes the connection: an HTTP/1.0 handler keeps none open
+        status = fault or (type(self).statuses.pop(0) if type(self).statuses else 200)
         if status != 200:
             self.send_response(status)
             self.send_header("Content-Length", "9")
@@ -552,10 +581,11 @@ def scripted_server(script: Path | None = None):
     _ScriptedHandler.requests_seen = []
     _ScriptedHandler.headers_seen = []
     _ScriptedHandler.script = StubBackend(load_stub_script(script)) if script else None
+    _ScriptedHandler.faults = None
     try:
         yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     finally:
-        _ScriptedHandler.script = None
+        _ScriptedHandler.script = _ScriptedHandler.faults = None
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)

@@ -14,6 +14,7 @@ import pytest
 
 import regcheck.compliance as compliance
 from regcheck.compliance import (
+    NOT_SENT,
     ComplianceReport,
     Finding,
     _json_finding,
@@ -24,6 +25,7 @@ from regcheck.compliance import (
     report_to_markdown,
     write_check_outputs,
 )
+from regcheck.errors import BackendError
 from regcheck.llm import ModelPrice, Usage, cost_row
 from regcheck.taxonomy import RuleSpec, Ruleset
 
@@ -212,8 +214,42 @@ def test_written_run_gives_the_one_shot_bytes(monkeypatch, tmp_path, case):
          "parse_error": f.parse_error}
         for f in findings
     )
+    assert (tmp_path / "errors.jsonl").read_bytes() == b""
     written = sorted(p.name for p in tmp_path.iterdir())  # no temp or spool file is left
-    assert written == sorted([*expected, "costs.jsonl", "findings.jsonl"])
+    assert written == sorted([*expected, "costs.jsonl", "errors.jsonl", "findings.jsonl"])
+
+
+@pytest.mark.parametrize("case", range(0, 300, 30))
+def test_unanswered_findings_reach_errors_jsonl_alone(tmp_path, case):
+    # Unanswered units among the findings, the first of them not sent: the files of the
+    # answered findings are those of a run of them alone, `errors.jsonl` lists the others in
+    # order, and the error raised once the six files are in names the failed call's error.
+    findings, rules = REPORTS[case].findings, _ruleset(REPORTS[case].ruleset_name)
+    rng = random.Random(case)
+    errors = [NOT_SENT, "backend unavailable after 3 attempts: try later"]
+    errors += [rng.choice([NOT_SENT, "backend rejected request (status 400)"]) for _ in range(3)]
+    total = len(findings) + len(errors)
+    gaps = sorted(rng.sample(range(total), len(errors)))  # where each unanswered unit goes
+    answered = iter(findings)
+    mixed = [
+        Finding(f"gap:{gaps.index(i)}", frozenset(), "", "", error=errors[gaps.index(i)])
+        if i in gaps else next(answered)
+        for i in range(total)
+    ]
+    expected = tmp_path / "answered"
+    totals = write_check_outputs(expected, iter(findings), rules, "a", PRICES)
+    with pytest.raises(BackendError) as err:
+        write_check_outputs(tmp_path / "mixed", iter(mixed), rules, "a", PRICES)
+    listed = tmp_path / "mixed" / "errors.jsonl"
+    assert str(err.value) == (
+        f"{errors[1]}; {len(errors)} of {total} units unanswered, listed in {listed}"
+    )
+    assert json.loads((expected / "report.json").read_text(encoding="utf-8"))["totals"] == totals
+    for name in ("findings.jsonl", "costs.jsonl", "costs_summary.json", "report.json", "report.md"):
+        assert (tmp_path / "mixed" / name).read_bytes() == (expected / name).read_bytes(), name
+    assert listed.read_bytes() == _lines(
+        {"unit_ref": f"gap:{k}", "error": error} for k, error in enumerate(errors)
+    )
 
 
 SIZED_RULES = Ruleset(tuple(RuleSpec(f"R{i}", f"rule {i}") for i in range(1, 13)), "rules")

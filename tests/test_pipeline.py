@@ -22,6 +22,7 @@ from regcheck.classify import (
     parse_concept_response,
 )
 from regcheck.compliance import (
+    NOT_SENT,
     Finding,
     build_prompt,
     default_template,
@@ -29,13 +30,14 @@ from regcheck.compliance import (
     prompt_builder,
 )
 from regcheck.corpus import UnitTable, block_text, extract_provisions, parse_document
-from regcheck.errors import ParseError, UnchunkableText
+from regcheck.errors import BackendError, ParseError, UnchunkableText
 from regcheck.llm import StubBackend, StubEntry, load_stub_script
 from regcheck.pipeline import (
     _QUEUED_PER_WORKER,
     CheckUnit,
     ClassifiedProvision,
     _ordered_map,
+    answers,
     classify_iter,
     classify_provisions,
     compliance_units,
@@ -440,12 +442,12 @@ class _Counting:
     """A unit function that counts its calls, driven by events rather than sleeps.
 
     Unit `i` waits for each event that `hold` gave it, then returns `i * i`, or raises
-    `_Failure(i)` when `i` is in `failing`; `done(i)` is set once it has returned or
-    raised. A wait longer than `_WAIT_S` fails the unit.
+    `error(i)` when `i` is in `failing`; `done(i)` is set once it has returned or raised.
+    A wait longer than `_WAIT_S` fails the unit.
     """
 
-    def __init__(self, failing=()):
-        self.failing = set(failing)
+    def __init__(self, failing=(), error: type = _Failure):
+        self.failing, self.error = set(failing), error
         self.waits: dict[int, list[threading.Event]] = {}
         self.finished: dict[int, threading.Event] = {}
         self.lock = threading.Lock()
@@ -481,7 +483,7 @@ class _Counting:
                 if not event.wait(_WAIT_S):
                     raise TimeoutError(f"unit {i} waited {_WAIT_S} s for an event")
             if i in self.failing:
-                raise _Failure(i)
+                raise self.error(i)
             return i * i
         finally:
             with self.lock:
@@ -501,22 +503,15 @@ def _counted(
         yield i
 
 
-@pytest.fixture
-def run_tasks(monkeypatch) -> dict[int, threading.Event]:
-    """Per unit index, an event set once the pool of `_ordered_map` has run the unit's
-    task, whether the task called the unit function or skipped it."""
-    import concurrent.futures
+def _answers(fn, units, parallelism: int) -> Iterator[tuple]:
+    """`answers` over `units` with `fn` as the backend: unit i's prompt is i, its response
+    `fn(i)`, and its answer the response as it is."""
 
-    events: dict[int, threading.Event] = {}
+    class Backend:
+        def complete(self, i):
+            return fn(i), None
 
-    class Pool(concurrent.futures.ThreadPoolExecutor):
-        def submit(self, fn, index, item):
-            future = super().submit(fn, index, item)
-            future.add_done_callback(lambda _: events.setdefault(index, threading.Event()).set())
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
-    return events
+    return answers(units, lambda i: i, lambda response: response, Backend(), parallelism)
 
 
 class TestOrderedMap:
@@ -566,38 +561,6 @@ class TestOrderedMap:
         ]
         assert max(lead) <= most
 
-    @pytest.mark.parametrize("parallelism", [2, 4, 8])
-    def test_a_failure_stops_further_calls(self, parallelism):
-        # Unit 1 fails once the caller's queue is full; unit 0 holds the caller back until
-        # then. Only the units already queued may still start; none starts after the
-        # error is raised, and once the caller has seen the failure it takes no further unit.
-        most = _QUEUED_PER_WORKER * parallelism + 1
-        consumed: list[int] = []
-        full = threading.Event()
-        fn = _Counting(failing={1})
-        fn.hold(1, full)
-        fn.hold(0, fn.done(1))
-        workers = set(threading.enumerate())
-        with pytest.raises(_Failure) as err:
-            list(_ordered_map(fn, _counted(200, consumed, full, most), parallelism))
-        assert err.value.args == (1,)
-        assert len(consumed) <= most
-        assert fn.started <= most
-        # Every worker has exited, so no unit can start after the error is raised.
-        assert set(threading.enumerate()) <= workers
-
-    def test_no_queued_unit_after_a_failure_calls_fn(self, run_tasks):
-        # At parallelism 2 one worker waits on unit 0; the other runs unit 1, which
-        # fails once units 2 and 3 are queued, then takes them from the pool: they must
-        # skip. Unit 0 runs until the pool has run their tasks.
-        full = threading.Event()
-        fn = _Counting(failing={1})
-        fn.hold(1, full)
-        fn.hold(0, *(run_tasks.setdefault(i, threading.Event()) for i in (2, 3)))
-        with pytest.raises(_Failure):
-            list(_ordered_map(fn, _counted(200, [], full, 5), 2))
-        assert fn.started == 2
-
     def test_an_interrupted_caller_cancels_the_queue(self):
         # An exception in the caller, such as KeyboardInterrupt, reaches it while
         # units 0 and 1 run and 2 and 3 wait in the queue: those two never start.
@@ -631,3 +594,79 @@ class TestOrderedMap:
             sys.setswitchinterval(interval)
         assert err.value.args == (min(failing),)
         assert results == [i * i for i in range(400)]
+
+
+def _sent_after_the_failure(timeline: list, results: list, failing: int) -> list[int]:
+    """The units of `results` that made a call though their task started to run after the
+    task of the unit `failing`, whose call failed, was done."""
+    sent = {unit for unit, _, answer in results if str(answer) != NOT_SENT}
+    after = timeline[timeline.index(("done", failing)):]
+    return [unit for event, unit in after if event == "start" and unit in sent]
+
+
+class TestAnswers:
+    """A failed call is its unit's result, and no unit is sent after it."""
+
+    @pytest.mark.parametrize("parallelism", [2, 4, 8])
+    def test_no_call_starts_after_a_failed_call_returns(self, pool_tasks, parallelism):
+        # Unit 1 fails once the caller's queue is full; unit 0 holds the caller back until
+        # then. No unit whose task starts after the failed one's is done makes a call, and
+        # every unit comes back once, in input order: answered, with its own error, or not
+        # sent, caused by the failed call's error.
+        most = _QUEUED_PER_WORKER * parallelism + 1
+        full = threading.Event()
+        fn = _Counting(failing={1}, error=BackendError)
+        fn.hold(1, full)
+        fn.hold(0, fn.done(1))
+        results = list(_answers(fn, _counted(200, [], full, most), parallelism))
+        assert _sent_after_the_failure(pool_tasks.timeline, results, 1) == []
+        assert fn.started <= most
+        assert [unit for unit, _, _ in results] == list(range(200))
+        failure = results[1][2]
+        assert isinstance(failure, BackendError) and failure.args == (1,)
+        answered = [unit for unit, parsed, _ in results if parsed is not None]
+        assert answered[0] == 0 and len(answered) == fn.started - 1
+        for unit, parsed, answer in results[2:]:
+            if parsed is None:
+                assert (str(answer), answer.attempts, answer.__cause__) == (NOT_SENT, 0, failure)
+            else:
+                assert answer == (unit * unit, None, None)
+
+    def test_no_queued_unit_after_a_failed_call_is_sent(self, pool_tasks):
+        # At parallelism 2 one worker waits on unit 0; the other runs unit 1, which fails
+        # once units 2 and 3 are queued, then takes them from the pool: they must not be
+        # sent. Unit 0 runs until the pool has run their tasks.
+        full = threading.Event()
+        fn = _Counting(failing={1}, error=BackendError)
+        fn.hold(1, full)
+        fn.hold(0, pool_tasks.done(2), pool_tasks.done(3))
+        results = list(_answers(fn, _counted(200, [], full, 5), 2))
+        assert fn.started == 2
+        assert [str(answer) for _, _, answer in results[1:4]] == ["1", NOT_SENT, NOT_SENT]
+        assert all(parsed is None for _, parsed, _ in results[1:])
+
+    @pytest.mark.parametrize("parallelism", [1, 2, 16])
+    def test_a_failed_call_and_the_units_after_it_under_frequent_thread_switches(
+        self, pool_tasks, parallelism
+    ):
+        # A thread switch every microsecond and no waits. Each unit comes back once, in input
+        # order; no unit whose task starts after the failed one's is done makes a call; and
+        # every unit not sent names the failed call's error as its cause.
+        failing = 137
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            fn = _Counting(failing={failing}, error=BackendError)
+            results = list(_answers(fn, range(400), parallelism))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [unit for unit, _, _ in results] == list(range(400))
+        failure = results[failing][2]
+        not_sent = [answer for _, _, answer in results if str(answer) == NOT_SENT]
+        assert len(not_sent) == 400 - fn.started
+        assert all(answer.__cause__ is failure for answer in not_sent)
+        if parallelism == 1:
+            assert fn.started == failing + 1
+        else:
+            assert _sent_after_the_failure(pool_tasks.timeline, results, failing) == []
+            assert fn.started <= failing + 1 + _QUEUED_PER_WORKER * parallelism

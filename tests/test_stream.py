@@ -5,8 +5,9 @@ no further call once the error reaches the caller; and a run whose backend fails
 leaves no `--out` file, or on stdout exactly the records before the failing unit.
 A keyword-only run makes no call and gives the same labels at any parallelism.
 `check` and `segment` list their units in little more than their text. `check` holds
-no list of its findings, stops its calls when its writer does, and on a backend failure
-leaves its out-dir without any file, temporary ones included.
+no list of its findings and stops its calls when its writer does. On a backend failure it
+writes every answer it paid for: `findings.jsonl` and `errors.jsonl` partition the units,
+and a rerun with the same cache bills exactly the units that `errors.jsonl` lists.
 `check`'s last run frees each unit's text as the model stage takes it, so its peak is the
 start of that stage plus a constant. SIGTERM ends `check` as Ctrl-C does, with exit 143,
 and `check` removes the temp files that a killed run left before its first call.
@@ -36,11 +37,12 @@ import regcheck.compliance as compliance
 import regcheck.evaluation as evaluation
 import regcheck.pipeline as pipeline
 from regcheck.cli import main
+from regcheck.compliance import NOT_SENT
 from regcheck.corpus import extract_provisions, parse_document
 from regcheck.errors import BackendError
 from regcheck.llm import HttpBackend, StubBackend, Usage
 from regcheck.pipeline import classify_iter
-from regcheck.storage import write_jsonl
+from regcheck.storage import numbered_jsonl, write_jsonl
 from regcheck.taxonomy import load_concept_model
 from test_llm import _child_env, _ScriptedHandler, scripted_server
 
@@ -78,7 +80,10 @@ def _check_argv(fixtures, data_dir, artifact, out_dir, *extra: str) -> list[str]
     ]
 
 
-CHECK_FILES = ["costs.jsonl", "costs_summary.json", "findings.jsonl", "report.json", "report.md"]
+CHECK_FILES = [
+    "costs.jsonl", "costs_summary.json", "errors.jsonl", "findings.jsonl", "report.json",
+    "report.md",
+]
 # A check answer per unit, in turn: both rules, one, not applicable, and a rejected answer.
 CHECK_ANSWERS = ("R1, R3. Both apply.", "R2. Confidentiality.", "R99. None.", "No identifier.")
 
@@ -395,21 +400,157 @@ def test_a_failed_check_writer_stops_the_calls_before_the_error_propagates(
     assert list(out.iterdir()) == []
 
 
+def _records(path) -> list[dict]:
+    return [record for _, record in numbered_jsonl(path)]
+
+
+def _partition(clean, out) -> tuple[list[str], list[str]]:
+    """The unit refs of `out`'s findings and errors, checked to partition the units of the
+    clean run in `clean`, each in input order, and to hold only the six files."""
+    assert sorted(p.name for p in out.iterdir()) == CHECK_FILES  # no temp or spool file
+    order = {r["unit_ref"]: k for k, r in enumerate(_records(clean / "findings.jsonl"))}
+    answered = [r["unit_ref"] for r in _records(out / "findings.jsonl")]
+    unanswered = [r["unit_ref"] for r in _records(out / "errors.jsonl")]
+    ranks = [[order[ref] for ref in refs] for refs in (answered, unanswered)]
+    assert all(rank == sorted(rank) for rank in ranks)
+    assert sorted(ranks[0] + ranks[1]) == list(range(len(order)))
+    return answered, unanswered
+
+
+def _unanswered_line(out, failure: str, unanswered: int, units: int) -> str:
+    """`check`'s one line on stderr for a run that left units unanswered."""
+    counts = f"{unanswered} of {units} units unanswered"
+    return f"backend error: {failure}; {counts}, listed in {out / 'errors.jsonl'}\n"
+
+
 @pytest.mark.parametrize("parallelism", [1, 4])
-def test_a_failing_check_unit_exits_3_leaving_no_file(
+def test_a_failing_check_unit_exits_3_keeping_every_answer(
     monkeypatch, capsys, fixtures, data_dir, tmp_path, parallelism
 ):
     artifact = _corpus(tmp_path, 40)
     _Backend().stand_in(monkeypatch)
-    assert main(_check_argv(fixtures, data_dir, artifact, tmp_path / "complete")) == 0
-    assert sorted(p.name for p in (tmp_path / "complete").iterdir()) == CHECK_FILES
+    clean = tmp_path / "clean"
+    assert main(_check_argv(fixtures, data_dir, artifact, clean)) == 0
+    assert sorted(p.name for p in clean.iterdir()) == CHECK_FILES
+    assert (clean / "errors.jsonl").read_bytes() == b""
 
     _Backend(failing=23).stand_in(monkeypatch)
     out = tmp_path / "out"
     extra = ("--parallelism", str(parallelism))
     assert main(_check_argv(fixtures, data_dir, artifact, out, *extra)) == 3
-    assert capsys.readouterr().err == "backend error: unit failed\n"
-    assert list(out.iterdir()) == []  # no report, and no temp or spool file
+    answered, unanswered = _partition(clean, out)
+    assert capsys.readouterr().err == _unanswered_line(out, "unit failed", len(unanswered), 40)
+    errors = {r["unit_ref"]: r["error"] for r in _records(out / "errors.jsonl")}
+    assert errors.pop("corpus_40:p23") == "unit failed"
+    assert set(errors.values()) <= {NOT_SENT}
+    if parallelism == 1:
+        assert len(answered) == 23
+    # Each answered unit keeps its finding and its ledger row; the reports count it alone.
+    kept = [r for r in _records(clean / "findings.jsonl") if r["unit_ref"] in answered]
+    assert _records(out / "findings.jsonl") == kept
+    assert len(_records(out / "costs.jsonl")) == len(answered)
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert [f["passage"] for f in report["findings"]] == answered
+    assert report["totals"]["passages"] == len(answered)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2, 4, 16])
+def test_findings_and_errors_partition_the_units_in_input_order(
+    monkeypatch, capsys, fixtures, data_dir, tmp_path, parallelism
+):
+    # A thread switch every microsecond at parallelism 16: a worker may take a unit just
+    # before a later one fails and not send it. The partition still holds, and stderr still
+    # names the failed call.
+    artifact = _corpus(tmp_path, 60)
+    _Backend().stand_in(monkeypatch)
+    assert main(_check_argv(fixtures, data_dir, artifact, tmp_path / "clean")) == 0
+    _Backend(failing=17).stand_in(monkeypatch)
+    interval = sys.getswitchinterval()
+    if parallelism == 16:
+        sys.setswitchinterval(1e-6)
+    try:
+        outs = [tmp_path / f"out{k}" for k in range(3)]
+        for out in outs:
+            argv = _check_argv(fixtures, data_dir, artifact, out, "--parallelism", str(parallelism))
+            assert main(argv) == 3
+    finally:
+        sys.setswitchinterval(interval)
+    lines = capsys.readouterr().err.splitlines(keepends=True)
+    for out, line in zip(outs, lines, strict=True):
+        _, unanswered = _partition(tmp_path / "clean", out)
+        assert line == _unanswered_line(out, "unit failed", len(unanswered), 60)
+
+
+def test_a_failing_check_run_is_byte_reproducible(monkeypatch, fixtures, data_dir, tmp_path):
+    artifact = _corpus(tmp_path, 40)
+    _Backend(failing=23).stand_in(monkeypatch)
+    outputs = []
+    for k in range(2):
+        out = tmp_path / f"out{k}"
+        assert main(_check_argv(fixtures, data_dir, artifact, out)) == 3
+        outputs.append({name: (out / name).read_bytes() for name in CHECK_FILES})
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["errors.jsonl"].count(b"\n") == 17
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_a_rerun_with_the_cache_bills_exactly_the_units_left_unanswered(
+    capsys, fixtures, data_dir, tmp_path, parallelism
+):
+    # A stub script without the answer of the artifact's second unit fails that unit.
+    full = fixtures / "stub_paragraph_aware.jsonl"
+    lines = full.read_text(encoding="utf-8").splitlines(keepends=True)
+    short = tmp_path / "short.jsonl"
+    short.write_text(lines[0] + "".join(lines[2:]), encoding="utf-8")
+
+    def check(script, out, *extra):
+        return main([
+            "check", "--artifact", str(fixtures / "dpa_demo.txt"), "--format", "structured",
+            "--rules", str(data_dir / "gdpr_art28_demo.jsonl"), "--stub-script", str(script),
+            "--out-dir", str(out), "--parallelism", str(parallelism), *extra,
+        ])
+
+    clean, failed, rerun = tmp_path / "clean", tmp_path / "failed", tmp_path / "rerun"
+    assert check(full, clean) == 0
+    cache = ("--cache-dir", str(tmp_path / "cache"))
+    assert check(short, failed, *cache) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("backend error: no scripted response matches request starting ")
+    assert err.count("\n") == 1
+    answered, unanswered = _partition(clean, failed)
+    assert "dpa_demo:p1" in unanswered and "dpa_demo:p0" in answered
+    assert check(full, rerun, *cache) == 0
+    for name in ("findings.jsonl", "report.json", "report.md"):
+        assert (rerun / name).read_bytes() == (clean / name).read_bytes(), name
+    assert (rerun / "errors.jsonl").read_bytes() == b""
+    refs = [r["unit_ref"] for r in _records(rerun / "findings.jsonl")]
+    billed = [ref for ref, row in zip(refs, _records(rerun / "costs.jsonl")) if not row["cached"]]
+    assert billed == unanswered
+
+
+@pytest.mark.parametrize("command", ["classify", "check"])
+@pytest.mark.parametrize("parallelism", [2, 4])
+def test_a_unit_not_sent_before_the_failed_one_leaves_its_error_on_stderr(
+    monkeypatch, capsys, pool_tasks, fixtures, data_dir, tmp_path, command, parallelism
+):
+    # The race, made certain: unit 22's task waits until unit 23's call has failed, so
+    # unit 22 is not sent though it comes first. The run still names the failed call.
+    corpus = _corpus(tmp_path, 40)
+    pool_tasks.key = lambda unit: int(_UNIT.search(getattr(unit, "passage", unit).text)[1])
+    pool_tasks.gates[22] = [pool_tasks.done(23)]
+    _Backend(failing=23).stand_in(monkeypatch)
+    extra = ("--parallelism", str(parallelism))
+    if command == "classify":
+        assert main(_argv(fixtures, data_dir, corpus, *extra)) == 3
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 22
+        assert err == "backend error: unit failed\n"
+    else:
+        out = tmp_path / "out"
+        assert main(_check_argv(fixtures, data_dir, corpus, out, *extra)) == 3
+        errors = {r["unit_ref"]: r["error"] for r in _records(out / "errors.jsonl")}
+        assert errors["corpus_40:p22"] == NOT_SENT and errors["corpus_40:p23"] == "unit failed"
+        assert capsys.readouterr().err == _unanswered_line(out, "unit failed", len(errors), 40)
 
 
 @pytest.mark.parametrize("parallelism", [1, 4])
@@ -472,7 +613,7 @@ def test_sigterm_ends_check_with_exit_143_and_one_line_leaving_no_file(
     monkeypatch, data_dir, tmp_path, parallelism
 ):
     # As `timeout`, CI cancellation and service managers stop a run: without a handler the
-    # signal kills the child (status -15), and it leaves its five temp files in the out-dir.
+    # signal kills the child (status -15), and it leaves its six temp files in the out-dir.
     ended = _signalled_check(monkeypatch, data_dir, tmp_path, parallelism, signal.SIGTERM)
     assert ended == (143, "terminated\n", [])
 
