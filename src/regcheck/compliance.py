@@ -164,11 +164,13 @@ def parse_response(raw: str, rules: Ruleset) -> tuple[frozenset[str], str]:
 def assemble_report(
     findings: list[Finding], rules: Ruleset, artifact: str
 ) -> ComplianceReport:
-    """Fold findings into per-rule coverage (see `_ReportTally`)."""
+    """Fold the answered findings, those without an `error`, into per-rule coverage (see
+    `_ReportTally`). As in `check`'s reports, a unit left unanswered is not a passage."""
+    answered = [f for f in findings if f.error is None]
     tally = _ReportTally(rules)
-    for finding in findings:
+    for finding in answered:
         tally.add(finding)
-    return tally.report(artifact, findings)
+    return tally.report(artifact, answered)
 
 
 class _ReportTally:

@@ -125,26 +125,16 @@ _OPENERS = "\"'“‘(["
 _LEADING_SPACE = re.compile(r"\s*")  # `\s` is what `str.isspace` and `str.strip` take
 
 
-def sentence_spans(text: str) -> list[tuple[int, int]]:
-    """Character spans of sentences in `text`, trimmed of surrounding whitespace.
-
-    A boundary is a run of ``.!?`` (plus closing quotes/brackets) followed by
-    whitespace and an uppercase letter, digit, or opening quote/bracket. A
-    lone period is not a boundary when the preceding token is a known
-    abbreviation ("s. 12 of the Act" stays whole).
-    """
-    return list(_spans(text))
-
-
 def first_sentence_end(text: str) -> int:
-    """`sentence_spans(text)[0][1]`, or `len(text)` for blank `text`, with no later break found."""
+    """Where the first sentence of `text` ends (see `split_text`), or `len(text)` for blank
+    `text`, with no later break found."""
     return next(_spans(text), (0, len(text)))[1]
 
 
 def _spans(text: str) -> Iterator[tuple[int, int]]:
-    """The spans of `sentence_spans(text)`, each found as it is asked for, with no slice of
-    `text`. A boundary ends its sentence just past its closers, which are not whitespace,
-    and the next sentence starts at the character its lookahead captured."""
+    """The character spans of the sentences of `split_text(text)`, each found as it is asked
+    for, with no slice of `text`. A boundary ends its sentence just past its closers, which
+    are not whitespace, and the next sentence starts at the character its lookahead captured."""
     start = _LEADING_SPACE.match(text).end()
     for m in _BOUNDARY.finditer(text):
         nxt = m.group(2)
@@ -166,7 +156,13 @@ def _spans(text: str) -> Iterator[tuple[int, int]]:
 
 
 def split_text(text: str) -> list[str]:
-    """Split `text` into sentence strings (see `sentence_spans`)."""
+    """The sentences of `text`, each trimmed of surrounding whitespace.
+
+    A boundary is a run of ``.!?`` (plus closing quotes/brackets) followed by
+    whitespace and an uppercase letter, digit, or opening quote/bracket. A
+    lone period is not a boundary when the preceding token is a known
+    abbreviation ("s. 12 of the Act" stays whole).
+    """
     return [text[s:e] for s, e in _spans(text)]
 
 

@@ -2,17 +2,53 @@ from __future__ import annotations
 
 import os
 import threading
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Iterable
 
 import pytest
 
 import regcheck
 from regcheck.cli import _ENV_KEYS
-from regcheck.corpus import parse_document
+from regcheck.corpus import SENTENCE, Block, UnitTable, _Builder
 from regcheck.llm import API_KEY_ENV, StubBackend
+from regcheck.storage import atomic_write_chunks, json_chunks, jsonl_line
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DATA = Path(__file__).parent.parent / "src" / "regcheck" / "data"
+
+
+@dataclass(frozen=True)
+class Doc:
+    """A document as `segment`, `classify` and `check` read it: the text of its title line
+    ("" without one) and its blocks."""
+
+    doc_id: str
+    title: str
+    blocks: tuple[Block, ...]
+
+    def table(
+        self, granularity: str = SENTENCE, budget: int | None = None, context_on: bool = False
+    ) -> UnitTable:
+        """The document's units, listed as the CLI lists them."""
+        return UnitTable(self.blocks, self.doc_id, granularity, budget, context_on)
+
+
+def read_doc(raw: str, fmt: str = "plain", doc_id: str = "doc") -> Doc:
+    """`raw` read by the CLI's reader, a line of `raw.splitlines()` at a time."""
+    builder = _Builder(fmt)
+    blocks = tuple(builder.blocks(raw.splitlines()))
+    return Doc(doc_id, builder.title or "", blocks)
+
+
+def dump_json(path: str | Path, obj: Any) -> None:
+    """Write `obj` to `path` as the CLI writes a JSON file."""
+    atomic_write_chunks(path, json_chunks(obj))
+
+
+def dump_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """Write `records` to `path`, one JSON line each, as the CLI writes a JSONL file."""
+    atomic_write_chunks(path, map(jsonl_line, records))
 
 
 def pytest_sessionstart(session):
@@ -105,10 +141,10 @@ def data_dir() -> Path:
 @pytest.fixture(scope="session")
 def gold_doc():
     raw = (FIXTURES / "sfcr_gold_corpus.txt").read_text(encoding="utf-8")
-    return parse_document(raw, "structured", doc_id="gold")
+    return read_doc(raw, "structured", doc_id="gold")
 
 
 @pytest.fixture(scope="session")
 def dpa_doc():
     raw = (FIXTURES / "dpa_demo.txt").read_text(encoding="utf-8")
-    return parse_document(raw, "structured", doc_id="dpa_demo")
+    return read_doc(raw, "structured", doc_id="dpa_demo")

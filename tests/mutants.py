@@ -62,7 +62,7 @@ _CHECK_TABLE = "    units = UnitTable(blocks, doc_id, cfg.granularity, cfg.budge
 _CLASSIFY_UNITS = "    provisions = _units(args.input, cfg, doc_id, SENTENCE)\n"
 _UNITS_MEMORY = (_STREAM, "-k", "units_in_little_more")
 _UNIT_TABLE_GROWTH = ("tests/test_growth.py", "-m", "growth", "-k", "unit_table_is_linear")
-_KEYWORDS_GROWTH = ("tests/test_growth.py", "-m", "growth", "-k", "classify_keywords")
+_KEYWORDS_GROWTH = ("tests/test_growth.py", "-m", "growth", "-k", "keyword_match")
 _SEGMENT_UNITS = "        for u in _units(args.input, cfg, doc_id, cfg.granularity, budget)\n"
 _SENTENCE_INDEX = "            i = i + 1 if block == last else 0\n"
 _GATE = "        if self.walk_covers and text.isascii() or not self.gate.search(text):\n"
@@ -128,7 +128,7 @@ MUTANTS = (
         "                items[-1].append(line.strip())",
         '                items[-1] = [" ".join([*items[-1], line.strip()])]',
         "segmentation is linear time on a wrapped list item",
-        ("tests/test_growth.py", "-m", "growth", "-k", "parse_document"),
+        ("tests/test_growth.py", "-m", "growth", "-k", "reader_is_linear"),
     ),
     Mutant(
         "rule-ids-joined-one-by-one",
@@ -307,6 +307,14 @@ MUTANTS = (
         ("tests/test_outputs.py",),
     ),
     Mutant(
+        "report-folds-unanswered-findings",
+        "compliance.py",
+        "    answered = [f for f in findings if f.error is None]\n",
+        "    answered = findings\n",
+        "the one-shot report folds only the answered findings, as check's writer does",
+        ("tests/test_outputs.py", "-k", "unanswered"),
+    ),
+    Mutant(
         "statistics-imported-eagerly",
         "evaluation.py",
         "from collections import Counter\n",
@@ -318,7 +326,7 @@ MUTANTS = (
         "root-imports-pipeline-eagerly",
         "__init__.py",
         '__version__ = "0.1.0"\n',
-        'from .pipeline import run_compliance\n\n__version__ = "0.1.0"\n',
+        'from .pipeline import compliance_iter\n\n__version__ = "0.1.0"\n',
         "importing the package loads no submodule",
         _STARTUP,
     ),
@@ -345,7 +353,7 @@ MUTANTS = (
         "pipeline-imports-classify",
         "pipeline.py",
         "from .compliance import NOT_SENT, Finding,",
-        "from .classify import classify_keywords\nfrom .compliance import NOT_SENT, Finding,",
+        "from .classify import _keyword_index\nfrom .compliance import NOT_SENT, Finding,",
         "a subcommand loads only the modules it runs: check never classifies",
         _STARTUP,
     ),
@@ -453,9 +461,9 @@ MUTANTS = (
         "check-builds-the-document",
         "cli.py",
         _CHECK_UNITS,
-        "    from .corpus import parse_document\n"
-        '    text = Path(args.artifact).read_text(encoding="utf-8")\n'
-        "    blocks = parse_document(text, cfg.format).blocks\n" + _CHECK_TABLE,
+        "    blocks = tuple(_Builder(cfg.format).blocks(text_lines(args.artifact)))\n"
+        + _CHECK_TABLE
+        + "    del blocks\n",
         "check builds no document: each block becomes its units as it is read",
         (_ONE_COPY, "-k", "freed"),
     ),
@@ -463,9 +471,8 @@ MUTANTS = (
         "classify-keeps-the-document",
         "cli.py",
         _CLASSIFY_UNITS,
-        "    from .corpus import extract_provisions, parse_document\n"
-        '    doc = parse_document(Path(args.input).read_text(encoding="utf-8"), cfg.format)\n'
-        "    provisions = extract_provisions(doc)\n",
+        "    blocks = tuple(_Builder(cfg.format).blocks(text_lines(args.input)))\n"
+        "    provisions = list(UnitTable(blocks, doc_id, SENTENCE))\n",
         "classify builds no document and holds no block in the model stage",
         (_ONE_COPY, "-k", "freed"),
     ),
@@ -631,7 +638,7 @@ MUTANTS = (
         "    counts = confusion(predicted, load_gold(args.gold))",
         "    counts = confusion(predicted, list(load_gold(args.gold)))",
         "eval reads the gold file as a stream and holds no list of its records",
-        (_STREAM, "-k", "holds_no_list"),
+        (_STREAM, "-k", "holds_no_list or at_most_one_gold_record"),
     ),
     Mutant(
         "overlap-misses-two-empty-sets",
@@ -730,7 +737,7 @@ MUTANTS = (
         _GATE,
         "        gated = any(self.gate.search(text, m.start()) for m in _WORD.finditer(text))\n"
         "        if self.walk_covers and text.isascii() or not gated:\n",
-        "classify_keywords is linear time in a long text, without --stem",
+        "the keyword match is linear time in a long text, without --stem",
         _KEYWORDS_GROWTH,
     ),
     Mutant(
@@ -762,7 +769,7 @@ MUTANTS = (
         "classify.py",
         "                        if cid not in hits and have[i : i + len(want)] == want:\n",
         "                        if cid not in hits and have[i:][: len(want)] == want:\n",
-        "classify_keywords is linear time in a long text, with --stem",
+        "the keyword match is linear time in a long text, with --stem",
         _KEYWORDS_GROWTH,
     ),
     Mutant(
@@ -887,7 +894,7 @@ MUTANTS = (
         "split-text-lists-its-spans",
         "corpus.py",
         "    return [text[s:e] for s, e in _spans(text)]\n",
-        "    return [text[s:e] for s, e in sentence_spans(text)]\n",
+        "    return [text[s:e] for s, e in list(_spans(text))]\n",
         "splitting a paragraph holds nothing beside its input and its sentences",
         (_ONE_COPY, "-k", "split_text_holds"),
     ),

@@ -14,18 +14,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import Doc
 
 from regcheck.cli import main
 from regcheck.compliance import parse_response
 from regcheck.corpus import (
+    PARAGRAPH_LEVEL,
+    SENTENCE,
     Block,
-    SourceDocument,
+    UnitTable,
     block_text,
-    chunk_paragraphs,
     estimate_tokens,
-    expand_list_items,
-    extract_provisions,
-    parse_document,
     split_text,
 )
 from regcheck.errors import ParseError
@@ -35,7 +34,7 @@ from regcheck.evaluation import (
     load_gold,
     metrics,
 )
-from regcheck.llm import CostLedger, ModelPrice, StubBackend, StubEntry, ChatMessage
+from regcheck.llm import CostTotals, ModelPrice, StubBackend, StubEntry, ChatMessage, cost_row
 from regcheck.storage import numbered_jsonl
 from regcheck.taxonomy import Ruleset, RuleSpec
 
@@ -59,7 +58,7 @@ def _ok(n: int, message: str) -> None:
 
 def test_criterion_1_segmentation_gold_suite(gold_doc):
     started = time.perf_counter()
-    predicted = extract_provisions(gold_doc)
+    predicted = list(gold_doc.table())
     elapsed = time.perf_counter() - started
 
     gold = [r for _, r in numbered_jsonl(FIXTURES / "sfcr_gold_sentences.jsonl")]
@@ -80,7 +79,7 @@ def test_criterion_1_segmentation_gold_suite(gold_doc):
     for block in gold_doc.blocks:
         if block.kind != "list":
             continue
-        for prov in expand_list_items(block, gold_doc.doc_id):
+        for prov in UnitTable([block], gold_doc.doc_id, SENTENCE):
             assert prov.text.startswith(block.header)
             assert prov.origin == "list_expanded"
 
@@ -99,7 +98,7 @@ def test_criterion_2_chunker_safety_property():
         words = [word() for _ in range(rng.randint(3, 9))]
         return (" ".join(words)).capitalize() + "."
 
-    def document(i: int) -> SourceDocument:
+    def document(i: int) -> Doc:
         blocks = []
         for bi in range(rng.randint(1, 5)):
             if rng.random() < 0.3:
@@ -111,7 +110,7 @@ def test_criterion_2_chunker_safety_property():
             else:
                 text = " ".join(sentence() for _ in range(rng.randint(1, 6)))
                 blocks.append(Block("paragraph", bi, text=text))
-        return SourceDocument(f"doc{i}", "", tuple(blocks))
+        return Doc(f"doc{i}", "", tuple(blocks))
 
     started = time.perf_counter()
     checked = 0
@@ -123,7 +122,7 @@ def test_criterion_2_chunker_safety_property():
             for s in split_text(block_text(b))
         )
         budget = longest + rng.randint(0, 30)
-        passages = chunk_paragraphs(doc, budget)
+        passages = list(doc.table(PARAGRAPH_LEVEL, budget))
         for p in passages:
             assert estimate_tokens(p.text) <= budget
         normalize = lambda text: " ".join(text.split())
@@ -138,12 +137,12 @@ def test_criterion_2_chunker_safety_property():
 
 
 def test_criterion_3_prompt_byte_exactness(dpa_doc, fixtures):
-    from regcheck.compliance import build_prompt, default_template
+    from regcheck.compliance import load_template, prompt_builder
     from regcheck.taxonomy import load_ruleset
 
-    passages = chunk_paragraphs(dpa_doc, 4096)
+    passages = list(dpa_doc.table(PARAGRAPH_LEVEL, 4096))
     rules = load_ruleset(fixtures / "rules_small.jsonl")
-    bundle = build_prompt(passages[1], rules, default_template())
+    bundle = prompt_builder(rules, load_template())(passages[1])
     got = {
         "passage_ref": bundle.passage_ref,
         "ruleset_ref": bundle.ruleset_ref,
@@ -367,18 +366,16 @@ def test_criterion_7_determinism_and_cache_law(tmp_path):
             for i, *_ in reversed(spreadsheet)
         ]
     )
-    ledger = CostLedger({"stub-model": ModelPrice(0.5, 1.5)})
+    prices, costs, ledger = {"stub-model": ModelPrice(0.5, 1.5)}, CostTotals(), []
     for i, *_ in spreadsheet:
         messages = [ChatMessage("system", "s" * 400), ChatMessage("user", "u" * (40 * i))]
         _, usage = backend.complete(messages)
-        ledger.record(usage)
-    for record, (_, want_prompt, want_completion, want_cost) in zip(
-        ledger.records, spreadsheet
-    ):
+        ledger.append(costs.add(cost_row(prices, usage)))
+    for record, (_, want_prompt, want_completion, want_cost) in zip(ledger, spreadsheet):
         assert record["prompt_tokens"] == want_prompt
         assert record["completion_tokens"] == want_completion
         assert abs(record["monetary_cost"] - want_cost) <= 1e-9
-    totals = ledger.aggregate()
+    totals = costs.summary()
     assert round(totals["monetary_cost"], 2) == 1.19  # sum = 1.1875
     assert abs(totals["monetary_cost"] - 1.1875) <= 1e-9
     assert totals["prompt_tokens"] == 1550

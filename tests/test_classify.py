@@ -11,18 +11,18 @@ import pytest
 from regcheck.classify import (
     LabelSet,
     _KeywordIndex,
+    _keyword_index,
     _stem_token,
     _word_starts,
-    build_classification_prompt,
-    classify_keywords,
-    default_classification_template,
+    classification_prompter,
     fuse_labels,
+    load_classification_template,
     parse_concept_response,
 )
 from regcheck.corpus import Unit
 from regcheck.errors import ParseError
 from regcheck.llm import StubBackend, StubEntry
-from regcheck.pipeline import classify_provisions
+from regcheck.pipeline import classify_iter
 from regcheck.taxonomy import Concept, ConceptModel, load_concept_model
 
 
@@ -35,43 +35,42 @@ def prov(text: str) -> Unit:
     return Unit("t:b0:s0", text, 0, "plain")
 
 
+def keywords(text: str, model: ConceptModel, stem: bool = False) -> frozenset[str]:
+    """The scarce concepts that `classify`'s keyword branch finds in `text`."""
+    return _keyword_index(model, stem).match(text)
+
+
 class TestClassifyKeywords:
     def test_direct_containment(self, model):
-        labels = classify_keywords(prov("Listeria is a pathogen of concern."), model)
-        assert labels.labels == {"Pathogen"}
-        assert labels.provenance["Pathogen"] == "keyword"
+        (result,) = classify_iter([prov("Listeria is a pathogen of concern.")], model, None)
+        assert result.labels.labels == {"Pathogen"}
+        assert result.labels.provenance["Pathogen"] == "keyword"
 
     def test_whole_word_rule(self, model):
-        labels = classify_keywords(prov("The empathogenic compound is unrelated."), model)
-        assert labels.labels == set()
+        assert keywords("The empathogenic compound is unrelated.", model) == set()
 
     def test_multiple_scarce_concepts(self, model):
-        labels = classify_keywords(
-            prov("Abnormal colour and excess moisture are defects."), model
-        )
-        assert labels.labels == {"Colour", "WaterContent"}
+        labels = keywords("Abnormal colour and excess moisture are defects.", model)
+        assert labels == {"Colour", "WaterContent"}
 
     def test_case_insensitive(self, model):
         text = "SALMONELLA testing and Water Content limits apply."
-        upper = classify_keywords(prov(text.upper()), model)
-        lower = classify_keywords(prov(text.lower()), model)
-        assert upper.labels == lower.labels == {"Pathogen", "WaterContent"}
+        upper = keywords(text.upper(), model)
+        lower = keywords(text.lower(), model)
+        assert upper == lower == {"Pathogen", "WaterContent"}
 
     def test_multiword_keyword(self, model):
-        labels = classify_keywords(prov("The water activity must not exceed 0.85."), model)
-        assert labels.labels == {"WaterContent"}
+        assert keywords("The water activity must not exceed 0.85.", model) == {"WaterContent"}
 
     def test_outputs_only_scarce_concepts(self, model, gold_doc):
         scarce = {c.concept_id for c in model.scarce_concepts()}
-        from regcheck.corpus import extract_provisions
-
-        for p in extract_provisions(gold_doc):
-            assert classify_keywords(p, model).labels <= scarce
+        for p in gold_doc.table():
+            assert keywords(p.text, model) <= scarce
 
     def test_stemming_flag(self, model):
-        text = prov("Softened flesh indicates decay.")
-        assert classify_keywords(text, model).labels == set()
-        assert classify_keywords(text, model, stem=True).labels == {"Firmness"}
+        text = "Softened flesh indicates decay."
+        assert keywords(text, model) == set()
+        assert keywords(text, model, stem=True) == {"Firmness"}
 
 
 # Reference copy of the earlier keyword matcher: one regex per keyword, and
@@ -142,7 +141,7 @@ class TestKeywordIndexAgainstReference:
         for _ in range(1500):
             text = self._text(rng)
             for m in (model, wide):
-                got = classify_keywords(prov(text), m, stem).labels
+                got = keywords(text, m, stem)
                 assert got == _ref_classify_keywords(text, m, stem), (repr(text), stem)
 
     @pytest.mark.parametrize("stem", [False, True])
@@ -157,7 +156,7 @@ class TestKeywordIndexAgainstReference:
             "Water  content and water\ncontent and water-content.",
             "a spaced word",
         ):
-            assert classify_keywords(prov(text), wide, stem).labels == _ref_classify_keywords(
+            assert keywords(text, wide, stem) == _ref_classify_keywords(
                 text, wide, stem
             ), (text, stem)
 
@@ -175,7 +174,7 @@ class TestKeywordIndexAgainstReference:
         ascii_words = Concept("Place", "Place", True, ("kelvin scale", "kelvin", "istanbul"))
         for m in (model, ConceptModel(model.concepts + (ascii_words,), model.version)):
             for text in self.FOLDED:
-                got = classify_keywords(prov(text), m, stem).labels
+                got = keywords(text, m, stem)
                 assert got == _ref_classify_keywords(text, m, stem), (text, stem)
 
     @pytest.mark.parametrize("stem", [False, True])
@@ -188,7 +187,7 @@ class TestKeywordIndexAgainstReference:
             "salmonella: watercontent, moisturex, colourful, firmnesses",
             "ſalmonella and xlisteria under a texturex",
         ):
-            got = classify_keywords(prov(text), model, stem).labels
+            got = keywords(text, model, stem)
             assert got == _ref_classify_keywords(text, model, stem) == {"Pathogen"}, text
 
     @pytest.mark.parametrize(
@@ -207,7 +206,7 @@ class TestKeywordIndexAgainstReference:
         texts = ["R & D", "R&D", "&", "a &b", "& water content"]
         texts += [self._text(rng) for _ in range(200)]
         for text in texts:
-            got = classify_keywords(prov(text), degenerate, stem).labels
+            got = keywords(text, degenerate, stem)
             assert got == _ref_classify_keywords(text, degenerate, stem), (repr(text), stem)
 
     def test_after_stem_cache_clear(self, model):
@@ -218,7 +217,7 @@ class TestKeywordIndexAgainstReference:
             if cleared:
                 _stem_token.cache_clear()
             for text in texts:
-                got = classify_keywords(prov(text), wide, True).labels
+                got = keywords(text, wide, True)
                 assert got == _ref_classify_keywords(text, wide, True), (repr(text), cleared)
         assert _stem_token.cache_info().currsize > 0
 
@@ -252,7 +251,7 @@ class TestStemmedWalkAgainstTheGatePath:
         rng = random.Random(2024)
         for _ in range(1500):
             text = "The " + "".join(rng.choice(self.PIECES) for _ in range(rng.randint(1, 10)))
-            got = classify_keywords(prov(text), wide, stem=True).labels
+            got = keywords(text, wide, True)
             assert got == gate_path.match(text), repr(text)
 
     def test_folded_letters_lead_the_only_keyword(self, model):
@@ -260,7 +259,7 @@ class TestStemmedWalkAgainstTheGatePath:
         gate_path = _KeywordIndex(wide, True)
         gate_path.walk_covers = False
         for text in TestKeywordIndexAgainstReference.FOLDED:
-            got = classify_keywords(prov(text), wide, stem=True).labels
+            got = keywords(text, wide, True)
             assert got == gate_path.match(text), repr(text)
 
 
@@ -313,7 +312,7 @@ class TestClassifyLlm:
         backend = StubBackend(
             [StubEntry(match="record", response="Traceability. Trace-back duty.")]
         )
-        (result,) = classify_provisions([prov("A record-keeping provision.")], model, backend)
+        (result,) = classify_iter([prov("A record-keeping provision.")], model, backend)
         labels = result.labels
         assert labels.labels == {"Traceability"}
         assert labels.provenance == {"Traceability": "llm"}
@@ -323,29 +322,27 @@ class TestClassifyLlm:
         # keyword branch still labels the provision on its own.
         backend = StubBackend([StubEntry(match="", response="free prose only")])
         p = prov("Listeria must be absent from ready-to-eat foods.")
-        (result,) = classify_provisions([p], model, backend)
+        (result,) = classify_iter([p], model, backend)
         assert result.labels.provenance == {"Pathogen": "keyword"}
         assert result.raw_response == "free prose only"
-        assert result.usage == backend.complete(build_classification_prompt(p, model))[1]
+        assert result.usage == backend.complete(classification_prompter(model)(p))[1]
         assert result.usage.prompt_tokens > 0
         assert result.parse_error == "no concept id or NONE marker found in response"
 
     def test_prompt_embeds_provision_and_concepts(self, model):
-        messages = build_classification_prompt(prov("Keep records."), model)
+        messages = classification_prompter(model)(prov("Keep records."))
         assert messages[0].role == "system"
         assert "Traceability: Traceability" in messages[0].content
         assert "Pathogen" not in messages[0].content  # scarce concepts are not offered
         assert "Keep records." in messages[1].content
 
     def test_default_template_placeholders(self):
-        template = default_classification_template()
+        template = load_classification_template()
         assert "{concept_list}" in template.system
         assert "{text}" in template.user
 
     def test_custom_template_file(self, tmp_path, model):
         import json
-
-        from regcheck.classify import load_classification_template
 
         path = tmp_path / "template.json"
         path.write_text(
@@ -355,7 +352,7 @@ class TestClassifyLlm:
             encoding="utf-8",
         )
         template = load_classification_template(path)
-        messages = build_classification_prompt(prov("Keep records."), model, template)
+        messages = classification_prompter(model, template)(prov("Keep records."))
         assert messages[0].content.startswith("Pick from:\n")
         assert messages[1].content == "Text: Keep records."
 

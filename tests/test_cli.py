@@ -11,13 +11,14 @@ import types
 from pathlib import Path
 
 import pytest
+from conftest import dump_json, dump_jsonl
 
 import regcheck
 from regcheck.classify import _stem_token
 from regcheck.cli import main
 from regcheck.corpus import _Builder, estimate_tokens
 from regcheck.llm import MAX_BACKOFF_S, StubBackend
-from regcheck.storage import numbered_jsonl, write_json, write_jsonl
+from regcheck.storage import numbered_jsonl
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DATA = Path(__file__).parent.parent / "src" / "regcheck" / "data"
@@ -227,7 +228,7 @@ class TestClassify:
         calls = []
         monkeypatch.setattr(StubBackend, "complete", lambda self, messages: calls.append(messages))
         if table is not None:
-            write_json(tmp_path / "prices.json", table)
+            dump_json(tmp_path / "prices.json", table)
             flags = [*flags, "--price-table", str(tmp_path / "prices.json")]
         cache = tmp_path / "cache"
         cache.mkdir()
@@ -281,7 +282,7 @@ def test_malformed_classification_template_exits_2_before_any_call(tmp_path, mon
     calls = []
     monkeypatch.setattr(StubBackend, "complete", lambda self, messages: calls.append(messages))
     template = tmp_path / "template.json"
-    write_json(template, body)
+    dump_json(template, body)
     cache = tmp_path / "cache"
     cache.mkdir()
     code = run(
@@ -509,7 +510,7 @@ class TestCheck:
 
     def _check_unreachable(self, tmp_path, base_backoff_s):
         config = tmp_path / "config.json"
-        write_json(config, {"retry_max_attempts": 2, "retry_base_backoff_s": base_backoff_s})
+        dump_json(config, {"retry_max_attempts": 2, "retry_base_backoff_s": base_backoff_s})
         code = run(
             "--config", str(config),
             "check",
@@ -524,7 +525,7 @@ class TestCheck:
 
     def test_parse_failure_threshold_exits_4(self, tmp_path):
         script = tmp_path / "garbage.jsonl"
-        write_jsonl(script, [{"match": "", "response": "no token at all"}])
+        dump_jsonl(script, [{"match": "", "response": "no token at all"}])
         code = run(
             "check",
             "--artifact", str(FIXTURES / "dpa_demo.txt"),
@@ -576,7 +577,7 @@ class TestCheck:
     def test_script_entry_without_match_exits_2_before_any_call(self, tmp_path, parallelism):
         # Every stub entry is a match rule; one without `match` is rejected.
         script = tmp_path / "no_match.jsonl"
-        write_jsonl(
+        dump_jsonl(
             script,
             [{"match": "", "response": "R1. Entry."}, {"response": "R2. Entry."}],
         )
@@ -755,8 +756,8 @@ class TestEval:
     def test_perfect_predictions(self, tmp_path, capsys):
         gold = tmp_path / "gold.jsonl"
         pred = tmp_path / "pred.jsonl"
-        write_jsonl(gold, [{"unit_ref": "u1", "labels": ["A"]}, {"unit_ref": "u2", "labels": []}])
-        write_jsonl(pred, [{"unit_ref": "u1", "labels": ["A"]}, {"unit_ref": "u2", "labels": []}])
+        dump_jsonl(gold, [{"unit_ref": "u1", "labels": ["A"]}, {"unit_ref": "u2", "labels": []}])
+        dump_jsonl(pred, [{"unit_ref": "u1", "labels": ["A"]}, {"unit_ref": "u2", "labels": []}])
         out = tmp_path / "metrics.json"
         code = run("eval", "--gold", str(gold), "--pred", str(pred), "--out", str(out))
         assert code == 0
@@ -771,7 +772,7 @@ class TestEval:
         # a rule token and are written with `parse_error` set.
         script = tmp_path / "partial.jsonl"
         entries = [r for _, r in numbered_jsonl(FIXTURES / "stub_paragraph_aware.jsonl")][:5]
-        write_jsonl(script, entries + [{"match": "", "response": "no token at all"}])
+        dump_jsonl(script, entries + [{"match": "", "response": "no token at all"}])
         out_dir = tmp_path / "out"
         code = run(
             "check",
@@ -804,7 +805,7 @@ class TestEval:
                 "per_label": {},
                 "parse_failure_count": 0,
             }
-            write_json(runs / f"run_{k}" / "metrics.json", body)
+            dump_json(runs / f"run_{k}" / "metrics.json", body)
         out = tmp_path / "aggregate.json"
         code = run("eval", "--runs-dir", str(runs), "--out", str(out))
         assert code == 0
@@ -846,8 +847,8 @@ class TestEval:
     def test_unreadable_run_metrics_exit_2_naming_the_file(self, tmp_path, capsys, body):
         runs = tmp_path / "runs"
         block = {"precision": 0.5, "recall": 0.5, "f1": 0.5, "accuracy": 0.5}
-        write_json(runs / "run_01" / "metrics.json", {"micro": block, "macro": block})
-        write_json(runs / "run_02" / "metrics.json", body)
+        dump_json(runs / "run_01" / "metrics.json", {"micro": block, "macro": block})
+        dump_json(runs / "run_02" / "metrics.json", body)
         out = tmp_path / "aggregate.json"
         assert run("eval", "--runs-dir", str(runs), "--out", str(out)) == 2
         assert str(runs / "run_02" / "metrics.json") in capsys.readouterr().err
@@ -865,8 +866,8 @@ class TestEval:
         # and every record carries `labels`.
         gold = tmp_path / "gold.jsonl"
         pred = tmp_path / "pred.jsonl"
-        write_jsonl(gold, [{"unit_ref": "a", "labels": ["R5"]}])
-        write_jsonl(pred, [record])
+        dump_jsonl(gold, [{"unit_ref": "a", "labels": ["R5"]}])
+        dump_jsonl(pred, [record])
         out = tmp_path / "metrics.json"
         assert run("eval", "--gold", str(gold), "--pred", str(pred), "--out", str(out)) == 2
         assert not out.exists()
@@ -878,8 +879,8 @@ class TestEval:
         # The predictions are loaded first; the gold file is then read as a stream.
         gold = tmp_path / "gold.jsonl"
         pred = tmp_path / "pred.jsonl"
-        write_jsonl(gold, [{"unit_ref": 5, "labels": []}])
-        write_jsonl(pred, [{"unit_ref": "a", "labels": "R5"}])
+        dump_jsonl(gold, [{"unit_ref": 5, "labels": []}])
+        dump_jsonl(pred, [{"unit_ref": "a", "labels": "R5"}])
         out = tmp_path / "metrics.json"
         assert run("eval", "--gold", str(gold), "--pred", str(pred), "--out", str(out)) == 2
         err = capsys.readouterr().err
@@ -891,8 +892,8 @@ class TestEval:
         # The second record for `a` used to replace the first without a word.
         gold = tmp_path / "gold.jsonl"
         pred = tmp_path / "pred.jsonl"
-        write_jsonl(gold, [{"unit_ref": "a", "labels": ["R1"]}])
-        write_jsonl(
+        dump_jsonl(gold, [{"unit_ref": "a", "labels": ["R1"]}])
+        dump_jsonl(
             pred,
             [
                 {"unit_ref": "a", "labels": ["R1"], "parse_error": "x"},
@@ -919,8 +920,8 @@ class TestEval:
         # `"labels": "R5"` used to be scored as the labels R and 5.
         good = tmp_path / "good.jsonl"
         bad = tmp_path / "bad.jsonl"
-        write_jsonl(good, [{"unit_ref": "a", "labels": ["R5"]}])
-        write_jsonl(bad, [record])
+        dump_jsonl(good, [{"unit_ref": "a", "labels": ["R5"]}])
+        dump_jsonl(bad, [record])
         gold, pred = (bad, good) if side == "gold" else (good, bad)
         out = tmp_path / "metrics.json"
         assert run("eval", "--gold", str(gold), "--pred", str(pred), "--out", str(out)) == 2
@@ -946,7 +947,7 @@ def _assert_jsonl_rejected_before_any_call(tmp_path, monkeypatch, capsys, flag, 
     bad = tmp_path / f"{flag}.jsonl"
     bad.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     good = tmp_path / "good.jsonl"
-    write_jsonl(good, [_VALID_FIRST_LINE["gold"]])
+    dump_jsonl(good, [_VALID_FIRST_LINE["gold"]])
     out, cache = tmp_path / "out", tmp_path / "cache"
     cache.mkdir()
     check = ["check", "--artifact", str(FIXTURES / "dpa_demo.txt"), "--format", "structured"]
@@ -1210,7 +1211,7 @@ def test_concept_model_without_concepts_exits_2_naming_the_file(tmp_path, monkey
 class TestConfigPrecedence:
     def _run_check(self, tmp_path, *extra):
         prices = tmp_path / "prices.json"
-        write_json(
+        dump_json(
             prices,
             {
                 "env-model": {"input_per_1k": 1, "output_per_1k": 1},
@@ -1240,16 +1241,16 @@ class TestConfigPrecedence:
     def test_file_overrides_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REGCHECK_MODEL", "env-model")
         config = tmp_path / "config.json"
-        write_json(config, {"model": "file-model"})
+        dump_json(config, {"model": "file-model"})
         assert self._run_check(tmp_path, "--config", str(config)) == "file-model"
 
     def test_flag_overrides_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REGCHECK_MODEL", "env-model")
         config = tmp_path / "config.json"
-        write_json(config, {"model": "file-model"})
+        dump_json(config, {"model": "file-model"})
         # --model is a subcommand flag, so it goes after `check`.
         prices = tmp_path / "prices.json"
-        write_json(prices, {"flag-model": {"input_per_1k": 1, "output_per_1k": 1}})
+        dump_json(prices, {"flag-model": {"input_per_1k": 1, "output_per_1k": 1}})
         out_dir = tmp_path / "out2"
         code = run(
             "--config", str(config),
@@ -1268,7 +1269,7 @@ class TestConfigPrecedence:
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "config.json"
-        write_json(config, {"modle": "typo"})
+        dump_json(config, {"modle": "typo"})
         code = run(
             "--config", str(config),
             "segment",

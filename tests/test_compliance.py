@@ -10,16 +10,16 @@ import pytest
 from regcheck.compliance import (
     Finding,
     assemble_report,
-    build_prompt,
-    default_template,
+    load_template,
     parse_response,
+    prompt_builder,
     report_to_dict,
     report_to_markdown,
 )
-from regcheck.corpus import Unit, chunk_paragraphs
+from regcheck.corpus import PARAGRAPH_LEVEL, Unit
 from regcheck.errors import ParseError, TemplateError
 from regcheck.llm import StubBackend, StubEntry
-from regcheck.pipeline import CheckUnit, run_compliance
+from regcheck.pipeline import CheckUnit, compliance_iter
 from regcheck.taxonomy import load_ruleset
 
 
@@ -38,50 +38,49 @@ def passage(text="The Processor shall delete all personal data.", seq=0):
 
 
 def check_one(rules, backend) -> Finding:
-    """The one finding of `run_compliance` on `passage()` alone."""
-    (finding,) = run_compliance([CheckUnit(passage())], rules, backend, default_template())
+    """The one finding of `compliance_iter` on `passage()` alone."""
+    (finding,) = compliance_iter([CheckUnit(passage())], rules, backend, load_template())
     return finding
 
 
 class TestBuildPrompt:
     def test_missing_text_placeholder(self, rules):
         with pytest.raises(TemplateError):
-            build_prompt(passage(), rules, template="{rules} {context} only")
+            prompt_builder(rules, template="{rules} {context} only")
 
     def test_missing_rules_placeholder(self, rules):
         with pytest.raises(TemplateError):
-            build_prompt(passage(), rules, template="{text} {context} only")
+            prompt_builder(rules, template="{text} {context} only")
 
     def test_bundle_shape(self, rules):
-        bundle = build_prompt(passage(), rules, default_template())
+        bundle = prompt_builder(rules, load_template())(passage())
         roles = [m.role for m in bundle.messages]
         assert roles == ["system", "user"]
         assert bundle.passage_ref == "art:p0"
         assert bundle.ruleset_ref == "rules_small"
 
     def test_rules_substituted_into_system(self, rules):
-        bundle = build_prompt(passage(), rules, default_template())
+        bundle = prompt_builder(rules, load_template())(passage())
         assert "R5: " in bundle.messages[0].content
         assert "R7: " in bundle.messages[0].content
         assert "{rules}" not in bundle.messages[0].content
 
     def test_context_changes_only_user_message(self, rules):
-        plain = build_prompt(passage(), rules, default_template())
-        with_ctx = build_prompt(
-            passage(), rules, default_template(), context="The enclosing paragraph."
-        )
+        build = prompt_builder(rules, load_template())
+        plain = build(passage())
+        with_ctx = build(passage(), context="The enclosing paragraph.")
         assert plain.messages[0] == with_ctx.messages[0]
         assert plain.messages[1] != with_ctx.messages[1]
         assert "Context:\nThe enclosing paragraph." in with_ctx.messages[1].content
 
     def test_pure_function(self, rules):
-        a = build_prompt(passage(), rules, default_template(), context="c")
-        b = build_prompt(passage(), rules, default_template(), context="c")
+        a = prompt_builder(rules, load_template())(passage(), context="c")
+        b = prompt_builder(rules, load_template())(passage(), context="c")
         assert a == b
 
     def test_golden_bundle(self, fixtures, dpa_doc, rules):
-        passages = chunk_paragraphs(dpa_doc, 4096)
-        bundle = build_prompt(passages[1], rules, default_template())
+        passages = list(dpa_doc.table(PARAGRAPH_LEVEL, 4096))
+        bundle = prompt_builder(rules, load_template())(passages[1])
         golden = json.loads((fixtures / "golden_prompt.json").read_text(encoding="utf-8"))
         assert bundle.passage_ref == golden["passage_ref"]
         assert bundle.ruleset_ref == golden["ruleset_ref"]

@@ -13,12 +13,13 @@ import math
 from pathlib import Path
 
 import pytest
+from conftest import dump_json
 from test_llm import _ScriptedHandler, scripted_server
 
 from regcheck import cli
 from regcheck.cli import main
 from regcheck.llm import StubBackend
-from regcheck.storage import numbered_jsonl, write_json
+from regcheck.storage import numbered_jsonl
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DATA = Path(__file__).parent.parent / "src" / "regcheck" / "data"
@@ -129,7 +130,7 @@ def _assert_rejected(tmp_path, endpoint, capsys, key, value):
     ran = 0
     for label, override, flag, argv in _cases(key, value):
         config = tmp_path / "config.json"
-        write_json(config, {**_base_config(tmp_path, endpoint), **override})
+        dump_json(config, {**_base_config(tmp_path, endpoint), **override})
         _ScriptedHandler.requests_seen = []
         code = _run(["--config", config, *_argv(argv, tmp_path), *flag])
         err = capsys.readouterr().err
@@ -165,7 +166,7 @@ def test_rejected_flag_value_exits_2_before_any_call(tmp_path, endpoint, capsys,
 def test_base_config_bills_calls(tmp_path, endpoint, name):
     # The law's three observations are live: the valid base config reaches
     # the server, fills the cache and writes output.
-    write_json(tmp_path / "config.json", _base_config(tmp_path, endpoint))
+    dump_json(tmp_path / "config.json", _base_config(tmp_path, endpoint))
     _ScriptedHandler.requests_seen = []
     assert _run(["--config", tmp_path / "config.json", *_argv(COMMANDS[name][0], tmp_path)]) == 0
     assert (tmp_path / "out").exists()
@@ -213,7 +214,7 @@ def test_probe_exits_2_before_any_call(tmp_path, monkeypatch, probe):
     body, argv = PROBES[probe]
     argv = _argv(argv, tmp_path)
     if body is not None:
-        write_json(tmp_path / "config.json", body)
+        dump_json(tmp_path / "config.json", body)
         argv = ["--config", tmp_path / "config.json", *argv]
     assert _run(argv) == 2
     assert calls == []
@@ -223,7 +224,7 @@ def test_probe_exits_2_before_any_call(tmp_path, monkeypatch, probe):
 
 def test_integer_for_a_float_key_is_the_same_setting(tmp_path):
     # {"temperature": 0} is 0.0: the same cache key, so the second run is all hits.
-    write_json(tmp_path / "config.json", {"temperature": 0, "retry_base_backoff_s": 1})
+    dump_json(tmp_path / "config.json", {"temperature": 0, "retry_base_backoff_s": 1})
     assert _run(["--config", tmp_path / "config.json", *_argv(_CHECK, tmp_path)]) == 0
     assert _run(_argv(_CHECK, tmp_path, out="out2")) == 0
     rows = [r for _, r in numbered_jsonl(tmp_path / "out2" / "costs.jsonl")]
@@ -245,7 +246,7 @@ _CHECK_NO_SCRIPT = ["check", "--artifact", DPA, "--format", "structured", "--rul
 
 
 def test_endpoint_in_config_selects_http(tmp_path, endpoint):
-    write_json(tmp_path / "config.json", {"endpoint": endpoint, "retry_max_attempts": 1})
+    dump_json(tmp_path / "config.json", {"endpoint": endpoint, "retry_max_attempts": 1})
     _ScriptedHandler.requests_seen = []
     assert _run(["--config", tmp_path / "config.json", *_argv(_CHECK_NO_SCRIPT, tmp_path)]) == 0
     assert len(_ScriptedHandler.requests_seen) == 8
@@ -260,7 +261,7 @@ def test_endpoint_in_environment_selects_http(tmp_path, endpoint, monkeypatch):
 
 def test_stub_script_in_config_beats_endpoint_in_environment(tmp_path, endpoint, monkeypatch):
     monkeypatch.setenv("REGCHECK_ENDPOINT", endpoint)
-    write_json(tmp_path / "config.json", {"stub_script": str(STUB_SCRIPT)})
+    dump_json(tmp_path / "config.json", {"stub_script": str(STUB_SCRIPT)})
     _ScriptedHandler.requests_seen = []
     assert _run(["--config", tmp_path / "config.json", *_argv(_CHECK_NO_SCRIPT, tmp_path)]) == 0
     assert _ScriptedHandler.requests_seen == []
@@ -274,7 +275,7 @@ def test_config_naming_backend_exits_2_before_any_input_is_read(tmp_path, capsys
     # Every input path is missing, so an error about `backend` shows that the
     # config was rejected before any input was opened.
     argv = [tmp_path / "missing" if isinstance(a, Path) else a for a in COMMANDS[name][0]]
-    write_json(tmp_path / "config.json", {"backend": value})
+    dump_json(tmp_path / "config.json", {"backend": value})
     assert _run(["--config", tmp_path / "config.json", *_argv(argv, tmp_path)]) == 2
     assert "unknown config keys ['backend']" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -7,19 +7,18 @@ import re
 from collections import Counter
 
 import pytest
+from conftest import Doc, read_doc
 
 from regcheck.corpus import (
     LIST,
     PARAGRAPH,
+    PARAGRAPH_LEVEL,
+    SENTENCE,
     Block,
-    SourceDocument,
+    UnitTable,
     _SUB_MARKER,
-    chunk_paragraphs,
+    _spans,
     estimate_tokens,
-    expand_list_items,
-    extract_provisions,
-    parse_document,
-    sentence_spans,
     split_text,
 )
 from regcheck.errors import MalformedInput, UnchunkableText
@@ -27,7 +26,12 @@ from regcheck.errors import MalformedInput, UnchunkableText
 
 def plain_provisions(doc):
     """Sentence provisions of the paragraph blocks only."""
-    return [p for p in extract_provisions(doc) if p.origin == "plain"]
+    return [p for p in doc.table() if p.origin == "plain"]
+
+
+def expanded(block, doc_id="d"):
+    """The provisions of one list block."""
+    return list(UnitTable([block], doc_id, SENTENCE))
 
 
 class TestEstimateTokens:
@@ -53,14 +57,14 @@ class TestEstimateTokens:
 class TestParseDocument:
     def test_empty_document_rejected(self):
         with pytest.raises(MalformedInput):
-            parse_document("", "plain")
+            read_doc("", "plain")
 
     def test_whitespace_only_rejected(self):
         with pytest.raises(MalformedInput):
-            parse_document("  \n\n  ", "structured")
+            read_doc("  \n\n  ", "structured")
 
     def test_plain_single_paragraph(self):
-        doc = parse_document(
+        doc = read_doc(
             "The licence holder must keep records. Records must be retained.", "plain"
         )
         assert len(doc.blocks) == 1
@@ -68,7 +72,7 @@ class TestParseDocument:
 
     def test_sfcr_sample_structured(self, fixtures):
         raw = (fixtures / "sfcr_sample.txt").read_text(encoding="utf-8")
-        doc = parse_document(raw, "structured", doc_id="sfcr_sample")
+        doc = read_doc(raw, "structured", doc_id="sfcr_sample")
         assert doc.title == "Sale of Meat Products"
         assert len(doc.blocks) == 1
         block = doc.blocks[0]
@@ -82,45 +86,45 @@ class TestParseDocument:
 
     def test_plain_list_detection(self):
         raw = "No person shall sell:\n(a) spoiled meat;\n(b) contaminated meat."
-        doc = parse_document(raw, "plain")
+        doc = read_doc(raw, "plain")
         assert doc.blocks[0].kind == "list"
         assert doc.blocks[0].header == "No person shall sell:"
         assert len(doc.blocks[0].items) == 2
 
     def test_plain_marker_without_header_stays_paragraph(self):
         raw = "(a) an orphaned item line\n(b) another one"
-        doc = parse_document(raw, "plain")
+        doc = read_doc(raw, "plain")
         assert doc.blocks[0].kind == "paragraph"
 
     def test_structured_empty_list_header(self):
         with pytest.raises(MalformedInput):
-            parse_document("* \n- item", "structured")
+            read_doc("* \n- item", "structured")
 
     def test_structured_list_without_items(self):
         with pytest.raises(MalformedInput):
-            parse_document("* A header with no items:", "structured")
+            read_doc("* A header with no items:", "structured")
 
     def test_structured_item_outside_list(self):
         with pytest.raises(MalformedInput):
-            parse_document("- stray item", "structured")
+            read_doc("- stray item", "structured")
 
     def test_structured_text_outside_block(self):
         with pytest.raises(MalformedInput):
-            parse_document("stray continuation line", "structured")
+            read_doc("stray continuation line", "structured")
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            parse_document("text", "pdf")
+            read_doc("text", "pdf")
 
     def test_determinism(self, fixtures):
         raw = (fixtures / "sfcr_gold_corpus.txt").read_text(encoding="utf-8")
-        assert parse_document(raw, "structured") == parse_document(raw, "structured")
+        assert read_doc(raw, "structured") == read_doc(raw, "structured")
 
 
-# Reference copy of the two parsers `parse_document` had before its one line
-# loop: a marker loop over `_RefBuilder` for structured text, and a blank-line
-# chunker for plain text. `parse_document` must return exactly their document,
-# or raise the same error type with the same message.
+# Reference copy of the two parsers the reader (`_Builder`) replaced with its one
+# line loop: a marker loop over `_RefBuilder` for structured text, and a
+# blank-line chunker for plain text. The reader must return exactly their
+# title and blocks, or raise the same error type with the same message.
 _REF_ENUM_LINE = re.compile(r"^\s*(?:\((?:[a-z]{1,2}|[ivxl]{1,6}|\d{1,3})\)|\d{1,3}\.)\s+")
 
 
@@ -240,7 +244,7 @@ def _ref_parse_document(raw, format="plain", doc_id="doc"):
         title, blocks = _ref_parse_plain(raw)
     if not blocks:
         raise MalformedInput("document contains no blocks")
-    return SourceDocument(doc_id=doc_id, title=title, blocks=tuple(blocks))
+    return Doc(doc_id, title, tuple(blocks))
 
 
 def _parse_outcome(parse, raw, fmt):
@@ -310,9 +314,9 @@ class TestParseDocumentAgainstReference:
     def test_random_documents_match_reference(self, fmt, seed):
         outcomes = Counter()
         for raw in self._documents(fmt, seed):
-            got = _parse_outcome(parse_document, raw, fmt)
+            got = _parse_outcome(read_doc, raw, fmt)
             assert got == _parse_outcome(_ref_parse_document, raw, fmt), repr(raw)
-            if isinstance(got, SourceDocument):
+            if isinstance(got, Doc):
                 outcomes.update(block.kind for block in got.blocks)
                 outcomes["parsed"] += 1
                 outcomes["prose opening with a marker"] += any(
@@ -343,7 +347,7 @@ class TestParseDocumentAgainstReference:
     def test_fixtures_match_reference(self, fixtures, fmt):
         for path in sorted(fixtures.glob("*.txt")):
             raw = path.read_text(encoding="utf-8")
-            assert _parse_outcome(parse_document, raw, fmt) == _parse_outcome(
+            assert _parse_outcome(read_doc, raw, fmt) == _parse_outcome(
                 _ref_parse_document, raw, fmt
             ), path.name
 
@@ -357,14 +361,14 @@ class TestParseDocumentAgainstReference:
         ],
     )
     def test_corner_cases_match_reference(self, raw, fmt):
-        assert _parse_outcome(parse_document, raw, fmt) == _parse_outcome(
+        assert _parse_outcome(read_doc, raw, fmt) == _parse_outcome(
             _ref_parse_document, raw, fmt
         )
 
 
 class TestSplitSentences:
     def test_two_plain_sentences(self):
-        doc = parse_document(
+        doc = read_doc(
             "The licence holder must keep records. Records must be retained for two years.",
             "plain",
         )
@@ -376,7 +380,7 @@ class TestSplitSentences:
         assert all(p.origin == "plain" for p in provisions)
 
     def test_legal_abbreviation_not_split(self):
-        doc = parse_document("See s. 12 of the Act for details.", "plain")
+        doc = read_doc("See s. 12 of the Act for details.", "plain")
         assert len(plain_provisions(doc)) == 1
 
     @pytest.mark.parametrize(
@@ -407,9 +411,9 @@ class TestSplitSentences:
         ]
 
     def test_list_only_document_yields_nothing(self):
-        doc = parse_document("* Header:\n- (a) one item.", "structured")
+        doc = read_doc("* Header:\n- (a) one item.", "structured")
         assert plain_provisions(doc) == []
-        assert len(expand_list_items(doc.blocks[0], doc.doc_id)) == 1
+        assert len(expanded(doc.blocks[0], doc.doc_id)) == 1
 
     def test_partition_preserves_characters(self, gold_doc):
         # Splitting loses nothing: non-whitespace multiset is invariant.
@@ -429,7 +433,7 @@ _REF_BOUNDARY = re.compile(r"([.!?]+)([\"'”’)\]]*)(?=\s)")
 _REF_OPENERS = "\"'“‘(["
 
 
-def _ref_sentence_spans(text):
+def _ref_spans(text):
     abbrevs = frozenset(("s.", "ss.", "art.", "no.", "e.g.", "i.e.", "para."))
     breaks = []
     for m in _REF_BOUNDARY.finditer(text):
@@ -469,12 +473,12 @@ class TestSentenceSpansAgainstReference:
         rng = random.Random(20240613)
         for _ in range(4000):
             text = "".join(rng.choice(self.PIECES) for _ in range(rng.randint(0, 40)))
-            assert sentence_spans(text) == _ref_sentence_spans(text), repr(text)
+            assert list(_spans(text)) == _ref_spans(text), repr(text)
 
     def test_reference_agrees_on_gold_corpus(self, gold_doc):
         for block in gold_doc.blocks:
             if block.kind == "paragraph":
-                assert sentence_spans(block.text) == _ref_sentence_spans(block.text)
+                assert list(_spans(block.text)) == _ref_spans(block.text)
 
 
 # Reference form of the sub-item marker, which opens on its lookbehind.
@@ -497,22 +501,22 @@ class TestSentenceSpansAdversarial:
     N = 100_000
 
     def test_terminator_run(self):
-        assert sentence_spans("." * self.N) == [(0, self.N)]
-        assert sentence_spans("!?" * (self.N // 2) + " Next") == [
+        assert list(_spans("." * self.N)) == [(0, self.N)]
+        assert list(_spans("!?" * (self.N // 2) + " Next")) == [
             (0, self.N),
             (self.N + 1, self.N + 5),
         ]
 
     def test_closer_run(self):
-        assert sentence_spans(")" * self.N) == [(0, self.N)]
-        assert sentence_spans("." + ")" * self.N + "x") == [(0, self.N + 2)]
+        assert list(_spans(")" * self.N)) == [(0, self.N)]
+        assert list(_spans("." + ")" * self.N + "x")) == [(0, self.N + 2)]
 
     def test_period_closer_repeated(self):
-        assert sentence_spans(".)" * (self.N // 2)) == [(0, self.N)]
+        assert list(_spans(".)" * (self.N // 2))) == [(0, self.N)]
 
     def test_abbreviation_candidates(self):
         text = "Art. 5 " * (self.N // 7)
-        assert sentence_spans(text) == [(0, len(text) - 1)]
+        assert list(_spans(text)) == [(0, len(text) - 1)]
 
     def test_twenty_thousand_sentence_paragraph(self):
         sentences = [f"Clause {k} applies." for k in range(20_000)]
@@ -520,7 +524,7 @@ class TestSentenceSpansAdversarial:
         for sentence in sentences:
             expected.append((start, start + len(sentence)))
             start += len(sentence) + 1
-        assert sentence_spans(" ".join(sentences)) == expected
+        assert list(_spans(" ".join(sentences))) == expected
 
 
 class TestExpandListItems:
@@ -528,13 +532,13 @@ class TestExpandListItems:
         block = Block(
             "list", 0, header="No person shall sell:", items=("(a) spoiled meat;",)
         )
-        (prov,) = expand_list_items(block, "d")
+        (prov,) = expanded(block)
         assert prov.text == "No person shall sell: (a) spoiled meat;"
         assert prov.origin == "list_expanded"
 
     def test_three_items_share_prefix(self):
         block = Block("list", 2, header="The label must show:", items=("(a) a;", "(b) b;", "(c) c."))
-        provisions = expand_list_items(block, "d")
+        provisions = expanded(block)
         assert len(provisions) == 3
         assert all(p.text.startswith("The label must show:") for p in provisions)
         assert [p.unit_ref for p in provisions] == ["d:b2:s0", "d:b2:s1", "d:b2:s2"]
@@ -548,7 +552,7 @@ class TestExpandListItems:
                 "(b) stored food is protected: (i) during loading; (ii) during freezing;",
             ),
         )
-        provisions = expand_list_items(block, "d")
+        provisions = expanded(block)
         assert [p.text for p in provisions] == [
             "An operator must ensure that: (b) stored food is protected: (i) during loading;",
             "An operator must ensure that: (b) stored food is protected: (ii) during freezing;",
@@ -556,25 +560,21 @@ class TestExpandListItems:
 
     def test_non_roman_parenthetical_is_not_nesting(self):
         block = Block("list", 0, header="H:", items=("(a) cite 12 (c) of the Act;",))
-        provisions = expand_list_items(block, "d")
+        provisions = expanded(block)
         assert len(provisions) == 1
-
-    def test_rejects_paragraph_block(self):
-        with pytest.raises(ValueError):
-            expand_list_items(Block("paragraph", 0, text="prose"), "d")
 
     def test_prefix_law_on_gold_corpus(self, gold_doc):
         for block in gold_doc.blocks:
             if block.kind != "list":
                 continue
-            for prov in expand_list_items(block, gold_doc.doc_id):
+            for prov in expanded(block, gold_doc.doc_id):
                 assert prov.text.startswith(block.header)
 
 
 class TestChunkParagraphs:
     def test_small_paragraph_unchanged(self):
-        doc = parse_document("Water used in processing must be potable.", "plain")
-        passages = chunk_paragraphs(doc, budget=4096)
+        doc = read_doc("Water used in processing must be potable.", "plain")
+        passages = list(doc.table(PARAGRAPH_LEVEL, 4096))
         assert len(passages) == 1
         assert passages[0].text == doc.blocks[0].text
         assert estimate_tokens(passages[0].text) <= 4096
@@ -586,10 +586,10 @@ class TestChunkParagraphs:
             "Gamma " + "delta " * 30 + "ends here.",
             "Omega " + "sigma " * 30 + "ends here.",
         ]
-        doc = parse_document(" ".join(sentences), "plain")
+        doc = read_doc(" ".join(sentences), "plain")
         per_sentence = [estimate_tokens(s) for s in sentences]
         assert all(35 <= n <= 50 for n in per_sentence)
-        passages = chunk_paragraphs(doc, budget=100)
+        passages = list(doc.table(PARAGRAPH_LEVEL, 100))
         assert len(passages) == 2
         for p in passages:
             assert estimate_tokens(p.text) <= 100  # re-run the counting oracle
@@ -597,36 +597,36 @@ class TestChunkParagraphs:
         assert joined.split() == doc.blocks[0].text.split()
 
     def test_single_oversize_sentence(self):
-        doc = parse_document("word " * 5000, "plain")
+        doc = read_doc("word " * 5000, "plain")
         with pytest.raises(UnchunkableText):
-            chunk_paragraphs(doc, budget=1000)
+            doc.table(PARAGRAPH_LEVEL, 1000)
 
     def test_budget_must_be_positive(self, gold_doc):
         with pytest.raises(ValueError):
-            chunk_paragraphs(gold_doc, budget=0)
+            gold_doc.table(PARAGRAPH_LEVEL, 0)
 
     def test_list_blocks_are_chunked_too(self, gold_doc):
-        passages = chunk_paragraphs(gold_doc, budget=4096)
+        passages = list(gold_doc.table(PARAGRAPH_LEVEL, 4096))
         assert len(passages) == len(gold_doc.blocks)
         assert [p.unit_ref for p in passages] == [f"gold:p{i}" for i in range(len(passages))]
 
     def test_bisects_down_to_single_sentences(self):
         # "One. Two." is ~3 tokens, so each sentence (~1-2 tokens) stands alone.
-        doc = parse_document("One. Two. Three.", "plain")
-        passages = chunk_paragraphs(doc, budget=2)
+        doc = read_doc("One. Two. Three.", "plain")
+        passages = list(doc.table(PARAGRAPH_LEVEL, 2))
         assert [p.text for p in passages] == ["One.", "Two.", "Three."]
 
 
 class TestProvisionIds:
     def test_unit_refs_are_unique_and_ordered(self, gold_doc):
-        provisions = extract_provisions(gold_doc)
+        provisions = list(gold_doc.table())
         refs = [p.unit_ref for p in provisions]
         assert len(set(refs)) == len(refs)
         assert refs[0] == "gold:b0:s0"
 
     def test_each_block_counts_its_provisions_from_zero(self, gold_doc):
         refs: dict[int, list[str]] = {}
-        for p in extract_provisions(gold_doc):
+        for p in gold_doc.table():
             refs.setdefault(p.block, []).append(p.unit_ref)
         assert len(refs) == len(gold_doc.blocks)
         for block, got in refs.items():

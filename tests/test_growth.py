@@ -18,11 +18,10 @@ import time
 
 import pytest
 
-from regcheck.classify import classify_keywords, parse_concept_response
+from regcheck.classify import _keyword_index, parse_concept_response
 from regcheck.compliance import Finding, _json_finding, _rule_id_texts, parse_response
 from regcheck.corpus import (
-    LIST, PARAGRAPH, Block, Unit, UnitTable, _Builder, block_sentences, parse_document,
-    split_text,
+    LIST, PARAGRAPH, Block, UnitTable, _Builder, block_sentences, split_text,
 )
 from regcheck.llm import Usage
 from regcheck.taxonomy import Concept, ConceptModel, RuleSpec, Ruleset
@@ -71,12 +70,12 @@ def wrapped_item(fmt: str, n: int) -> str:
 
 @pytest.mark.growth
 @pytest.mark.parametrize("fmt", ["structured", "plain"])
-def test_parse_document_is_linear_in_a_wrapped_list_item(fmt):
-    def parse(raw: str):
-        return parse_document(raw, fmt, doc_id="d")
+def test_reader_is_linear_in_a_wrapped_list_item(fmt):
+    def parse(raw: str) -> tuple[Block, ...]:
+        return tuple(_Builder(fmt).blocks(raw.splitlines()))
 
     small, large = wrapped_item(fmt, BASE), wrapped_item(fmt, BASE * FACTOR)
-    (block,) = parse(large).blocks
+    (block,) = parse(large)
     assert len(block.items) == 1
     ratio = best_time(parse, large) / best_time(parse, small)
     assert ratio <= MAX_RATIO, f"{FACTOR}x input took {ratio:.0f}x the time"
@@ -313,11 +312,9 @@ KEYWORD_SHAPES = {
 
 @pytest.mark.growth
 @pytest.mark.parametrize("shape", list(KEYWORD_SHAPES))
-def test_classify_keywords_is_linear(shape):
+def test_keyword_match_is_linear(shape):
     make, stem, n = KEYWORD_SHAPES[shape]
-
-    def labels(text: str) -> frozenset[str]:
-        return classify_keywords(Unit("d:b0:s0", text, 0, "plain"), KEYWORD_MODEL, stem).labels
+    labels = _keyword_index(KEYWORD_MODEL, stem).match
 
     small, large = make(n), make(n * FACTOR)
     assert labels(large) == labels(small) == ({"Pathogen"} if "listeria" in small else set())

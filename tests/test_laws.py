@@ -46,8 +46,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import dump_json, dump_jsonl
 from regcheck.cli import main
-from regcheck.storage import write_json, write_jsonl
 from test_llm import TransientFaults, _child_env, _ScriptedHandler, scripted_server
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -134,7 +134,7 @@ def backend_flags(backend: str, script: Path):
 
 def fault_config(tmp_path: Path) -> list[str]:
     """The global flags of a law run: a config file that sets a 0 s backoff."""
-    write_json(tmp_path / "config.json", FAULT_CONFIG)
+    dump_json(tmp_path / "config.json", FAULT_CONFIG)
     return ["--config", str(tmp_path / "config.json")]
 
 
@@ -356,7 +356,7 @@ def test_classify_law(
 
 def test_classify_ignores_runs(tmp_path, stub_calls):
     # `runs` is a `check` setting: classify neither repeats nor bypasses the cache for it.
-    write_json(tmp_path / "config.json", {"runs": 2})
+    dump_json(tmp_path / "config.json", {"runs": 2})
     want = (FIXTURES / "golden_labels.jsonl").read_bytes()
     flags = ["--stub-script", str(CLASSIFY_SCRIPT), "--cache-dir", str(tmp_path / "cache")]
     for name in ("cold.jsonl", "warm.jsonl"):
@@ -373,7 +373,7 @@ def test_classify_ignores_runs(tmp_path, stub_calls):
 def test_segment_and_check_see_the_same_units(tmp_path, fmt, granularity):
     # Both read the artifact through the one reader; a catch-all script answers every unit.
     script = tmp_path / "catch_all.jsonl"
-    write_jsonl(script, [{"match": "", "response": "R99."}])
+    dump_jsonl(script, [{"match": "", "response": "R99."}])
     flags = ["--format", fmt, "--granularity", granularity]
     parsed = 0
     for artifact in sorted(FIXTURES.glob("*.txt")):
@@ -441,7 +441,7 @@ def test_input_law_line_endings_do_not_reach_the_outputs(tmp_path, name, variant
     if entries is None:
         script = CHECK_SCRIPTS["paragraph"]
     else:
-        write_jsonl(script, entries)
+        dump_jsonl(script, entries)
     text = (FIXTURES / name).read_bytes().decode("utf-8")
     assert text.endswith("\n") and "\r" not in text
     changed = tmp_path / variant / name  # the same file name: the same unit refs

@@ -27,7 +27,7 @@ from regcheck.llm import (
     BackendConfig,
     CachingBackend,
     ChatMessage,
-    CostLedger,
+    CostTotals,
     HttpBackend,
     ModelPrice,
     ResponseCache,
@@ -36,10 +36,11 @@ from regcheck.llm import (
     StubEntry,
     Usage,
     cache_key,
+    cost_row,
     load_stub_script,
     make_backend,
 )
-from regcheck.storage import numbered_jsonl
+from regcheck.storage import jsonl_line, numbered_jsonl
 
 MESSAGES = [
     ChatMessage("system", "You check rules."),
@@ -429,14 +430,14 @@ PRICES = {"stub-model": ModelPrice(0.5, 1.5)}
 class TestCostAccounting:
     def test_worked_example(self):
         # 2 calls of (1000 in, 500 out) at (0.5, 1.5) per 1K: 2 x 1.25 = 2.50
-        ledger = CostLedger(PRICES)
-        records = [ledger.record(Usage("stub-model", 1000, 500, 0.0)) for _ in range(2)]
-        assert ledger.aggregate()["monetary_cost"] == pytest.approx(2.50, abs=1e-12)
-        assert [r["monetary_cost"] for r in records] == [1.25, 1.25]
+        totals = CostTotals()
+        usage = Usage("stub-model", 1000, 500, 0.0)
+        rows = [totals.add(cost_row(PRICES, usage)) for _ in range(2)]
+        assert totals.summary()["monetary_cost"] == pytest.approx(2.50, abs=1e-12)
+        assert [r["monetary_cost"] for r in rows] == [1.25, 1.25]
 
     def test_zero_calls(self):
-        ledger = CostLedger(PRICES)
-        assert ledger.aggregate() == {
+        assert CostTotals().summary() == {
             "calls": 0,
             "cache_hits": 0,
             "prompt_tokens": 0,
@@ -444,28 +445,25 @@ class TestCostAccounting:
             "monetary_cost": 0,
             "latency_s": 0,
         }
-        assert ledger.records == []
 
     def test_unknown_model(self):
         with pytest.raises(UnknownModelPrice):
-            CostLedger(PRICES).record(Usage("mystery", 1, 1, 0.0))
+            cost_row(PRICES, Usage("mystery", 1, 1, 0.0))
 
     def test_cached_calls_cost_nothing(self):
-        ledger = CostLedger(PRICES)
-        ledger.record(Usage("stub-model", 1000, 500, 0.3))
-        ledger.record(Usage("stub-model", 1000, 500, 0.3, cached=True))
-        totals = ledger.aggregate()
+        costs = CostTotals()
+        costs.add(cost_row(PRICES, Usage("stub-model", 1000, 500, 0.3)))
+        costs.add(cost_row(PRICES, Usage("stub-model", 1000, 500, 0.3, cached=True)))
+        totals = costs.summary()
         assert totals["calls"] == 2
         assert totals["cache_hits"] == 1
         assert totals["monetary_cost"] == pytest.approx(1.25, abs=1e-12)
         assert totals["latency_s"] == pytest.approx(0.3, abs=1e-9)
 
     def test_ledger_jsonl_export(self):
-        ledger = CostLedger(PRICES)
-        ledger.record(Usage("stub-model", 100, 10, 0.0))
-        lines = ledger.to_jsonl().strip().splitlines()
-        assert len(lines) == 1
-        row = json.loads(lines[0])
+        line = jsonl_line(cost_row(PRICES, Usage("stub-model", 100, 10, 0.0)))
+        assert line.endswith("}\n") and line.count("\n") == 1
+        row = json.loads(line)
         assert row["prompt_tokens"] == 100
         assert row["monetary_cost"] == pytest.approx(0.065, abs=1e-12)
 
@@ -807,17 +805,14 @@ class TestHttpTransport:
         assert len(keep_alive_server.ports) == 20
         assert len(set(keep_alive_server.ports)) == 1
 
-    def test_one_connection_per_worker_thread(self, keep_alive_server, fixtures, data_dir):
-        from regcheck.corpus import parse_document
-        from regcheck.pipeline import compliance_units, run_compliance
+    def test_one_connection_per_worker_thread(self, keep_alive_server, dpa_doc, data_dir):
+        from regcheck.pipeline import compliance_iter
         from regcheck.taxonomy import load_ruleset
 
-        raw = (fixtures / "dpa_demo.txt").read_text(encoding="utf-8")
-        doc = parse_document(raw, "structured", doc_id="dpa_demo")
-        units = compliance_units(doc, "sentence", 4096)
+        units = list(dpa_doc.table("sentence", 4096).check_units())
         rules = load_ruleset(data_dir / "gdpr_art28_demo.jsonl")
         backend = HttpBackend(_http_cfg(_url(keep_alive_server)))
-        findings = run_compliance(units, rules, backend, parallelism=4)
+        findings = list(compliance_iter(units, rules, backend, parallelism=4))
         assert len(findings) == len(units) == len(keep_alive_server.ports)
         assert 1 <= len(set(keep_alive_server.ports)) <= 4
 
@@ -905,9 +900,8 @@ def test_openssl_is_loaded_only_for_a_cached_run(fixtures, data_dir, tmp_path, c
 
 
 class TestBoundedParallelism:
-    def test_at_most_parallelism_in_flight(self, fixtures, data_dir):
-        from regcheck.corpus import parse_document
-        from regcheck.pipeline import compliance_units, run_compliance
+    def test_at_most_parallelism_in_flight(self, fixtures, data_dir, dpa_doc):
+        from regcheck.pipeline import compliance_iter
         from regcheck.taxonomy import load_ruleset
 
         inner = StubBackend(load_stub_script(fixtures / "stub_sentence_blind.jsonl"))
@@ -926,11 +920,9 @@ class TestBoundedParallelism:
                     with lock:
                         state["current"] -= 1
 
-        raw = (fixtures / "dpa_demo.txt").read_text(encoding="utf-8")
-        doc = parse_document(raw, "structured", doc_id="dpa_demo")
         rules = load_ruleset(data_dir / "gdpr_art28_demo.jsonl")
-        units = compliance_units(doc, "sentence", 4096)
-        findings = run_compliance(units, rules, Counting(), parallelism=3)
+        units = list(dpa_doc.table("sentence", 4096).check_units())
+        findings = list(compliance_iter(units, rules, Counting(), parallelism=3))
         assert len(findings) == len(units)
         assert 2 <= state["max"] <= 3
 

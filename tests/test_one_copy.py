@@ -8,20 +8,18 @@ from __future__ import annotations
 import gc
 import random
 import tracemalloc
-import weakref
 
 import pytest
+from conftest import read_doc
 
 import regcheck.cli as cli
 import regcheck.corpus as corpus
 import regcheck.pipeline as pipeline
 import regcheck.storage as storage
 from regcheck.cli import main
-from regcheck.corpus import (
-    PARAGRAPH_LEVEL, SENTENCE, Block, Unit, extract_provisions, parse_document,
-)
+from regcheck.corpus import PARAGRAPH_LEVEL, SENTENCE, Block, Unit
 from regcheck.llm import BackendConfig, Usage
-from regcheck.pipeline import CheckUnit, run_compliance
+from regcheck.pipeline import CheckUnit, compliance_iter
 from regcheck.taxonomy import RuleSpec, Ruleset
 
 # Every line separator of `str.splitlines`.
@@ -53,7 +51,7 @@ def _assert_read_as_text(path):
     parsed = 0
     for fmt in ("plain", "structured"):
         got = _outcome(lambda: list(cli._units(str(path), _config(fmt), "d", SENTENCE)))
-        want = _outcome(lambda: extract_provisions(parse_document(text, fmt, doc_id="d")))
+        want = _outcome(lambda: list(read_doc(text, fmt, doc_id="d").table()))
         if isinstance(want, tuple):  # the reader's errors name the file
             want = (want[0], f"{path}: {want[1]}")
         assert got == want, repr(text)
@@ -150,29 +148,35 @@ def test_document_is_freed_before_the_model_stage(
     monkeypatch, fixtures, data_dir, tmp_path, argv, module, stage
 ):
     # Each subcommand turns each block into its units as it is read: it builds no
-    # document, and when its model stage (or, for `segment`, its write) starts, no
-    # block is left.
-    refs, seen = [], []
-    build, run = corpus.SourceDocument, getattr(module, stage)
+    # document, so at most the block being read and the one before it are alive at once,
+    # and when its model stage (or, for `segment`, its write) starts, no block is left.
+    seen, run = [], getattr(module, stage)
+    made, live = [0], [0, 0]  # the blocks read; those alive now, and the most at once
 
-    def building(*args, **kwargs):
-        doc = build(*args, **kwargs)
-        refs.append(weakref.ref(doc))
-        return doc
+    class Counted(Block):
+        def __post_init__(self):
+            super().__post_init__()
+            made[0] += 1
+            live[0] += 1
+            live[1] = max(live)
+
+        def __del__(self):
+            live[0] -= 1
 
     def blocks() -> int:
         gc.collect()
         return sum(isinstance(o, Block) for o in gc.get_objects())
 
     def running(*args, **kwargs):
-        seen.append(([r() is not None for r in refs], blocks() - before))
+        seen.append(blocks() - before)
         return run(*args, **kwargs)
 
-    monkeypatch.setattr(corpus, "SourceDocument", building)
+    monkeypatch.setattr(corpus, "Block", Counted)
     monkeypatch.setattr(module, stage, running)
     before = blocks()  # those of other tests' documents
     assert main(argv(fixtures, data_dir, tmp_path)) == 0
-    assert seen == [([], 0)]  # no document was built, and no block is left
+    assert seen == [0]  # no block is left
+    assert made[0] >= 5 and live[1] <= 2, (made, live)  # no document was built
 
 
 def _paragraph(n: int) -> str:
@@ -213,7 +217,7 @@ class _ByIndex:
 @pytest.mark.parametrize("parallelism", [1, 4])
 def test_findings_with_equal_rule_ids_share_one_set(parallelism):
     units = [CheckUnit(Unit(f"d:p{i}", f"Unit {i}", i, "passage")) for i in range(60)]
-    findings = run_compliance(units, RULES, _ByIndex(), parallelism=parallelism)
+    findings = list(compliance_iter(units, RULES, _ByIndex(), parallelism=parallelism))
     by_set = {}
     for f in findings:
         by_set.setdefault(f.rule_ids, set()).add(id(f.rule_ids))

@@ -250,6 +250,14 @@ def test_unanswered_findings_reach_errors_jsonl_alone(tmp_path, case):
     assert listed.read_bytes() == _lines(
         {"unit_ref": f"gap:{k}", "error": error} for k, error in enumerate(errors)
     )
+    # The one-shot report of the same findings folds only the answered ones too.
+    report = assemble_report(mixed, rules, "a")
+    one_shot = {
+        "report.json": json.dumps(report_to_dict(report), ensure_ascii=False, indent=2) + "\n",
+        "report.md": report_to_markdown(report),
+    }
+    for name, text in one_shot.items():
+        assert (tmp_path / "mixed" / name).read_bytes() == text.encode("utf-8"), name
 
 
 SIZED_RULES = Ruleset(tuple(RuleSpec(f"R{i}", f"rule {i}") for i in range(1, 13)), "rules")

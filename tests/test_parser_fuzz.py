@@ -11,7 +11,7 @@ import pytest
 
 from regcheck.classify import _NONE_TOKEN, parse_concept_response
 from regcheck.compliance import _RULE_TOKEN, parse_response
-from regcheck.corpus import first_sentence_end, sentence_spans
+from regcheck.corpus import _spans, first_sentence_end
 from regcheck.errors import ParseError
 from regcheck.storage import numbered_jsonl
 from regcheck.taxonomy import NO_CONCEPT, NOT_APPLICABLE, load_concept_model, load_ruleset
@@ -27,7 +27,7 @@ def _ref_parse_response(raw, rules):
     if any(tok == NOT_APPLICABLE for _, tok in tokens):
         ids = frozenset()
     else:
-        spans = sentence_spans(raw)
+        spans = list(_spans(raw))
         first_end = spans[0][1] if spans else len(raw)
         leading = {tok for pos, tok in tokens if pos < first_end}
         if not leading:
@@ -46,7 +46,7 @@ def _ref_parse_concept_response(raw, model):
         raise ParseError("empty classification response")
     if re.search(r"\bNONE\b", raw):
         return frozenset()
-    spans = sentence_spans(raw)
+    spans = list(_spans(raw))
     first_end = spans[0][1] if spans else len(raw)
     found = set()
     for m in re.finditer(r"[A-Za-z][A-Za-z0-9_]*", raw[:first_end]):
@@ -144,5 +144,5 @@ def test_first_sentence_end_is_the_first_span_end(fixtures):
     rng = random.Random(71)
     oracle = [row["raw"] for _, row in numbered_jsonl(fixtures / "parser_oracle.jsonl")]
     for raw in [random_response(rng) for _ in range(4000)] + oracle:
-        spans = sentence_spans(raw)
+        spans = list(_spans(raw))
         assert first_sentence_end(raw) == (spans[0][1] if spans else len(raw)), raw

@@ -10,26 +10,21 @@ from collections import Counter
 from typing import Iterator
 
 import pytest
+from conftest import dump_jsonl, read_doc
 
 from regcheck.cli import main
 from regcheck.classify import (
+    FROM_KEYWORD,
     FROM_LLM,
     LabelSet,
+    _keyword_index,
     classification_prompter,
-    classify_keywords,
-    default_classification_template,
     fuse_labels,
+    load_classification_template,
     parse_concept_response,
 )
-from regcheck.compliance import (
-    NOT_SENT,
-    Finding,
-    build_prompt,
-    default_template,
-    parse_response,
-    prompt_builder,
-)
-from regcheck.corpus import UnitTable, block_text, extract_provisions, parse_document
+from regcheck.compliance import NOT_SENT, Finding, load_template, parse_response, prompt_builder
+from regcheck.corpus import UnitTable, block_text
 from regcheck.errors import BackendError, ParseError, UnchunkableText
 from regcheck.llm import StubBackend, StubEntry, load_stub_script
 from regcheck.pipeline import (
@@ -39,41 +34,39 @@ from regcheck.pipeline import (
     _ordered_map,
     answers,
     classify_iter,
-    classify_provisions,
-    compliance_units,
-    run_compliance,
+    compliance_iter,
 )
-from regcheck.storage import jsonl_line, write_jsonl
+from regcheck.storage import jsonl_line
 from regcheck.taxonomy import load_concept_model, load_ruleset
 
 
 class TestComplianceUnits:
     def test_sentence_units_one_per_provision(self, dpa_doc):
-        units = compliance_units(dpa_doc, "sentence", 4096)
-        provisions = extract_provisions(dpa_doc)
+        units = list(dpa_doc.table("sentence", 4096).check_units())
+        provisions = list(dpa_doc.table())
         assert [u.passage.unit_ref for u in units] == [p.unit_ref for p in provisions]
         assert all(u.context is None for u in units)
 
     def test_sentence_context_is_enclosing_block(self, dpa_doc):
-        units = compliance_units(dpa_doc, "sentence", 4096, context_on=True)
+        units = list(dpa_doc.table("sentence", 4096, True).check_units())
         first = units[0]
         assert first.context == block_text(dpa_doc.blocks[0])
         assert first.passage.text != first.context
 
     def test_paragraph_units_have_no_redundant_context(self, dpa_doc):
         # An unsplit passage equals its block; attaching it again adds nothing.
-        units = compliance_units(dpa_doc, "paragraph", 4096, context_on=True)
+        units = list(dpa_doc.table("paragraph", 4096, True).check_units())
         assert all(u.context is None for u in units)
 
     def test_split_passage_gets_parent_context(self):
-        doc = parse_document(
+        doc = read_doc(
             "The code must identify the supplier of each lot received. "
             "Records of each code must be retained for two years. "
             "Labels must repeat the code verbatim.",
             "plain",
             doc_id="d",
         )
-        units = compliance_units(doc, "paragraph", 20, context_on=True)
+        units = list(doc.table("paragraph", 20, True).check_units())
         assert len(units) >= 2
         for u in units:
             assert u.context == doc.blocks[0].text
@@ -85,9 +78,9 @@ class TestComplianceUnits:
         rng = random.Random(f"{granularity}-{context_on}")
         contexts = single_chunk_splits = 0
         for _ in range(300):
-            doc = parse_document(_random_structured_text(rng), "structured", doc_id="d")
+            doc = read_doc(_random_structured_text(rng), "structured", doc_id="d")
             budget = rng.choice((4, 8, 12, 20, 40, 4096))
-            got = _outcome(lambda: compliance_units(doc, granularity, budget, context_on))
+            got = _outcome(lambda: list(doc.table(granularity, budget, context_on).check_units()))
             assert got == _outcome(lambda: _reference_units(doc, granularity, budget, context_on))
             if isinstance(got, list):
                 contexts += sum(u.context is not None for u in got)
@@ -105,11 +98,11 @@ class TestComplianceUnits:
         rng = random.Random(f"table-{granularity}-{context_on}")
         tables = 0
         for _ in range(300):
-            doc = parse_document(_random_structured_text(rng), "structured", doc_id="d")
+            doc = read_doc(_random_structured_text(rng), "structured", doc_id="d")
             budget = rng.choice((4, 8, 12, 20, 40, 4096))
-            want = _outcome(lambda: compliance_units(doc, granularity, budget, context_on))
+            want = _outcome(lambda: _reference_units(doc, granularity, budget, context_on))
             table = _outcome(lambda: UnitTable(doc.blocks, "d", granularity, budget, context_on))
-            if isinstance(want, tuple):  # the table raises the error of `compliance_units`
+            if isinstance(want, tuple):  # the table raises the error of the reference
                 assert table == want
                 continue
             first, again = list(table.check_units()), list(table.check_units())
@@ -126,7 +119,7 @@ class TestComplianceUnits:
         rng = random.Random(f"release-{granularity}-{context_on}")
         tables = 0
         for _ in range(300):
-            doc = parse_document(_random_structured_text(rng), "structured", doc_id="d")
+            doc = read_doc(_random_structured_text(rng), "structured", doc_id="d")
             budget = rng.choice((4, 8, 12, 20, 40, 4096))
             table = _outcome(lambda: UnitTable(doc.blocks, "d", granularity, budget, context_on))
             if isinstance(table, tuple):
@@ -144,19 +137,20 @@ class TestComplianceUnits:
 
     def test_sentence_over_budget(self, dpa_doc):
         with pytest.raises(UnchunkableText):
-            compliance_units(dpa_doc, "sentence", 5)
+            dpa_doc.table("sentence", 5)
 
     def test_unknown_granularity(self, dpa_doc):
         with pytest.raises(ValueError):
-            compliance_units(dpa_doc, "clause", 4096)
+            dpa_doc.table("clause", 4096)
 
     def test_granularity_changes_only_user_message(self, dpa_doc, data_dir):
         # Same template, same parsing; only the user-facing content differs.
         rules = load_ruleset(data_dir / "gdpr_art28_demo.jsonl")
-        sent = compliance_units(dpa_doc, "sentence", 4096)
-        para = compliance_units(dpa_doc, "paragraph", 4096)
-        b_sent = build_prompt(sent[0].passage, rules, default_template(), sent[0].context)
-        b_para = build_prompt(para[0].passage, rules, default_template(), para[0].context)
+        sent = list(dpa_doc.table("sentence", 4096).check_units())
+        para = list(dpa_doc.table("paragraph", 4096).check_units())
+        build = prompt_builder(rules, load_template())
+        b_sent = build(sent[0].passage, sent[0].context)
+        b_para = build(para[0].passage, para[0].context)
         assert b_sent.messages[0] == b_para.messages[0]
         assert b_sent.messages[1] != b_para.messages[1]
 
@@ -170,10 +164,11 @@ def _outcome(fn):
 
 
 def _reference_units(doc, granularity, budget, context_on):
-    """`compliance_units` with a dict of every block's text: the reference for context."""
+    """The check units of `doc` without context, each given its block's text from a dict of
+    every block's text: the reference for context."""
     parents = {b.index: block_text(b) for b in doc.blocks} if context_on else {}
     units = []
-    for unit in compliance_units(doc, granularity, budget):
+    for unit in doc.table(granularity, budget).check_units():
         context = parents.get(unit.passage.block)
         units.append(CheckUnit(unit.passage, None if context == unit.passage.text else context))
     return units
@@ -203,8 +198,8 @@ class TestRunCompliance:
     def test_parse_failures_become_findings(self, dpa_doc, data_dir):
         rules = load_ruleset(data_dir / "gdpr_art28_demo.jsonl")
         backend = StubBackend([StubEntry(match="", response="nothing structured")])
-        units = compliance_units(dpa_doc, "paragraph", 4096)
-        findings = run_compliance(units, rules, backend)
+        units = list(dpa_doc.table("paragraph", 4096).check_units())
+        findings = list(compliance_iter(units, rules, backend))
         assert len(findings) == len(units)
         assert all(f.parse_error for f in findings)
         assert all(f.usage is not None for f in findings)  # failed parses still cost
@@ -213,7 +208,7 @@ class TestRunCompliance:
     def test_findings_keep_unit_order(self, dpa_doc, data_dir, fixtures):
         rules = load_ruleset(data_dir / "gdpr_art28_demo.jsonl")
         backend = StubBackend(load_stub_script(fixtures / "stub_paragraph_aware.jsonl"))
-        units = compliance_units(dpa_doc, "paragraph", 4096)
+        units = list(dpa_doc.table("paragraph", 4096).check_units())
 
         def full(findings):
             return [
@@ -221,8 +216,8 @@ class TestRunCompliance:
                 for f in findings
             ]
 
-        serial = run_compliance(units, rules, backend, parallelism=1)
-        wide = run_compliance(units, rules, backend, parallelism=8)
+        serial = list(compliance_iter(units, rules, backend, parallelism=1))
+        wide = list(compliance_iter(units, rules, backend, parallelism=8))
         assert [f.passage_ref for f in wide] == [u.passage.unit_ref for u in units]
         assert full(wide) == full(serial)
 
@@ -230,20 +225,17 @@ class TestRunCompliance:
 class TestClassifyProvisions:
     def test_parse_error_recorded_not_raised(self, data_dir):
         model = load_concept_model(data_dir / "food_safety_concepts.jsonl")
-        doc = parse_document("Unmatched provision text here.", "plain", doc_id="d")
+        doc = read_doc("Unmatched provision text here.", "plain", doc_id="d")
         backend = StubBackend([StubEntry(match="", response="no vocabulary words")])
-        (result,) = classify_provisions(
-            extract_provisions(doc), model, backend,
-            template=default_classification_template(),
-        )
+        (result,) = classify_iter(doc.table(), model, backend, load_classification_template())
         assert result.parse_error
         assert result.labels.labels == set()
         assert result.raw_response == "no vocabulary words"
 
     def test_keyword_only_skips_backend(self, data_dir):
         model = load_concept_model(data_dir / "food_safety_concepts.jsonl")
-        doc = parse_document("Salmonella testing is mandatory.", "plain", doc_id="d")
-        (result,) = classify_provisions(extract_provisions(doc), model, backend=None)
+        doc = read_doc("Salmonella testing is mandatory.", "plain", doc_id="d")
+        (result,) = classify_iter(doc.table(), model, backend=None)
         assert result.labels.labels == {"Pathogen"}
         assert result.raw_response == ""
         assert result.usage is None
@@ -266,7 +258,7 @@ def _ref_check_passage(bundle, rules, backend) -> Finding:
 
 
 def _ref_classify_one(p, model, backend, prompt, stem) -> ClassifiedProvision:
-    labels = classify_keywords(p, model, stem=stem)
+    labels = LabelSet.of(_keyword_index(model, stem).match(p.text), FROM_KEYWORD)
     if backend is None:
         return ClassifiedProvision(p, labels)
     ids, response, usage, error = _ref_ask(backend, prompt(p), parse_concept_response, model)
@@ -323,21 +315,22 @@ class TestPerUnitPathAgainstReference:
         rng = random.Random(seed)
         rules = load_ruleset(data_dir / "gdpr_art28_demo.jsonl")
         docs = [dpa_doc] + [
-            parse_document(_random_structured_text(rng), "structured", doc_id=f"d{k}")
+            read_doc(_random_structured_text(rng), "structured", doc_id=f"d{k}")
             for k in range(20)
         ]
         units = [
             unit
             for doc in docs
-            for unit in compliance_units(
-                doc, rng.choice(("paragraph", "sentence")), 4096, rng.random() < 0.5
-            )
+            for unit in doc.table(
+                rng.choice(("paragraph", "sentence")), 4096, rng.random() < 0.5
+            ).check_units()
         ]
         texts = [f"Text:\n{u.passage.text}" for u in units]  # the user message starts so
         backend = _seeded_backend(rng, texts, _CHECK_ANSWERS)
-        build = prompt_builder(rules, default_template())
+        template = load_template()
+        build = prompt_builder(rules, template)
         expected = [_ref_check_passage(build(u.passage, u.context), rules, backend) for u in units]
-        got = run_compliance(units, rules, backend, default_template(), parallelism=parallelism)
+        got = list(compliance_iter(units, rules, backend, template, parallelism=parallelism))
         assert [_fields(f) for f in got] == [_fields(f) for f in expected]
         assert 0.15 < _parse_error_share(got) < 0.6
 
@@ -352,11 +345,9 @@ class TestPerUnitPathAgainstReference:
         provisions = [
             p
             for name, fmt in (("food_corpus.txt", "structured"), ("food_corpus_plain.txt", "plain"))
-            for p in extract_provisions(
-                parse_document((fixtures / name).read_text(encoding="utf-8"), fmt, doc_id=name)
-            )
+            for p in read_doc((fixtures / name).read_text(encoding="utf-8"), fmt, name).table()
         ]
-        template = default_classification_template()
+        template = load_classification_template()
         backend = (
             None if keyword_only
             else _seeded_backend(rng, [p.text for p in provisions], _CLASSIFY_ANSWERS)
@@ -402,7 +393,7 @@ class TestClassifyRecordLines:
         concepts = data_dir / "food_safety_concepts.jsonl"
         model = load_concept_model(concepts)
         text = corpus.read_text(encoding="utf-8")
-        provisions = extract_provisions(parse_document(text, "plain", doc_id="corpüs"))
+        provisions = list(read_doc(text, "plain", doc_id="corpüs").table())
         stem = mode.endswith("stem")
         argv = [
             "classify", "--input", str(corpus), "--format", "plain", "--concepts", str(concepts),
@@ -414,10 +405,10 @@ class TestClassifyRecordLines:
             argv.append("--keyword-only")
         else:
             script = _seeded_script(rng, [p.text for p in provisions], _CLASSIFY_ANSWERS)
-            write_jsonl(tmp_path / "script.jsonl", [dataclasses.asdict(e) for e in script])
+            dump_jsonl(tmp_path / "script.jsonl", [dataclasses.asdict(e) for e in script])
             backend = StubBackend(script)
             argv += ["--stub-script", str(tmp_path / "script.jsonl")]
-        prompt = classification_prompter(model, default_classification_template())
+        prompt = classification_prompter(model, load_classification_template())
         expected = [_ref_classify_one(p, model, backend, prompt, stem) for p in provisions]
         assert main(argv) == 0
         want = [jsonl_line(r.to_record()) for r in expected]

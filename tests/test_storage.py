@@ -17,8 +17,6 @@ from regcheck.storage import (
     json_chunks,
     jsonl_line,
     numbered_jsonl,
-    write_json,
-    write_jsonl,
 )
 
 VALUES = [
@@ -63,14 +61,14 @@ def _lines(records) -> bytes:
 
 @pytest.mark.parametrize("obj", VALUES, ids=repr)
 def test_write_json_gives_the_one_shot_bytes(tmp_path, obj):
-    write_json(tmp_path / "o.json", obj)
+    atomic_write_chunks(tmp_path / "o.json", json_chunks(obj))
     assert (tmp_path / "o.json").read_bytes() == _one_shot(obj)
 
 
 def test_write_json_across_many_batches(tmp_path):
     obj = _report(2000)
     assert sum(1 for _ in json_chunks(obj)) > 3 * MANY
-    write_json(tmp_path / "report.json", obj)
+    atomic_write_chunks(tmp_path / "report.json", json_chunks(obj))
     assert (tmp_path / "report.json").read_bytes() == _one_shot(obj)
 
 
@@ -78,7 +76,7 @@ def test_write_json_across_many_batches(tmp_path):
 def test_write_jsonl_gives_the_per_line_bytes(tmp_path, count):
     records = [VALUES[6], {}, {"unit_ref": "ü", "labels": []}] * count
     # A generator: the writer must not need a list.
-    write_jsonl(tmp_path / "r.jsonl", (r for r in records))
+    atomic_write_chunks(tmp_path / "r.jsonl", map(jsonl_line, (r for r in records)))
     assert (tmp_path / "r.jsonl").read_bytes() == _lines(records)
 
 
@@ -99,8 +97,8 @@ def _unserializable_report():
 @pytest.mark.parametrize(
     "write,error",
     [
-        (lambda path: write_jsonl(path, _failing_records()), RuntimeError),
-        (lambda path: write_json(path, _unserializable_report()), TypeError),
+        (lambda path: atomic_write_chunks(path, map(jsonl_line, _failing_records())), RuntimeError),
+        (lambda path: atomic_write_chunks(path, json_chunks(_unserializable_report())), TypeError),
     ],
     ids=["raising-generator", "unserializable-value"],
 )
@@ -130,7 +128,7 @@ def _traced_peak(write) -> int:
 def test_write_json_memory_is_a_fraction_of_the_file(tmp_path):
     report = _report(22_000)
     target = tmp_path / "report.json"
-    peak = _traced_peak(lambda: write_json(target, report))
+    peak = _traced_peak(lambda: atomic_write_chunks(target, json_chunks(report)))
     size = target.stat().st_size
     assert size >= 4_000_000
     assert peak < size / 8, (peak, size)
@@ -139,8 +137,9 @@ def test_write_json_memory_is_a_fraction_of_the_file(tmp_path):
 def test_write_jsonl_memory_does_not_grow_with_the_record_count(tmp_path):
     small, large = (_report(n)["findings"] for n in (8_000, 32_000))
     assert len(small) > 4 * MANY
-    small_peak = _traced_peak(lambda: write_jsonl(tmp_path / "small.jsonl", small))
-    large_peak = _traced_peak(lambda: write_jsonl(tmp_path / "large.jsonl", large))
+    write = lambda name, records: atomic_write_chunks(tmp_path / name, map(jsonl_line, records))
+    small_peak = _traced_peak(lambda: write("small.jsonl", small))
+    large_peak = _traced_peak(lambda: write("large.jsonl", large))
     assert (tmp_path / "large.jsonl").stat().st_size >= 4_000_000
     assert large_peak < 1.5 * small_peak, (small_peak, large_peak)
 

@@ -31,6 +31,7 @@ import time
 import tracemalloc
 
 import pytest
+from conftest import dump_jsonl, read_doc
 
 import regcheck.cli as cli
 import regcheck.compliance as compliance
@@ -38,11 +39,10 @@ import regcheck.evaluation as evaluation
 import regcheck.pipeline as pipeline
 from regcheck.cli import main
 from regcheck.compliance import NOT_SENT
-from regcheck.corpus import extract_provisions, parse_document
 from regcheck.errors import BackendError
 from regcheck.llm import HttpBackend, StubBackend, Usage
 from regcheck.pipeline import classify_iter
-from regcheck.storage import numbered_jsonl, write_jsonl
+from regcheck.storage import numbered_jsonl
 from regcheck.taxonomy import load_concept_model
 from test_llm import _child_env, _ScriptedHandler, scripted_server
 
@@ -189,7 +189,7 @@ def test_a_consumer_that_stops_early_makes_no_further_call(data_dir, parallelism
     k = 5
     backend = _Backend(pause=0.02)
     results = classify_iter(
-        extract_provisions(parse_document(_corpus_text(200), "plain")),
+        read_doc(_corpus_text(200), "plain").table(),
         load_concept_model(data_dir / "food_safety_concepts.jsonl"),
         backend,
         parallelism=parallelism,
@@ -657,8 +657,8 @@ def _eval_files(tmp_path, n: int) -> list[str]:
     gold_path, pred_path = tmp_path / f"gold_{n}.jsonl", tmp_path / f"pred_{n}.jsonl"
     gold = [[] if i % 3 == 0 else [f"R{i % 5 + 1}"] for i in range(n)]
     pred = [(gold[i], gold[i] + ["R9"], [], ["R8"])[i % 4] for i in range(n)]
-    write_jsonl(gold_path, ({"unit_ref": f"doc:p{i}", "labels": gold[i]} for i in range(n)))
-    write_jsonl(pred_path, ({"unit_ref": f"doc:p{i}", "labels": pred[i]} for i in range(n)))
+    dump_jsonl(gold_path, ({"unit_ref": f"doc:p{i}", "labels": gold[i]} for i in range(n)))
+    dump_jsonl(pred_path, ({"unit_ref": f"doc:p{i}", "labels": pred[i]} for i in range(n)))
     return ["eval", "--gold", str(gold_path), "--pred", str(pred_path)]
 
 
@@ -718,6 +718,23 @@ def test_eval_holds_no_list_of_the_gold_records(tmp_path):
     # Records with equal labels share one set, so a list of the `GoldRecord`s adds only
     # ~60 B: holding it reads 257-283 B.
     assert all(excess < 250 for excess in per_unit.values()), per_unit
+
+
+def test_eval_holds_at_most_one_gold_record_once_scored(monkeypatch, tmp_path):
+    # A law with no clock and no allocation margin: once `confusion` has scored the gold
+    # file, at most the last record it read is alive, so no list of the records was built.
+    argv = _eval_files(tmp_path, 2000)
+    score, alive = evaluation.confusion, []
+
+    def counted(predicted, gold):
+        counts = score(predicted, gold)
+        gc.collect()
+        alive.append(sum(isinstance(o, evaluation.GoldRecord) for o in gc.get_objects()))
+        return counts
+
+    monkeypatch.setattr(evaluation, "confusion", counted)
+    assert main([*argv, "--out", str(tmp_path / "metrics.json")]) == 0
+    assert len(alive) == 1 and alive[0] <= 1, alive
 
 
 def _read_one_line_then_close(argv: list[str], tmp_path) -> tuple[int, int, str]:

@@ -3,21 +3,21 @@
 from __future__ import annotations
 
 import pytest
+from conftest import dump_jsonl
 
 from regcheck.errors import SchemaError
-from regcheck.storage import write_jsonl
 from regcheck.taxonomy import load_concept_model, load_ruleset, render_rules
 
 
 def _concept_file(tmp_path, records):
     path = tmp_path / "concepts.jsonl"
-    write_jsonl(path, records)
+    dump_jsonl(path, records)
     return path
 
 
 def _ruleset_file(tmp_path, records):
     path = tmp_path / "rules.jsonl"
-    write_jsonl(path, records)
+    dump_jsonl(path, records)
     return path
 
 
